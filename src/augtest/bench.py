@@ -2,17 +2,19 @@
 
 A run is fully determined by (config, seed): trial i uses the derived stream
 Rng(seed, (i,)), so results are reproducible byte-for-byte regardless of the
---jobs level. Wall-time measurement is opt-in (record_timing) because it is
-the one field that would break byte-identical reruns.
+--jobs level. With jobs > 1 the trials run in forked worker processes, at most
+one per available core. Wall-time measurement is opt-in (record_timing)
+because it is the one field that would break byte-identical reruns.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -233,14 +235,32 @@ def run_single_trial(cfg: ExperimentConfig, trial: int, alpha_override: float | 
     )
 
 
-def run_trials(cfg: ExperimentConfig, alpha_override: float | None = None) -> list[TrialRecord]:
-    """Runs cfg.trials independent trials, concurrently up to cfg.jobs."""
-    indices = range(cfg.trials)
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(lambda i: run_single_trial(cfg, i, alpha_override), indices))
+def worker_count(jobs: int, trials: int) -> int:
+    """Worker processes for a run: jobs, capped by the trial count and the available cores."""
+    if hasattr(os, "sched_getaffinity"):  # absent on macOS
+        cores = len(os.sched_getaffinity(0))
     else:
-        records = [run_single_trial(cfg, i, alpha_override) for i in indices]
+        cores = os.cpu_count() or 1
+    return min(jobs, trials, cores)
+
+
+def run_trials(cfg: ExperimentConfig, alpha_override: float | None = None) -> list[TrialRecord]:
+    """Runs cfg.trials independent trials, in up to cfg.jobs forked worker processes.
+
+    Fork carries in-process module state (such as patched entry points) into
+    the workers without a re-import. One worker runs the trials in-process.
+    """
+    trial = functools.partial(run_single_trial, cfg, alpha_override=alpha_override)
+    workers = worker_count(cfg.jobs, cfg.trials)
+    if workers > 1:
+        # Imported here so that serial runs and the verdict commands skip it.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork")) as pool:
+            records = list(pool.map(trial, range(cfg.trials)))
+    else:
+        records = [trial(i) for i in range(cfg.trials)]
     records.sort(key=lambda r: r.trial)
     return records
 

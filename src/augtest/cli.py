@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import click
 
@@ -160,13 +161,13 @@ def gen_hard(n, m, k, alpha, eps, force_x, seed, out, eps_meas, alpha_meas):
 @main.command("bench")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--jobs", type=int, default=None, help="overrides the config's jobs")
+@click.option("--jobs", type=int, default=None, help="overrides the config's jobs (worker processes)")
 def bench(config_path, out_path, jobs):
     """Run a trial batch from a JSON config; write the per-trial CSV."""
     try:
         cfg = ExperimentConfig.from_file(config_path)
         if jobs is not None:
-            cfg.jobs = jobs
+            cfg = replace(cfg, jobs=jobs)  # re-runs the config's validation
         records = run_trials(cfg)
         summary = emit_report(records, out_path)
     except (DomainError, OSError, json.JSONDecodeError, TypeError, ValueError) as exc:

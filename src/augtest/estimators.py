@@ -69,20 +69,26 @@ class VectorSampler:
         return np.clip(flat, 0, self.size - 1)
 
 
-def _batch_counts(view, total: int, rng: Rng) -> np.ndarray:
+def _law(view) -> np.ndarray | None:
+    """The view's explicit law normalized to sum 1, or None when it can only draw."""
+    if view.probs is None:
+        return None
+    pv = np.asarray(view.probs, dtype=np.float64)
+    return pv / pv.sum()
+
+
+def _batch_counts(view, law: np.ndarray | None, total: int, rng: Rng) -> np.ndarray:
     """Counts of `total` i.i.d. draws from the view, as a length-size vector."""
-    if view.probs is not None:
-        pv = np.asarray(view.probs, dtype=np.float64)
-        return rng.gen.multinomial(total, pv / pv.sum())
+    if law is not None:
+        return rng.gen.multinomial(total, law)
     draws = view.draw(total, rng)
     return np.bincount(draws, minlength=view.size)
 
 
-def _poissonized_counts(view, lam: float, rng: Rng) -> np.ndarray:
+def _poissonized_counts(view, law: np.ndarray | None, lam: float, rng: Rng) -> np.ndarray:
     """Per-symbol counts of a Poi(lam)-sized batch; entries are Poi(lam * p_i)."""
-    if view.probs is not None:
-        pv = np.asarray(view.probs, dtype=np.float64)
-        return rng.gen.poisson(lam * (pv / pv.sum()))
+    if law is not None:
+        return rng.gen.poisson(lam * law)
     k = int(rng.split(0).gen.poisson(lam))
     draws = view.draw(k, rng.split(1))
     return np.bincount(draws, minlength=view.size)
@@ -107,9 +113,10 @@ def estimate_l2_squared(
         raise DomainError("domain size must be >= 1")
     T = max(2, math.ceil(cfg.norm_sample_mult * math.ceil(math.sqrt(M))))
     r = repetitions(delta, cfg)
+    law = _law(view)
     ests = np.empty(r)
     for j in range(r):
-        counts = _batch_counts(view, T, rng.split(j))
+        counts = _batch_counts(view, law, T, rng.split(j))
         ests[j] = float(np.dot(counts, counts - 1)) / (T * (T - 1))
     if account is not None:
         account.add(stage, T * r * view.cost)
@@ -154,16 +161,20 @@ def closeness_test(
     """
     lam, threshold = closeness_params(M, b, eps, cfg)
     r = repetitions(delta, cfg)
+    law_p, law_q = _law(view_p), _law(view_q)
     rejects = 0
     used_p = 0
     used_q = 0
     for j in range(r):
-        x = _poissonized_counts(view_p, lam, rng.split(2 * j))
-        y = _poissonized_counts(view_q, lam, rng.split(2 * j + 1))
+        x = _poissonized_counts(view_p, law_p, lam, rng.split(2 * j))
+        y = _poissonized_counts(view_q, law_q, lam, rng.split(2 * j + 1))
         used_p += int(x.sum())
         used_q += int(y.sum())
         d = x.astype(np.float64) - y
-        z = float(np.dot(d, d) - x.sum() - y.sum())
+        # A ufunc reduction, not np.dot: a float dot is a BLAS call, which
+        # multi-threads on large M and oversubscribes cores that parallel
+        # trials already fill. The terms are integers, so the sum is exact.
+        z = float(np.square(d).sum() - x.sum() - y.sum())
         if z > threshold:
             rejects += 1
     if account is not None:

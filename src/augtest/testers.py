@@ -289,9 +289,10 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     tau_prod = math.prod(tau)
     joint_reject = (10.0 * gate * gate) if arity == 2 else (6.0 * gate ** 3)
     closeness_b = (4.0 * gate * gate) if arity == 2 else (6.0 * gate ** 3)
-    joint_norm = hooks.norm(
-        flattened_joint_view(sampler, pf), pf.flat_size, norm_delta, est, rng.split(30), account
-    )
+    # One view serves both the joint norm and closeness: it holds the dense
+    # flattened joint law, the largest array a run builds.
+    joint_view = flattened_joint_view(sampler, pf)
+    joint_norm = hooks.norm(joint_view, pf.flat_size, norm_delta, est, rng.split(30), account)
     detail["joint_norm"] = joint_norm
     if joint_norm > joint_reject * tau_prod:
         return Verdict(Outcome.REJECT, "joint_norm", stage_log, account, detail)
@@ -300,7 +301,7 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     # marginals; flattening preserved the tv gap.
     stage_log.append("closeness")
     ok = hooks.closeness(
-        flattened_joint_view(sampler, pf),
+        joint_view,
         flattened_product_view(sampler, pf),
         pf.flat_size,
         closeness_b * tau_prod,

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from augtest.bench import (
     summarize,
     sweep_alpha,
     wilson_interval,
+    worker_count,
 )
 from augtest.domain import DomainError, JointDistribution, save_distribution
 
@@ -64,6 +66,23 @@ class TestConfig:
             ExperimentConfig.from_dict(dict(BASE, estimator={"bogus": 1})).estimator_config()
 
 
+class TestWorkers:
+    def test_worker_count_is_capped_by_trials_and_cores(self, monkeypatch):
+        cores = len(os.sched_getaffinity(0))
+        assert worker_count(10_000, 10_000) == cores
+        assert worker_count(10_000, 1) == 1
+        assert worker_count(1, 10_000) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        assert worker_count(10_000, 10_000) == 4
+        assert worker_count(10_000, 3) == 3
+        assert worker_count(2, 10_000) == 2
+
+    def test_worker_error_reaches_the_caller(self):
+        cfg = ExperimentConfig.from_dict(dict(BASE, jobs=2, instance={"kind": "nope"}))
+        with pytest.raises(DomainError):
+            run_trials(cfg)
+
+
 class TestDeterminism:
     def test_reruns_are_identical(self):
         cfg = ExperimentConfig.from_dict(dict(BASE))
@@ -73,6 +92,29 @@ class TestDeterminism:
         solo = run_trials(ExperimentConfig.from_dict(dict(BASE)))
         multi = run_trials(ExperimentConfig.from_dict(dict(BASE, jobs=3)))
         assert solo == multi
+        # A hidden-bit instance whose flat size (288 x 50 = 14,400) is past
+        # where a BLAS float dot would start threads of its own.
+        hard = dict(
+            BASE,
+            instance={
+                "kind": "hard2d",
+                "n": 120,
+                "m": 20,
+                "k": 10,
+                "alpha": 0.3,
+                "eps": 1.0 / 192.0,
+                "force_x": 1,
+            },
+            prediction="natural",
+            eps=1.0 / 192.0,
+            alpha="exact",
+            alpha_margin=0.01,
+            trials=3,
+        )
+        solo = run_trials(ExperimentConfig.from_dict(hard))
+        multi = run_trials(ExperimentConfig.from_dict(dict(hard, jobs=2)))
+        assert solo == multi
+        assert all(r.stage == "closeness" and r.outcome == "reject" for r in solo)
 
     def test_trials_differ_from_each_other(self):
         records = run_trials(ExperimentConfig.from_dict(dict(BASE, trials=6)))

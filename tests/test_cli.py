@@ -220,6 +220,14 @@ class TestBenchCommands:
         assert r1.exit_code == r2.exit_code == 0
         assert open(out1).read() == open(out2).read()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bench_bad_jobs_exits_one(self, runner, files, jobs):
+        cfg = self.write_config(files["tmp"])
+        out = str(files["tmp"] / "x.csv")
+        res = runner.invoke(main, ["bench", "--config", cfg, "--out", out, "--jobs", jobs])
+        assert res.exit_code == 1
+        assert "error:" in res.output
+
     def test_bench_bad_config_exits_one(self, runner, files):
         cfg = self.write_config(files["tmp"], mystery_knob=1)
         res = runner.invoke(main, ["bench", "--config", cfg, "--out", str(files["tmp"] / "x.csv")])
