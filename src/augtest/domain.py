@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -132,6 +133,8 @@ class Rng:
     Identical (seed, stream) pairs reproduce identical draw sequences.
     `split(i)` derives an independent child stream; children with distinct
     indices never collide, which keeps concurrent trials reproducible.
+    The generator is seeded on first use of `gen`, so a stream that is only
+    split never pays for seeding one.
     """
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = ()):
@@ -139,8 +142,11 @@ class Rng:
             stream = (stream,)
         self.seed = int(seed)
         self.stream = tuple(int(s) for s in stream)
+
+    @cached_property
+    def gen(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
-        self.gen = np.random.Generator(np.random.PCG64(ss))
+        return np.random.Generator(np.random.PCG64(ss))
 
     def split(self, index: int) -> "Rng":
         return Rng(self.seed, self.stream + (int(index),))
@@ -281,6 +287,18 @@ def tv_to_own_product(
 # Sampling
 
 
+def inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Maps uniforms u in [0, 1) to flat indices through a cumulative mass table.
+
+    Index i is returned when cum[i-1] <= u < cum[i], so a zero-mass cell is
+    never hit. A table sums to 1 only up to rounding; a u at or past cum[-1]
+    goes to the last cell with positive mass, never to trailing zero-mass cells.
+    """
+    idx = np.searchsorted(cum, u, side="right")
+    last = np.searchsorted(cum, cum[-1], side="left")
+    return np.minimum(idx, last, out=idx)
+
+
 def draw_samples(p: JointDistribution, count: int, rng: Rng) -> np.ndarray:
     """Draws i.i.d. samples from p via its cumulative table.
 
@@ -292,10 +310,7 @@ def draw_samples(p: JointDistribution, count: int, rng: Rng) -> np.ndarray:
     d = p.domain.arity
     if count == 0:
         return np.empty((0, d), dtype=np.int64)
-    cum = p.cumulative()
-    u = rng.gen.random(count)
-    flat = np.searchsorted(cum, u, side="right")
-    np.clip(flat, 0, p.domain.size - 1, out=flat)
+    flat = inverse_cdf(p.cumulative(), rng.gen.random(count))
     idx = np.unravel_index(flat, p.dims)
     return np.stack(idx, axis=1).astype(np.int64)
 

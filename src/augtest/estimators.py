@@ -6,9 +6,16 @@ aggregated by median (norm) or majority (closeness). Sample draws are logged
 into a SampleAccount in units of base joint draws.
 
 When a sample view exposes its explicit law, batches are drawn at the count
-level (multinomial, or per-symbol Poisson for Poissonized batches). Both
-batching modes produce identically distributed statistics; the count level is
-what makes desk-scale Monte-Carlo affordable.
+level: a norm batch as the histogram of inverse-CDF draws (exactly
+multinomial), a Poissonized batch as per-symbol Poisson counts. Both batching
+modes produce identically distributed statistics; the count level is what
+makes desk-scale Monte-Carlo affordable.
+
+Stream layout: at the count level one estimator call draws all of its
+repetitions in sequence from the generator of the Rng it was given, building
+no child stream. A view without a law can only draw from an Rng, so there
+each repetition j splits its own child stream (j for the norm, 2j and 2j+1
+for the two closeness batches).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .domain import (
     ProductDomain,
     Rng,
     SampleAccount,
+    inverse_cdf,
     tv_to_own_product,
 )
 
@@ -64,9 +72,7 @@ class VectorSampler:
         self._cum = np.cumsum(self.probs)
 
     def draw(self, count: int, rng: Rng) -> np.ndarray:
-        u = rng.gen.random(count)
-        flat = np.searchsorted(self._cum, u, side="right")
-        return np.clip(flat, 0, self.size - 1)
+        return inverse_cdf(self._cum, rng.gen.random(count))
 
 
 def _law(view) -> np.ndarray | None:
@@ -77,18 +83,33 @@ def _law(view) -> np.ndarray | None:
     return pv / pv.sum()
 
 
-def _batch_counts(view, law: np.ndarray | None, total: int, rng: Rng) -> np.ndarray:
-    """Counts of `total` i.i.d. draws from the view, as a length-size vector."""
-    if law is not None:
-        return rng.gen.multinomial(total, law)
+def _rep_rng(rng: Rng, count_level: bool, index: int) -> Rng:
+    """The stream repetition `index` draws from: the call's own stream at the
+    count level, its own child stream when the view can only draw."""
+    return rng if count_level else rng.split(index)
+
+
+def _batch_counts(view, cum: np.ndarray | None, total: int, rng: Rng) -> np.ndarray:
+    """Counts of `total` i.i.d. draws from the view, as a length-size vector.
+
+    cum is the cumulative table of the view's law, or None when it can only
+    draw. The histogram of inverse-CDF draws is exactly Multinomial(total, law)
+    at O(total log size + size) cost, where multinomial takes one binomial
+    draw per cell.
+    """
+    if cum is not None:
+        return np.bincount(inverse_cdf(cum, rng.gen.random(total)), minlength=cum.size)
     draws = view.draw(total, rng)
     return np.bincount(draws, minlength=view.size)
 
 
-def _poissonized_counts(view, law: np.ndarray | None, lam: float, rng: Rng) -> np.ndarray:
-    """Per-symbol counts of a Poi(lam)-sized batch; entries are Poi(lam * p_i)."""
-    if law is not None:
-        return rng.gen.poisson(lam * law)
+def _poissonized_counts(view, means: np.ndarray | None, lam: float, rng: Rng) -> np.ndarray:
+    """Per-symbol counts of a Poi(lam)-sized batch; entries are Poi(lam * p_i).
+
+    means is lam times the view's law, or None when the view can only draw.
+    """
+    if means is not None:
+        return rng.gen.poisson(means)
     k = int(rng.split(0).gen.poisson(lam))
     draws = view.draw(k, rng.split(1))
     return np.bincount(draws, minlength=view.size)
@@ -108,15 +129,18 @@ def estimate_l2_squared(
     Each repetition draws a batch of T = norm_sample_mult * ceil(sqrt(M))
     samples and computes the unbiased collision statistic
     sum_i X_i (X_i - 1) / (T (T - 1)); the median over repetitions is returned.
+    When the view exposes its law, all repetitions draw in sequence from
+    rng's own generator; otherwise repetition j draws from rng.split(j).
     """
     if M < 1:
         raise DomainError("domain size must be >= 1")
     T = max(2, math.ceil(cfg.norm_sample_mult * math.ceil(math.sqrt(M))))
     r = repetitions(delta, cfg)
     law = _law(view)
+    cum = None if law is None else np.cumsum(law)
     ests = np.empty(r)
     for j in range(r):
-        counts = _batch_counts(view, law, T, rng.split(j))
+        counts = _batch_counts(view, cum, T, _rep_rng(rng, cum is not None, j))
         ests[j] = float(np.dot(counts, counts - 1)) / (T * (T - 1))
     if account is not None:
         account.add(stage, T * r * view.cost)
@@ -158,16 +182,22 @@ def closeness_test(
     closeness_threshold_mult * lambda^2 eps^2 / M (E[Z] = lambda^2 ||p - q||_2^2,
     and tv >= eps forces ||p - q||_2^2 >= 4 eps^2 / M). Majority vote over
     repetitions; ties reject. Returns True to accept p = q.
+
+    A view that exposes its law draws its batches from rng's own generator,
+    X then Y within each repetition; otherwise repetition j draws X from
+    rng.split(2j) and Y from rng.split(2j + 1).
     """
     lam, threshold = closeness_params(M, b, eps, cfg)
     r = repetitions(delta, cfg)
     law_p, law_q = _law(view_p), _law(view_q)
+    mean_p = None if law_p is None else lam * law_p
+    mean_q = None if law_q is None else lam * law_q
     rejects = 0
     used_p = 0
     used_q = 0
     for j in range(r):
-        x = _poissonized_counts(view_p, law_p, lam, rng.split(2 * j))
-        y = _poissonized_counts(view_q, law_q, lam, rng.split(2 * j + 1))
+        x = _poissonized_counts(view_p, mean_p, lam, _rep_rng(rng, mean_p is not None, 2 * j))
+        y = _poissonized_counts(view_q, mean_q, lam, _rep_rng(rng, mean_q is not None, 2 * j + 1))
         used_p += int(x.sum())
         used_q += int(y.sum())
         d = x.astype(np.float64) - y

@@ -180,12 +180,17 @@ def _flatten_axis_ids(f: AxisFlattening, ids: np.ndarray, rng: Rng) -> np.ndarra
     return f.offsets[ids] + rng.gen.integers(0, f.buckets[ids])
 
 
+def _flat_marginal_law(sampler, axis: int, f: AxisFlattening) -> np.ndarray | None:
+    """The flattened marginal law on one axis, or None when the sampler can only draw."""
+    if getattr(sampler, "dist", None) is None:
+        return None
+    marg = marginal(sampler.dist, [axis]).probs
+    return np.repeat(marg / f.buckets, f.buckets)
+
+
 def flattened_axis_view(sampler, axis: int, f: AxisFlattening) -> FlatView:
     """View of the flattened marginal on one axis; one joint draw per sample."""
-    probs = None
-    if getattr(sampler, "dist", None) is not None:
-        marg = marginal(sampler.dist, [axis]).probs
-        probs = np.repeat(marg / f.buckets, f.buckets)
+    probs = _flat_marginal_law(sampler, axis, f)
 
     def _draw(count: int, rng: Rng) -> np.ndarray:
         rows = sampler.draw(count, rng.split(0))
@@ -208,20 +213,25 @@ def flattened_joint_view(sampler, pf: ProductFlattening) -> FlatView:
     return FlatView(size=pf.flat_size, probs=probs, cost=1, _draw=_draw)
 
 
-def flattened_product_view(sampler, pf: ProductFlattening) -> FlatView:
+def flattened_product_view(
+    sampler, pf: ProductFlattening, axis_laws: Sequence[np.ndarray | None] | None = None
+) -> FlatView:
     """View of the product of flattened marginals.
 
     One emitted sample mixes coordinate l from its own independent joint draw,
     so it costs arity joint draws; the law is exactly the product of the
-    per-axis flattened marginals.
+    per-axis flattened marginals. A caller that already holds those marginals
+    (the probs of each flattened_axis_view) passes them as axis_laws, so they
+    are not computed again.
     """
     d = pf.arity
+    if axis_laws is None:
+        axis_laws = [_flat_marginal_law(sampler, ax, f) for ax, f in enumerate(pf.axes)]
     probs = None
-    if getattr(sampler, "dist", None) is not None:
+    if all(law is not None for law in axis_laws):
         acc = np.ones(1)
-        for ax, f in enumerate(pf.axes):
-            marg = marginal(sampler.dist, [ax]).probs
-            acc = np.multiply.outer(acc, np.repeat(marg / f.buckets, f.buckets))
+        for law in axis_laws:
+            acc = np.multiply.outer(acc, law)
         probs = acc.reshape(-1)
 
     def _draw(count: int, rng: Rng) -> np.ndarray:

@@ -273,9 +273,11 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     # Per-axis norm gate: an oversized flattened marginal betrays a violated
     # accuracy claim, the one case InaccurateInformation is allowed.
     stage_log.append("norm_gate")
+    axis_views = []
     marg_norms = []
     for l in range(arity):
         view = flattened_axis_view(sampler, l, flats[l])
+        axis_views.append(view)
         marg_norms.append(
             hooks.norm(view, flats[l].flat_size, norm_delta, est, rng.split(20 + l), account)
         )
@@ -302,7 +304,7 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     stage_log.append("closeness")
     ok = hooks.closeness(
         joint_view,
-        flattened_product_view(sampler, pf),
+        flattened_product_view(sampler, pf, [v.probs for v in axis_views]),
         pf.flat_size,
         closeness_b * tau_prod,
         eps,

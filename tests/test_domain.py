@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augtest.domain import (
     DomainError,
@@ -16,6 +18,7 @@ from augtest.domain import (
     distribution_from_json,
     distribution_to_json,
     draw_samples,
+    inverse_cdf,
     l2_norm_sq,
     load_distribution,
     marginal,
@@ -105,6 +108,12 @@ class TestRng:
     def test_split_appends_to_stream(self):
         assert Rng(7, (3,)).split(4).stream == (3, 4)
         assert np.array_equal(Rng(7, (3, 4)).gen.random(3), Rng(7, (3,)).split(4).gen.random(3))
+
+    def test_split_only_stream_seeds_no_generator(self):
+        r = Rng(7, (3,))
+        r.split(4)
+        assert "gen" not in vars(r)
+        assert r.gen is r.gen
 
     def test_poisson_zero_mean_draws_nothing(self):
         assert poisson(0.0, Rng(1)) == 0
@@ -314,3 +323,32 @@ class TestJsonInterchange:
         path.write_text(json.dumps({"dims": [2, 2]}))
         with pytest.raises(DomainError):
             load_distribution(str(path))
+
+
+class TestInverseCdf:
+    def test_trailing_zero_mass_cells_are_never_hit(self):
+        # the cumulative table of ten 0.1 cells ends just below 1, so the
+        # largest uniform lies past it; it must land on the last positive cell
+        p = np.array([0.1] * 10 + [0.0, 0.0])
+        cum = np.cumsum(p)
+        assert cum[-1] < 1.0
+        u = np.array([0.0, 0.1, np.nextafter(1.0, 0.0)])
+        assert inverse_cdf(cum, u).tolist() == [0, 1, 9]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lead=st.integers(0, 3),
+        trail=st.integers(0, 3),
+        body=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=1, max_size=12
+        ).filter(lambda w: any(x > 0 for x in w)),
+        u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50),
+    )
+    def test_counts_sum_to_total_and_skip_zero_mass(self, lead, trail, body, u):
+        w = np.array([0.0] * lead + body + [0.0] * trail)
+        p = w / w.sum()
+        u = np.array(u + [np.nextafter(1.0, 0.0)])
+        counts = np.bincount(inverse_cdf(np.cumsum(p), u), minlength=p.size)
+        assert counts.size == p.size
+        assert counts.sum() == u.size
+        assert np.all(counts[p == 0] == 0)

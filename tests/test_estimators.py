@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from augtest import estimators
 from augtest.domain import (
     DomainError,
     JointDistribution,
@@ -24,6 +25,7 @@ from augtest.estimators import (
     learn_empirical,
     repetitions,
 )
+from augtest.flattening import FlatView
 
 CFG = EstimatorConfig()
 
@@ -196,6 +198,101 @@ class TestClosenessTest:
             closeness_test(v, v, 1, 1.0, 0.0, 0.1, CFG, Rng(14))
         with pytest.raises(DomainError):
             closeness_test(v, v, 1, -1.0, 0.3, 0.1, CFG, Rng(14))
+
+
+class TestStreamLayout:
+    """Count-level calls draw every repetition from the Rng they were given."""
+
+    @staticmethod
+    def _streams_built(monkeypatch, call) -> int:
+        built = []
+        init = Rng.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Rng, "__init__", counting)
+        call()
+        monkeypatch.setattr(Rng, "__init__", init)
+        return len(built)
+
+    @pytest.mark.parametrize("which", ["norm", "closeness"])
+    def test_stream_count_does_not_grow_with_repetitions(self, monkeypatch, which):
+        v = VectorSampler(np.full(20, 0.05))
+
+        def call(delta):
+            rng = Rng(30)
+            if which == "norm":
+                return lambda: estimate_l2_squared(v, 20, delta, CFG, rng)
+            return lambda: closeness_test(v, v, 20, 0.05, 0.3, delta, CFG, rng)
+
+        assert repetitions(1e-6, CFG) > 5 * repetitions(0.1, CFG)
+        few = self._streams_built(monkeypatch, call(0.1))
+        many = self._streams_built(monkeypatch, call(1e-6))
+        assert few == many
+
+    def test_norm_batches_follow_the_multinomial_law(self, monkeypatch):
+        # Over many calls each cell's mean batch count is T p_i within 4.5
+        # standard errors of the multinomial, zero-mass cells get nothing, and
+        # the collision statistic stays unbiased for ||p||_2^2.
+        pv = np.array([0.0, 0.4, 0.0, 0.25, 0.2, 0.15, 0.0])
+        M = pv.size
+        T = max(2, math.ceil(CFG.norm_sample_mult * math.ceil(math.sqrt(M))))
+        batches = []
+        kernel = estimators._batch_counts
+
+        def recording(view, cum, total, rng):
+            counts = kernel(view, cum, total, rng)
+            batches.append(counts)
+            return counts
+
+        monkeypatch.setattr(estimators, "_batch_counts", recording)
+        per_call = []
+        for t in range(300):
+            start = len(batches)
+            estimate_l2_squared(VectorSampler(pv), M, 0.1, CFG, Rng(31, (t,)))
+            per_call.append(batches[start:])
+        counts = np.array(batches, dtype=np.float64)
+        n = counts.shape[0]
+        assert n == 300 * repetitions(0.1, CFG)
+        assert np.all(counts.sum(axis=1) == T)
+        assert np.all(counts[:, pv == 0] == 0)
+        se = np.sqrt(T * pv * (1 - pv) / n)
+        pos = pv > 0
+        assert np.all(np.abs(counts.mean(axis=0) - T * pv)[pos] <= 4.5 * se[pos])
+        stats = (counts * (counts - 1)).sum(axis=1) / (T * (T - 1))
+        assert abs(stats.mean() - float(pv @ pv)) <= 4.5 * stats.std(ddof=1) / math.sqrt(n)
+        for reps in per_call:
+            assert any(not np.array_equal(reps[0], c) for c in reps[1:])
+
+    @pytest.mark.parametrize("explicit", [True, False])
+    def test_closeness_draws_x_then_y_through_the_count_seam(self, monkeypatch, explicit):
+        # perfbench's tracer counts reject votes by wrapping
+        # estimators._poissonized_counts and pairing its results X, Y, X, Y.
+        def view(pv):
+            s = VectorSampler(pv)
+            return s if explicit else FlatView(size=s.size, probs=None, cost=1, _draw=s.draw)
+
+        p, q = view(np.full(6, 1 / 6)), view(np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]))
+        seen = []
+        kernel = estimators._poissonized_counts
+
+        def recording(v, means, lam, rng):
+            counts = kernel(v, means, lam, rng)
+            seen.append((v, counts))
+            return counts
+
+        monkeypatch.setattr(estimators, "_poissonized_counts", recording)
+        delta = 0.1
+        closeness_test(p, q, 6, 1.0, 0.5, delta, CFG, Rng(32))
+        r = repetitions(delta, CFG)
+        assert len(seen) == 2 * r
+        assert all(v is w for (v, _), w in zip(seen, [p, q] * r))
+        for _, counts in seen:
+            assert isinstance(counts, np.ndarray)
+            assert counts.shape == (6,)
+            assert np.issubdtype(counts.dtype, np.integer)
 
 
 class TestLearnEmpirical:

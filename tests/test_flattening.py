@@ -234,6 +234,11 @@ class TestFlatViews:
         m1 = np.repeat(marginal(self.p, [1]).probs / self.pf.axes[1].buckets, self.pf.axes[1].buckets)
         assert np.allclose(view.probs, np.outer(m0, m1).reshape(-1), atol=1e-15)
 
+    def test_product_view_takes_the_axis_view_laws(self):
+        laws = [flattened_axis_view(self.sampler, ax, f).probs for ax, f in enumerate(self.pf.axes)]
+        shared = flattened_product_view(self.sampler, self.pf, laws)
+        assert np.array_equal(shared.probs, flattened_product_view(self.sampler, self.pf).probs)
+
     def test_views_without_explicit_law(self):
         class OpaqueSampler:
             dims = (4, 3)
@@ -245,7 +250,11 @@ class TestFlatViews:
             def draw(self, count, rng):
                 return JointSampler(self._p).draw(count, rng)
 
-        view = flattened_joint_view(OpaqueSampler(self.p), self.pf)
+        opaque = OpaqueSampler(self.p)
+        assert flattened_axis_view(opaque, 0, self.pf.axes[0]).probs is None
+        assert flattened_product_view(opaque, self.pf).probs is None
+        assert flattened_product_view(opaque, self.pf, [None, None]).probs is None
+        view = flattened_joint_view(opaque, self.pf)
         assert view.probs is None
         draws = view.draw(100, Rng(13))
         assert draws.shape == (100,)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from augtest import flattening
 from augtest.domain import (
     DomainError,
     JointDistribution,
@@ -196,6 +197,20 @@ class TestGateLogic:
         assert b == pytest.approx(4 * 120 * 120 * tau[0] * tau[1])
         assert eps == self.CFG.eps
         assert delta == 1.0 / 80.0
+
+    def test_each_flattened_marginal_is_computed_once(self, monkeypatch):
+        # the axis views' laws are shared with the product view
+        axes = []
+        inner = flattening.marginal
+
+        def counting(p, ax):
+            axes.append(tuple(ax))
+            return inner(p, ax)
+
+        monkeypatch.setattr(flattening, "marginal", counting)
+        v = self.run(scripted_hooks([5, 5], [0.0, 0.0, 0.0]))
+        assert v.stage == "closeness"
+        assert sorted(axes) == [(0,), (1,)]
 
     def test_norm_call_confidences(self):
         calls = []
