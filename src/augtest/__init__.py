@@ -28,7 +28,6 @@ from .flattening import (
     ProductFlattening,
     build_axis_flattening,
     flatten_distribution_explicit,
-    flatten_sample,
     flatten_samples,
     flattened_axis_view,
     flattened_joint_view,
@@ -36,7 +35,6 @@ from .flattening import (
 )
 from .estimators import (
     EstimatorConfig,
-    VectorSampler,
     closeness_params,
     closeness_test,
     empirical_tv_to_product,
@@ -45,10 +43,7 @@ from .estimators import (
     repetitions,
 )
 from .testers import (
-    GroupedSampler,
     Outcome,
-    PermutedSampler,
-    ProjectedSampler,
     TesterConfig,
     TesterHooks,
     Verdict,

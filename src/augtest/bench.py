@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -42,18 +42,14 @@ from .testers import (
     test_independence_by_learning,
 )
 
-CSV_COLUMNS = [
-    "trial",
-    "seed",
-    "outcome",
-    "stage",
-    "samples_total",
-    "samples_flatten",
-    "samples_norm",
-    "samples_closeness",
-    "samples_learning",
-    "ms",
-]
+# Instance kind -> the keys its description must hold.
+_INSTANCE_KEYS = {
+    "uniform": ("dims",),
+    "file": ("path",),
+    "correlated": ("size",),
+    "product_random": ("dims",),
+    "hard2d": ("n", "m", "k", "alpha", "eps"),
+}
 
 SWEEP_COLUMNS = ["alpha", "mean_samples", "accept_rate", "reject_rate", "inaccurate_rate"]
 
@@ -72,18 +68,11 @@ class TrialRecord:
     ms: float
 
     def row(self) -> list:
-        return [
-            self.trial,
-            self.seed,
-            self.outcome,
-            self.stage,
-            self.samples_total,
-            self.samples_flatten,
-            self.samples_norm,
-            self.samples_closeness,
-            self.samples_learning,
-            f"{self.ms:.3f}",
-        ]
+        """The CSV row, in CSV_COLUMNS order; ms is written to the microsecond."""
+        return [f"{self.ms:.3f}" if f.name == "ms" else getattr(self, f.name) for f in fields(self)]
+
+
+CSV_COLUMNS = [f.name for f in fields(TrialRecord)]
 
 
 @dataclass
@@ -109,6 +98,13 @@ class ExperimentConfig:
             raise DomainError("trials must be >= 1")
         if self.jobs < 1:
             raise DomainError("jobs must be >= 1")
+        if self.delta is not None and not 0 < self.delta < 1:
+            raise DomainError(f"delta must be in (0, 1), got {self.delta}")
+        if not isinstance(self.instance, dict) or self.instance.get("kind") not in _INSTANCE_KEYS:
+            raise DomainError(f"instance must be a mapping with a kind in {sorted(_INSTANCE_KEYS)}")
+        missing = [k for k in _INSTANCE_KEYS[self.instance["kind"]] if k not in self.instance]
+        if missing:
+            raise DomainError(f"instance kind {self.instance['kind']!r} needs keys {missing}")
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":
@@ -211,7 +207,7 @@ def run_single_trial(cfg: ExperimentConfig, trial: int, alpha_override: float | 
             return aug_independence_3d(sampler, pred, tcfg, r)
         if cfg.tester == "d":
             return aug_independence_d(sampler, pred, tcfg, r)
-        return test_independence_by_learning(sampler, cfg.eps, cfg.delta or 0.1, r)
+        return test_independence_by_learning(sampler, cfg.eps, 0.1 if cfg.delta is None else cfg.delta, r)
 
     start = time.perf_counter() if cfg.record_timing else 0.0
     if cfg.delta is not None and cfg.delta < 0.1 and cfg.tester != "learn":

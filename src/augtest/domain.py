@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from typing import Sequence
 
@@ -35,7 +36,10 @@ class ProductDomain:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        try:
+            dims = tuple(operator.index(n) for n in self.dims)
+        except TypeError:
+            raise DomainError(f"dims must be a sequence of integers, got {self.dims!r}") from None
         if len(dims) < 1:
             raise DomainError("domain needs at least one axis")
         if any(n < 2 for n in dims):
@@ -72,7 +76,10 @@ class JointDistribution:
 
     def __init__(self, domain: ProductDomain, probs):
         self.domain = domain
-        p = np.asarray(probs, dtype=np.float64).reshape(-1)
+        try:
+            p = np.asarray(probs, dtype=np.float64).reshape(-1)
+        except (TypeError, ValueError):
+            raise DomainError("prob vector must hold numbers only") from None
         if p.shape[0] != domain.size:
             raise DomainError(
                 f"prob vector length {p.shape[0]} != domain size {domain.size}"
@@ -114,7 +121,7 @@ class JointDistribution:
 
     @staticmethod
     def uniform(dims: Sequence[int]) -> "JointDistribution":
-        domain = ProductDomain(tuple(dims))
+        domain = ProductDomain(dims)
         return JointDistribution(domain, np.full(domain.size, 1.0 / domain.size))
 
     @staticmethod
@@ -189,22 +196,14 @@ class SampleAccount:
 
     @property
     def total(self) -> int:
-        return self.flattening + self.norm + self.closeness + self.learning
+        return sum(getattr(self, f.name) for f in fields(self))
 
     def merge(self, other: "SampleAccount") -> None:
-        self.flattening += other.flattening
-        self.norm += other.norm
-        self.closeness += other.closeness
-        self.learning += other.learning
+        for f in fields(self):
+            self.add(f.name, getattr(other, f.name))
 
     def as_dict(self) -> dict:
-        return {
-            "flattening": self.flattening,
-            "norm": self.norm,
-            "closeness": self.closeness,
-            "learning": self.learning,
-            "total": self.total,
-        }
+        return {**asdict(self), "total": self.total}
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +403,7 @@ def distribution_to_json(p: JointDistribution) -> dict:
 def distribution_from_json(obj: dict) -> JointDistribution:
     if not isinstance(obj, dict) or "dims" not in obj or "probs" not in obj:
         raise DomainError('distribution JSON needs "dims" and "probs"')
-    return JointDistribution(ProductDomain(tuple(obj["dims"])), obj["probs"])
+    return JointDistribution(ProductDomain(obj["dims"]), obj["probs"])
 
 
 def save_distribution(p: JointDistribution, path: str) -> None:

@@ -59,22 +59,6 @@ def repetitions(delta: float, cfg: EstimatorConfig) -> int:
     return max(1, math.ceil(8.0 * cfg.rep_mult * math.log(1.0 / delta)))
 
 
-@dataclass
-class VectorSampler:
-    """1-D sample view over [M] backed by an explicit mass vector."""
-
-    probs: np.ndarray
-    cost: int = 1
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-        self.size = self.probs.size
-        self._cum = np.cumsum(self.probs)
-
-    def draw(self, count: int, rng: Rng) -> np.ndarray:
-        return inverse_cdf(self._cum, rng.gen.random(count))
-
-
 def _law(view) -> np.ndarray | None:
     """The view's explicit law normalized to sum 1, or None when it can only draw."""
     if view.probs is None:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import DomainError, JointDistribution, ProductDomain, Rng, marginal
+from .domain import DomainError, JointDistribution, ProductDomain, Rng, inverse_cdf, marginal
 
 # Tolerance added before floor() so that masses intended to be exact
 # multiples of nu are not knocked down a bucket by float representation.
@@ -129,12 +129,6 @@ def flatten_samples(pf: ProductFlattening, base: np.ndarray, rng: Rng) -> np.nda
     return out
 
 
-def flatten_sample(pf: ProductFlattening, base: Sequence[int], rng: Rng) -> tuple[int, ...]:
-    """Single-sample form of flatten_samples; identity map when every b_i = 1."""
-    row = np.asarray([base], dtype=np.int64)
-    return tuple(int(v) for v in flatten_samples(pf, row, rng)[0])
-
-
 def flatten_distribution_explicit(
     p: JointDistribution, pf: ProductFlattening
 ) -> JointDistribution:
@@ -149,12 +143,6 @@ def flatten_distribution_explicit(
         shape[ax] = w.size
         t = t / w.reshape(shape)
     return JointDistribution(ProductDomain(pf.flat_dims), t.reshape(-1))
-
-
-def expected_flat_norm_sq(p: JointDistribution, pf: ProductFlattening) -> float:
-    """Exact squared l2 norm of the flattened distribution, sum p(x)^2 / prod b."""
-    pf_dist = flatten_distribution_explicit(p, pf)
-    return float(np.dot(pf_dist.probs, pf_dist.probs))
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +162,13 @@ class FlatView:
 
     def draw(self, count: int, rng: Rng) -> np.ndarray:
         return self._draw(count, rng)
+
+    @staticmethod
+    def from_law(probs, cost: int = 1) -> "FlatView":
+        """View over [len(probs)] drawing from an explicit mass vector by inverse CDF."""
+        probs = np.asarray(probs, dtype=np.float64).reshape(-1)
+        cum = np.cumsum(probs)
+        return FlatView(probs.size, probs, cost, lambda count, rng: inverse_cdf(cum, rng.gen.random(count)))
 
 
 def _flatten_axis_ids(f: AxisFlattening, ids: np.ndarray, rng: Rng) -> np.ndarray:

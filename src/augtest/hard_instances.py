@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -76,6 +76,7 @@ class HardInstance:
 
 @dataclass
 class ValidityReport:
+    valid: bool
     row_signs_ok: bool  # (a) per light row |sum_j signs/m| within target
     col_signs_ok: bool  # (b) per column |sum_{light i} signs/n| within target
     heavy_count_ok: bool  # (c) |H| <= 1.5 * alpha_meas * k
@@ -91,27 +92,9 @@ class ValidityReport:
     tv_to_uniform: float
     tv_to_marg_product: float
     q_l1: float
-    valid: bool
 
     def as_dict(self) -> dict:
-        return {
-            "valid": self.valid,
-            "row_signs_ok": self.row_signs_ok,
-            "col_signs_ok": self.col_signs_ok,
-            "heavy_count_ok": self.heavy_count_ok,
-            "sample_count_ok": self.sample_count_ok,
-            "tv_ok": self.tv_ok,
-            "product_exact_ok": self.product_exact_ok,
-            "max_row_dev": self.max_row_dev,
-            "max_col_dev": self.max_col_dev,
-            "row_target": self.row_target,
-            "col_target": self.col_target,
-            "heavy_count": self.heavy_count,
-            "sample_count": self.sample_count,
-            "tv_to_uniform": self.tv_to_uniform,
-            "tv_to_marg_product": self.tv_to_marg_product,
-            "q_l1": self.q_l1,
-        }
+        return asdict(self)
 
 
 def gen_hard_2d(

@@ -161,54 +161,30 @@ def as_sampler(obj):
     return obj
 
 
-class PermutedSampler:
-    """Axis-permuted view of a sampler: coordinate i comes from axis perm[i]."""
+class ReindexedSampler:
+    """View of a sampler whose coordinate i is the row-major merge of base axes blocks[i].
 
-    def __init__(self, base, perm: Sequence[int]):
-        self.base = base
-        self.perm = tuple(int(a) for a in perm)
-        self.dims = tuple(base.dims[a] for a in self.perm)
-        self.cost = getattr(base, "cost", 1)
-        inner = getattr(base, "dist", None)
-        self.dist = (
-            merge_axes(inner, [[a] for a in self.perm]) if inner is not None else None
-        )
-
-    def draw(self, count: int, rng: Rng) -> np.ndarray:
-        return self.base.draw(count, rng)[:, self.perm]
-
-
-class GroupedSampler:
-    """View that merges axis blocks into single coordinates, row-major."""
+    One axis per block permutes or projects the base axes; several axes per
+    block group them. Base axes in no block are marginalized away.
+    """
 
     def __init__(self, base, blocks: Sequence[Sequence[int]]):
         self.base = base
-        self.blocks = [list(b) for b in blocks]
-        self.dims = tuple(
-            math.prod(base.dims[a] for a in blk) for blk in self.blocks
-        )
+        self.blocks = [[int(a) for a in blk] for blk in blocks]
+        self.dims = tuple(math.prod(base.dims[a] for a in blk) for blk in self.blocks)
         self.cost = getattr(base, "cost", 1)
         inner = getattr(base, "dist", None)
-        self.dist = merge_axes(inner, self.blocks) if inner is not None else None
+        self.dist = None
+        if inner is not None:
+            kept = [a for blk in self.blocks for a in blk]
+            self.dist = marginal(inner, kept)
+            if len(kept) > len(self.blocks):
+                # The marginal on `kept` holds each block's axes next to each other.
+                pos = iter(range(len(kept)))
+                self.dist = merge_axes(self.dist, [[next(pos) for _ in blk] for blk in self.blocks])
 
     def draw(self, count: int, rng: Rng) -> np.ndarray:
-        rows = self.base.draw(count, rng)
-        return merge_index(rows, self.base.dims, self.blocks)
-
-
-class ProjectedSampler:
-    """View of a sampler projected onto an axis subset (marginal sampling)."""
-
-    def __init__(self, base, axes: Sequence[int]):
-        self.base = base
-        self.axes = [int(a) for a in axes]
-        self.dims = tuple(base.dims[a] for a in self.axes)
-        self.cost = getattr(base, "cost", 1)
-        inner = getattr(base, "dist", None)
-        self.dist = marginal(inner, self.axes) if inner is not None else None
-
-    def draw(self, count: int, rng: Rng) -> np.ndarray:
-        return self.base.draw(count, rng)[:, self.axes]
+        return merge_index(self.base.draw(count, rng), self.base.dims, self.blocks)
 
 
 def _descending_view(sampler, pred):
@@ -217,7 +193,8 @@ def _descending_view(sampler, pred):
     perm = tuple(int(a) for a in np.argsort([-d for d in dims], kind="stable"))
     if perm == tuple(range(len(dims))):
         return sampler, pred
-    return PermutedSampler(sampler, perm), merge_axes(pred, [[a] for a in perm])
+    singles = [[a] for a in perm]
+    return ReindexedSampler(sampler, singles), merge_axes(pred, singles)
 
 
 # ---------------------------------------------------------------------------
@@ -317,37 +294,36 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     return Verdict(outcome, "closeness", stage_log, account, detail)
 
 
-def _check_inputs(sampler, pred, arity: int) -> None:
-    if len(sampler.dims) != arity:
-        raise DomainError(f"expected {arity} axes, got dims {sampler.dims}")
+def _prepare(sampler, pred: JointDistribution, cfg: TesterConfig):
+    """Validates cfg and the prediction's dims; returns sample access to the input."""
+    cfg.validate()
+    sampler = as_sampler(sampler)
     if pred.dims != tuple(sampler.dims):
         raise DomainError(f"prediction dims {pred.dims} != input dims {tuple(sampler.dims)}")
+    return sampler
+
+
+def _aug_small(sampler, pred, cfg: TesterConfig, rng: Rng, hooks, arity: int) -> Verdict:
+    """The 2- or 3-axis tester; axes are sorted internally so sizes descend."""
+    sampler = _prepare(sampler, pred, cfg)
+    if len(sampler.dims) != arity:
+        raise DomainError(f"expected {arity} axes, got dims {sampler.dims}")
+    sampler, pred = _descending_view(sampler, pred)
+    return _flatten_pipeline(sampler, pred, cfg, rng, hooks or _DEFAULT_HOOKS)
 
 
 def aug_independence_2d(
     sampler, pred: JointDistribution, cfg: TesterConfig, rng: Rng, hooks: TesterHooks | None = None
 ) -> Verdict:
-    """Two-axis prediction-assisted independence tester.
-
-    Axes are swapped internally so the first is the larger; the verdict is
-    orientation-independent.
-    """
-    cfg.validate()
-    sampler = as_sampler(sampler)
-    _check_inputs(sampler, pred, 2)
-    sampler, pred = _descending_view(sampler, pred)
-    return _flatten_pipeline(sampler, pred, cfg, rng, hooks or _DEFAULT_HOOKS)
+    """Two-axis prediction-assisted independence tester; the verdict is orientation-independent."""
+    return _aug_small(sampler, pred, cfg, rng, hooks, 2)
 
 
 def aug_independence_3d(
     sampler, pred: JointDistribution, cfg: TesterConfig, rng: Rng, hooks: TesterHooks | None = None
 ) -> Verdict:
     """Three-axis variant with its own gate constants and sub-confidences."""
-    cfg.validate()
-    sampler = as_sampler(sampler)
-    _check_inputs(sampler, pred, 3)
-    sampler, pred = _descending_view(sampler, pred)
-    return _flatten_pipeline(sampler, pred, cfg, rng, hooks or _DEFAULT_HOOKS)
+    return _aug_small(sampler, pred, cfg, rng, hooks, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +391,16 @@ def aug_independence_d(
 ) -> Verdict:
     """General-arity tester.
 
-    Arity 2 and 3 route unchanged to the dedicated testers. Otherwise the
+    Arity 2 and 3 run the 2/3-axis tester unchanged. Otherwise the
     axes (sorted by size) are partitioned into 2 or 3 blocks; the grouped
     view runs the matching tester at eps/12, and each multi-axis block is
     then checked for internal independence by learning at confidence
     delta/5 per call. Any sub-test failure decides the verdict.
     """
-    cfg.validate()
-    sampler = as_sampler(sampler)
-    if pred.dims != tuple(sampler.dims):
-        raise DomainError(f"prediction dims {pred.dims} != input dims {tuple(sampler.dims)}")
+    sampler = _prepare(sampler, pred, cfg)
     d = len(sampler.dims)
-    if d == 2:
-        return aug_independence_2d(sampler, pred, cfg, rng, hooks)
-    if d == 3:
-        return aug_independence_3d(sampler, pred, cfg, rng, hooks)
+    if d in (2, 3):
+        return _aug_small(sampler, pred, cfg, rng, hooks, d)
 
     eps_inner = cfg.eps / 12.0
     delta_inner = 0.1 / 5.0
@@ -438,11 +409,9 @@ def aug_independence_d(
     blocks_sorted = partition_coordinates(sorted_dims)
     blocks = [[order[i] for i in blk] for blk in blocks_sorted]
 
-    grouped = GroupedSampler(sampler, blocks)
-    grouped_pred = merge_axes(pred, blocks)
+    grouped = ReindexedSampler(sampler, blocks)
     inner_cfg = replace(cfg, eps=eps_inner)
-    run = aug_independence_2d if len(blocks) == 2 else aug_independence_3d
-    inner = run(grouped, grouped_pred, inner_cfg, rng.split(0), hooks)
+    inner = _aug_small(grouped, merge_axes(pred, blocks), inner_cfg, rng.split(0), hooks, len(blocks))
     stage_log = ["partition"] + inner.stage_log
     detail = {"blocks": blocks, "grouped_dims": grouped.dims, "inner": inner.detail}
     if inner.outcome is not Outcome.ACCEPT:
@@ -455,7 +424,7 @@ def aug_independence_d(
             continue  # a single axis is trivially a product over itself
         stage_log.append("learning")
         sub = test_independence_by_learning(
-            ProjectedSampler(sampler, blk), eps_inner, delta_inner, rng.split(i), account
+            ReindexedSampler(sampler, [[a] for a in blk]), eps_inner, delta_inner, rng.split(i), account
         )
         detail[f"learning_block_{i}"] = sub.detail
         if sub.outcome is not Outcome.ACCEPT:

@@ -22,12 +22,12 @@ from augtest.domain import (
 )
 from augtest.estimators import (
     EstimatorConfig,
-    VectorSampler,
     closeness_test,
     estimate_l2_squared,
 )
 from augtest.flattening import (
     AxisFlattening,
+    FlatView,
     ProductFlattening,
     build_axis_flattening,
     flatten_distribution_explicit,
@@ -149,7 +149,7 @@ def test_criterion_03_l2_estimator_contract():
         hits = 0
         for t in range(500):
             est = estimate_l2_squared(
-                VectorSampler(pv), pv.size, 0.05, EST, Rng(1003, (i, t))
+                FlatView.from_law(pv), pv.size, 0.05, EST, Rng(1003, (i, t))
             )
             hits += 0.5 * true <= est <= 1.5 * true
         freq = hits / 500
@@ -165,13 +165,13 @@ def test_criterion_04_closeness_rates():
     start = time.perf_counter()
     null_hits = 0
     for t in range(200):
-        u = VectorSampler(np.full(50, 0.02))
-        v = VectorSampler(np.full(50, 0.02))
+        u = FlatView.from_law(np.full(50, 0.02))
+        v = FlatView.from_law(np.full(50, 0.02))
         null_hits += closeness_test(u, v, 50, 1.0 / 50.0, 0.3, 0.05, EST, Rng(1004, (0, t)))
     alt_hits = 0
     for t in range(200):
-        p = VectorSampler(np.array([1.0, 0.0]))
-        q = VectorSampler(np.array([0.5, 0.5]))
+        p = FlatView.from_law(np.array([1.0, 0.0]))
+        q = FlatView.from_law(np.array([0.5, 0.5]))
         alt_hits += not closeness_test(p, q, 2, 1.0, 0.3, 0.05, EST, Rng(1004, (1, t)))
     accept_rate, reject_rate = null_hits / 200, alt_hits / 200
     elapsed = time.perf_counter() - start

@@ -78,7 +78,8 @@ class TestWorkers:
         assert worker_count(2, 10_000) == 2
 
     def test_worker_error_reaches_the_caller(self):
-        cfg = ExperimentConfig.from_dict(dict(BASE, jobs=2, instance={"kind": "nope"}))
+        # a config-valid instance that each trial fails to build
+        cfg = ExperimentConfig.from_dict(dict(BASE, jobs=2, instance={"kind": "uniform", "dims": [1, 5]}))
         with pytest.raises(DomainError):
             run_trials(cfg)
 
@@ -292,9 +293,9 @@ class TestInstanceKinds:
         assert r.outcome in ("accept", "reject", "inaccurate_information")
 
     def test_unknown_kind(self):
-        cfg = ExperimentConfig.from_dict(dict(BASE, instance={"kind": "mystery"}, trials=1))
+        # rejected when the config is loaded, before any trial runs
         with pytest.raises(DomainError):
-            run_single_trial(cfg, 0)
+            ExperimentConfig.from_dict(dict(BASE, instance={"kind": "mystery"}, trials=1))
 
     def test_unknown_prediction(self):
         cfg = ExperimentConfig.from_dict(dict(BASE, prediction="psychic", trials=1))

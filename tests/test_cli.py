@@ -134,6 +134,27 @@ class TestVerdictCommands:
         assert res.exit_code == 1
 
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dims": None, "probs": [0.25] * 4},
+            {"dims": [2.7, 2], "probs": [0.25] * 4},
+            {"dims": "22", "probs": [0.25] * 4},
+            {"dims": [2, 2], "probs": ["a", "b", "c", "d"]},
+        ],
+    )
+    def test_malformed_distribution_exits_one(self, runner, files, payload):
+        bad = files["tmp"] / "bad.json"
+        bad.write_text(json.dumps(payload))
+        res = runner.invoke(
+            main,
+            ["testd", "--dist", str(bad), "--pred", str(bad), "--alpha", "0.05", "--eps", "0.4"],
+        )
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert res.exit_code == 1
+        assert "error:" in res.output
+
+
 class TestLearnCommand:
     def test_accept(self, runner, files):
         res = runner.invoke(main, ["learn", "--dist", files["uniform"], "--eps", "0.35", "--seed", "0"])
@@ -231,6 +252,23 @@ class TestBenchCommands:
     def test_bench_bad_config_exits_one(self, runner, files):
         cfg = self.write_config(files["tmp"], mystery_knob=1)
         res = runner.invoke(main, ["bench", "--config", cfg, "--out", str(files["tmp"] / "x.csv")])
+        assert res.exit_code == 1
+        assert "error:" in res.output
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"instance": "uniform"},
+            {"instance": {"kind": "uniform"}},
+            {"instance": {"kind": "hard2d", "n": 20, "m": 4}},
+            {"tester": "learn", "delta": 0},
+            {"tester": "learn", "delta": 1.0},
+        ],
+    )
+    def test_bench_bad_instance_or_delta_exits_one(self, runner, files, overrides):
+        cfg = self.write_config(files["tmp"], **overrides)
+        res = runner.invoke(main, ["bench", "--config", cfg, "--out", str(files["tmp"] / "x.csv")])
+        assert isinstance(res.exception, SystemExit)  # no traceback
         assert res.exit_code == 1
         assert "error:" in res.output
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from augtest.domain import (
@@ -323,6 +323,30 @@ class TestJsonInterchange:
         path.write_text(json.dumps({"dims": [2, 2]}))
         with pytest.raises(DomainError):
             load_distribution(str(path))
+
+    JSON = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=2),
+        lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+        max_leaves=10,
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(obj=JSON | st.fixed_dictionaries({"dims": JSON, "probs": JSON}))
+    @example(obj={"dims": None, "probs": [0.5, 0.5]})
+    @example(obj={"dims": [2.7, 2], "probs": [0.25] * 4})
+    @example(obj={"dims": [2.0, 2], "probs": [0.25] * 4})
+    @example(obj={"dims": "22", "probs": [0.25] * 4})
+    @example(obj={"dims": 4, "probs": [0.25] * 4})
+    @example(obj={"dims": [2, 2], "probs": {"a": 1}})
+    @example(obj={"dims": [2, 2], "probs": [[0.5], [0.25, 0.25]]})
+    @example(obj={"dims": [2, 2], "probs": ["a", "b", "c", "d"]})
+    def test_json_spells_out_a_distribution_or_raises_domain_error(self, obj):
+        try:
+            p = distribution_from_json(obj)
+        except DomainError:
+            return
+        assert p.dims == tuple(obj["dims"])
+        assert np.array_equal(p.probs, np.asarray(obj["probs"], dtype=np.float64).reshape(-1))
 
 
 class TestInverseCdf:

@@ -17,7 +17,6 @@ from augtest.domain import (
 )
 from augtest.estimators import (
     EstimatorConfig,
-    VectorSampler,
     closeness_params,
     closeness_test,
     empirical_tv_to_product,
@@ -50,27 +49,27 @@ class TestConfig:
             repetitions(1.0, CFG)
 
 
-class TestVectorSampler:
+class TestFlatViewFromLaw:
     def test_draw_law(self):
         pv = np.array([0.7, 0.2, 0.1])
-        draws = VectorSampler(pv).draw(30000, Rng(1))
+        draws = FlatView.from_law(pv).draw(30000, Rng(1))
         emp = np.bincount(draws, minlength=3) / 30000
         assert 0.5 * np.abs(emp - pv).sum() < 0.02
 
     def test_draws_deterministic(self):
-        s = VectorSampler(np.array([0.5, 0.5]))
+        s = FlatView.from_law(np.array([0.5, 0.5]))
         assert np.array_equal(s.draw(40, Rng(2)), s.draw(40, Rng(2)))
 
 
 class TestL2Estimator:
     def test_point_mass_is_exact(self):
         # every batch collides completely, so the statistic is exactly 1
-        v = VectorSampler(np.array([1.0]))
+        v = FlatView.from_law(np.array([1.0]))
         for t in range(10):
             assert estimate_l2_squared(v, 1, 0.1, CFG, Rng(3, (t,))) == 1.0
 
     def test_uniform_contract(self):
-        v = lambda: VectorSampler(np.full(50, 0.02))
+        v = lambda: FlatView.from_law(np.full(50, 0.02))
         hits = sum(
             0.01 <= estimate_l2_squared(v(), 50, 0.05, CFG, Rng(4, (t,))) <= 0.03
             for t in range(200)
@@ -82,7 +81,7 @@ class TestL2Estimator:
         pv = np.array([0.5, 0.25, 0.25])
         true = 0.375
         ests = [
-            estimate_l2_squared(VectorSampler(pv), 3, 0.05, CFG, Rng(5, (t,)))
+            estimate_l2_squared(FlatView.from_law(pv), 3, 0.05, CFG, Rng(5, (t,)))
             for t in range(200)
         ]
         assert 0.5 * true <= float(np.median(ests)) <= 1.5 * true
@@ -103,13 +102,13 @@ class TestL2Estimator:
     def test_sample_accounting_exact(self):
         account = SampleAccount()
         M, delta = 30, 0.05
-        estimate_l2_squared(VectorSampler(np.full(30, 1 / 30)), M, delta, CFG, Rng(7), account)
+        estimate_l2_squared(FlatView.from_law(np.full(30, 1 / 30)), M, delta, CFG, Rng(7), account)
         T = max(2, math.ceil(CFG.norm_sample_mult * math.ceil(math.sqrt(M))))
         assert account.norm == T * repetitions(delta, CFG)
 
     def test_custom_stage_and_cost(self):
         account = SampleAccount()
-        v = VectorSampler(np.array([0.5, 0.5]))
+        v = FlatView.from_law(np.array([0.5, 0.5]))
         v.cost = 3
         estimate_l2_squared(v, 2, 0.5, CFG, Rng(8), account, stage="flattening")
         T = max(2, math.ceil(CFG.norm_sample_mult * math.ceil(math.sqrt(2))))
@@ -118,7 +117,7 @@ class TestL2Estimator:
 
     def test_domain_size_validation(self):
         with pytest.raises(DomainError):
-            estimate_l2_squared(VectorSampler(np.array([1.0])), 0, 0.1, CFG, Rng(9))
+            estimate_l2_squared(FlatView.from_law(np.array([1.0])), 0, 0.1, CFG, Rng(9))
 
 
 class TestClosenessTest:
@@ -167,33 +166,33 @@ class TestClosenessTest:
     def test_null_accepts(self):
         hits = 0
         for t in range(60):
-            u = VectorSampler(np.full(50, 0.02))
-            v = VectorSampler(np.full(50, 0.02))
+            u = FlatView.from_law(np.full(50, 0.02))
+            v = FlatView.from_law(np.full(50, 0.02))
             hits += closeness_test(u, v, 50, 1 / 50, 0.3, 0.05, CFG, Rng(11, (t,)))
         assert hits >= 54
 
     def test_far_pair_rejects(self):
         hits = 0
         for t in range(60):
-            p = VectorSampler(np.array([1.0, 0.0]))
-            q = VectorSampler(np.array([0.5, 0.5]))
+            p = FlatView.from_law(np.array([1.0, 0.0]))
+            q = FlatView.from_law(np.array([0.5, 0.5]))
             hits += not closeness_test(p, q, 2, 1.0, 0.3, 0.05, CFG, Rng(12, (t,)))
         assert hits >= 54
 
     def test_accounting_deterministic_and_cost_weighted(self):
-        p = VectorSampler(np.full(10, 0.1))
-        q = VectorSampler(np.full(10, 0.1))
+        p = FlatView.from_law(np.full(10, 0.1))
+        q = FlatView.from_law(np.full(10, 0.1))
         q.cost = 2
         a1, a2 = SampleAccount(), SampleAccount()
         closeness_test(p, q, 10, 0.1, 0.3, 0.5, CFG, Rng(13), a1)
-        p2 = VectorSampler(np.full(10, 0.1))
-        q2 = VectorSampler(np.full(10, 0.1))
+        p2 = FlatView.from_law(np.full(10, 0.1))
+        q2 = FlatView.from_law(np.full(10, 0.1))
         q2.cost = 2
         closeness_test(p2, q2, 10, 0.1, 0.3, 0.5, CFG, Rng(13), a2)
         assert a1.closeness == a2.closeness > 0
 
     def test_validation(self):
-        v = VectorSampler(np.array([1.0]))
+        v = FlatView.from_law(np.array([1.0]))
         with pytest.raises(DomainError):
             closeness_test(v, v, 1, 1.0, 0.0, 0.1, CFG, Rng(14))
         with pytest.raises(DomainError):
@@ -219,7 +218,7 @@ class TestStreamLayout:
 
     @pytest.mark.parametrize("which", ["norm", "closeness"])
     def test_stream_count_does_not_grow_with_repetitions(self, monkeypatch, which):
-        v = VectorSampler(np.full(20, 0.05))
+        v = FlatView.from_law(np.full(20, 0.05))
 
         def call(delta):
             rng = Rng(30)
@@ -251,7 +250,7 @@ class TestStreamLayout:
         per_call = []
         for t in range(300):
             start = len(batches)
-            estimate_l2_squared(VectorSampler(pv), M, 0.1, CFG, Rng(31, (t,)))
+            estimate_l2_squared(FlatView.from_law(pv), M, 0.1, CFG, Rng(31, (t,)))
             per_call.append(batches[start:])
         counts = np.array(batches, dtype=np.float64)
         n = counts.shape[0]
@@ -271,7 +270,7 @@ class TestStreamLayout:
         # perfbench's tracer counts reject votes by wrapping
         # estimators._poissonized_counts and pairing its results X, Y, X, Y.
         def view(pv):
-            s = VectorSampler(pv)
+            s = FlatView.from_law(pv)
             return s if explicit else FlatView(size=s.size, probs=None, cost=1, _draw=s.draw)
 
         p, q = view(np.full(6, 1 / 6)), view(np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]))

@@ -11,15 +11,16 @@ from augtest.domain import (
     JointDistribution,
     JointSampler,
     Rng,
+    ProductDomain,
     SampleAccount,
+    marginal,
     merge_axes,
+    merge_index,
     product_of_marginals,
 )
 from augtest.testers import (
-    GroupedSampler,
     Outcome,
-    PermutedSampler,
-    ProjectedSampler,
+    ReindexedSampler,
     TesterConfig,
     TesterHooks,
     Verdict,
@@ -83,29 +84,27 @@ class TestConfigAndGates:
 
 
 class TestSamplerViews:
+    """ReindexedSampler: coordinate i is the row-major merge of base axes blocks[i]."""
+
+    def check(self, dims, blocks, law):
+        p = JointDistribution(ProductDomain(dims), Rng(0).gen.dirichlet(np.ones(math.prod(dims))))
+        base = JointSampler(p)
+        s = ReindexedSampler(base, blocks)
+        assert s.dims == law(p).dims
+        assert np.array_equal(s.dist.probs, law(p).probs)
+        rows = s.draw(50, Rng(1))
+        assert np.array_equal(rows, merge_index(base.draw(50, Rng(1)), dims, blocks))
+        assert all(rows[:, i].max() < n for i, n in enumerate(s.dims))
+
     def test_permuted(self):
-        p = JointDistribution.uniform((2, 3))
-        s = PermutedSampler(JointSampler(p), (1, 0))
-        assert s.dims == (3, 2)
-        rows = s.draw(100, Rng(1))
-        assert rows[:, 0].max() < 3 and rows[:, 1].max() < 2
-        assert s.dist.dims == (3, 2)
+        self.check((2, 3), [[1], [0]], lambda p: merge_axes(p, [[1], [0]]))
 
     def test_grouped(self):
-        p = JointDistribution.uniform((2, 3, 2))
-        s = GroupedSampler(JointSampler(p), [[0], [1, 2]])
-        assert s.dims == (2, 6)
-        rows = s.draw(50, Rng(2))
-        assert rows.shape == (50, 2)
-        assert s.dist.dims == (2, 6)
+        self.check((2, 3, 2), [[0], [1, 2]], lambda p: merge_axes(p, [[0], [1, 2]]))
+        self.check((2, 3, 2, 3), [[3], [2, 0], [1]], lambda p: merge_axes(p, [[3], [2, 0], [1]]))
 
     def test_projected(self):
-        p = JointDistribution.uniform((2, 3, 4))
-        s = ProjectedSampler(JointSampler(p), [2, 0])
-        assert s.dims == (4, 2)
-        assert s.dist.dims == (4, 2)
-        rows = s.draw(50, Rng(3))
-        assert rows[:, 0].max() < 4 and rows[:, 1].max() < 2
+        self.check((2, 3, 4), [[2], [0]], lambda p: marginal(p, [2, 0]))
 
 
 class TestGateLogic:
