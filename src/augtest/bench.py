@@ -54,7 +54,7 @@ _INSTANCE_KEYS = {
 SWEEP_COLUMNS = ["alpha", "mean_samples", "accept_rate", "reject_rate", "inaccurate_rate"]
 
 
-@dataclass
+@dataclass(slots=True)
 class TrialRecord:
     trial: int
     seed: int

@@ -70,20 +70,25 @@ class ProductDomain:
 class JointDistribution:
     """A probability distribution over a ProductDomain, stored dense row-major.
 
-    The mass vector is validated on construction: entries must be nonnegative
-    and sum to 1 within MASS_TOL. The stored array is read-only.
+    probs is a flat row-major vector of length domain.size or a table of
+    shape domain.dims. The mass vector is validated on construction: entries
+    must be nonnegative and sum to 1 within MASS_TOL. The stored array is
+    read-only.
     """
 
     def __init__(self, domain: ProductDomain, probs):
         self.domain = domain
         try:
-            p = np.asarray(probs, dtype=np.float64).reshape(-1)
+            p = np.asarray(probs, dtype=np.float64)
         except (TypeError, ValueError):
             raise DomainError("prob vector must hold numbers only") from None
-        if p.shape[0] != domain.size:
+        # A flat vector, or a table laid out as the dims; any other shape
+        # (a transposed table, say) would be reread in the wrong order.
+        if p.shape not in ((domain.size,), domain.dims):
             raise DomainError(
-                f"prob vector length {p.shape[0]} != domain size {domain.size}"
+                f"probs of shape {p.shape} fit neither domain size {domain.size} nor dims {domain.dims}"
             )
+        p = p.reshape(-1)
         if not np.all(np.isfinite(p)):
             raise DomainError("prob vector has non-finite entries")
         if np.any(p < 0):

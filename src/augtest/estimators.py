@@ -2,14 +2,19 @@
 
 All three follow the same amplification scheme: a cheap base routine with
 constant failure probability is repeated ceil(8 * ln(1/delta)) times and
-aggregated by median (norm) or majority (closeness). Sample draws are logged
-into a SampleAccount in units of base joint draws.
+aggregated by median (norm) or majority (closeness). The closeness vote stops
+at the first repetition that decides the majority, so its result is the vote
+of all repetitions while only the repetitions run draw samples. Sample draws
+are logged into a SampleAccount in units of base joint draws, counting only
+what was drawn.
 
-When a sample view exposes its explicit law, batches are drawn at the count
-level: a norm batch as the histogram of inverse-CDF draws (exactly
-multinomial), a Poissonized batch as per-symbol Poisson counts. Both batching
-modes produce identically distributed statistics; the count level is what
-makes desk-scale Monte-Carlo affordable.
+When a sample view exposes its law, batches are drawn at the count level: a
+norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
+so its collision count is read off run lengths (exactly the multinomial
+histogram's sum X_i (X_i - 1), with O(r sqrt(M)) working arrays beside the
+law's cumulative table), a Poissonized batch as per-symbol Poisson counts. Both batching modes produce identically
+distributed statistics; the count level is what makes desk-scale Monte-Carlo
+affordable.
 
 Stream layout: at the count level one estimator call draws all of its
 repetitions in sequence from the generator of the Rng it was given, building
@@ -73,18 +78,18 @@ def _rep_rng(rng: Rng, count_level: bool, index: int) -> Rng:
     return rng if count_level else rng.split(index)
 
 
-def _batch_counts(view, cum: np.ndarray | None, total: int, rng: Rng) -> np.ndarray:
-    """Counts of `total` i.i.d. draws from the view, as a length-size vector.
+def _ordered_pairs(idx: np.ndarray) -> np.ndarray:
+    """Per row of sorted symbol indices, the ordered pairs of equal entries.
 
-    cum is the cumulative table of the view's law, or None when it can only
-    draw. The histogram of inverse-CDF draws is exactly Multinomial(total, law)
-    at O(total log size + size) cost, where multinomial takes one binomial
-    draw per cell.
+    That is sum_i X_i (X_i - 1) for the row's histogram X, read off run
+    lengths: the entry at position k of a run starting at s pairs with the
+    k - s equal entries before it, and each pair is counted in both orders.
     """
-    if cum is not None:
-        return np.bincount(inverse_cdf(cum, rng.gen.random(total)), minlength=cum.size)
-    draws = view.draw(total, rng)
-    return np.bincount(draws, minlength=view.size)
+    pos = np.arange(idx.shape[1])
+    new_run = np.ones(idx.shape, dtype=bool)
+    np.not_equal(idx[:, 1:], idx[:, :-1], out=new_run[:, 1:])
+    start = np.maximum.accumulate(np.where(new_run, pos, 0), axis=1)
+    return 2 * (pos - start).sum(axis=1)
 
 
 def _poissonized_counts(view, means: np.ndarray | None, lam: float, rng: Rng) -> np.ndarray:
@@ -114,18 +119,23 @@ def estimate_l2_squared(
     samples and computes the unbiased collision statistic
     sum_i X_i (X_i - 1) / (T (T - 1)); the median over repetitions is returned.
     When the view exposes its law, all repetitions draw in sequence from
-    rng's own generator; otherwise repetition j draws from rng.split(j).
+    rng's own generator as one (r, T) block; otherwise repetition j draws from
+    rng.split(j).
     """
     if M < 1:
         raise DomainError("domain size must be >= 1")
     T = max(2, math.ceil(cfg.norm_sample_mult * math.ceil(math.sqrt(M))))
     r = repetitions(delta, cfg)
     law = _law(view)
-    cum = None if law is None else np.cumsum(law)
-    ests = np.empty(r)
-    for j in range(r):
-        counts = _batch_counts(view, cum, T, _rep_rng(rng, cum is not None, j))
-        ests[j] = float(np.dot(counts, counts - 1)) / (T * (T - 1))
+    if law is not None:
+        # One random(r * T) call draws what r random(T) calls would; sorted
+        # rows make the inverse-CDF lookup cheap and group equal symbols.
+        u = rng.gen.random(r * T).reshape(r, T)
+        u.sort(axis=1)
+        idx = inverse_cdf(np.cumsum(law), u)
+    else:
+        idx = np.sort([view.draw(T, rng.split(j)) for j in range(r)], axis=1)
+    ests = _ordered_pairs(idx) / (T * (T - 1))
     if account is not None:
         account.add(stage, T * r * view.cost)
     return float(np.median(ests))
@@ -165,7 +175,10 @@ def closeness_test(
     rejects when Z = sum (X_i - Y_i)^2 - X_i - Y_i exceeds
     closeness_threshold_mult * lambda^2 eps^2 / M (E[Z] = lambda^2 ||p - q||_2^2,
     and tv >= eps forces ||p - q||_2^2 >= 4 eps^2 / M). Majority vote over
-    repetitions; ties reject. Returns True to accept p = q.
+    r repetitions; ties reject. Returns True to accept p = q. The loop stops
+    once the vote is decided: at 2 * rejects >= r, or at 2 * accepts > r.
+    Later repetitions would only draw more, so the result is the full vote
+    and the account holds the samples of the repetitions run.
 
     A view that exposes its law draws its batches from rng's own generator,
     X then Y within each repetition; otherwise repetition j draws X from
@@ -176,9 +189,8 @@ def closeness_test(
     law_p, law_q = _law(view_p), _law(view_q)
     mean_p = None if law_p is None else lam * law_p
     mean_q = None if law_q is None else lam * law_q
-    rejects = 0
-    used_p = 0
-    used_q = 0
+    rejects = accepts = 0
+    used_p = used_q = 0
     for j in range(r):
         x = _poissonized_counts(view_p, mean_p, lam, _rep_rng(rng, mean_p is not None, 2 * j))
         y = _poissonized_counts(view_q, mean_q, lam, _rep_rng(rng, mean_q is not None, 2 * j + 1))
@@ -191,6 +203,12 @@ def closeness_test(
         z = float(np.square(d).sum() - x.sum() - y.sum())
         if z > threshold:
             rejects += 1
+        else:
+            accepts += 1
+        # Votes only add up, so once either side holds its majority the
+        # remaining repetitions cannot change the result.
+        if 2 * rejects >= r or 2 * accepts > r:
+            break
     if account is not None:
         account.add("closeness", used_p * view_p.cost + used_q * view_q.cost)
     return 2 * rejects < r

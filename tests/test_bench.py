@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -151,6 +152,18 @@ class TestCsvOutput:
     def test_record_timing_populates_ms(self):
         cfg = ExperimentConfig.from_dict(dict(BASE, record_timing=True, trials=1))
         assert run_single_trial(cfg, 0).ms > 0
+
+    def test_records_survive_pickling_with_the_same_csv(self, tmp_path):
+        # Forked workers hand their records back pickled; slotted records
+        # carry no per-instance dict.
+        records = run_trials(ExperimentConfig.from_dict(dict(BASE)))
+        assert not hasattr(records[0], "__dict__")
+        copies = pickle.loads(pickle.dumps(records))
+        assert copies == records
+        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit_report(records, str(p1))
+        emit_report(copies, str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestWilson:

@@ -141,6 +141,7 @@ class TestVerdictCommands:
             {"dims": [2.7, 2], "probs": [0.25] * 4},
             {"dims": "22", "probs": [0.25] * 4},
             {"dims": [2, 2], "probs": ["a", "b", "c", "d"]},
+            {"dims": [2, 3], "probs": [[0.1, 0.2], [0.3, 0.1], [0.2, 0.1]]},
         ],
     )
     def test_malformed_distribution_exits_one(self, runner, files, payload):

@@ -340,13 +340,18 @@ class TestJsonInterchange:
     @example(obj={"dims": [2, 2], "probs": {"a": 1}})
     @example(obj={"dims": [2, 2], "probs": [[0.5], [0.25, 0.25]]})
     @example(obj={"dims": [2, 2], "probs": ["a", "b", "c", "d"]})
+    @example(obj={"dims": [2, 3], "probs": [[0.1, 0.2], [0.3, 0.1], [0.2, 0.1]]})
+    @example(obj={"dims": [2, 3], "probs": [[0.1, 0.2, 0.3], [0.1, 0.2, 0.1]]})
     def test_json_spells_out_a_distribution_or_raises_domain_error(self, obj):
         try:
             p = distribution_from_json(obj)
         except DomainError:
             return
         assert p.dims == tuple(obj["dims"])
-        assert np.array_equal(p.probs, np.asarray(obj["probs"], dtype=np.float64).reshape(-1))
+        given_probs = np.asarray(obj["probs"], dtype=np.float64)
+        # a nested payload is accepted only when laid out as the dims
+        assert given_probs.ndim == 1 or given_probs.shape == p.dims
+        assert np.array_equal(p.probs, given_probs.reshape(-1))
 
 
 class TestInverseCdf:

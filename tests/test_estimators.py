@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augtest import estimators
 from augtest.domain import (
@@ -13,6 +15,7 @@ from augtest.domain import (
     ProductDomain,
     Rng,
     SampleAccount,
+    inverse_cdf,
     tv_distance,
 )
 from augtest.estimators import (
@@ -27,6 +30,30 @@ from augtest.estimators import (
 from augtest.flattening import FlatView
 
 CFG = EstimatorConfig()
+
+
+def draw_only(view: FlatView) -> FlatView:
+    """The same view with its law hidden, so every repetition splits a stream."""
+    return FlatView(size=view.size, probs=None, cost=view.cost, _draw=view.draw)
+
+
+def reference_l2_squared(view, M, delta, cfg, rng) -> float:
+    """The per-repetition histogram form of estimate_l2_squared.
+
+    Repetition j bincounts T draws (from rng's own generator when the view
+    has a law, from rng.split(j) otherwise) and scores sum X (X - 1).
+    """
+    T = max(2, math.ceil(cfg.norm_sample_mult * math.ceil(math.sqrt(M))))
+    r = repetitions(delta, cfg)
+    ests = np.empty(r)
+    for j in range(r):
+        if view.probs is not None:
+            cum = np.cumsum(view.probs / view.probs.sum())
+            counts = np.bincount(inverse_cdf(cum, rng.gen.random(T)), minlength=cum.size)
+        else:
+            counts = np.bincount(view.draw(T, rng.split(j)), minlength=view.size)
+        ests[j] = float(np.dot(counts, counts - 1)) / (T * (T - 1))
+    return float(np.median(ests))
 
 
 class TestConfig:
@@ -119,6 +146,28 @@ class TestL2Estimator:
         with pytest.raises(DomainError):
             estimate_l2_squared(FlatView.from_law(np.array([1.0])), 0, 0.1, CFG, Rng(9))
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=1, max_size=60).filter(
+            lambda w: any(x > 0 for x in w)
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        delta=st.sampled_from([0.5, 0.1, 1e-3]),
+        mult=st.sampled_from([0.5, 4.0]),
+        explicit=st.booleans(),
+    )
+    def test_matches_the_per_repetition_histogram_formula(self, weights, seed, delta, mult, explicit):
+        # The sorted (r, T) batch counts the same collisions from the same
+        # draws, so the median is the same float, bit for bit.
+        cfg = EstimatorConfig(norm_sample_mult=mult)
+        view = FlatView.from_law(np.array(weights) / sum(weights))
+        if not explicit:
+            view = draw_only(view)
+        M = len(weights)
+        got = estimate_l2_squared(view, M, delta, cfg, Rng(seed))
+        want = reference_l2_squared(view, M, delta, cfg, Rng(seed))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 class TestClosenessTest:
     def test_params_formulas(self):
@@ -191,6 +240,85 @@ class TestClosenessTest:
         closeness_test(p2, q2, 10, 0.1, 0.3, 0.5, CFG, Rng(13), a2)
         assert a1.closeness == a2.closeness > 0
 
+    @staticmethod
+    def _near_threshold_pair(seed: int, M: int, gap: float, eps: float):
+        """Laws p, q with ||p - q||_2^2 = gap * 1.5 eps^2 / M (unless q hits w).
+
+        At gap 1 the statistic's mean lambda^2 ||p - q||_2^2 sits on the
+        reject threshold, so single votes go both ways near it.
+        """
+        gen = Rng(seed).gen
+        p = gen.dirichlet(np.ones(M))
+        w = gen.dirichlet(np.ones(M))
+        t = min(1.0, math.sqrt(gap * CFG.closeness_threshold_mult * eps * eps / M / float((p - w) @ (p - w))))
+        return p, (1 - t) * p + t * w
+
+    def _votes(self, p, q, M, eps, delta, explicit, seed):
+        """closeness_test's verdict, its account and the (X, Y) pairs it drew,
+        next to every one of the r votes recomputed from the same streams."""
+        views = [FlatView.from_law(v) for v in (p, q)]
+        if not explicit:
+            views = [draw_only(v) for v in views]
+        lam, threshold = closeness_params(M, 1.0, eps, CFG)
+        kernel = estimators._poissonized_counts
+        drawn = []
+
+        def recording(v, means, lam, rng):
+            counts = kernel(v, means, lam, rng)
+            drawn.append(counts)
+            return counts
+
+        account = SampleAccount()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_poissonized_counts", recording)
+            accepted = closeness_test(*views, M, 1.0, eps, delta, CFG, Rng(seed), account)
+        rng = Rng(seed)
+        votes = []
+        for j in range(repetitions(delta, CFG)):
+            xy = [
+                kernel(v, lam * (v.probs / v.probs.sum()), lam, rng)
+                if explicit
+                else kernel(v, None, lam, rng.split(2 * j + i))
+                for i, v in enumerate(views)
+            ]
+            d = xy[0].astype(np.float64) - xy[1]
+            votes.append(float(d @ d - xy[0].sum() - xy[1].sum()) > threshold)
+        return accepted, account, drawn, votes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        M=st.integers(2, 12),
+        gap=st.floats(0.3, 2.0),
+        delta=st.sampled_from([0.45, 0.1, 0.01, 1e-4]),
+        explicit=st.booleans(),
+    )
+    def test_curtailed_vote_is_the_full_majority(self, seed, M, gap, delta, explicit):
+        eps = 0.3
+        p, q = self._near_threshold_pair(seed, M, gap, eps)
+        accepted, account, drawn, votes = self._votes(p, q, M, eps, delta, explicit, seed)
+        r = len(votes)
+        # the full vote: ties reject
+        assert accepted == (2 * sum(votes) < r)
+        # k is the first repetition after which one side holds its majority
+        rejects = np.cumsum(votes)
+        accepts = np.arange(1, r + 1) - rejects
+        k = 1 + int(np.flatnonzero((2 * rejects >= r) | (2 * accepts > r))[0])
+        assert len(drawn) == 2 * k
+        assert account.closeness == sum(int(c.sum()) for c in drawn)
+
+    def test_near_threshold_laws_split_the_votes(self):
+        # The property above is not vacuous: on these laws single votes go
+        # both ways, and most calls stop before their last repetition.
+        mixed = early = 0
+        for seed in range(20):
+            p, q = self._near_threshold_pair(seed, 6, 1.0, 0.3)
+            _, _, drawn, votes = self._votes(p, q, 6, 0.3, 0.01, True, seed)
+            mixed += 0 < sum(votes[: len(drawn) // 2]) < len(drawn) // 2
+            early += len(drawn) < 2 * len(votes)
+        assert mixed >= 5
+        assert early >= 15
+
     def test_validation(self):
         v = FlatView.from_law(np.array([1.0]))
         with pytest.raises(DomainError):
@@ -239,14 +367,17 @@ class TestStreamLayout:
         M = pv.size
         T = max(2, math.ceil(CFG.norm_sample_mult * math.ceil(math.sqrt(M))))
         batches = []
-        kernel = estimators._batch_counts
+        kernel = estimators._ordered_pairs
 
-        def recording(view, cum, total, rng):
-            counts = kernel(view, cum, total, rng)
-            batches.append(counts)
-            return counts
+        def recording(idx):
+            # each row of the (r, T) batch is one repetition's sorted draws
+            pairs = kernel(idx)
+            counts = np.array([np.bincount(row, minlength=M) for row in idx])
+            assert np.array_equal(pairs, (counts * (counts - 1)).sum(axis=1))
+            batches.extend(counts)
+            return pairs
 
-        monkeypatch.setattr(estimators, "_batch_counts", recording)
+        monkeypatch.setattr(estimators, "_ordered_pairs", recording)
         per_call = []
         for t in range(300):
             start = len(batches)
@@ -286,8 +417,17 @@ class TestStreamLayout:
         delta = 0.1
         closeness_test(p, q, 6, 1.0, 0.5, delta, CFG, Rng(32))
         r = repetitions(delta, CFG)
-        assert len(seen) == 2 * r
-        assert all(v is w for (v, _), w in zip(seen, [p, q] * r))
+        # The vote stops after repetition k, the first that decides it.
+        _, threshold = closeness_params(6, 1.0, 0.5, CFG)
+        rejects = accepts = k = 0
+        while 2 * rejects < r and 2 * accepts <= r:
+            (_, x), (_, y) = seen[2 * k : 2 * k + 2]
+            d = x.astype(np.float64) - y
+            z = float(d @ d - x.sum() - y.sum())
+            rejects, accepts, k = rejects + (z > threshold), accepts + (z <= threshold), k + 1
+        assert k < r
+        assert len(seen) == 2 * k
+        assert all(v is w for (v, _), w in zip(seen, [p, q] * k))
         for _, counts in seen:
             assert isinstance(counts, np.ndarray)
             assert counts.shape == (6,)

@@ -3,9 +3,16 @@
 A change that moves any draw, gate or sample count of these runs changes a
 digest. Such a change must say why in CHANGES.md and record the new digests;
 a refactor that keeps every verdict, sample count and stream keeps them all.
+
+Each config also pins the CSV without its closeness sample columns
+(samples_closeness and samples_total). That digest holds every verdict,
+stage and the other stages' sample counts, so a change that only moves how
+many closeness samples are drawn keeps it.
 """
 
+import csv
 import hashlib
+import io
 
 import pytest
 
@@ -14,12 +21,14 @@ from augtest.bench import ExperimentConfig, emit_report, run_trials
 SEED = 7
 TRIALS = 6
 
-# name -> (config, SHA-256 of the emit_report CSV at seed 7, 6 trials)
+# name -> (config, SHA-256 of the emit_report CSV at seed 7, 6 trials,
+#          SHA-256 of that CSV without CLOSENESS_COLUMNS)
 GOLDEN = {
     # The three benchmark workloads.
     "closeness_2d": (
         dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}),
-        "6fa2db406f2bd66ef87603cd68b255c8ae775e531182b952a9c1caff5dae66f8",
+        "89e4938ca03921ef80f5000568d85d32c62a4a8ccd8d4aba18f864d39bc91cc3",
+        "372ab0a62bd1a3b3b8803f06b2d43783fb06f1d5344144aac07de1b417029f4d",
     ),
     "hidden_bit_2d": (
         dict(
@@ -38,11 +47,13 @@ GOLDEN = {
                 "force_x": 1,
             },
         ),
-        "64f545e121fedd4300789c29ce0aa0a782d11fc7069ca22e72d908b9537438d4",
+        "f67217a4e32e039fce8434dd4dafe511e2e692e00a3f67a92fe9ad40f221033b",
+        "aac7cc9e4cef1cb25b7f60346f167e13adcfc885275fc14a4cad191220a3b12c",
     ),
     "arity5_d": (
         dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2, 2, 2, 2, 2]}),
-        "66a1ffee56de1a2219183c864bf1b7500a58669dd992096347ce8eb355c0657b",
+        "f0cc34102f5a2a56b55c7c2fa8d51ea59f9b638b05ba7e5ee91824b0f942354d",
+        "8f816c558321c62db66a39c4aa5902835c8ba4c30f384aad75728afa35d2fc76",
     ),
     # Ascending axes: the 2-axis tester runs on its axis-permuted view.
     "permuted_2d": (
@@ -53,30 +64,57 @@ GOLDEN = {
             prediction="uniform",
             instance={"kind": "product_random", "dims": [10, 40]},
         ),
-        "088743848cbe1543656992dd2d8ac52cf3f775dd77c46440b1684cd31ba733a0",
+        "351a966472bf4bf00565fc1aa1731a022727a8506eef96356bef99a39ae7d373",
+        "3e78803f82e4c1b269ea7f5b0e867ba28127aac3961a4f84dc4b323c3bbccf23",
     ),
     "product_3d": (
         dict(tester="3d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [4, 9, 6]}),
-        "4a38343ae8552a217ccd4bb5d5a350957463ef1f742b4663d8aefb8e9cd46348",
+        "33a9cee1fc372f750d92952aa17ba2ba2b9363bd48945b8d1b2be5d71d10118b",
+        "9d75c72d7af5ff229a94e74727cc7d52c6f36f8bd5017adfa7e6ee166106820d",
     ),
     "grouped_d": (
         dict(tester="d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [3, 5, 2, 4]}),
-        "ceabfab63fffab8438fb14ee3095e489444aa8c81a1aba6c7e6b749b70588f98",
+        "b76125592585a570367df8e22856ee8e3b0dc0bf4c3e2bace3304b447bc1daea",
+        "20d0db19a3ef62bacbe5d4fc82268ee8f57bb1b8ca8bf9b95d3f0074d630058c",
     ),
     "learn": (
         dict(tester="learn", eps=0.4, instance={"kind": "correlated", "size": 4}),
         "2dcd1eb9f26ee59a5467444d251f635391e3bd1c7af3fe649f15e7c5f1a322ba",
+        "1ba59f38da6cc7e6592e6dc1fb99d1deb30f7e54f49c372989f954866237ff10",
     ),
 }
 
 
-def csv_digest(config: dict, path) -> str:
+CLOSENESS_COLUMNS = ("samples_closeness", "samples_total")
+
+
+def fixed_seed_csv(config: dict, path) -> bytes:
     cfg = ExperimentConfig.from_dict(dict(config, seed=SEED, trials=TRIALS))
     emit_report(run_trials(cfg), str(path))
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return path.read_bytes()
+
+
+def without_columns(data: bytes, names) -> bytes:
+    """The CSV rewritten by the csv module with the named columns dropped."""
+    rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    keep = [i for i, name in enumerate(rows[0]) if name not in names]
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows([row[i] for i in keep] for row in rows)
+    return out.getvalue().encode()
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fixed_seed_csv_is_unchanged(name, tmp_path):
-    config, digest = GOLDEN[name]
-    assert csv_digest(config, tmp_path / f"{name}.csv") == digest
+    config, digest, _ = GOLDEN[name]
+    assert sha256(fixed_seed_csv(config, tmp_path / f"{name}.csv")) == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_fixed_seed_verdicts_are_unchanged(name, tmp_path):
+    config, _, verdict_digest = GOLDEN[name]
+    data = fixed_seed_csv(config, tmp_path / f"{name}.csv")
+    assert sha256(without_columns(data, CLOSENESS_COLUMNS)) == verdict_digest
