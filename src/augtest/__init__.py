@@ -16,10 +16,8 @@ from .domain import (
     merge_axes,
     merge_index,
     poisson,
-    product_of_marginals,
     save_distribution,
     split_axis,
-    split_index,
     tv_distance,
     tv_to_own_product,
 )
@@ -28,7 +26,6 @@ from .flattening import (
     ProductFlattening,
     build_axis_flattening,
     flatten_distribution_explicit,
-    flatten_samples,
     flattened_axis_view,
     flattened_joint_view,
     flattened_product_view,
@@ -61,7 +58,6 @@ from .hard_instances import (
     gen_hard_2d,
     gen_valid_hard_2d,
     poissonized_counts,
-    rank_one_gap,
     validity_check,
 )
 from .bench import (

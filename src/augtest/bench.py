@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -29,13 +29,12 @@ from .domain import (
     load_distribution,
     tv_distance,
 )
-from .estimators import EstimatorConfig
 from .hard_instances import embed_hard_to_d, gen_valid_hard_2d, gen_hard_2d, poissonized_counts, validity_check
 from .testers import (
     Outcome,
     TesterConfig,
     Verdict,
-    amplify,
+    _run_at_delta,
     aug_independence_2d,
     aug_independence_3d,
     aug_independence_d,
@@ -89,7 +88,6 @@ class ExperimentConfig:
     prediction: str | dict = "exact"
     jobs: int = 1
     record_timing: bool = False
-    estimator: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.tester not in ("2d", "3d", "d", "learn"):
@@ -118,9 +116,6 @@ class ExperimentConfig:
     def from_file(path: str) -> "ExperimentConfig":
         with open(path) as fh:
             return ExperimentConfig.from_dict(json.load(fh))
-
-    def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(**self.estimator)
 
 
 def _correlated_pair(size: int) -> JointDistribution:
@@ -195,9 +190,7 @@ def run_single_trial(cfg: ExperimentConfig, trial: int, alpha_override: float | 
     else:
         alpha = float(cfg.alpha)
 
-    tcfg = TesterConfig(
-        eps=cfg.eps, alpha=alpha, profile=cfg.profile, estimator=cfg.estimator_config()
-    )
+    tcfg = TesterConfig(eps=cfg.eps, alpha=alpha, profile=cfg.profile)
     sampler = JointSampler(dist)
 
     def run(r: Rng) -> Verdict:
@@ -210,10 +203,10 @@ def run_single_trial(cfg: ExperimentConfig, trial: int, alpha_override: float | 
         return test_independence_by_learning(sampler, cfg.eps, 0.1 if cfg.delta is None else cfg.delta, r)
 
     start = time.perf_counter() if cfg.record_timing else 0.0
-    if cfg.delta is not None and cfg.delta < 0.1 and cfg.tester != "learn":
-        verdict = amplify(run, cfg.delta, rng.split(1))
-    else:
+    if cfg.tester == "learn":
         verdict = run(rng.split(1))
+    else:
+        verdict = _run_at_delta(run, cfg.delta, rng.split(1))
     ms = (time.perf_counter() - start) * 1000.0 if cfg.record_timing else 0.0
 
     acct = verdict.account

@@ -19,7 +19,7 @@ from .testers import (
     Outcome,
     TesterConfig,
     Verdict,
-    amplify,
+    _run_at_delta,
     aug_independence_2d,
     aug_independence_3d,
     aug_independence_d,
@@ -50,10 +50,7 @@ def _run_tester(runner, dist_path, pred_path, alpha, eps, delta, seed, profile) 
         def run(r: Rng) -> Verdict:
             return runner(sampler, pred, cfg, r)
 
-        if delta is not None and delta < 0.1:
-            verdict = amplify(run, delta, rng)
-        else:
-            verdict = run(rng)
+        verdict = _run_at_delta(run, delta, rng)
     except (DomainError, OSError, json.JSONDecodeError, ValueError) as exc:
         _fail(str(exc))
     _finish(verdict, seed)
@@ -80,7 +77,25 @@ def _tester_options(fn):
     return fn
 
 
-@click.group()
+class _Group(click.Group):
+    """A click group whose usage errors exit 1: click's own code 2 is the reject verdict's."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_exits_one(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_exits_one(super().invoke, ctx)
+
+
+def _usage_exits_one(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = 1
+        raise
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Prediction-assisted independence testing of discrete distributions."""
 

@@ -251,40 +251,17 @@ def _check_grouping(arity: int, grouping: Sequence[Sequence[int]]) -> list[tuple
     return blocks
 
 
-def product_of_marginals(
-    p: JointDistribution, grouping: Sequence[Sequence[int]] | None = None
-) -> JointDistribution:
-    """Product of block marginals of p, re-laid-out on p's own domain.
-
-    Args:
-        p: Input distribution.
-        grouping: Partition of the axes; each block's marginal is taken as a
-            unit. Default is all singletons (the full product of marginals).
-
-    Returns:
-        The distribution q(x) = prod_B p_B(x_B) on p's domain.
-    """
-    if grouping is None:
-        grouping = [[a] for a in range(p.domain.arity)]
-    blocks = _check_grouping(p.domain.arity, grouping)
+def product_of_marginals(p: JointDistribution) -> JointDistribution:
+    """The product of p's single-axis marginals, on p's own domain."""
     out = np.ones(1)
-    order: list[int] = []
-    for block in blocks:
-        mb = marginal(p, block)
-        out = np.multiply.outer(out, mb.table())
-        order.extend(block)
-    out = out.reshape([p.dims[a] for a in order])
-    # out currently has axes in block-concatenated order; undo.
-    inv = np.argsort(order)
-    out = np.transpose(out, inv)
-    return JointDistribution(p.domain, np.ascontiguousarray(out).reshape(-1))
+    for a in range(p.domain.arity):
+        out = np.multiply.outer(out, marginal(p, [a]).table())
+    return JointDistribution(p.domain, out.reshape(-1))
 
 
-def tv_to_own_product(
-    p: JointDistribution, grouping: Sequence[Sequence[int]] | None = None
-) -> float:
-    """tv distance from p to the product of its own (block) marginals."""
-    return tv_distance(p, product_of_marginals(p, grouping))
+def tv_to_own_product(p: JointDistribution) -> float:
+    """tv distance from p to the product of its own marginals."""
+    return tv_distance(p, product_of_marginals(p))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +307,6 @@ class JointSampler:
     def __init__(self, dist: JointDistribution):
         self.dist = dist
         self.dims = dist.dims
-        self.cost = 1
 
     def draw(self, count: int, rng: Rng) -> np.ndarray:
         return draw_samples(self.dist, count, rng)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -214,16 +213,11 @@ def closeness_test(
     return 2 * rejects < r
 
 
-def learn_empirical(
-    sampler,
-    domain: ProductDomain,
-    t: int,
-    rng: Rng,
-    account: SampleAccount | None = None,
-) -> JointDistribution:
-    """Empirical histogram of t draws, as an exact rational-count distribution."""
+def learn_empirical(sampler, t: int, rng: Rng, account: SampleAccount | None = None) -> JointDistribution:
+    """Empirical histogram of t draws over sampler.dims, as an exact rational-count distribution."""
     if t < 1:
         raise DomainError("sample size t must be >= 1")
+    domain = ProductDomain(tuple(sampler.dims))
     dist = getattr(sampler, "dist", None)
     if dist is not None:
         counts = rng.gen.multinomial(t, dist.probs / dist.probs.sum())
@@ -232,12 +226,10 @@ def learn_empirical(
         flat = np.ravel_multi_index(tuple(np.asarray(rows).T), domain.dims)
         counts = np.bincount(flat, minlength=domain.size)
     if account is not None:
-        account.add("learning", t * getattr(sampler, "cost", 1))
+        account.add("learning", t)
     return JointDistribution(domain, counts.astype(np.float64) / t)
 
 
-def empirical_tv_to_product(
-    emp: JointDistribution, grouping: Sequence[Sequence[int]] | None = None
-) -> float:
+def empirical_tv_to_product(emp: JointDistribution) -> float:
     """tv distance from an empirical distribution to the product of its marginals."""
-    return tv_to_own_product(emp, grouping)
+    return tv_to_own_product(emp)

@@ -7,7 +7,8 @@ from an accurate prediction plus a small Poissonized sample make the expected
 flattened l2 norm small enough for collision-based testing.
 
 Bucket rule per axis: b_i = floor(pred(i)/nu) + N_i + 1, where N_i is the
-observed count of symbol i in the flattening sample and nu defaults to 1/n.
+observed count of symbol i in the flattening sample and the granularity nu is
+fixed at 1/n.
 """
 
 from __future__ import annotations
@@ -41,26 +42,21 @@ class AxisFlattening:
         self.base_size = int(b.size)
         self.flat_size = int(b.sum())
 
-    def __eq__(self, other):
-        return isinstance(other, AxisFlattening) and np.array_equal(
-            self.buckets, other.buckets
-        )
-
     def __repr__(self):
         return f"AxisFlattening(base={self.base_size}, flat={self.flat_size})"
 
 
-def build_axis_flattening(pred_marginal, counts, nu: float | None = None) -> AxisFlattening:
+def build_axis_flattening(pred_marginal, counts) -> AxisFlattening:
     """Builds the bucket layout for one axis from a predicted marginal and counts.
 
     Args:
         pred_marginal: Predicted marginal mass vector over [n] (array-like or
             1-axis JointDistribution).
         counts: Observed sample counts N_i over [n], nonnegative ints.
-        nu: Bucket granularity; defaults to 1/n, giving b_i = floor(n*pred(i)) + N_i + 1.
 
     Returns:
-        AxisFlattening with flat_size <= 1/nu + n + sum(counts).
+        AxisFlattening with b_i = floor(n*pred(i)) + N_i + 1, so flat_size
+        <= 2n + sum(counts).
     """
     if isinstance(pred_marginal, JointDistribution):
         pred_marginal = pred_marginal.probs
@@ -72,11 +68,7 @@ def build_axis_flattening(pred_marginal, counts, nu: float | None = None) -> Axi
         raise DomainError("predicted marginal has negative entries")
     if np.any(c < 0):
         raise DomainError("counts must be nonnegative")
-    n = q.size
-    if nu is None:
-        nu = 1.0 / n
-    if not (0 < nu <= 1):
-        raise DomainError(f"nu must be in (0, 1], got {nu}")
+    nu = 1.0 / q.size
     b = np.floor(q / nu + _FLOOR_FUZZ).astype(np.int64) + c + 1
     return AxisFlattening(b)
 
@@ -95,21 +87,6 @@ class ProductFlattening:
     @property
     def arity(self) -> int:
         return len(self.axes)
-
-    def to_json(self) -> dict:
-        return {
-            f"buckets_axis{i + 1}": [int(b) for b in f.buckets]
-            for i, f in enumerate(self.axes)
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ProductFlattening":
-        axes = []
-        i = 1
-        while f"buckets_axis{i}" in obj:
-            axes.append(AxisFlattening(obj[f"buckets_axis{i}"]))
-            i += 1
-        return ProductFlattening(axes)
 
 
 def flatten_samples(pf: ProductFlattening, base: np.ndarray, rng: Rng) -> np.ndarray:
@@ -164,28 +141,22 @@ class FlatView:
         return self._draw(count, rng)
 
     @staticmethod
-    def from_law(probs, cost: int = 1) -> "FlatView":
+    def from_law(probs) -> "FlatView":
         """View over [len(probs)] drawing from an explicit mass vector by inverse CDF."""
         probs = np.asarray(probs, dtype=np.float64).reshape(-1)
         cum = np.cumsum(probs)
-        return FlatView(probs.size, probs, cost, lambda count, rng: inverse_cdf(cum, rng.gen.random(count)))
+        return FlatView(probs.size, probs, 1, lambda count, rng: inverse_cdf(cum, rng.gen.random(count)))
 
 
 def _flatten_axis_ids(f: AxisFlattening, ids: np.ndarray, rng: Rng) -> np.ndarray:
     return f.offsets[ids] + rng.gen.integers(0, f.buckets[ids])
 
 
-def _flat_marginal_law(sampler, axis: int, f: AxisFlattening) -> np.ndarray | None:
-    """The flattened marginal law on one axis, or None when the sampler can only draw."""
-    if getattr(sampler, "dist", None) is None:
-        return None
-    marg = marginal(sampler.dist, [axis]).probs
-    return np.repeat(marg / f.buckets, f.buckets)
-
-
 def flattened_axis_view(sampler, axis: int, f: AxisFlattening) -> FlatView:
     """View of the flattened marginal on one axis; one joint draw per sample."""
-    probs = _flat_marginal_law(sampler, axis, f)
+    probs = None
+    if getattr(sampler, "dist", None) is not None:
+        probs = np.repeat(marginal(sampler.dist, [axis]).probs / f.buckets, f.buckets)
 
     def _draw(count: int, rng: Rng) -> np.ndarray:
         rows = sampler.draw(count, rng.split(0))
@@ -209,19 +180,15 @@ def flattened_joint_view(sampler, pf: ProductFlattening) -> FlatView:
 
 
 def flattened_product_view(
-    sampler, pf: ProductFlattening, axis_laws: Sequence[np.ndarray | None] | None = None
+    sampler, pf: ProductFlattening, axis_laws: Sequence[np.ndarray | None]
 ) -> FlatView:
     """View of the product of flattened marginals.
 
     One emitted sample mixes coordinate l from its own independent joint draw,
     so it costs arity joint draws; the law is exactly the product of the
-    per-axis flattened marginals. A caller that already holds those marginals
-    (the probs of each flattened_axis_view) passes them as axis_laws, so they
-    are not computed again.
+    per-axis flattened marginals, axis_laws (the probs of each
+    flattened_axis_view), or None when any of them is None.
     """
-    d = pf.arity
-    if axis_laws is None:
-        axis_laws = [_flat_marginal_law(sampler, ax, f) for ax, f in enumerate(pf.axes)]
     probs = None
     if all(law is not None for law in axis_laws):
         acc = np.ones(1)
@@ -236,4 +203,4 @@ def flattened_product_view(
             cols.append(_flatten_axis_ids(f, rows[:, ax], rng.split(2 * ax + 1)))
         return np.ravel_multi_index(tuple(cols), pf.flat_dims)
 
-    return FlatView(size=pf.flat_size, probs=probs, cost=d, _draw=_draw)
+    return FlatView(size=pf.flat_size, probs=probs, cost=pf.arity, _draw=_draw)

@@ -29,7 +29,6 @@ from .domain import (
     DomainError,
     JointDistribution,
     JointSampler,
-    ProductDomain,
     Rng,
     SampleAccount,
     marginal,
@@ -98,32 +97,27 @@ _PROFILE_GATES = {
 _NORM_DELTA = {2: 1.0 / 120.0, 3: 1.0 / 180.0}
 _CLOSENESS_DELTA = {2: 1.0 / 80.0, 3: 1.0 / 120.0}
 
+# The estimators run at their calibrated multipliers.
+_ESTIMATOR = EstimatorConfig()
+
 
 @dataclass(frozen=True)
 class TesterConfig:
     """Parameters shared by all testers.
 
     alpha is the claimed tv accuracy of the prediction; eps the farness
-    proximity. profile selects the gate constants; explicit gate/cap
-    overrides win over the profile when set.
+    proximity. profile selects the gate constants.
     """
 
     eps: float
     alpha: float
     profile: str = "practical"
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    norm_gate: float | None = None
-    poisson_cap: float | None = None
 
     def gates(self, arity: int) -> tuple[float, float]:
+        """(norm gate multiplier, Poisson cap multiplier) of the profile at this arity."""
         if self.profile not in ("theory", "practical"):
             raise DomainError(f"unknown profile {self.profile!r}")
-        gate, cap = _PROFILE_GATES[(self.profile, arity)]
-        if self.norm_gate is not None:
-            gate = float(self.norm_gate)
-        if self.poisson_cap is not None:
-            cap = float(self.poisson_cap)
-        return gate, cap
+        return _PROFILE_GATES[(self.profile, arity)]
 
     def validate(self) -> None:
         if not 0 < self.eps <= 1:
@@ -172,7 +166,6 @@ class ReindexedSampler:
         self.base = base
         self.blocks = [[int(a) for a in blk] for blk in blocks]
         self.dims = tuple(math.prod(base.dims[a] for a in blk) for blk in self.blocks)
-        self.cost = getattr(base, "cost", 1)
         inner = getattr(base, "dist", None)
         self.dist = None
         if inner is not None:
@@ -208,7 +201,6 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     norm_delta = _NORM_DELTA[arity]
     close_delta = _CLOSENESS_DELTA[arity]
     eps, alpha = cfg.eps, cfg.alpha
-    est = cfg.estimator
     account = SampleAccount()
     stage_log: list[str] = []
     detail: dict = {"dims": dims, "profile": cfg.profile}
@@ -256,7 +248,7 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
         view = flattened_axis_view(sampler, l, flats[l])
         axis_views.append(view)
         marg_norms.append(
-            hooks.norm(view, flats[l].flat_size, norm_delta, est, rng.split(20 + l), account)
+            hooks.norm(view, flats[l].flat_size, norm_delta, _ESTIMATOR, rng.split(20 + l), account)
         )
     detail["marginal_norms"] = marg_norms
     if any(marg_norms[l] > gate * tau[l] for l in range(arity)):
@@ -271,7 +263,7 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     # One view serves both the joint norm and closeness: it holds the dense
     # flattened joint law, the largest array a run builds.
     joint_view = flattened_joint_view(sampler, pf)
-    joint_norm = hooks.norm(joint_view, pf.flat_size, norm_delta, est, rng.split(30), account)
+    joint_norm = hooks.norm(joint_view, pf.flat_size, norm_delta, _ESTIMATOR, rng.split(30), account)
     detail["joint_norm"] = joint_norm
     if joint_norm > joint_reject * tau_prod:
         return Verdict(Outcome.REJECT, "joint_norm", stage_log, account, detail)
@@ -286,7 +278,7 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
         closeness_b * tau_prod,
         eps,
         close_delta,
-        est,
+        _ESTIMATOR,
         rng.split(31),
         account,
     )
@@ -380,7 +372,7 @@ def test_independence_by_learning(
     delta_p = delta / (len(dims) + 1)
     eta = eps / 7.0
     t = math.ceil((size + math.log(1.0 / delta_p)) / (eta * eta))
-    emp = learn_empirical(sampler, ProductDomain(dims), t, rng, acct)
+    emp = learn_empirical(sampler, t, rng, acct)
     gap = empirical_tv_to_product(emp)
     outcome = Outcome.ACCEPT if gap <= 6.0 * eta else Outcome.REJECT
     return Verdict(outcome, "learning", ["learning"], acct, {"dims": dims, "t": t, "gap": gap})
@@ -462,3 +454,15 @@ def amplify(run: Callable[[Rng], Verdict], delta_target: float, rng: Rng) -> Ver
     rep = last[winner]
     detail = {"runs": runs, "tally": {o.value: c for o, c in tally.items()}}
     return Verdict(winner, rep.stage, ["amplify"] + rep.stage_log, account, detail)
+
+
+def _run_at_delta(run: Callable[[Rng], Verdict], delta: float | None, rng: Rng) -> Verdict:
+    """Runs a base tester once, or amplified to delta when delta < 0.1.
+
+    delta None means the base testers' own 0.1; any other delta must be in (0, 1).
+    """
+    if delta is None:
+        return run(rng)
+    if not 0 < delta < 1:
+        raise DomainError(f"delta must be in (0, 1), got {delta}")
+    return amplify(run, delta, rng) if delta < 0.1 else run(rng)

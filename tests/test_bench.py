@@ -60,11 +60,10 @@ class TestConfig:
         path.write_text(json.dumps(BASE))
         assert ExperimentConfig.from_file(str(path)).seed == 11
 
-    def test_estimator_overrides(self):
-        cfg = ExperimentConfig.from_dict(dict(BASE, estimator={"rep_mult": 2.0}))
-        assert cfg.estimator_config().rep_mult == 2.0
-        with pytest.raises(TypeError):
-            ExperimentConfig.from_dict(dict(BASE, estimator={"bogus": 1})).estimator_config()
+    def test_estimator_block_rejected(self):
+        # the estimators run at their calibrated defaults; a config cannot set them
+        with pytest.raises(DomainError, match="unknown config keys"):
+            ExperimentConfig.from_dict(dict(BASE, estimator={"rep_mult": 2.0}))
 
 
 class TestWorkers:

@@ -133,6 +133,33 @@ class TestVerdictCommands:
         )
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("command", ["test2d", "test3d", "testd"])
+    @pytest.mark.parametrize("delta", ["1.5", "1"])
+    def test_delta_outside_the_unit_interval_exits_one(self, runner, files, command, delta):
+        dist = files["uniform3d"] if command == "test3d" else files["uniform"]
+        res = runner.invoke(
+            main,
+            [command, "--dist", dist, "--pred", dist, "--alpha", "0.05", "--eps", "0.4", "--delta", delta],
+        )
+        assert res.exit_code == 1
+        assert "error:" in res.output
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"--pred": None},  # missing required option
+            {"--alpha": "abc"},  # not a number
+            {"--dist": "no/such/file.json"},  # no such file
+            {"--profile": "exotic"},  # not a choice
+        ],
+    )
+    def test_usage_errors_exit_one(self, runner, files, change):
+        opts = {"--dist": files["uniform"], "--pred": files["uniform"], "--alpha": "0.05", "--eps": "0.4"}
+        opts.update(change)
+        args = ["test2d"] + [tok for k, v in opts.items() if v is not None for tok in (k, v)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert "Error:" in res.output  # click's own message, kept
 
     @pytest.mark.parametrize(
         "payload",
@@ -255,6 +282,12 @@ class TestBenchCommands:
         res = runner.invoke(main, ["bench", "--config", cfg, "--out", str(files["tmp"] / "x.csv")])
         assert res.exit_code == 1
         assert "error:" in res.output
+
+    def test_bench_estimator_block_exits_one(self, runner, files):
+        cfg = self.write_config(files["tmp"], estimator={"rep_mult": 2.0})
+        res = runner.invoke(main, ["bench", "--config", cfg, "--out", str(files["tmp"] / "x.csv")])
+        assert res.exit_code == 1
+        assert "error: unknown config keys: ['estimator']" in res.output
 
     @pytest.mark.parametrize(
         "overrides",

@@ -200,22 +200,9 @@ class TestMarginals:
         assert np.allclose(marginal(q, [0]).probs, marginal(p, [0]).probs)
         assert np.allclose(marginal(q, [1]).probs, marginal(p, [1]).probs)
 
-    def test_grouped_product(self):
-        p = random_dist((2, 3, 2), Rng(13).gen)
-        q = product_of_marginals(p, [[0], [1, 2]])
-        t = np.multiply.outer(marginal(p, [0]).table(), marginal(p, [1, 2]).table())
-        assert np.allclose(q.table(), t)
-
     def test_correlated_pair_gap(self):
         p = JointDistribution.from_table([[0.5, 0.0], [0.0, 0.5]])
         assert tv_to_own_product(p) == pytest.approx(0.5, abs=1e-15)
-
-    def test_bad_grouping(self):
-        p = JointDistribution.uniform((2, 2))
-        with pytest.raises(DomainError):
-            product_of_marginals(p, [[0]])
-        with pytest.raises(DomainError):
-            product_of_marginals(p, [[0, 1], [1]])
 
 
 class TestSampling:
@@ -251,7 +238,6 @@ class TestSampling:
         p = JointDistribution.uniform((3, 2))
         s = JointSampler(p)
         assert s.dims == (3, 2)
-        assert s.cost == 1
         assert s.draw(5, Rng(25)).shape == (5, 2)
 
 
@@ -297,6 +283,33 @@ class TestReshaping:
         merged = merge_index(rows, dims, [[0], [1, 2]])
         back = split_index(merged, (3, 8), 1, (4, 2))
         assert np.array_equal(back, rows)
+
+    def test_merge_rejects_a_non_partition(self):
+        p = JointDistribution.uniform((2, 2))
+        with pytest.raises(DomainError):
+            merge_axes(p, [[0]])
+        with pytest.raises(DomainError):
+            merge_axes(p, [[0, 1], [1]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_split_inverts_merge(self, data):
+        """Splitting each merged axis back out leaves the axes in block order, values unchanged."""
+        dims = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=5), label="dims")
+        order = data.draw(st.permutations(range(len(dims))), label="order")
+        cuts = data.draw(st.sets(st.integers(1, len(dims) - 1)), label="cuts") if len(dims) > 1 else set()
+        bounds = [0, *sorted(cuts), len(dims)]
+        blocks = [list(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        p = random_dist(dims, Rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).gen)
+        rows = draw_samples(p, 20, Rng(36))
+        merged, midx = merge_axes(p, blocks), merge_index(rows, p.dims, blocks)
+        # Split the last block first so the earlier merged axes keep their positions.
+        for i in reversed(range(len(blocks))):
+            factors = [dims[a] for a in blocks[i]]
+            midx = split_index(midx, merged.dims, i, factors)
+            merged = split_axis(merged, i, factors)
+        assert merged == merge_axes(p, [[a] for a in order])
+        assert np.array_equal(midx, rows[:, order])
 
     def test_split_axis_factor_mismatch(self):
         p = JointDistribution.uniform((3, 4))

@@ -1,6 +1,8 @@
 """Tests for the l2 estimator, the closeness tester, and empirical learning."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from augtest.estimators import (
 from augtest.flattening import FlatView
 
 CFG = EstimatorConfig()
+CALIBRATION = os.path.join(os.path.dirname(__file__), os.pardir, "calibration.json")
 
 
 def draw_only(view: FlatView) -> FlatView:
@@ -61,6 +64,11 @@ class TestConfig:
         assert CFG.norm_sample_mult == 4.0
         assert CFG.closeness_sample_mult == 2.0
         assert CFG.closeness_threshold_mult == 1.5
+        # a recalibration that is not carried into the defaults fails here
+        with open(CALIBRATION) as fh:
+            chosen = json.load(fh)["chosen"]
+        assert CFG.closeness_sample_mult == chosen["closeness_sample_mult"]
+        assert CFG.closeness_threshold_mult == chosen["closeness_threshold_mult"]
 
     def test_repetition_counts(self):
         assert repetitions(0.05, CFG) == 24
@@ -439,12 +447,12 @@ class TestLearnEmpirical:
         t = np.zeros((2, 3))
         t[1, 2] = 1.0
         p = JointDistribution.from_table(t)
-        emp = learn_empirical(JointSampler(p), p.domain, 57, Rng(20))
+        emp = learn_empirical(JointSampler(p), 57, Rng(20))
         assert np.array_equal(emp.probs, p.probs)
 
     def test_counts_are_rational_with_denominator_t(self):
         p = JointDistribution.uniform((3, 2))
-        emp = learn_empirical(JointSampler(p), p.domain, 40, Rng(21))
+        emp = learn_empirical(JointSampler(p), 40, Rng(21))
         scaled = emp.probs * 40
         assert np.allclose(scaled, np.round(scaled), atol=1e-9)
         assert emp.probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -452,7 +460,7 @@ class TestLearnEmpirical:
     def test_accounting(self):
         p = JointDistribution.uniform((2, 2))
         account = SampleAccount()
-        learn_empirical(JointSampler(p), p.domain, 123, Rng(22), account)
+        learn_empirical(JointSampler(p), 123, Rng(22), account)
         assert account.learning == 123
 
     def test_marginals_match_projected_histograms(self):
@@ -464,7 +472,6 @@ class TestLearnEmpirical:
 
         class RecordingSampler:
             dims = (3, 4)
-            cost = 1
 
             def draw(self, count, rng):
                 rows = JointSampler(p).draw(count, rng)
@@ -472,7 +479,7 @@ class TestLearnEmpirical:
                 return rows
 
         t = 500
-        emp = learn_empirical(RecordingSampler(), p.domain, t, Rng(24))
+        emp = learn_empirical(RecordingSampler(), t, Rng(24))
         rows = drawn["rows"]
         for axis, size in [(0, 3), (1, 4)]:
             hist = np.bincount(rows[:, axis], minlength=size) / t
@@ -488,14 +495,14 @@ class TestLearnEmpirical:
         t = math.ceil((M + math.log(1 / delta)) / eta**2)
         hits = 0
         for i in range(200):
-            emp = learn_empirical(JointSampler(p), p.domain, t, Rng(26, (i,)))
+            emp = learn_empirical(JointSampler(p), t, Rng(26, (i,)))
             hits += tv_distance(emp, p) <= eta
         assert hits >= 180
 
     def test_t_validation(self):
         p = JointDistribution.uniform((2, 2))
         with pytest.raises(DomainError):
-            learn_empirical(JointSampler(p), p.domain, 0, Rng(27))
+            learn_empirical(JointSampler(p), 0, Rng(27))
 
 
 class TestEmpiricalTvToProduct:

@@ -24,6 +24,7 @@ from augtest.testers import (
     TesterConfig,
     TesterHooks,
     Verdict,
+    _run_at_delta,
     amplify,
     aug_independence_2d,
     aug_independence_3d,
@@ -61,10 +62,6 @@ class TestConfigAndGates:
         assert TesterConfig(0.3, 0.1, profile="practical").gates(2) == (6.0, 8.0)
         assert TesterConfig(0.3, 0.1, profile="theory").gates(3) == (180.0, 240.0)
         assert TesterConfig(0.3, 0.1, profile="practical").gates(3) == (9.0, 12.0)
-
-    def test_explicit_overrides_win(self):
-        cfg = TesterConfig(0.3, 0.1, profile="theory", norm_gate=7.0, poisson_cap=11.0)
-        assert cfg.gates(2) == (7.0, 11.0)
 
     def test_unknown_profile(self):
         with pytest.raises(DomainError):
@@ -461,6 +458,23 @@ class TestAmplify:
     def test_delta_validation(self):
         with pytest.raises(DomainError):
             amplify(self.scripted_run([Outcome.ACCEPT] * 200), 0.0, Rng(27))
+
+    @pytest.mark.parametrize("delta, runs", [(None, 1), (0.5, 1), (0.1, 1), (0.05, 73)])
+    def test_run_at_delta_amplifies_below_a_tenth(self, delta, runs):
+        streams = []
+
+        def run(rng):
+            streams.append(rng.stream)
+            return Verdict(Outcome.ACCEPT, "x", ["x"], SampleAccount(), {})
+
+        _run_at_delta(run, delta, Rng(28, (1,)))
+        # a single run gets the stream it is handed; amplified run i gets its split i
+        assert streams == ([(1,)] if runs == 1 else [(1, i) for i in range(runs)])
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1, 1.0, 1.5])
+    def test_run_at_delta_rejects_delta_outside_the_unit_interval(self, delta):
+        with pytest.raises(DomainError):
+            _run_at_delta(self.scripted_run([Outcome.ACCEPT]), delta, Rng(29))
 
 
 class TestVerdictJson:
