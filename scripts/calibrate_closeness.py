@@ -7,17 +7,21 @@ Z = sum (X_i - Y_i)^2 - X_i - Y_i exceeds C_thr * lambda^2 eps^2 / M. This
 script measures the per-repetition error of that rule over a grid of
 (C_close, C_thr) on matched null/alternative instances:
 
-  null: p = q = uniform on [M]
-  alt:  p = uniform, q = uniform +- 2 eps / M alternating, so tv(p, q) = eps
+  null: p = q = a law on [M]
+  alt:  p = the law, q = p +- 2 eps / M alternating, so tv(p, q) = eps
         and ||p - q||_2^2 = 4 eps^2 / M (the extremal spread pair)
 
-with M in {10, 50, 200}, eps in {0.1, 0.3}, and the tight norm bound
-b = 1/M (= min(||p||_2^2, ||q||_2^2) exactly). A combination passes when
-every cell's per-repetition error is below 1/3. Among passers, the winner is
-the smallest C_close whose worst error also clears a robustness buffer
-(<= 0.25; closeness sample cost is linear in C_close, so this is the cheapest
-point that is not a statistical coin flip away from the bar), then the C_thr
-with the widest margin.
+with eps in {0.1, 0.3} and the tight norm bound b = ||p||_2^2 (=
+min(||p||_2^2, ||q||_2^2) exactly). The laws are the uniform one (b M = 1)
+with M in {10, 50, 200}, and two-level laws with b M in {2, 5} with M in
+{50, 200}: the testers size closeness from measured norms, which put b M near
+2 on a uniform (100, 20) input and near 5 on the hidden-bit instances. Every
+cell of a two-level law exceeds 2 eps / M, so q stays a law. A combination
+passes when every cell's per-repetition error is below 1/3. Among passers,
+the winner is the smallest C_close whose worst error also clears a
+robustness buffer (<= 0.25; closeness sample cost is linear in C_close, so
+this is the cheapest point that is not a statistical coin flip away from the
+bar), then the C_thr with the widest margin.
 
 Writes calibration.json next to pyproject.toml and prints the chosen pair.
 The chosen values are frozen as EstimatorConfig defaults.
@@ -44,15 +48,41 @@ SAMPLE_MULTS = [1.0, 2.0, 3.0, 4.0, 6.0]
 THRESHOLD_MULTS = [0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
 SIZES = [10, 50, 200]
 EPSILONS = [0.1, 0.3]
+# b M of the two-level laws, and their sizes; b M = 1 is the uniform law.
+NORM_RATIOS = [2, 5]
+SHAPED_SIZES = [50, 200]
+HEAVY_SHARE = 0.02  # share of the cells that are heavy in a two-level law
 
 
-def spread_pair(M: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform p and the alternating perturbation q with tv(p, q) = eps."""
-    p = np.full(M, 1.0 / M)
+def two_level_law(M: int, ratio: float) -> np.ndarray:
+    """A law on [M] with M ||p||_2^2 = ratio: k = HEAVY_SHARE * M heavy cells
+    at the even positions 0, 2, ..., the rest light at l / M each.
+
+    With f = k / M, mass 1 and M ||p||^2 = ratio give
+    1 - l = sqrt((ratio - 1) f / (1 - f)).
+    """
+    k = max(1, round(HEAVY_SHARE * M))
+    f = k / M
+    light = 1.0 - np.sqrt((ratio - 1.0) * f / (1.0 - f))
+    heavy = light + (1.0 - light) / f
+    p = np.full(M, light / M)
+    p[0 : 2 * k : 2] = heavy / M
+    assert abs(p.sum() - 1.0) < 1e-12 and abs(M * np.dot(p, p) - ratio) < 1e-9
+    return p
+
+
+def spread_pair(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """p and its alternating perturbation q = p +- 2 eps / M, with tv(p, q) = eps.
+
+    The heavy cells of a two-level law sit at even positions and gain mass,
+    so ||q||_2^2 >= ||p||_2^2 and b = ||p||_2^2 is the tight bound.
+    """
+    M = p.size
     signs = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
     q = p + signs * (2.0 * eps / M)
     assert q.min() > 0 and abs(q.sum() - 1.0) < 1e-12
     assert abs(0.5 * np.abs(p - q).sum() - eps) < 1e-12
+    assert np.dot(q, q) >= np.dot(p, p)
     return p, q
 
 
@@ -67,9 +97,18 @@ def z_samples(p: np.ndarray, q: np.ndarray, lam: float, trials: int, rng: Rng) -
 def main() -> int:
     root = pathlib.Path(__file__).resolve().parents[1]
     rng = Rng(SEED)
+    # Cells are (label, law, b, eps, case) with b = ratio / M = ||p||_2^2 of
+    # the law. The uniform cells come first, so they keep the labels and
+    # streams of the uniform-only grid.
+    laws = [(f"M={M}", np.full(M, 1.0 / M), 1) for M in SIZES]
+    laws += [
+        (f"M={M},bM={ratio}", two_level_law(M, ratio), ratio)
+        for ratio in NORM_RATIOS
+        for M in SHAPED_SIZES
+    ]
     cells = [
-        (M, eps, case)
-        for M in SIZES
+        (f"{name},eps={eps},{case}", law, ratio / law.size, eps, case)
+        for name, law, ratio in laws
         for eps in EPSILONS
         for case in ("null", "alt")
     ]
@@ -79,21 +118,19 @@ def main() -> int:
     # C_thr, so one batch of Z draws serves the whole threshold row.
     for ci, c_close in enumerate(SAMPLE_MULTS):
         cell_z = {}
-        cell_lam_thr = {}
-        for ki, (M, eps, case) in enumerate(cells):
+        thr_unit = {}
+        for ki, (label, law, b, eps, case) in enumerate(cells):
             cfg = EstimatorConfig(closeness_sample_mult=c_close, closeness_threshold_mult=1.0)
-            lam, thr_unit = closeness_params(M, 1.0 / M, eps, cfg)
-            p, q = spread_pair(M, eps)
+            lam, thr_unit[label] = closeness_params(law.size, b, eps, cfg)
+            p, q = spread_pair(law, eps)
             if case == "null":
                 q = p
-            cell_z[(M, eps, case)] = z_samples(p, q, lam, TRIALS, rng.split(ci).split(ki))
-            cell_lam_thr[(M, eps, case)] = (lam, thr_unit)
+            cell_z[label] = z_samples(p, q, lam, TRIALS, rng.split(ci).split(ki))
         for c_thr in THRESHOLD_MULTS:
             errors = {}
-            for (M, eps, case), z in cell_z.items():
-                thr = c_thr * cell_lam_thr[(M, eps, case)][1]
-                rej = float(np.mean(z > thr))
-                errors[f"M={M},eps={eps},{case}"] = rej if case == "null" else 1.0 - rej
+            for label, z in cell_z.items():
+                rej = float(np.mean(z > c_thr * thr_unit[label]))
+                errors[label] = rej if label.endswith("null") else 1.0 - rej
             max_err = max(errors.values())
             results.append(
                 {
@@ -121,11 +158,16 @@ def main() -> int:
         "seed": SEED,
         "trials_per_cell": TRIALS,
         "criterion": "per-repetition error < 1/3 on every null/alternative cell",
-        "norm_bound": "b = 1/M (exactly min(||p||_2^2, ||q||_2^2))",
+        "norm_bound": (
+            "b = ||p||_2^2 (exactly min(||p||_2^2, ||q||_2^2)); bM = 1 on the uniform "
+            "cells, bM = 2 and 5 on the two-level ones"
+        ),
         "grid": {
             "closeness_sample_mult": SAMPLE_MULTS,
             "closeness_threshold_mult": THRESHOLD_MULTS,
             "M": SIZES,
+            "two_level_bM": NORM_RATIOS,
+            "two_level_M": SHAPED_SIZES,
             "eps": EPSILONS,
         },
         "chosen": {

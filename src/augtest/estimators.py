@@ -143,8 +143,9 @@ def estimate_l2_squared(
 def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tuple[float, float]:
     """Per-repetition Poisson rate and reject threshold used by closeness_test.
 
-    b is clamped to 1: every mass vector has l2^2 <= 1, so the clamp preserves
-    the norm-bound precondition while avoiding inflated batch sizes.
+    b bounds min(||p||_2^2, ||q||_2^2). A b above 1 says nothing, since every
+    mass vector has l2^2 <= 1, so it is clamped to 1 rather than inflating
+    the batch; the testers pass measured bounds, which are usually far below.
     """
     if not 0 < eps <= 2:
         raise DomainError(f"eps must be in (0, 2], got {eps}")

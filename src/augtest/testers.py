@@ -257,25 +257,25 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     # Joint norm gate: a product of small-norm marginals has small joint norm,
     # so an oversized joint flattened norm is evidence against independence.
     stage_log.append("joint_norm")
-    tau_prod = math.prod(tau)
     joint_reject = (10.0 * gate * gate) if arity == 2 else (6.0 * gate ** 3)
-    closeness_b = (4.0 * gate * gate) if arity == 2 else (6.0 * gate ** 3)
     # One view serves both the joint norm and closeness: it holds the dense
     # flattened joint law, the largest array a run builds.
     joint_view = flattened_joint_view(sampler, pf)
     joint_norm = hooks.norm(joint_view, pf.flat_size, norm_delta, _ESTIMATOR, rng.split(30), account)
     detail["joint_norm"] = joint_norm
-    if joint_norm > joint_reject * tau_prod:
+    if joint_norm > joint_reject * math.prod(tau):
         return Verdict(Outcome.REJECT, "joint_norm", stage_log, account, detail)
 
     # l1 closeness between the flattened joint and the product of flattened
     # marginals; flattening preserved the tv gap.
     stage_log.append("closeness")
+    b, detail["closeness_b_source"] = _closeness_bound(joint_norm, marg_norms, pf.flat_size)
+    detail["closeness_b"] = b
     ok = hooks.closeness(
         joint_view,
         flattened_product_view(sampler, pf, [v.probs for v in axis_views]),
         pf.flat_size,
-        closeness_b * tau_prod,
+        b,
         eps,
         close_delta,
         _ESTIMATOR,
@@ -284,6 +284,24 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     )
     outcome = Outcome.ACCEPT if ok else Outcome.REJECT
     return Verdict(outcome, "closeness", stage_log, account, detail)
+
+
+def _closeness_bound(joint_norm: float, marg_norms: Sequence[float], M: int) -> tuple[float, str]:
+    """The norm bound b closeness runs at, and which bound set it.
+
+    Each norm estimate is at least half its truth (w.p. >= 1 - norm_delta),
+    so 2 * joint_norm bounds ||p||^2 of the flattened joint and the product
+    of 2 * marg_norms bounds that of the product view, whose law is the
+    outer product of the flattened marginals. Closeness needs a bound on the
+    smaller of the two only. Every law on M cells has ||p||^2 >= 1/M, so b
+    never goes below that floor; closeness_params clamps b above at 1.
+    """
+    joint = 2.0 * joint_norm
+    product = math.prod(2.0 * m for m in marg_norms)
+    b, source = (joint, "joint") if joint <= product else (product, "product")
+    if b < 1.0 / M:
+        return 1.0 / M, "floor"
+    return b, source
 
 
 def _prepare(sampler, pred: JointDistribution, cfg: TesterConfig):

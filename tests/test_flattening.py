@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augtest.domain import (
     DomainError,
@@ -29,6 +31,13 @@ from augtest.flattening import (
 
 def random_dist(dims, gen):
     return JointDistribution(ProductDomain(tuple(dims)), gen.dirichlet(np.ones(math.prod(dims))))
+
+
+def law(data, size, label):
+    """A law on [size] from nonnegative integer weights, at least one positive."""
+    w = data.draw(st.lists(st.integers(0, 9), min_size=size, max_size=size), label=label)
+    w[data.draw(st.integers(0, size - 1), label=f"{label} positive cell")] += 1
+    return np.array(w, dtype=np.float64) / sum(w)
 
 
 class TestAxisFlattening:
@@ -133,6 +142,29 @@ class TestExplicitFlattening:
         flat_a = np.repeat(a / fa.buckets, fa.buckets)
         flat_b = np.repeat(b / fb.buckets, fb.buckets)
         assert np.allclose(flat.table(), np.outer(flat_a, flat_b), atol=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_flattening_preserves_tv_and_products(self, data):
+        """Shared buckets keep tv exactly, and the flattening of a product law is
+        the product of the flattened axis laws."""
+        dims = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=3), label="dims")
+        buckets = [
+            data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n), label=f"buckets {a}")
+            for a, n in enumerate(dims)
+        ]
+        pf = ProductFlattening([AxisFlattening(b) for b in buckets])
+        size = math.prod(dims)
+        p = JointDistribution(ProductDomain(tuple(dims)), law(data, size, "p"))
+        q = JointDistribution(ProductDomain(tuple(dims)), law(data, size, "q"))
+        flat_p, flat_q = flatten_distribution_explicit(p, pf), flatten_distribution_explicit(q, pf)
+        assert abs(tv_distance(flat_p, flat_q) - tv_distance(p, q)) <= 1e-12
+
+        axes = [law(data, n, f"axis {a}") for a, n in enumerate(dims)]
+        product = JointDistribution(ProductDomain(tuple(dims)), math.prod(np.ix_(*axes)).reshape(-1))
+        flat_axes = [np.repeat(w / f.buckets, f.buckets) for w, f in zip(axes, pf.axes)]
+        flat = flatten_distribution_explicit(product, pf)
+        assert np.abs(flat.table() - math.prod(np.ix_(*flat_axes))).max() <= 1e-15
 
     def test_expected_norm_formula(self):
         p = JointDistribution.from_table([[0.5, 0.25], [0.25, 0.0]])

@@ -27,7 +27,7 @@ GOLDEN = {
     # The three benchmark workloads.
     "closeness_2d": (
         dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}),
-        "89e4938ca03921ef80f5000568d85d32c62a4a8ccd8d4aba18f864d39bc91cc3",
+        "ae2908f1a52366f22e701405ff4ca387f1a39f5d568862ac3eeab47fb34cc6fc",
         "372ab0a62bd1a3b3b8803f06b2d43783fb06f1d5344144aac07de1b417029f4d",
     ),
     "hidden_bit_2d": (
@@ -47,12 +47,12 @@ GOLDEN = {
                 "force_x": 1,
             },
         ),
-        "f67217a4e32e039fce8434dd4dafe511e2e692e00a3f67a92fe9ad40f221033b",
+        "620c87fe6a08343689af30f05842179d6cfe0d4822d198f583d8b1ab5cc5eb7c",
         "aac7cc9e4cef1cb25b7f60346f167e13adcfc885275fc14a4cad191220a3b12c",
     ),
     "arity5_d": (
         dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2, 2, 2, 2, 2]}),
-        "f0cc34102f5a2a56b55c7c2fa8d51ea59f9b638b05ba7e5ee91824b0f942354d",
+        "6a53807032a3e4e1829fd2a33e11de42ef69a066d5e7babeef1a9a7b6169e4d9",
         "8f816c558321c62db66a39c4aa5902835c8ba4c30f384aad75728afa35d2fc76",
     ),
     # Ascending axes: the 2-axis tester runs on its axis-permuted view.
@@ -64,17 +64,17 @@ GOLDEN = {
             prediction="uniform",
             instance={"kind": "product_random", "dims": [10, 40]},
         ),
-        "351a966472bf4bf00565fc1aa1731a022727a8506eef96356bef99a39ae7d373",
+        "c8a40bfac4bb6006b0a95002d4fd4204a171eba21c05ac2b9b0eedb26759f347",
         "3e78803f82e4c1b269ea7f5b0e867ba28127aac3961a4f84dc4b323c3bbccf23",
     ),
     "product_3d": (
         dict(tester="3d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [4, 9, 6]}),
-        "33a9cee1fc372f750d92952aa17ba2ba2b9363bd48945b8d1b2be5d71d10118b",
+        "e98761b6661f44cfb84261b0ec9a396bc73fcd68e4b290d9f9235c3e89c71400",
         "9d75c72d7af5ff229a94e74727cc7d52c6f36f8bd5017adfa7e6ee166106820d",
     ),
     "grouped_d": (
         dict(tester="d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [3, 5, 2, 4]}),
-        "b76125592585a570367df8e22856ee8e3b0dc0bf4c3e2bace3304b447bc1daea",
+        "2897ab50530c2417d58b2c747a3692a374850afde1e513edeeda1142231b3f0b",
         "20d0db19a3ef62bacbe5d4fc82268ee8f57bb1b8ca8bf9b95d3f0074d630058c",
     ),
     "learn": (

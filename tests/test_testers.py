@@ -18,6 +18,7 @@ from augtest.domain import (
     merge_index,
     product_of_marginals,
 )
+from augtest.estimators import EstimatorConfig, closeness_params
 from augtest.testers import (
     Outcome,
     ReindexedSampler,
@@ -54,6 +55,13 @@ def scripted_hooks(poisson_vals, norm_vals, closeness_ok=True, calls=None):
         return closeness_ok
 
     return TesterHooks(poisson=fake_poisson, norm=fake_norm, closeness=fake_closeness)
+
+
+def measured_bound(norms, M):
+    """clip(min(2 joint, prod 2 marg), 1/M, 1) from the norms in call order
+    (the marginals', then the joint's): the bound closeness runs at."""
+    *margs, joint = norms
+    return min(max(min(2 * joint, math.prod(2 * m for m in margs)), 1 / M), 1.0)
 
 
 class TestConfigAndGates:
@@ -185,12 +193,12 @@ class TestGateLogic:
         assert v.stage_log == ["poisson_cap", "flattening", "norm_gate", "joint_norm", "closeness"]
 
     def test_closeness_call_parameters(self):
-        _, tau = self.s_and_tau()
         calls = []
-        self.run(scripted_hooks([5, 5], [0.0, 0.0, 0.0], calls=calls))
+        v = self.run(scripted_hooks([5, 5], [0.0, 0.0, 0.0], calls=calls))
         kind, size, b, eps, delta = calls[-1]
         assert kind == "closeness"
-        assert b == pytest.approx(4 * 120 * 120 * tau[0] * tau[1])
+        assert size == math.prod(v.detail["flat_dims"])
+        assert b == measured_bound([0.0, 0.0, 0.0], size)
         assert eps == self.CFG.eps
         assert delta == 1.0 / 80.0
 
@@ -232,12 +240,31 @@ class TestGateLogic:
         deltas = [c[2] for c in calls if c[0] == "norm"]
         assert deltas == [1.0 / 180.0] * 4
         kind, size, b, eps, delta = calls[-1]
-        a, e = 0.05, 0.4
-        s1 = max(1.0, min(6 ** (2 / 3) * 20 ** (1 / 3) * a ** (1 / 3) / e ** (4 / 3), 6 * a))
-        s = [s1, max(1.0, 5 * a), max(1.0, 4 * a)]
-        tau = [2 * a / s[l] + 4 / dims[l] for l in range(3)]
-        assert b == pytest.approx(6 * 180 ** 3 * math.prod(tau))
+        assert size == math.prod(v.detail["flat_dims"])
+        assert b == measured_bound([0.0, 0.0, 0.0, 0.0], size)
         assert delta == 1.0 / 120.0
+
+    @pytest.mark.parametrize(
+        "norms, source",
+        [
+            ([0.3, 0.3, 0.05], "joint"),  # 2 joint < (2 marg)^2
+            ([0.1, 0.2, 0.1], "product"),  # (2 marg)^2 < 2 joint
+            ([0.0, 0.0, 0.0], "floor"),  # hooks that return 0: b = 1/M
+            ([20.0, 20.0, 30.0], "joint"),  # b > 1: closeness_params clamps it to 1
+        ],
+    )
+    def test_closeness_bound_branches(self, norms, source):
+        calls = []
+        v = self.run(scripted_hooks([5, 5], norms, calls=calls))
+        assert v.stage == "closeness"
+        _, size, b, eps, delta = calls[-1]
+        want = measured_bound(norms, size)
+        assert min(b, 1.0) == want
+        assert closeness_params(size, b, eps, EstimatorConfig()) == closeness_params(
+            size, want, eps, EstimatorConfig()
+        )
+        assert v.detail["closeness_b"] == b
+        assert v.detail["closeness_b_source"] == source
 
     def test_3d_joint_reject_constant(self):
         dims = (6, 5, 4)
