@@ -34,7 +34,6 @@ from .estimators import (
     EstimatorConfig,
     closeness_params,
     closeness_test,
-    empirical_tv_to_product,
     estimate_l2_squared,
     learn_empirical,
     repetitions,

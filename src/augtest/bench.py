@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -27,9 +27,10 @@ from .domain import (
     ProductDomain,
     Rng,
     load_distribution,
+    outer_product,
     tv_distance,
 )
-from .hard_instances import embed_hard_to_d, gen_valid_hard_2d, gen_hard_2d, poissonized_counts, validity_check
+from .hard_instances import embed_hard_to_d, gen_valid_hard_2d
 from .testers import (
     Outcome,
     TesterConfig,
@@ -49,6 +50,8 @@ _INSTANCE_KEYS = {
     "product_random": ("dims",),
     "hard2d": ("n", "m", "k", "alpha", "eps"),
 }
+# Instance kind -> the keys its description may hold besides "kind" and the required ones.
+_OPTIONAL_INSTANCE_KEYS = {"hard2d": ("force_x", "embed_dims")}
 
 SWEEP_COLUMNS = ["alpha", "mean_samples", "accept_rate", "reject_rate", "inaccurate_rate"]
 
@@ -74,7 +77,7 @@ class TrialRecord:
 CSV_COLUMNS = [f.name for f in fields(TrialRecord)]
 
 
-@dataclass
+@dataclass(frozen=True)  # checked once, at construction; replace() checks the copy
 class ExperimentConfig:
     tester: str
     trials: int
@@ -100,9 +103,25 @@ class ExperimentConfig:
             raise DomainError(f"delta must be in (0, 1), got {self.delta}")
         if not isinstance(self.instance, dict) or self.instance.get("kind") not in _INSTANCE_KEYS:
             raise DomainError(f"instance must be a mapping with a kind in {sorted(_INSTANCE_KEYS)}")
-        missing = [k for k in _INSTANCE_KEYS[self.instance["kind"]] if k not in self.instance]
+        kind = self.instance["kind"]
+        missing = [k for k in _INSTANCE_KEYS[kind] if k not in self.instance]
         if missing:
-            raise DomainError(f"instance kind {self.instance['kind']!r} needs keys {missing}")
+            raise DomainError(f"instance kind {kind!r} needs keys {missing}")
+        allowed = {"kind", *_INSTANCE_KEYS[kind], *_OPTIONAL_INSTANCE_KEYS.get(kind, ())}
+        extra = set(self.instance) - allowed
+        if extra:
+            raise DomainError(f"instance kind {kind!r} takes no keys {sorted(extra)}")
+        if isinstance(self.prediction, dict):
+            if set(self.prediction) != {"file"}:
+                raise DomainError(f"a prediction mapping holds one key, file; got {self.prediction!r}")
+        elif self.prediction not in ("exact", "natural", "uniform", "point_mass"):
+            raise DomainError(f"unknown prediction {self.prediction!r}")
+        elif self.prediction == "natural" and kind not in ("uniform", "hard2d"):
+            raise DomainError(f"instance kind {kind!r} has no natural prediction")
+        if self.profile not in ("theory", "practical"):
+            raise DomainError(f"unknown profile {self.profile!r}")
+        # The testers' own eps and alpha checks; "exact" alpha is a tv distance, so in [0, 1].
+        TesterConfig(self.eps, 0.0 if self.alpha == "exact" else float(self.alpha)).validate()
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":
@@ -118,12 +137,6 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(json.load(fh))
 
 
-def _correlated_pair(size: int) -> JointDistribution:
-    t = np.zeros((size, size))
-    np.fill_diagonal(t, 1.0 / size)
-    return JointDistribution.from_table(t)
-
-
 def _build_instance(desc: dict, rng: Rng) -> tuple[JointDistribution, JointDistribution | None]:
     """Returns (distribution, natural prediction or None)."""
     kind = desc.get("kind")
@@ -133,59 +146,43 @@ def _build_instance(desc: dict, rng: Rng) -> tuple[JointDistribution, JointDistr
     if kind == "file":
         return load_distribution(desc["path"]), None
     if kind == "correlated":
-        return _correlated_pair(int(desc["size"])), None
+        size = int(desc["size"])
+        return JointDistribution.from_table(np.eye(size) / size), None
     if kind == "product_random":
-        dims = desc["dims"]
-        acc = np.ones(1)
-        for d in dims:
-            acc = np.multiply.outer(acc, rng.gen.dirichlet(np.ones(d)))
-        p = JointDistribution(ProductDomain(tuple(dims)), acc.reshape(-1))
-        return p, None
-    if kind == "hard2d":
-        force_x = desc.get("force_x")
-        if desc.get("require_valid", True):
-            inst, _, _ = gen_valid_hard_2d(
-                desc["n"], desc["m"], desc["k"], desc["alpha"], desc["eps"], rng, force_x=force_x
-            )
-        else:
-            inst = gen_hard_2d(
-                desc["n"], desc["m"], desc["k"], desc["alpha"], desc["eps"], rng, force_x=force_x
-            )
-        if "embed_dims" in desc:
-            return embed_hard_to_d(inst, desc["embed_dims"])
-        return inst.p, inst.prediction
-    raise DomainError(f"unknown instance kind {kind!r}")
+        dims = tuple(desc["dims"])
+        probs = outer_product(rng.gen.dirichlet(np.ones(d)) for d in dims)
+        return JointDistribution(ProductDomain(dims), probs), None
+    # hard2d
+    inst, _, _ = gen_valid_hard_2d(
+        desc["n"], desc["m"], desc["k"], desc["alpha"], desc["eps"], rng, force_x=desc.get("force_x")
+    )
+    if "embed_dims" in desc:
+        return embed_hard_to_d(inst, desc["embed_dims"])
+    return inst.p, inst.prediction
 
 
 def _build_prediction(
     choice: str | dict, dist: JointDistribution, natural: JointDistribution | None
 ) -> JointDistribution:
     if isinstance(choice, dict):
-        if "file" in choice:
-            return load_distribution(choice["file"])
-        raise DomainError(f"unknown prediction mapping {choice!r}")
+        return load_distribution(choice["file"])
     if choice == "exact":
         return dist
     if choice == "natural":
-        if natural is None:
-            raise DomainError("instance kind has no natural prediction")
         return natural
     if choice == "uniform":
         return JointDistribution.uniform(dist.dims)
-    if choice == "point_mass":
-        probs = np.zeros(dist.domain.size)
-        probs[0] = 1.0
-        return JointDistribution(dist.domain, probs)
-    raise DomainError(f"unknown prediction {choice!r}")
+    # point_mass: all mass on cell 0
+    probs = np.zeros(dist.domain.size)
+    probs[0] = 1.0
+    return JointDistribution(dist.domain, probs)
 
 
-def run_single_trial(cfg: ExperimentConfig, trial: int, alpha_override: float | None = None) -> TrialRecord:
+def run_single_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     rng = Rng(cfg.seed, (trial,))
     dist, natural = _build_instance(cfg.instance, rng.split(0))
     pred = _build_prediction(cfg.prediction, dist, natural)
-    if alpha_override is not None:
-        alpha = alpha_override
-    elif cfg.alpha == "exact":
+    if cfg.alpha == "exact":
         alpha = min(1.0, tv_distance(dist, pred) + cfg.alpha_margin)
     else:
         alpha = float(cfg.alpha)
@@ -233,13 +230,13 @@ def worker_count(jobs: int, trials: int) -> int:
     return min(jobs, trials, cores)
 
 
-def run_trials(cfg: ExperimentConfig, alpha_override: float | None = None) -> list[TrialRecord]:
+def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Runs cfg.trials independent trials, in up to cfg.jobs forked worker processes.
 
     Fork carries in-process module state (such as patched entry points) into
     the workers without a re-import. One worker runs the trials in-process.
     """
-    trial = functools.partial(run_single_trial, cfg, alpha_override=alpha_override)
+    trial = functools.partial(run_single_trial, cfg)
     workers = worker_count(cfg.jobs, cfg.trials)
     if workers > 1:
         # Imported here so that serial runs and the verdict commands skip it.
@@ -247,11 +244,8 @@ def run_trials(cfg: ExperimentConfig, alpha_override: float | None = None) -> li
         from multiprocessing import get_context
 
         with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork")) as pool:
-            records = list(pool.map(trial, range(cfg.trials)))
-    else:
-        records = [trial(i) for i in range(cfg.trials)]
-    records.sort(key=lambda r: r.trial)
-    return records
+            return list(pool.map(trial, range(cfg.trials)))
+    return [trial(i) for i in range(cfg.trials)]
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -293,13 +287,13 @@ def emit_report(records: Sequence[TrialRecord], csv_path: str) -> dict:
 
 def sweep_alpha(cfg: ExperimentConfig, alphas: Sequence[float]) -> list[dict]:
     """Reruns the experiment at each claimed-accuracy level, collecting rates."""
+    levels = [replace(cfg, alpha=float(a)) for a in alphas]  # checks every level before any runs
     rows = []
-    for a in alphas:
-        records = run_trials(cfg, alpha_override=float(a))
-        s = summarize(records)
+    for level in levels:
+        s = summarize(run_trials(level))
         rows.append(
             {
-                "alpha": float(a),
+                "alpha": level.alpha,
                 "mean_samples": s["mean_samples"],
                 "accept_rate": s["accept"]["rate"],
                 "reject_rate": s["reject"]["rate"],

@@ -13,7 +13,7 @@ from dataclasses import replace
 import click
 
 from .bench import ExperimentConfig, emit_report, emit_sweep, run_trials, sweep_alpha
-from .domain import DomainError, JointSampler, Rng, load_distribution, marginal
+from .domain import JointSampler, Rng, distribution_to_json, load_distribution, marginal
 from .hard_instances import gen_hard_2d, poissonized_counts, validity_check
 from .testers import (
     Outcome,
@@ -40,20 +40,16 @@ def _finish(verdict: Verdict, seed: int) -> None:
 
 
 def _run_tester(runner, dist_path, pred_path, alpha, eps, delta, seed, profile) -> None:
-    try:
-        dist = load_distribution(dist_path)
-        pred = load_distribution(pred_path)
-        cfg = TesterConfig(eps=eps, alpha=alpha, profile=profile)
-        sampler = JointSampler(dist)
-        rng = Rng(seed)
+    dist = load_distribution(dist_path)
+    pred = load_distribution(pred_path)
+    cfg = TesterConfig(eps=eps, alpha=alpha, profile=profile)
+    sampler = JointSampler(dist)
+    rng = Rng(seed)
 
-        def run(r: Rng) -> Verdict:
-            return runner(sampler, pred, cfg, r)
+    def run(r: Rng) -> Verdict:
+        return runner(sampler, pred, cfg, r)
 
-        verdict = _run_at_delta(run, delta, rng)
-    except (DomainError, OSError, json.JSONDecodeError, ValueError) as exc:
-        _fail(str(exc))
-    _finish(verdict, seed)
+    _finish(_run_at_delta(run, delta, rng), seed)
 
 
 def _tester_options(fn):
@@ -78,21 +74,24 @@ def _tester_options(fn):
 
 
 class _Group(click.Group):
-    """A click group whose usage errors exit 1: click's own code 2 is the reject verdict's."""
+    """A click group whose usage and input errors exit 1: click's own code 2 is the reject verdict's."""
 
     def make_context(self, *args, **kwargs):
-        return _usage_exits_one(super().make_context, *args, **kwargs)
+        return _errors_exit_one(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
-        return _usage_exits_one(super().invoke, ctx)
+        return _errors_exit_one(super().invoke, ctx)
 
 
-def _usage_exits_one(fn, *args, **kwargs):
+def _errors_exit_one(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
     except click.UsageError as exc:
         exc.exit_code = 1
         raise
+    # Bad input to any command; DomainError and json.JSONDecodeError are ValueErrors.
+    except (OSError, TypeError, ValueError) as exc:
+        _fail(str(exc))
 
 
 @click.group(cls=_Group)
@@ -129,15 +128,11 @@ def testd(dist_path, pred_path, alpha, eps, delta, seed, profile):
 @click.option("--axes", default=None, help="comma-separated axis subset, e.g. 0,2")
 def learn(dist_path, eps, delta, seed, axes):
     """Learning-based independence test (no prediction needed)."""
-    try:
-        dist = load_distribution(dist_path)
-        if axes is not None:
-            subset = [int(a) for a in axes.split(",") if a != ""]
-            dist = marginal(dist, subset)
-        verdict = test_independence_by_learning(JointSampler(dist), eps, delta, Rng(seed))
-    except (DomainError, OSError, json.JSONDecodeError, ValueError) as exc:
-        _fail(str(exc))
-    _finish(verdict, seed)
+    dist = load_distribution(dist_path)
+    if axes is not None:
+        subset = [int(a) for a in axes.split(",") if a != ""]
+        dist = marginal(dist, subset)
+    _finish(test_independence_by_learning(JointSampler(dist), eps, delta, Rng(seed)), seed)
 
 
 @main.command("gen-hard")
@@ -153,23 +148,20 @@ def learn(dist_path, eps, delta, seed, axes):
 @click.option("--alpha-meas", type=float, default=None, help="expert override for the heavy-row rate")
 def gen_hard(n, m, k, alpha, eps, force_x, seed, out, eps_meas, alpha_meas):
     """Generate one hidden-bit hard instance with its validity report."""
-    try:
-        rng = Rng(seed)
-        inst = gen_hard_2d(
-            n, m, k, alpha, eps, rng.split(0),
-            force_x=force_x, eps_meas=eps_meas, alpha_meas=alpha_meas,
-        )
-        counts = poissonized_counts(inst, rng.split(1))
-        report = validity_check(inst, counts)
-        payload = {
-            "instance": {"dims": list(inst.p.dims), "probs": [float(v) for v in inst.p.probs]},
-            "meta": inst.meta(seed=seed),
-            "validity": report.as_dict(),
-        }
-        with open(out, "w") as fh:
-            json.dump(payload, fh)
-    except (DomainError, OSError, ValueError) as exc:
-        _fail(str(exc))
+    rng = Rng(seed)
+    inst = gen_hard_2d(
+        n, m, k, alpha, eps, rng.split(0),
+        force_x=force_x, eps_meas=eps_meas, alpha_meas=alpha_meas,
+    )
+    counts = poissonized_counts(inst, rng.split(1))
+    report = validity_check(inst, counts)
+    payload = {
+        "instance": distribution_to_json(inst.p),
+        "meta": inst.meta(seed=seed),
+        "validity": report.as_dict(),
+    }
+    with open(out, "w") as fh:
+        json.dump(payload, fh)
     click.echo(json.dumps({"valid": report.valid, "x": inst.x, "out": out}))
 
 
@@ -179,14 +171,10 @@ def gen_hard(n, m, k, alpha, eps, force_x, seed, out, eps_meas, alpha_meas):
 @click.option("--jobs", type=int, default=None, help="overrides the config's jobs (worker processes)")
 def bench(config_path, out_path, jobs):
     """Run a trial batch from a JSON config; write the per-trial CSV."""
-    try:
-        cfg = ExperimentConfig.from_file(config_path)
-        if jobs is not None:
-            cfg = replace(cfg, jobs=jobs)  # re-runs the config's validation
-        records = run_trials(cfg)
-        summary = emit_report(records, out_path)
-    except (DomainError, OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-        _fail(str(exc))
+    cfg = ExperimentConfig.from_file(config_path)
+    if jobs is not None:
+        cfg = replace(cfg, jobs=jobs)  # re-runs the config's validation
+    summary = emit_report(run_trials(cfg), out_path)
     click.echo(json.dumps(summary))
 
 
@@ -196,15 +184,12 @@ def bench(config_path, out_path, jobs):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def sweep_alpha_cmd(config_path, alphas, out_path):
     """Rerun one config across claimed-accuracy levels; write the sweep CSV."""
-    try:
-        cfg = ExperimentConfig.from_file(config_path)
-        levels = [float(a) for a in alphas.split(",") if a != ""]
-        if not levels:
-            raise DomainError("no alpha levels given")
-        rows = sweep_alpha(cfg, levels)
-        emit_sweep(rows, out_path)
-    except (DomainError, OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
-        _fail(str(exc))
+    cfg = ExperimentConfig.from_file(config_path)
+    levels = [float(a) for a in alphas.split(",") if a != ""]
+    if not levels:
+        _fail("no alpha levels given")
+    rows = sweep_alpha(cfg, levels)
+    emit_sweep(rows, out_path)
     click.echo(json.dumps(rows))
 
 

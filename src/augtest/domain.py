@@ -251,12 +251,18 @@ def _check_grouping(arity: int, grouping: Sequence[Sequence[int]]) -> list[tuple
     return blocks
 
 
+def outer_product(vectors) -> np.ndarray:
+    """The outer product of 1-D mass vectors, flattened row-major (the last varies fastest)."""
+    out = np.ones(1)
+    for v in vectors:
+        out = np.multiply.outer(out, v)
+    return out.reshape(-1)
+
+
 def product_of_marginals(p: JointDistribution) -> JointDistribution:
     """The product of p's single-axis marginals, on p's own domain."""
-    out = np.ones(1)
-    for a in range(p.domain.arity):
-        out = np.multiply.outer(out, marginal(p, [a]).table())
-    return JointDistribution(p.domain, out.reshape(-1))
+    marginals = (marginal(p, [a]).probs for a in range(p.domain.arity))
+    return JointDistribution(p.domain, outer_product(marginals))
 
 
 def tv_to_own_product(p: JointDistribution) -> float:
@@ -356,21 +362,6 @@ def merge_index(
             col = col * dims[a] + idx[:, a]
         cols.append(col)
     return np.stack(cols, axis=1)
-
-
-def split_index(
-    idx: np.ndarray, dims: Sequence[int], axis: int, factors: Sequence[int]
-) -> np.ndarray:
-    """Applies the split relabeling to index rows, inverse of merge_index."""
-    idx = np.asarray(idx)
-    col = idx[:, axis].astype(np.int64)
-    out = []
-    for f in reversed(factors):
-        out.append(col % f)
-        col = col // f
-    parts = list(reversed(out))
-    pieces = [idx[:, :axis]] + [np.stack(parts, axis=1)] + [idx[:, axis + 1 :]]
-    return np.concatenate(pieces, axis=1)
 
 
 # ---------------------------------------------------------------------------

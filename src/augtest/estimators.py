@@ -37,7 +37,6 @@ from .domain import (
     Rng,
     SampleAccount,
     inverse_cdf,
-    tv_to_own_product,
 )
 
 
@@ -194,13 +193,14 @@ def closeness_test(
     for j in range(r):
         x = _poissonized_counts(view_p, mean_p, lam, _rep_rng(rng, mean_p is not None, 2 * j))
         y = _poissonized_counts(view_q, mean_q, lam, _rep_rng(rng, mean_q is not None, 2 * j + 1))
-        used_p += int(x.sum())
-        used_q += int(y.sum())
+        sx, sy = int(x.sum()), int(y.sum())
+        used_p += sx
+        used_q += sy
         d = x.astype(np.float64) - y
         # A ufunc reduction, not np.dot: a float dot is a BLAS call, which
         # multi-threads on large M and oversubscribes cores that parallel
         # trials already fill. The terms are integers, so the sum is exact.
-        z = float(np.square(d).sum() - x.sum() - y.sum())
+        z = float(np.square(d).sum() - sx - sy)
         if z > threshold:
             rejects += 1
         else:
@@ -229,8 +229,3 @@ def learn_empirical(sampler, t: int, rng: Rng, account: SampleAccount | None = N
     if account is not None:
         account.add("learning", t)
     return JointDistribution(domain, counts.astype(np.float64) / t)
-
-
-def empirical_tv_to_product(emp: JointDistribution) -> float:
-    """tv distance from an empirical distribution to the product of its marginals."""
-    return tv_to_own_product(emp)

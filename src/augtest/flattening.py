@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import DomainError, JointDistribution, ProductDomain, Rng, inverse_cdf, marginal
+from .domain import DomainError, JointDistribution, ProductDomain, Rng, inverse_cdf, marginal, outer_product
 
 # Tolerance added before floor() so that masses intended to be exact
 # multiples of nu are not knocked down a bucket by float representation.
@@ -89,6 +89,11 @@ class ProductFlattening:
         return len(self.axes)
 
 
+def _flatten_axis_ids(f: AxisFlattening, ids: np.ndarray, rng: Rng) -> np.ndarray:
+    """Maps base symbols to flat ids, drawing each row's sub-bucket uniformly from rng."""
+    return f.offsets[ids] + rng.gen.integers(0, f.buckets[ids])
+
+
 def flatten_samples(pf: ProductFlattening, base: np.ndarray, rng: Rng) -> np.ndarray:
     """Maps base index rows (k, d) to flattened index rows (k, d).
 
@@ -100,9 +105,7 @@ def flatten_samples(pf: ProductFlattening, base: np.ndarray, rng: Rng) -> np.nda
         raise DomainError(f"expected sample rows of arity {pf.arity}")
     out = np.empty_like(base, dtype=np.int64)
     for ax, f in enumerate(pf.axes):
-        ids = base[:, ax]
-        b = f.buckets[ids]
-        out[:, ax] = f.offsets[ids] + rng.gen.integers(0, b)
+        out[:, ax] = _flatten_axis_ids(f, base[:, ax], rng)
     return out
 
 
@@ -148,10 +151,6 @@ class FlatView:
         return FlatView(probs.size, probs, 1, lambda count, rng: inverse_cdf(cum, rng.gen.random(count)))
 
 
-def _flatten_axis_ids(f: AxisFlattening, ids: np.ndarray, rng: Rng) -> np.ndarray:
-    return f.offsets[ids] + rng.gen.integers(0, f.buckets[ids])
-
-
 def flattened_axis_view(sampler, axis: int, f: AxisFlattening) -> FlatView:
     """View of the flattened marginal on one axis; one joint draw per sample."""
     probs = None
@@ -191,10 +190,7 @@ def flattened_product_view(
     """
     probs = None
     if all(law is not None for law in axis_laws):
-        acc = np.ones(1)
-        for law in axis_laws:
-            acc = np.multiply.outer(acc, law)
-        probs = acc.reshape(-1)
+        probs = outer_product(axis_laws)
 
     def _draw(count: int, rng: Rng) -> np.ndarray:
         cols = []

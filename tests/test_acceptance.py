@@ -8,6 +8,7 @@ public API.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -428,7 +429,7 @@ def test_criterion_10_alpha_scaling():
             math.sqrt(n * m) / eps**2,
             n ** (2 / 3) * m ** (1 / 3) * a ** (1 / 3) / eps ** (4 / 3),
         )
-        records = run_trials(cfg, alpha_override=a)
+        records = run_trials(replace(cfg, alpha=a))
         bound_violations += sum(r.samples_total > bound for r in records)
 
     elapsed = time.perf_counter() - start

@@ -9,6 +9,7 @@ import pickle
 import numpy as np
 import pytest
 
+from augtest import bench
 from augtest.bench import (
     CSV_COLUMNS,
     SWEEP_COLUMNS,
@@ -32,6 +33,26 @@ BASE = dict(
     alpha=0.05,
     instance={"kind": "uniform", "dims": [8, 5]},
 )
+HARD2D = {"kind": "hard2d", "n": 64, "m": 16, "k": 6, "alpha": 0.3, "eps": 1.0 / 192.0}
+
+# Config values ExperimentConfig rejects at load, with the error each raises.
+LOAD_ERRORS = [
+    ({"prediction": "psychic"}, "unknown prediction"),
+    ({"prediction": {"path": "p.json"}}, "prediction mapping"),
+    ({"prediction": {"file": "p.json", "typo": 1}}, "prediction mapping"),
+    ({"prediction": "natural", "instance": {"kind": "file", "path": "p.json"}}, "no natural prediction"),
+    ({"prediction": "natural", "instance": {"kind": "correlated", "size": 4}}, "no natural prediction"),
+    ({"prediction": "natural", "instance": {"kind": "product_random", "dims": [4, 3]}}, "no natural prediction"),
+    ({"profile": "exotic"}, "unknown profile"),
+    ({"eps": 7}, "eps must be"),
+    ({"eps": 0}, "eps must be"),
+    ({"alpha": 1.5}, "alpha must be"),
+    ({"alpha": -0.1}, "alpha must be"),
+    ({"alpha": "approx"}, "could not convert"),
+    ({"instance": {"kind": "uniform", "dims": [8, 5], "dimz": [3]}}, "takes no keys"),
+    ({"instance": {"kind": "correlated", "size": 4, "force_x": 1}}, "takes no keys"),
+    ({"instance": dict(HARD2D, require_valid=False)}, "takes no keys"),
+]
 
 
 class TestConfig:
@@ -64,6 +85,25 @@ class TestConfig:
         # the estimators run at their calibrated defaults; a config cannot set them
         with pytest.raises(DomainError, match="unknown config keys"):
             ExperimentConfig.from_dict(dict(BASE, estimator={"rep_mult": 2.0}))
+
+    @pytest.mark.parametrize("overrides, message", LOAD_ERRORS)
+    def test_bad_values_fail_at_load(self, overrides, message):
+        # each would otherwise fail only inside a trial, in a worker when jobs > 1
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(dict(BASE, **overrides))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"eps": 1.0, "alpha": 0.0},
+            {"alpha": 1.0, "profile": "theory"},
+            {"alpha": "exact", "prediction": "natural"},
+            {"prediction": {"file": "p.json"}},  # read per trial, not at load
+            {"instance": dict(HARD2D, force_x=1, embed_dims=[4, 4]), "prediction": "natural"},
+        ],
+    )
+    def test_edge_values_load(self, overrides):
+        ExperimentConfig.from_dict(dict(BASE, **overrides))
 
 
 class TestWorkers:
@@ -225,11 +265,11 @@ class TestInstanceKinds:
         p = JointDistribution.uniform((3, 3))
         dpath = tmp_path / "dist.json"
         save_distribution(p, str(dpath))
-        cfg = ExperimentConfig.from_dict(
-            dict(BASE, instance={"kind": "file", "path": str(dpath)}, prediction="natural", trials=1)
-        )
-        with pytest.raises(DomainError):
-            run_single_trial(cfg, 0)
+        # rejected when the config is loaded, before any trial runs
+        with pytest.raises(DomainError, match="no natural prediction"):
+            ExperimentConfig.from_dict(
+                dict(BASE, instance={"kind": "file", "path": str(dpath)}, prediction="natural", trials=1)
+            )
 
     def test_correlated_instance_rejects(self):
         cfg = ExperimentConfig.from_dict(
@@ -293,7 +333,6 @@ class TestInstanceKinds:
                     "eps": 1.0 / 192.0,
                     "force_x": 0,
                     "embed_dims": [4, 4],
-                    "require_valid": False,
                 },
                 prediction="natural",
                 eps=1.0 / 192.0,
@@ -310,9 +349,18 @@ class TestInstanceKinds:
             ExperimentConfig.from_dict(dict(BASE, instance={"kind": "mystery"}, trials=1))
 
     def test_unknown_prediction(self):
-        cfg = ExperimentConfig.from_dict(dict(BASE, prediction="psychic", trials=1))
-        with pytest.raises(DomainError):
-            run_single_trial(cfg, 0)
+        with pytest.raises(DomainError, match="unknown prediction"):
+            ExperimentConfig.from_dict(dict(BASE, prediction="psychic", trials=1))
+
+    def test_point_mass_prediction_never_rejects_a_product(self):
+        # A point-mass prediction on a uniform product input: the per-axis
+        # norm gates may call the claim inaccurate, but flattening by any
+        # prediction keeps the input a product, so no trial may reject it.
+        cfg = ExperimentConfig.from_dict(
+            dict(BASE, seed=3, trials=20, instance={"kind": "uniform", "dims": [20, 10]},
+                 prediction="point_mass")
+        )
+        assert "reject" not in {r.outcome for r in run_trials(cfg)}
 
 
 class TestAlphaHandling:
@@ -323,10 +371,18 @@ class TestAlphaHandling:
         assert r.outcome in ("accept", "reject", "inaccurate_information")
 
     def test_alpha_override_wins(self):
-        cfg = ExperimentConfig.from_dict(dict(BASE, trials=2))
-        a = run_trials(cfg, alpha_override=0.05)
-        b = run_trials(cfg)  # same alpha via config
-        assert a == b
+        # a sweep row summarizes a plain run at the row's alpha, whatever alpha the config holds
+        cfg = ExperimentConfig.from_dict(dict(BASE, alpha=1.0, trials=2))
+        (row,) = sweep_alpha(cfg, [0.05])
+        s = summarize(run_trials(ExperimentConfig.from_dict(dict(BASE, trials=2))))  # BASE claims 0.05
+        assert row == {
+            "alpha": 0.05,
+            "mean_samples": s["mean_samples"],
+            "accept_rate": s["accept"]["rate"],
+            "reject_rate": s["reject"]["rate"],
+            "inaccurate_rate": s["inaccurate_information"]["rate"],
+        }
+        assert summarize(run_trials(cfg))["mean_samples"] != row["mean_samples"]
 
 
 class TestAmplification:
@@ -362,3 +418,10 @@ class TestSweep:
             got = list(csv.reader(fh))
         assert got[0] == SWEEP_COLUMNS
         assert len(got) == 3
+
+    def test_bad_level_fails_before_any_level_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(bench, "run_trials", ran.append)
+        with pytest.raises(DomainError, match="alpha must be"):
+            sweep_alpha(ExperimentConfig.from_dict(dict(BASE)), [0.3, 1.5])
+        assert ran == []

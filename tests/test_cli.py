@@ -306,6 +306,32 @@ class TestBenchCommands:
         assert res.exit_code == 1
         assert "error:" in res.output
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"prediction": "psychic"},
+            {"prediction": {"path": "p.json"}},
+            {"prediction": "natural", "instance": {"kind": "file", "path": "p.json"}},
+            {"prediction": "natural", "instance": {"kind": "correlated", "size": 4}},
+            {"prediction": "natural", "instance": {"kind": "product_random", "dims": [4, 3]}},
+            {"profile": "exotic"},
+            {"eps": 7},
+            {"alpha": 1.5},
+            {"alpha": "approx"},
+            {"instance": {"kind": "uniform", "dims": [8, 5], "dimz": [3]}},
+            {"instance": {"kind": "hard2d", "n": 64, "m": 16, "k": 6, "alpha": 0.3, "eps": 0.005,
+                          "require_valid": False}},
+        ],
+    )
+    def test_bench_bad_value_exits_one_before_any_trial(self, runner, files, overrides):
+        cfg = self.write_config(files["tmp"], **overrides)
+        out = files["tmp"] / "x.csv"
+        res = runner.invoke(main, ["bench", "--config", cfg, "--out", str(out)])
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert res.exit_code == 1
+        assert "error:" in res.output
+        assert not out.exists()
+
     def test_sweep_alpha(self, runner, files):
         cfg = self.write_config(files["tmp"], trials=2)
         out = str(files["tmp"] / "sweep.csv")

@@ -28,7 +28,6 @@ from augtest.domain import (
     product_of_marginals,
     save_distribution,
     split_axis,
-    split_index,
     tv_distance,
     tv_to_own_product,
 )
@@ -276,14 +275,6 @@ class TestReshaping:
         new = merged.table()[midx[:, 0], midx[:, 1]]
         assert np.allclose(orig, new, atol=0)
 
-    def test_split_index_inverts_merge_index(self):
-        dims = (3, 4, 2)
-        p = JointDistribution.uniform(dims)
-        rows = draw_samples(p, 100, Rng(35))
-        merged = merge_index(rows, dims, [[0], [1, 2]])
-        back = split_index(merged, (3, 8), 1, (4, 2))
-        assert np.array_equal(back, rows)
-
     def test_merge_rejects_a_non_partition(self):
         p = JointDistribution.uniform((2, 2))
         with pytest.raises(DomainError):
@@ -305,11 +296,11 @@ class TestReshaping:
         merged, midx = merge_axes(p, blocks), merge_index(rows, p.dims, blocks)
         # Split the last block first so the earlier merged axes keep their positions.
         for i in reversed(range(len(blocks))):
-            factors = [dims[a] for a in blocks[i]]
-            midx = split_index(midx, merged.dims, i, factors)
-            merged = split_axis(merged, i, factors)
+            merged = split_axis(merged, i, [dims[a] for a in blocks[i]])
         assert merged == merge_axes(p, [[a] for a in order])
-        assert np.array_equal(midx, rows[:, order])
+        # merge_index is the row-major relabeling, so numpy's unravel_index undoes it.
+        split = [np.unravel_index(midx[:, i], [dims[a] for a in blk]) for i, blk in enumerate(blocks)]
+        assert np.array_equal(np.stack([c for cols in split for c in cols], axis=1), rows[:, order])
 
     def test_split_axis_factor_mismatch(self):
         p = JointDistribution.uniform((3, 4))

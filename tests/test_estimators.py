@@ -19,12 +19,12 @@ from augtest.domain import (
     SampleAccount,
     inverse_cdf,
     tv_distance,
+    tv_to_own_product,
 )
 from augtest.estimators import (
     EstimatorConfig,
     closeness_params,
     closeness_test,
-    empirical_tv_to_product,
     estimate_l2_squared,
     learn_empirical,
     repetitions,
@@ -508,17 +508,17 @@ class TestLearnEmpirical:
 class TestEmpiricalTvToProduct:
     def test_product_scores_zero(self):
         p = JointDistribution.from_table(np.outer([0.3, 0.7], [0.4, 0.6]))
-        assert empirical_tv_to_product(p) < 1e-15
+        assert tv_to_own_product(p) < 1e-15
 
     def test_correlated_pair(self):
         p = JointDistribution.from_table([[0.5, 0.0], [0.0, 0.5]])
-        assert empirical_tv_to_product(p) == pytest.approx(0.5, abs=1e-15)
+        assert tv_to_own_product(p) == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_direct_outer_product_oracle(self):
         gen = Rng(28).gen
         t = gen.dirichlet(np.ones(9)).reshape(3, 3)
         p = JointDistribution.from_table(t)
         outer = np.outer(t.sum(axis=1), t.sum(axis=0))
-        assert empirical_tv_to_product(p) == pytest.approx(
+        assert tv_to_own_product(p) == pytest.approx(
             0.5 * np.abs(t - outer).sum(), abs=1e-12
         )
