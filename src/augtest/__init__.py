@@ -4,7 +4,6 @@ from .domain import (
     DomainError,
     JointDistribution,
     JointSampler,
-    ProductDomain,
     Rng,
     SampleAccount,
     distribution_from_json,

@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -24,13 +25,13 @@ from .domain import (
     DomainError,
     JointDistribution,
     JointSampler,
-    ProductDomain,
     Rng,
+    _checked_dims,
     load_distribution,
     outer_product,
     tv_distance,
 )
-from .hard_instances import embed_hard_to_d, gen_valid_hard_2d
+from .hard_instances import check_hard_params, embed_hard_to_d, gen_valid_hard_2d
 from .testers import (
     Outcome,
     TesterConfig,
@@ -95,6 +96,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.tester not in ("2d", "3d", "d", "learn"):
             raise DomainError(f"unknown tester {self.tester!r}")
+        for name in ("trials", "jobs", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if self.jobs < 1:
@@ -118,10 +124,13 @@ class ExperimentConfig:
             raise DomainError(f"unknown prediction {self.prediction!r}")
         elif self.prediction == "natural" and kind not in ("uniform", "hard2d"):
             raise DomainError(f"instance kind {kind!r} has no natural prediction")
-        if self.profile not in ("theory", "practical"):
-            raise DomainError(f"unknown profile {self.profile!r}")
-        # The testers' own eps and alpha checks; "exact" alpha is a tv distance, so in [0, 1].
-        TesterConfig(self.eps, 0.0 if self.alpha == "exact" else float(self.alpha)).validate()
+        if kind == "hard2d":
+            inst = self.instance
+            check_hard_params(inst["n"], inst["m"], inst["k"], inst["alpha"], inst["eps"], inst.get("force_x"))
+            if "embed_dims" in inst and math.prod(_checked_dims(inst["embed_dims"])) != inst["m"]:
+                raise DomainError(f"embed_dims {inst['embed_dims']} do not multiply to m={inst['m']}")
+        # The testers' own checks; "exact" alpha is a tv distance, so in [0, 1].
+        TesterConfig(self.eps, 0.0 if self.alpha == "exact" else float(self.alpha), self.profile).validate()
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":
@@ -151,7 +160,7 @@ def _build_instance(desc: dict, rng: Rng) -> tuple[JointDistribution, JointDistr
     if kind == "product_random":
         dims = tuple(desc["dims"])
         probs = outer_product(rng.gen.dirichlet(np.ones(d)) for d in dims)
-        return JointDistribution(ProductDomain(dims), probs), None
+        return JointDistribution(dims, probs), None
     # hard2d
     inst, _, _ = gen_valid_hard_2d(
         desc["n"], desc["m"], desc["k"], desc["alpha"], desc["eps"], rng, force_x=desc.get("force_x")
@@ -173,9 +182,9 @@ def _build_prediction(
     if choice == "uniform":
         return JointDistribution.uniform(dist.dims)
     # point_mass: all mass on cell 0
-    probs = np.zeros(dist.domain.size)
+    probs = np.zeros(dist.probs.size)
     probs[0] = 1.0
-    return JointDistribution(dist.domain, probs)
+    return JointDistribution(dist.dims, probs)
 
 
 def run_single_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:

@@ -25,68 +25,40 @@ class DomainError(ValueError):
     """Raised for malformed domains, non-distributions, or axis misuse."""
 
 
-@dataclass(frozen=True)
-class ProductDomain:
-    """A finite product domain [n_1] x ... x [n_d].
-
-    Attributes:
-        dims: Per-axis sizes, each >= 2.
-    """
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        try:
-            dims = tuple(operator.index(n) for n in self.dims)
-        except TypeError:
-            raise DomainError(f"dims must be a sequence of integers, got {self.dims!r}") from None
-        if len(dims) < 1:
-            raise DomainError("domain needs at least one axis")
-        if any(n < 2 for n in dims):
-            raise DomainError(f"every axis size must be >= 2, got {dims}")
-        object.__setattr__(self, "dims", dims)
-
-    @property
-    def arity(self) -> int:
-        return len(self.dims)
-
-    @property
-    def size(self) -> int:
-        return math.prod(self.dims)
-
-    def validate_axes(self, axes: Sequence[int]) -> tuple[int, ...]:
-        """Checks a nonempty, duplicate-free axis subset and returns it as a tuple."""
-        axes = tuple(int(a) for a in axes)
-        if len(axes) == 0:
-            raise DomainError("axis subset must be nonempty")
-        if len(set(axes)) != len(axes):
-            raise DomainError(f"duplicate axes in {axes}")
-        for a in axes:
-            if not 0 <= a < self.arity:
-                raise DomainError(f"axis {a} out of range for arity {self.arity}")
-        return axes
+def _checked_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    """dims as a tuple of ints, checked as JointDistribution requires."""
+    try:
+        out = tuple(operator.index(n) for n in dims)
+    except TypeError:
+        raise DomainError(f"dims must be a sequence of integers, got {dims!r}") from None
+    if len(out) < 1:
+        raise DomainError("domain needs at least one axis")
+    if any(n < 2 for n in out):
+        raise DomainError(f"every axis size must be >= 2, got {out}")
+    return out
 
 
 class JointDistribution:
-    """A probability distribution over a ProductDomain, stored dense row-major.
+    """A probability distribution over [n_1] x ... x [n_d], stored dense row-major.
 
-    probs is a flat row-major vector of length domain.size or a table of
-    shape domain.dims. The mass vector is validated on construction: entries
-    must be nonnegative and sum to 1 within MASS_TOL. The stored array is
-    read-only.
+    dims are the per-axis sizes: at least one axis, each of size >= 2. probs
+    is a flat row-major vector of length prod(dims) or a table of shape dims.
+    The mass vector is validated on construction: entries must be nonnegative
+    and sum to 1 within MASS_TOL. The stored array is read-only.
     """
 
-    def __init__(self, domain: ProductDomain, probs):
-        self.domain = domain
+    def __init__(self, dims: Sequence[int], probs):
+        self.dims = _checked_dims(dims)
+        size = math.prod(self.dims)
         try:
             p = np.asarray(probs, dtype=np.float64)
         except (TypeError, ValueError):
             raise DomainError("prob vector must hold numbers only") from None
         # A flat vector, or a table laid out as the dims; any other shape
         # (a transposed table, say) would be reread in the wrong order.
-        if p.shape not in ((domain.size,), domain.dims):
+        if p.shape not in ((size,), self.dims):
             raise DomainError(
-                f"probs of shape {p.shape} fit neither domain size {domain.size} nor dims {domain.dims}"
+                f"probs of shape {p.shape} fit neither domain size {size} nor dims {self.dims}"
             )
         p = p.reshape(-1)
         if not np.all(np.isfinite(p)):
@@ -100,10 +72,6 @@ class JointDistribution:
         p.flags.writeable = False
         self.probs = p
         self._cum = None  # lazy cumulative table for sampling
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.domain.dims
 
     def table(self) -> np.ndarray:
         """The mass vector reshaped to the domain dims (read-only view)."""
@@ -126,13 +94,13 @@ class JointDistribution:
 
     @staticmethod
     def uniform(dims: Sequence[int]) -> "JointDistribution":
-        domain = ProductDomain(dims)
-        return JointDistribution(domain, np.full(domain.size, 1.0 / domain.size))
+        size = math.prod(_checked_dims(dims))
+        return JointDistribution(dims, np.full(size, 1.0 / size))
 
     @staticmethod
     def from_table(table) -> "JointDistribution":
         arr = np.asarray(table, dtype=np.float64)
-        return JointDistribution(ProductDomain(arr.shape), arr.reshape(-1))
+        return JointDistribution(arr.shape, arr.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -229,25 +197,20 @@ def l2_norm_sq(p: JointDistribution) -> float:
 
 def marginal(p: JointDistribution, axes: Sequence[int]) -> JointDistribution:
     """Marginal of p on the given axis subset, in the order given."""
-    axes = p.domain.validate_axes(axes)
-    drop = tuple(a for a in range(p.domain.arity) if a not in axes)
-    t = p.table()
-    if drop:
-        t = t.sum(axis=drop)
-    kept = [a for a in range(p.domain.arity) if a not in drop]
-    # t's axes follow the original order; permute to the requested order.
-    perm = [kept.index(a) for a in axes]
-    t = np.transpose(t, perm)
-    return JointDistribution(ProductDomain(t.shape), np.ascontiguousarray(t).reshape(-1))
+    return merge_axes(p, [[a] for a in axes])
 
 
-def _check_grouping(arity: int, grouping: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    blocks = [tuple(int(a) for a in b) for b in grouping]
-    seen = [a for b in blocks for a in b]
-    if sorted(seen) != list(range(arity)):
-        raise DomainError(f"grouping {blocks} is not a partition of axes 0..{arity - 1}")
-    if any(len(b) == 0 for b in blocks):
-        raise DomainError("grouping blocks must be nonempty")
+def _check_blocks(arity: int, blocks: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Checks a nonempty list of nonempty blocks of distinct axes in range(arity)."""
+    blocks = [tuple(int(a) for a in b) for b in blocks]
+    axes = [a for b in blocks for a in b]
+    if not blocks or not all(blocks):
+        raise DomainError(f"axis blocks {blocks} must be a nonempty list of nonempty blocks")
+    if len(set(axes)) != len(axes):
+        raise DomainError(f"duplicate axes in {blocks}")
+    for a in axes:
+        if not 0 <= a < arity:
+            raise DomainError(f"axis {a} out of range for arity {arity}")
     return blocks
 
 
@@ -261,8 +224,8 @@ def outer_product(vectors) -> np.ndarray:
 
 def product_of_marginals(p: JointDistribution) -> JointDistribution:
     """The product of p's single-axis marginals, on p's own domain."""
-    marginals = (marginal(p, [a]).probs for a in range(p.domain.arity))
-    return JointDistribution(p.domain, outer_product(marginals))
+    marginals = (marginal(p, [a]).probs for a in range(len(p.dims)))
+    return JointDistribution(p.dims, outer_product(marginals))
 
 
 def tv_to_own_product(p: JointDistribution) -> float:
@@ -294,9 +257,8 @@ def draw_samples(p: JointDistribution, count: int, rng: Rng) -> np.ndarray:
     """
     if count < 0:
         raise DomainError("sample count must be >= 0")
-    d = p.domain.arity
     if count == 0:
-        return np.empty((0, d), dtype=np.int64)
+        return np.empty((0, len(p.dims)), dtype=np.int64)
     flat = inverse_cdf(p.cumulative(), rng.gen.random(count))
     idx = np.unravel_index(flat, p.dims)
     return np.stack(idx, axis=1).astype(np.int64)
@@ -323,23 +285,26 @@ class JointSampler:
 
 
 def merge_axes(p: JointDistribution, blocks: Sequence[Sequence[int]]) -> JointDistribution:
-    """Merges each axis block into a single axis, in block order.
+    """Relabels p's axes: each block of distinct axes becomes one axis, in block order.
 
-    The relabeling is the row-major bijection on each block (last axis in the
-    block varies fastest), so probabilities are carried over unchanged and the
-    map is invertible by `split_axis`.
+    A block is merged row-major (its last axis varies fastest) and axes in no
+    block are summed out, so one axis per block gives a marginal. When the
+    blocks cover every axis the map is a bijection, inverted by `split_axis`.
     """
-    blocks = _check_grouping(p.domain.arity, blocks)
+    blocks = _check_blocks(len(p.dims), blocks)
     order = [a for b in blocks for a in b]
-    t = np.transpose(p.table(), order)
+    drop = tuple(a for a in range(len(p.dims)) if a not in order)
+    t = p.table().sum(axis=drop)  # with no axis to drop, a copy
+    # t's axes follow the original order; permute them into block order.
+    kept = sorted(order)
+    t = np.transpose(t, [kept.index(a) for a in order])
     new_dims = tuple(math.prod(p.dims[a] for a in b) for b in blocks)
-    t = np.ascontiguousarray(t).reshape(new_dims)
-    return JointDistribution(ProductDomain(new_dims), t.reshape(-1))
+    return JointDistribution(new_dims, np.ascontiguousarray(t).reshape(-1))
 
 
 def split_axis(p: JointDistribution, axis: int, factors: Sequence[int]) -> JointDistribution:
     """Splits one axis into several, row-major (inverse of merging them back)."""
-    (axis,) = p.domain.validate_axes([axis])
+    ((axis,),) = _check_blocks(len(p.dims), [[axis]])
     factors = tuple(int(f) for f in factors)
     if math.prod(factors) != p.dims[axis]:
         raise DomainError(
@@ -347,7 +312,7 @@ def split_axis(p: JointDistribution, axis: int, factors: Sequence[int]) -> Joint
         )
     new_dims = p.dims[:axis] + factors + p.dims[axis + 1 :]
     t = p.table().reshape(new_dims)
-    return JointDistribution(ProductDomain(new_dims), np.ascontiguousarray(t).reshape(-1))
+    return JointDistribution(new_dims, np.ascontiguousarray(t).reshape(-1))
 
 
 def merge_index(
@@ -375,7 +340,7 @@ def distribution_to_json(p: JointDistribution) -> dict:
 def distribution_from_json(obj: dict) -> JointDistribution:
     if not isinstance(obj, dict) or "dims" not in obj or "probs" not in obj:
         raise DomainError('distribution JSON needs "dims" and "probs"')
-    return JointDistribution(ProductDomain(obj["dims"]), obj["probs"])
+    return JointDistribution(obj["dims"], obj["probs"])
 
 
 def save_distribution(p: JointDistribution, path: str) -> None:

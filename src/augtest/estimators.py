@@ -33,7 +33,6 @@ import numpy as np
 from .domain import (
     DomainError,
     JointDistribution,
-    ProductDomain,
     Rng,
     SampleAccount,
     inverse_cdf,
@@ -218,14 +217,14 @@ def learn_empirical(sampler, t: int, rng: Rng, account: SampleAccount | None = N
     """Empirical histogram of t draws over sampler.dims, as an exact rational-count distribution."""
     if t < 1:
         raise DomainError("sample size t must be >= 1")
-    domain = ProductDomain(tuple(sampler.dims))
+    dims = tuple(sampler.dims)
     dist = getattr(sampler, "dist", None)
     if dist is not None:
         counts = rng.gen.multinomial(t, dist.probs / dist.probs.sum())
     else:
         rows = sampler.draw(t, rng)
-        flat = np.ravel_multi_index(tuple(np.asarray(rows).T), domain.dims)
-        counts = np.bincount(flat, minlength=domain.size)
+        flat = np.ravel_multi_index(tuple(np.asarray(rows).T), dims)
+        counts = np.bincount(flat, minlength=math.prod(dims))
     if account is not None:
         account.add("learning", t)
-    return JointDistribution(domain, counts.astype(np.float64) / t)
+    return JointDistribution(dims, counts.astype(np.float64) / t)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import DomainError, JointDistribution, ProductDomain, Rng, inverse_cdf, marginal, outer_product
+from .domain import DomainError, JointDistribution, Rng, inverse_cdf, marginal, outer_product
 
 # Tolerance added before floor() so that masses intended to be exact
 # multiples of nu are not knocked down a bucket by float representation.
@@ -50,16 +50,13 @@ def build_axis_flattening(pred_marginal, counts) -> AxisFlattening:
     """Builds the bucket layout for one axis from a predicted marginal and counts.
 
     Args:
-        pred_marginal: Predicted marginal mass vector over [n] (array-like or
-            1-axis JointDistribution).
+        pred_marginal: Predicted marginal mass vector over [n], array-like.
         counts: Observed sample counts N_i over [n], nonnegative ints.
 
     Returns:
         AxisFlattening with b_i = floor(n*pred(i)) + N_i + 1, so flat_size
         <= 2n + sum(counts).
     """
-    if isinstance(pred_marginal, JointDistribution):
-        pred_marginal = pred_marginal.probs
     q = np.asarray(pred_marginal, dtype=np.float64).reshape(-1)
     c = np.asarray(counts, dtype=np.int64).reshape(-1)
     if q.size != c.size:
@@ -122,7 +119,7 @@ def flatten_distribution_explicit(
         shape = [1] * t.ndim
         shape[ax] = w.size
         t = t / w.reshape(shape)
-    return JointDistribution(ProductDomain(pf.flat_dims), t.reshape(-1))
+    return JointDistribution(pf.flat_dims, t.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

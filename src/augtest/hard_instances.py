@@ -28,7 +28,6 @@ import numpy as np
 from .domain import (
     DomainError,
     JointDistribution,
-    ProductDomain,
     Rng,
     split_axis,
     tv_distance,
@@ -97,6 +96,36 @@ class ValidityReport:
         return asdict(self)
 
 
+def check_hard_params(
+    n: int, m: int, k: int, alpha: float, eps: float, force_x=None, eps_meas=None, alpha_meas=None
+) -> tuple[float, float]:
+    """Checks gen_hard_2d's arguments; returns (eps_meas, alpha_meas) with their defaults filled in."""
+    if not (n >= m >= 2):
+        raise DomainError(f"need n >= m >= 2, got n={n}, m={m}")
+    if not (1 <= k <= n / 2):
+        raise DomainError(f"need 1 <= k <= n/2, got k={k}, n={n}")
+    if not 0 < alpha <= 1:
+        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
+    if not 0 < eps <= 1:
+        raise DomainError(f"eps must be in (0, 1], got {eps}")
+    if eps_meas is None:
+        if eps > EPS_REGIME_MAX:
+            raise DomainError(
+                f"eps={eps} above the regime bound {EPS_REGIME_MAX:.6f}; "
+                "pass eps_meas explicitly to override"
+            )
+        eps_meas = 192.0 * eps
+    if alpha_meas is None:
+        alpha_meas = 2.0 * alpha / 3.0
+    if not 0 <= eps_meas <= 1:
+        raise DomainError(f"eps_meas must be in [0, 1], got {eps_meas}")
+    if alpha_meas * k / n > 1:
+        raise DomainError(f"alpha_meas*k/n = {alpha_meas * k / n} exceeds 1")
+    if force_x not in (None, 0, 1):
+        raise DomainError(f"force_x must be 0 or 1, got {force_x}")
+    return eps_meas, alpha_meas
+
+
 def gen_hard_2d(
     n: int,
     m: int,
@@ -113,40 +142,16 @@ def gen_hard_2d(
     eps_meas and alpha_meas default to 192*eps and (2/3)*alpha. Passing either
     explicitly is the expert override for out-of-regime experiments; the
     instance is then flagged regime_ok=False and the validity guarantees are
-    void. Requires n >= m >= 2, 1 <= k <= n/2, and heavy probability
-    alpha_meas*k/n <= 1.
+    void. The arguments must pass `check_hard_params`.
     """
-    if not (n >= m >= 2):
-        raise DomainError(f"need n >= m >= 2, got n={n}, m={m}")
-    if not (1 <= k <= n / 2):
-        raise DomainError(f"need 1 <= k <= n/2, got k={k}, n={n}")
-    if not 0 < alpha <= 1:
-        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    if not 0 < eps <= 1:
-        raise DomainError(f"eps must be in (0, 1], got {eps}")
-    overridden = eps_meas is not None or alpha_meas is not None
-    if eps_meas is None:
-        if eps > EPS_REGIME_MAX:
-            raise DomainError(
-                f"eps={eps} above the regime bound {EPS_REGIME_MAX:.6f}; "
-                "pass eps_meas explicitly to override"
-            )
-        eps_meas = 192.0 * eps
-    if alpha_meas is None:
-        alpha_meas = 2.0 * alpha / 3.0
-    if not 0 <= eps_meas <= 1:
-        raise DomainError(f"eps_meas must be in [0, 1], got {eps_meas}")
+    regime_ok = eps_meas is None and alpha_meas is None
+    eps_meas, alpha_meas = check_hard_params(n, m, k, alpha, eps, force_x, eps_meas, alpha_meas)
     heavy_prob = alpha_meas * k / n
-    if heavy_prob > 1:
-        raise DomainError(f"alpha_meas*k/n = {heavy_prob} exceeds 1")
-    regime_ok = not overridden and eps <= EPS_REGIME_MAX
     if m < math.log(n):
         warnings.warn(f"m={m} below log(n)={math.log(n):.2f}; outside the guarantee regime")
         regime_ok = False
 
     x = int(force_x) if force_x is not None else int(rng.gen.integers(0, 2))
-    if x not in (0, 1):
-        raise DomainError(f"force_x must be 0 or 1, got {force_x}")
 
     heavy_mask = rng.gen.random(n) < heavy_prob
     c = np.where(heavy_mask, 1.0 / k, 1.0 / n)
@@ -169,7 +174,7 @@ def gen_hard_2d(
     denom = row_sums[:, None] * C
     mass = np.divide(Q, denom, out=np.zeros_like(Q), where=denom > 0)
     mass = mass / mass.sum()
-    p = JointDistribution(ProductDomain((n, m)), mass.reshape(-1))
+    p = JointDistribution((n, m), mass.reshape(-1))
     prediction = JointDistribution.uniform((n, m))
 
     return HardInstance(
@@ -299,9 +304,5 @@ def embed_hard_to_d(
     over exactly; the uniform prediction stays uniform. Returns the reshaped
     distribution and prediction.
     """
-    target_dims = tuple(int(t) for t in target_dims)
-    if math.prod(target_dims) != inst.m:
-        raise DomainError(f"target dims {target_dims} do not multiply to m={inst.m}")
     p_d = split_axis(inst.p, 1, target_dims)
-    pred_d = JointDistribution.uniform((inst.n,) + target_dims)
-    return p_d, pred_d
+    return p_d, JointDistribution.uniform(p_d.dims)

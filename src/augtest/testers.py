@@ -115,11 +115,11 @@ class TesterConfig:
 
     def gates(self, arity: int) -> tuple[float, float]:
         """(norm gate multiplier, Poisson cap multiplier) of the profile at this arity."""
-        if self.profile not in ("theory", "practical"):
-            raise DomainError(f"unknown profile {self.profile!r}")
         return _PROFILE_GATES[(self.profile, arity)]
 
     def validate(self) -> None:
+        if self.profile not in ("theory", "practical"):
+            raise DomainError(f"unknown profile {self.profile!r}")
         if not 0 < self.eps <= 1:
             raise DomainError(f"eps must be in (0, 1], got {self.eps}")
         if not 0 <= self.alpha <= 1:
@@ -167,14 +167,7 @@ class ReindexedSampler:
         self.blocks = [[int(a) for a in blk] for blk in blocks]
         self.dims = tuple(math.prod(base.dims[a] for a in blk) for blk in self.blocks)
         inner = getattr(base, "dist", None)
-        self.dist = None
-        if inner is not None:
-            kept = [a for blk in self.blocks for a in blk]
-            self.dist = marginal(inner, kept)
-            if len(kept) > len(self.blocks):
-                # The marginal on `kept` holds each block's axes next to each other.
-                pos = iter(range(len(kept)))
-                self.dist = merge_axes(self.dist, [[next(pos) for _ in blk] for blk in self.blocks])
+        self.dist = None if inner is None else merge_axes(inner, self.blocks)
 
     def draw(self, count: int, rng: Rng) -> np.ndarray:
         return merge_index(self.base.draw(count, rng), self.base.dims, self.blocks)

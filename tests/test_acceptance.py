@@ -16,7 +16,6 @@ from augtest.bench import ExperimentConfig, run_trials, sweep_alpha
 from augtest.domain import (
     JointDistribution,
     JointSampler,
-    ProductDomain,
     Rng,
     tv_distance,
     tv_to_own_product,
@@ -76,8 +75,8 @@ def test_criterion_01_flattening_exactness():
         q = gen.dirichlet(np.ones(n))
         buckets = gen.integers(1, 5, size=n)
         pf = ProductFlattening([AxisFlattening(buckets)])
-        dp = JointDistribution(ProductDomain((n,)), p)
-        dq = JointDistribution(ProductDomain((n,)), q)
+        dp = JointDistribution((n,), p)
+        dq = JointDistribution((n,), q)
         diff = abs(
             tv_distance(flatten_distribution_explicit(dp, pf), flatten_distribution_explicit(dq, pf))
             - tv_distance(dp, dq)
@@ -94,10 +93,10 @@ def test_criterion_01_flattening_exactness():
         joint = JointDistribution.from_table(np.outer(pa, pb))
         flat_joint = flatten_distribution_explicit(joint, ProductFlattening([fa, fb]))
         flat_pa = flatten_distribution_explicit(
-            JointDistribution(ProductDomain((a,)), pa), ProductFlattening([fa])
+            JointDistribution((a,), pa), ProductFlattening([fa])
         )
         flat_pb = flatten_distribution_explicit(
-            JointDistribution(ProductDomain((b,)), pb), ProductFlattening([fb])
+            JointDistribution((b,), pb), ProductFlattening([fb])
         )
         gap = np.abs(flat_joint.table() - np.outer(flat_pa.probs, flat_pb.probs)).max()
         max_prod_gap = max(max_prod_gap, float(gap))
@@ -208,7 +207,7 @@ def test_criterion_05_2d_end_to_end():
 
     point = np.zeros(200)
     point[0] = 1.0
-    adversarial = JointDistribution(uniform.domain, point)
+    adversarial = JointDistribution(uniform.dims, point)
     acfg = TesterConfig(eps=0.4, alpha=1.0)
     rejects = sum(
         aug_independence_2d(JointSampler(uniform), adversarial, acfg, Rng(1005, (2, t))).outcome

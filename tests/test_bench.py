@@ -52,6 +52,17 @@ LOAD_ERRORS = [
     ({"instance": {"kind": "uniform", "dims": [8, 5], "dimz": [3]}}, "takes no keys"),
     ({"instance": {"kind": "correlated", "size": 4, "force_x": 1}}, "takes no keys"),
     ({"instance": dict(HARD2D, require_valid=False)}, "takes no keys"),
+    ({"instance": dict(HARD2D, eps=0.1)}, "above the regime bound"),
+    ({"instance": dict(HARD2D, k=40)}, "need 1 <= k <= n/2"),
+    ({"instance": dict(HARD2D, n=8)}, "need n >= m >= 2"),
+    ({"instance": dict(HARD2D, alpha=0)}, "alpha must be in"),
+    ({"instance": dict(HARD2D, force_x=2)}, "force_x must be 0 or 1"),
+    ({"instance": dict(HARD2D, embed_dims=[4, 5])}, "do not multiply to m=16"),
+    ({"instance": dict(HARD2D, embed_dims=[8, 2, 1])}, "every axis size must be >= 2"),
+    ({"instance": dict(HARD2D, embed_dims=[4.0, 4])}, "dims must be a sequence of integers"),
+    ({"trials": 2.5}, "trials must be an integer"),
+    ({"jobs": 1.5}, "jobs must be an integer"),
+    ({"seed": "11"}, "seed must be an integer"),
 ]
 
 

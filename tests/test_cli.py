@@ -35,11 +35,11 @@ def files(tmp_path):
     pm = np.zeros(400)
     pm[0] = 1.0
     paths["point"] = str(tmp_path / "point.json")
-    save_distribution(JointDistribution(JointDistribution.uniform((100, 4)).domain, pm), paths["point"])
+    save_distribution(JointDistribution((100, 4), pm), paths["point"])
     wrong = np.zeros(400)
     wrong[-1] = 1.0
     paths["wrong_point"] = str(tmp_path / "wrong_point.json")
-    save_distribution(JointDistribution(JointDistribution.uniform((100, 4)).domain, wrong), paths["wrong_point"])
+    save_distribution(JointDistribution((100, 4), wrong), paths["wrong_point"])
 
     paths["uniform3d"] = str(tmp_path / "uniform3d.json")
     save_distribution(JointDistribution.uniform((4, 3, 2)), paths["uniform3d"])
@@ -321,6 +321,7 @@ class TestBenchCommands:
             {"instance": {"kind": "uniform", "dims": [8, 5], "dimz": [3]}},
             {"instance": {"kind": "hard2d", "n": 64, "m": 16, "k": 6, "alpha": 0.3, "eps": 0.005,
                           "require_valid": False}},
+            {"instance": {"kind": "hard2d", "n": 64, "m": 16, "k": 6, "alpha": 0.3, "eps": 0.1}},
         ],
     )
     def test_bench_bad_value_exits_one_before_any_trial(self, runner, files, overrides):

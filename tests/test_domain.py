@@ -12,7 +12,6 @@ from augtest.domain import (
     DomainError,
     JointDistribution,
     JointSampler,
-    ProductDomain,
     Rng,
     SampleAccount,
     distribution_from_json,
@@ -31,40 +30,40 @@ from augtest.domain import (
     tv_distance,
     tv_to_own_product,
 )
+from augtest.testers import ReindexedSampler
 
 
 def random_dist(dims, gen):
     p = gen.dirichlet(np.ones(math.prod(dims)))
-    return JointDistribution(ProductDomain(tuple(dims)), p)
+    return JointDistribution(dims, p)
 
 
-class TestProductDomain:
-    def test_basic_fields(self):
-        d = ProductDomain((4, 3, 2))
-        assert d.arity == 3
-        assert d.size == 24
-        assert d.dims == (4, 3, 2)
-
-    def test_axis_size_must_be_at_least_two(self):
-        with pytest.raises(DomainError):
-            ProductDomain((4, 1))
-        with pytest.raises(DomainError):
-            ProductDomain(())
-
-    def test_validate_axes(self):
-        d = ProductDomain((4, 3, 2))
-        assert d.validate_axes([2, 0]) == (2, 0)
-        with pytest.raises(DomainError):
-            d.validate_axes([])
-        with pytest.raises(DomainError):
-            d.validate_axes([0, 0])
-        with pytest.raises(DomainError):
-            d.validate_axes([3])
+def reference_merge(p, blocks):
+    """The relabeling as two steps: the marginal on the kept axes, then a merge of consecutive runs."""
+    kept = [a for b in blocks for a in b]
+    drop = tuple(a for a in range(len(p.dims)) if a not in kept)
+    t = p.table().sum(axis=drop) if drop else p.table()
+    remaining = [a for a in range(len(p.dims)) if a not in drop]
+    t = np.ascontiguousarray(np.transpose(t, [remaining.index(a) for a in kept]))
+    return t.reshape([math.prod(p.dims[a] for a in b) for b in blocks])
 
 
 class TestJointDistribution:
+    def test_basic_fields(self):
+        p = JointDistribution.uniform([4, 3, 2])
+        assert p.dims == (4, 3, 2)
+        assert p.probs.size == 24
+        assert JointDistribution(np.array([2, 2]), [0.25] * 4).dims == (2, 2)
+
+    def test_axis_size_must_be_at_least_two(self):
+        for dims in [(4, 1), (), (2, 0), (2.5, 2), 4, None]:
+            with pytest.raises(DomainError):
+                JointDistribution(dims, [0.5, 0.5])
+            with pytest.raises(DomainError):
+                JointDistribution.uniform(dims)
+
     def test_mass_validation(self):
-        dom = ProductDomain((2, 2))
+        dom = (2, 2)
         JointDistribution(dom, [0.25, 0.25, 0.25, 0.25])
         with pytest.raises(DomainError):
             JointDistribution(dom, [0.5, 0.5, 0.5, 0.5])
@@ -181,6 +180,13 @@ class TestMarginals:
         direct = p.table().sum(axis=1).T
         assert np.allclose(m.table(), direct)
 
+    def test_axes_are_checked(self):
+        p = random_dist((4, 3, 2), Rng(13).gen)
+        assert marginal(p, [2, 0]).dims == (2, 4)
+        for axes in ([], [0, 0], [3], [-1]):
+            with pytest.raises(DomainError):
+                marginal(p, axes)
+
     def test_marginal_of_full_axes_is_identity(self):
         p = random_dist((2, 3), Rng(11).gen)
         assert np.allclose(marginal(p, [0, 1]).probs, p.probs)
@@ -276,11 +282,28 @@ class TestReshaping:
         assert np.allclose(orig, new, atol=0)
 
     def test_merge_rejects_a_non_partition(self):
-        p = JointDistribution.uniform((2, 2))
-        with pytest.raises(DomainError):
-            merge_axes(p, [[0]])
-        with pytest.raises(DomainError):
-            merge_axes(p, [[0, 1], [1]])
+        p = random_dist((2, 3), Rng(35).gen)
+        # Axes in no block are summed out, so a block list need not cover every axis.
+        assert merge_axes(p, [[0]]) == marginal(p, [0])
+        for blocks in ([[0, 1], [1]], [], [[0], []], [[0, 2]], [[-1]]):
+            with pytest.raises(DomainError):
+                merge_axes(p, blocks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_merge_is_the_marginal_then_the_merge(self, data):
+        """merge_axes, the reindexed sampler's law and marginal all equal the two-step formula."""
+        dims = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=5), label="dims")
+        axes = data.draw(st.permutations(range(len(dims))), label="order")
+        axes = axes[: data.draw(st.integers(1, len(dims)), label="kept")]
+        cuts = data.draw(st.sets(st.integers(1, len(axes) - 1)), label="cuts") if len(axes) > 1 else set()
+        bounds = [0, *sorted(cuts), len(axes)]
+        blocks = [list(axes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        p = random_dist(dims, Rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).gen)
+        expected = reference_merge(p, blocks)
+        assert np.array_equal(merge_axes(p, blocks).table(), expected)
+        assert np.array_equal(ReindexedSampler(JointSampler(p), blocks).dist.table(), expected)
+        assert np.array_equal(marginal(p, axes).table(), reference_merge(p, [[a] for a in axes]))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -14,7 +14,6 @@ from augtest.domain import (
     DomainError,
     JointDistribution,
     JointSampler,
-    ProductDomain,
     Rng,
     SampleAccount,
     inverse_cdf,
@@ -466,7 +465,7 @@ class TestLearnEmpirical:
     def test_marginals_match_projected_histograms(self):
         # with a row-level sampler, the empirical joint's marginal equals the
         # histogram of the projected rows, exactly
-        p = JointDistribution(ProductDomain((3, 4)), Rng(23).gen.dirichlet(np.ones(12)))
+        p = JointDistribution((3, 4), Rng(23).gen.dirichlet(np.ones(12)))
 
         drawn = {}
 
@@ -491,7 +490,7 @@ class TestLearnEmpirical:
         gen = Rng(25).gen
         M, eta, delta = 12, 0.1, 0.1
         pv = gen.dirichlet(np.ones(M))
-        p = JointDistribution(ProductDomain((M,)), pv) if M >= 2 else None
+        p = JointDistribution((M,), pv) if M >= 2 else None
         t = math.ceil((M + math.log(1 / delta)) / eta**2)
         hits = 0
         for i in range(200):

@@ -11,7 +11,6 @@ from augtest.domain import (
     DomainError,
     JointDistribution,
     JointSampler,
-    ProductDomain,
     Rng,
     l2_norm_sq,
     marginal,
@@ -30,7 +29,7 @@ from augtest.flattening import (
 
 
 def random_dist(dims, gen):
-    return JointDistribution(ProductDomain(tuple(dims)), gen.dirichlet(np.ones(math.prod(dims))))
+    return JointDistribution(dims, gen.dirichlet(np.ones(math.prod(dims))))
 
 
 def law(data, size, label):
@@ -114,8 +113,8 @@ class TestExplicitFlattening:
         gen = Rng(2).gen
         for _ in range(200):
             n = int(gen.integers(2, 21))
-            p = JointDistribution(ProductDomain((n, 2)), gen.dirichlet(np.ones(2 * n)))
-            q = JointDistribution(ProductDomain((n, 2)), gen.dirichlet(np.ones(2 * n)))
+            p = JointDistribution((n, 2), gen.dirichlet(np.ones(2 * n)))
+            q = JointDistribution((n, 2), gen.dirichlet(np.ones(2 * n)))
             pf = ProductFlattening(
                 [AxisFlattening(gen.integers(1, 5, size=n)), AxisFlattening(gen.integers(1, 5, size=2))]
             )
@@ -155,13 +154,13 @@ class TestExplicitFlattening:
         ]
         pf = ProductFlattening([AxisFlattening(b) for b in buckets])
         size = math.prod(dims)
-        p = JointDistribution(ProductDomain(tuple(dims)), law(data, size, "p"))
-        q = JointDistribution(ProductDomain(tuple(dims)), law(data, size, "q"))
+        p = JointDistribution(dims, law(data, size, "p"))
+        q = JointDistribution(dims, law(data, size, "q"))
         flat_p, flat_q = flatten_distribution_explicit(p, pf), flatten_distribution_explicit(q, pf)
         assert abs(tv_distance(flat_p, flat_q) - tv_distance(p, q)) <= 1e-12
 
         axes = [law(data, n, f"axis {a}") for a, n in enumerate(dims)]
-        product = JointDistribution(ProductDomain(tuple(dims)), math.prod(np.ix_(*axes)).reshape(-1))
+        product = JointDistribution(dims, math.prod(np.ix_(*axes)).reshape(-1))
         flat_axes = [np.repeat(w / f.buckets, f.buckets) for w, f in zip(axes, pf.axes)]
         flat = flatten_distribution_explicit(product, pf)
         assert np.abs(flat.table() - math.prod(np.ix_(*flat_axes))).max() <= 1e-15
@@ -210,7 +209,7 @@ class TestSampleFlattening:
         rows = JointSampler(p).draw(60000, Rng(9))
         flat = flatten_samples(pf, rows, Rng(10))
         idx = np.ravel_multi_index(tuple(flat.T), pf.flat_dims)
-        emp = np.bincount(idx, minlength=target.domain.size) / 60000
+        emp = np.bincount(idx, minlength=target.probs.size) / 60000
         assert 0.5 * np.abs(emp - target.probs).sum() < 0.02
 
     def test_arity_mismatch(self):

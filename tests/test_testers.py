@@ -11,7 +11,6 @@ from augtest.domain import (
     JointDistribution,
     JointSampler,
     Rng,
-    ProductDomain,
     SampleAccount,
     marginal,
     merge_axes,
@@ -73,7 +72,7 @@ class TestConfigAndGates:
 
     def test_unknown_profile(self):
         with pytest.raises(DomainError):
-            TesterConfig(0.3, 0.1, profile="exotic").gates(2)
+            TesterConfig(0.3, 0.1, profile="exotic").validate()
 
     def test_validate_ranges(self):
         with pytest.raises(DomainError):
@@ -92,7 +91,7 @@ class TestSamplerViews:
     """ReindexedSampler: coordinate i is the row-major merge of base axes blocks[i]."""
 
     def check(self, dims, blocks, law):
-        p = JointDistribution(ProductDomain(dims), Rng(0).gen.dirichlet(np.ones(math.prod(dims))))
+        p = JointDistribution(dims, Rng(0).gen.dirichlet(np.ones(math.prod(dims))))
         base = JointSampler(p)
         s = ReindexedSampler(base, blocks)
         assert s.dims == law(p).dims
