@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise DomainError("trials must be >= 1")
         if self.jobs < 1:
             raise DomainError("jobs must be >= 1")
+        if not isinstance(self.alpha_margin, (int, float)) or not math.isfinite(self.alpha_margin):
+            raise DomainError(f"alpha_margin must be a finite number, got {self.alpha_margin!r}")
         if self.delta is not None and not 0 < self.delta < 1:
             raise DomainError(f"delta must be in (0, 1), got {self.delta}")
         if not isinstance(self.instance, dict) or self.instance.get("kind") not in _INSTANCE_KEYS:
@@ -124,6 +126,8 @@ class ExperimentConfig:
             raise DomainError(f"unknown prediction {self.prediction!r}")
         elif self.prediction == "natural" and kind not in ("uniform", "hard2d"):
             raise DomainError(f"instance kind {kind!r} has no natural prediction")
+        if kind == "correlated":
+            _checked_dims([self.instance["size"]])  # an integer >= 2
         if kind == "hard2d":
             inst = self.instance
             check_hard_params(inst["n"], inst["m"], inst["k"], inst["alpha"], inst["eps"], inst.get("force_x"))
@@ -155,8 +159,7 @@ def _build_instance(desc: dict, rng: Rng) -> tuple[JointDistribution, JointDistr
     if kind == "file":
         return load_distribution(desc["path"]), None
     if kind == "correlated":
-        size = int(desc["size"])
-        return JointDistribution.from_table(np.eye(size) / size), None
+        return JointDistribution.from_table(np.eye(desc["size"]) / desc["size"]), None
     if kind == "product_random":
         dims = tuple(desc["dims"])
         probs = outer_product(rng.gen.dirichlet(np.ones(d)) for d in dims)

@@ -86,26 +86,6 @@ class ProductFlattening:
         return len(self.axes)
 
 
-def _flatten_axis_ids(f: AxisFlattening, ids: np.ndarray, rng: Rng) -> np.ndarray:
-    """Maps base symbols to flat ids, drawing each row's sub-bucket uniformly from rng."""
-    return f.offsets[ids] + rng.gen.integers(0, f.buckets[ids])
-
-
-def flatten_samples(pf: ProductFlattening, base: np.ndarray, rng: Rng) -> np.ndarray:
-    """Maps base index rows (k, d) to flattened index rows (k, d).
-
-    Sub-bucket choices are drawn fresh per row, matching the i.i.d. flattened
-    sample model; nothing is memoized per base symbol.
-    """
-    base = np.asarray(base)
-    if base.ndim != 2 or base.shape[1] != pf.arity:
-        raise DomainError(f"expected sample rows of arity {pf.arity}")
-    out = np.empty_like(base, dtype=np.int64)
-    for ax, f in enumerate(pf.axes):
-        out[:, ax] = _flatten_axis_ids(f, base[:, ax], rng)
-    return out
-
-
 def flatten_distribution_explicit(
     p: JointDistribution, pf: ProductFlattening
 ) -> JointDistribution:
@@ -127,7 +107,9 @@ def flatten_distribution_explicit(
 #
 # A "flat view" is 1-D sample access over [size] with an optional explicit
 # law. Estimators only need draw/size/probs/cost; cost is the number of base
-# joint draws consumed per emitted sample, used for the sample account.
+# joint draws consumed per emitted sample, used for the sample account. The
+# three builders differ only in their law and in how they group the axes
+# for _flat_view, which does every draw.
 
 
 @dataclass
@@ -135,10 +117,7 @@ class FlatView:
     size: int
     probs: np.ndarray | None
     cost: int
-    _draw: Callable[[int, Rng], np.ndarray]
-
-    def draw(self, count: int, rng: Rng) -> np.ndarray:
-        return self._draw(count, rng)
+    draw: Callable[[int, Rng], np.ndarray]
 
     @staticmethod
     def from_law(probs) -> "FlatView":
@@ -148,17 +127,36 @@ class FlatView:
         return FlatView(probs.size, probs, 1, lambda count, rng: inverse_cdf(cum, rng.gen.random(count)))
 
 
-def flattened_axis_view(sampler, axis: int, f: AxisFlattening) -> FlatView:
+def _flat_view(sampler, pf: ProductFlattening, groups: Sequence[Sequence[int]], probs) -> FlatView:
+    """View over the flat cells of the axes in groups, linearized row-major in that order.
+
+    Group i takes its axes from its own joint draws, on rng.split(2i), so one
+    emitted sample costs len(groups) joint draws. Each row's sub-bucket is
+    drawn uniformly and fresh, from rng.split(2i + 1), matching the i.i.d.
+    flattened sample model; nothing is memoized per base symbol.
+    """
+    flat_dims = tuple(pf.flat_dims[a] for g in groups for a in g)
+
+    def draw(count: int, rng: Rng) -> np.ndarray:
+        cols = []
+        for i, group in enumerate(groups):
+            rows = sampler.draw(count, rng.split(2 * i))
+            sub = rng.split(2 * i + 1)
+            for a in group:
+                f, ids = pf.axes[a], rows[:, a]
+                cols.append(f.offsets[ids] + sub.gen.integers(0, f.buckets[ids]))
+        return np.ravel_multi_index(tuple(cols), flat_dims)
+
+    return FlatView(math.prod(flat_dims), probs, len(groups), draw)
+
+
+def flattened_axis_view(sampler, axis: int, pf: ProductFlattening) -> FlatView:
     """View of the flattened marginal on one axis; one joint draw per sample."""
     probs = None
     if getattr(sampler, "dist", None) is not None:
+        f = pf.axes[axis]
         probs = np.repeat(marginal(sampler.dist, [axis]).probs / f.buckets, f.buckets)
-
-    def _draw(count: int, rng: Rng) -> np.ndarray:
-        rows = sampler.draw(count, rng.split(0))
-        return _flatten_axis_ids(f, rows[:, axis], rng.split(1))
-
-    return FlatView(size=f.flat_size, probs=probs, cost=1, _draw=_draw)
+    return _flat_view(sampler, pf, [[axis]], probs)
 
 
 def flattened_joint_view(sampler, pf: ProductFlattening) -> FlatView:
@@ -166,13 +164,7 @@ def flattened_joint_view(sampler, pf: ProductFlattening) -> FlatView:
     probs = None
     if getattr(sampler, "dist", None) is not None:
         probs = flatten_distribution_explicit(sampler.dist, pf).probs
-
-    def _draw(count: int, rng: Rng) -> np.ndarray:
-        rows = sampler.draw(count, rng.split(0))
-        flat = flatten_samples(pf, rows, rng.split(1))
-        return np.ravel_multi_index(tuple(flat.T), pf.flat_dims)
-
-    return FlatView(size=pf.flat_size, probs=probs, cost=1, _draw=_draw)
+    return _flat_view(sampler, pf, [list(range(pf.arity))], probs)
 
 
 def flattened_product_view(
@@ -188,12 +180,4 @@ def flattened_product_view(
     probs = None
     if all(law is not None for law in axis_laws):
         probs = outer_product(axis_laws)
-
-    def _draw(count: int, rng: Rng) -> np.ndarray:
-        cols = []
-        for ax, f in enumerate(pf.axes):
-            rows = sampler.draw(count, rng.split(2 * ax))
-            cols.append(_flatten_axis_ids(f, rows[:, ax], rng.split(2 * ax + 1)))
-        return np.ravel_multi_index(tuple(cols), pf.flat_dims)
-
-    return FlatView(size=pf.flat_size, probs=probs, cost=pf.arity, _draw=_draw)
+    return _flat_view(sampler, pf, [[ax] for ax in range(pf.arity)], probs)

@@ -19,6 +19,7 @@ of own marginals >= 3 eps, which certifies eps-farness from every product).
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -100,6 +101,10 @@ def check_hard_params(
     n: int, m: int, k: int, alpha: float, eps: float, force_x=None, eps_meas=None, alpha_meas=None
 ) -> tuple[float, float]:
     """Checks gen_hard_2d's arguments; returns (eps_meas, alpha_meas) with their defaults filled in."""
+    try:
+        n, m, k = map(operator.index, (n, m, k))
+    except TypeError:
+        raise DomainError(f"n, m and k must be integers, got n={n!r}, m={m!r}, k={k!r}") from None
     if not (n >= m >= 2):
         raise DomainError(f"need n >= m >= 2, got n={n}, m={m}")
     if not (1 <= k <= n / 2):

@@ -173,16 +173,6 @@ class ReindexedSampler:
         return merge_index(self.base.draw(count, rng), self.base.dims, self.blocks)
 
 
-def _descending_view(sampler, pred):
-    """Sorts axes so sizes descend (stable), permuting sampler and prediction."""
-    dims = sampler.dims
-    perm = tuple(int(a) for a in np.argsort([-d for d in dims], kind="stable"))
-    if perm == tuple(range(len(dims))):
-        return sampler, pred
-    singles = [[a] for a in perm]
-    return ReindexedSampler(sampler, singles), merge_axes(pred, singles)
-
-
 # ---------------------------------------------------------------------------
 # Shared 2/3-axis pipeline
 
@@ -235,14 +225,11 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     # Per-axis norm gate: an oversized flattened marginal betrays a violated
     # accuracy claim, the one case InaccurateInformation is allowed.
     stage_log.append("norm_gate")
-    axis_views = []
-    marg_norms = []
-    for l in range(arity):
-        view = flattened_axis_view(sampler, l, flats[l])
-        axis_views.append(view)
-        marg_norms.append(
-            hooks.norm(view, flats[l].flat_size, norm_delta, _ESTIMATOR, rng.split(20 + l), account)
-        )
+    axis_views = [flattened_axis_view(sampler, l, pf) for l in range(arity)]
+    marg_norms = [
+        hooks.norm(view, view.size, norm_delta, _ESTIMATOR, rng.split(20 + l), account)
+        for l, view in enumerate(axis_views)
+    ]
     detail["marginal_norms"] = marg_norms
     if any(marg_norms[l] > gate * tau[l] for l in range(arity)):
         return Verdict(Outcome.INACCURATE, "norm_gate", stage_log, account, detail)
@@ -306,13 +293,20 @@ def _prepare(sampler, pred: JointDistribution, cfg: TesterConfig):
     return sampler
 
 
+def _run_blocks(sampler, pred, cfg: TesterConfig, rng: Rng, hooks, blocks) -> Verdict:
+    """The pipeline on the view merging base axes blocks[i] into coordinate i, sizes descending (stable)."""
+    blocks = sorted(blocks, key=lambda blk: -math.prod(sampler.dims[a] for a in blk))
+    if blocks != [[a] for a in range(len(sampler.dims))]:
+        sampler, pred = ReindexedSampler(sampler, blocks), merge_axes(pred, blocks)
+    return _flatten_pipeline(sampler, pred, cfg, rng, hooks or _DEFAULT_HOOKS)
+
+
 def _aug_small(sampler, pred, cfg: TesterConfig, rng: Rng, hooks, arity: int) -> Verdict:
     """The 2- or 3-axis tester; axes are sorted internally so sizes descend."""
     sampler = _prepare(sampler, pred, cfg)
     if len(sampler.dims) != arity:
         raise DomainError(f"expected {arity} axes, got dims {sampler.dims}")
-    sampler, pred = _descending_view(sampler, pred)
-    return _flatten_pipeline(sampler, pred, cfg, rng, hooks or _DEFAULT_HOOKS)
+    return _run_blocks(sampler, pred, cfg, rng, hooks, [[a] for a in range(arity)])
 
 
 def aug_independence_2d(
@@ -403,7 +397,7 @@ def aug_independence_d(
     sampler = _prepare(sampler, pred, cfg)
     d = len(sampler.dims)
     if d in (2, 3):
-        return _aug_small(sampler, pred, cfg, rng, hooks, d)
+        return _run_blocks(sampler, pred, cfg, rng, hooks, [[a] for a in range(d)])
 
     eps_inner = cfg.eps / 12.0
     delta_inner = 0.1 / 5.0
@@ -412,16 +406,15 @@ def aug_independence_d(
     blocks_sorted = partition_coordinates(sorted_dims)
     blocks = [[order[i] for i in blk] for blk in blocks_sorted]
 
-    grouped = ReindexedSampler(sampler, blocks)
     inner_cfg = replace(cfg, eps=eps_inner)
-    inner = _aug_small(grouped, merge_axes(pred, blocks), inner_cfg, rng.split(0), hooks, len(blocks))
+    inner = _run_blocks(sampler, pred, inner_cfg, rng.split(0), hooks, blocks)
     stage_log = ["partition"] + inner.stage_log
-    detail = {"blocks": blocks, "grouped_dims": grouped.dims, "inner": inner.detail}
+    grouped_dims = tuple(math.prod(sampler.dims[a] for a in blk) for blk in blocks)
+    detail = {"blocks": blocks, "grouped_dims": grouped_dims, "inner": inner.detail}
     if inner.outcome is not Outcome.ACCEPT:
         return Verdict(inner.outcome, inner.stage, stage_log, inner.account, detail)
 
     account = inner.account
-    verdict = Verdict(Outcome.ACCEPT, inner.stage, stage_log, account, detail)
     for i, blk in enumerate(blocks[1:], start=1):
         if len(blk) == 1:
             continue  # a single axis is trivially a product over itself
@@ -432,8 +425,7 @@ def aug_independence_d(
         detail[f"learning_block_{i}"] = sub.detail
         if sub.outcome is not Outcome.ACCEPT:
             return Verdict(Outcome.REJECT, "learning", stage_log, account, detail)
-        verdict = Verdict(Outcome.ACCEPT, "learning", stage_log, account, detail)
-    return verdict
+    return Verdict(Outcome.ACCEPT, stage_log[-1], stage_log, account, detail)  # the last stage decided
 
 
 # ---------------------------------------------------------------------------

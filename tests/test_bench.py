@@ -63,6 +63,13 @@ LOAD_ERRORS = [
     ({"trials": 2.5}, "trials must be an integer"),
     ({"jobs": 1.5}, "jobs must be an integer"),
     ({"seed": "11"}, "seed must be an integer"),
+    ({"instance": dict(HARD2D, n=64.5)}, "n, m and k must be integers"),
+    ({"instance": dict(HARD2D, k=6.0)}, "n, m and k must be integers"),
+    ({"instance": {"kind": "correlated", "size": 2.5}}, "dims must be a sequence of integers"),
+    ({"instance": {"kind": "correlated", "size": "3"}}, "dims must be a sequence of integers"),
+    ({"instance": {"kind": "correlated", "size": 1}}, "every axis size must be >= 2"),
+    ({"alpha": "exact", "alpha_margin": float("nan")}, "alpha_margin must be a finite number"),
+    ({"alpha": "exact", "alpha_margin": "0.1"}, "alpha_margin must be a finite number"),
 ]
 
 

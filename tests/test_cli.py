@@ -322,6 +322,7 @@ class TestBenchCommands:
             {"instance": {"kind": "hard2d", "n": 64, "m": 16, "k": 6, "alpha": 0.3, "eps": 0.005,
                           "require_valid": False}},
             {"instance": {"kind": "hard2d", "n": 64, "m": 16, "k": 6, "alpha": 0.3, "eps": 0.1}},
+            {"instance": {"kind": "hard2d", "n": 64.5, "m": 16, "k": 6, "alpha": 0.3, "eps": 0.005}},
         ],
     )
     def test_bench_bad_value_exits_one_before_any_trial(self, runner, files, overrides):

@@ -36,7 +36,7 @@ CALIBRATION = os.path.join(os.path.dirname(__file__), os.pardir, "calibration.js
 
 def draw_only(view: FlatView) -> FlatView:
     """The same view with its law hidden, so every repetition splits a stream."""
-    return FlatView(size=view.size, probs=None, cost=view.cost, _draw=view.draw)
+    return FlatView(size=view.size, probs=None, cost=view.cost, draw=view.draw)
 
 
 def reference_l2_squared(view, M, delta, cfg, rng) -> float:
@@ -409,7 +409,7 @@ class TestStreamLayout:
         # estimators._poissonized_counts and pairing its results X, Y, X, Y.
         def view(pv):
             s = FlatView.from_law(pv)
-            return s if explicit else FlatView(size=s.size, probs=None, cost=1, _draw=s.draw)
+            return s if explicit else FlatView(size=s.size, probs=None, cost=1, draw=s.draw)
 
         p, q = view(np.full(6, 1 / 6)), view(np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]))
         seen = []

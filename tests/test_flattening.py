@@ -21,7 +21,6 @@ from augtest.flattening import (
     ProductFlattening,
     build_axis_flattening,
     flatten_distribution_explicit,
-    flatten_samples,
     flattened_axis_view,
     flattened_joint_view,
     flattened_product_view,
@@ -179,24 +178,39 @@ class TestExplicitFlattening:
             flatten_distribution_explicit(p, pf)
 
 
+class OpaqueSampler:
+    """Sample access with no explicit law, so views built on it are draw-only."""
+
+    def __init__(self, p):
+        self.dims = p.dims
+        self._p = p
+
+    def draw(self, count, rng):
+        return JointSampler(self._p).draw(count, rng)
+
+
 class TestSampleFlattening:
+    """Draw-only joint views: each row's sub-bucket is drawn fresh inside its symbol's buckets."""
+
     def test_identity_when_single_buckets(self):
+        p = random_dist((3, 2), Rng(5).gen)
         pf = ProductFlattening([AxisFlattening([1, 1, 1]), AxisFlattening([1, 1])])
-        rows = np.array([[0, 1], [2, 0], [1, 1]])
-        assert np.array_equal(flatten_samples(pf, rows, Rng(5)), rows)
-        assert np.array_equal(flatten_samples(pf, rows[1:2], Rng(5)), [[2, 0]])
+        rows = JointSampler(p).draw(50, Rng(6, (0,)))
+        expect = np.ravel_multi_index(tuple(rows.T), p.dims)
+        assert np.array_equal(flattened_joint_view(OpaqueSampler(p), pf).draw(50, Rng(6)), expect)
 
     def test_rows_land_in_owned_buckets(self):
         gen = Rng(6).gen
-        fa = AxisFlattening(gen.integers(1, 5, size=4))
-        fb = AxisFlattening(gen.integers(1, 5, size=3))
-        pf = ProductFlattening([fa, fb])
-        rows = np.stack([gen.integers(0, 4, size=500), gen.integers(0, 3, size=500)], axis=1)
-        flat = flatten_samples(pf, rows, Rng(7))
+        p = random_dist((4, 3), gen)
+        pf = ProductFlattening(
+            [AxisFlattening(gen.integers(1, 5, size=4)), AxisFlattening(gen.integers(1, 5, size=3))]
+        )
+        rows = JointSampler(p).draw(500, Rng(7, (0,)))
+        flat = np.unravel_index(flattened_joint_view(OpaqueSampler(p), pf).draw(500, Rng(7)), pf.flat_dims)
         for ax, f in enumerate(pf.axes):
             lo = f.offsets[rows[:, ax]]
             hi = lo + f.buckets[rows[:, ax]]
-            assert np.all((flat[:, ax] >= lo) & (flat[:, ax] < hi))
+            assert np.all((flat[ax] >= lo) & (flat[ax] < hi))
 
     def test_flattened_law_matches_explicit(self):
         # empirical tv between flattened draws and the exact flattened law
@@ -206,16 +220,37 @@ class TestSampleFlattening:
             [AxisFlattening(gen.integers(1, 4, size=3)), AxisFlattening(gen.integers(1, 4, size=3))]
         )
         target = flatten_distribution_explicit(p, pf)
-        rows = JointSampler(p).draw(60000, Rng(9))
-        flat = flatten_samples(pf, rows, Rng(10))
-        idx = np.ravel_multi_index(tuple(flat.T), pf.flat_dims)
+        idx = flattened_joint_view(OpaqueSampler(p), pf).draw(60000, Rng(9))
         emp = np.bincount(idx, minlength=target.probs.size) / 60000
         assert 0.5 * np.abs(emp - target.probs).sum() < 0.02
 
-    def test_arity_mismatch(self):
-        pf = ProductFlattening([AxisFlattening([1, 1])])
-        with pytest.raises(DomainError):
-            flatten_samples(pf, np.zeros((3, 2), dtype=int), Rng(11))
+    def test_stream_layout(self):
+        # group i of a view draws its joint rows from rng.split(2i) and their
+        # sub-buckets, axis by axis, from rng.split(2i + 1)
+        gen = Rng(10).gen
+        p = random_dist((4, 3, 2), gen)
+        pf = ProductFlattening([AxisFlattening(gen.integers(1, 4, size=n)) for n in p.dims])
+        opaque = OpaqueSampler(p)
+
+        def recompute(groups, count, rng):
+            cols = []
+            for i, group in enumerate(groups):
+                rows = JointSampler(p).draw(count, rng.split(2 * i))
+                sub = rng.split(2 * i + 1).gen
+                for a in group:
+                    f = pf.axes[a]
+                    cols.append(f.offsets[rows[:, a]] + sub.integers(0, f.buckets[rows[:, a]]))
+            return np.ravel_multi_index(tuple(cols), [pf.flat_dims[a] for g in groups for a in g])
+
+        views = [
+            (flattened_axis_view(opaque, 1, pf), [[1]]),
+            (flattened_joint_view(opaque, pf), [[0, 1, 2]]),
+            (flattened_product_view(opaque, pf, [None] * 3), [[0], [1], [2]]),
+        ]
+        for view, groups in views:
+            assert view.probs is None
+            assert view.cost == len(groups)
+            assert np.array_equal(view.draw(400, Rng(11, (3,))), recompute(groups, 400, Rng(11, (3,))))
 
 
 class TestFlatViews:
@@ -229,7 +264,7 @@ class TestFlatViews:
 
     def test_axis_view_probs(self):
         f = self.pf.axes[0]
-        view = flattened_axis_view(self.sampler, 0, f)
+        view = flattened_axis_view(self.sampler, 0, self.pf)
         marg = marginal(self.p, [0]).probs
         assert view.size == f.flat_size
         assert view.cost == 1
@@ -243,7 +278,7 @@ class TestFlatViews:
         assert np.allclose(view.probs, flatten_distribution_explicit(self.p, self.pf).probs)
 
     def axis_laws(self, sampler):
-        return [flattened_axis_view(sampler, ax, f).probs for ax, f in enumerate(self.pf.axes)]
+        return [flattened_axis_view(sampler, ax, self.pf).probs for ax in range(self.pf.arity)]
 
     def test_product_view_probs(self):
         view = flattened_product_view(self.sampler, self.pf, self.axis_laws(self.sampler))
@@ -259,17 +294,8 @@ class TestFlatViews:
         assert np.array_equal(shared.probs, np.outer(laws[0], laws[1]).reshape(-1))
 
     def test_views_without_explicit_law(self):
-        class OpaqueSampler:
-            dims = (4, 3)
-
-            def __init__(self, p):
-                self._p = p
-
-            def draw(self, count, rng):
-                return JointSampler(self._p).draw(count, rng)
-
         opaque = OpaqueSampler(self.p)
-        assert flattened_axis_view(opaque, 0, self.pf.axes[0]).probs is None
+        assert flattened_axis_view(opaque, 0, self.pf).probs is None
         assert flattened_product_view(opaque, self.pf, self.axis_laws(opaque)).probs is None
         assert flattened_product_view(self.sampler, self.pf, [self.axis_laws(self.sampler)[0], None]).probs is None
         view = flattened_joint_view(opaque, self.pf)
@@ -280,7 +306,7 @@ class TestFlatViews:
 
     def test_axis_view_draw_law(self):
         f = self.pf.axes[1]
-        view = flattened_axis_view(self.sampler, 1, f)
+        view = flattened_axis_view(self.sampler, 1, self.pf)
         draws = view.draw(60000, Rng(14))
         emp = np.bincount(draws, minlength=f.flat_size) / 60000
         assert 0.5 * np.abs(emp - view.probs).sum() < 0.02

@@ -31,6 +31,10 @@ class TestPreconditions:
         with pytest.raises(DomainError):
             gen_hard_2d(5, 10, 2, 0.3, EPS, Rng(1))
 
+    def test_sizes_must_be_integers(self):
+        with pytest.raises(DomainError, match="must be integers"):
+            gen_hard_2d(64.5, 16, 6, 0.3, EPS, Rng(1))
+
     def test_k_range(self):
         with pytest.raises(DomainError):
             gen_hard_2d(10, 5, 0, 0.3, EPS, Rng(1))

@@ -1,11 +1,12 @@
 """Static checks of the package surface, read from the sources with the ast module.
 
-No linter is installed with the package, so these two checks stand in for
-one: the names `augtest` exports are pinned, and no module imports a name it
-never uses.
+No linter is installed with the package, so these checks stand in for one:
+the names `augtest` exports are pinned, no module imports a name it never
+uses, and no module defines a function or class nothing uses.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,30 @@ def test_every_import_is_used(path):
         f"{name} (line {line})" for name, line in _imported_names(tree).items() if name not in used
     )
     assert unused == []
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read in tree, as a bare name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_definition_is_used():
+    # a top-level function or class that is neither exported nor decorated
+    # (click commands are) must be referenced somewhere in the package
+    # outside its own body; code kept only for tests fails this
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    dead = [
+        f"{path}: {node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.decorator_list
+        and node.name not in EXPORTS
+        and refs[node.name] == _references(node)[node.name]
+    ]
+    assert dead == []

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from augtest import flattening
+from augtest import flattening, testers
 from augtest.domain import (
     DomainError,
     JointDistribution,
@@ -396,6 +396,31 @@ class TestGeneralArity:
         assert v.detail["grouped_dims"] == (2, 4, 4)
         # both multi-axis blocks were re-checked by learning
         assert v.stage_log.count("learning") == 2
+        assert v.outcome is Outcome.ACCEPT
+
+    def test_one_reindexed_view_per_run(self, monkeypatch):
+        # the grouped view is sorted and relabeled once, and the input is validated once
+        built, merges, prepared = [], [], []
+
+        class CountingSampler(ReindexedSampler):
+            def __init__(self, base, blocks):
+                built.append(blocks)
+                super().__init__(base, blocks)
+
+        def counting(fn, log):
+            return lambda *args: log.append(args) or fn(*args)
+
+        monkeypatch.setattr(testers, "ReindexedSampler", CountingSampler)
+        monkeypatch.setattr(testers, "merge_axes", counting(merge_axes, merges))
+        monkeypatch.setattr(testers, "_prepare", counting(testers._prepare, prepared))
+        p = JointDistribution.uniform((2, 2, 2, 2, 2))
+        hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0])
+        v = aug_independence_d(JointSampler(p), p, TesterConfig(0.4, 0.05), Rng(17), hooks)
+        assert built == [[[1, 2], [3, 4], [0]], [[1], [2]], [[3], [4]]]  # grouped view, then learning
+        assert len(merges) == 4  # one per reindexed law, and the prediction once
+        assert len(prepared) == 1
+        assert v.detail["grouped_dims"] == (2, 4, 4)  # in partition order
+        assert v.detail["inner"]["dims"] == (4, 4, 2)  # sorted so sizes descend
         assert v.outcome is Outcome.ACCEPT
 
     def test_partition_respects_size_order(self):
