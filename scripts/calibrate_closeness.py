@@ -18,10 +18,11 @@ with M in {10, 50, 200}, and two-level laws with b M in {2, 5} with M in
 2 on a uniform (100, 20) input and near 5 on the hidden-bit instances. Every
 cell of a two-level law exceeds 2 eps / M, so q stays a law. A combination
 passes when every cell's per-repetition error is below 1/3. Among passers,
-the winner is the smallest C_close whose worst error also clears a
-robustness buffer (<= 0.25; closeness sample cost is linear in C_close, so
-this is the cheapest point that is not a statistical coin flip away from the
-bar), then the C_thr with the widest margin.
+the winner is the smallest C_close whose worst error is also <= 0.25, then
+the C_thr with the widest margin; closeness sample cost is linear in C_close.
+The 0.25 is not optional: estimators.repetitions sizes every vote from the
+binomial tail at a per-repetition error of 1/4, so the script exits 1 when
+no grid point meets it.
 
 Writes calibration.json next to pyproject.toml and prints the chosen pair.
 The chosen values are frozen as EstimatorConfig defaults.
@@ -142,11 +143,11 @@ def main() -> int:
                 }
             )
 
-    passing = [r for r in results if r["pass"]]
-    if not passing:
-        print("no grid point met the per-repetition error bar", file=sys.stderr)
+    robust = [r for r in results if r["max_error"] <= ROBUST_BAR]
+    if not robust:
+        # repetitions() sizes every vote for a per-repetition error of 1/4
+        print(f"no grid point kept its per-repetition error <= {ROBUST_BAR}", file=sys.stderr)
         return 1
-    robust = [r for r in passing if r["max_error"] <= ROBUST_BAR] or passing
     best_close = min(r["closeness_sample_mult"] for r in robust)
     shortlist = [r for r in robust if r["closeness_sample_mult"] == best_close]
     chosen = max(

@@ -120,14 +120,21 @@ class ExperimentConfig:
         if extra:
             raise DomainError(f"instance kind {kind!r} takes no keys {sorted(extra)}")
         if isinstance(self.prediction, dict):
-            if set(self.prediction) != {"file"}:
-                raise DomainError(f"a prediction mapping holds one key, file; got {self.prediction!r}")
+            if set(self.prediction) != {"file"} or not isinstance(self.prediction["file"], str):
+                raise DomainError(
+                    f"a prediction mapping holds one key, file, naming a path; got {self.prediction!r}"
+                )
         elif self.prediction not in ("exact", "natural", "uniform", "point_mass"):
             raise DomainError(f"unknown prediction {self.prediction!r}")
         elif self.prediction == "natural" and kind not in ("uniform", "hard2d"):
             raise DomainError(f"instance kind {kind!r} has no natural prediction")
+        if kind in ("uniform", "product_random"):
+            _checked_dims(self.instance["dims"])
         if kind == "correlated":
             _checked_dims([self.instance["size"]])  # an integer >= 2
+        # open() would take an integer path as a file descriptor
+        if kind == "file" and not isinstance(self.instance["path"], str):
+            raise DomainError(f"a file instance's path must be a string, got {self.instance['path']!r}")
         if kind == "hard2d":
             inst = self.instance
             check_hard_params(inst["n"], inst["m"], inst["k"], inst["alpha"], inst["eps"], inst.get("force_x"))

@@ -1,12 +1,15 @@
 """Sample-based estimators: squared l2 norm, two-stream closeness, learning.
 
-All three follow the same amplification scheme: a cheap base routine with
-constant failure probability is repeated ceil(8 * ln(1/delta)) times and
-aggregated by median (norm) or majority (closeness). The closeness vote stops
-at the first repetition that decides the majority, so its result is the vote
-of all repetitions while only the repetitions run draw samples. Sample draws
-are logged into a SampleAccount in units of base joint draws, counting only
-what was drawn.
+The norm and closeness estimators follow the majority/median amplification
+of Chan-Diakonikolas-Valiant-Valiant (SODA'14) and Diakonikolas-Kane
+(FOCS'16): a cheap base routine that errs w.p. at most 1/4 is repeated r
+times and aggregated by median (norm) or majority (closeness), where r is
+the smallest count whose exact binomial tail P(Bin(r, 1/4) >= ceil(r/2)) is
+at most delta (see repetitions). The closeness vote stops at the first
+repetition that decides the majority, so its result is the vote of all
+repetitions while only the repetitions run draw samples. Sample draws are
+logged into a SampleAccount in units of base joint draws, counting only what
+was drawn.
 
 When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
@@ -25,6 +28,7 @@ for the two closeness batches).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,14 +55,48 @@ class EstimatorConfig:
     norm_sample_mult: float = 4.0  # batch size T = this * ceil(sqrt(M))
     closeness_sample_mult: float = 2.0  # lambda = this * M * sqrt(b) / eps^2
     closeness_threshold_mult: float = 1.5  # reject when Z > this * lambda^2 eps^2 / M
-    rep_mult: float = 1.0  # scales the ceil(8 ln(1/delta)) repetition count
 
 
+# The per-repetition error both estimators are sized for. calibration.json
+# measures the closeness rule's worst cell at 0.192; tests/test_estimators.py
+# measures the norm statistic's misses below 1/2 and above 3/2 of the truth.
+REP_ERROR = 0.25
+
+
+def binomial_tail_at_most(r: int, p: float, k: int, delta: float) -> bool:
+    """Whether P(Bin(r, p) >= k) <= delta, decided exactly.
+
+    Floats are dyadic rationals a/b, so the tail times b^r is an integer sum
+    over math.comb and the comparison needs no rounding.
+    """
+    a, b = p.as_integer_ratio()
+    num, den = delta.as_integer_ratio()
+    tail = sum(math.comb(r, i) * a**i * (b - a) ** (r - i) for i in range(k, r + 1))
+    return tail * den <= num * b**r
+
+
+@functools.cache
 def repetitions(delta: float, cfg: EstimatorConfig) -> int:
-    """Repetition count ceil(8 * rep_mult * ln(1/delta)), at least 1."""
+    """The smallest r with P(Bin(r, 1/4) >= ceil(r/2)) <= delta.
+
+    If each repetition errs w.p. at most 1/4, this tail bounds the chance
+    that the aggregate fails. The closeness vote rejects at 2 * rejects >= r,
+    so a null input is wrongly rejected only when at least ceil(r/2)
+    repetitions reject, and a far input wrongly accepted only when more than
+    r/2 accept. The median of r norm statistics leaves [1/2, 3/2] times the
+    truth only when at least ceil(r/2) of them miss that interval on the same
+    side, and each side is missed w.p. below 0.15 on the calibration laws.
+
+    The tail is not monotone in r (r = 1 gives 1/4, r = 2 gives 7/16), so r
+    is found by scanning up from 1; it is memoized. cfg does not enter the
+    count; it stays in the signature so every sizing call reads alike.
+    """
     if not 0 < delta < 1:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
-    return max(1, math.ceil(8.0 * cfg.rep_mult * math.log(1.0 / delta)))
+    r = 1
+    while not binomial_tail_at_most(r, REP_ERROR, (r + 1) // 2, delta):
+        r += 1
+    return r
 
 
 def _law(view) -> np.ndarray | None:

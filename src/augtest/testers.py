@@ -39,6 +39,7 @@ from .domain import (
 )
 from .estimators import (
     EstimatorConfig,
+    binomial_tail_at_most,
     closeness_test,
     estimate_l2_squared,
     learn_empirical,
@@ -437,13 +438,31 @@ _TIE_ORDER = [Outcome.REJECT, Outcome.INACCURATE, Outcome.ACCEPT]
 def amplify(run: Callable[[Rng], Verdict], delta_target: float, rng: Rng) -> Verdict:
     """Drives the base testers' 0.1 failure probability down to delta_target.
 
-    Runs 2 * ceil(12 * ln(1/delta_target)) + 1 independent trials and returns
-    the most frequent outcome; ties break toward Reject, then
-    InaccurateInformation. Sample accounts sum over the runs.
+    Runs r independent trials and returns the most frequent outcome; ties
+    break toward Reject, then InaccurateInformation. Sample accounts sum over
+    the runs. Each base run lands on each disallowed outcome w.p. at most
+    0.1, and r is the smallest odd count for which the exact binomial tails
+    cover both cases of the contract:
+
+    - one allowed outcome (tv(p, p-hat) <= alpha): the two disallowed ones
+      together occur w.p. at most 0.2, and the allowed outcome holds a strict
+      majority unless at least ceil(r/2) runs are disallowed, so
+      P(Bin(r, 0.2) >= ceil(r/2)) <= delta_target;
+    - two allowed outcomes (tv(p, p-hat) > alpha, where InaccurateInformation
+      is also correct): with D < r/3 runs on the disallowed one, the allowed
+      two hold more than 2r/3, so one of them beats D, and
+      P(Bin(r, 0.1) >= ceil(r/3)) <= delta_target.
+
+    That is 7 runs at delta_target 0.05, 13 at 0.01 and 25 at 0.001.
     """
     if not 0 < delta_target < 1:
         raise DomainError(f"delta_target must be in (0, 1), got {delta_target}")
-    runs = 2 * math.ceil(12.0 * math.log(1.0 / delta_target)) + 1
+    runs = 1
+    while not (
+        binomial_tail_at_most(runs, 0.2, (runs + 1) // 2, delta_target)
+        and binomial_tail_at_most(runs, 0.1, (runs + 2) // 3, delta_target)
+    ):
+        runs += 2
     account = SampleAccount()
     tally: dict[Outcome, int] = {o: 0 for o in Outcome}
     last: dict[Outcome, Verdict] = {}

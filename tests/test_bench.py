@@ -70,6 +70,12 @@ LOAD_ERRORS = [
     ({"instance": {"kind": "correlated", "size": 1}}, "every axis size must be >= 2"),
     ({"alpha": "exact", "alpha_margin": float("nan")}, "alpha_margin must be a finite number"),
     ({"alpha": "exact", "alpha_margin": "0.1"}, "alpha_margin must be a finite number"),
+    ({"instance": {"kind": "file", "path": 123}}, "path must be a string"),
+    ({"prediction": {"file": 3}}, "prediction mapping"),
+    ({"instance": {"kind": "uniform", "dims": [2.5, 3]}}, "dims must be a sequence of integers"),
+    ({"instance": {"kind": "uniform", "dims": [1, 5]}}, "every axis size must be >= 2"),
+    ({"instance": {"kind": "product_random", "dims": [2.5, 3]}}, "dims must be a sequence of integers"),
+    ({"instance": {"kind": "product_random", "dims": "43"}}, "dims must be a sequence of integers"),
 ]
 
 
@@ -102,7 +108,7 @@ class TestConfig:
     def test_estimator_block_rejected(self):
         # the estimators run at their calibrated defaults; a config cannot set them
         with pytest.raises(DomainError, match="unknown config keys"):
-            ExperimentConfig.from_dict(dict(BASE, estimator={"rep_mult": 2.0}))
+            ExperimentConfig.from_dict(dict(BASE, estimator={"norm_sample_mult": 8.0}))
 
     @pytest.mark.parametrize("overrides, message", LOAD_ERRORS)
     def test_bad_values_fail_at_load(self, overrides, message):
@@ -135,9 +141,11 @@ class TestWorkers:
         assert worker_count(10_000, 3) == 3
         assert worker_count(2, 10_000) == 2
 
-    def test_worker_error_reaches_the_caller(self):
-        # a config-valid instance that each trial fails to build
-        cfg = ExperimentConfig.from_dict(dict(BASE, jobs=2, instance={"kind": "uniform", "dims": [1, 5]}))
+    def test_worker_error_reaches_the_caller(self, tmp_path):
+        # a config-valid instance that each trial fails to build: its file's masses sum to 2
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"dims": [2, 2], "probs": [0.5] * 4}))
+        cfg = ExperimentConfig.from_dict(dict(BASE, jobs=2, instance={"kind": "file", "path": str(path)}))
         with pytest.raises(DomainError):
             run_trials(cfg)
 
@@ -405,12 +413,12 @@ class TestAlphaHandling:
 
 class TestAmplification:
     def test_small_delta_runs_amplified(self):
-        # amplified runs repeat the base tester 73 times, so accounts scale up
+        # amplified runs repeat the base tester 7 times, so accounts scale up
         base = run_single_trial(ExperimentConfig.from_dict(dict(BASE, trials=1)), 0)
         amp = run_single_trial(
             ExperimentConfig.from_dict(dict(BASE, trials=1, delta=0.05)), 0
         )
-        assert amp.samples_total > 30 * base.samples_total
+        assert amp.samples_total > 5 * base.samples_total
 
     def test_learn_tester_ignores_amplification(self):
         cfg = ExperimentConfig.from_dict(

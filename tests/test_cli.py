@@ -284,7 +284,7 @@ class TestBenchCommands:
         assert "error:" in res.output
 
     def test_bench_estimator_block_exits_one(self, runner, files):
-        cfg = self.write_config(files["tmp"], estimator={"rep_mult": 2.0})
+        cfg = self.write_config(files["tmp"], estimator={"norm_sample_mult": 8.0})
         res = runner.invoke(main, ["bench", "--config", cfg, "--out", str(files["tmp"] / "x.csv")])
         assert res.exit_code == 1
         assert "error: unknown config keys: ['estimator']" in res.output

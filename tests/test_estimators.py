@@ -1,5 +1,6 @@
 """Tests for the l2 estimator, the closeness tester, and empirical learning."""
 
+import importlib.util
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augtest import estimators
+from augtest.bench import wilson_interval
 from augtest.domain import (
     DomainError,
     JointDistribution,
@@ -37,6 +39,15 @@ CALIBRATION = os.path.join(os.path.dirname(__file__), os.pardir, "calibration.js
 def draw_only(view: FlatView) -> FlatView:
     """The same view with its law hidden, so every repetition splits a stream."""
     return FlatView(size=view.size, probs=None, cost=view.cost, draw=view.draw)
+
+
+def upper_tail(r: int, p: float) -> float:
+    """P(Bin(r, p) >= ceil(r/2)), from the law of Bin(r, p) built by r
+    convolutions with a Bernoulli(p); independent of the estimators' sums."""
+    law = np.ones(1)
+    for _ in range(r):
+        law = np.convolve(law, [1.0 - p, p])
+    return float(law[math.ceil(r / 2) :].sum())
 
 
 def reference_l2_squared(view, M, delta, cfg, rng) -> float:
@@ -70,17 +81,78 @@ class TestConfig:
         assert CFG.closeness_threshold_mult == chosen["closeness_threshold_mult"]
 
     def test_repetition_counts(self):
-        assert repetitions(0.05, CFG) == 24
-        assert repetitions(1.0 / 80.0, CFG) == 36
-        assert repetitions(1.0 / 120.0, CFG) == 39
-        assert repetitions(0.5, CFG) == 6
-        assert repetitions(0.9, EstimatorConfig(rep_mult=0.01)) == 1
+        assert repetitions(0.05, CFG) == 9
+        assert repetitions(1.0 / 80.0, CFG) == 17
+        assert repetitions(1.0 / 120.0, CFG) == 21
+        assert repetitions(1.0 / 180.0, CFG) == 23
+        assert repetitions(0.5, CFG) == 1
+        assert repetitions(0.9, CFG) == 1
+
+    @pytest.mark.parametrize("delta", [0.5, 0.3, 0.1, 0.05, 1 / 80, 1 / 120, 1 / 180, 1e-3, 1e-6])
+    def test_repetitions_are_the_smallest_count_the_binomial_tail_allows(self, delta):
+        r = repetitions(delta, CFG)
+        assert upper_tail(r, 0.25) <= delta
+        assert all(upper_tail(s, 0.25) > delta for s in range(1, r))
+        # never more than the Hoeffding count ceil(8 ln(1/delta)) it replaced
+        assert r <= max(1, math.ceil(8 * math.log(1 / delta)))
 
     def test_repetitions_rejects_bad_delta(self):
         with pytest.raises(DomainError):
             repetitions(0.0, CFG)
         with pytest.raises(DomainError):
             repetitions(1.0, CFG)
+
+
+def _calibration_script():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "calibrate_closeness.py")
+    spec = importlib.util.spec_from_file_location("calibrate_closeness", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRepetitionPremise:
+    """repetitions() assumes each repetition errs w.p. at most 1/4; these
+    measure that premise for both estimators on the calibration laws."""
+
+    def test_calibrated_closeness_error_is_at_most_a_quarter(self):
+        with open(CALIBRATION) as fh:
+            chosen = json.load(fh)["chosen"]
+        assert chosen["max_error"] == max(chosen["errors"].values())
+        assert chosen["max_error"] <= estimators.REP_ERROR
+
+    def test_norm_misses_are_covered_by_the_tail(self, monkeypatch):
+        # One estimate_l2_squared call with `trials` repetitions per law, its
+        # per-repetition statistics read off the _ordered_pairs seam. Misses
+        # below 1/2 and above 3/2 of the truth are counted apart; the median
+        # of r fails only when ceil(r/2) repetitions miss on one side, so the
+        # two Wilson-upper tails together must stay within delta.
+        trials = 40_000
+        script = _calibration_script()
+        laws = [np.full(M, 1.0 / M) for M in script.SIZES]
+        laws += [script.two_level_law(M, ratio) for ratio in script.NORM_RATIOS for M in script.SHAPED_SIZES]
+        kernel = estimators._ordered_pairs
+        pairs = []
+
+        def recording(idx):
+            pairs.append(kernel(idx))
+            return pairs[-1]
+
+        monkeypatch.setattr(estimators, "_ordered_pairs", recording)
+        monkeypatch.setattr(estimators, "repetitions", lambda delta, cfg: trials)
+        misses = []
+        for i, law in enumerate(laws):
+            M = law.size
+            estimate_l2_squared(FlatView.from_law(law), M, 0.1, CFG, Rng(33, (i,)))
+            T = math.ceil(CFG.norm_sample_mult * math.ceil(math.sqrt(M)))
+            ratio = pairs[-1] / (T * (T - 1)) / float(law @ law)
+            below, above = int(np.sum(ratio < 0.5)), int(np.sum(ratio > 1.5))
+            misses.append((wilson_interval(below, trials)[1], wilson_interval(above, trials)[1]))
+        monkeypatch.undo()
+        for delta in (1 / 120, 1 / 180):
+            r = repetitions(delta, CFG)
+            for lo, hi in misses:
+                assert upper_tail(r, lo) + upper_tail(r, hi) <= delta
 
 
 class TestFlatViewFromLaw:

@@ -27,8 +27,8 @@ GOLDEN = {
     # The three benchmark workloads.
     "closeness_2d": (
         dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}),
-        "ae2908f1a52366f22e701405ff4ca387f1a39f5d568862ac3eeab47fb34cc6fc",
-        "372ab0a62bd1a3b3b8803f06b2d43783fb06f1d5344144aac07de1b417029f4d",
+        "d3967362be246ffa181dfd6738dde406c998bf5e0b64e8c2e960b2cd7b948d94",
+        "6e012c4cdb62a83d8bf1f34b84033e40f064a89a08e592cf50c624eb706c6c96",
     ),
     "hidden_bit_2d": (
         dict(
@@ -47,13 +47,13 @@ GOLDEN = {
                 "force_x": 1,
             },
         ),
-        "620c87fe6a08343689af30f05842179d6cfe0d4822d198f583d8b1ab5cc5eb7c",
-        "aac7cc9e4cef1cb25b7f60346f167e13adcfc885275fc14a4cad191220a3b12c",
+        "f4debd36072e1d3b69d6d979bbdcd701ca43cabebcb86f35b7f3edba8887fddc",
+        "81bca006f7d27150be5f99be486b38dde1a96d06f4ebf999b01a62fd8b5a25d3",
     ),
     "arity5_d": (
         dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2, 2, 2, 2, 2]}),
-        "6a53807032a3e4e1829fd2a33e11de42ef69a066d5e7babeef1a9a7b6169e4d9",
-        "8f816c558321c62db66a39c4aa5902835c8ba4c30f384aad75728afa35d2fc76",
+        "57de7fe1bba2c51d523870c51d3f3e5875dabcef952b76622178654c2dc707aa",
+        "5975bc69a3b53d7edcf212cb0d0f53a2ce6f54ed5f48ac8f8ebd69d94b8f4e40",
     ),
     # Ascending axes: the 2-axis tester runs on its axis-permuted view.
     "permuted_2d": (
@@ -64,18 +64,18 @@ GOLDEN = {
             prediction="uniform",
             instance={"kind": "product_random", "dims": [10, 40]},
         ),
-        "c8a40bfac4bb6006b0a95002d4fd4204a171eba21c05ac2b9b0eedb26759f347",
-        "3e78803f82e4c1b269ea7f5b0e867ba28127aac3961a4f84dc4b323c3bbccf23",
+        "aad3be3fdbf5da6d39011ff3f2cc5ce1f68fe3f9dc9c5878488e2522b3e8c722",
+        "eb93ae4062ea8604b9c5ceefd99cebf6089b46170f2832dcbf4b1ca13a751943",
     ),
     "product_3d": (
         dict(tester="3d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [4, 9, 6]}),
-        "e98761b6661f44cfb84261b0ec9a396bc73fcd68e4b290d9f9235c3e89c71400",
-        "9d75c72d7af5ff229a94e74727cc7d52c6f36f8bd5017adfa7e6ee166106820d",
+        "95f99fffdeac44e10e3cf06205ede89b4ba5ab1857d14d16a0852c4f3d419b1f",
+        "d11a1befa55ce3d1c344dc6d7d8f489881e6e72ca76b87d8e6cda35eb8f28a1f",
     ),
     "grouped_d": (
         dict(tester="d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [3, 5, 2, 4]}),
-        "2897ab50530c2417d58b2c747a3692a374850afde1e513edeeda1142231b3f0b",
-        "20d0db19a3ef62bacbe5d4fc82268ee8f57bb1b8ca8bf9b95d3f0074d630058c",
+        "f32c1b280e7e45b872e17d900e0351401ccb8b577a9d70f194582359e336f4f4",
+        "22855e1e2c9c67ff5d1e0c4941599b722744caa8a9188d559663be44fb65d4eb",
     ),
     "learn": (
         dict(tester="learn", eps=0.4, instance={"kind": "correlated", "size": 4}),

@@ -479,38 +479,39 @@ class TestAmplify:
             return Verdict(Outcome.ACCEPT, "x", ["x"], SampleAccount(), {})
 
         v = amplify(run, 0.05, Rng(22))
-        assert len(seen) == 73
-        assert v.detail["runs"] == 73
-        seen.clear()
-        amplify(run, 0.01, Rng(22))
-        assert len(seen) == 113
+        assert len(seen) == 7
+        assert v.detail["runs"] == 7
+        for delta, runs in [(0.01, 13), (0.001, 25)]:
+            seen.clear()
+            amplify(run, delta, Rng(22))
+            assert len(seen) == runs
 
     def test_majority_wins(self):
-        outcomes = [Outcome.ACCEPT] * 37 + [Outcome.REJECT] * 36
+        outcomes = [Outcome.ACCEPT] * 4 + [Outcome.REJECT] * 3
         v = amplify(self.scripted_run(outcomes), 0.05, Rng(23))
         assert v.outcome is Outcome.ACCEPT
-        assert v.detail["tally"]["accept"] == 37
+        assert v.detail["tally"]["accept"] == 4
 
     def test_tie_breaks_toward_reject(self):
-        outcomes = [Outcome.ACCEPT] * 36 + [Outcome.REJECT] * 36 + [Outcome.INACCURATE]
+        outcomes = [Outcome.ACCEPT] * 3 + [Outcome.REJECT] * 3 + [Outcome.INACCURATE]
         v = amplify(self.scripted_run(outcomes), 0.05, Rng(24))
         assert v.outcome is Outcome.REJECT
 
     def test_inaccurate_beats_accept_on_tie(self):
-        outcomes = [Outcome.ACCEPT] * 36 + [Outcome.INACCURATE] * 36 + [Outcome.REJECT]
+        outcomes = [Outcome.ACCEPT] * 3 + [Outcome.INACCURATE] * 3 + [Outcome.REJECT]
         v = amplify(self.scripted_run(outcomes), 0.05, Rng(25))
         assert v.outcome is Outcome.INACCURATE
 
     def test_accounts_sum_over_runs(self):
-        v = amplify(self.scripted_run([Outcome.ACCEPT] * 73), 0.05, Rng(26))
-        assert v.account.learning == 730
+        v = amplify(self.scripted_run([Outcome.ACCEPT] * 7), 0.05, Rng(26))
+        assert v.account.learning == 70
         assert v.stage_log[0] == "amplify"
 
     def test_delta_validation(self):
         with pytest.raises(DomainError):
             amplify(self.scripted_run([Outcome.ACCEPT] * 200), 0.0, Rng(27))
 
-    @pytest.mark.parametrize("delta, runs", [(None, 1), (0.5, 1), (0.1, 1), (0.05, 73)])
+    @pytest.mark.parametrize("delta, runs", [(None, 1), (0.5, 1), (0.1, 1), (0.05, 7)])
     def test_run_at_delta_amplifies_below_a_tenth(self, delta, runs):
         streams = []
 
