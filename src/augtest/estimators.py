@@ -15,9 +15,13 @@ When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
 so its collision count is read off run lengths (exactly the multinomial
 histogram's sum X_i (X_i - 1), with O(r sqrt(M)) working arrays beside the
-law's cumulative table), a Poissonized batch as per-symbol Poisson counts. Both batching modes produce identically
-distributed statistics; the count level is what makes desk-scale Monte-Carlo
-affordable.
+law's cumulative table), a Poissonized batch as per-symbol Poisson counts
+Poi(lambda p_i). Below one expected sample per cell (lambda < M) such a batch
+is drawn as K ~ Poi(lambda) sorted inverse-CDF symbols and binned, which has
+the same law by Poisson splitting and draws about lambda uniforms in place of
+M Poissons; at lambda >= M it is one Poisson per cell. Both batching
+modes produce identically distributed statistics; the count level is what
+makes desk-scale Monte-Carlo affordable.
 
 Stream layout: at the count level one estimator call draws all of its
 repetitions in sequence from the generator of the Rng it was given, building
@@ -127,16 +131,36 @@ def _ordered_pairs(idx: np.ndarray) -> np.ndarray:
     return 2 * (pos - start).sum(axis=1)
 
 
-def _poissonized_counts(view, means: np.ndarray | None, lam: float, rng: Rng) -> np.ndarray:
-    """Per-symbol counts of a Poi(lam)-sized batch; entries are Poi(lam * p_i).
+def _count_table(law: np.ndarray | None, lam: float) -> np.ndarray | None:
+    """The table _poissonized_counts draws a Poi(lam)-sized batch of law from.
 
-    means is lam times the view's law, or None when the view can only draw.
+    That is law's cumulative table when lam < M, where a batch is sparse, and
+    the per-cell means lam * law otherwise; None when the view can only draw.
     """
-    if means is not None:
-        return rng.gen.poisson(means)
-    k = int(rng.split(0).gen.poisson(lam))
-    draws = view.draw(k, rng.split(1))
-    return np.bincount(draws, minlength=view.size)
+    if law is None:
+        return None
+    return np.cumsum(law) if lam < law.size else lam * law
+
+
+def _poissonized_counts(view, table: np.ndarray | None, lam: float, rng: Rng) -> np.ndarray:
+    """Per-symbol counts of a Poi(lam)-sized batch: independent Poi(lam * p_i)
+    entries, as a dense integer vector of length M.
+
+    table is _count_table(law, lam). Below lam = M it is the law's cumulative
+    table, and K ~ Poi(lam) sorted uniforms are binned by inverse CDF, which
+    Poisson splitting makes the same law; otherwise it holds the means and
+    each cell draws its own Poisson.
+    """
+    if table is None:
+        k = int(rng.split(0).gen.poisson(lam))
+        draws = view.draw(k, rng.split(1))
+        return np.bincount(draws, minlength=view.size)
+    if lam >= table.size:
+        return rng.gen.poisson(table)
+    # Sorted uniforms make the table lookups cache-friendly.
+    u = rng.gen.random(int(rng.gen.poisson(lam)))
+    u.sort()
+    return np.bincount(inverse_cdf(table, u), minlength=table.size)
 
 
 def estimate_l2_squared(
@@ -222,14 +246,13 @@ def closeness_test(
     """
     lam, threshold = closeness_params(M, b, eps, cfg)
     r = repetitions(delta, cfg)
-    law_p, law_q = _law(view_p), _law(view_q)
-    mean_p = None if law_p is None else lam * law_p
-    mean_q = None if law_q is None else lam * law_q
+    table_p = _count_table(_law(view_p), lam)
+    table_q = _count_table(_law(view_q), lam)
     rejects = accepts = 0
     used_p = used_q = 0
     for j in range(r):
-        x = _poissonized_counts(view_p, mean_p, lam, _rep_rng(rng, mean_p is not None, 2 * j))
-        y = _poissonized_counts(view_q, mean_q, lam, _rep_rng(rng, mean_q is not None, 2 * j + 1))
+        x = _poissonized_counts(view_p, table_p, lam, _rep_rng(rng, table_p is not None, 2 * j))
+        y = _poissonized_counts(view_q, table_q, lam, _rep_rng(rng, table_q is not None, 2 * j + 1))
         sx, sy = int(x.sum()), int(y.sum())
         used_p += sx
         used_q += sy

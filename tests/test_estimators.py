@@ -332,30 +332,30 @@ class TestClosenessTest:
         t = min(1.0, math.sqrt(gap * CFG.closeness_threshold_mult * eps * eps / M / float((p - w) @ (p - w))))
         return p, (1 - t) * p + t * w
 
-    def _votes(self, p, q, M, eps, delta, explicit, seed):
+    def _votes(self, p, q, M, b, eps, delta, explicit, seed):
         """closeness_test's verdict, its account and the (X, Y) pairs it drew,
         next to every one of the r votes recomputed from the same streams."""
         views = [FlatView.from_law(v) for v in (p, q)]
         if not explicit:
             views = [draw_only(v) for v in views]
-        lam, threshold = closeness_params(M, 1.0, eps, CFG)
+        lam, threshold = closeness_params(M, b, eps, CFG)
         kernel = estimators._poissonized_counts
         drawn = []
 
-        def recording(v, means, lam, rng):
-            counts = kernel(v, means, lam, rng)
+        def recording(v, table, lam, rng):
+            counts = kernel(v, table, lam, rng)
             drawn.append(counts)
             return counts
 
         account = SampleAccount()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "_poissonized_counts", recording)
-            accepted = closeness_test(*views, M, 1.0, eps, delta, CFG, Rng(seed), account)
+            accepted = closeness_test(*views, M, b, eps, delta, CFG, Rng(seed), account)
         rng = Rng(seed)
         votes = []
         for j in range(repetitions(delta, CFG)):
             xy = [
-                kernel(v, lam * (v.probs / v.probs.sum()), lam, rng)
+                kernel(v, estimators._count_table(v.probs / v.probs.sum(), lam), lam, rng)
                 if explicit
                 else kernel(v, None, lam, rng.split(2 * j + i))
                 for i, v in enumerate(views)
@@ -364,6 +364,17 @@ class TestClosenessTest:
             votes.append(float(d @ d - xy[0].sum() - xy[1].sum()) > threshold)
         return accepted, account, drawn, votes
 
+    @staticmethod
+    def _regime(M: int, sparse: bool) -> tuple[int, float, float]:
+        """(M, b, eps): b = 1 puts lambda above M, so each cell draws its own
+        Poisson; b = 1/M at eps .5 on 100 or more cells puts it below M, so
+        the batch is drawn as sorted inverse-CDF symbols."""
+        if not sparse:
+            return M, 1.0, 0.3
+        M = 100 + 25 * M
+        assert closeness_params(M, 1 / M, 0.5, CFG)[0] < M
+        return M, 1 / M, 0.5
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -371,11 +382,12 @@ class TestClosenessTest:
         gap=st.floats(0.3, 2.0),
         delta=st.sampled_from([0.45, 0.1, 0.01, 1e-4]),
         explicit=st.booleans(),
+        sparse=st.booleans(),
     )
-    def test_curtailed_vote_is_the_full_majority(self, seed, M, gap, delta, explicit):
-        eps = 0.3
+    def test_curtailed_vote_is_the_full_majority(self, seed, M, gap, delta, explicit, sparse):
+        M, b, eps = self._regime(M, sparse)
         p, q = self._near_threshold_pair(seed, M, gap, eps)
-        accepted, account, drawn, votes = self._votes(p, q, M, eps, delta, explicit, seed)
+        accepted, account, drawn, votes = self._votes(p, q, M, b, eps, delta, explicit, seed)
         r = len(votes)
         # the full vote: ties reject
         assert accepted == (2 * sum(votes) < r)
@@ -388,15 +400,18 @@ class TestClosenessTest:
 
     def test_near_threshold_laws_split_the_votes(self):
         # The property above is not vacuous: on these laws single votes go
-        # both ways, and most calls stop before their last repetition.
-        mixed = early = 0
-        for seed in range(20):
-            p, q = self._near_threshold_pair(seed, 6, 1.0, 0.3)
-            _, _, drawn, votes = self._votes(p, q, 6, 0.3, 0.01, True, seed)
-            mixed += 0 < sum(votes[: len(drawn) // 2]) < len(drawn) // 2
-            early += len(drawn) < 2 * len(votes)
-        assert mixed >= 5
-        assert early >= 15
+        # both ways, and most calls stop before their last repetition, with
+        # lambda above M and below it.
+        for sparse in (False, True):
+            M, b, eps = self._regime(4, sparse)
+            mixed = early = 0
+            for seed in range(20):
+                p, q = self._near_threshold_pair(seed, M, 1.0, eps)
+                _, _, drawn, votes = self._votes(p, q, M, b, eps, 0.01, True, seed)
+                mixed += 0 < sum(votes[: len(drawn) // 2]) < len(drawn) // 2
+                early += len(drawn) < 2 * len(votes)
+            assert mixed >= 5
+            assert early >= 15
 
     def test_validation(self):
         v = FlatView.from_law(np.array([1.0]))
@@ -483,34 +498,93 @@ class TestStreamLayout:
             s = FlatView.from_law(pv)
             return s if explicit else FlatView(size=s.size, probs=None, cost=1, draw=s.draw)
 
-        p, q = view(np.full(6, 1 / 6)), view(np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]))
         seen = []
         kernel = estimators._poissonized_counts
 
-        def recording(v, means, lam, rng):
-            counts = kernel(v, means, lam, rng)
+        def recording(v, table, lam, rng):
+            counts = kernel(v, table, lam, rng)
             seen.append((v, counts))
             return counts
 
         monkeypatch.setattr(estimators, "_poissonized_counts", recording)
         delta = 0.1
-        closeness_test(p, q, 6, 1.0, 0.5, delta, CFG, Rng(32))
         r = repetitions(delta, CFG)
-        # The vote stops after repetition k, the first that decides it.
-        _, threshold = closeness_params(6, 1.0, 0.5, CFG)
-        rejects = accepts = k = 0
-        while 2 * rejects < r and 2 * accepts <= r:
-            (_, x), (_, y) = seen[2 * k : 2 * k + 2]
-            d = x.astype(np.float64) - y
-            z = float(d @ d - x.sum() - y.sum())
-            rejects, accepts, k = rejects + (z > threshold), accepts + (z <= threshold), k + 1
-        assert k < r
-        assert len(seen) == 2 * k
-        assert all(v is w for (v, _), w in zip(seen, [p, q] * k))
-        for _, counts in seen:
-            assert isinstance(counts, np.ndarray)
-            assert counts.shape == (6,)
-            assert np.issubdtype(counts.dtype, np.integer)
+        # b = 1 on 6 cells runs lambda above M; b = 1/M on 100 cells below it.
+        for M, b, sparse in ((6, 1.0, False), (100, 0.01, True)):
+            skewed = np.full(M, 0.5 / (M - 1))
+            skewed[0] = 0.5
+            p, q = view(np.full(M, 1 / M)), view(skewed)
+            seen.clear()
+            closeness_test(p, q, M, b, 0.5, delta, CFG, Rng(32))
+            # The vote stops after repetition k, the first that decides it.
+            lam, threshold = closeness_params(M, b, 0.5, CFG)
+            assert (lam < M) == sparse
+            rejects = accepts = k = 0
+            while 2 * rejects < r and 2 * accepts <= r:
+                (_, x), (_, y) = seen[2 * k : 2 * k + 2]
+                d = x.astype(np.float64) - y
+                z = float(d @ d - x.sum() - y.sum())
+                rejects, accepts, k = rejects + (z > threshold), accepts + (z <= threshold), k + 1
+            assert k < r
+            assert len(seen) == 2 * k
+            assert all(v is w for (v, _), w in zip(seen, [p, q] * k))
+            for _, counts in seen:
+                assert isinstance(counts, np.ndarray)
+                assert counts.shape == (M,)
+                assert np.issubdtype(counts.dtype, np.integer)
+
+
+class TestPoissonizedCounts:
+    """The closeness count kernel: sparse below lambda = M, per-cell Poisson at and above."""
+
+    # Zero-mass cells lead, sit inside and trail.
+    LAW = np.array([0.0, 0.0, 0.3, 0.0, 0.1, 0.2, 0.0, 0.15, 0.25, 0.0, 0.0])
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.5, 0.99])
+    def test_sparse_counts_are_independent_poissons(self, ratio):
+        # Below one expected sample per cell the kernel draws a Poi(lam)
+        # count of symbols; by Poisson splitting each cell is Poi(lam p_i)
+        # and disjoint cells are independent. A fixed-size multinomial batch
+        # would fail the variance and covariance checks.
+        law, M = self.LAW, self.LAW.size
+        lam = ratio * M
+        table = estimators._count_table(law, lam)
+        assert np.array_equal(table, np.cumsum(law))
+        view = FlatView.from_law(law)
+        rng = Rng(40)
+        n = 20_000
+        counts = np.array([estimators._poissonized_counts(view, table, lam, rng) for _ in range(n)])
+        assert counts.shape == (n, M)
+        assert np.issubdtype(counts.dtype, np.integer)
+        assert np.all(counts[:, law == 0] == 0)
+        pos = law > 0
+        mu = lam * law[pos]
+        c = counts[:, pos].astype(np.float64)
+        assert np.all(np.abs(c.mean(axis=0) - mu) <= 4.5 * np.sqrt(mu / n))
+        # A Poisson's variance is its mean; the sample variance of Poi(mu)
+        # has variance about (mu + 2 mu^2) / n.
+        assert np.all(np.abs(c.var(axis=0, ddof=1) - mu) <= 4.5 * np.sqrt((mu + 2 * mu * mu) / n))
+        a, b = counts[:, [2, 4]].sum(axis=1), counts[:, [5, 7, 8]].sum(axis=1)
+        mu_a, mu_b = lam * law[[2, 4]].sum(), lam * law[[5, 7, 8]].sum()
+        assert abs(np.cov(a, b)[0, 1]) <= 4.5 * math.sqrt(mu_a * mu_b / n)
+
+    def test_dense_side_is_one_poisson_per_cell_from_the_same_stream(self):
+        # At and above lambda = M the counts, and the stream left behind,
+        # are exactly those of rng.gen.poisson(lam * law); just below M the
+        # kernel draws K ~ Poi(lam) sorted inverse-CDF symbols instead.
+        law, M = self.LAW, self.LAW.size
+        view = FlatView.from_law(law)
+        for lam in (float(M), M * (1 + 1e-12), 3.7 * M, 2.5e7):
+            rng, ref = Rng(41), Rng(41).gen
+            counts = estimators._poissonized_counts(view, estimators._count_table(law, lam), lam, rng)
+            assert np.array_equal(counts, ref.poisson(lam * law))
+            assert rng.gen.bit_generator.state == ref.bit_generator.state
+        lam = math.nextafter(M, 0)
+        rng, ref = Rng(41), Rng(41).gen
+        counts = estimators._poissonized_counts(view, estimators._count_table(law, lam), lam, rng)
+        u = np.sort(ref.random(int(ref.poisson(lam))))
+        assert np.array_equal(counts, np.bincount(inverse_cdf(np.cumsum(law), u), minlength=M))
+        assert rng.gen.bit_generator.state == ref.bit_generator.state
 
 
 class TestLearnEmpirical:

@@ -27,7 +27,7 @@ GOLDEN = {
     # The three benchmark workloads.
     "closeness_2d": (
         dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}),
-        "d3967362be246ffa181dfd6738dde406c998bf5e0b64e8c2e960b2cd7b948d94",
+        "d7d2e536e97181bab07649695be36cccb0bbe6e60c3417ff05b81b4fc40704e2",
         "6e012c4cdb62a83d8bf1f34b84033e40f064a89a08e592cf50c624eb706c6c96",
     ),
     "hidden_bit_2d": (
@@ -64,12 +64,12 @@ GOLDEN = {
             prediction="uniform",
             instance={"kind": "product_random", "dims": [10, 40]},
         ),
-        "aad3be3fdbf5da6d39011ff3f2cc5ce1f68fe3f9dc9c5878488e2522b3e8c722",
+        "fd6d5532f4e47473ff5a2245fd7e70504ffae1de0b68b92ec5d3138f177024f0",
         "eb93ae4062ea8604b9c5ceefd99cebf6089b46170f2832dcbf4b1ca13a751943",
     ),
     "product_3d": (
         dict(tester="3d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [4, 9, 6]}),
-        "95f99fffdeac44e10e3cf06205ede89b4ba5ab1857d14d16a0852c4f3d419b1f",
+        "835ccf9c7c11d5ce6e460f5bfcb8b7aa6ea481aefc03c3c72d6fd62fd07657dc",
         "d11a1befa55ce3d1c344dc6d7d8f489881e6e72ca76b87d8e6cda35eb8f28a1f",
     ),
     "grouped_d": (
