@@ -15,13 +15,16 @@ When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
 so its collision count is read off run lengths (exactly the multinomial
 histogram's sum X_i (X_i - 1), with O(r sqrt(M)) working arrays beside the
-law's cumulative table), a Poissonized batch as per-symbol Poisson counts
+law's tables), a Poissonized batch as per-symbol Poisson counts
 Poi(lambda p_i). Below one expected sample per cell (lambda < M) such a batch
-is drawn as K ~ Poi(lambda) sorted inverse-CDF symbols and binned, which has
-the same law by Poisson splitting and draws about lambda uniforms in place of
-M Poissons; at lambda >= M it is one Poisson per cell. Both batching
-modes produce identically distributed statistics; the count level is what
-makes desk-scale Monte-Carlo affordable.
+is drawn as K ~ Poi(lambda) inverse-CDF symbols and binned, which has the
+same law by Poisson splitting and draws about lambda uniforms in place of
+M Poissons; at lambda >= M it is one Poisson per cell. A call builds each
+law's inverse-CDF map once and frees it on return; when the call looks up
+enough symbols the map is a guide table, which finds a symbol in O(1) where
+a binary search takes O(log M), and returns the same index (see
+domain.inverse_cdf). Both batching modes produce identically distributed
+statistics; the count level is what makes desk-scale Monte-Carlo affordable.
 
 Stream layout: at the count level one estimator call draws all of its
 repetitions in sequence from the generator of the Rng it was given, building
@@ -65,6 +68,9 @@ class EstimatorConfig:
 # measures the closeness rule's worst cell at 0.192; tests/test_estimators.py
 # measures the norm statistic's misses below 1/2 and above 3/2 of the truth.
 REP_ERROR = 0.25
+
+# The most samples two closeness batches may hold for their int64 Z to be exact.
+_INT64_DOT_SAMPLES = math.isqrt(2**63 - 1)
 
 
 def binomial_tail_at_most(r: int, p: float, k: int, delta: float) -> bool:
@@ -131,23 +137,34 @@ def _ordered_pairs(idx: np.ndarray) -> np.ndarray:
     return 2 * (pos - start).sum(axis=1)
 
 
-def _count_table(law: np.ndarray | None, lam: float) -> np.ndarray | None:
-    """The table _poissonized_counts draws a Poi(lam)-sized batch of law from.
+def _check_size(M: int, *views) -> None:
+    """Raises DomainError unless M >= 1 cells and every view draws over exactly M."""
+    if M < 1:
+        raise DomainError("domain size must be >= 1")
+    for view in views:
+        if view.size != M:
+            raise DomainError(f"domain size M = {M} but the view has {view.size} cells")
 
-    That is law's cumulative table when lam < M, where a batch is sparse, and
-    the per-cell means lam * law otherwise; None when the view can only draw.
+
+def _count_table(view, lam: float, r: int):
+    """What _poissonized_counts draws the r Poi(lam)-sized batches of the view from.
+
+    That is the inverse-CDF map of the view's law when lam < M, where a batch
+    is sparse, and the per-cell means lam * law otherwise; None when the view
+    can only draw.
     """
+    law = _law(view)
     if law is None:
         return None
-    return np.cumsum(law) if lam < law.size else lam * law
+    return inverse_cdf(np.cumsum(law), r * lam) if lam < view.size else lam * law
 
 
-def _poissonized_counts(view, table: np.ndarray | None, lam: float, rng: Rng) -> np.ndarray:
+def _poissonized_counts(view, table, lam: float, rng: Rng) -> np.ndarray:
     """Per-symbol counts of a Poi(lam)-sized batch: independent Poi(lam * p_i)
     entries, as a dense integer vector of length M.
 
-    table is _count_table(law, lam). Below lam = M it is the law's cumulative
-    table, and K ~ Poi(lam) sorted uniforms are binned by inverse CDF, which
+    table is _count_table(view, lam, r). Below lam = M it is the law's inverse-CDF
+    map, and K ~ Poi(lam) uniforms are mapped through it and binned, which
     Poisson splitting makes the same law; otherwise it holds the means and
     each cell draws its own Poisson.
     """
@@ -155,12 +172,10 @@ def _poissonized_counts(view, table: np.ndarray | None, lam: float, rng: Rng) ->
         k = int(rng.split(0).gen.poisson(lam))
         draws = view.draw(k, rng.split(1))
         return np.bincount(draws, minlength=view.size)
-    if lam >= table.size:
+    if lam >= view.size:
         return rng.gen.poisson(table)
-    # Sorted uniforms make the table lookups cache-friendly.
     u = rng.gen.random(int(rng.gen.poisson(lam)))
-    u.sort()
-    return np.bincount(inverse_cdf(table, u), minlength=table.size)
+    return np.bincount(table(u), minlength=view.size)
 
 
 def estimate_l2_squared(
@@ -181,17 +196,16 @@ def estimate_l2_squared(
     rng's own generator as one (r, T) block; otherwise repetition j draws from
     rng.split(j).
     """
-    if M < 1:
-        raise DomainError("domain size must be >= 1")
+    _check_size(M, view)
     T = max(2, math.ceil(cfg.norm_sample_mult * math.ceil(math.sqrt(M))))
     r = repetitions(delta, cfg)
     law = _law(view)
     if law is not None:
         # One random(r * T) call draws what r random(T) calls would; sorted
-        # rows make the inverse-CDF lookup cheap and group equal symbols.
+        # rows group equal symbols.
         u = rng.gen.random(r * T).reshape(r, T)
         u.sort(axis=1)
-        idx = inverse_cdf(np.cumsum(law), u)
+        idx = inverse_cdf(np.cumsum(law), u.size)(u)
     else:
         idx = np.sort([view.draw(T, rng.split(j)) for j in range(r)], axis=1)
     ests = _ordered_pairs(idx) / (T * (T - 1))
@@ -244,10 +258,11 @@ def closeness_test(
     X then Y within each repetition; otherwise repetition j draws X from
     rng.split(2j) and Y from rng.split(2j + 1).
     """
+    _check_size(M, view_p, view_q)
     lam, threshold = closeness_params(M, b, eps, cfg)
     r = repetitions(delta, cfg)
-    table_p = _count_table(_law(view_p), lam)
-    table_q = _count_table(_law(view_q), lam)
+    table_p = _count_table(view_p, lam, r)
+    table_q = _count_table(view_q, lam, r)
     rejects = accepts = 0
     used_p = used_q = 0
     for j in range(r):
@@ -256,11 +271,17 @@ def closeness_test(
         sx, sy = int(x.sum()), int(y.sum())
         used_p += sx
         used_q += sy
-        d = x.astype(np.float64) - y
-        # A ufunc reduction, not np.dot: a float dot is a BLAS call, which
-        # multi-threads on large M and oversubscribes cores that parallel
-        # trials already fill. The terms are integers, so the sum is exact.
-        z = float(np.square(d).sum() - sx - sy)
+        d = x - y
+        # Exact integer Z. sum d_i^2 <= (sum |d_i|)^2 <= (sx + sy)^2, so the
+        # int64 dot cannot wrap while sx + sy <= isqrt(2^63 - 1); a larger
+        # batch is summed in Python ints. numpy's integer dot is its own loop,
+        # not a BLAS call, so it does not multi-thread over the cores that
+        # parallel trials already fill.
+        if sx + sy > _INT64_DOT_SAMPLES:
+            d = d.astype(object)
+        z = int(d @ d) - sx - sy
+        # Free this repetition's vectors before the next one draws its own.
+        del x, y, d
         if z > threshold:
             rejects += 1
         else:

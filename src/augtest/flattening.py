@@ -124,7 +124,7 @@ class FlatView:
         """View over [len(probs)] drawing from an explicit mass vector by inverse CDF."""
         probs = np.asarray(probs, dtype=np.float64).reshape(-1)
         cum = np.cumsum(probs)
-        return FlatView(probs.size, probs, 1, lambda count, rng: inverse_cdf(cum, rng.gen.random(count)))
+        return FlatView(probs.size, probs, 1, lambda count, rng: inverse_cdf(cum, count)(rng.gen.random(count)))
 
 
 def _flat_view(sampler, pf: ProductFlattening, groups: Sequence[Sequence[int]], probs) -> FlatView:

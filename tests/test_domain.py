@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from augtest import domain
 from augtest.domain import (
     DomainError,
     JointDistribution,
@@ -381,6 +382,17 @@ class TestJsonInterchange:
         assert np.array_equal(p.probs, given_probs.reshape(-1))
 
 
+def searchsorted_reference(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The binary-search inverse CDF: searchsorted(cum, u, "right"), clipped
+    to the first cell where cum reaches its final value."""
+    last = np.searchsorted(cum, cum[-1], side="left")
+    return np.minimum(np.searchsorted(cum, u, side="right"), last)
+
+
+# A guide table is built from this many lookups on; below it, none is.
+LOOKUP_COUNTS = [1, domain._GUIDE_MIN_LOOKUPS]
+
+
 class TestInverseCdf:
     def test_trailing_zero_mass_cells_are_never_hit(self):
         # the cumulative table of ten 0.1 cells ends just below 1, so the
@@ -389,7 +401,8 @@ class TestInverseCdf:
         cum = np.cumsum(p)
         assert cum[-1] < 1.0
         u = np.array([0.0, 0.1, np.nextafter(1.0, 0.0)])
-        assert inverse_cdf(cum, u).tolist() == [0, 1, 9]
+        for lookups in LOOKUP_COUNTS:
+            assert inverse_cdf(cum, lookups)(u).tolist() == [0, 1, 9]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -399,12 +412,48 @@ class TestInverseCdf:
             st.one_of(st.just(0.0), st.floats(1e-12, 1.0)), min_size=1, max_size=12
         ).filter(lambda w: any(x > 0 for x in w)),
         u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=50),
+        lookups=st.sampled_from(LOOKUP_COUNTS),
     )
-    def test_counts_sum_to_total_and_skip_zero_mass(self, lead, trail, body, u):
+    def test_counts_sum_to_total_and_skip_zero_mass(self, lead, trail, body, u, lookups):
         w = np.array([0.0] * lead + body + [0.0] * trail)
         p = w / w.sum()
         u = np.array(u + [np.nextafter(1.0, 0.0)])
-        counts = np.bincount(inverse_cdf(np.cumsum(p), u), minlength=p.size)
+        counts = np.bincount(inverse_cdf(np.cumsum(p), lookups)(u), minlength=p.size)
         assert counts.size == p.size
         assert counts.sum() == u.size
         assert np.all(counts[p == 0] == 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lead=st.integers(0, 3),
+        trail=st.integers(0, 3),
+        # Masses down to 1e-12 crowd many boundaries into one bucket; one to
+        # three cells give G = 1, 2 and 4 buckets.
+        body=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-12, 1e-9), st.floats(1e-12, 1.0)),
+            min_size=1,
+            max_size=40,
+        ).filter(lambda w: any(x > 0 for x in w)),
+        extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30),
+        rows=st.booleans(),
+    )
+    @example(lead=0, trail=0, body=[1.0], extra=[], rows=False)
+    @example(lead=0, trail=0, body=[0.5, 0.5], extra=[], rows=False)
+    @example(lead=1, trail=1, body=[1.0], extra=[], rows=False)
+    @example(lead=0, trail=0, body=[0.2, 0.3, 0.5], extra=[], rows=True)
+    def test_guide_table_is_the_binary_search(self, lead, trail, body, extra, rows):
+        # Every lookup of the guide table is the clipped searchsorted index,
+        # at the boundaries themselves, one ulp to either side of them, at 0
+        # and at the largest uniform below 1.
+        w = np.array([0.0] * lead + body + [0.0] * trail)
+        cum = np.cumsum(w / w.sum())
+        u = np.concatenate(
+            [[0.0, np.nextafter(1.0, 0.0)], cum, np.nextafter(cum, 2.0), np.nextafter(cum, -1.0), extra]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        if rows:  # the norm looks up an (r, T) block
+            u = np.stack([u, u[::-1]])
+        got = inverse_cdf(cum, domain._GUIDE_MIN_LOOKUPS)(u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, searchsorted_reference(cum, u))
+        assert np.array_equal(inverse_cdf(cum, 1)(u), got)

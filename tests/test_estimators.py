@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ def reference_l2_squared(view, M, delta, cfg, rng) -> float:
     for j in range(r):
         if view.probs is not None:
             cum = np.cumsum(view.probs / view.probs.sum())
-            counts = np.bincount(inverse_cdf(cum, rng.gen.random(T)), minlength=cum.size)
+            counts = np.bincount(inverse_cdf(cum, T)(rng.gen.random(T)), minlength=cum.size)
         else:
             counts = np.bincount(view.draw(T, rng.split(j)), minlength=view.size)
         ests[j] = float(np.dot(counts, counts - 1)) / (T * (T - 1))
@@ -291,6 +292,16 @@ class TestClosenessTest:
         se = zs.std(ddof=1) / math.sqrt(zs.size)
         assert abs(zs.mean() - target) <= 3 * se
 
+    def test_z_is_exact_past_the_int64_range(self):
+        # lambda = 2.5e9 per stream on two disjoint point masses: X - Y is
+        # about (2.5e9, -2.5e9), so sum (X_i - Y_i)^2 = 1.25e19 passes 2^63,
+        # where an int64 dot wraps negative. The vote must see the exact Z.
+        p, q = FlatView.from_law(np.array([1.0, 0.0])), FlatView.from_law(np.array([0.0, 1.0]))
+        eps = 4e-5
+        lam, _ = closeness_params(2, 1.0, eps, CFG)
+        assert (2 * lam) ** 2 > 2**63 and 2 * lam > estimators._INT64_DOT_SAMPLES
+        assert not closeness_test(p, q, 2, 1.0, eps, 0.1, CFG, Rng(52))
+
     def test_null_accepts(self):
         hits = 0
         for t in range(60):
@@ -352,10 +363,11 @@ class TestClosenessTest:
             mp.setattr(estimators, "_poissonized_counts", recording)
             accepted = closeness_test(*views, M, b, eps, delta, CFG, Rng(seed), account)
         rng = Rng(seed)
+        r = repetitions(delta, CFG)
         votes = []
-        for j in range(repetitions(delta, CFG)):
+        for j in range(r):
             xy = [
-                kernel(v, estimators._count_table(v.probs / v.probs.sum(), lam), lam, rng)
+                kernel(v, estimators._count_table(v, lam, r), lam, rng)
                 if explicit
                 else kernel(v, None, lam, rng.split(2 * j + i))
                 for i, v in enumerate(views)
@@ -368,7 +380,7 @@ class TestClosenessTest:
     def _regime(M: int, sparse: bool) -> tuple[int, float, float]:
         """(M, b, eps): b = 1 puts lambda above M, so each cell draws its own
         Poisson; b = 1/M at eps .5 on 100 or more cells puts it below M, so
-        the batch is drawn as sorted inverse-CDF symbols."""
+        the batch is drawn as inverse-CDF symbols."""
         if not sparse:
             return M, 1.0, 0.3
         M = 100 + 25 * M
@@ -419,6 +431,70 @@ class TestClosenessTest:
             closeness_test(v, v, 1, 1.0, 0.0, 0.1, CFG, Rng(14))
         with pytest.raises(DomainError):
             closeness_test(v, v, 1, -1.0, 0.3, 0.1, CFG, Rng(14))
+
+
+class TestDomainSize:
+    """M must be the number of cells the views draw over; anything else is a
+    DomainError before any draw, with or without a law."""
+
+    @staticmethod
+    def _view(size: int, explicit: bool) -> FlatView:
+        v = FlatView.from_law(np.full(size, 1 / size))
+        return v if explicit else draw_only(v)
+
+    @pytest.mark.parametrize("explicit", [True, False])
+    @pytest.mark.parametrize("M", [7, 99, 101, 1000])
+    def test_norm_rejects_a_domain_size_that_is_not_the_views(self, M, explicit):
+        # M = 7 on 100 cells used to return a median of 0.0
+        with pytest.raises(DomainError, match="100 cells"):
+            estimate_l2_squared(self._view(100, explicit), M, 0.1, CFG, Rng(50))
+
+    @pytest.mark.parametrize("explicit", [True, False])
+    @pytest.mark.parametrize(
+        "M, sizes",
+        [
+            # lambda sized for the wrong M, and a vote cast anyway
+            (10, (100, 100)),
+            (1000, (100, 100)),
+            # numpy's broadcast ValueError from X - Y
+            (100, (100, 50)),
+            (50, (100, 50)),
+        ],
+    )
+    def test_closeness_rejects_a_domain_size_that_is_not_the_views(self, M, sizes, explicit):
+        p, q = (self._view(size, explicit) for size in sizes)
+        account = SampleAccount()
+        with pytest.raises(DomainError, match="but the view has"):
+            closeness_test(p, q, M, 1 / M, 0.3, 0.1, CFG, Rng(51), account)
+        assert account.total == 0
+
+
+class TestClosenessMemory:
+    """Peak traced allocation of one closeness_test call, on uniform laws."""
+
+    # Each figure is the peak that the binary-search kernel with a float Z
+    # reached on the same call (584,142 bytes sparse, 1,469,608 dense), plus
+    # one guide table of G int64 entries, G = 16,384 and 32,768. The sparse
+    # call holds two guides; the dense one builds none and its integer Z
+    # makes no float copies of the count vectors.
+    @pytest.mark.parametrize(
+        "M, eps, sparse, limit",
+        [(9_202, 0.4, True, 584_142 + 8 * 16_384), (25_000, 1 / 192, False, 1_469_608 + 8 * 32_768)],
+    )
+    def test_peak_stays_under_the_stated_figure(self, M, eps, sparse, limit):
+        view = FlatView.from_law(np.full(M, 1 / M))
+        b = 2 / M
+        assert (closeness_params(M, b, eps, CFG)[0] < M) == sparse
+        # A first call pays for lazily built state (the seeded generator, the
+        # memoized repetition count); the second is the one measured.
+        closeness_test(view, view, M, b, eps, 1 / 80, CFG, Rng(60))
+        tracemalloc.start()
+        try:
+            closeness_test(view, view, M, b, eps, 1 / 80, CFG, Rng(61))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestStreamLayout:
@@ -548,11 +624,13 @@ class TestPoissonizedCounts:
         # would fail the variance and covariance checks.
         law, M = self.LAW, self.LAW.size
         lam = ratio * M
-        table = estimators._count_table(law, lam)
-        assert np.array_equal(table, np.cumsum(law))
         view = FlatView.from_law(law)
         rng = Rng(40)
         n = 20_000
+        # One table serves all n batches, which is enough lookups for a guide.
+        table = estimators._count_table(view, lam, n)
+        u = np.linspace(0.0, 1.0, 64, endpoint=False)
+        assert np.array_equal(table(u), inverse_cdf(np.cumsum(law), 1)(u))
         counts = np.array([estimators._poissonized_counts(view, table, lam, rng) for _ in range(n)])
         assert counts.shape == (n, M)
         assert np.issubdtype(counts.dtype, np.integer)
@@ -571,20 +649,22 @@ class TestPoissonizedCounts:
     def test_dense_side_is_one_poisson_per_cell_from_the_same_stream(self):
         # At and above lambda = M the counts, and the stream left behind,
         # are exactly those of rng.gen.poisson(lam * law); just below M the
-        # kernel draws K ~ Poi(lam) sorted inverse-CDF symbols instead.
+        # kernel draws K ~ Poi(lam) inverse-CDF symbols instead, with or
+        # without a guide table (one repetition, or enough for one).
         law, M = self.LAW, self.LAW.size
         view = FlatView.from_law(law)
         for lam in (float(M), M * (1 + 1e-12), 3.7 * M, 2.5e7):
             rng, ref = Rng(41), Rng(41).gen
-            counts = estimators._poissonized_counts(view, estimators._count_table(law, lam), lam, rng)
+            counts = estimators._poissonized_counts(view, estimators._count_table(view, lam, 17), lam, rng)
             assert np.array_equal(counts, ref.poisson(lam * law))
             assert rng.gen.bit_generator.state == ref.bit_generator.state
         lam = math.nextafter(M, 0)
-        rng, ref = Rng(41), Rng(41).gen
-        counts = estimators._poissonized_counts(view, estimators._count_table(law, lam), lam, rng)
-        u = np.sort(ref.random(int(ref.poisson(lam))))
-        assert np.array_equal(counts, np.bincount(inverse_cdf(np.cumsum(law), u), minlength=M))
-        assert rng.gen.bit_generator.state == ref.bit_generator.state
+        for r in (1, 1000):
+            rng, ref = Rng(41), Rng(41).gen
+            counts = estimators._poissonized_counts(view, estimators._count_table(view, lam, r), lam, rng)
+            u = ref.random(int(ref.poisson(lam)))
+            assert np.array_equal(counts, np.bincount(inverse_cdf(np.cumsum(law), u.size)(u), minlength=M))
+            assert rng.gen.bit_generator.state == ref.bit_generator.state
 
 
 class TestLearnEmpirical:
