@@ -2,20 +2,24 @@
 
 A run is fully determined by (config, seed): trial i uses the derived stream
 Rng(seed, (i,)), so results are reproducible byte-for-byte regardless of the
---jobs level. With jobs > 1 the trials run in forked worker processes, at most
-one per available core. Wall-time measurement is opt-in (record_timing)
-because it is the one field that would break byte-identical reruns.
+--jobs level. With jobs > 1 the trials split into shares: the caller runs one
+share and forks a child for each of the others, jobs - 1 children, capped by
+the trial count and the usable cores. Wall-time measurement is opt-in
+(record_timing) because it is the one field that would break byte-identical
+reruns.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
+import numbers
 import operator
 import os
+import pickle
 import time
+import traceback
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -96,17 +100,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.tester not in ("2d", "3d", "d", "learn"):
             raise DomainError(f"unknown tester {self.tester!r}")
+        # bool is an int, so JSON true and false would otherwise pass as 1 and 0.
         for name in ("trials", "jobs", "seed"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if self.jobs < 1:
             raise DomainError("jobs must be >= 1")
-        if not isinstance(self.alpha_margin, (int, float)) or not math.isfinite(self.alpha_margin):
-            raise DomainError(f"alpha_margin must be a finite number, got {self.alpha_margin!r}")
+        if not isinstance(self.record_timing, bool):
+            raise DomainError(f"record_timing must be true or false, got {self.record_timing!r}")
+        for name in ("eps", "alpha", "delta", "alpha_margin"):
+            value = getattr(self, name)
+            if (name, value) in (("alpha", "exact"), ("delta", None)):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise DomainError(f"{name} must be a finite number, got {value!r}")
         if self.delta is not None and not 0 < self.delta < 1:
             raise DomainError(f"delta must be in (0, 1), got {self.delta}")
         if not isinstance(self.instance, dict) or self.instance.get("kind") not in _INSTANCE_KEYS:
@@ -141,7 +151,7 @@ class ExperimentConfig:
             if "embed_dims" in inst and math.prod(_checked_dims(inst["embed_dims"])) != inst["m"]:
                 raise DomainError(f"embed_dims {inst['embed_dims']} do not multiply to m={inst['m']}")
         # The testers' own checks; "exact" alpha is a tv distance, so in [0, 1].
-        TesterConfig(self.eps, 0.0 if self.alpha == "exact" else float(self.alpha), self.profile).validate()
+        TesterConfig(self.eps, 0.0 if self.alpha == "exact" else self.alpha, self.profile).validate()
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":
@@ -241,7 +251,10 @@ def run_single_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
 
 
 def worker_count(jobs: int, trials: int) -> int:
-    """Worker processes for a run: jobs, capped by the trial count and the available cores."""
+    """Shares a run splits into: jobs, capped by the trial count and the usable cores.
+
+    The caller runs one share itself and forks one child for each other share.
+    """
     if hasattr(os, "sched_getaffinity"):  # absent on macOS
         cores = len(os.sched_getaffinity(0))
     else:
@@ -249,22 +262,86 @@ def worker_count(jobs: int, trials: int) -> int:
     return min(jobs, trials, cores)
 
 
-def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
-    """Runs cfg.trials independent trials, in up to cfg.jobs forked worker processes.
+def _run_share(cfg: ExperimentConfig, share: range) -> tuple[list[TrialRecord], tuple[int, Exception] | None]:
+    """The share's records up to its first failing trial, and that trial's (index, exception) or None."""
+    records = []
+    for i in share:
+        try:
+            records.append(run_single_trial(cfg, i))
+        except Exception as exc:
+            return records, (i, exc)
+    return records, None
 
-    Fork carries in-process module state (such as patched entry points) into
-    the workers without a re-import. One worker runs the trials in-process.
+
+def _fork_share(cfg: ExperimentConfig, share: range) -> tuple[int, int]:
+    """Forks a child that runs the share and writes the pickled _run_share result to a pipe.
+
+    Returns (child pid, read end of the pipe). The child always ends in
+    os._exit, so it never returns into the caller's stack.
     """
-    trial = functools.partial(run_single_trial, cfg)
-    workers = worker_count(cfg.jobs, cfg.trials)
-    if workers > 1:
-        # Imported here so that serial runs and the verdict commands skip it.
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            records, failure = _run_share(cfg, share)
+            if failure is not None:  # pickling drops the traceback; keep it as text
+                trace = "".join(traceback.format_exception(failure[1]))
+                failure[1].add_note(f"trial {failure[0]} raised in a forked child:\n{trace}")
+            with open(write_fd, "wb") as fh:
+                fh.write(pickle.dumps((records, failure)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)  # else a later child inherits it and this pipe never reaches EOF
+    return pid, read_fd
 
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork")) as pool:
-            return list(pool.map(trial, range(cfg.trials)))
-    return [trial(i) for i in range(cfg.trials)]
+
+def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
+    """Runs cfg.trials independent trials, split into worker_count shares.
+
+    Trial i belongs to share i % workers. The caller runs share 0 itself and
+    forks one child per other share; fork carries in-process module state
+    (such as patched entry points) into the children without a re-import.
+    A failing run raises the exception of its lowest-numbered failing trial,
+    the same one a serial run raises.
+    """
+    workers = worker_count(cfg.jobs, cfg.trials)
+    if workers == 1:
+        return [run_single_trial(cfg, i) for i in range(cfg.trials)]
+    shares = [range(s, cfg.trials, workers) for s in range(workers)]
+    children, payloads = [], []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(cfg, share))
+        results = [_run_share(cfg, shares[0])]
+    finally:
+        # Drained and reaped even when the caller's own share raised.
+        for pid, read_fd in children:
+            with open(read_fd, "rb") as fh:
+                payload = fh.read()
+            payloads.append((payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for share, (payload, code) in zip(shares[1:], payloads):
+        if payload:
+            results.append(pickle.loads(payload))
+        else:  # it exited in a trial, or its result could not be pickled
+            error = RuntimeError(
+                f"the forked child running trials from {share[0]} exited with code {code}, sending no records"
+            )
+            results.append(([], (share[0], error)))
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=operator.itemgetter(0))[1]
+    records = [None] * cfg.trials
+    for share, (share_records, _) in zip(shares, results):
+        records[share.start :: workers] = share_records
+    return records
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:

@@ -168,7 +168,13 @@ def gen_hard(n, m, k, alpha, eps, force_x, seed, out, eps_meas, alpha_meas):
 @main.command("bench")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--jobs", type=int, default=None, help="overrides the config's jobs (worker processes)")
+@click.option(
+    "--jobs",
+    type=int,
+    default=None,
+    help="overrides the config's jobs: this process runs one share of the trials and forks"
+    " jobs - 1 children for the others, capped by the trial count and the usable cores",
+)
 def bench(config_path, out_path, jobs):
     """Run a trial batch from a JSON config; write the per-trial CSV."""
     cfg = ExperimentConfig.from_file(config_path)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from augtest.bench import (
     CSV_COLUMNS,
     SWEEP_COLUMNS,
     ExperimentConfig,
+    TrialRecord,
     emit_report,
     emit_sweep,
     run_single_trial,
@@ -23,7 +25,8 @@ from augtest.bench import (
     wilson_interval,
     worker_count,
 )
-from augtest.domain import DomainError, JointDistribution, save_distribution
+from augtest.domain import DomainError, JointDistribution, SampleAccount, save_distribution
+from augtest.testers import Outcome, Verdict
 
 BASE = dict(
     tester="2d",
@@ -48,7 +51,7 @@ LOAD_ERRORS = [
     ({"eps": 0}, "eps must be"),
     ({"alpha": 1.5}, "alpha must be"),
     ({"alpha": -0.1}, "alpha must be"),
-    ({"alpha": "approx"}, "could not convert"),
+    ({"alpha": "approx"}, "alpha must be a finite number"),
     ({"instance": {"kind": "uniform", "dims": [8, 5], "dimz": [3]}}, "takes no keys"),
     ({"instance": {"kind": "correlated", "size": 4, "force_x": 1}}, "takes no keys"),
     ({"instance": dict(HARD2D, require_valid=False)}, "takes no keys"),
@@ -76,6 +79,17 @@ LOAD_ERRORS = [
     ({"instance": {"kind": "uniform", "dims": [1, 5]}}, "every axis size must be >= 2"),
     ({"instance": {"kind": "product_random", "dims": [2.5, 3]}}, "dims must be a sequence of integers"),
     ({"instance": {"kind": "product_random", "dims": "43"}}, "dims must be a sequence of integers"),
+    ({"trials": True}, "trials must be an integer"),
+    ({"jobs": True}, "jobs must be an integer"),
+    ({"seed": False}, "seed must be an integer"),
+    ({"record_timing": "no"}, "record_timing must be true or false"),
+    ({"record_timing": 1}, "record_timing must be true or false"),
+    ({"eps": "0.4"}, "eps must be a finite number"),
+    ({"eps": True}, "eps must be a finite number"),
+    ({"alpha": False}, "alpha must be a finite number"),
+    ({"delta": "0.05"}, "delta must be a finite number"),
+    ({"delta": True}, "delta must be a finite number"),
+    ({"alpha": "exact", "alpha_margin": True}, "alpha_margin must be a finite number"),
 ]
 
 
@@ -113,7 +127,7 @@ class TestConfig:
     @pytest.mark.parametrize("overrides, message", LOAD_ERRORS)
     def test_bad_values_fail_at_load(self, overrides, message):
         # each would otherwise fail only inside a trial, in a worker when jobs > 1
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(DomainError, match=message):
             ExperimentConfig.from_dict(dict(BASE, **overrides))
 
     @pytest.mark.parametrize(
@@ -148,6 +162,100 @@ class TestWorkers:
         cfg = ExperimentConfig.from_dict(dict(BASE, jobs=2, instance={"kind": "file", "path": str(path)}))
         with pytest.raises(DomainError):
             run_trials(cfg)
+
+
+@pytest.fixture
+def four_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test whose run_trials call waits on a child for more than 60 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("run_trials did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _stub_trials(monkeypatch, fail=(), exit_in_child=()):
+    """Replaces bench.run_single_trial: trials in `fail` raise, those in
+    `exit_in_child` end their process when it is not the caller's."""
+    caller = os.getpid()
+
+    def trial(cfg, i):
+        if i in fail:
+            raise DomainError(f"trial {i} failed")
+        if i in exit_in_child and os.getpid() != caller:
+            os._exit(3)
+        return TrialRecord(i, cfg.seed, "accept", "stub", 0, 0, 0, 0, 0, 0.0)
+
+    monkeypatch.setattr(bench, "run_single_trial", trial)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.usefixtures("four_cores", "deadline")
+class TestForkedShares:
+    # The caller runs share 0; trial i belongs to share i % workers.
+
+    @pytest.mark.parametrize("trials, jobs", [(5, 3), (7, 4)])
+    def test_uneven_shares_match_a_serial_run(self, trials, jobs):
+        assert worker_count(jobs, trials) == jobs
+        solo = run_trials(ExperimentConfig.from_dict(dict(BASE, trials=trials)))
+        assert run_trials(ExperimentConfig.from_dict(dict(BASE, trials=trials, jobs=jobs))) == solo
+
+    @pytest.mark.parametrize(
+        "failing, lowest",
+        [
+            ({0}, 0),  # the caller's share
+            ({5}, 5),  # one child's share only
+            ({5, 6, 2}, 2),  # several children's shares, the lowest not in the first of them
+            ({4, 7, 3}, 3),  # the caller's share and children's, a child's lowest
+            ({4, 5, 7}, 4),  # the caller's share and children's, the caller's lowest
+        ],
+    )
+    def test_the_lowest_failing_trial_raises_and_nothing_is_left(self, monkeypatch, failing, lowest):
+        _stub_trials(monkeypatch, fail=failing)
+        fds = _open_fds()
+        with pytest.raises(DomainError) as raised:
+            run_trials(ExperimentConfig.from_dict(dict(BASE, trials=8, jobs=4)))
+        assert str(raised.value) == f"trial {lowest} failed"
+        # a child's error comes with the child's traceback as a note
+        assert bool(getattr(raised.value, "__notes__", None)) == (lowest % 4 != 0)
+        _assert_no_children_left()
+        assert _open_fds() == fds
+
+    def test_a_child_that_exits_in_a_trial_makes_the_run_raise(self, monkeypatch):
+        _stub_trials(monkeypatch, exit_in_child={5})
+        fds = _open_fds()
+        with pytest.raises(RuntimeError, match="trials from 1 exited with code 3, sending no records"):
+            run_trials(ExperimentConfig.from_dict(dict(BASE, trials=8, jobs=4)))
+        _assert_no_children_left()
+        assert _open_fds() == fds
+
+    def test_children_see_the_callers_patched_modules(self, monkeypatch):
+        def stub(sampler, pred, tcfg, rng):
+            return Verdict(Outcome.REJECT, f"stub in {os.getpid()}", [], SampleAccount(closeness=7))
+
+        monkeypatch.setattr(bench, "aug_independence_2d", stub)
+        records = run_trials(ExperimentConfig.from_dict(dict(BASE, jobs=2)))
+        assert [(r.outcome, r.samples_total) for r in records] == [("reject", 7)] * BASE["trials"]
+        # both shares ran the stub, one of them in the caller
+        stages = {r.stage for r in records}
+        assert len(stages) == 2 and f"stub in {os.getpid()}" in stages
 
 
 class TestDeterminism:
