@@ -20,9 +20,9 @@ cell of a two-level law exceeds 2 eps / M, so q stays a law. A combination
 passes when every cell's per-repetition error is below 1/3. Among passers,
 the winner is the smallest C_close whose worst error is also <= 0.25, then
 the C_thr with the widest margin; closeness sample cost is linear in C_close.
-The 0.25 is not optional: estimators.repetitions sizes every vote from the
-binomial tail at a per-repetition error of 1/4, so the script exits 1 when
-no grid point meets it.
+The 0.25 is not optional: estimators._race_plan sizes every closeness vote
+for a per-repetition error of 1/4, so the script exits 1 when no grid point
+meets it.
 
 Writes calibration.json next to pyproject.toml and prints the chosen pair.
 The chosen values are frozen as EstimatorConfig defaults.
@@ -145,7 +145,7 @@ def main() -> int:
 
     robust = [r for r in results if r["max_error"] <= ROBUST_BAR]
     if not robust:
-        # repetitions() sizes every vote for a per-repetition error of 1/4
+        # _race_plan() sizes every closeness vote for a per-repetition error of 1/4
         print(f"no grid point kept its per-repetition error <= {ROBUST_BAR}", file=sys.stderr)
         return 1
     best_close = min(r["closeness_sample_mult"] for r in robust)

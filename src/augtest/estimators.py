@@ -1,15 +1,17 @@
 """Sample-based estimators: squared l2 norm, two-stream closeness, learning.
 
-The norm and closeness estimators follow the majority/median amplification
+The norm and closeness estimators follow the median and vote amplification
 of Chan-Diakonikolas-Valiant-Valiant (SODA'14) and Diakonikolas-Kane
-(FOCS'16): a cheap base routine that errs w.p. at most 1/4 is repeated r
-times and aggregated by median (norm) or majority (closeness), where r is
-the smallest count whose exact binomial tail P(Bin(r, 1/4) >= ceil(r/2)) is
-at most delta (see repetitions). The closeness vote stops at the first
-repetition that decides the majority, so its result is the vote of all
-repetitions while only the repetitions run draw samples. Sample draws are
-logged into a SampleAccount in units of base joint draws, counting only what
-was drawn.
+(FOCS'16): a cheap base routine that errs w.p. at most 1/4 is repeated and
+aggregated. The norm takes the median of r statistics, where r is the
+smallest count whose exact binomial tail P(Bin(r, 1/4) >= ceil(r/2)) is at
+most delta (see repetitions). Closeness runs a sequential vote (Wald's
+SPRT, 1945): it stops once accepts and rejects differ by h, or after r
+votes, and accepts iff accepts outnumber rejects, where (h, r) is sized so
+that its exact error at per-vote error 1/4 is at most delta (see
+_race_plan). A clean input stops after h votes; only the votes that run
+draw samples. Sample draws are logged into a SampleAccount in units of base
+joint draws, counting only what was drawn.
 
 When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
@@ -27,10 +29,10 @@ domain.inverse_cdf). Both batching modes produce identically distributed
 statistics; the count level is what makes desk-scale Monte-Carlo affordable.
 
 Stream layout: at the count level one estimator call draws all of its
-repetitions in sequence from the generator of the Rng it was given, building
-no child stream. A view without a law can only draw from an Rng, so there
-each repetition j splits its own child stream (j for the norm, 2j and 2j+1
-for the two closeness batches).
+repetitions (closeness votes) in sequence from the generator of the Rng it
+was given, building no child stream. A view without a law can only draw
+from an Rng, so there each repetition j splits its own child stream (j for
+the norm, 2j and 2j+1 for the two batches of closeness vote j).
 """
 
 from __future__ import annotations
@@ -89,13 +91,12 @@ def binomial_tail_at_most(r: int, p: float, k: int, delta: float) -> bool:
 def repetitions(delta: float, cfg: EstimatorConfig) -> int:
     """The smallest r with P(Bin(r, 1/4) >= ceil(r/2)) <= delta.
 
-    If each repetition errs w.p. at most 1/4, this tail bounds the chance
-    that the aggregate fails. The closeness vote rejects at 2 * rejects >= r,
-    so a null input is wrongly rejected only when at least ceil(r/2)
-    repetitions reject, and a far input wrongly accepted only when more than
-    r/2 accept. The median of r norm statistics leaves [1/2, 3/2] times the
-    truth only when at least ceil(r/2) of them miss that interval on the same
-    side, and each side is missed w.p. below 0.15 on the calibration laws.
+    This is the norm estimator's repetition count. If each statistic misses
+    [1/2, 3/2] times the truth w.p. at most 1/4, this tail bounds the chance
+    that their median does, since the median misses only when at least
+    ceil(r/2) statistics miss on the same side; each side is missed w.p.
+    below 0.15 on the calibration laws. The closeness vote is sized by
+    _race_plan instead.
 
     The tail is not monotone in r (r = 1 gives 1/4, r = 2 gives 7/16), so r
     is found by scanning up from 1; it is memoized. cfg does not enter the
@@ -107,6 +108,65 @@ def repetitions(delta: float, cfg: EstimatorConfig) -> int:
     while not binomial_tail_at_most(r, REP_ERROR, (r + 1) // 2, delta):
         r += 1
     return r
+
+
+@functools.cache
+def _race_plan(delta: float) -> tuple[int, int]:
+    """(h, r) for the closeness vote: stop at a lead of h votes, or after r.
+
+    The vote accepts iff accepts > rejects when it stops. With each vote
+    wrong w.p. 1/4, its error is that of a walk on the lead of right over
+    wrong votes: one step up w.p. 3/4, one down w.p. 1/4, stopped at -h, +h
+    or step r. On a null input the vote errs when the walk hits -h first or
+    ends the r steps at a lead of 0 or less; on a far input, where ties
+    reject, when it hits -h first or ends below 0. The first event contains
+    the second, so the plan is sized by it, summed exactly by an integer walk
+    over weights 3 and 1 per step and compared against delta's dyadic ratio,
+    as binomial_tail_at_most does.
+
+    Without a cap the walk hits -h first w.p. 1 / (3^h + 1) (gambler's
+    ruin), and each two more votes lower the capped error toward that
+    limit. h is the smallest lead whose limit is at most delta / 2, and r
+    the smallest odd cap whose error is at most delta, so the cap spends the
+    other half and always exists. That gives (5, 19) at delta 1/80 and
+    (5, 23) at 1/120, where the majority of 17 and 21 votes it replaced
+    stopped after 9 and 11 on a clean input. Spending all of delta on the
+    lead would give (4, 31) at 1/80, but a race errs at a small per-vote
+    error p about as often as h wrong votes open it, p^h: at the p of about
+    0.07 that a uniform (100, 20) input shows, (4, 31) errs about ten times
+    as often as (5, 19) and 24 times as often as the majority of 17. The
+    cost of the race is its cap: the longest vote grows from 17 to 19 and
+    from 21 to 23 votes, while the expected count at per-vote error 1/4
+    falls from 11.96 to 9.58 and from 14.65 to 9.76.
+
+    The per-vote error of 1/4 is the worst case. Couple the votes through
+    uniforms U_j, vote j wrong iff U_j < p. Raising p only turns right votes
+    into wrong ones, which lowers the walk at every step; a lower walk hits
+    -h no later, +h no sooner and ends no higher, so it errs whenever the
+    higher one does, and the error cannot fall as p rises to 1/4.
+    """
+    if not 0 < delta < 1:
+        raise DomainError(f"delta must be in (0, 1), got {delta}")
+    wrong, total = REP_ERROR.as_integer_ratio()
+    right = total - wrong
+    num, den = delta.as_integer_ratio()
+    h = 1
+    while 2 * wrong**h * den > num * (wrong**h + right**h):
+        h += 1
+    # walk[i] weighs the paths at lead i - h, scaled by total^t after t
+    # steps; the two ends absorb.
+    walk = [0] * (2 * h + 1)
+    walk[h] = 1
+    t = 0
+    while True:
+        step = [0] * (2 * h + 1)
+        step[0], step[-1] = walk[0] * total, walk[-1] * total
+        for i in range(1, 2 * h):
+            step[i + 1] += walk[i] * right
+            step[i - 1] += walk[i] * wrong
+        walk, t = step, t + 1
+        if t % 2 and sum(walk[: h + 1]) * den <= num * total**t:
+            return h, t
 
 
 def _law(view) -> np.ndarray | None:
@@ -147,7 +207,7 @@ def _check_size(M: int, *views) -> None:
 
 
 def _count_table(view, lam: float, r: int):
-    """What _poissonized_counts draws the r Poi(lam)-sized batches of the view from.
+    """What _poissonized_counts draws about r Poi(lam)-sized batches of the view from.
 
     That is the inverse-CDF map of the view's law when lam < M, where a batch
     is sparse, and the per-cell means lam * law otherwise; None when the view
@@ -248,22 +308,23 @@ def closeness_test(
     size lambda = closeness_sample_mult * M * sqrt(b) / eps^2 per stream and
     rejects when Z = sum (X_i - Y_i)^2 - X_i - Y_i exceeds
     closeness_threshold_mult * lambda^2 eps^2 / M (E[Z] = lambda^2 ||p - q||_2^2,
-    and tv >= eps forces ||p - q||_2^2 >= 4 eps^2 / M). Majority vote over
-    r repetitions; ties reject. Returns True to accept p = q. The loop stops
-    once the vote is decided: at 2 * rejects >= r, or at 2 * accepts > r.
-    Later repetitions would only draw more, so the result is the full vote
-    and the account holds the samples of the repetitions run.
+    and tv >= eps forces ||p - q||_2^2 >= 4 eps^2 / M). The votes race:
+    with (h, r) = _race_plan(delta) the loop stops once accepts and rejects
+    differ by h, or after r votes (r is odd), and returns True to accept
+    p = q iff accepts > rejects. The account holds the samples of the
+    votes that ran.
 
     A view that exposes its law draws its batches from rng's own generator,
-    X then Y within each repetition; otherwise repetition j draws X from
-    rng.split(2j) and Y from rng.split(2j + 1).
+    X then Y within each vote; otherwise vote j draws X from rng.split(2j)
+    and Y from rng.split(2j + 1).
     """
     _check_size(M, view_p, view_q)
     lam, threshold = closeness_params(M, b, eps, cfg)
-    r = repetitions(delta, cfg)
-    table_p = _count_table(view_p, lam, r)
-    table_q = _count_table(view_q, lam, r)
-    rejects = accepts = 0
+    h, r = _race_plan(delta)
+    # A vote runs at least h repetitions, and a clean input runs exactly h.
+    table_p = _count_table(view_p, lam, h)
+    table_q = _count_table(view_q, lam, h)
+    lead = 0  # accepts - rejects
     used_p = used_q = 0
     for j in range(r):
         x = _poissonized_counts(view_p, table_p, lam, _rep_rng(rng, table_p is not None, 2 * j))
@@ -280,19 +341,14 @@ def closeness_test(
         if sx + sy > _INT64_DOT_SAMPLES:
             d = d.astype(object)
         z = int(d @ d) - sx - sy
-        # Free this repetition's vectors before the next one draws its own.
+        # Free this vote's vectors before the next one draws its own.
         del x, y, d
-        if z > threshold:
-            rejects += 1
-        else:
-            accepts += 1
-        # Votes only add up, so once either side holds its majority the
-        # remaining repetitions cannot change the result.
-        if 2 * rejects >= r or 2 * accepts > r:
+        lead += 1 if z <= threshold else -1
+        if abs(lead) == h:
             break
     if account is not None:
         account.add("closeness", used_p * view_p.cost + used_q * view_q.cost)
-    return 2 * rejects < r
+    return lead > 0
 
 
 def learn_empirical(sampler, t: int, rng: Rng, account: SampleAccount | None = None) -> JointDistribution:

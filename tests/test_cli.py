@@ -262,12 +262,12 @@ class TestBenchCommands:
 
     def test_bench_jobs_override_keeps_output(self, runner, files):
         cfg = self.write_config(files["tmp"])
-        out1 = str(files["tmp"] / "a.csv")
-        out2 = str(files["tmp"] / "b.csv")
-        r1 = runner.invoke(main, ["bench", "--config", cfg, "--out", out1])
-        r2 = runner.invoke(main, ["bench", "--config", cfg, "--out", out2, "--jobs", "2"])
+        out1 = files["tmp"] / "a.csv"
+        out2 = files["tmp"] / "b.csv"
+        r1 = runner.invoke(main, ["bench", "--config", cfg, "--out", str(out1)])
+        r2 = runner.invoke(main, ["bench", "--config", cfg, "--out", str(out2), "--jobs", "2"])
         assert r1.exit_code == r2.exit_code == 0
-        assert open(out1).read() == open(out2).read()
+        assert out1.read_text() == out2.read_text()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_bench_bad_jobs_exits_one(self, runner, files, jobs):

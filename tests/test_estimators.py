@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,6 +50,36 @@ def upper_tail(r: int, p: float) -> float:
     for _ in range(r):
         law = np.convolve(law, [1.0 - p, p])
     return float(law[math.ceil(r / 2) :].sum())
+
+
+def race(votes, h: int, r: int) -> tuple[bool, int, int]:
+    """(accepted, tau, lead) of the closeness race over votes (True for
+    reject): it stops at the first vote tau where accepts - rejects = lead
+    reaches h or -h, or at tau = r, and accepts iff lead > 0."""
+    lead = 0
+    for tau, reject in enumerate(votes[:r], 1):
+        lead += -1 if reject else 1
+        if abs(lead) == h:
+            break
+    return lead > 0, tau, lead
+
+
+def race_errors(h: int, r: int, p: Fraction) -> tuple[Fraction, Fraction]:
+    """The closeness race's exact (null, far) error when each vote errs
+    w.p. p: on a null input it errs by stopping at accepts - rejects <= 0,
+    on a far input at accepts - rejects > 0 (see race)."""
+    errors = []
+    for accept, wrong in ((1 - p, lambda lead: lead <= 0), (p, lambda lead: lead > 0)):
+        law = {0: Fraction(1)}  # accepts - rejects -> probability
+        for _ in range(r):
+            step = {}
+            for lead, w in law.items():
+                moves = [(lead, 1)] if abs(lead) == h else [(lead + 1, accept), (lead - 1, 1 - accept)]
+                for to, q in moves:
+                    step[to] = step.get(to, 0) + w * q
+            law = step
+        errors.append(sum(w for lead, w in law.items() if wrong(lead)))
+    return errors[0], errors[1]
 
 
 def reference_l2_squared(view, M, delta, cfg, rng) -> float:
@@ -104,6 +135,43 @@ class TestConfig:
             repetitions(1.0, CFG)
 
 
+class TestRacePlan:
+    """_race_plan sizes the closeness race exactly at per-vote error 1/4."""
+
+    DELTAS = [0.45, 0.25, 0.2, 0.1, 0.05, 1 / 80, 1 / 120, 1 / 180, 0.01, 1e-4, 1e-6]
+
+    def test_two_and_three_axis_plans(self):
+        assert estimators._race_plan(1 / 80) == (5, 19)
+        assert estimators._race_plan(1 / 120) == (5, 23)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_plan_is_the_smallest_race_within_delta(self, delta):
+        h, r = estimators._race_plan(delta)
+        quarter, bound = Fraction(1, 4), Fraction(delta)
+        assert r % 2 == 1
+        assert max(race_errors(h, r, quarter)) <= bound
+        # h is the smallest lead whose uncapped race errs w.p. at most
+        # delta / 2, and r the smallest odd cap within delta.
+        assert Fraction(1, 3**h + 1) <= bound / 2
+        if h > 1:
+            assert Fraction(1, 3 ** (h - 1) + 1) > bound / 2
+        if r > 1:
+            assert race_errors(h, r - 2, quarter)[0] > bound
+
+    @pytest.mark.parametrize("delta", [1 / 80, 1 / 120])
+    def test_error_does_not_fall_as_the_vote_error_rises(self, delta):
+        plan = estimators._race_plan(delta)
+        errors = [race_errors(*plan, Fraction(k, 64)) for k in range(17)]
+        for side in (0, 1):
+            assert all(a[side] <= b[side] for a, b in zip(errors, errors[1:]))
+        assert errors[0] == (0, 0)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(DomainError):
+            estimators._race_plan(delta)
+
+
 def _calibration_script():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "calibrate_closeness.py")
     spec = importlib.util.spec_from_file_location("calibrate_closeness", path)
@@ -113,8 +181,9 @@ def _calibration_script():
 
 
 class TestRepetitionPremise:
-    """repetitions() assumes each repetition errs w.p. at most 1/4; these
-    measure that premise for both estimators on the calibration laws."""
+    """repetitions() and _race_plan() assume each norm statistic and each
+    closeness vote errs w.p. at most 1/4; these measure that premise for
+    both estimators on the calibration laws."""
 
     def test_calibrated_closeness_error_is_at_most_a_quarter(self):
         with open(CALIBRATION) as fh:
@@ -343,9 +412,10 @@ class TestClosenessTest:
         t = min(1.0, math.sqrt(gap * CFG.closeness_threshold_mult * eps * eps / M / float((p - w) @ (p - w))))
         return p, (1 - t) * p + t * w
 
-    def _votes(self, p, q, M, b, eps, delta, explicit, seed):
-        """closeness_test's verdict, its account and the (X, Y) pairs it drew,
-        next to every one of the r votes recomputed from the same streams."""
+    def _votes(self, p, q, M, b, eps, plan, explicit, seed):
+        """closeness_test's verdict, its account and the (X, Y) pairs it drew
+        when _race_plan returns plan = (h, r), next to every one of the r
+        votes recomputed from the same streams (True for reject)."""
         views = [FlatView.from_law(v) for v in (p, q)]
         if not explicit:
             views = [draw_only(v) for v in views]
@@ -361,9 +431,10 @@ class TestClosenessTest:
         account = SampleAccount()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "_poissonized_counts", recording)
-            accepted = closeness_test(*views, M, b, eps, delta, CFG, Rng(seed), account)
+            mp.setattr(estimators, "_race_plan", lambda delta: plan)
+            accepted = closeness_test(*views, M, b, eps, 0.1, CFG, Rng(seed), account)
         rng = Rng(seed)
-        r = repetitions(delta, CFG)
+        r = plan[1]
         votes = []
         for j in range(r):
             xy = [
@@ -392,38 +463,44 @@ class TestClosenessTest:
         seed=st.integers(0, 2**32 - 1),
         M=st.integers(2, 12),
         gap=st.floats(0.3, 2.0),
-        delta=st.sampled_from([0.45, 0.1, 0.01, 1e-4]),
+        plan=st.one_of(
+            st.sampled_from([0.45, 0.1, 0.01, 1e-4]).map(estimators._race_plan),
+            st.tuples(st.integers(1, 4), st.integers(1, 12)),
+        ),
         explicit=st.booleans(),
         sparse=st.booleans(),
     )
-    def test_curtailed_vote_is_the_full_majority(self, seed, M, gap, delta, explicit, sparse):
+    def test_curtailed_vote_is_the_full_majority(self, seed, M, gap, plan, explicit, sparse):
+        # The verdict is the race's outcome over the votes the streams hold,
+        # and only the votes up to its stopping vote tau draw. Besides the
+        # exact plans, any (h, r) is run, so an even cap can end in a tie,
+        # which must reject.
         M, b, eps = self._regime(M, sparse)
         p, q = self._near_threshold_pair(seed, M, gap, eps)
-        accepted, account, drawn, votes = self._votes(p, q, M, b, eps, delta, explicit, seed)
-        r = len(votes)
-        # the full vote: ties reject
-        assert accepted == (2 * sum(votes) < r)
-        # k is the first repetition after which one side holds its majority
-        rejects = np.cumsum(votes)
-        accepts = np.arange(1, r + 1) - rejects
-        k = 1 + int(np.flatnonzero((2 * rejects >= r) | (2 * accepts > r))[0])
-        assert len(drawn) == 2 * k
+        accepted, account, drawn, votes = self._votes(p, q, M, b, eps, plan, explicit, seed)
+        verdict, tau, _ = race(votes, *plan)
+        assert accepted == verdict
+        assert len(drawn) == 2 * tau
         assert account.closeness == sum(int(c.sum()) for c in drawn)
 
     def test_near_threshold_laws_split_the_votes(self):
         # The property above is not vacuous: on these laws single votes go
-        # both ways, and most calls stop before their last repetition, with
+        # both ways, and calls stop at a lead of h and at the cap, with
         # lambda above M and below it.
+        plan = estimators._race_plan(0.01)
         for sparse in (False, True):
             M, b, eps = self._regime(4, sparse)
-            mixed = early = 0
+            mixed = early = capped = 0
             for seed in range(20):
                 p, q = self._near_threshold_pair(seed, M, 1.0, eps)
-                _, _, drawn, votes = self._votes(p, q, M, b, eps, 0.01, True, seed)
-                mixed += 0 < sum(votes[: len(drawn) // 2]) < len(drawn) // 2
-                early += len(drawn) < 2 * len(votes)
-            assert mixed >= 5
-            assert early >= 15
+                _, _, drawn, votes = self._votes(p, q, M, b, eps, plan, True, seed)
+                tau = len(drawn) // 2
+                mixed += 0 < sum(votes[:tau]) < tau
+                early += tau < plan[1]
+                capped += tau == plan[1]
+            assert mixed >= 10
+            assert early >= 5
+            assert capped >= 5
 
     def test_validation(self):
         v = FlatView.from_law(np.array([1.0]))
@@ -486,7 +563,7 @@ class TestClosenessMemory:
         b = 2 / M
         assert (closeness_params(M, b, eps, CFG)[0] < M) == sparse
         # A first call pays for lazily built state (the seeded generator, the
-        # memoized repetition count); the second is the one measured.
+        # memoized race plan); the second is the one measured.
         closeness_test(view, view, M, b, eps, 1 / 80, CFG, Rng(60))
         tracemalloc.start()
         try:
@@ -583,31 +660,33 @@ class TestStreamLayout:
             return counts
 
         monkeypatch.setattr(estimators, "_poissonized_counts", recording)
-        delta = 0.1
-        r = repetitions(delta, CFG)
-        # b = 1 on 6 cells runs lambda above M; b = 1/M on 100 cells below it.
-        for M, b, sparse in ((6, 1.0, False), (100, 0.01, True)):
-            skewed = np.full(M, 0.5 / (M - 1))
-            skewed[0] = 0.5
-            p, q = view(np.full(M, 1 / M)), view(skewed)
-            seen.clear()
-            closeness_test(p, q, M, b, 0.5, delta, CFG, Rng(32))
-            # The vote stops after repetition k, the first that decides it.
-            lam, threshold = closeness_params(M, b, 0.5, CFG)
-            assert (lam < M) == sparse
-            rejects = accepts = k = 0
-            while 2 * rejects < r and 2 * accepts <= r:
-                (_, x), (_, y) = seen[2 * k : 2 * k + 2]
-                d = x.astype(np.float64) - y
-                z = float(d @ d - x.sum() - y.sum())
-                rejects, accepts, k = rejects + (z > threshold), accepts + (z <= threshold), k + 1
-            assert k < r
-            assert len(seen) == 2 * k
-            assert all(v is w for (v, _), w in zip(seen, [p, q] * k))
-            for _, counts in seen:
-                assert isinstance(counts, np.ndarray)
-                assert counts.shape == (M,)
-                assert np.issubdtype(counts.dtype, np.integer)
+        # The exact plan stops this far pair at a lead of h; (5, 4) runs
+        # it to the cap.
+        for h, r in (estimators._race_plan(0.1), (5, 4)):
+            monkeypatch.setattr(estimators, "_race_plan", lambda delta: (h, r))
+            # b = 1 on 6 cells runs lambda above M; b = 1/M on 100 cells below it.
+            for M, b, sparse in ((6, 1.0, False), (100, 0.01, True)):
+                skewed = np.full(M, 0.5 / (M - 1))
+                skewed[0] = 0.5
+                p, q = view(np.full(M, 1 / M)), view(skewed)
+                seen.clear()
+                closeness_test(p, q, M, b, 0.5, 0.1, CFG, Rng(32))
+                # The vote stops after vote k, the first at a lead of h, or at r.
+                lam, threshold = closeness_params(M, b, 0.5, CFG)
+                assert (lam < M) == sparse
+                lead = k = 0
+                while abs(lead) < h and k < r:
+                    (_, x), (_, y) = seen[2 * k : 2 * k + 2]
+                    d = x.astype(np.float64) - y
+                    z = float(d @ d - x.sum() - y.sum())
+                    lead, k = lead + (1 if z <= threshold else -1), k + 1
+                assert k == min(h, r)
+                assert len(seen) == 2 * k
+                assert all(v is w for (v, _), w in zip(seen, [p, q] * k))
+                for _, counts in seen:
+                    assert isinstance(counts, np.ndarray)
+                    assert counts.shape == (M,)
+                    assert np.issubdtype(counts.dtype, np.integer)
 
 
 class TestPoissonizedCounts:
