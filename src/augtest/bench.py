@@ -30,6 +30,7 @@ from .domain import (
     JointDistribution,
     JointSampler,
     Rng,
+    _check_finite,
     _checked_dims,
     load_distribution,
     outer_product,
@@ -59,6 +60,7 @@ _INSTANCE_KEYS = {
 _OPTIONAL_INSTANCE_KEYS = {"hard2d": ("force_x", "embed_dims")}
 
 SWEEP_COLUMNS = ["alpha", "mean_samples", "accept_rate", "reject_rate", "inaccurate_rate"]
+_WILSON_Z = 1.96  # the normal quantile of wilson_interval's 95 % two-sided coverage
 
 
 @dataclass(slots=True)
@@ -113,10 +115,8 @@ class ExperimentConfig:
             raise DomainError(f"record_timing must be true or false, got {self.record_timing!r}")
         for name in ("eps", "alpha", "delta", "alpha_margin"):
             value = getattr(self, name)
-            if (name, value) in (("alpha", "exact"), ("delta", None)):
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise DomainError(f"{name} must be a finite number, got {value!r}")
+            if (name, value) not in (("alpha", "exact"), ("delta", None)):
+                _check_finite(name, value)
         if self.delta is not None and not 0 < self.delta < 1:
             raise DomainError(f"delta must be in (0, 1), got {self.delta}")
         if not isinstance(self.instance, dict) or self.instance.get("kind") not in _INSTANCE_KEYS:
@@ -344,10 +344,11 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95 %) for a binomial rate."""
     if trials <= 0:
         raise DomainError("trials must be positive")
+    z = _WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -371,13 +372,17 @@ def summarize(records: Sequence[TrialRecord]) -> dict:
     return out
 
 
-def emit_report(records: Sequence[TrialRecord], csv_path: str) -> dict:
-    """Writes the per-trial CSV and returns the summary dict."""
+def _write_csv(csv_path: str, header: Sequence[str], rows) -> None:
+    """Writes a header line and then each row, in the csv module's default dialect."""
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(r.row())
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def emit_report(records: Sequence[TrialRecord], csv_path: str) -> dict:
+    """Writes the per-trial CSV and returns the summary dict."""
+    _write_csv(csv_path, CSV_COLUMNS, (r.row() for r in records))
     return summarize(records)
 
 
@@ -400,8 +405,5 @@ def sweep_alpha(cfg: ExperimentConfig, alphas: Sequence[float]) -> list[dict]:
 
 
 def emit_sweep(rows: Sequence[dict], csv_path: str) -> None:
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for r in rows:
-            writer.writerow([r[c] for c in SWEEP_COLUMNS])
+    """Writes the sweep_alpha rows as a CSV in SWEEP_COLUMNS order."""
+    _write_csv(csv_path, SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
@@ -36,6 +37,12 @@ def _checked_dims(dims: Sequence[int]) -> tuple[int, ...]:
     if any(n < 2 for n in out):
         raise DomainError(f"every axis size must be >= 2, got {out}")
     return out
+
+
+def _check_finite(name: str, value) -> None:
+    """Raises DomainError naming the field unless value is a finite real number; bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")
 
 
 class JointDistribution:
@@ -71,16 +78,10 @@ class JointDistribution:
         p = p.copy()
         p.flags.writeable = False
         self.probs = p
-        self._cum = None  # lazy cumulative table for sampling
 
     def table(self) -> np.ndarray:
         """The mass vector reshaped to the domain dims (read-only view)."""
         return self.probs.reshape(self.dims)
-
-    def cumulative(self) -> np.ndarray:
-        if self._cum is None:
-            self._cum = np.cumsum(self.probs)
-        return self._cum
 
     def __eq__(self, other):
         return (
@@ -316,7 +317,7 @@ def draw_samples(p: JointDistribution, count: int, rng: Rng) -> np.ndarray:
         raise DomainError("sample count must be >= 0")
     if count == 0:
         return np.empty((0, len(p.dims)), dtype=np.int64)
-    flat = inverse_cdf(p.cumulative(), count)(rng.gen.random(count))
+    flat = inverse_cdf(np.cumsum(p.probs), count)(rng.gen.random(count))
     idx = np.unravel_index(flat, p.dims)
     return np.stack(idx, axis=1).astype(np.int64)
 
@@ -377,13 +378,8 @@ def merge_index(
 ) -> np.ndarray:
     """Applies the merge relabeling to index rows. idx shape (k, d) -> (k, len(blocks))."""
     idx = np.asarray(idx)
-    cols = []
-    for block in blocks:
-        col = idx[:, block[0]].astype(np.int64)
-        for a in block[1:]:
-            col = col * dims[a] + idx[:, a]
-        cols.append(col)
-    return np.stack(cols, axis=1)
+    cols = [np.ravel_multi_index(tuple(idx[:, a] for a in b), [dims[a] for a in b]) for b in blocks]
+    return np.stack(cols, axis=1).astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

@@ -129,15 +129,15 @@ def _race_plan(delta: float) -> tuple[int, int]:
     limit. h is the smallest lead whose limit is at most delta / 2, and r
     the smallest odd cap whose error is at most delta, so the cap spends the
     other half and always exists. That gives (5, 19) at delta 1/80 and
-    (5, 23) at 1/120, where the majority of 17 and 21 votes it replaced
-    stopped after 9 and 11 on a clean input. Spending all of delta on the
-    lead would give (4, 31) at 1/80, but a race errs at a small per-vote
-    error p about as often as h wrong votes open it, p^h: at the p of about
-    0.07 that a uniform (100, 20) input shows, (4, 31) errs about ten times
-    as often as (5, 19) and 24 times as often as the majority of 17. The
-    cost of the race is its cap: the longest vote grows from 17 to 19 and
-    from 21 to 23 votes, while the expected count at per-vote error 1/4
-    falls from 11.96 to 9.58 and from 14.65 to 9.76.
+    (5, 23) at 1/120, and a clean input stops after 5 votes. Spending all of
+    delta on the lead would give (4, 31) at 1/80, but a race errs at a small
+    per-vote error p about as often as h wrong votes open it, p^h: at the p
+    of about 0.07 that a uniform (100, 20) input shows, (4, 31) errs about
+    ten times as often as (5, 19) and 24 times as often as a majority of 17
+    votes. The cost of the race is its cap: a vote may run 19 or 23 votes,
+    where a majority of 17 or 21 never runs more, while its expected count
+    at per-vote error 1/4 is 9.58 and 9.76, against 11.96 and 14.65 for that
+    majority.
 
     The per-vote error of 1/4 is the worst case. Couple the votes through
     uniforms U_j, vote j wrong iff U_j < p. Raising p only turns right votes
@@ -167,14 +167,6 @@ def _race_plan(delta: float) -> tuple[int, int]:
         walk, t = step, t + 1
         if t % 2 and sum(walk[: h + 1]) * den <= num * total**t:
             return h, t
-
-
-def _law(view) -> np.ndarray | None:
-    """The view's explicit law normalized to sum 1, or None when it can only draw."""
-    if view.probs is None:
-        return None
-    pv = np.asarray(view.probs, dtype=np.float64)
-    return pv / pv.sum()
 
 
 def _rep_rng(rng: Rng, count_level: bool, index: int) -> Rng:
@@ -213,10 +205,9 @@ def _count_table(view, lam: float, r: int):
     is sparse, and the per-cell means lam * law otherwise; None when the view
     can only draw.
     """
-    law = _law(view)
-    if law is None:
+    if view.probs is None:
         return None
-    return inverse_cdf(np.cumsum(law), r * lam) if lam < view.size else lam * law
+    return inverse_cdf(np.cumsum(view.probs), r * lam) if lam < view.size else lam * view.probs
 
 
 def _poissonized_counts(view, table, lam: float, rng: Rng) -> np.ndarray:
@@ -259,13 +250,12 @@ def estimate_l2_squared(
     _check_size(M, view)
     T = max(2, math.ceil(cfg.norm_sample_mult * math.ceil(math.sqrt(M))))
     r = repetitions(delta, cfg)
-    law = _law(view)
-    if law is not None:
+    if view.probs is not None:
         # One random(r * T) call draws what r random(T) calls would; sorted
         # rows group equal symbols.
         u = rng.gen.random(r * T).reshape(r, T)
         u.sort(axis=1)
-        idx = inverse_cdf(np.cumsum(law), u.size)(u)
+        idx = inverse_cdf(np.cumsum(view.probs), u.size)(u)
     else:
         idx = np.sort([view.draw(T, rng.split(j)) for j in range(r)], axis=1)
     ests = _ordered_pairs(idx) / (T * (T - 1))
@@ -326,23 +316,25 @@ def closeness_test(
     table_q = _count_table(view_q, lam, h)
     lead = 0  # accepts - rejects
     used_p = used_q = 0
+    # X - Y of every vote goes here, so a vote allocates only X and Y; a third
+    # M-sized array can make glibc trim the heap top and fault it back in.
+    d = np.empty(M, dtype=np.int64)
     for j in range(r):
         x = _poissonized_counts(view_p, table_p, lam, _rep_rng(rng, table_p is not None, 2 * j))
         y = _poissonized_counts(view_q, table_q, lam, _rep_rng(rng, table_q is not None, 2 * j + 1))
         sx, sy = int(x.sum()), int(y.sum())
         used_p += sx
         used_q += sy
-        d = x - y
+        np.subtract(x, y, out=d)
         # Exact integer Z. sum d_i^2 <= (sum |d_i|)^2 <= (sx + sy)^2, so the
         # int64 dot cannot wrap while sx + sy <= isqrt(2^63 - 1); a larger
         # batch is summed in Python ints. numpy's integer dot is its own loop,
         # not a BLAS call, so it does not multi-thread over the cores that
         # parallel trials already fill.
-        if sx + sy > _INT64_DOT_SAMPLES:
-            d = d.astype(object)
-        z = int(d @ d) - sx - sy
+        e = d.astype(object) if sx + sy > _INT64_DOT_SAMPLES else d
+        z = int(e @ e) - sx - sy
         # Free this vote's vectors before the next one draws its own.
-        del x, y, d
+        del x, y, e
         lead += 1 if z <= threshold else -1
         if abs(lead) == h:
             break

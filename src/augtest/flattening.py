@@ -106,10 +106,11 @@ def flatten_distribution_explicit(
 # Flattened sample views over a joint sampler.
 #
 # A "flat view" is 1-D sample access over [size] with an optional explicit
-# law. Estimators only need draw/size/probs/cost; cost is the number of base
-# joint draws consumed per emitted sample, used for the sample account. The
-# three builders differ only in their law and in how they group the axes
-# for _flat_view, which does every draw.
+# law, normalized to sum 1 when the view is built. Estimators only need
+# draw/size/probs/cost; cost is the number of base joint draws consumed per
+# emitted sample, used for the sample account. The three builders differ
+# only in their law and in how they group the axes for _flat_view, which
+# does every draw.
 
 
 @dataclass
@@ -121,8 +122,9 @@ class FlatView:
 
     @staticmethod
     def from_law(probs) -> "FlatView":
-        """View over [len(probs)] drawing from an explicit mass vector by inverse CDF."""
+        """View over [len(probs)] drawing by inverse CDF from a mass vector, normalized to sum 1."""
         probs = np.asarray(probs, dtype=np.float64).reshape(-1)
+        probs = probs / probs.sum()
         cum = np.cumsum(probs)
         return FlatView(probs.size, probs, 1, lambda count, rng: inverse_cdf(cum, count)(rng.gen.random(count)))
 
@@ -147,7 +149,8 @@ def _flat_view(sampler, pf: ProductFlattening, groups: Sequence[Sequence[int]], 
                 cols.append(f.offsets[ids] + sub.gen.integers(0, f.buckets[ids]))
         return np.ravel_multi_index(tuple(cols), flat_dims)
 
-    return FlatView(math.prod(flat_dims), probs, len(groups), draw)
+    law = None if probs is None else probs / probs.sum()
+    return FlatView(math.prod(flat_dims), law, len(groups), draw)
 
 
 def flattened_axis_view(sampler, axis: int, pf: ProductFlattening) -> FlatView:

@@ -19,7 +19,7 @@ of own marginals >= 3 eps, which certifies eps-farness from every product).
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -30,10 +30,14 @@ from .domain import (
     DomainError,
     JointDistribution,
     Rng,
+    _check_finite,
+    product_of_marginals,
     split_axis,
     tv_distance,
     tv_to_own_product,
 )
+
+_MAX_TRIES = 50  # gen_valid_hard_2d's draw budget; each draw passes validity_check w.p. >= 0.95
 
 # Above this eps the measured perturbation 192*eps would exceed 1 and produce
 # negative masses; the construction admits eps <= 1/192.
@@ -101,10 +105,17 @@ def check_hard_params(
     n: int, m: int, k: int, alpha: float, eps: float, force_x=None, eps_meas=None, alpha_meas=None
 ) -> tuple[float, float]:
     """Checks gen_hard_2d's arguments; returns (eps_meas, alpha_meas) with their defaults filled in."""
-    try:
-        n, m, k = map(operator.index, (n, m, k))
-    except TypeError:
-        raise DomainError(f"n, m and k must be integers, got n={n!r}, m={m!r}, k={k!r}") from None
+    # bool is an int, so JSON true would otherwise pass as 1.
+    for name, value in (("n", n), ("m", m), ("k", k)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"n, m and k must be integers, got {name}={value!r}")
+    for name, value in (("alpha", alpha), ("eps", eps), ("eps_meas", eps_meas), ("alpha_meas", alpha_meas)):
+        if value is not None or name in ("alpha", "eps"):  # None picks a measured value's default
+            _check_finite(name, value)
+    if force_x is not None and (
+        isinstance(force_x, bool) or not isinstance(force_x, numbers.Integral) or force_x not in (0, 1)
+    ):
+        raise DomainError(f"force_x must be 0 or 1, got {force_x!r}")
     if not (n >= m >= 2):
         raise DomainError(f"need n >= m >= 2, got n={n}, m={m}")
     if not (1 <= k <= n / 2):
@@ -126,8 +137,6 @@ def check_hard_params(
         raise DomainError(f"eps_meas must be in [0, 1], got {eps_meas}")
     if alpha_meas * k / n > 1:
         raise DomainError(f"alpha_meas*k/n = {alpha_meas * k / n} exceeds 1")
-    if force_x not in (None, 0, 1):
-        raise DomainError(f"force_x must be 0 or 1, got {force_x}")
     return eps_meas, alpha_meas
 
 
@@ -210,10 +219,8 @@ def poissonized_counts(inst: HardInstance, rng: Rng) -> np.ndarray:
 
 
 def rank_one_gap(p: JointDistribution) -> float:
-    """Max absolute gap between a 2-axis distribution and its marginal product."""
-    t = p.table()
-    outer = np.outer(t.sum(axis=1), t.sum(axis=0))
-    return float(np.abs(t - outer).max())
+    """Max absolute gap between a distribution and the product of its marginals."""
+    return float(np.abs(p.probs - product_of_marginals(p).probs).max())
 
 
 def validity_check(inst: HardInstance, counts: np.ndarray) -> ValidityReport:
@@ -287,17 +294,16 @@ def gen_valid_hard_2d(
     eps: float,
     rng: Rng,
     force_x: int | None = None,
-    max_tries: int = 50,
 ) -> tuple[HardInstance, np.ndarray, ValidityReport]:
-    """Redraws until validity_check passes; the pass rate is >= 0.95 by design."""
-    for t in range(max_tries):
+    """Redraws until validity_check passes, at most _MAX_TRIES times; the pass rate is >= 0.95 by design."""
+    for t in range(_MAX_TRIES):
         sub = rng.split(t)
         inst = gen_hard_2d(n, m, k, alpha, eps, sub.split(0), force_x=force_x)
         counts = poissonized_counts(inst, sub.split(1))
         report = validity_check(inst, counts)
         if report.valid:
             return inst, counts, report
-    raise RuntimeError(f"no valid instance in {max_tries} draws; parameters off-regime?")
+    raise RuntimeError(f"no valid instance in {_MAX_TRIES} draws; parameters off-regime?")
 
 
 def embed_hard_to_d(

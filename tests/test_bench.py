@@ -90,6 +90,18 @@ LOAD_ERRORS = [
     ({"delta": "0.05"}, "delta must be a finite number"),
     ({"delta": True}, "delta must be a finite number"),
     ({"alpha": "exact", "alpha_margin": True}, "alpha_margin must be a finite number"),
+    ({"instance": dict(HARD2D, alpha="0.3")}, "alpha must be a finite number"),
+    ({"instance": dict(HARD2D, alpha=True)}, "alpha must be a finite number"),
+    ({"instance": dict(HARD2D, alpha=float("nan"))}, "alpha must be a finite number"),
+    ({"instance": dict(HARD2D, eps="0.005")}, "eps must be a finite number"),
+    ({"instance": dict(HARD2D, eps=True)}, "eps must be a finite number"),
+    ({"instance": dict(HARD2D, eps=float("inf"))}, "eps must be a finite number"),
+    ({"instance": dict(HARD2D, force_x=True)}, "force_x must be 0 or 1"),
+    ({"instance": dict(HARD2D, force_x=1.0)}, "force_x must be 0 or 1"),
+    ({"instance": dict(HARD2D, force_x="1")}, "force_x must be 0 or 1"),
+    ({"instance": dict(HARD2D, n=True)}, "must be integers, got n=True"),
+    ({"instance": dict(HARD2D, m=True)}, "must be integers, got m=True"),
+    ({"instance": dict(HARD2D, k=True)}, "must be integers, got k=True"),
 ]
 
 

@@ -282,6 +282,19 @@ class TestReshaping:
         new = merged.table()[midx[:, 0], midx[:, 1]]
         assert np.allclose(orig, new, atol=0)
 
+    def test_index_relabeling_matches_the_row_major_loop(self):
+        dims, blocks = (3, 4, 2, 5), [[2, 0], [3], [1]]
+        rows = draw_samples(JointDistribution.uniform(dims), 300, Rng(37)).astype(np.int32)
+        expected = []
+        for block in blocks:
+            col = rows[:, block[0]].astype(np.int64)
+            for a in block[1:]:
+                col = col * dims[a] + rows[:, a]
+            expected.append(col)
+        midx = merge_index(rows, dims, blocks)
+        assert midx.dtype == np.int64
+        assert np.array_equal(midx, np.stack(expected, axis=1))
+
     def test_merge_rejects_a_non_partition(self):
         p = random_dist((2, 3), Rng(35).gen)
         # Axes in no block are summed out, so a block list need not cover every axis.

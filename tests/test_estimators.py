@@ -236,6 +236,9 @@ class TestFlatViewFromLaw:
         s = FlatView.from_law(np.array([0.5, 0.5]))
         assert np.array_equal(s.draw(40, Rng(2)), s.draw(40, Rng(2)))
 
+    def test_law_is_normalized_when_built(self):
+        assert np.array_equal(FlatView.from_law(np.array([1.0, 1.0, 2.0])).probs, [0.25, 0.25, 0.5])
+
 
 class TestL2Estimator:
     def test_point_mass_is_exact(self):

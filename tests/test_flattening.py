@@ -291,7 +291,13 @@ class TestFlatViews:
         # the law is built from the laws passed in, not recomputed from the sampler
         laws = [Rng(16).gen.dirichlet(np.ones(f.flat_size)) for f in self.pf.axes]
         shared = flattened_product_view(self.sampler, self.pf, laws)
-        assert np.array_equal(shared.probs, np.outer(laws[0], laws[1]).reshape(-1))
+        outer = np.outer(laws[0], laws[1]).reshape(-1)
+        assert np.array_equal(shared.probs, outer / outer.sum())
+
+    def test_product_view_normalizes_unnormalized_axis_laws(self):
+        laws = [np.arange(1.0, f.flat_size + 1) for f in self.pf.axes]
+        view = flattened_product_view(self.sampler, self.pf, laws)
+        assert view.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_views_without_explicit_law(self):
         opaque = OpaqueSampler(self.p)

@@ -66,6 +66,32 @@ class TestPreconditions:
         with pytest.raises(DomainError):
             gen_hard_2d(10, 5, 2, 0.3, EPS, Rng(1), force_x=2)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"alpha": "0.3"}, "alpha must be a finite number"),
+            ({"alpha": True}, "alpha must be a finite number"),
+            ({"eps": float("nan")}, "eps must be a finite number"),
+            ({"eps_meas": True}, "eps_meas must be a finite number"),
+            ({"eps_meas": float("inf")}, "eps_meas must be a finite number"),
+            ({"alpha_meas": "0.2"}, "alpha_meas must be a finite number"),
+            ({"alpha_meas": float("nan")}, "alpha_meas must be a finite number"),
+            ({"force_x": True}, "force_x must be 0 or 1"),
+            ({"force_x": 1.0}, "force_x must be 0 or 1"),
+            ({"n": True}, "must be integers, got n=True"),
+            ({"m": True}, "must be integers, got m=True"),
+            ({"k": True}, "must be integers, got k=True"),
+        ],
+    )
+    def test_bools_strings_and_non_finite_values_are_rejected(self, kwargs, message):
+        args = dict(n=10, m=5, k=2, alpha=0.3, eps=EPS, rng=Rng(1)) | kwargs
+        with pytest.raises(DomainError, match=message):
+            gen_hard_2d(**args)
+
+    def test_forced_bit_accepts_ints_only(self):
+        assert gen_hard_2d(10, 5, 2, 0.3, EPS, Rng(1), force_x=0).x == 0
+        assert gen_hard_2d(10, 5, 2, 0.3, EPS, Rng(1), force_x=np.int64(1)).x == 1
+
     def test_narrow_second_axis_warns_and_voids_regime(self):
         with pytest.warns(UserWarning):
             inst = gen_hard_2d(2000, 5, 10, 0.3, EPS, Rng(1))
