@@ -16,37 +16,50 @@ min(||p||_2^2, ||q||_2^2) exactly). The laws are the uniform one (b M = 1)
 with M in {10, 50, 200}, and two-level laws with b M in {2, 5} with M in
 {50, 200}: the testers size closeness from measured norms, which put b M near
 2 on a uniform (100, 20) input and near 5 on the hidden-bit instances. Every
-cell of a two-level law exceeds 2 eps / M, so q stays a law. A combination
-passes when every cell's per-repetition error is below 1/3. Among passers,
-the winner is the smallest C_close whose worst error is also <= 0.25, then
-the C_thr with the widest margin; closeness sample cost is linear in C_close.
-The 0.25 is not optional: estimators._race_plan sizes every closeness vote
-for a per-repetition error of 1/4, so the script exits 1 when no grid point
-meets it.
+cell of a two-level law exceeds 2 eps / M, so q stays a law.
 
-Writes calibration.json next to pyproject.toml and prints the chosen pair.
-The chosen values are frozen as EstimatorConfig defaults.
+The batch and the vote race are chosen as one plan. Each grid point's
+per-vote bound is its worst cell's error plus two binomial standard errors,
+rounded up to a multiple of 1/64, and its plans are estimators._race_plan at
+that bound for the two- and three-axis closeness confidences. A point is
+excluded when either plan errs by more than delta / 8 at the point's worst
+null-cell error, the error a product input's votes show: a race errs at a
+small per-vote error p about as often as p^h, so a short lead bought by a
+loose bound shows there. Among the points left, the winner has the smallest
+clean cost C_close * h (a clean call runs h votes, each costing C_close
+batch units), with h the larger of the two plans' leads, then the smallest
+worst null-cell error.
+
+Writes calibration.json next to pyproject.toml and prints the chosen point.
+The chosen multipliers are frozen as EstimatorConfig defaults and the bound
+as estimators.VOTE_ERROR; the script exits 1 when no point is left or when
+the chosen bound exceeds VOTE_ERROR, the per-vote error the committed race
+is sized for.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from augtest.domain import Rng
-from augtest.estimators import EstimatorConfig, closeness_params
+from augtest.estimators import VOTE_ERROR, EstimatorConfig, _race_plan, closeness_params
+from augtest.testers import _CLOSENESS_DELTA
 
 SEED = 20260814
-TRIALS = 4000
-ERROR_BAR = 1.0 / 3.0
-ROBUST_BAR = 0.25
-SAMPLE_MULTS = [1.0, 2.0, 3.0, 4.0, 6.0]
-THRESHOLD_MULTS = [0.5, 0.75, 1.0, 1.25, 1.5, 2.0]
+TRIALS = 16000
+SAMPLE_MULTS = [1.0, 2.0, 2.5, 3.0, 3.5, 4.0, 6.0]
+THRESHOLD_MULTS = [0.5, 0.75, 1.0, 1.25, 1.5, 1.6, 1.65, 1.7, 1.75, 2.0]
+BOUND_GRID = 64  # per-vote bounds are multiples of 1 / BOUND_GRID
+# The confidences the two- and three-axis testers run closeness at.
+DELTAS = {f"delta=1/{round(1 / d)}": d for d in _CLOSENESS_DELTA.values()}
 SIZES = [10, 50, 200]
 EPSILONS = [0.1, 0.3]
 # b M of the two-level laws, and their sizes; b M = 1 is the uniform law.
@@ -95,6 +108,55 @@ def z_samples(p: np.ndarray, q: np.ndarray, lam: float, trials: int, rng: Rng) -
     return (d * d - x - y).sum(axis=1)
 
 
+def vote_bound(error: float, trials: int) -> float:
+    """error plus two binomial standard errors, rounded up to a multiple of 1/64."""
+    upper = error + 2.0 * math.sqrt(error * (1.0 - error) / trials)
+    return math.ceil(upper * BOUND_GRID) / BOUND_GRID
+
+
+def race_null_error(h: int, r: int, p: float) -> float:
+    """The exact chance that the race (h, r) stops at a lead of 0 or less
+    when each vote errs w.p. p: its wrong-rejection rate on a null input."""
+    wrong = Fraction(p)
+    walk = [Fraction(0)] * (2 * h + 1)  # walk[i]: lead i - h; the ends absorb
+    walk[h] = Fraction(1)
+    for _ in range(r):
+        step = [Fraction(0)] * (2 * h + 1)
+        step[0], step[-1] = walk[0], walk[-1]
+        for i in range(1, 2 * h):
+            step[i + 1] += walk[i] * (1 - wrong)
+            step[i - 1] += walk[i] * wrong
+        walk = step
+    return float(sum(walk[: h + 1]))
+
+
+def plan_point(c_close: float, c_thr: float, errors: dict[str, float]) -> dict:
+    """The grid point's per-vote bound, race plans, clean cost and exclusion."""
+    max_err = max(errors.values())
+    null_err = max(e for label, e in errors.items() if label.endswith("null"))
+    point = {
+        "closeness_sample_mult": c_close,
+        "closeness_threshold_mult": c_thr,
+        "max_error": max_err,
+        "null_error": null_err,
+        "bound": vote_bound(max_err, TRIALS),
+    }
+    if point["bound"] >= 0.5:
+        # no race converges on votes that err half the time
+        return dict(point, plans=None, clean_cost=None, excluded=True, errors=errors)
+    plans = {label: _race_plan(delta, point["bound"]) for label, delta in DELTAS.items()}
+    null_race = {label: race_null_error(*plans[label], null_err) for label in plans}
+    excluded = any(null_race[label] > delta / 8 for label, delta in DELTAS.items())
+    return dict(
+        point,
+        plans=plans,
+        clean_cost=c_close * max(h for h, _ in plans.values()),
+        null_race_error=null_race,
+        excluded=excluded,
+        errors=errors,
+    )
+
+
 def main() -> int:
     root = pathlib.Path(__file__).resolve().parents[1]
     rng = Rng(SEED)
@@ -132,33 +194,23 @@ def main() -> int:
             for label, z in cell_z.items():
                 rej = float(np.mean(z > c_thr * thr_unit[label]))
                 errors[label] = rej if label.endswith("null") else 1.0 - rej
-            max_err = max(errors.values())
-            results.append(
-                {
-                    "closeness_sample_mult": c_close,
-                    "closeness_threshold_mult": c_thr,
-                    "max_error": max_err,
-                    "pass": bool(max_err < ERROR_BAR),
-                    "errors": errors,
-                }
-            )
+            results.append(plan_point(c_close, c_thr, errors))
 
-    robust = [r for r in results if r["max_error"] <= ROBUST_BAR]
-    if not robust:
-        # _race_plan() sizes every closeness vote for a per-repetition error of 1/4
-        print(f"no grid point kept its per-repetition error <= {ROBUST_BAR}", file=sys.stderr)
+    left = [r for r in results if not r["excluded"]]
+    if not left:
+        print("no grid point's race plan stays within delta / 8 at its null error", file=sys.stderr)
         return 1
-    best_close = min(r["closeness_sample_mult"] for r in robust)
-    shortlist = [r for r in robust if r["closeness_sample_mult"] == best_close]
-    chosen = max(
-        shortlist,
-        key=lambda r: (ERROR_BAR - r["max_error"], -r["closeness_threshold_mult"]),
-    )
+    chosen = min(left, key=lambda r: (r["clean_cost"], r["null_error"]))
 
     out = {
         "seed": SEED,
         "trials_per_cell": TRIALS,
-        "criterion": "per-repetition error < 1/3 on every null/alternative cell",
+        "criterion": (
+            "bound = worst cell error + 2 binomial standard errors, rounded up to k/64; "
+            "plans = _race_plan(delta, bound) at the two- and three-axis deltas; a point is "
+            "excluded when a plan errs by more than delta/8 at its worst null-cell error; "
+            "the winner has the smallest C_close * max h, then the smallest null error"
+        ),
         "norm_bound": (
             "b = ||p||_2^2 (exactly min(||p||_2^2, ||q||_2^2)); bM = 1 on the uniform "
             "cells, bM = 2 and 5 on the two-level ones"
@@ -171,13 +223,7 @@ def main() -> int:
             "two_level_M": SHAPED_SIZES,
             "eps": EPSILONS,
         },
-        "chosen": {
-            "closeness_sample_mult": chosen["closeness_sample_mult"],
-            "closeness_threshold_mult": chosen["closeness_threshold_mult"],
-            "max_error": chosen["max_error"],
-            "margin": ERROR_BAR - chosen["max_error"],
-            "errors": chosen["errors"],
-        },
+        "chosen": chosen,
         "results": results,
     }
     path = root / "calibration.json"
@@ -186,9 +232,17 @@ def main() -> int:
     print(
         "chosen: closeness_sample_mult="
         f"{chosen['closeness_sample_mult']}, closeness_threshold_mult="
-        f"{chosen['closeness_threshold_mult']} (max per-rep error "
-        f"{chosen['max_error']:.4f})"
+        f"{chosen['closeness_threshold_mult']} (max per-vote error "
+        f"{chosen['max_error']:.4f}, bound {chosen['bound']}, plans {chosen['plans']})"
     )
+    # bound >= max_error by construction, so this also holds the premise
+    if chosen["bound"] > VOTE_ERROR:
+        print(
+            f"the chosen bound {chosen['bound']} exceeds estimators.VOTE_ERROR = {VOTE_ERROR}, "
+            "the per-vote error the committed race is sized for",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

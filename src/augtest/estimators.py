@@ -2,16 +2,18 @@
 
 The norm and closeness estimators follow the median and vote amplification
 of Chan-Diakonikolas-Valiant-Valiant (SODA'14) and Diakonikolas-Kane
-(FOCS'16): a cheap base routine that errs w.p. at most 1/4 is repeated and
+(FOCS'16): a cheap base routine with a bounded error is repeated and
 aggregated. The norm takes the median of r statistics, where r is the
 smallest count whose exact binomial tail P(Bin(r, 1/4) >= ceil(r/2)) is at
 most delta (see repetitions). Closeness runs a sequential vote (Wald's
 SPRT, 1945): it stops once accepts and rejects differ by h, or after r
 votes, and accepts iff accepts outnumber rejects, where (h, r) is sized so
-that its exact error at per-vote error 1/4 is at most delta (see
-_race_plan). A clean input stops after h votes; only the votes that run
-draw samples. Sample draws are logged into a SampleAccount in units of base
-joint draws, counting only what was drawn.
+that its exact error at the calibrated per-vote error bound VOTE_ERROR is
+at most delta, with a cap of at least 2h + 1 votes (see _race_plan). The
+batch multipliers and that bound are calibrated together, so a clean input
+stops after 3 votes; only the votes that run draw samples. Sample draws are
+logged into a SampleAccount in units of base joint draws, counting only
+what was drawn.
 
 When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
@@ -62,14 +64,18 @@ class EstimatorConfig:
     """
 
     norm_sample_mult: float = 4.0  # batch size T = this * ceil(sqrt(M))
-    closeness_sample_mult: float = 2.0  # lambda = this * M * sqrt(b) / eps^2
-    closeness_threshold_mult: float = 1.5  # reject when Z > this * lambda^2 eps^2 / M
+    closeness_sample_mult: float = 3.0  # lambda = this * M * sqrt(b) / eps^2
+    closeness_threshold_mult: float = 1.65  # reject when Z > this * lambda^2 eps^2 / M
 
 
-# The per-repetition error both estimators are sized for. calibration.json
-# measures the closeness rule's worst cell at 0.192; tests/test_estimators.py
-# measures the norm statistic's misses below 1/2 and above 3/2 of the truth.
+# The per-repetition error the norm's median is sized for;
+# tests/test_estimators.py measures the statistic's misses below 1/2 and
+# above 3/2 of the truth, at most 0.15 on either side.
 REP_ERROR = 0.25
+# The per-vote error the closeness race is sized for: the calibrated rule's
+# worst measured cell plus two binomial standard errors, rounded up to a
+# multiple of 1/64 (calibration.json records it with the plans it gives).
+VOTE_ERROR = 0.125
 
 # The most samples two closeness batches may hold for their int64 Z to be exact.
 _INT64_DOT_SAMPLES = math.isqrt(2**63 - 1)
@@ -111,43 +117,42 @@ def repetitions(delta: float, cfg: EstimatorConfig) -> int:
 
 
 @functools.cache
-def _race_plan(delta: float) -> tuple[int, int]:
+def _race_plan(delta: float, vote_error: float = VOTE_ERROR) -> tuple[int, int]:
     """(h, r) for the closeness vote: stop at a lead of h votes, or after r.
 
     The vote accepts iff accepts > rejects when it stops. With each vote
-    wrong w.p. 1/4, its error is that of a walk on the lead of right over
-    wrong votes: one step up w.p. 3/4, one down w.p. 1/4, stopped at -h, +h
-    or step r. On a null input the vote errs when the walk hits -h first or
-    ends the r steps at a lead of 0 or less; on a far input, where ties
-    reject, when it hits -h first or ends below 0. The first event contains
-    the second, so the plan is sized by it, summed exactly by an integer walk
-    over weights 3 and 1 per step and compared against delta's dyadic ratio,
-    as binomial_tail_at_most does.
+    wrong w.p. p = vote_error, its error is that of a walk on the lead of
+    right over wrong votes: one step up w.p. 1 - p, one down w.p. p, stopped
+    at -h, +h or step r. On a null input the vote errs when the walk hits -h
+    first or ends the r steps at a lead of 0 or less; on a far input, where
+    ties reject, when it hits -h first or ends below 0. The first event
+    contains the second, so the plan is sized by it, summed exactly by an
+    integer walk over the dyadic weights of p and 1 - p per step and
+    compared against delta's dyadic ratio, as binomial_tail_at_most does.
 
-    Without a cap the walk hits -h first w.p. 1 / (3^h + 1) (gambler's
-    ruin), and each two more votes lower the capped error toward that
-    limit. h is the smallest lead whose limit is at most delta / 2, and r
-    the smallest odd cap whose error is at most delta, so the cap spends the
-    other half and always exists. That gives (5, 19) at delta 1/80 and
-    (5, 23) at 1/120, and a clean input stops after 5 votes. Spending all of
-    delta on the lead would give (4, 31) at 1/80, but a race errs at a small
-    per-vote error p about as often as h wrong votes open it, p^h: at the p
-    of about 0.07 that a uniform (100, 20) input shows, (4, 31) errs about
-    ten times as often as (5, 19) and 24 times as often as a majority of 17
-    votes. The cost of the race is its cap: a vote may run 19 or 23 votes,
-    where a majority of 17 or 21 never runs more, while its expected count
-    at per-vote error 1/4 is 9.58 and 9.76, against 11.96 and 14.65 for that
-    majority.
+    Without a cap the walk hits -h first w.p. p^h / (p^h + (1 - p)^h)
+    (gambler's ruin), and each two more votes lower the capped error toward
+    that limit. h is the smallest lead whose limit is at most delta / 2, and
+    r the smallest odd cap of at least 2h + 1 votes whose error is at most
+    delta, so the cap spends the other half and always exists. A race errs
+    at a per-vote error well below p about as often as h wrong votes open
+    it; a shorter cap would let a wrong verdict at the cap take fewer, while
+    at 2h + 1 it takes h + 1, so the cap never sets the error there. At the
+    calibrated VOTE_ERROR of 1/8 that gives (3, 7) at delta 1/80 and 1/120,
+    and a clean input stops after 3 votes.
 
-    The per-vote error of 1/4 is the worst case. Couple the votes through
+    The per-vote error p is the worst case. Couple the votes through
     uniforms U_j, vote j wrong iff U_j < p. Raising p only turns right votes
     into wrong ones, which lowers the walk at every step; a lower walk hits
     -h no later, +h no sooner and ends no higher, so it errs whenever the
-    higher one does, and the error cannot fall as p rises to 1/4.
+    higher one does, and the error cannot fall as the per-vote error rises
+    to p.
     """
     if not 0 < delta < 1:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
-    wrong, total = REP_ERROR.as_integer_ratio()
+    if not 0 < vote_error < 0.5:
+        raise DomainError(f"vote_error must be in (0, 1/2), got {vote_error}")
+    wrong, total = vote_error.as_integer_ratio()
     right = total - wrong
     num, den = delta.as_integer_ratio()
     h = 1
@@ -165,7 +170,7 @@ def _race_plan(delta: float) -> tuple[int, int]:
             step[i + 1] += walk[i] * right
             step[i - 1] += walk[i] * wrong
         walk, t = step, t + 1
-        if t % 2 and sum(walk[: h + 1]) * den <= num * total**t:
+        if t % 2 and t > 2 * h and sum(walk[: h + 1]) * den <= num * total**t:
             return h, t
 
 

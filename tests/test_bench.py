@@ -532,13 +532,27 @@ class TestAlphaHandling:
 
 
 class TestAmplification:
-    def test_small_delta_runs_amplified(self):
-        # amplified runs repeat the base tester 7 times, so accounts scale up
+    def test_small_delta_runs_amplified(self, monkeypatch):
+        # Amplified runs repeat the base tester until the verdict is decided:
+        # on this product input every run accepts, so 4 of the 7 run, and the
+        # account sums over them.
+        runs = []
+        tester = bench.aug_independence_2d
+
+        def recording(*args):
+            runs.append(tester(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(bench, "aug_independence_2d", recording)
         base = run_single_trial(ExperimentConfig.from_dict(dict(BASE, trials=1)), 0)
+        assert [v.account.total for v in runs] == [base.samples_total]
+        runs.clear()
         amp = run_single_trial(
             ExperimentConfig.from_dict(dict(BASE, trials=1, delta=0.05)), 0
         )
-        assert amp.samples_total > 5 * base.samples_total
+        assert [v.outcome for v in runs] == [Outcome.ACCEPT] * 4
+        assert amp.samples_total == sum(v.account.total for v in runs)
+        assert amp.samples_total > 3 * base.samples_total
 
     def test_learn_tester_ignores_amplification(self):
         cfg = ExperimentConfig.from_dict(

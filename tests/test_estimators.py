@@ -104,8 +104,8 @@ def reference_l2_squared(view, M, delta, cfg, rng) -> float:
 class TestConfig:
     def test_defaults_are_the_calibrated_constants(self):
         assert CFG.norm_sample_mult == 4.0
-        assert CFG.closeness_sample_mult == 2.0
-        assert CFG.closeness_threshold_mult == 1.5
+        assert CFG.closeness_sample_mult == 3.0
+        assert CFG.closeness_threshold_mult == 1.65
         # a recalibration that is not carried into the defaults fails here
         with open(CALIBRATION) as fh:
             chosen = json.load(fh)["chosen"]
@@ -136,40 +136,68 @@ class TestConfig:
 
 
 class TestRacePlan:
-    """_race_plan sizes the closeness race exactly at per-vote error 1/4."""
+    """_race_plan sizes the closeness race exactly at the calibrated per-vote
+    error bound VOTE_ERROR, or at the bound it is given."""
 
     DELTAS = [0.45, 0.25, 0.2, 0.1, 0.05, 1 / 80, 1 / 120, 1 / 180, 0.01, 1e-4, 1e-6]
 
     def test_two_and_three_axis_plans(self):
-        assert estimators._race_plan(1 / 80) == (5, 19)
-        assert estimators._race_plan(1 / 120) == (5, 23)
+        assert estimators.VOTE_ERROR == 1 / 8
+        assert estimators._race_plan(1 / 80) == (3, 7)
+        assert estimators._race_plan(1 / 120) == (3, 7)
+        # the norm's median stays sized at 1/4
+        assert estimators._race_plan(1 / 80, 0.25) == (5, 19)
 
+    def test_plans_are_the_calibrated_ones(self):
+        with open(CALIBRATION) as fh:
+            chosen = json.load(fh)["chosen"]
+        assert chosen["bound"] == estimators.VOTE_ERROR
+        assert sorted(chosen["plans"]) == ["delta=1/120", "delta=1/80"]
+        for label, plan in chosen["plans"].items():
+            delta = 1 / int(label.removeprefix("delta=1/"))
+            assert estimators._race_plan(delta) == tuple(plan)
+
+    @pytest.mark.parametrize("vote_error", [estimators.VOTE_ERROR, 0.25])
     @pytest.mark.parametrize("delta", DELTAS)
-    def test_plan_is_the_smallest_race_within_delta(self, delta):
-        h, r = estimators._race_plan(delta)
-        quarter, bound = Fraction(1, 4), Fraction(delta)
+    def test_plan_is_the_smallest_race_within_delta(self, delta, vote_error):
+        h, r = estimators._race_plan(delta, vote_error)
+        p, bound = Fraction(vote_error), Fraction(delta)
+        # an odd cap of at least 2h + 1 votes: a wrong verdict there takes
+        # h + 1 wrong votes, more than the h that open the race's far end
         assert r % 2 == 1
-        assert max(race_errors(h, r, quarter)) <= bound
+        assert r >= 2 * h + 1
+        assert max(race_errors(h, r, p)) <= bound
         # h is the smallest lead whose uncapped race errs w.p. at most
-        # delta / 2, and r the smallest odd cap within delta.
-        assert Fraction(1, 3**h + 1) <= bound / 2
+        # delta / 2, and r the smallest such cap within delta.
+        def limit(lead):
+            return p**lead / (p**lead + (1 - p) ** lead)
+
+        assert limit(h) <= bound / 2
         if h > 1:
-            assert Fraction(1, 3 ** (h - 1) + 1) > bound / 2
-        if r > 1:
-            assert race_errors(h, r - 2, quarter)[0] > bound
+            assert limit(h - 1) > bound / 2
+        if r > 2 * h + 1:
+            assert race_errors(h, r - 2, p)[0] > bound
 
     @pytest.mark.parametrize("delta", [1 / 80, 1 / 120])
     def test_error_does_not_fall_as_the_vote_error_rises(self, delta):
         plan = estimators._race_plan(delta)
-        errors = [race_errors(*plan, Fraction(k, 64)) for k in range(17)]
+        top = int(estimators.VOTE_ERROR * 64)
+        assert Fraction(top, 64) == Fraction(estimators.VOTE_ERROR)
+        errors = [race_errors(*plan, Fraction(k, 64)) for k in range(top + 1)]
         for side in (0, 1):
             assert all(a[side] <= b[side] for a, b in zip(errors, errors[1:]))
         assert errors[0] == (0, 0)
+        assert max(errors[-1]) <= delta
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
     def test_rejects_bad_delta(self, delta):
         with pytest.raises(DomainError):
             estimators._race_plan(delta)
+
+    @pytest.mark.parametrize("vote_error", [0.0, 0.5, 0.75, -0.125])
+    def test_rejects_a_vote_error_no_race_can_beat(self, vote_error):
+        with pytest.raises(DomainError, match="vote_error"):
+            estimators._race_plan(0.1, vote_error)
 
 
 def _calibration_script():
@@ -181,15 +209,15 @@ def _calibration_script():
 
 
 class TestRepetitionPremise:
-    """repetitions() and _race_plan() assume each norm statistic and each
-    closeness vote errs w.p. at most 1/4; these measure that premise for
-    both estimators on the calibration laws."""
+    """repetitions() assumes each norm statistic errs w.p. at most
+    REP_ERROR = 1/4, and _race_plan() that each closeness vote errs w.p. at
+    most VOTE_ERROR; these measure both premises on the calibration laws."""
 
-    def test_calibrated_closeness_error_is_at_most_a_quarter(self):
+    def test_calibrated_closeness_error_is_at_most_the_recorded_bound(self):
         with open(CALIBRATION) as fh:
             chosen = json.load(fh)["chosen"]
         assert chosen["max_error"] == max(chosen["errors"].values())
-        assert chosen["max_error"] <= estimators.REP_ERROR
+        assert chosen["max_error"] <= chosen["bound"] == estimators.VOTE_ERROR
 
     def test_norm_misses_are_covered_by_the_tail(self, monkeypatch):
         # One estimate_l2_squared call with `trials` repetitions per law, its
@@ -667,8 +695,10 @@ class TestStreamLayout:
         # it to the cap.
         for h, r in (estimators._race_plan(0.1), (5, 4)):
             monkeypatch.setattr(estimators, "_race_plan", lambda delta: (h, r))
-            # b = 1 on 6 cells runs lambda above M; b = 1/M on 100 cells below it.
-            for M, b, sparse in ((6, 1.0, False), (100, 0.01, True)):
+            # b = .64 on 6 cells runs lambda above M; b = 1/200 on 100 cells
+            # below it. A vote on the 6-cell pair rejects w.p. about 0.8 at
+            # any b, so there the early stop rests on the seed's first votes.
+            for M, b, sparse in ((6, 0.64, False), (100, 0.005, True)):
                 skewed = np.full(M, 0.5 / (M - 1))
                 skewed[0] = 0.5
                 p, q = view(np.full(M, 1 / M)), view(skewed)

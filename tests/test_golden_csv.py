@@ -27,7 +27,7 @@ GOLDEN = {
     # The three benchmark workloads.
     "closeness_2d": (
         dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}),
-        "ce15b5257ff6c45c96b9a0bf6f59f857067cbef4528edfc09d32929151c6cdc7",
+        "6deab0d4005a5623414f6d8d8dd98c150a7eb7636df23b8060ce009b8fa656b5",
         "6e012c4cdb62a83d8bf1f34b84033e40f064a89a08e592cf50c624eb706c6c96",
     ),
     "hidden_bit_2d": (
@@ -47,12 +47,12 @@ GOLDEN = {
                 "force_x": 1,
             },
         ),
-        "89a2259866c13dc7b15a97981e265a194ed0f721627b7f3f11754c5afde6053a",
+        "2c1830c9095f16f9c5eb609f9bfdd7b3655b11723e31550114e1c54ab233d99d",
         "81bca006f7d27150be5f99be486b38dde1a96d06f4ebf999b01a62fd8b5a25d3",
     ),
     "arity5_d": (
         dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2, 2, 2, 2, 2]}),
-        "a7cf1bb553e3293386556a4fa42a51ee5afd716fecf80c2682858924ebc50bf0",
+        "d0c370aa1bb62873298e419df24919978ee7b4003796463e60736ff526f25c21",
         "5975bc69a3b53d7edcf212cb0d0f53a2ce6f54ed5f48ac8f8ebd69d94b8f4e40",
     ),
     # Ascending axes: the 2-axis tester runs on its axis-permuted view.
@@ -64,17 +64,17 @@ GOLDEN = {
             prediction="uniform",
             instance={"kind": "product_random", "dims": [10, 40]},
         ),
-        "b00068b597fdc7b791d9ec73c38aa3a08ed19626a813ea699e31928ba3b74e49",
+        "d231fc6cf4069a13e969d88cea775d54e7bd67f5048fc319f815f29928b69c18",
         "eb93ae4062ea8604b9c5ceefd99cebf6089b46170f2832dcbf4b1ca13a751943",
     ),
     "product_3d": (
         dict(tester="3d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [4, 9, 6]}),
-        "d031c387645d28711daa193f87b1319d5fc8cd0bdcd686c31f1c5a5715bf6eda",
+        "4221c2d03276d924333eba7f23e0fdd519dbd3549dab320c9d60a423b2330a19",
         "d11a1befa55ce3d1c344dc6d7d8f489881e6e72ca76b87d8e6cda35eb8f28a1f",
     ),
     "grouped_d": (
         dict(tester="d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [3, 5, 2, 4]}),
-        "30a88bbfc2532c3a569e36d6bcab751c1368b5434d5c0b00afdeda56288145fa",
+        "5366abaac7a7844af50e5f01787ea9b4d28f7ff82ad91c92a560860d994a9d6b",
         "22855e1e2c9c67ff5d1e0c4941599b722744caa8a9188d559663be44fb65d4eb",
     ),
     "learn": (

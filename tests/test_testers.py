@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augtest import flattening, testers
 from augtest.domain import (
@@ -471,20 +473,87 @@ class TestAmplify:
 
         return run
 
-    def test_run_count(self):
-        seen = []
+    @staticmethod
+    def full_rule(outcomes):
+        """The most frequent of all the outcomes, ties broken toward Reject,
+        then InaccurateInformation: amplify's rule without its early stop."""
+        best = max(outcomes.count(o) for o in Outcome)
+        return next(o for o in testers._TIE_ORDER if outcomes.count(o) == best)
+
+    @staticmethod
+    def stream_run(outcomes, streams):
+        """A run that returns outcomes[i] on stream split(i) of a root Rng
+        and records each stream it is handed."""
 
         def run(rng):
-            seen.append(1)
-            return Verdict(Outcome.ACCEPT, "x", ["x"], SampleAccount(), {})
+            streams.append(rng.stream)
+            return Verdict(outcomes[rng.stream[-1]], "x", ["x"], SampleAccount(), {})
 
-        v = amplify(run, 0.05, Rng(22))
-        assert len(seen) == 7
-        assert v.detail["runs"] == 7
-        for delta, runs in [(0.01, 13), (0.001, 25)]:
-            seen.clear()
-            amplify(run, delta, Rng(22))
-            assert len(seen) == runs
+        return run
+
+    @pytest.mark.parametrize("delta, runs", [(0.05, 7), (0.01, 13), (0.001, 25)])
+    def test_run_count(self, delta, runs):
+        # Alternating outcomes stay within one of each other, so no lead is
+        # decided before the last run.
+        seen = []
+        outcomes = [Outcome.ACCEPT, Outcome.REJECT] * (runs // 2) + [Outcome.ACCEPT]
+        v = amplify(self.stream_run(outcomes, seen), delta, Rng(22))
+        assert len(seen) == runs
+        assert v.detail["runs"] == v.detail["runs_run"] == runs
+        assert v.outcome is Outcome.ACCEPT
+
+    @pytest.mark.parametrize("delta, runs, run", [(0.05, 7, 4), (0.01, 13, 7), (0.001, 25, 13)])
+    def test_unanimous_runs_stop_once_decided(self, delta, runs, run):
+        seen = []
+        v = amplify(self.stream_run([Outcome.REJECT] * runs, seen), delta, Rng(22))
+        assert seen == [(i,) for i in range(run)]
+        assert v.detail["runs"] == runs
+        assert v.detail["runs_run"] == run
+        assert v.detail["tally"]["reject"] == run
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        delta_runs=st.sampled_from([(0.05, 7), (0.01, 13), (0.001, 25)]),
+        data=st.data(),
+    )
+    def test_early_stop_keeps_the_full_outcome(self, delta_runs, data):
+        delta, runs = delta_runs
+        weights = data.draw(st.sampled_from([(1, 1, 1), (6, 3, 1), (1, 1, 8), (4, 4, 0)]))
+        pool = [o for o, w in zip(Outcome, weights) for _ in range(w)]
+        outcomes = data.draw(st.lists(st.sampled_from(pool), min_size=runs, max_size=runs))
+        seen = []
+        v = amplify(self.stream_run(outcomes, seen), delta, Rng(40))
+        assert v.outcome is self.full_rule(outcomes)
+        # run i keeps stream split(i), and the runs stop at the first run
+        # after which the leader beats every other count plus the runs left
+        k = v.detail["runs_run"]
+        assert seen == [(i,) for i in range(k)]
+        for j in range(1, runs + 1):
+            counts = sorted(outcomes[:j].count(o) for o in Outcome)
+            if counts[-1] > counts[-2] + runs - j:
+                break
+        assert k == j
+
+    def test_real_runs_keep_the_full_outcome(self):
+        # The learning tester on a 2 x 2 law whose gap to its product sits on
+        # its accept threshold 6 eps / 7 accepts and rejects about equally.
+        x = 1.5 / 7
+        law = JointDistribution.from_table(np.array([[0.25 + x, 0.25 - x], [0.25 - x, 0.25 + x]]))
+        runs = 13
+
+        def run(rng):
+            return learning_tester(JointSampler(law), 0.5, 0.1, rng)
+
+        mixed = early = 0
+        for seed in range(40):
+            rng = Rng(41, (seed,))
+            outcomes = [run(rng.split(i)).outcome for i in range(runs)]
+            v = amplify(run, 0.01, rng)
+            assert v.outcome is self.full_rule(outcomes)
+            mixed += len(set(outcomes)) > 1
+            early += v.detail["runs_run"] < runs
+        assert mixed >= 10
+        assert early >= 5
 
     def test_majority_wins(self):
         outcomes = [Outcome.ACCEPT] * 4 + [Outcome.REJECT] * 3
@@ -504,7 +573,9 @@ class TestAmplify:
 
     def test_accounts_sum_over_runs(self):
         v = amplify(self.scripted_run([Outcome.ACCEPT] * 7), 0.05, Rng(26))
-        assert v.account.learning == 70
+        # a unanimous input stops after 4 of the 7 runs
+        assert v.detail["runs_run"] == 4
+        assert v.account.learning == 40
         assert v.stage_log[0] == "amplify"
 
     def test_delta_validation(self):
@@ -516,8 +587,10 @@ class TestAmplify:
         streams = []
 
         def run(rng):
+            # alternating outcomes keep an amplified vote undecided to its last run
             streams.append(rng.stream)
-            return Verdict(Outcome.ACCEPT, "x", ["x"], SampleAccount(), {})
+            outcome = Outcome.REJECT if len(streams) % 2 == 0 else Outcome.ACCEPT
+            return Verdict(outcome, "x", ["x"], SampleAccount(), {})
 
         _run_at_delta(run, delta, Rng(28, (1,)))
         # a single run gets the stream it is handed; amplified run i gets its split i
