@@ -107,6 +107,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if self.jobs < 1:

@@ -60,7 +60,7 @@ def _tester_options(fn):
             click.option("--alpha", required=True, type=float, help="claimed tv accuracy of --pred"),
             click.option("--eps", required=True, type=float, help="farness proximity"),
             click.option("--delta", type=float, default=None, help="target failure prob; < 0.1 amplifies"),
-            click.option("--seed", type=int, default=0, show_default=True),
+            click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True),
             click.option(
                 "--profile",
                 type=click.Choice(["theory", "practical"]),
@@ -124,7 +124,7 @@ def testd(dist_path, pred_path, alpha, eps, delta, seed, profile):
 @click.option("--dist", "dist_path", required=True, type=click.Path(exists=True))
 @click.option("--eps", required=True, type=float)
 @click.option("--delta", type=float, default=0.1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--axes", default=None, help="comma-separated axis subset, e.g. 0,2")
 def learn(dist_path, eps, delta, seed, axes):
     """Learning-based independence test (no prediction needed)."""
@@ -142,7 +142,7 @@ def learn(dist_path, eps, delta, seed, axes):
 @click.option("--alpha", required=True, type=float)
 @click.option("--eps", required=True, type=float)
 @click.option("--force-x", type=click.IntRange(0, 1), default=None)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path())
 @click.option("--eps-meas", type=float, default=None, help="expert override for the sign magnitude")
 @click.option("--alpha-meas", type=float, default=None, help="expert override for the heavy-row rate")

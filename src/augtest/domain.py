@@ -115,13 +115,15 @@ class Rng:
     `split(i)` derives an independent child stream; children with distinct
     indices never collide, which keeps concurrent trials reproducible.
     The generator is seeded on first use of `gen`, so a stream that is only
-    split never pays for seeding one.
+    split never pays for seeding one. The seed must be a non-negative integer.
     """
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = ()):
         if isinstance(stream, int):
             stream = (stream,)
         self.seed = int(seed)
+        if self.seed < 0:
+            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
         self.stream = tuple(int(s) for s in stream)
 
     @cached_property
@@ -230,8 +232,15 @@ def product_of_marginals(p: JointDistribution) -> JointDistribution:
 
 
 def tv_to_own_product(p: JointDistribution) -> float:
-    """tv distance from p to the product of its own marginals."""
-    return tv_distance(p, product_of_marginals(p))
+    """tv distance from p to the product of its own marginals.
+
+    The value is tv_distance(p, product_of_marginals(p)), bit for bit: the
+    same axis sums, outer product and l1 gap, taken on arrays with no
+    JointDistribution built for the marginals or their product.
+    """
+    t, d = p.table(), len(p.dims)
+    marginals = (t.sum(axis=tuple(b for b in range(d) if b != a)) for a in range(d))
+    return 0.5 * float(np.abs(p.probs - outer_product(marginals)).sum())
 
 
 # ---------------------------------------------------------------------------

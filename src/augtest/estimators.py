@@ -23,10 +23,11 @@ law's tables), a Poissonized batch as per-symbol Poisson counts
 Poi(lambda p_i). Below one expected sample per cell (lambda < M) such a batch
 is drawn as K ~ Poi(lambda) inverse-CDF symbols and binned, which has the
 same law by Poisson splitting and draws about lambda uniforms in place of
-M Poissons; at lambda >= M it is one Poisson per cell. A call builds each
-law's inverse-CDF map once and frees it on return; when the call looks up
-enough symbols the map is a guide table, which finds a symbol in O(1) where
-a binary search takes O(log M), and returns the same index (see
+M Poissons; at lambda >= M it is one Poisson per cell. Each view keeps one
+inverse-CDF map of its law for its lifetime (FlatView.inverse_cdf), so the
+norm and closeness calls on one view share it; from the first call that
+looks up enough symbols on, it is a guide table, which finds a symbol in
+O(1) where a binary search takes O(log M), and returns the same index (see
 domain.inverse_cdf). Both batching modes produce identically distributed
 statistics; the count level is what makes desk-scale Monte-Carlo affordable.
 
@@ -50,7 +51,6 @@ from .domain import (
     JointDistribution,
     Rng,
     SampleAccount,
-    inverse_cdf,
 )
 
 
@@ -194,6 +194,21 @@ def _ordered_pairs(idx: np.ndarray) -> np.ndarray:
     return 2 * (pos - start).sum(axis=1)
 
 
+def _median(values: np.ndarray) -> float:
+    """float(np.median(values)), bit for bit, for a nonempty 1-D float array without NaNs.
+
+    values is sorted in place and its middle entry read, or the mean of its
+    two middle entries when the length is even, the same (a + b) / 2 that
+    np.median takes; a sort of a few dozen floats skips np.median's fixed
+    per-call cost.
+    """
+    values.sort()
+    mid = values.size // 2
+    if values.size % 2:
+        return float(values[mid])
+    return float((values[mid - 1] + values[mid]) / 2)
+
+
 def _check_size(M: int, *views) -> None:
     """Raises DomainError unless M >= 1 cells and every view draws over exactly M."""
     if M < 1:
@@ -212,7 +227,7 @@ def _count_table(view, lam: float, r: int):
     """
     if view.probs is None:
         return None
-    return inverse_cdf(np.cumsum(view.probs), r * lam) if lam < view.size else lam * view.probs
+    return view.inverse_cdf(r * lam) if lam < view.size else lam * view.probs
 
 
 def _poissonized_counts(view, table, lam: float, rng: Rng) -> np.ndarray:
@@ -260,13 +275,13 @@ def estimate_l2_squared(
         # rows group equal symbols.
         u = rng.gen.random(r * T).reshape(r, T)
         u.sort(axis=1)
-        idx = inverse_cdf(np.cumsum(view.probs), u.size)(u)
+        idx = view.inverse_cdf(u.size)(u)
     else:
         idx = np.sort([view.draw(T, rng.split(j)) for j in range(r)], axis=1)
     ests = _ordered_pairs(idx) / (T * (T - 1))
     if account is not None:
         account.add(stage, T * r * view.cost)
-    return float(np.median(ests))
+    return _median(ests)
 
 
 def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tuple[float, float]:

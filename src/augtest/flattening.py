@@ -14,12 +14,20 @@ fixed at 1/n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .domain import DomainError, JointDistribution, Rng, inverse_cdf, marginal, outer_product
+from .domain import (
+    _GUIDE_MIN_LOOKUPS,
+    DomainError,
+    JointDistribution,
+    Rng,
+    inverse_cdf,
+    marginal,
+    outer_product,
+)
 
 # Tolerance added before floor() so that masses intended to be exact
 # multiples of nu are not knocked down a bucket by float representation.
@@ -86,10 +94,8 @@ class ProductFlattening:
         return len(self.axes)
 
 
-def flatten_distribution_explicit(
-    p: JointDistribution, pf: ProductFlattening
-) -> JointDistribution:
-    """The exact flattened distribution: cell mass p(x) split evenly over its buckets."""
+def _flattened_law(p: JointDistribution, pf: ProductFlattening) -> np.ndarray:
+    """The flat row-major mass vector of p flattened by pf (see flatten_distribution_explicit)."""
     if p.dims != pf.base_dims:
         raise DomainError(f"distribution dims {p.dims} != flattening base {pf.base_dims}")
     t = p.table().astype(np.float64)
@@ -99,7 +105,14 @@ def flatten_distribution_explicit(
         shape = [1] * t.ndim
         shape[ax] = w.size
         t = t / w.reshape(shape)
-    return JointDistribution(pf.flat_dims, t.reshape(-1))
+    return t.reshape(-1)
+
+
+def flatten_distribution_explicit(
+    p: JointDistribution, pf: ProductFlattening
+) -> JointDistribution:
+    """The exact flattened distribution: cell mass p(x) split evenly over its buckets."""
+    return JointDistribution(pf.flat_dims, _flattened_law(p, pf))
 
 
 # ---------------------------------------------------------------------------
@@ -107,26 +120,54 @@ def flatten_distribution_explicit(
 #
 # A "flat view" is 1-D sample access over [size] with an optional explicit
 # law, normalized to sum 1 when the view is built. Estimators only need
-# draw/size/probs/cost; cost is the number of base joint draws consumed per
-# emitted sample, used for the sample account. The three builders differ
-# only in their law and in how they group the axes for _flat_view, which
-# does every draw.
+# draw/size/probs/cost, and inverse_cdf when probs is set; cost is the
+# number of base joint draws consumed per emitted sample, used for the
+# sample account. The three builders differ only in their law and in how
+# they group the axes for _flat_view, which does every draw.
 
 
 @dataclass
 class FlatView:
+    """1-D sample access over [size], with its law in probs when known.
+
+    A view with a law keeps one inverse-CDF map of it for its lifetime (see
+    inverse_cdf), so every estimator call on the view, and every count-level
+    draw, looks symbols up through the same cumulative table.
+    """
+
     size: int
     probs: np.ndarray | None
     cost: int
     draw: Callable[[int, Rng], np.ndarray]
+    _cum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _map: Callable[[np.ndarray], np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
+    _map_lookups: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def inverse_cdf(self, lookups: float) -> Callable[[np.ndarray], np.ndarray]:
+        """domain.inverse_cdf over the view's law, for about `lookups` uniforms.
+
+        The cumulative table and the map are built on the first call and
+        kept; the first call that expects enough lookups for a guide table
+        rebuilds the map once, with the guide. Every map returns the same
+        index for a u, so which one serves a call changes no draw.
+        """
+        if self._map is None or lookups >= _GUIDE_MIN_LOOKUPS > self._map_lookups:
+            if self._cum is None:
+                self._cum = np.cumsum(self.probs)
+            self._map, self._map_lookups = inverse_cdf(self._cum, lookups), lookups
+        return self._map
 
     @staticmethod
     def from_law(probs) -> "FlatView":
         """View over [len(probs)] drawing by inverse CDF from a mass vector, normalized to sum 1."""
         probs = np.asarray(probs, dtype=np.float64).reshape(-1)
         probs = probs / probs.sum()
-        cum = np.cumsum(probs)
-        return FlatView(probs.size, probs, 1, lambda count, rng: inverse_cdf(cum, count)(rng.gen.random(count)))
+
+        def draw(count: int, rng: Rng) -> np.ndarray:
+            return view.inverse_cdf(count)(rng.gen.random(count))
+
+        view = FlatView(probs.size, probs, 1, draw)
+        return view
 
 
 def _flat_view(sampler, pf: ProductFlattening, groups: Sequence[Sequence[int]], probs) -> FlatView:
@@ -166,7 +207,7 @@ def flattened_joint_view(sampler, pf: ProductFlattening) -> FlatView:
     """View of the flattened joint, linearized row-major over the flat dims."""
     probs = None
     if getattr(sampler, "dist", None) is not None:
-        probs = flatten_distribution_explicit(sampler.dist, pf).probs
+        probs = _flattened_law(sampler.dist, pf)
     return _flat_view(sampler, pf, [list(range(pf.arity))], probs)
 
 

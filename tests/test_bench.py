@@ -66,6 +66,7 @@ LOAD_ERRORS = [
     ({"trials": 2.5}, "trials must be an integer"),
     ({"jobs": 1.5}, "jobs must be an integer"),
     ({"seed": "11"}, "seed must be an integer"),
+    ({"seed": -5}, "seed must be >= 0, got -5"),
     ({"instance": dict(HARD2D, n=64.5)}, "n, m and k must be integers"),
     ({"instance": dict(HARD2D, k=6.0)}, "n, m and k must be integers"),
     ({"instance": {"kind": "correlated", "size": 2.5}}, "dims must be a sequence of integers"),

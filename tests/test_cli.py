@@ -161,6 +161,19 @@ class TestVerdictCommands:
         assert res.exit_code == 1
         assert "Error:" in res.output  # click's own message, kept
 
+    @pytest.mark.parametrize("command", ["test2d", "test3d", "testd", "learn", "gen-hard"])
+    def test_negative_seed_exits_one_naming_it(self, runner, files, command):
+        dist = files["uniform3d"] if command == "test3d" else files["uniform"]
+        args = {
+            "learn": ["--dist", dist, "--eps", "0.35"],
+            "gen-hard": ["--n", "64", "--m", "16", "--k", "6", "--alpha", "0.3", "--eps", "0.005",
+                         "--out", str(files["tmp"] / "never.json")],
+        }.get(command, ["--dist", dist, "--pred", dist, "--alpha", "0.05", "--eps", "0.4"])
+        res = runner.invoke(main, [command, *args, "--seed", "-5"])
+        assert res.exit_code == 1
+        assert "Invalid value for '--seed'" in res.output
+        assert not (files["tmp"] / "never.json").exists()
+
     @pytest.mark.parametrize(
         "payload",
         [
@@ -282,6 +295,16 @@ class TestBenchCommands:
         res = runner.invoke(main, ["bench", "--config", cfg, "--out", str(files["tmp"] / "x.csv")])
         assert res.exit_code == 1
         assert "error:" in res.output
+
+    @pytest.mark.parametrize("command", [["bench"], ["sweep-alpha", "--alphas", "0.1"]])
+    def test_negative_seed_in_config_exits_one_naming_it(self, runner, files, command):
+        cfg = self.write_config(files["tmp"], seed=-5)
+        out = files["tmp"] / "x.csv"
+        res = runner.invoke(main, [*command, "--config", cfg, "--out", str(out)])
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert res.exit_code == 1
+        assert "error: seed must be >= 0, got -5" in res.output
+        assert not out.exists()
 
     def test_bench_estimator_block_exits_one(self, runner, files):
         cfg = self.write_config(files["tmp"], estimator={"norm_sample_mult": 8.0})

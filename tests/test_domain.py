@@ -114,6 +114,24 @@ class TestRng:
         assert "gen" not in vars(r)
         assert r.gen is r.gen
 
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 + 12345, 2**70 + 1])
+    @pytest.mark.parametrize("stream", [(), (2**31 - 1,), (5, 2**40)])
+    def test_stream_is_the_seed_sequence_keyed_by_seed_and_stream(self, seed, stream):
+        # Seeds and stream entries past one or two uint32 words included.
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=stream)))
+        rng = Rng(seed, stream)
+        assert np.array_equal(rng.gen.random(8), ref.random(8))
+        assert np.array_equal(rng.gen.integers(0, 2**62, 8), ref.integers(0, 2**62, 8))
+        assert rng.gen.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [-1, -5, -(2**70)])
+    def test_negative_seed_is_rejected_by_name(self, seed):
+        # numpy would only fail at the first draw, with no name in its message.
+        with pytest.raises(DomainError, match=f"seed must be a non-negative integer, got {seed}"):
+            Rng(seed)
+        with pytest.raises(DomainError, match="seed"):
+            Rng(seed, (3,))
+
     def test_poisson_zero_mean_draws_nothing(self):
         assert poisson(0.0, Rng(1)) == 0
 
@@ -205,6 +223,14 @@ class TestMarginals:
         q = product_of_marginals(p)
         assert np.allclose(marginal(q, [0]).probs, marginal(p, [0]).probs)
         assert np.allclose(marginal(q, [1]).probs, marginal(p, [1]).probs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_tv_to_own_product_is_the_distance_to_the_marginal_product(self, data):
+        # Equal to the last bit, on Dirichlet laws with 2 to 4 axes.
+        dims = data.draw(st.lists(st.integers(2, 6), min_size=2, max_size=4), label="dims")
+        p = random_dist(dims, Rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).gen)
+        assert tv_to_own_product(p) == tv_distance(p, product_of_marginals(p))
 
     def test_correlated_pair_gap(self):
         p = JointDistribution.from_table([[0.5, 0.0], [0.0, 0.5]])

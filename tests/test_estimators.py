@@ -101,6 +101,21 @@ def reference_l2_squared(view, M, delta, cfg, rng) -> float:
     return float(np.median(ests))
 
 
+class TestMedian:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+        even=st.booleans(),
+    )
+    def test_is_numpys_median_to_the_bit(self, values, even):
+        # Odd and even lengths, ties, signed zeros and sums that overflow.
+        if (len(values) % 2 == 0) != even:
+            values = values[1:] if len(values) > 1 else values * 2
+        x = np.array(values)
+        with np.errstate(over="ignore"):
+            assert estimators._median(x.copy()) == float(np.median(x))
+
+
 class TestConfig:
     def test_defaults_are_the_calibrated_constants(self):
         assert CFG.norm_sample_mult == 4.0
@@ -583,8 +598,8 @@ class TestClosenessMemory:
     # Each figure is the peak that the binary-search kernel with a float Z
     # reached on the same call (584,142 bytes sparse, 1,469,608 dense), plus
     # one guide table of G int64 entries, G = 16,384 and 32,768. The sparse
-    # call holds two guides; the dense one builds none and its integer Z
-    # makes no float copies of the count vectors.
+    # call reuses the guide its view kept from the first call; the dense one
+    # builds none and its integer Z makes no float copies of the count vectors.
     @pytest.mark.parametrize(
         "M, eps, sparse, limit",
         [(9_202, 0.4, True, 584_142 + 8 * 16_384), (25_000, 1 / 192, False, 1_469_608 + 8 * 32_768)],
@@ -594,7 +609,7 @@ class TestClosenessMemory:
         b = 2 / M
         assert (closeness_params(M, b, eps, CFG)[0] < M) == sparse
         # A first call pays for lazily built state (the seeded generator, the
-        # memoized race plan); the second is the one measured.
+        # memoized race plan, the view's map); the second is the one measured.
         closeness_test(view, view, M, b, eps, 1 / 80, CFG, Rng(60))
         tracemalloc.start()
         try:
@@ -695,17 +710,19 @@ class TestStreamLayout:
         # it to the cap.
         for h, r in (estimators._race_plan(0.1), (5, 4)):
             monkeypatch.setattr(estimators, "_race_plan", lambda delta: (h, r))
-            # b = .64 on 6 cells runs lambda above M; b = 1/200 on 100 cells
-            # below it. A vote on the 6-cell pair rejects w.p. about 0.8 at
-            # any b, so there the early stop rests on the seed's first votes.
-            for M, b, sparse in ((6, 0.64, False), (100, 0.005, True)):
-                skewed = np.full(M, 0.5 / (M - 1))
-                skewed[0] = 0.5
-                p, q = view(np.full(M, 1 / M)), view(skewed)
+            # b = 1 at eps .1 on 6 cells runs lambda = 1,800, above M; b = .0016
+            # at eps .5 on 2,000 cells runs lambda = 960, below it. On a point
+            # mass against uniform, Z's mean lambda^2 ||p - q||^2 sits about
+            # sqrt(lambda) / 2 of its standard deviations (about 2 lambda^1.5)
+            # above the threshold, 15 or more here, so every vote rejects.
+            for M, b, eps, sparse in ((6, 1.0, 0.1, False), (2000, 0.0016, 0.5, True)):
+                point = np.zeros(M)
+                point[0] = 1.0
+                p, q = view(np.full(M, 1 / M)), view(point)
                 seen.clear()
-                closeness_test(p, q, M, b, 0.5, 0.1, CFG, Rng(32))
+                closeness_test(p, q, M, b, eps, 0.1, CFG, Rng(32))
                 # The vote stops after vote k, the first at a lead of h, or at r.
-                lam, threshold = closeness_params(M, b, 0.5, CFG)
+                lam, threshold = closeness_params(M, b, eps, CFG)
                 assert (lam < M) == sparse
                 lead = k = 0
                 while abs(lead) < h and k < r:
@@ -713,6 +730,7 @@ class TestStreamLayout:
                     d = x.astype(np.float64) - y
                     z = float(d @ d - x.sum() - y.sum())
                     lead, k = lead + (1 if z <= threshold else -1), k + 1
+                assert lead == -k
                 assert k == min(h, r)
                 assert len(seen) == 2 * k
                 assert all(v is w for (v, _), w in zip(seen, [p, q] * k))

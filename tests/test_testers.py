@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from augtest import flattening, testers
+from augtest import domain, estimators, flattening, testers
 from augtest.domain import (
     DomainError,
     JointDistribution,
@@ -216,6 +216,50 @@ class TestGateLogic:
         v = self.run(scripted_hooks([5, 5], [0.0, 0.0, 0.0]))
         assert v.stage == "closeness"
         assert sorted(axes) == [(0,), (1,)]
+
+    def test_joint_view_builds_its_sampling_map_once(self, monkeypatch):
+        # On uniform (100, 20) with the exact prediction at eps .4 the joint
+        # norm and closeness both look up enough symbols for a guide table;
+        # the joint view builds its map once and closeness reuses it.
+        p = JointDistribution.uniform((100, 20))
+        guides, lookups, joint_views, tables = [], [], [], []
+        guide_table, view_map = domain._guide_table, flattening.FlatView.inverse_cdf
+        joint_view, kernel = testers.flattened_joint_view, estimators._poissonized_counts
+
+        def counting_guide(cum):
+            guides.append(cum)
+            return guide_table(cum)
+
+        def recording_map(view, n):
+            lookups.append((view, n))
+            return view_map(view, n)
+
+        def recording_joint_view(*args):
+            joint_views.append(joint_view(*args))
+            return joint_views[-1]
+
+        def recording_counts(view, table, lam, rng):
+            tables.append((view, table))
+            return kernel(view, table, lam, rng)
+
+        monkeypatch.setattr(domain, "_guide_table", counting_guide)
+        monkeypatch.setattr(flattening.FlatView, "inverse_cdf", recording_map)
+        monkeypatch.setattr(testers, "flattened_joint_view", recording_joint_view)
+        monkeypatch.setattr(estimators, "_poissonized_counts", recording_counts)
+        v = aug_independence_2d(JointSampler(p), p, TesterConfig(eps=0.4, alpha=0.1), Rng(3))
+        assert v.outcome is Outcome.ACCEPT and v.stage == "closeness"
+        (joint,) = joint_views
+        joint_lookups = [n for view, n in lookups if view is joint]
+        assert len(joint_lookups) == 2  # the joint norm, then closeness
+        assert all(n >= domain._GUIDE_MIN_LOOKUPS for n in joint_lookups)
+        # One guide over the joint view's table, one over the product view's.
+        assert len(guides) == 2
+        assert sum(cum is joint._cum for cum in guides) == 1
+        joint_tables = [table for view, table in tables if view is joint]
+        assert joint_tables and all(table is joint._map for table in joint_tables)
+        cum = np.cumsum(joint.probs)
+        u = np.concatenate([Rng(4).gen.random(200_000), cum[:-1], np.nextafter(cum[:-1], 0), [0.0]])
+        assert np.array_equal(joint_tables[0](u), domain.inverse_cdf(cum, 1)(u))
 
     def test_norm_call_confidences(self):
         calls = []
