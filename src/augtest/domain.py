@@ -108,6 +108,17 @@ class JointDistribution:
 # Randomness
 
 
+def _stream_key(name: str, value) -> int:
+    """value as an int, or DomainError naming it unless it is a non-negative integer."""
+    try:
+        out = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        out = None
+    if out is None or out < 0:
+        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
+    return out
+
+
 class Rng:
     """Deterministic random stream keyed by (seed, stream).
 
@@ -115,16 +126,17 @@ class Rng:
     `split(i)` derives an independent child stream; children with distinct
     indices never collide, which keeps concurrent trials reproducible.
     The generator is seeded on first use of `gen`, so a stream that is only
-    split never pays for seeding one. The seed must be a non-negative integer.
+    split never pays for seeding one. The seed, each stream entry and each
+    split index must be a non-negative integer (numpy integers included, bool
+    not): a float or a string is rejected, never truncated onto another stream.
     """
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = ()):
-        if isinstance(stream, int):
-            stream = (stream,)
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise DomainError(f"seed must be a non-negative integer, got {self.seed}")
-        self.stream = tuple(int(s) for s in stream)
+        self.seed = _stream_key("seed", seed)
+        if isinstance(stream, tuple):
+            self.stream = tuple(_stream_key("stream entry", s) for s in stream)
+        else:
+            self.stream = (_stream_key("stream entry", stream),)
 
     @cached_property
     def gen(self) -> np.random.Generator:
@@ -132,7 +144,7 @@ class Rng:
         return np.random.Generator(np.random.PCG64(ss))
 
     def split(self, index: int) -> "Rng":
-        return Rng(self.seed, self.stream + (int(index),))
+        return Rng(self.seed, self.stream + (_stream_key("split index", index),))
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, stream={self.stream})"
@@ -249,9 +261,12 @@ def tv_to_own_product(p: JointDistribution) -> float:
 
 # Below this many lookups in all, a guide table saves too little to pay for
 # itself: building one runs about a dozen O(M) numpy passes that a binary
-# search does not. Timed one-shot on sorted uniforms (2-core Xeon, numpy
-# 2.4) with M from 128 to 9,202, the guide breaks even at about 2,000
-# lookups on flat laws and at 3,000 to 6,000 on Dirichlet(5) ones.
+# search does not. Timed as one map build plus one call on sorted uniforms
+# (2-core Xeon, numpy 2.4, glibc keeping freed heap pages as the bench
+# harness has it, medians of 300 interleaved calls) with M from 128 to
+# 9,202, the guide breaks even at 1,500 to 3,000 lookups on flat laws and
+# at 3,000 to 12,000 on Dirichlet(5) ones (8,000 to 12,000 at M 4,096
+# and 9,202).
 _GUIDE_MIN_LOOKUPS = 4096
 
 

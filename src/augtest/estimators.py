@@ -336,7 +336,9 @@ def closeness_test(
     table_q = _count_table(view_q, lam, h)
     lead = 0  # accepts - rejects
     used_p = used_q = 0
-    # X - Y of every vote goes here, so a vote allocates only X and Y; a third
+    # X - Y of every vote goes here, so a vote allocates only X and Y. The
+    # bench harness has glibc keep freed heap pages between trials, but a
+    # caller outside it runs with glibc's default trimming, where a third
     # M-sized array can make glibc trim the heap top and fault it back in.
     d = np.empty(M, dtype=np.int64)
     for j in range(r):

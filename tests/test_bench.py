@@ -5,7 +5,9 @@ import json
 import math
 import os
 import pickle
+import resource
 import signal
+import types
 
 import numpy as np
 import pytest
@@ -586,3 +588,81 @@ class TestSweep:
         with pytest.raises(DomainError, match="alpha must be"):
             sweep_alpha(ExperimentConfig.from_dict(dict(BASE)), [0.3, 1.5])
         assert ran == []
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+class _FakeMallopt:
+    """Stands in for libc's mallopt: records each call and returns `result`."""
+
+    def __init__(self, result=1):
+        self.calls, self.result = [], result
+        self.argtypes = self.restype = None
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+class TestFreedHeapKept:
+    @pytest.fixture
+    def fake_libc(self, monkeypatch):
+        """A fake mallopt behind ctypes.CDLL, with the once-per-process cache cleared around the test."""
+        mallopt = _FakeMallopt()
+        monkeypatch.setattr(bench.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        bench._keep_freed_heap.cache_clear()
+        yield mallopt
+        bench._keep_freed_heap.cache_clear()
+
+    def test_sets_the_top_pad_on_glibc(self, monkeypatch, fake_libc):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.39")
+        bench._keep_freed_heap()
+        bench._keep_freed_heap()
+        assert fake_libc.calls == [(-2, 4 << 20)]  # M_TOP_PAD, once per process
+        assert fake_libc.restype is not None and len(fake_libc.argtypes) == 2
+
+    def test_is_a_no_op_off_glibc(self, monkeypatch, fake_libc):
+        def unknown_name(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "confstr", unknown_name)
+        bench._keep_freed_heap()
+        monkeypatch.delattr(os, "confstr")  # as on Windows
+        bench._keep_freed_heap.cache_clear()
+        bench._keep_freed_heap()
+        assert fake_libc.calls == []
+
+    def test_a_refused_setting_warns(self, monkeypatch, fake_libc):
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.39")
+        fake_libc.result = 0
+        with pytest.warns(RuntimeWarning, match="M_TOP_PAD"):
+            bench._keep_freed_heap()
+
+    @pytest.mark.skipif(not _glibc(), reason="M_TOP_PAD is a glibc malloc parameter")
+    def test_later_trials_fault_in_no_fresh_pages(self):
+        # perfbench's hidden_bit_2d config. Without the pad glibc hands each
+        # trial's freed arrays back to the OS, and the next trial faults
+        # several hundred pages back in.
+        cfg = ExperimentConfig.from_dict(
+            dict(
+                tester="2d",
+                trials=11,
+                seed=50,
+                eps=1 / 192,
+                alpha="exact",
+                alpha_margin=0.01,
+                prediction="natural",
+                instance={"kind": "hard2d", "n": 200, "m": 20, "k": 10, "alpha": 0.3, "eps": 1 / 192, "force_x": 1},
+            )
+        )
+        run_single_trial(cfg, 0)  # warm-up
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for i in range(1, 11):
+            run_single_trial(cfg, i)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults <= 20 * 10

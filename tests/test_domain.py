@@ -132,6 +132,33 @@ class TestRng:
         with pytest.raises(DomainError, match="seed"):
             Rng(seed, (3,))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Rng(2.5), "seed must be a non-negative integer, got 2.5"),
+            (lambda: Rng("7"), "seed must be a non-negative integer, got '7'"),
+            (lambda: Rng(True), "seed must be a non-negative integer, got True"),
+            (lambda: Rng(np.float64(3.0)), r"seed must be a non-negative integer, got np.float64\(3.0\)"),
+            (lambda: Rng(7, (1.9,)), "stream entry must be a non-negative integer, got 1.9"),
+            (lambda: Rng(7, 1.9), "stream entry must be a non-negative integer, got 1.9"),
+            (lambda: Rng(7, (3, False)), "stream entry must be a non-negative integer, got False"),
+            (lambda: Rng(7, (-1,)), "stream entry must be a non-negative integer, got -1"),
+            (lambda: Rng(7).split(2.5), "split index must be a non-negative integer, got 2.5"),
+            (lambda: Rng(7).split("1"), "split index must be a non-negative integer, got '1'"),
+            (lambda: Rng(7).split(np.True_), r"split index must be a non-negative integer, got np.True_"),
+        ],
+    )
+    def test_non_integral_key_is_rejected_by_name(self, make, message):
+        # int() would truncate each of these onto another key's stream: Rng(2.5) replaying Rng(2).
+        with pytest.raises(DomainError, match=message):
+            make()
+
+    def test_numpy_integer_keys_are_the_int_keys(self):
+        rng = Rng(np.int64(7), (np.uint32(1),)).split(np.int8(2))
+        assert (rng.seed, rng.stream) == (7, (1, 2))
+        assert all(type(k) is int for k in (rng.seed, *rng.stream))
+        assert np.array_equal(rng.gen.random(4), Rng(7, (1, 2)).gen.random(4))
+
     def test_poisson_zero_mean_draws_nothing(self):
         assert poisson(0.0, Rng(1)) == 0
 
