@@ -39,18 +39,18 @@ is sized for.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import pathlib
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from augtest.domain import Rng
-from augtest.estimators import VOTE_ERROR, EstimatorConfig, _race_plan, closeness_params
+from augtest.estimators import VOTE_ERROR, EstimatorConfig, _race_errors, _race_plan, closeness_params
 from augtest.testers import _CLOSENESS_DELTA
 
 SEED = 20260814
@@ -114,22 +114,6 @@ def vote_bound(error: float, trials: int) -> float:
     return math.ceil(upper * BOUND_GRID) / BOUND_GRID
 
 
-def race_null_error(h: int, r: int, p: float) -> float:
-    """The exact chance that the race (h, r) stops at a lead of 0 or less
-    when each vote errs w.p. p: its wrong-rejection rate on a null input."""
-    wrong = Fraction(p)
-    walk = [Fraction(0)] * (2 * h + 1)  # walk[i]: lead i - h; the ends absorb
-    walk[h] = Fraction(1)
-    for _ in range(r):
-        step = [Fraction(0)] * (2 * h + 1)
-        step[0], step[-1] = walk[0], walk[-1]
-        for i in range(1, 2 * h):
-            step[i + 1] += walk[i] * (1 - wrong)
-            step[i - 1] += walk[i] * wrong
-        walk = step
-    return float(sum(walk[: h + 1]))
-
-
 def plan_point(c_close: float, c_thr: float, errors: dict[str, float]) -> dict:
     """The grid point's per-vote bound, race plans, clean cost and exclusion."""
     max_err = max(errors.values())
@@ -145,7 +129,11 @@ def plan_point(c_close: float, c_thr: float, errors: dict[str, float]) -> dict:
         # no race converges on votes that err half the time
         return dict(point, plans=None, clean_cost=None, excluded=True, errors=errors)
     plans = {label: _race_plan(delta, point["bound"]) for label, delta in DELTAS.items()}
-    null_race = {label: race_null_error(*plans[label], null_err) for label in plans}
+    # the wrong-rejection rate of each race on a null input
+    null_race = {
+        label: float(next(itertools.islice(_race_errors(h, null_err), r - 1, None)))
+        for label, (h, r) in plans.items()
+    }
     excluded = any(null_race[label] > delta / 8 for label, delta in DELTAS.items())
     return dict(
         point,

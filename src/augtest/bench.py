@@ -43,6 +43,7 @@ from .domain import (
     Rng,
     _check_finite,
     _checked_dims,
+    _stream_key,
     load_distribution,
     outer_product,
     tv_distance,
@@ -51,7 +52,6 @@ from .hard_instances import check_hard_params, embed_hard_to_d, gen_valid_hard_2
 from .testers import (
     Outcome,
     TesterConfig,
-    Verdict,
     _run_at_delta,
     aug_independence_2d,
     aug_independence_3d,
@@ -257,20 +257,14 @@ def run_single_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     tcfg = TesterConfig(eps=cfg.eps, alpha=alpha, profile=cfg.profile)
     sampler = JointSampler(dist)
 
-    def run(r: Rng) -> Verdict:
-        if cfg.tester == "2d":
-            return aug_independence_2d(sampler, pred, tcfg, r)
-        if cfg.tester == "3d":
-            return aug_independence_3d(sampler, pred, tcfg, r)
-        if cfg.tester == "d":
-            return aug_independence_d(sampler, pred, tcfg, r)
-        return test_independence_by_learning(sampler, cfg.eps, 0.1 if cfg.delta is None else cfg.delta, r)
-
     start = time.perf_counter() if cfg.record_timing else 0.0
-    if cfg.tester == "learn":
-        verdict = run(rng.split(1))
+    if cfg.tester == "learn":  # sized for delta itself, never amplified
+        delta = 0.1 if cfg.delta is None else cfg.delta
+        verdict = test_independence_by_learning(sampler, cfg.eps, delta, rng.split(1))
     else:
-        verdict = _run_at_delta(run, cfg.delta, rng.split(1))
+        # Looked up per trial: a caller may have patched these module names.
+        tester = {"2d": aug_independence_2d, "3d": aug_independence_3d, "d": aug_independence_d}[cfg.tester]
+        verdict = _run_at_delta(lambda r: tester(sampler, pred, tcfg, r), cfg.delta, rng.split(1))
     ms = (time.perf_counter() - start) * 1000.0 if cfg.record_timing else 0.0
 
     acct = verdict.account
@@ -383,9 +377,12 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Wilson score interval (95 %) for a binomial rate."""
-    if trials <= 0:
+    """Wilson score interval (95 %) for a binomial rate of successes out of trials."""
+    successes, trials = _stream_key("successes", successes), _stream_key("trials", trials)
+    if trials == 0:
         raise DomainError("trials must be positive")
+    if successes > trials:
+        raise DomainError(f"successes {successes} exceed trials {trials}")
     z = _WILSON_Z
     phat = successes / trials
     denom = 1.0 + z * z / trials

@@ -217,7 +217,7 @@ def marginal(p: JointDistribution, axes: Sequence[int]) -> JointDistribution:
 
 def _check_blocks(arity: int, blocks: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Checks a nonempty list of nonempty blocks of distinct axes in range(arity)."""
-    blocks = [tuple(int(a) for a in b) for b in blocks]
+    blocks = [tuple(_stream_key("axis", a) for a in b) for b in blocks]
     axes = [a for b in blocks for a in b]
     if not blocks or not all(blocks):
         raise DomainError(f"axis blocks {blocks} must be a nonempty list of nonempty blocks")
@@ -237,22 +237,24 @@ def outer_product(vectors) -> np.ndarray:
     return out.reshape(-1)
 
 
+def _own_product(p: JointDistribution) -> np.ndarray:
+    """The flat outer product of p's axis sums, the laws marginal(p, [a]) holds."""
+    t, d = p.table(), len(p.dims)
+    return outer_product(t.sum(axis=tuple(b for b in range(d) if b != a)) for a in range(d))
+
+
 def product_of_marginals(p: JointDistribution) -> JointDistribution:
     """The product of p's single-axis marginals, on p's own domain."""
-    marginals = (marginal(p, [a]).probs for a in range(len(p.dims)))
-    return JointDistribution(p.dims, outer_product(marginals))
+    return JointDistribution(p.dims, _own_product(p))
 
 
 def tv_to_own_product(p: JointDistribution) -> float:
     """tv distance from p to the product of its own marginals.
 
-    The value is tv_distance(p, product_of_marginals(p)), bit for bit: the
-    same axis sums, outer product and l1 gap, taken on arrays with no
-    JointDistribution built for the marginals or their product.
+    The value is tv_distance(p, product_of_marginals(p)), bit for bit, taken
+    with no JointDistribution built for the product.
     """
-    t, d = p.table(), len(p.dims)
-    marginals = (t.sum(axis=tuple(b for b in range(d) if b != a)) for a in range(d))
-    return 0.5 * float(np.abs(p.probs - outer_product(marginals)).sum())
+    return 0.5 * float(np.abs(p.probs - _own_product(p)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +339,7 @@ def draw_samples(p: JointDistribution, count: int, rng: Rng) -> np.ndarray:
     Returns:
         An int array of shape (count, arity); each row is one index tuple.
     """
-    if count < 0:
-        raise DomainError("sample count must be >= 0")
+    count = _stream_key("sample count", count)
     if count == 0:
         return np.empty((0, len(p.dims)), dtype=np.int64)
     flat = inverse_cdf(np.cumsum(p.probs), count)(rng.gen.random(count))
@@ -387,7 +388,7 @@ def merge_axes(p: JointDistribution, blocks: Sequence[Sequence[int]]) -> JointDi
 def split_axis(p: JointDistribution, axis: int, factors: Sequence[int]) -> JointDistribution:
     """Splits one axis into several, row-major (inverse of merging them back)."""
     ((axis,),) = _check_blocks(len(p.dims), [[axis]])
-    factors = tuple(int(f) for f in factors)
+    factors = _checked_dims(factors)
     if math.prod(factors) != p.dims[axis]:
         raise DomainError(
             f"factors {factors} do not multiply to axis size {p.dims[axis]}"

@@ -43,6 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -51,6 +52,8 @@ from .domain import (
     JointDistribution,
     Rng,
     SampleAccount,
+    _check_finite,
+    _stream_key,
 )
 
 
@@ -116,19 +119,40 @@ def repetitions(delta: float, cfg: EstimatorConfig) -> int:
     return r
 
 
+def _race_errors(h: int, vote_error: float):
+    """Yields the exact chance that the race (h, r) errs on a null input, for r = 1, 2, ...
+
+    The race is a walk on the lead of right over wrong votes: one step up
+    w.p. 1 - vote_error, one down w.p. vote_error, stopped at -h, +h or step
+    r. On a null input it errs when it stops at a lead of 0 or less. The
+    paths are weighed as integers over vote_error's dyadic ratio, as
+    binomial_tail_at_most does, so each value is an exact Fraction.
+    """
+    wrong, total = vote_error.as_integer_ratio()
+    right = total - wrong
+    # walk[i] weighs the paths at lead i - h, scaled by total^r after r
+    # steps; the two ends absorb.
+    walk = [0] * (2 * h + 1)
+    walk[h] = 1
+    scale = 1
+    while True:
+        step = [0] * (2 * h + 1)
+        step[0], step[-1] = walk[0] * total, walk[-1] * total
+        for i in range(1, 2 * h):
+            step[i + 1] += walk[i] * right
+            step[i - 1] += walk[i] * wrong
+        walk, scale = step, scale * total
+        yield Fraction(sum(walk[: h + 1]), scale)
+
+
 @functools.cache
 def _race_plan(delta: float, vote_error: float = VOTE_ERROR) -> tuple[int, int]:
     """(h, r) for the closeness vote: stop at a lead of h votes, or after r.
 
     The vote accepts iff accepts > rejects when it stops. With each vote
-    wrong w.p. p = vote_error, its error is that of a walk on the lead of
-    right over wrong votes: one step up w.p. 1 - p, one down w.p. p, stopped
-    at -h, +h or step r. On a null input the vote errs when the walk hits -h
-    first or ends the r steps at a lead of 0 or less; on a far input, where
-    ties reject, when it hits -h first or ends below 0. The first event
-    contains the second, so the plan is sized by it, summed exactly by an
-    integer walk over the dyadic weights of p and 1 - p per step and
-    compared against delta's dyadic ratio, as binomial_tail_at_most does.
+    wrong w.p. p = vote_error, a far input, where ties reject, errs only on
+    paths where a null input errs too, so the plan is sized by the exact
+    null-input error _race_errors(h, p), compared against delta.
 
     Without a cap the walk hits -h first w.p. p^h / (p^h + (1 - p)^h)
     (gambler's ruin), and each two more votes lower the capped error toward
@@ -158,20 +182,9 @@ def _race_plan(delta: float, vote_error: float = VOTE_ERROR) -> tuple[int, int]:
     h = 1
     while 2 * wrong**h * den > num * (wrong**h + right**h):
         h += 1
-    # walk[i] weighs the paths at lead i - h, scaled by total^t after t
-    # steps; the two ends absorb.
-    walk = [0] * (2 * h + 1)
-    walk[h] = 1
-    t = 0
-    while True:
-        step = [0] * (2 * h + 1)
-        step[0], step[-1] = walk[0] * total, walk[-1] * total
-        for i in range(1, 2 * h):
-            step[i + 1] += walk[i] * right
-            step[i - 1] += walk[i] * wrong
-        walk, t = step, t + 1
-        if t % 2 and t > 2 * h and sum(walk[: h + 1]) * den <= num * total**t:
-            return h, t
+    for r, error in enumerate(_race_errors(h, vote_error), start=1):
+        if r % 2 and r > 2 * h and error <= delta:
+            return h, r
 
 
 def _rep_rng(rng: Rng, count_level: bool, index: int) -> Rng:
@@ -291,6 +304,8 @@ def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tupl
     mass vector has l2^2 <= 1, so it is clamped to 1 rather than inflating
     the batch; the testers pass measured bounds, which are usually far below.
     """
+    _check_finite("eps", eps)
+    _check_finite("b", b)
     if not 0 < eps <= 2:
         raise DomainError(f"eps must be in (0, 2], got {eps}")
     if b <= 0:
@@ -367,6 +382,7 @@ def closeness_test(
 
 def learn_empirical(sampler, t: int, rng: Rng, account: SampleAccount | None = None) -> JointDistribution:
     """Empirical histogram of t draws over sampler.dims, as an exact rational-count distribution."""
+    t = _stream_key("sample size t", t)
     if t < 1:
         raise DomainError("sample size t must be >= 1")
     dims = tuple(sampler.dims)

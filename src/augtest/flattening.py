@@ -38,12 +38,14 @@ class AxisFlattening:
     """Bucket layout for one axis: symbol i owns buckets offsets[i] .. offsets[i]+b_i-1."""
 
     def __init__(self, buckets):
-        b = np.asarray(buckets, dtype=np.int64)
+        b = np.asarray(buckets)
         if b.ndim != 1 or b.size == 0:
             raise DomainError("bucket vector must be 1-D and nonempty")
+        if b.dtype.kind not in "iu":
+            raise DomainError(f"bucket counts must be integers, got {buckets!r}")
         if np.any(b < 1):
             raise DomainError("every symbol needs at least one bucket")
-        self.buckets = b.copy()
+        b = self.buckets = b.astype(np.int64)
         self.buckets.flags.writeable = False
         self.offsets = np.concatenate(([0], np.cumsum(b)[:-1]))
         self.offsets.flags.writeable = False
@@ -66,7 +68,10 @@ def build_axis_flattening(pred_marginal, counts) -> AxisFlattening:
         <= 2n + sum(counts).
     """
     q = np.asarray(pred_marginal, dtype=np.float64).reshape(-1)
-    c = np.asarray(counts, dtype=np.int64).reshape(-1)
+    c = np.asarray(counts).reshape(-1)
+    if c.size and c.dtype.kind not in "iu":
+        raise DomainError(f"counts must be integers, got {counts!r}")
+    c = c.astype(np.int64, copy=False)
     if q.size != c.size:
         raise DomainError(f"marginal length {q.size} != counts length {c.size}")
     if np.any(q < 0):
@@ -119,7 +124,7 @@ def flatten_distribution_explicit(
 # Flattened sample views over a joint sampler.
 #
 # A "flat view" is 1-D sample access over [size] with an optional explicit
-# law, normalized to sum 1 when the view is built. Estimators only need
+# law, normalized to sum 1 by FlatView itself. Estimators only need
 # draw/size/probs/cost, and inverse_cdf when probs is set; cost is the
 # number of base joint draws consumed per emitted sample, used for the
 # sample account. The three builders differ only in their law and in how
@@ -130,9 +135,10 @@ def flatten_distribution_explicit(
 class FlatView:
     """1-D sample access over [size], with its law in probs when known.
 
-    A view with a law keeps one inverse-CDF map of it for its lifetime (see
-    inverse_cdf), so every estimator call on the view, and every count-level
-    draw, looks symbols up through the same cumulative table.
+    A law is divided by its sum once, when the view is built, and its one
+    inverse-CDF map is kept for the view's lifetime (see inverse_cdf), so
+    every estimator call on the view, and every count-level draw, looks
+    symbols up through the same cumulative table.
     """
 
     size: int
@@ -142,6 +148,11 @@ class FlatView:
     _cum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _map: Callable[[np.ndarray], np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
     _map_lookups: float = field(default=0.0, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.probs is not None:
+            probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
+            self.probs = probs / probs.sum()
 
     def inverse_cdf(self, lookups: float) -> Callable[[np.ndarray], np.ndarray]:
         """domain.inverse_cdf over the view's law, for about `lookups` uniforms.
@@ -160,13 +171,11 @@ class FlatView:
     @staticmethod
     def from_law(probs) -> "FlatView":
         """View over [len(probs)] drawing by inverse CDF from a mass vector, normalized to sum 1."""
-        probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-        probs = probs / probs.sum()
 
         def draw(count: int, rng: Rng) -> np.ndarray:
             return view.inverse_cdf(count)(rng.gen.random(count))
 
-        view = FlatView(probs.size, probs, 1, draw)
+        view = FlatView(np.size(probs), probs, 1, draw)
         return view
 
 
@@ -190,8 +199,7 @@ def _flat_view(sampler, pf: ProductFlattening, groups: Sequence[Sequence[int]], 
                 cols.append(f.offsets[ids] + sub.gen.integers(0, f.buckets[ids]))
         return np.ravel_multi_index(tuple(cols), flat_dims)
 
-    law = None if probs is None else probs / probs.sum()
-    return FlatView(math.prod(flat_dims), law, len(groups), draw)
+    return FlatView(math.prod(flat_dims), probs, len(groups), draw)
 
 
 def flattened_axis_view(sampler, axis: int, pf: ProductFlattening) -> FlatView:

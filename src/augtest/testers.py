@@ -31,6 +31,9 @@ from .domain import (
     JointSampler,
     Rng,
     SampleAccount,
+    _check_blocks,
+    _check_finite,
+    _checked_dims,
     marginal,
     merge_axes,
     merge_index,
@@ -62,10 +65,14 @@ class Outcome(str, Enum):
 @dataclass
 class Verdict:
     outcome: Outcome
-    stage: str  # the stage whose check decided the run
     stage_log: list[str]  # ordered stages entered
     account: SampleAccount
     detail: dict = field(default_factory=dict)
+
+    @property
+    def stage(self) -> str:
+        """The stage whose check decided the run: the last one entered."""
+        return self.stage_log[-1]
 
     def to_json(self, seed: int | None = None) -> dict:
         out = {
@@ -121,6 +128,8 @@ class TesterConfig:
     def validate(self) -> None:
         if self.profile not in ("theory", "practical"):
             raise DomainError(f"unknown profile {self.profile!r}")
+        _check_finite("eps", self.eps)
+        _check_finite("alpha", self.alpha)
         if not 0 < self.eps <= 1:
             raise DomainError(f"eps must be in (0, 1], got {self.eps}")
         if not 0 <= self.alpha <= 1:
@@ -165,7 +174,7 @@ class ReindexedSampler:
 
     def __init__(self, base, blocks: Sequence[Sequence[int]]):
         self.base = base
-        self.blocks = [[int(a) for a in blk] for blk in blocks]
+        self.blocks = _check_blocks(len(base.dims), blocks)
         self.dims = tuple(math.prod(base.dims[a] for a in blk) for blk in self.blocks)
         inner = getattr(base, "dist", None)
         self.dist = None if inner is None else merge_axes(inner, self.blocks)
@@ -210,7 +219,7 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     shat = [hooks.poisson(s[l], rng.split(l)) for l in range(arity)]
     detail["s_hat"] = shat
     if any(shat[l] > cap * s[l] for l in range(arity)):
-        return Verdict(Outcome.REJECT, "poisson_cap", stage_log, account, detail)
+        return Verdict(Outcome.REJECT, stage_log, account, detail)
 
     # Flattening: each axis consumes its own projected joint draws.
     stage_log.append("flattening")
@@ -233,7 +242,7 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     ]
     detail["marginal_norms"] = marg_norms
     if any(marg_norms[l] > gate * tau[l] for l in range(arity)):
-        return Verdict(Outcome.INACCURATE, "norm_gate", stage_log, account, detail)
+        return Verdict(Outcome.INACCURATE, stage_log, account, detail)
 
     # Joint norm gate: a product of small-norm marginals has small joint norm,
     # so an oversized joint flattened norm is evidence against independence.
@@ -245,7 +254,7 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     joint_norm = hooks.norm(joint_view, pf.flat_size, norm_delta, _ESTIMATOR, rng.split(30), account)
     detail["joint_norm"] = joint_norm
     if joint_norm > joint_reject * math.prod(tau):
-        return Verdict(Outcome.REJECT, "joint_norm", stage_log, account, detail)
+        return Verdict(Outcome.REJECT, stage_log, account, detail)
 
     # l1 closeness between the flattened joint and the product of flattened
     # marginals; flattening preserved the tv gap.
@@ -264,7 +273,7 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
         account,
     )
     outcome = Outcome.ACCEPT if ok else Outcome.REJECT
-    return Verdict(outcome, "closeness", stage_log, account, detail)
+    return Verdict(outcome, stage_log, account, detail)
 
 
 def _closeness_bound(joint_norm: float, marg_norms: Sequence[float], M: int) -> tuple[float, str]:
@@ -285,15 +294,6 @@ def _closeness_bound(joint_norm: float, marg_norms: Sequence[float], M: int) -> 
     return b, source
 
 
-def _prepare(sampler, pred: JointDistribution, cfg: TesterConfig):
-    """Validates cfg and the prediction's dims; returns sample access to the input."""
-    cfg.validate()
-    sampler = as_sampler(sampler)
-    if pred.dims != tuple(sampler.dims):
-        raise DomainError(f"prediction dims {pred.dims} != input dims {tuple(sampler.dims)}")
-    return sampler
-
-
 def _run_blocks(sampler, pred, cfg: TesterConfig, rng: Rng, hooks, blocks) -> Verdict:
     """The pipeline on the view merging base axes blocks[i] into coordinate i, sizes descending (stable)."""
     blocks = sorted(blocks, key=lambda blk: -math.prod(sampler.dims[a] for a in blk))
@@ -302,26 +302,22 @@ def _run_blocks(sampler, pred, cfg: TesterConfig, rng: Rng, hooks, blocks) -> Ve
     return _flatten_pipeline(sampler, pred, cfg, rng, hooks or _DEFAULT_HOOKS)
 
 
-def _aug_small(sampler, pred, cfg: TesterConfig, rng: Rng, hooks, arity: int) -> Verdict:
-    """The 2- or 3-axis tester; axes are sorted internally so sizes descend."""
-    sampler = _prepare(sampler, pred, cfg)
-    if len(sampler.dims) != arity:
-        raise DomainError(f"expected {arity} axes, got dims {sampler.dims}")
-    return _run_blocks(sampler, pred, cfg, rng, hooks, [[a] for a in range(arity)])
-
-
 def aug_independence_2d(
     sampler, pred: JointDistribution, cfg: TesterConfig, rng: Rng, hooks: TesterHooks | None = None
 ) -> Verdict:
-    """Two-axis prediction-assisted independence tester; the verdict is orientation-independent."""
-    return _aug_small(sampler, pred, cfg, rng, hooks, 2)
+    """aug_independence_d on a two-axis input; the verdict is orientation-independent."""
+    if len(pred.dims) != 2:
+        raise DomainError(f"expected 2 axes, got dims {pred.dims}")
+    return aug_independence_d(sampler, pred, cfg, rng, hooks)
 
 
 def aug_independence_3d(
     sampler, pred: JointDistribution, cfg: TesterConfig, rng: Rng, hooks: TesterHooks | None = None
 ) -> Verdict:
-    """Three-axis variant with its own gate constants and sub-confidences."""
-    return _aug_small(sampler, pred, cfg, rng, hooks, 3)
+    """aug_independence_d on a three-axis input, with its own gate constants and sub-confidences."""
+    if len(pred.dims) != 3:
+        raise DomainError(f"expected 3 axes, got dims {pred.dims}")
+    return aug_independence_d(sampler, pred, cfg, rng, hooks)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +332,11 @@ def partition_coordinates(dims: Sequence[int]) -> list[list[int]]:
     reaches sqrt(N). Every returned block beyond the first has size product
     at most sqrt(N).
     """
-    dims = [int(d) for d in dims]
+    dims = _checked_dims(dims)
     if len(dims) < 2:
         raise DomainError("need at least two axes to partition")
     if any(dims[i] < dims[i + 1] for i in range(len(dims) - 1)):
         raise DomainError(f"dims must be sorted descending, got {dims}")
-    if any(d < 2 for d in dims):
-        raise DomainError("axis sizes must be >= 2")
     total = math.prod(dims)
     root = math.sqrt(total)
     if dims[0] >= root:
@@ -365,6 +359,8 @@ def test_independence_by_learning(
     6 * eta of the product of its marginals. Single-axis inputs accept
     immediately with zero samples.
     """
+    _check_finite("eps", eps)
+    _check_finite("delta", delta)
     if not 0 < eps <= 1:
         raise DomainError(f"eps must be in (0, 1], got {eps}")
     if not 0 < delta < 1:
@@ -373,7 +369,7 @@ def test_independence_by_learning(
     acct = account if account is not None else SampleAccount()
     dims = tuple(sampler.dims)
     if len(dims) == 1:
-        return Verdict(Outcome.ACCEPT, "learning", ["learning"], acct, {"dims": dims, "t": 0})
+        return Verdict(Outcome.ACCEPT, ["learning"], acct, {"dims": dims, "t": 0})
     size = math.prod(dims)
     delta_p = delta / (len(dims) + 1)
     eta = eps / 7.0
@@ -381,21 +377,25 @@ def test_independence_by_learning(
     emp = learn_empirical(sampler, t, rng, acct)
     gap = empirical_tv_to_product(emp)
     outcome = Outcome.ACCEPT if gap <= 6.0 * eta else Outcome.REJECT
-    return Verdict(outcome, "learning", ["learning"], acct, {"dims": dims, "t": t, "gap": gap})
+    return Verdict(outcome, ["learning"], acct, {"dims": dims, "t": t, "gap": gap})
 
 
 def aug_independence_d(
     sampler, pred: JointDistribution, cfg: TesterConfig, rng: Rng, hooks: TesterHooks | None = None
 ) -> Verdict:
-    """General-arity tester.
+    """General-arity tester; the one entry point behind the 2- and 3-axis ones.
 
-    Arity 2 and 3 run the 2/3-axis tester unchanged. Otherwise the
-    axes (sorted by size) are partitioned into 2 or 3 blocks; the grouped
-    view runs the matching tester at eps/12, and each multi-axis block is
+    It validates cfg and the prediction's dims once. Arity 2 and 3 run the
+    flattening pipeline on the axes stable-sorted so sizes descend. Otherwise
+    the axes (sorted by size) are partitioned into 2 or 3 blocks; the grouped
+    view runs the matching pipeline at eps/12, and each multi-axis block is
     then checked for internal independence by learning at confidence
     delta/5 per call. Any sub-test failure decides the verdict.
     """
-    sampler = _prepare(sampler, pred, cfg)
+    cfg.validate()
+    sampler = as_sampler(sampler)
+    if pred.dims != tuple(sampler.dims):
+        raise DomainError(f"prediction dims {pred.dims} != input dims {tuple(sampler.dims)}")
     d = len(sampler.dims)
     if d in (2, 3):
         return _run_blocks(sampler, pred, cfg, rng, hooks, [[a] for a in range(d)])
@@ -413,7 +413,7 @@ def aug_independence_d(
     grouped_dims = tuple(math.prod(sampler.dims[a] for a in blk) for blk in blocks)
     detail = {"blocks": blocks, "grouped_dims": grouped_dims, "inner": inner.detail}
     if inner.outcome is not Outcome.ACCEPT:
-        return Verdict(inner.outcome, inner.stage, stage_log, inner.account, detail)
+        return Verdict(inner.outcome, stage_log, inner.account, detail)
 
     account = inner.account
     for i, blk in enumerate(blocks[1:], start=1):
@@ -425,8 +425,8 @@ def aug_independence_d(
         )
         detail[f"learning_block_{i}"] = sub.detail
         if sub.outcome is not Outcome.ACCEPT:
-            return Verdict(Outcome.REJECT, "learning", stage_log, account, detail)
-    return Verdict(Outcome.ACCEPT, stage_log[-1], stage_log, account, detail)  # the last stage decided
+            return Verdict(Outcome.REJECT, stage_log, account, detail)
+    return Verdict(Outcome.ACCEPT, stage_log, account, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +485,7 @@ def amplify(run: Callable[[Rng], Verdict], delta_target: float, rng: Rng) -> Ver
     winner = next(o for o in _TIE_ORDER if tally[o] == best)
     rep = last[winner]
     detail = {"runs": runs, "runs_run": i + 1, "tally": {o.value: c for o, c in tally.items()}}
-    return Verdict(winner, rep.stage, ["amplify"] + rep.stage_log, account, detail)
+    return Verdict(winner, ["amplify"] + rep.stage_log, account, detail)
 
 
 def _run_at_delta(run: Callable[[Rng], Verdict], delta: float | None, rng: Rng) -> Verdict:

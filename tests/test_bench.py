@@ -263,7 +263,7 @@ class TestForkedShares:
 
     def test_children_see_the_callers_patched_modules(self, monkeypatch):
         def stub(sampler, pred, tcfg, rng):
-            return Verdict(Outcome.REJECT, f"stub in {os.getpid()}", [], SampleAccount(closeness=7))
+            return Verdict(Outcome.REJECT, [f"stub in {os.getpid()}"], SampleAccount(closeness=7))
 
         monkeypatch.setattr(bench, "aug_independence_2d", stub)
         records = run_trials(ExperimentConfig.from_dict(dict(BASE, jobs=2)))
@@ -369,6 +369,22 @@ class TestWilson:
     def test_requires_trials(self):
         with pytest.raises(DomainError):
             wilson_interval(0, 0)
+
+    @pytest.mark.parametrize(
+        "successes, trials, message",
+        [
+            (11, 10, "successes 11 exceed trials 10"),
+            (-1, 10, "successes must be a non-negative integer, got -1"),
+            (2.5, 10, "successes must be a non-negative integer, got 2.5"),
+            (True, 10, "successes must be a non-negative integer, got True"),
+            (3, 10.0, "trials must be a non-negative integer, got 10.0"),
+            (0, True, "trials must be a non-negative integer, got True"),
+        ],
+    )
+    def test_rejects_counts_outside_a_binomial_by_value(self, successes, trials, message):
+        # not math's "domain error", nor a rate from a fractional count
+        with pytest.raises(DomainError, match=message):
+            wilson_interval(successes, trials)
 
 
 class TestSummaries:

@@ -273,6 +273,8 @@ class TestSampling:
         assert draw_samples(p, 0, Rng(20)).shape == (0, 2)
         with pytest.raises(DomainError):
             draw_samples(p, -1, Rng(20))
+        with pytest.raises(DomainError, match="sample count must be a non-negative integer, got 2.5"):
+            draw_samples(p, 2.5, Rng(20))
 
     def test_draws_are_deterministic(self):
         p = JointDistribution.uniform((3, 4))
@@ -355,6 +357,21 @@ class TestReshaping:
         for blocks in ([[0, 1], [1]], [], [[0], []], [[0, 2]], [[-1]]):
             with pytest.raises(DomainError):
                 merge_axes(p, blocks)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda p: merge_axes(p, [[1.7]]), "axis must be a non-negative integer, got 1.7"),
+            (lambda p: marginal(p, [True]), "axis must be a non-negative integer, got True"),
+            (lambda p: split_axis(p, 0.9, [2]), "axis must be a non-negative integer, got 0.9"),
+            (lambda p: split_axis(p, 1, [1.5, 2]), r"integers, got \[1.5, 2\]"),
+            (lambda p: ReindexedSampler(JointSampler(p), [[1.7]]), "axis must be a non-negative integer, got 1.7"),
+        ],
+    )
+    def test_non_integral_axes_are_rejected_by_value(self, call, message):
+        # int() would read axis 1 for 1.7 and True and axis 0 for 0.9
+        with pytest.raises(DomainError, match=message):
+            call(JointDistribution.uniform((2, 3)))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -193,6 +193,14 @@ class TestRacePlan:
         if r > 2 * h + 1:
             assert race_errors(h, r - 2, p)[0] > bound
 
+    @pytest.mark.parametrize("vote_error", [estimators.VOTE_ERROR, 0.25])
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_race_errors_are_the_reference_walk(self, delta, vote_error):
+        h, r = estimators._race_plan(delta, vote_error)
+        walk = estimators._race_errors(h, vote_error)
+        for cap, error in zip(range(1, r + 1), walk):
+            assert error == race_errors(h, cap, Fraction(vote_error))[0]
+
     @pytest.mark.parametrize("delta", [1 / 80, 1 / 120])
     def test_error_does_not_fall_as_the_vote_error_rises(self, delta):
         plan = estimators._race_plan(delta)
@@ -221,6 +229,21 @@ def _calibration_script():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+class TestCalibrationRecord:
+    def test_every_point_re_derives_from_its_errors(self):
+        # the plans, bound, cost and exclusion of each grid point follow
+        # from its recorded per-cell errors through the script's own rule
+        script = _calibration_script()
+        with open(CALIBRATION) as fh:
+            results = json.load(fh)["results"]
+        assert len(results) == len(script.SAMPLE_MULTS) * len(script.THRESHOLD_MULTS) == 70
+        for point in results:
+            derived = script.plan_point(
+                point["closeness_sample_mult"], point["closeness_threshold_mult"], point["errors"]
+            )
+            assert json.loads(json.dumps(derived)) == point
 
 
 class TestRepetitionPremise:
@@ -383,6 +406,10 @@ class TestClosenessTest:
             closeness_params(10, 1.0, 0.0, CFG)
         with pytest.raises(DomainError):
             closeness_params(10, 1.0, 2.5, CFG)
+        # True would otherwise run at eps 1, and a string raise a TypeError from the comparison
+        for b, eps, name in ((1.0, True, "eps"), (1.0, "0.3", "eps"), ("1", 0.3, "b")):
+            with pytest.raises(DomainError, match=f"{name} must be a finite number"):
+                closeness_params(10, b, eps, CFG)
 
     def test_identical_count_vectors_score_negative(self):
         # (X-Y)^2 - X - Y with X = Y reduces to -2 sum X, never above threshold
@@ -858,6 +885,9 @@ class TestLearnEmpirical:
         p = JointDistribution.uniform((2, 2))
         with pytest.raises(DomainError):
             learn_empirical(JointSampler(p), 0, Rng(27))
+        # not a misleading mass error from 10 counts over 10.7
+        with pytest.raises(DomainError, match="sample size t must be a non-negative integer, got 10.7"):
+            learn_empirical(JointSampler(p), 10.7, Rng(27))
 
 
 class TestEmpiricalTvToProduct:

@@ -50,6 +50,11 @@ class TestAxisFlattening:
             AxisFlattening([2, 0])
         with pytest.raises(DomainError):
             AxisFlattening([])
+        # int64 would truncate these to [1, 2]
+        for buckets in ([1.5, 2], np.array([True, True])):
+            with pytest.raises(DomainError, match="bucket counts must be integers"):
+                AxisFlattening(buckets)
+        assert np.array_equal(AxisFlattening(np.array([3, 1], dtype=np.uint8)).buckets, [3, 1])
 
     def test_build_rule_hand_case(self):
         # floor(q/nu) + N + 1 with nu = 1/3: floor(1.5)=1, floor(0.9)=0, floor(0.6)=0
@@ -72,6 +77,10 @@ class TestAxisFlattening:
             build_axis_flattening([-0.1, 1.1], [0, 0])
         with pytest.raises(DomainError):
             build_axis_flattening([0.5, 0.5], [-1, 0])
+        # int64 would truncate these to [1, 0]
+        with pytest.raises(DomainError, match=r"counts must be integers, got \[1.7, 0.2\]"):
+            build_axis_flattening([0.5, 0.5], [1.7, 0.2])
+        assert np.array_equal(build_axis_flattening([0.5, 0.5], np.array([2, 0], dtype=np.uint64)).buckets, [4, 2])
 
     def test_flat_size_bound(self):
         gen = Rng(1).gen

@@ -88,6 +88,14 @@ class TestConfigAndGates:
         TesterConfig(1.0, 0.0).validate()
         TesterConfig(0.3, 1.0).validate()
 
+    @pytest.mark.parametrize(
+        "eps, alpha, name", [(True, 0.1, "eps"), ("0.3", 0.1, "eps"), (0.3, True, "alpha"), (0.3, "x", "alpha")]
+    )
+    def test_validate_rejects_a_bool_or_a_string_by_name(self, eps, alpha, name):
+        # True would otherwise run at 1, and a string raise a TypeError from the comparison
+        with pytest.raises(DomainError, match=f"{name} must be a finite number"):
+            TesterConfig(eps, alpha).validate()
+
 
 class TestSamplerViews:
     """ReindexedSampler: coordinate i is the row-major merge of base axes blocks[i]."""
@@ -377,6 +385,11 @@ class TestPartition:
         with pytest.raises(DomainError):
             partition_coordinates([4, 1])
 
+    def test_rejects_non_integral_sizes_by_value(self):
+        # int() would partition [3, 2]
+        with pytest.raises(DomainError, match=r"integers, got \[3.5, 2\]"):
+            partition_coordinates([3.5, 2])
+
 
 class TestLearning:
     def test_single_axis_accepts_for_free(self):
@@ -422,6 +435,12 @@ class TestLearning:
         with pytest.raises(DomainError):
             learning_tester(JointSampler(p), 0.3, 1.0, Rng(15))
 
+    @pytest.mark.parametrize("eps, delta, name", [(True, 0.1, "eps"), ("0.3", 0.1, "eps"), (0.3, "0.1", "delta")])
+    def test_validation_rejects_a_bool_or_a_string_by_name(self, eps, delta, name):
+        p = JointDistribution.uniform((2, 2))
+        with pytest.raises(DomainError, match=f"{name} must be a finite number"):
+            learning_tester(JointSampler(p), eps, delta, Rng(15))
+
 
 class TestGeneralArity:
     def test_low_arity_routes_directly(self):
@@ -446,7 +465,7 @@ class TestGeneralArity:
 
     def test_one_reindexed_view_per_run(self, monkeypatch):
         # the grouped view is sorted and relabeled once, and the input is validated once
-        built, merges, prepared = [], [], []
+        built, merges, validated = [], [], []
 
         class CountingSampler(ReindexedSampler):
             def __init__(self, base, blocks):
@@ -458,13 +477,13 @@ class TestGeneralArity:
 
         monkeypatch.setattr(testers, "ReindexedSampler", CountingSampler)
         monkeypatch.setattr(testers, "merge_axes", counting(merge_axes, merges))
-        monkeypatch.setattr(testers, "_prepare", counting(testers._prepare, prepared))
+        monkeypatch.setattr(TesterConfig, "validate", counting(TesterConfig.validate, validated))
         p = JointDistribution.uniform((2, 2, 2, 2, 2))
         hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0])
         v = aug_independence_d(JointSampler(p), p, TesterConfig(0.4, 0.05), Rng(17), hooks)
         assert built == [[[1, 2], [3, 4], [0]], [[1], [2]], [[3], [4]]]  # grouped view, then learning
         assert len(merges) == 4  # one per reindexed law, and the prediction once
-        assert len(prepared) == 1
+        assert len(validated) == 1
         assert v.detail["grouped_dims"] == (2, 4, 4)  # in partition order
         assert v.detail["inner"]["dims"] == (4, 4, 2)  # sorted so sizes descend
         assert v.outcome is Outcome.ACCEPT
@@ -504,6 +523,43 @@ class TestGeneralArity:
         with pytest.raises(DomainError):
             aug_independence_d(JointSampler(p), q, TesterConfig(0.4, 0.05), Rng(21))
 
+    @pytest.mark.parametrize(
+        "tester, dims",
+        [
+            (aug_independence_2d, (12, 5)),
+            (aug_independence_2d, (3, 40)),  # sizes ascend, so the pipeline reorders the axes
+            (aug_independence_3d, (6, 5, 4)),
+            (aug_independence_3d, (2, 3, 7)),
+        ],
+    )
+    def test_two_and_three_axis_testers_are_aug_independence_d(self, tester, dims):
+        # a skewed product accepts and a far input rejects, verdict and detail alike
+        gen = Rng(42).gen
+        product = JointDistribution(dims, domain.outer_product(gen.dirichlet(np.full(d, 0.3)) for d in dims))
+        far = JointDistribution(dims, gen.dirichlet(np.ones(math.prod(dims))))
+        runs = [
+            (product, product, 0.05),
+            (product, JointDistribution.uniform(dims), 0.0),
+            (far, product_of_marginals(far), 1.0),
+        ]
+        outcomes = set()
+        for p, pred, alpha in runs:
+            cfg = TesterConfig(0.4, alpha)
+            for seed in range(3):
+                v = tester(JointSampler(p), pred, cfg, Rng(43, (seed,)))
+                assert v == aug_independence_d(JointSampler(p), pred, cfg, Rng(43, (seed,)))
+                outcomes.add(v.outcome)
+        assert outcomes == {Outcome.ACCEPT, Outcome.REJECT}
+
+    @pytest.mark.parametrize(
+        "tester, arity, dims",
+        [(aug_independence_2d, 2, (2, 2, 2)), (aug_independence_3d, 3, (4, 4)), (aug_independence_3d, 3, (2, 2, 2, 2))],
+    )
+    def test_two_and_three_axis_testers_check_the_arity(self, tester, arity, dims):
+        p = JointDistribution.uniform(dims)
+        with pytest.raises(DomainError, match=f"expected {arity} axes, got dims"):
+            tester(JointSampler(p), p, TesterConfig(0.4, 0.05), Rng(21))
+
 
 class TestAmplify:
     @staticmethod
@@ -513,7 +569,7 @@ class TestAmplify:
         def run(rng):
             acct = SampleAccount()
             acct.add("learning", 10)
-            return Verdict(next(it), "learning", ["learning"], acct, {})
+            return Verdict(next(it), ["learning"], acct, {})
 
         return run
 
@@ -531,7 +587,7 @@ class TestAmplify:
 
         def run(rng):
             streams.append(rng.stream)
-            return Verdict(outcomes[rng.stream[-1]], "x", ["x"], SampleAccount(), {})
+            return Verdict(outcomes[rng.stream[-1]], ["x"], SampleAccount(), {})
 
         return run
 
@@ -634,7 +690,7 @@ class TestAmplify:
             # alternating outcomes keep an amplified vote undecided to its last run
             streams.append(rng.stream)
             outcome = Outcome.REJECT if len(streams) % 2 == 0 else Outcome.ACCEPT
-            return Verdict(outcome, "x", ["x"], SampleAccount(), {})
+            return Verdict(outcome, ["x"], SampleAccount(), {})
 
         _run_at_delta(run, delta, Rng(28, (1,)))
         # a single run gets the stream it is handed; amplified run i gets its split i
@@ -650,7 +706,7 @@ class TestVerdictJson:
     def test_payload_shape(self):
         acct = SampleAccount()
         acct.add("norm", 5)
-        v = Verdict(Outcome.ACCEPT, "closeness", ["closeness"], acct, {})
+        v = Verdict(Outcome.ACCEPT, ["closeness"], acct, {})
         out = v.to_json(seed=9)
         assert out["outcome"] == "accept"
         assert out["stage"] == "closeness"
