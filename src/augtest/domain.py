@@ -79,6 +79,23 @@ class JointDistribution:
         p.flags.writeable = False
         self.probs = p
 
+    @classmethod
+    def _derived(cls, dims: tuple[int, ...], probs: np.ndarray) -> "JointDistribution":
+        """A law computed from a checked one, built without re-checking it.
+
+        For callers whose dims are products of checked axis sizes and whose
+        flat float64 probs are sums of a checked law's non-negative finite
+        entries, with its total: every check of __init__ holds already. The
+        result equals JointDistribution(dims, probs) bit for bit. probs is
+        made read-only in place, not copied, so the caller must hold no
+        writable alias of it.
+        """
+        out = cls.__new__(cls)
+        out.dims = dims
+        probs.flags.writeable = False
+        out.probs = probs
+        return out
+
     def table(self) -> np.ndarray:
         """The mass vector reshaped to the domain dims (read-only view)."""
         return self.probs.reshape(self.dims)
@@ -152,8 +169,9 @@ class Rng:
 
 def poisson(mean: float, rng: Rng) -> int:
     """One Poisson draw with the given mean. mean 0 gives 0 with no randomness."""
-    if not (math.isfinite(mean) and mean >= 0):
-        raise DomainError(f"Poisson mean must be finite and >= 0, got {mean}")
+    _check_finite("Poisson mean", mean)
+    if mean < 0:
+        raise DomainError(f"Poisson mean must be >= 0, got {mean!r}")
     if mean == 0:
         return 0
     return int(rng.gen.poisson(mean))
@@ -178,9 +196,8 @@ class SampleAccount:
     learning: int = 0
 
     def add(self, stage: str, count: int) -> None:
-        if count < 0:
-            raise DomainError("sample counts are nonnegative")
-        setattr(self, stage, getattr(self, stage) + int(count))
+        count = _stream_key(f"{stage} sample count", count)
+        setattr(self, stage, getattr(self, stage) + count)
 
     @property
     def total(self) -> int:
@@ -382,7 +399,7 @@ def merge_axes(p: JointDistribution, blocks: Sequence[Sequence[int]]) -> JointDi
     kept = sorted(order)
     t = np.transpose(t, [kept.index(a) for a in order])
     new_dims = tuple(math.prod(p.dims[a] for a in b) for b in blocks)
-    return JointDistribution(new_dims, np.ascontiguousarray(t).reshape(-1))
+    return JointDistribution._derived(new_dims, np.ascontiguousarray(t).reshape(-1))
 
 
 def split_axis(p: JointDistribution, axis: int, factors: Sequence[int]) -> JointDistribution:
@@ -394,8 +411,7 @@ def split_axis(p: JointDistribution, axis: int, factors: Sequence[int]) -> Joint
             f"factors {factors} do not multiply to axis size {p.dims[axis]}"
         )
     new_dims = p.dims[:axis] + factors + p.dims[axis + 1 :]
-    t = p.table().reshape(new_dims)
-    return JointDistribution(new_dims, np.ascontiguousarray(t).reshape(-1))
+    return JointDistribution._derived(new_dims, p.probs)
 
 
 def merge_index(

@@ -395,4 +395,8 @@ def learn_empirical(sampler, t: int, rng: Rng, account: SampleAccount | None = N
         counts = np.bincount(flat, minlength=math.prod(dims))
     if account is not None:
         account.add("learning", t)
-    return JointDistribution(dims, counts.astype(np.float64) / t)
+    hist = counts.astype(np.float64) / t
+    if dist is None:
+        return JointDistribution(dims, hist)  # a sampler's rows are not known to number t
+    # t multinomial counts over dist's cells: non-negative and summing to t.
+    return JointDistribution._derived(dist.dims, hist)

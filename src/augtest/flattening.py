@@ -74,6 +74,8 @@ def build_axis_flattening(pred_marginal, counts) -> AxisFlattening:
     c = c.astype(np.int64, copy=False)
     if q.size != c.size:
         raise DomainError(f"marginal length {q.size} != counts length {c.size}")
+    if q.size == 0:
+        raise DomainError(f"an axis needs at least one cell, got marginal {pred_marginal!r}")
     if np.any(q < 0):
         raise DomainError("predicted marginal has negative entries")
     if np.any(c < 0):

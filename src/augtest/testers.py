@@ -358,6 +358,17 @@ def test_independence_by_learning(
     delta' = delta / (arity + 1); accepts when the learned joint is within
     6 * eta of the product of its marginals. Single-axis inputs accept
     immediately with zero samples.
+
+    With t samples the learned law p-hat is within (sqrt(3)/2) * eta < eta
+    of p w.p. 1 - delta': tv(p-hat, p) exceeds its mean, at most
+    sqrt(N_S/4t), by more than sqrt(ln(1/delta')/2t) w.p. at most delta'
+    (McDiarmid), and the two terms sum to at most (sqrt(3)/2) * eta when
+    t >= (N_S + ln(1/delta')) / eta^2. No marginal of p-hat is farther from
+    p's than p-hat is from p, so on k axes the gap is within (k + 1) * eta
+    of p's own distance to the product of its marginals. The threshold
+    6 * eta therefore accepts every product only on at most 5 axes;
+    partition_coordinates((2,) * 12) already yields a 6-axis block, for
+    which this argument does not give completeness.
     """
     _check_finite("eps", eps)
     _check_finite("delta", delta)
@@ -380,6 +391,51 @@ def test_independence_by_learning(
     return Verdict(outcome, ["learning"], acct, {"dims": dims, "t": t, "gap": gap})
 
 
+def _dary_split(eps: float, blocks: Sequence[Sequence[int]]) -> tuple[float, tuple[float | None, ...]]:
+    """The eps of the grouped pipeline and of each block's learning test.
+
+    Returns (eps / m, per_block), where m is 1 plus the number of blocks of
+    two or more axes. per_block[j] is 7 * (eps / m) / (k + 7) for a block of
+    k >= 2 axes, and None for a single axis, which runs no test.
+
+    Why it is sound. Write p_B for p's marginal on the axes of block B, p_i
+    for its marginal on axis i, q = prod_B p_B for the product of the block
+    marginals and pi = prod_i p_i. The tv of two products is at most the
+    sum of their factors' tvs, so
+
+        tv(p, pi) <= tv(p, q) + tv(q, pi)
+                  <= tv(p, q) + sum over multi-axis B of tv(p_B, prod_{i in B} p_i),
+
+    where a single-axis block adds nothing. That is m terms. pi is a
+    product, so if p is eps-far from every product, tv(p, pi) >= eps and
+    some term is at least eps / m. Each sub-test rejects when its own term
+    is (w.p. its own confidence):
+
+    - tv(p, q) >= eps / m. This is the grouped view's distance to the
+      product of its own marginals. The pipeline's closeness compares the
+      flattened joint with the product of its own flattened marginals, and
+      flattening keeps that tv, so the pipeline at eps / m rejects. (Merging
+      axes does not grow tv(p, pred), so InaccurateInformation stays
+      reserved for a prediction that misses alpha.)
+    - E = tv(p_B, prod_{i in B} p_i) >= eps / m on a block of k axes. The
+      learning test at eps' = 7 * (eps / m) / (k + 7) has eta = eps' / 7, so
+      E >= (k + 7) * eta. Its learned law p-hat has tv(p-hat, p_B) < eta
+      (see test_independence_by_learning), and so does each marginal, since
+      marginalizing never grows tv. Hence
+          gap >= E - tv(p-hat, p_B) - sum_i tv(p-hat_i, p_i)
+              >  E - (k + 1) * eta >= 6 * eta.
+      The middle step is strict, so the test, which rejects when
+      gap > 6 * eta, rejects also at the boundary E = (k + 7) * eta.
+
+    For a product p, q = p and every p_B is a product, so every sub-test
+    accepts w.p. its own confidence, whatever eps it runs at.
+    """
+    multi = sum(len(blk) > 1 for blk in blocks)
+    eps_pipeline = eps / (1 + multi)
+    per_block = tuple(7.0 * eps_pipeline / (len(blk) + 7) if len(blk) > 1 else None for blk in blocks)
+    return eps_pipeline, per_block
+
+
 def aug_independence_d(
     sampler, pred: JointDistribution, cfg: TesterConfig, rng: Rng, hooks: TesterHooks | None = None
 ) -> Verdict:
@@ -387,10 +443,12 @@ def aug_independence_d(
 
     It validates cfg and the prediction's dims once. Arity 2 and 3 run the
     flattening pipeline on the axes stable-sorted so sizes descend. Otherwise
-    the axes (sorted by size) are partitioned into 2 or 3 blocks; the grouped
-    view runs the matching pipeline at eps/12, and each multi-axis block is
+    the axes (sorted by size) are partitioned into 2 or 3 blocks. The
+    grouped view runs the matching pipeline, and each multi-axis block is
     then checked for internal independence by learning at confidence
-    delta/5 per call. Any sub-test failure decides the verdict.
+    delta/5 per call; _dary_split sets each one's eps and proves the split
+    sound, and detail["eps_split"] records it. Any sub-test failure decides
+    the verdict.
     """
     cfg.validate()
     sampler = as_sampler(sampler)
@@ -400,28 +458,32 @@ def aug_independence_d(
     if d in (2, 3):
         return _run_blocks(sampler, pred, cfg, rng, hooks, [[a] for a in range(d)])
 
-    eps_inner = cfg.eps / 12.0
     delta_inner = 0.1 / 5.0
     order = [int(a) for a in np.argsort([-x for x in sampler.dims], kind="stable")]
     sorted_dims = [sampler.dims[a] for a in order]
     blocks_sorted = partition_coordinates(sorted_dims)
     blocks = [[order[i] for i in blk] for blk in blocks_sorted]
+    eps_pipeline, eps_blocks = _dary_split(cfg.eps, blocks)
 
-    inner_cfg = replace(cfg, eps=eps_inner)
-    inner = _run_blocks(sampler, pred, inner_cfg, rng.split(0), hooks, blocks)
+    inner = _run_blocks(sampler, pred, replace(cfg, eps=eps_pipeline), rng.split(0), hooks, blocks)
     stage_log = ["partition"] + inner.stage_log
     grouped_dims = tuple(math.prod(sampler.dims[a] for a in blk) for blk in blocks)
-    detail = {"blocks": blocks, "grouped_dims": grouped_dims, "inner": inner.detail}
+    detail = {
+        "blocks": blocks,
+        "grouped_dims": grouped_dims,
+        "eps_split": {"pipeline": eps_pipeline, "blocks": eps_blocks},
+        "inner": inner.detail,
+    }
     if inner.outcome is not Outcome.ACCEPT:
         return Verdict(inner.outcome, stage_log, inner.account, detail)
 
     account = inner.account
-    for i, blk in enumerate(blocks[1:], start=1):
-        if len(blk) == 1:
+    for i, (blk, eps_blk) in enumerate(zip(blocks, eps_blocks)):
+        if eps_blk is None:
             continue  # a single axis is trivially a product over itself
         stage_log.append("learning")
         sub = test_independence_by_learning(
-            ReindexedSampler(sampler, [[a] for a in blk]), eps_inner, delta_inner, rng.split(i), account
+            ReindexedSampler(sampler, [[a] for a in blk]), eps_blk, delta_inner, rng.split(i), account
         )
         detail[f"learning_block_{i}"] = sub.detail
         if sub.outcome is not Outcome.ACCEPT:

@@ -1,4 +1,4 @@
-"""Acceptance suite: the eleven contract-level checks for this package.
+"""Acceptance suite: the twelve contract-level checks for this package.
 
 Each test prints one summary line with its measured quantities, then asserts
 the stated thresholds and its wall-clock budget. The checks are Monte-Carlo
@@ -470,3 +470,20 @@ def test_criterion_11_partition_exhaustive():
     ok = violations == 0 and elapsed < 10
     _report(11, "partition keeps every non-leading block within sqrt of the domain size", ok,
             f"{len(vectors)} dims vectors, violations {violations}, {elapsed:.1f}s")
+
+
+def test_criterion_12_dary_beats_learning_where_learning_is_dear():
+    start = time.perf_counter()
+    dims, eps = (16, 16, 16, 16), 0.2
+    p = JointDistribution.uniform(dims)
+    cfg = TesterConfig(eps=eps, alpha=0.05)
+    runs = [aug_independence_d(JointSampler(p), p, cfg, Rng(1012, (s,))) for s in range(10)]
+    accepts = sum(v.outcome is Outcome.ACCEPT for v in runs)
+    mean_total = sum(v.account.total for v in runs) / len(runs)
+    learning_t = learning_tester(JointSampler(p), eps, 0.1, Rng(1012, (10,))).detail["t"]
+    elapsed = time.perf_counter() - start
+    ok = accepts == len(runs) and mean_total < learning_t and elapsed < 60
+    _report(12, "(16,)^4 uniform: the d-ary tester accepts on fewer samples than whole-input learning",
+            ok,
+            f"accept {accepts}/{len(runs)}, mean total {mean_total:.3g} against learning t "
+            f"{learning_t:.3g}, {elapsed:.1f}s")

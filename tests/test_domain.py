@@ -31,6 +31,7 @@ from augtest.domain import (
     tv_distance,
     tv_to_own_product,
 )
+from augtest.estimators import learn_empirical
 from augtest.testers import ReindexedSampler
 
 
@@ -168,6 +169,11 @@ class TestRng:
         with pytest.raises(DomainError):
             poisson(float("inf"), Rng(1))
 
+    def test_poisson_bool_mean_is_rejected_by_value(self):
+        # float(True) would run at mean 1
+        with pytest.raises(DomainError, match="Poisson mean must be a finite number, got True"):
+            poisson(True, Rng(1))
+
     def test_poisson_mean_matches(self):
         gen = Rng(8)
         draws = [poisson(5.0, gen.split(i)) for i in range(2000)]
@@ -193,6 +199,15 @@ class TestSampleAccount:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             SampleAccount().add("norm", -1)
+
+    @pytest.mark.parametrize("count", [2.7, True, "3"])
+    def test_non_integral_count_is_rejected_by_value(self, count):
+        # int() would add 2 for 2.7 and 1 for True
+        a = SampleAccount()
+        message = f"norm sample count must be a non-negative integer, got {count!r}"
+        with pytest.raises(DomainError, match=message):
+            a.add("norm", count)
+        assert a.norm == 0
 
 
 class TestDistances:
@@ -408,6 +423,31 @@ class TestReshaping:
         # merge_index is the row-major relabeling, so numpy's unravel_index undoes it.
         split = [np.unravel_index(midx[:, i], [dims[a] for a in blk]) for i, blk in enumerate(blocks)]
         assert np.array_equal(np.stack([c for cols in split for c in cols], axis=1), rows[:, order])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_derived_laws_equal_the_checked_construction(self, data):
+        """merge_axes, marginal, split_axis and the learned histogram skip the checks, not the values."""
+        dims = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=5), label="dims")
+        axes = data.draw(st.permutations(range(len(dims))), label="order")
+        axes = axes[: data.draw(st.integers(1, len(dims)), label="kept")]
+        cut = data.draw(st.integers(1, len(axes)), label="cut")
+        blocks = [b for b in (axes[:cut], axes[cut:]) if b]
+        p = random_dist(dims, Rng(data.draw(st.integers(0, 2**32 - 1), label="seed")).gen)
+        merged = merge_axes(p, blocks)
+        laws = [
+            merged,
+            marginal(p, axes),
+            split_axis(merged, 0, [dims[a] for a in blocks[0]]) if len(blocks[0]) > 1 else merged,
+            learn_empirical(JointSampler(merged), data.draw(st.integers(1, 500), label="t"), Rng(37)),
+        ]
+        for law in laws:
+            checked = JointDistribution(law.dims, law.probs)
+            assert law.dims == checked.dims and all(type(n) is int for n in law.dims)
+            assert law.probs.dtype == checked.probs.dtype and law.probs.shape == checked.probs.shape
+            assert law.probs.tobytes() == checked.probs.tobytes()
+            assert not law.probs.flags.writeable
+        assert not p.probs.flags.writeable  # a derived law never unlocks its parent
 
     def test_split_axis_factor_mismatch(self):
         p = JointDistribution.uniform((3, 4))

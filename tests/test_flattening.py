@@ -82,6 +82,11 @@ class TestAxisFlattening:
             build_axis_flattening([0.5, 0.5], [1.7, 0.2])
         assert np.array_equal(build_axis_flattening([0.5, 0.5], np.array([2, 0], dtype=np.uint64)).buckets, [4, 2])
 
+    def test_empty_axis_is_rejected_by_value(self):
+        # not a bare ZeroDivisionError from nu = 1/0
+        with pytest.raises(DomainError, match=r"at least one cell, got marginal \[\]"):
+            build_axis_flattening([], [])
+
     def test_flat_size_bound(self):
         gen = Rng(1).gen
         for _ in range(50):

@@ -52,8 +52,8 @@ GOLDEN = {
     ),
     "arity5_d": (
         dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2, 2, 2, 2, 2]}),
-        "d0c370aa1bb62873298e419df24919978ee7b4003796463e60736ff526f25c21",
-        "5975bc69a3b53d7edcf212cb0d0f53a2ce6f54ed5f48ac8f8ebd69d94b8f4e40",
+        "a0336429a32abc06a01cec592b80ece5d1462343aca82debf67594253eab98df",
+        "b816ab1b7c7dcc16b52ebfdc5519e9444dc21aaab05ffec9b5259dd0d1d7cd28",
     ),
     # Ascending axes: the 2-axis tester runs on its axis-permuted view.
     "permuted_2d": (
@@ -74,8 +74,8 @@ GOLDEN = {
     ),
     "grouped_d": (
         dict(tester="d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [3, 5, 2, 4]}),
-        "5366abaac7a7844af50e5f01787ea9b4d28f7ff82ad91c92a560860d994a9d6b",
-        "22855e1e2c9c67ff5d1e0c4941599b722744caa8a9188d559663be44fb65d4eb",
+        "af7a70e0f8e95eb7073f5c9735eed540cb188ac66606b429b18f8213af4df62c",
+        "7069754d19abca1d44585d7894a6483dbf4875311aefcf2785159ad47fce50cb",
     ),
     "learn": (
         dict(tester="learn", eps=0.4, instance={"kind": "correlated", "size": 4}),

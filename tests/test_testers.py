@@ -1,5 +1,6 @@
 """Tests for the tester pipeline: gates, partition, learning, amplification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augtest import domain, estimators, flattening, testers
+from augtest.bench import wilson_interval
 from augtest.domain import (
     DomainError,
     JointDistribution,
@@ -18,6 +20,7 @@ from augtest.domain import (
     merge_axes,
     merge_index,
     product_of_marginals,
+    tv_to_own_product,
 )
 from augtest.estimators import EstimatorConfig, closeness_params
 from augtest.testers import (
@@ -454,7 +457,8 @@ class TestGeneralArity:
 
     def test_high_arity_partitions(self):
         p = JointDistribution.uniform((2, 2, 2, 2, 2))
-        hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0])
+        calls = []
+        hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0], calls=calls)
         v = aug_independence_d(JointSampler(p), p, TesterConfig(0.4, 0.05), Rng(17), hooks)
         assert v.stage_log[0] == "partition"
         assert v.detail["blocks"] == [[0], [1, 2], [3, 4]]
@@ -462,6 +466,16 @@ class TestGeneralArity:
         # both multi-axis blocks were re-checked by learning
         assert v.stage_log.count("learning") == 2
         assert v.outcome is Outcome.ACCEPT
+        # three terms: the pipeline at eps/3, each 2-axis block at 7 * (eps/3) / 9
+        split = v.detail["eps_split"]
+        block_eps = split["blocks"][1]
+        assert split["pipeline"] == 0.4 / 3
+        assert [c[3] for c in calls if c[0] == "closeness"] == [0.4 / 3]
+        assert split["blocks"] == (None, block_eps, block_eps)
+        assert block_eps == pytest.approx(7 * 0.4 / 27, rel=1e-12)
+        for i in (1, 2):
+            t = math.ceil((4 + math.log(3 / 0.02)) / (block_eps / 7) ** 2)
+            assert v.detail[f"learning_block_{i}"]["t"] == t
 
     def test_one_reindexed_view_per_run(self, monkeypatch):
         # the grouped view is sorted and relabeled once, and the input is validated once
@@ -559,6 +573,74 @@ class TestGeneralArity:
         p = JointDistribution.uniform(dims)
         with pytest.raises(DomainError, match=f"expected {arity} axes, got dims"):
             tester(JointSampler(p), p, TesterConfig(0.4, 0.05), Rng(21))
+
+
+class TestDarySplit:
+    @pytest.mark.parametrize(
+        "blocks, expected",
+        [
+            # m = 3: two 2-axis blocks, as (2,)*5 partitions; 7 * (eps/3) / 9 each
+            ([[0], [1, 2], [3, 4]], (0.1 / 3, (None, 0.7 / 27, 0.7 / 27))),
+            # m = 2: one 2-axis block, as (3, 2, 2, 2) and (16,)*4 partition
+            ([[0], [1], [2, 3]], (0.1 / 2, (None, None, 0.7 / 18))),
+            # m = 2: one 3-axis block; 7 * (eps/2) / 10
+            ([[0], [1, 2, 3]], (0.1 / 2, (None, 0.7 / 20))),
+            # m = 3: a 3-axis and a 6-axis block, as (2,)*10 partitions
+            ([[0], [1, 2, 3], [4, 5, 6, 7, 8, 9]], (0.1 / 3, (None, 0.7 / 30, 0.7 / 39))),
+        ],
+    )
+    def test_split_matches_the_formula(self, blocks, expected):
+        pipeline, per_block = testers._dary_split(0.1, blocks)
+        assert pipeline == pytest.approx(expected[0], rel=1e-12)
+        assert len(per_block) == len(blocks)
+        for got, want in zip(per_block, expected[1]):
+            assert got == want if want is None else got == pytest.approx(want, rel=1e-12)
+
+
+def constrained_law(dims, holds) -> JointDistribution:
+    """The uniform law on the cells x of dims where holds(x)."""
+    mass = np.array([float(holds(x)) for x in itertools.product(*(range(n) for n in dims))])
+    return JointDistribution(dims, mass / mass.sum())
+
+
+class TestDaryFarSideNearEps:
+    """d-ary inputs whose tv to their own marginal product is eps itself, not a multiple of it.
+
+    Each mixes the uniform law with a law of uniform marginals on the cells
+    where a pattern holds. The mix keeps uniform marginals, so its distance
+    to its own product is linear in the weight, which is set to give eps.
+    The product of its own marginals is a product, so the tester must reject.
+    """
+
+    EPS = 0.1
+    CUBE = (2, 2, 2, 2, 2)  # blocks [0], [1, 2], [3, 4]
+    MIXED = (3, 2, 2, 2)  # blocks [0], [1], [2, 3]
+    PATTERNS = {
+        "cube x1=x2": (CUBE, lambda x: x[1] == x[2]),  # inside a block: learning
+        "cube x0=x3": (CUBE, lambda x: x[0] == x[3]),  # across blocks: the pipeline
+        "cube x2=x3": (CUBE, lambda x: x[2] == x[3]),
+        "cube parity x0^x1^x3": (CUBE, lambda x: x[0] ^ x[1] ^ x[3] == 0),
+        "cube parity x1^x2^x3^x4": (CUBE, lambda x: x[1] ^ x[2] ^ x[3] ^ x[4] == 0),
+        "cube x1=x2, x0=x3 and x2=x3": (CUBE, lambda x: x[1] == x[2] and x[0] == x[3] and x[2] == x[3]),
+        "mixed x2=x3": (MIXED, lambda x: x[2] == x[3]),
+        "mixed x1=x3": (MIXED, lambda x: x[1] == x[3]),
+        "mixed parity x1^x2^x3": (MIXED, lambda x: x[1] ^ x[2] ^ x[3] == 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_rejects_at_eps(self, name):
+        dims, holds = self.PATTERNS[name]
+        dep = constrained_law(dims, holds)
+        w = self.EPS / tv_to_own_product(dep)
+        p = JointDistribution(dims, (1 - w) * JointDistribution.uniform(dims).probs + w * dep.probs)
+        assert tv_to_own_product(p) == pytest.approx(self.EPS, abs=1e-12)
+        cfg = TesterConfig(self.EPS, 0.05)
+        trials = 100
+        rejects = sum(
+            aug_independence_d(JointSampler(p), p, cfg, Rng(2021, (t,))).outcome is Outcome.REJECT
+            for t in range(trials)
+        )
+        assert wilson_interval(rejects, trials)[0] >= 0.9, f"{name}: {rejects}/{trials} rejected"
 
 
 class TestAmplify:
