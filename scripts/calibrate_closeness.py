@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grid-search the closeness tester multipliers and freeze the winners.
+"""Grid-search the closeness and norm multipliers and freeze the winners.
 
 The closeness statistic draws Poissonized count vectors X, Y at per-stream
 rate lambda = C_close * M * sqrt(b) / eps^2 and rejects a repetition when
@@ -30,11 +30,22 @@ clean cost C_close * h (a clean call runs h votes, each costing C_close
 batch units), with h the larger of the two plans' leads, then the smallest
 worst null-cell error.
 
-Writes calibration.json next to pyproject.toml and prints the chosen point.
-The chosen multipliers are frozen as EstimatorConfig defaults and the bound
-as estimators.VOTE_ERROR; the script exits 1 when no point is left or when
-the chosen bound exceeds VOTE_ERROR, the per-vote error the committed race
-is sized for.
+The norm's batch and median are chosen the same way, per side. For each
+C_norm in NORM_SAMPLE_MULTS and each law above plus the uniform law on
+8,192 cells (about the size of a flattened (100, 20) joint), NORM_TRIALS
+collision statistics over batches of T = C_norm * ceil(sqrt(M)) are drawn,
+and the shares below 1/2 and above 3/2 of ||p||_2^2 are counted apart. The
+point's per-side bound is its worst side plus two binomial standard errors,
+rounded up to a multiple of 1/64 as above, and its repetition counts are
+estimators._median_plan at that bound for the two- and three-axis norm
+confidences. The winner has the smallest C_norm * r at the two-axis
+confidence, then the smallest r at the three-axis one.
+
+Writes calibration.json next to pyproject.toml and prints the chosen points.
+The chosen multipliers are frozen as EstimatorConfig defaults and the bounds
+as estimators.VOTE_ERROR and estimators.NORM_SIDE_ERROR; the script exits 1
+when no closeness point is left or when a chosen bound exceeds the one the
+committed estimators are sized for.
 """
 
 from __future__ import annotations
@@ -50,8 +61,18 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from augtest.domain import Rng
-from augtest.estimators import VOTE_ERROR, EstimatorConfig, _race_errors, _race_plan, closeness_params
-from augtest.testers import _CLOSENESS_DELTA
+from augtest.estimators import (
+    NORM_SIDE_ERROR,
+    VOTE_ERROR,
+    EstimatorConfig,
+    _median_plan,
+    _norm_statistics,
+    _race_errors,
+    _race_plan,
+    closeness_params,
+)
+from augtest.flattening import FlatView
+from augtest.testers import _CLOSENESS_DELTA, _NORM_DELTA
 
 SEED = 20260814
 TRIALS = 16000
@@ -66,6 +87,16 @@ EPSILONS = [0.1, 0.3]
 NORM_RATIOS = [2, 5]
 SHAPED_SIZES = [50, 200]
 HEAVY_SHARE = 0.02  # share of the cells that are heavy in a two-level law
+NORM_TRIALS = 40000
+NORM_SAMPLE_MULTS = [3.0, 3.5, 4.0, 5.0, 6.0]
+NORM_LARGE_M = 8192  # a uniform law the norm is also calibrated on
+# The confidences the two- and three-axis testers run each norm call at.
+NORM_DELTAS = {f"delta=1/{round(1 / d)}": d for d in _NORM_DELTA.values()}
+TWO_AXIS, THREE_AXIS = NORM_DELTAS
+# The norm grid draws from Rng(SEED).split(NORM_STREAM), apart from the
+# closeness rows, which take the streams 0, 1, ... of their C_close.
+NORM_STREAM = 100
+NORM_CHUNK = 5000  # statistics drawn per block, to bound the working arrays
 
 
 def two_level_law(M: int, ratio: float) -> np.ndarray:
@@ -145,6 +176,59 @@ def plan_point(c_close: float, c_thr: float, errors: dict[str, float]) -> dict:
     )
 
 
+def norm_ratios(law: np.ndarray, c_norm: float, trials: int, rng: Rng) -> np.ndarray:
+    """`trials` collision statistics of the norm estimator over batches of
+    T = c_norm * ceil(sqrt(M)) draws of law, each divided by ||law||_2^2."""
+    T = max(2, math.ceil(c_norm * math.ceil(math.sqrt(law.size))))
+    view = FlatView.from_law(law)
+    stats = [
+        _norm_statistics(view, T, min(NORM_CHUNK, trials - start), rng) for start in range(0, trials, NORM_CHUNK)
+    ]
+    return np.concatenate(stats) / float(law @ law)
+
+
+def norm_plan_point(c_norm: float, errors: dict[str, float]) -> dict:
+    """The norm grid point's per-side bound, repetition counts and cost."""
+    max_err = max(errors.values())
+    bound = vote_bound(max_err, NORM_TRIALS)
+    reps = {label: _median_plan(delta, bound) for label, delta in NORM_DELTAS.items()}
+    return {
+        "norm_sample_mult": c_norm,
+        "max_error": max_err,
+        "bound": bound,
+        "reps": reps,
+        # samples per norm call in units of ceil(sqrt(M)), at the two-axis confidence
+        "cost": c_norm * reps[TWO_AXIS],
+        "errors": errors,
+    }
+
+
+def calibrate_norm(laws, rng: Rng) -> dict:
+    """The norm grid's points and the chosen one, as calibration.json records them."""
+    results = []
+    for mi, c_norm in enumerate(NORM_SAMPLE_MULTS):
+        errors = {}
+        for li, (name, law, _) in enumerate(laws):
+            ratio = norm_ratios(law, c_norm, NORM_TRIALS, rng.split(mi).split(li))
+            errors[f"{name},low"] = float(np.mean(ratio < 0.5))
+            errors[f"{name},high"] = float(np.mean(ratio > 1.5))
+        results.append(norm_plan_point(c_norm, errors))
+    chosen = min(results, key=lambda r: (r["cost"], r["reps"][THREE_AXIS]))
+    return {
+        "trials_per_law": NORM_TRIALS,
+        "criterion": (
+            "per side (below 1/2 or above 3/2 of ||p||_2^2): bound = worst side over the laws "
+            "+ 2 binomial standard errors, rounded up to k/64; reps = _median_plan(delta, bound), "
+            "the smallest r with P(Bin(r, bound) >= ceil(r/2)) <= delta/2, at the two- and "
+            "three-axis norm deltas; the winner has the smallest C_norm * r at delta 1/120, "
+            "then the smallest r at delta 1/180"
+        ),
+        "grid": {"norm_sample_mult": NORM_SAMPLE_MULTS, "laws": [name for name, _, _ in laws]},
+        "chosen": chosen,
+        "results": results,
+    }
+
+
 def main() -> int:
     root = pathlib.Path(__file__).resolve().parents[1]
     rng = Rng(SEED)
@@ -184,6 +268,9 @@ def main() -> int:
                 errors[label] = rej if label.endswith("null") else 1.0 - rej
             results.append(plan_point(c_close, c_thr, errors))
 
+    large = np.full(NORM_LARGE_M, 1.0 / NORM_LARGE_M)
+    norm = calibrate_norm(laws + [(f"M={NORM_LARGE_M}", large, 1)], rng.split(NORM_STREAM))
+
     left = [r for r in results if not r["excluded"]]
     if not left:
         print("no grid point's race plan stays within delta / 8 at its null error", file=sys.stderr)
@@ -213,6 +300,7 @@ def main() -> int:
         },
         "chosen": chosen,
         "results": results,
+        "norm": norm,
     }
     path = root / "calibration.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
@@ -223,15 +311,25 @@ def main() -> int:
         f"{chosen['closeness_threshold_mult']} (max per-vote error "
         f"{chosen['max_error']:.4f}, bound {chosen['bound']}, plans {chosen['plans']})"
     )
-    # bound >= max_error by construction, so this also holds the premise
-    if chosen["bound"] > VOTE_ERROR:
-        print(
-            f"the chosen bound {chosen['bound']} exceeds estimators.VOTE_ERROR = {VOTE_ERROR}, "
-            "the per-vote error the committed race is sized for",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    norm_chosen = norm["chosen"]
+    print(
+        f"chosen: norm_sample_mult={norm_chosen['norm_sample_mult']} (max per-side error "
+        f"{norm_chosen['max_error']:.4f}, bound {norm_chosen['bound']}, reps {norm_chosen['reps']})"
+    )
+    # bound >= max_error by construction, so this also holds the premises
+    status = 0
+    for name, got, committed in (
+        ("VOTE_ERROR", chosen["bound"], VOTE_ERROR),
+        ("NORM_SIDE_ERROR", norm_chosen["bound"], NORM_SIDE_ERROR),
+    ):
+        if got > committed:
+            print(
+                f"the chosen bound {got} exceeds estimators.{name} = {committed}, "
+                "the error the committed estimators are sized for",
+                file=sys.stderr,
+            )
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

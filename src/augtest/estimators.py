@@ -3,17 +3,19 @@
 The norm and closeness estimators follow the median and vote amplification
 of Chan-Diakonikolas-Valiant-Valiant (SODA'14) and Diakonikolas-Kane
 (FOCS'16): a cheap base routine with a bounded error is repeated and
-aggregated. The norm takes the median of r statistics, where r is the
-smallest count whose exact binomial tail P(Bin(r, 1/4) >= ceil(r/2)) is at
-most delta (see repetitions). Closeness runs a sequential vote (Wald's
-SPRT, 1945): it stops once accepts and rejects differ by h, or after r
-votes, and accepts iff accepts outnumber rejects, where (h, r) is sized so
-that its exact error at the calibrated per-vote error bound VOTE_ERROR is
-at most delta, with a cap of at least 2h + 1 votes (see _race_plan). The
-batch multipliers and that bound are calibrated together, so a clean input
-stops after 3 votes; only the votes that run draw samples. Sample draws are
-logged into a SampleAccount in units of base joint draws, counting only
-what was drawn.
+aggregated. The norm takes the median of r statistics. The median misses
+low only when ceil(r/2) statistics miss low, and likewise high, so r is the
+smallest count whose exact binomial tail P(Bin(r, e) >= ceil(r/2)) is at
+most delta / 2, where e = NORM_SIDE_ERROR is the calibrated bound on either
+side's per-statistic miss (see _median_plan). Closeness runs a sequential
+vote (Wald's SPRT, 1945): it stops once accepts and rejects differ by h, or
+after r votes, and accepts iff accepts outnumber rejects, where (h, r) is
+sized so that its exact error at the calibrated per-vote error bound
+VOTE_ERROR is at most delta, with a cap of at least 2h + 1 votes (see
+_race_plan). The batch multipliers and those bounds are calibrated together,
+so a clean input stops after 3 votes; only the votes that run draw samples.
+Sample draws are logged into a SampleAccount in units of base joint draws,
+counting only what was drawn.
 
 When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
@@ -61,9 +63,9 @@ from .domain import (
 class EstimatorConfig:
     """Multipliers for the estimator sample sizes and thresholds.
 
-    closeness_sample_mult and closeness_threshold_mult are frozen by the
-    committed calibration run (scripts/calibrate_closeness.py); see
-    calibration.json for the measured per-repetition error table.
+    All three are frozen by the committed calibration run
+    (scripts/calibrate_closeness.py); see calibration.json for the measured
+    per-repetition error tables, the norm's under its "norm" key.
     """
 
     norm_sample_mult: float = 4.0  # batch size T = this * ceil(sqrt(M))
@@ -71,10 +73,12 @@ class EstimatorConfig:
     closeness_threshold_mult: float = 1.65  # reject when Z > this * lambda^2 eps^2 / M
 
 
-# The per-repetition error the norm's median is sized for;
-# tests/test_estimators.py measures the statistic's misses below 1/2 and
-# above 3/2 of the truth, at most 0.15 on either side.
-REP_ERROR = 0.25
+# The per-side error the norm's median is sized for: the chance that one
+# statistic falls below 1/2, or above 3/2, of the truth. It is the
+# calibrated batch's worst measured side plus two binomial standard errors,
+# rounded up to a multiple of 1/64 (calibration.json records it under
+# "norm" with the repetitions it gives).
+NORM_SIDE_ERROR = 0.15625
 # The per-vote error the closeness race is sized for: the calibrated rule's
 # worst measured cell plus two binomial standard errors, rounded up to a
 # multiple of 1/64 (calibration.json records it with the plans it gives).
@@ -96,25 +100,36 @@ def binomial_tail_at_most(r: int, p: float, k: int, delta: float) -> bool:
     return tail * den <= num * b**r
 
 
-@functools.cache
 def repetitions(delta: float, cfg: EstimatorConfig) -> int:
-    """The smallest r with P(Bin(r, 1/4) >= ceil(r/2)) <= delta.
+    """The norm estimator's repetition count at confidence delta: _median_plan(delta).
 
-    This is the norm estimator's repetition count. If each statistic misses
-    [1/2, 3/2] times the truth w.p. at most 1/4, this tail bounds the chance
-    that their median does, since the median misses only when at least
-    ceil(r/2) statistics miss on the same side; each side is missed w.p.
-    below 0.15 on the calibration laws. The closeness vote is sized by
-    _race_plan instead.
+    cfg does not enter the count; it stays in the signature so every sizing
+    call reads alike. The closeness vote is sized by _race_plan instead.
+    """
+    return _median_plan(delta)
 
-    The tail is not monotone in r (r = 1 gives 1/4, r = 2 gives 7/16), so r
-    is found by scanning up from 1; it is memoized. cfg does not enter the
-    count; it stays in the signature so every sizing call reads alike.
+
+@functools.cache
+def _median_plan(delta: float, side_error: float = NORM_SIDE_ERROR) -> int:
+    """The smallest r with P(Bin(r, side_error) >= ceil(r/2)) <= delta / 2.
+
+    If each statistic falls below 1/2 times the truth w.p. at most
+    side_error, their median does only when at least ceil(r/2) of them do,
+    which this tail bounds by delta / 2; the same holds above 3/2, and the
+    two sides together miss w.p. at most delta (a union bound). At the
+    calibrated NORM_SIDE_ERROR of 10/64 that gives 11 repetitions at delta
+    1/120 and 13 at 1/180.
+
+    The tail is not monotone in r (at 10/64, r = 1 gives 0.156 and r = 2
+    gives 0.288, since an even r fails on r/2 misses), so r is found by
+    scanning up from 1; it is memoized.
     """
     if not 0 < delta < 1:
         raise DomainError(f"delta must be in (0, 1), got {delta}")
+    if not 0 < side_error < 0.5:
+        raise DomainError(f"side_error must be in (0, 1/2), got {side_error}")
     r = 1
-    while not binomial_tail_at_most(r, REP_ERROR, (r + 1) // 2, delta):
+    while not binomial_tail_at_most(r, side_error, (r + 1) // 2, delta / 2):
         r += 1
     return r
 
@@ -283,6 +298,19 @@ def estimate_l2_squared(
     _check_size(M, view)
     T = max(2, math.ceil(cfg.norm_sample_mult * math.ceil(math.sqrt(M))))
     r = repetitions(delta, cfg)
+    ests = _norm_statistics(view, T, r, rng)
+    if account is not None:
+        account.add(stage, T * r * view.cost)
+    return _median(ests)
+
+
+def _norm_statistics(view, T: int, r: int, rng: Rng) -> np.ndarray:
+    """The collision statistics of r batches of T draws of the view, as estimate_l2_squared draws them.
+
+    When the view exposes its law, the batches are the rows of one (r, T)
+    block of uniforms from rng's own generator, so calls on one rng continue
+    its stream; otherwise batch j draws from rng.split(j).
+    """
     if view.probs is not None:
         # One random(r * T) call draws what r random(T) calls would; sorted
         # rows group equal symbols.
@@ -291,10 +319,7 @@ def estimate_l2_squared(
         idx = view.inverse_cdf(u.size)(u)
     else:
         idx = np.sort([view.draw(T, rng.split(j)) for j in range(r)], axis=1)
-    ests = _ordered_pairs(idx) / (T * (T - 1))
-    if account is not None:
-        account.add(stage, T * r * view.cost)
-    return _median(ests)
+    return _ordered_pairs(idx) / (T * (T - 1))
 
 
 def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tuple[float, float]:

@@ -349,26 +349,31 @@ def partition_coordinates(dims: Sequence[int]) -> list[list[int]]:
     raise AssertionError("unreachable: full product exceeds sqrt of itself")
 
 
+def _eta_divisor(k: int) -> int:
+    """c = max(7, k + 2): the learning test on k axes runs at eta = eps / c."""
+    return max(7, k + 2)
+
+
 def test_independence_by_learning(
     sampler, eps: float, delta: float, rng: Rng, account: SampleAccount | None = None
 ) -> Verdict:
     """Learns the joint empirically and compares it to its own marginal product.
 
-    Uses t = ceil((N_S + ln(1/delta')) / eta^2) samples with eta = eps/7 and
-    delta' = delta / (arity + 1); accepts when the learned joint is within
-    6 * eta of the product of its marginals. Single-axis inputs accept
+    On k axes it uses t = ceil((N_S + ln(1/delta)) / eta^2) samples with
+    eta = eps / c and c = max(7, k + 2), and accepts when the learned joint
+    is within eps - eta of the product of its marginals; for k <= 5 that is
+    eta = eps / 7 and the threshold 6 * eta. Single-axis inputs accept
     immediately with zero samples.
 
     With t samples the learned law p-hat is within (sqrt(3)/2) * eta < eta
-    of p w.p. 1 - delta': tv(p-hat, p) exceeds its mean, at most
-    sqrt(N_S/4t), by more than sqrt(ln(1/delta')/2t) w.p. at most delta'
+    of p w.p. 1 - delta: tv(p-hat, p) exceeds its mean, at most
+    sqrt(N_S/4t), by more than sqrt(ln(1/delta)/2t) w.p. at most delta
     (McDiarmid), and the two terms sum to at most (sqrt(3)/2) * eta when
-    t >= (N_S + ln(1/delta')) / eta^2. No marginal of p-hat is farther from
-    p's than p-hat is from p, so on k axes the gap is within (k + 1) * eta
-    of p's own distance to the product of its marginals. The threshold
-    6 * eta therefore accepts every product only on at most 5 axes;
-    partition_coordinates((2,) * 12) already yields a 6-axis block, for
-    which this argument does not give completeness.
+    t >= (N_S + ln(1/delta)) / eta^2. That one event covers every marginal
+    too, since no marginal of p-hat is farther from p's than p-hat is from
+    p. So on k axes the gap is within (k + 1) * eta of p's own distance to
+    the product of its marginals, and a product, at distance 0, scores at
+    most (k + 1) * eta <= (c - 1) * eta = eps - eta: the test accepts it.
     """
     _check_finite("eps", eps)
     _check_finite("delta", delta)
@@ -382,12 +387,11 @@ def test_independence_by_learning(
     if len(dims) == 1:
         return Verdict(Outcome.ACCEPT, ["learning"], acct, {"dims": dims, "t": 0})
     size = math.prod(dims)
-    delta_p = delta / (len(dims) + 1)
-    eta = eps / 7.0
-    t = math.ceil((size + math.log(1.0 / delta_p)) / (eta * eta))
+    eta = eps / _eta_divisor(len(dims))
+    t = math.ceil((size + math.log(1.0 / delta)) / (eta * eta))
     emp = learn_empirical(sampler, t, rng, acct)
     gap = empirical_tv_to_product(emp)
-    outcome = Outcome.ACCEPT if gap <= 6.0 * eta else Outcome.REJECT
+    outcome = Outcome.ACCEPT if gap <= eps - eta else Outcome.REJECT
     return Verdict(outcome, ["learning"], acct, {"dims": dims, "t": t, "gap": gap})
 
 
@@ -395,8 +399,10 @@ def _dary_split(eps: float, blocks: Sequence[Sequence[int]]) -> tuple[float, tup
     """The eps of the grouped pipeline and of each block's learning test.
 
     Returns (eps / m, per_block), where m is 1 plus the number of blocks of
-    two or more axes. per_block[j] is 7 * (eps / m) / (k + 7) for a block of
-    k >= 2 axes, and None for a single axis, which runs no test.
+    two or more axes. per_block[j] is (eps / m) * c / (c + k) for a block of
+    k >= 2 axes, with c = max(7, k + 2) as test_independence_by_learning
+    takes it (7 * (eps / m) / (k + 7) for k <= 5), and None for a single
+    axis, which runs no test.
 
     Why it is sound. Write p_B for p's marginal on the axes of block B, p_i
     for its marginal on axis i, q = prod_B p_B for the product of the block
@@ -418,21 +424,24 @@ def _dary_split(eps: float, blocks: Sequence[Sequence[int]]) -> tuple[float, tup
       axes does not grow tv(p, pred), so InaccurateInformation stays
       reserved for a prediction that misses alpha.)
     - E = tv(p_B, prod_{i in B} p_i) >= eps / m on a block of k axes. The
-      learning test at eps' = 7 * (eps / m) / (k + 7) has eta = eps' / 7, so
-      E >= (k + 7) * eta. Its learned law p-hat has tv(p-hat, p_B) < eta
+      learning test at eps' = (eps / m) * c / (c + k) has eta = eps' / c,
+      so E >= (c + k) * eta. Its learned law p-hat has tv(p-hat, p_B) < eta
       (see test_independence_by_learning), and so does each marginal, since
       marginalizing never grows tv. Hence
           gap >= E - tv(p-hat, p_B) - sum_i tv(p-hat_i, p_i)
-              >  E - (k + 1) * eta >= 6 * eta.
+              >  E - (k + 1) * eta >= (c - 1) * eta = eps' - eta.
       The middle step is strict, so the test, which rejects when
-      gap > 6 * eta, rejects also at the boundary E = (k + 7) * eta.
+      gap > eps' - eta, rejects also at the boundary E = (c + k) * eta.
 
     For a product p, q = p and every p_B is a product, so every sub-test
     accepts w.p. its own confidence, whatever eps it runs at.
     """
     multi = sum(len(blk) > 1 for blk in blocks)
     eps_pipeline = eps / (1 + multi)
-    per_block = tuple(7.0 * eps_pipeline / (len(blk) + 7) if len(blk) > 1 else None for blk in blocks)
+    divisors = [_eta_divisor(len(blk)) for blk in blocks]
+    per_block = tuple(
+        eps_pipeline * c / (c + len(blk)) if len(blk) > 1 else None for blk, c in zip(blocks, divisors)
+    )
     return eps_pipeline, per_block
 
 

@@ -578,8 +578,8 @@ class TestAmplification:
             dict(BASE, tester="learn", delta=0.05, trials=1, eps=0.35)
         )
         r = run_single_trial(cfg, 0)
-        # one learning call at delta=0.05: t = ceil((40 + ln(3/0.05)) / (0.05)^2)
-        t = math.ceil((40 + math.log(3 / 0.05)) / 0.05**2)
+        # one learning call at delta=0.05: t = ceil((40 + ln(1/0.05)) / (0.05)^2)
+        t = math.ceil((40 + math.log(1 / 0.05)) / 0.05**2)
         assert r.samples_learning == t
 
 

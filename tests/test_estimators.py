@@ -123,23 +123,27 @@ class TestConfig:
         assert CFG.closeness_threshold_mult == 1.65
         # a recalibration that is not carried into the defaults fails here
         with open(CALIBRATION) as fh:
-            chosen = json.load(fh)["chosen"]
-        assert CFG.closeness_sample_mult == chosen["closeness_sample_mult"]
-        assert CFG.closeness_threshold_mult == chosen["closeness_threshold_mult"]
+            record = json.load(fh)
+        assert CFG.closeness_sample_mult == record["chosen"]["closeness_sample_mult"]
+        assert CFG.closeness_threshold_mult == record["chosen"]["closeness_threshold_mult"]
+        assert CFG.norm_sample_mult == record["norm"]["chosen"]["norm_sample_mult"]
 
     def test_repetition_counts(self):
-        assert repetitions(0.05, CFG) == 9
-        assert repetitions(1.0 / 80.0, CFG) == 17
-        assert repetitions(1.0 / 120.0, CFG) == 21
-        assert repetitions(1.0 / 180.0, CFG) == 23
+        assert estimators.NORM_SIDE_ERROR == 10 / 64
+        assert repetitions(0.05, CFG) == 7
+        assert repetitions(1.0 / 80.0, CFG) == 11
+        assert repetitions(1.0 / 120.0, CFG) == 11
+        assert repetitions(1.0 / 180.0, CFG) == 13
         assert repetitions(0.5, CFG) == 1
         assert repetitions(0.9, CFG) == 1
 
     @pytest.mark.parametrize("delta", [0.5, 0.3, 0.1, 0.05, 1 / 80, 1 / 120, 1 / 180, 1e-3, 1e-6])
     def test_repetitions_are_the_smallest_count_the_binomial_tail_allows(self, delta):
+        # each side of the median is held to delta / 2
         r = repetitions(delta, CFG)
-        assert upper_tail(r, 0.25) <= delta
-        assert all(upper_tail(s, 0.25) > delta for s in range(1, r))
+        side = estimators.NORM_SIDE_ERROR
+        assert upper_tail(r, side) <= delta / 2
+        assert all(upper_tail(s, side) > delta / 2 for s in range(1, r))
         # never more than the Hoeffding count ceil(8 ln(1/delta)) it replaced
         assert r <= max(1, math.ceil(8 * math.log(1 / delta)))
 
@@ -148,6 +152,11 @@ class TestConfig:
             repetitions(0.0, CFG)
         with pytest.raises(DomainError):
             repetitions(1.0, CFG)
+
+    @pytest.mark.parametrize("side_error", [0.0, 0.5, 0.75, -0.125])
+    def test_median_plan_rejects_a_side_error_no_median_can_beat(self, side_error):
+        with pytest.raises(DomainError, match="side_error"):
+            estimators._median_plan(0.1, side_error)
 
 
 class TestRacePlan:
@@ -160,7 +169,7 @@ class TestRacePlan:
         assert estimators.VOTE_ERROR == 1 / 8
         assert estimators._race_plan(1 / 80) == (3, 7)
         assert estimators._race_plan(1 / 120) == (3, 7)
-        # the norm's median stays sized at 1/4
+        # a looser per-vote bound needs a longer lead and cap
         assert estimators._race_plan(1 / 80, 0.25) == (5, 19)
 
     def test_plans_are_the_calibrated_ones(self):
@@ -245,11 +254,30 @@ class TestCalibrationRecord:
             )
             assert json.loads(json.dumps(derived)) == point
 
+    def test_every_norm_point_re_derives_from_its_errors(self):
+        # the norm's bound, repetition counts and cost follow from its
+        # recorded per-side errors through the script's own rule, and the
+        # chosen point is the cheapest, as NORM_SIDE_ERROR records it
+        script = _calibration_script()
+        with open(CALIBRATION) as fh:
+            norm = json.load(fh)["norm"]
+        results = norm["results"]
+        assert [point["norm_sample_mult"] for point in results] == script.NORM_SAMPLE_MULTS
+        for point in results:
+            derived = script.norm_plan_point(point["norm_sample_mult"], point["errors"])
+            assert json.loads(json.dumps(derived)) == point
+            assert len(point["errors"]) == 2 * len(norm["grid"]["laws"]) == 16
+        chosen = norm["chosen"]
+        assert chosen == min(results, key=lambda p: (p["cost"], p["reps"]["delta=1/180"]))
+        assert chosen["bound"] == estimators.NORM_SIDE_ERROR
+        assert chosen["reps"] == {"delta=1/120": 11, "delta=1/180": 13}
+
 
 class TestRepetitionPremise:
-    """repetitions() assumes each norm statistic errs w.p. at most
-    REP_ERROR = 1/4, and _race_plan() that each closeness vote errs w.p. at
-    most VOTE_ERROR; these measure both premises on the calibration laws."""
+    """repetitions() assumes each norm statistic falls below 1/2, and above
+    3/2, of the truth w.p. at most NORM_SIDE_ERROR each, and _race_plan()
+    that each closeness vote errs w.p. at most VOTE_ERROR; these measure
+    both premises on the calibration laws."""
 
     def test_calibrated_closeness_error_is_at_most_the_recorded_bound(self):
         with open(CALIBRATION) as fh:
@@ -257,38 +285,26 @@ class TestRepetitionPremise:
         assert chosen["max_error"] == max(chosen["errors"].values())
         assert chosen["max_error"] <= chosen["bound"] == estimators.VOTE_ERROR
 
-    def test_norm_misses_are_covered_by_the_tail(self, monkeypatch):
-        # One estimate_l2_squared call with `trials` repetitions per law, its
-        # per-repetition statistics read off the _ordered_pairs seam. Misses
-        # below 1/2 and above 3/2 of the truth are counted apart; the median
-        # of r fails only when ceil(r/2) repetitions miss on one side, so the
-        # two Wilson-upper tails together must stay within delta.
+    def test_norm_misses_are_covered_by_the_tail(self):
+        # 40,000 of estimate_l2_squared's per-repetition statistics per law,
+        # drawn by the calibration script's own routine on streams apart from
+        # the calibration's. Misses below 1/2 and above 3/2 of the truth are
+        # counted apart; the median of r fails on one side only when ceil(r/2)
+        # repetitions miss on that side, so each side's Wilson upper bound
+        # must stay within NORM_SIDE_ERROR.
         trials = 40_000
         script = _calibration_script()
-        laws = [np.full(M, 1.0 / M) for M in script.SIZES]
+        laws = [np.full(M, 1.0 / M) for M in script.SIZES + [script.NORM_LARGE_M]]
         laws += [script.two_level_law(M, ratio) for ratio in script.NORM_RATIOS for M in script.SHAPED_SIZES]
-        kernel = estimators._ordered_pairs
-        pairs = []
-
-        def recording(idx):
-            pairs.append(kernel(idx))
-            return pairs[-1]
-
-        monkeypatch.setattr(estimators, "_ordered_pairs", recording)
-        monkeypatch.setattr(estimators, "repetitions", lambda delta, cfg: trials)
-        misses = []
+        worst = 0.0
         for i, law in enumerate(laws):
-            M = law.size
-            estimate_l2_squared(FlatView.from_law(law), M, 0.1, CFG, Rng(33, (i,)))
-            T = math.ceil(CFG.norm_sample_mult * math.ceil(math.sqrt(M)))
-            ratio = pairs[-1] / (T * (T - 1)) / float(law @ law)
-            below, above = int(np.sum(ratio < 0.5)), int(np.sum(ratio > 1.5))
-            misses.append((wilson_interval(below, trials)[1], wilson_interval(above, trials)[1]))
-        monkeypatch.undo()
+            ratio = script.norm_ratios(law, CFG.norm_sample_mult, trials, Rng(33, (i,)))
+            for misses in (int(np.sum(ratio < 0.5)), int(np.sum(ratio > 1.5))):
+                worst = max(worst, wilson_interval(misses, trials)[1])
+        assert len(laws) == 8
+        assert worst <= estimators.NORM_SIDE_ERROR
         for delta in (1 / 120, 1 / 180):
-            r = repetitions(delta, CFG)
-            for lo, hi in misses:
-                assert upper_tail(r, lo) + upper_tail(r, hi) <= delta
+            assert 2 * upper_tail(repetitions(delta, CFG), estimators.NORM_SIDE_ERROR) <= delta
 
 
 class TestFlatViewFromLaw:

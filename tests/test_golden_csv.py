@@ -8,6 +8,10 @@ Each config also pins the CSV without its closeness sample columns
 (samples_closeness and samples_total). That digest holds every verdict,
 stage and the other stages' sample counts, so a change that only moves how
 many closeness samples are drawn keeps it.
+
+A third digest pins only the trial, seed, outcome and stage columns. A
+change that resizes a stage moves its sample columns, and so both digests
+above, and this one shows that every verdict and deciding stage held.
 """
 
 import csv
@@ -22,13 +26,15 @@ SEED = 7
 TRIALS = 6
 
 # name -> (config, SHA-256 of the emit_report CSV at seed 7, 6 trials,
-#          SHA-256 of that CSV without CLOSENESS_COLUMNS)
+#          SHA-256 of that CSV without CLOSENESS_COLUMNS,
+#          SHA-256 of that CSV with only OUTCOME_COLUMNS)
 GOLDEN = {
     # The three benchmark workloads.
     "closeness_2d": (
         dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}),
-        "6deab0d4005a5623414f6d8d8dd98c150a7eb7636df23b8060ce009b8fa656b5",
-        "6e012c4cdb62a83d8bf1f34b84033e40f064a89a08e592cf50c624eb706c6c96",
+        "47905d0685b89e1545a0fcdaae94aa7ff52bcea66dce1b34ec3923e06e342d31",
+        "73c1cd2cc02336f2a317e8c148857d469d55ee296cac26074029b2079967c125",
+        "1af2bfbad86983e91fd9fef7d93194274a89f93a52871e66b2d765d26b6e28f9",
     ),
     "hidden_bit_2d": (
         dict(
@@ -47,13 +53,15 @@ GOLDEN = {
                 "force_x": 1,
             },
         ),
-        "2c1830c9095f16f9c5eb609f9bfdd7b3655b11723e31550114e1c54ab233d99d",
-        "81bca006f7d27150be5f99be486b38dde1a96d06f4ebf999b01a62fd8b5a25d3",
+        "1fcfb7f1994ab7e2a320a53a9a8cd793f207458447a5d17c82b345c28e29dc1a",
+        "f6445df5f711f17c821757857b942c7d46e138c03dc6effd44cf44ec0e049300",
+        "bb7342ebe65cb55d425cf63f352e11e6e0bbee606d417de1a93e4a01be3755c1",
     ),
     "arity5_d": (
         dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2, 2, 2, 2, 2]}),
-        "a0336429a32abc06a01cec592b80ece5d1462343aca82debf67594253eab98df",
-        "b816ab1b7c7dcc16b52ebfdc5519e9444dc21aaab05ffec9b5259dd0d1d7cd28",
+        "c7b1d717e54c5a01ab596319ea63bb75cc6a413751e5bd8c12f0525c41cfbd52",
+        "b16421f5c10bc8a874f9700a6dd8f5e87dad9e34c8687672cc86485ed2d57cb6",
+        "b58b44712866352880fa801e2007986b4c223e6c8bb30d2af5b814a33c08edbd",
     ),
     # Ascending axes: the 2-axis tester runs on its axis-permuted view.
     "permuted_2d": (
@@ -64,28 +72,33 @@ GOLDEN = {
             prediction="uniform",
             instance={"kind": "product_random", "dims": [10, 40]},
         ),
-        "d231fc6cf4069a13e969d88cea775d54e7bd67f5048fc319f815f29928b69c18",
-        "eb93ae4062ea8604b9c5ceefd99cebf6089b46170f2832dcbf4b1ca13a751943",
+        "5d7d527bf5f743119410f9bb6fee5060dd6b348e94568181f5e3ee1bf63b30cf",
+        "8b8ad8d3dc7536231b0942d1d9e53f7fe572fa04f940ef509b62fd43c6b73373",
+        "1af2bfbad86983e91fd9fef7d93194274a89f93a52871e66b2d765d26b6e28f9",
     ),
     "product_3d": (
         dict(tester="3d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [4, 9, 6]}),
-        "4221c2d03276d924333eba7f23e0fdd519dbd3549dab320c9d60a423b2330a19",
-        "d11a1befa55ce3d1c344dc6d7d8f489881e6e72ca76b87d8e6cda35eb8f28a1f",
+        "d9e5868a6b120b0cde2e9949bd5d0239800e7fb932b09cd20c2be0b3718a0c32",
+        "bd1a37c3440428f9ef1a12e9dafc45a48796c53fef54326d815a8aaefec61e96",
+        "1af2bfbad86983e91fd9fef7d93194274a89f93a52871e66b2d765d26b6e28f9",
     ),
     "grouped_d": (
         dict(tester="d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [3, 5, 2, 4]}),
-        "af7a70e0f8e95eb7073f5c9735eed540cb188ac66606b429b18f8213af4df62c",
-        "7069754d19abca1d44585d7894a6483dbf4875311aefcf2785159ad47fce50cb",
+        "bd2bcc26167b3105f7af8d4758c2a7839b9a9161cd8073753233f40212a50e96",
+        "1ad967305e0d8d45f8bd7c12df946a9351689c3c5c37ca4e702b8d3a71adedea",
+        "b58b44712866352880fa801e2007986b4c223e6c8bb30d2af5b814a33c08edbd",
     ),
     "learn": (
         dict(tester="learn", eps=0.4, instance={"kind": "correlated", "size": 4}),
-        "2dcd1eb9f26ee59a5467444d251f635391e3bd1c7af3fe649f15e7c5f1a322ba",
-        "1ba59f38da6cc7e6592e6dc1fb99d1deb30f7e54f49c372989f954866237ff10",
+        "a2c35bce51e55b3037e631c782c859baf6bc34b27b825c6f599aa24a4f6ba81e",
+        "ac0801e7ad4f77d39661b7614949ee22e5714906645691e214e1ee9afea0faf9",
+        "c7d041174e492a6e8eaa4b8d4e023e74839127b422f9264ff4f59aa68ef30c1c",
     ),
 }
 
 
 CLOSENESS_COLUMNS = ("samples_closeness", "samples_total")
+OUTCOME_COLUMNS = ("trial", "seed", "outcome", "stage")
 
 
 def fixed_seed_csv(config: dict, path) -> bytes:
@@ -94,10 +107,10 @@ def fixed_seed_csv(config: dict, path) -> bytes:
     return path.read_bytes()
 
 
-def without_columns(data: bytes, names) -> bytes:
-    """The CSV rewritten by the csv module with the named columns dropped."""
+def select_columns(data: bytes, keeps) -> bytes:
+    """The CSV rewritten by the csv module with the columns whose name keeps(name) holds."""
     rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
-    keep = [i for i, name in enumerate(rows[0]) if name not in names]
+    keep = [i for i, name in enumerate(rows[0]) if keeps(name)]
     out = io.StringIO(newline="")
     csv.writer(out).writerows([row[i] for i in keep] for row in rows)
     return out.getvalue().encode()
@@ -109,12 +122,19 @@ def sha256(data: bytes) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fixed_seed_csv_is_unchanged(name, tmp_path):
-    config, digest, _ = GOLDEN[name]
+    config, digest, _, _ = GOLDEN[name]
     assert sha256(fixed_seed_csv(config, tmp_path / f"{name}.csv")) == digest
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fixed_seed_verdicts_are_unchanged(name, tmp_path):
-    config, _, verdict_digest = GOLDEN[name]
+    config, _, verdict_digest, _ = GOLDEN[name]
     data = fixed_seed_csv(config, tmp_path / f"{name}.csv")
-    assert sha256(without_columns(data, CLOSENESS_COLUMNS)) == verdict_digest
+    assert sha256(select_columns(data, lambda column: column not in CLOSENESS_COLUMNS)) == verdict_digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_fixed_seed_outcomes_are_unchanged(name, tmp_path):
+    config, _, _, outcome_digest = GOLDEN[name]
+    data = fixed_seed_csv(config, tmp_path / f"{name}.csv")
+    assert sha256(select_columns(data, lambda column: column in OUTCOME_COLUMNS)) == outcome_digest

@@ -230,8 +230,10 @@ class TestGateLogic:
 
     def test_joint_view_builds_its_sampling_map_once(self, monkeypatch):
         # On uniform (100, 20) with the exact prediction at eps .4 the joint
-        # norm and closeness both look up enough symbols for a guide table;
-        # the joint view builds its map once and closeness reuses it.
+        # norm's 11 batches of T = 4 * ceil(sqrt(M)) look up about 4,000
+        # symbols, too few for a guide table, and binary-search them;
+        # closeness looks up enough for one. The joint view builds its guide
+        # once and every closeness vote reuses it.
         p = JointDistribution.uniform((100, 20))
         guides, lookups, joint_views, tables = [], [], [], []
         guide_table, view_map = domain._guide_table, flattening.FlatView.inverse_cdf
@@ -262,7 +264,8 @@ class TestGateLogic:
         (joint,) = joint_views
         joint_lookups = [n for view, n in lookups if view is joint]
         assert len(joint_lookups) == 2  # the joint norm, then closeness
-        assert all(n >= domain._GUIDE_MIN_LOOKUPS for n in joint_lookups)
+        T = 4 * math.ceil(math.sqrt(joint.size))
+        assert joint_lookups[0] == 11 * T < domain._GUIDE_MIN_LOOKUPS <= joint_lookups[1]
         # One guide over the joint view's table, one over the product view's.
         assert len(guides) == 2
         assert sum(cum is joint._cum for cum in guides) == 1
@@ -403,14 +406,43 @@ class TestLearning:
         assert v.account.total == 0
 
     def test_sample_budget_formula(self):
-        # t = ceil((N + ln((d+1)/delta)) / (eps/7)^2)
+        # t = ceil((N + ln(1/delta)) / (eps/7)^2): one event at delta covers
+        # the joint and every marginal
         p = JointDistribution.uniform((3, 3, 2))
         v = learning_tester(JointSampler(p), 0.35, 0.1, Rng(11))
-        assert v.detail["t"] == 8676
-        assert v.account.learning == 8676
+        assert v.detail["t"] == 8122
+        assert v.account.learning == 8122
         q = JointDistribution.uniform((2, 2))
         w = learning_tester(JointSampler(q), 0.35, 0.1, Rng(12))
-        assert w.detail["t"] == 2961
+        assert w.detail["t"] == 2522
+
+    @pytest.mark.parametrize("k", [2, 5, 6, 12])
+    def test_threshold_is_complete_and_sound_on_k_axes(self, k):
+        # eta = eps / c with c = max(7, k + 2), threshold eps - eta. A
+        # product's gap is at most (k + 1) * eta, which must not exceed the
+        # threshold; an input at E = (c + k) * eta scores above
+        # E - (k + 1) * eta, which must be at least the threshold.
+        eps, delta = 0.2, 0.1
+        c = max(7, k + 2)
+        eta = eps / c
+        assert (k + 1) * eta <= eps - eta + 1e-15
+        far = (c + k) * eta
+        assert far - (k + 1) * eta >= eps - eta - 1e-15
+        dims = (2,) * k
+        t = math.ceil((2**k + math.log(1 / delta)) / eta**2)
+        uniform = JointDistribution.uniform(dims)
+        dep = constrained_law(dims, lambda x: x[0] == x[1])
+        w = far / tv_to_own_product(dep)
+        law = JointDistribution(dims, (1 - w) * uniform.probs + w * dep.probs)
+        assert tv_to_own_product(law) == pytest.approx(far, abs=1e-12)
+        for seed in range(3):
+            v = learning_tester(JointSampler(uniform), eps, delta, Rng(110, (k, seed)))
+            assert v.detail["t"] == t
+            assert v.detail["gap"] <= (k + 1) * eta
+            assert v.outcome is Outcome.ACCEPT
+            v = learning_tester(JointSampler(law), eps, delta, Rng(111, (k, seed)))
+            assert v.detail["gap"] > eps - eta
+            assert v.outcome is Outcome.REJECT
 
     def test_product_accepts(self):
         t = np.einsum("i,j,k->ijk", [0.5, 0.3, 0.2], [0.6, 0.3, 0.1], [0.7, 0.3])
@@ -474,7 +506,7 @@ class TestGeneralArity:
         assert split["blocks"] == (None, block_eps, block_eps)
         assert block_eps == pytest.approx(7 * 0.4 / 27, rel=1e-12)
         for i in (1, 2):
-            t = math.ceil((4 + math.log(3 / 0.02)) / (block_eps / 7) ** 2)
+            t = math.ceil((4 + math.log(1 / 0.02)) / (block_eps / 7) ** 2)
             assert v.detail[f"learning_block_{i}"]["t"] == t
 
     def test_one_reindexed_view_per_run(self, monkeypatch):
@@ -585,8 +617,13 @@ class TestDarySplit:
             ([[0], [1], [2, 3]], (0.1 / 2, (None, None, 0.7 / 18))),
             # m = 2: one 3-axis block; 7 * (eps/2) / 10
             ([[0], [1, 2, 3]], (0.1 / 2, (None, 0.7 / 20))),
-            # m = 3: a 3-axis and a 6-axis block, as (2,)*10 partitions
-            ([[0], [1, 2, 3], [4, 5, 6, 7, 8, 9]], (0.1 / 3, (None, 0.7 / 30, 0.7 / 39))),
+            # m = 3: a 3-axis and a 6-axis block, as (2,)*10 partitions;
+            # c = 8 on 6 axes: (eps/3) * 8 / 14
+            ([[0], [1, 2, 3], [4, 5, 6, 7, 8, 9]], (0.1 / 3, (None, 0.7 / 30, 0.8 / 42))),
+            # m = 3: a 5-axis and a 6-axis block, as (2,)*12 partitions
+            (partition_coordinates((2,) * 12), (0.1 / 3, (None, 0.7 / 36, 0.8 / 42))),
+            # m = 2: one 12-axis block; c = 14: (eps/2) * 14 / 26
+            ([[0], list(range(1, 13))], (0.1 / 2, (None, 1.4 / 52))),
         ],
     )
     def test_split_matches_the_formula(self, blocks, expected):
@@ -595,6 +632,23 @@ class TestDarySplit:
         assert len(per_block) == len(blocks)
         for got, want in zip(per_block, expected[1]):
             assert got == want if want is None else got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_every_block_test_is_complete_and_sound(self, k, m):
+        # A block of k axes at eps' with eta = eps' / c: a product scores at
+        # most (k + 1) * eta, which must not exceed the threshold eps' - eta,
+        # and a block term E = eps / m scores above E - (k + 1) * eta, which
+        # must be at least the threshold.
+        eps = 0.1
+        blocks = [[0], list(range(1, k + 1))]
+        if m == 3:
+            blocks.append([k + 1, k + 2])
+        _, per_block = testers._dary_split(eps, blocks)
+        eps_blk = per_block[1]
+        eta = eps_blk / max(7, k + 2)
+        assert (k + 1) * eta <= (eps_blk - eta) * (1 + 1e-12)
+        assert eps / m - (k + 1) * eta >= (eps_blk - eta) * (1 - 1e-12)
 
 
 def constrained_law(dims, holds) -> JointDistribution:
