@@ -328,9 +328,10 @@ def partition_coordinates(dims: Sequence[int]) -> list[list[int]]:
     """Splits descending-sorted axes into 2 or 3 blocks of balanced sizes.
 
     Returns [[0], B] when n_1 >= sqrt(N) (two-block view), else [[0], B, C]
-    where B is the shortest prefix of the remaining axes whose size product
-    reaches sqrt(N). Every returned block beyond the first has size product
-    at most sqrt(N).
+    where B is the shortest prefix of the remaining axes for which n_1 times
+    B's size product reaches sqrt(N); C holds the rest. On (4, 4, 4, 4) that
+    is [[0], [1], [2, 3]]: n_1 * 4 = 16 = sqrt(256), so B = [1] has size 4.
+    Every returned block beyond the first has size product at most sqrt(N).
     """
     dims = _checked_dims(dims)
     if len(dims) < 2:
@@ -349,9 +350,27 @@ def partition_coordinates(dims: Sequence[int]) -> list[list[int]]:
     raise AssertionError("unreachable: full product exceeds sqrt of itself")
 
 
-def _eta_divisor(k: int) -> int:
-    """c = max(7, k + 2): the learning test on k axes runs at eta = eps / c."""
-    return max(7, k + 2)
+def _learn_blocks(
+    sampler, blocks: Sequence[Sequence[int]], etas: Sequence[float], delta: float, rng: Rng, account: SampleAccount
+) -> tuple[int, list[float]]:
+    """Learns the sampler's law from one draw and scores each block of its axes.
+
+    Returns (t, gaps). t = max over blocks B of
+    ceil((N_B + ln(1/delta)) / eta_B^2), with N_B the size of B's axes. The
+    learned law of B is the marginal on B of the one histogram of t draws,
+    and gaps[j] is its tv to the product of its own marginals. A projection
+    of t i.i.d. joint draws is t i.i.d. draws of B, so each block's learned
+    law is within eta_B of the truth w.p. 1 - delta (see
+    test_independence_by_learning); a union bound over blocks needs no
+    independence between them.
+    """
+    log_term = math.log(1.0 / delta)
+    t = max(
+        math.ceil((math.prod(sampler.dims[a] for a in blk) + log_term) / (eta * eta))
+        for blk, eta in zip(blocks, etas)
+    )
+    emp = learn_empirical(sampler, t, rng, account)
+    return t, [empirical_tv_to_product(marginal(emp, blk)) for blk in blocks]
 
 
 def test_independence_by_learning(
@@ -371,9 +390,19 @@ def test_independence_by_learning(
     (McDiarmid), and the two terms sum to at most (sqrt(3)/2) * eta when
     t >= (N_S + ln(1/delta)) / eta^2. That one event covers every marginal
     too, since no marginal of p-hat is farther from p's than p-hat is from
-    p. So on k axes the gap is within (k + 1) * eta of p's own distance to
-    the product of its marginals, and a product, at distance 0, scores at
-    most (k + 1) * eta <= (c - 1) * eta = eps - eta: the test accepts it.
+    p. Both sides follow from it:
+
+    - Product. The gap is within (k + 1) * eta of p's own distance to the
+      product of its marginals, so a product, at distance 0, scores at most
+      (k + 1) * eta <= (c - 1) * eta = eps - eta: the test accepts it.
+    - Far. An accept puts p-hat within eps - eta of the product of its own
+      marginals, and p within eta of p-hat, so p is within
+      eta + (eps - eta) = eps of that product: p is not eps-far from every
+      product, and an eps-far p is rejected.
+
+    c = k + 2 would suffice on both sides, as it does for the d-ary blocks
+    (_dary_split). c stays max(7, k + 2) here because this t is the
+    reference the benchmark compares the augmented tester against.
     """
     _check_finite("eps", eps)
     _check_finite("delta", delta)
@@ -386,23 +415,19 @@ def test_independence_by_learning(
     dims = tuple(sampler.dims)
     if len(dims) == 1:
         return Verdict(Outcome.ACCEPT, ["learning"], acct, {"dims": dims, "t": 0})
-    size = math.prod(dims)
-    eta = eps / _eta_divisor(len(dims))
-    t = math.ceil((size + math.log(1.0 / delta)) / (eta * eta))
-    emp = learn_empirical(sampler, t, rng, acct)
-    gap = empirical_tv_to_product(emp)
+    eta = eps / max(7, len(dims) + 2)
+    t, (gap,) = _learn_blocks(sampler, [range(len(dims))], [eta], delta, rng, acct)
     outcome = Outcome.ACCEPT if gap <= eps - eta else Outcome.REJECT
     return Verdict(outcome, ["learning"], acct, {"dims": dims, "t": t, "gap": gap})
 
 
 def _dary_split(eps: float, blocks: Sequence[Sequence[int]]) -> tuple[float, tuple[float | None, ...]]:
-    """The eps of the grouped pipeline and of each block's learning test.
+    """The eps of the grouped pipeline and the eta of each block's learning test.
 
     Returns (eps / m, per_block), where m is 1 plus the number of blocks of
-    two or more axes. per_block[j] is (eps / m) * c / (c + k) for a block of
-    k >= 2 axes, with c = max(7, k + 2) as test_independence_by_learning
-    takes it (7 * (eps / m) / (k + 7) for k <= 5), and None for a single
-    axis, which runs no test.
+    two or more axes. per_block[j] is eta = (eps / m) / (2k + 2) for a block
+    of k >= 2 axes, whose test rejects when its gap exceeds (k + 1) * eta,
+    and None for a single axis, which runs no test.
 
     Why it is sound. Write p_B for p's marginal on the axes of block B, p_i
     for its marginal on axis i, q = prod_B p_B for the product of the block
@@ -423,25 +448,25 @@ def _dary_split(eps: float, blocks: Sequence[Sequence[int]]) -> tuple[float, tup
       flattening keeps that tv, so the pipeline at eps / m rejects. (Merging
       axes does not grow tv(p, pred), so InaccurateInformation stays
       reserved for a prediction that misses alpha.)
-    - E = tv(p_B, prod_{i in B} p_i) >= eps / m on a block of k axes. The
-      learning test at eps' = (eps / m) * c / (c + k) has eta = eps' / c,
-      so E >= (c + k) * eta. Its learned law p-hat has tv(p-hat, p_B) < eta
-      (see test_independence_by_learning), and so does each marginal, since
-      marginalizing never grows tv. Hence
+    - E = tv(p_B, prod_{i in B} p_i) >= eps / m = (2k + 2) * eta on a block
+      of k axes. Its learned law p-hat has tv(p-hat, p_B) < eta (see
+      _learn_blocks), and so does each marginal, since marginalizing never
+      grows tv. Hence
           gap >= E - tv(p-hat, p_B) - sum_i tv(p-hat_i, p_i)
-              >  E - (k + 1) * eta >= (c - 1) * eta = eps' - eta.
-      The middle step is strict, so the test, which rejects when
-      gap > eps' - eta, rejects also at the boundary E = (c + k) * eta.
+              >  E - (k + 1) * eta >= (k + 1) * eta.
+      The middle step is strict, so the test rejects also at the boundary
+      E = (2k + 2) * eta.
 
-    For a product p, q = p and every p_B is a product, so every sub-test
-    accepts w.p. its own confidence, whatever eps it runs at.
+    For a product p, q = p and every p_B is a product. The pipeline accepts
+    w.p. its own confidence, and a block's gap is below
+    tv(p-hat, p_B) + sum_i tv(p-hat_i, p_i) < (k + 1) * eta, so it accepts.
+    In test_independence_by_learning's terms this is eta = eps' / c at
+    eps' = (eps / m) * c / (c + k) with c = k + 2, the least c both sides
+    allow.
     """
     multi = sum(len(blk) > 1 for blk in blocks)
     eps_pipeline = eps / (1 + multi)
-    divisors = [_eta_divisor(len(blk)) for blk in blocks]
-    per_block = tuple(
-        eps_pipeline * c / (c + len(blk)) if len(blk) > 1 else None for blk, c in zip(blocks, divisors)
-    )
+    per_block = tuple(eps_pipeline / (2 * len(blk) + 2) if len(blk) > 1 else None for blk in blocks)
     return eps_pipeline, per_block
 
 
@@ -452,12 +477,18 @@ def aug_independence_d(
 
     It validates cfg and the prediction's dims once. Arity 2 and 3 run the
     flattening pipeline on the axes stable-sorted so sizes descend. Otherwise
-    the axes (sorted by size) are partitioned into 2 or 3 blocks. The
-    grouped view runs the matching pipeline, and each multi-axis block is
-    then checked for internal independence by learning at confidence
-    delta/5 per call; _dary_split sets each one's eps and proves the split
-    sound, and detail["eps_split"] records it. Any sub-test failure decides
-    the verdict.
+    the axes (sorted by size) are partitioned into 2 or 3 blocks, and the
+    grouped view runs the matching pipeline. If it accepts, the learning
+    stage checks each multi-axis block for internal independence: one
+    learned histogram over the union of those blocks' axes, drawn from one
+    stream, gives each block's law as a marginal (_learn_blocks). Each
+    block's learned law is within its eta of the truth w.p. 1 - delta/5,
+    with delta = 0.1 the base failure probability, and a union bound covers
+    the blocks. _dary_split sets the pipeline's eps and each block's eta and
+    proves the split sound; detail["eps_split"] records it, and
+    detail["learning"] the shared t and each block's eta, gap, threshold
+    (k + 1) * eta and margin (threshold - gap; negative rejects). Any
+    sub-test failure decides the verdict.
     """
     cfg.validate()
     sampler = as_sampler(sampler)
@@ -472,7 +503,7 @@ def aug_independence_d(
     sorted_dims = [sampler.dims[a] for a in order]
     blocks_sorted = partition_coordinates(sorted_dims)
     blocks = [[order[i] for i in blk] for blk in blocks_sorted]
-    eps_pipeline, eps_blocks = _dary_split(cfg.eps, blocks)
+    eps_pipeline, etas = _dary_split(cfg.eps, blocks)
 
     inner = _run_blocks(sampler, pred, replace(cfg, eps=eps_pipeline), rng.split(0), hooks, blocks)
     stage_log = ["partition"] + inner.stage_log
@@ -480,24 +511,33 @@ def aug_independence_d(
     detail = {
         "blocks": blocks,
         "grouped_dims": grouped_dims,
-        "eps_split": {"pipeline": eps_pipeline, "blocks": eps_blocks},
+        "eps_split": {"pipeline": eps_pipeline, "block_eta": etas},
         "inner": inner.detail,
     }
     if inner.outcome is not Outcome.ACCEPT:
         return Verdict(inner.outcome, stage_log, inner.account, detail)
 
-    account = inner.account
-    for i, (blk, eps_blk) in enumerate(zip(blocks, eps_blocks)):
-        if eps_blk is None:
-            continue  # a single axis is trivially a product over itself
-        stage_log.append("learning")
-        sub = test_independence_by_learning(
-            ReindexedSampler(sampler, [[a] for a in blk]), eps_blk, delta_inner, rng.split(i), account
-        )
-        detail[f"learning_block_{i}"] = sub.detail
-        if sub.outcome is not Outcome.ACCEPT:
-            return Verdict(Outcome.REJECT, stage_log, account, detail)
-    return Verdict(Outcome.ACCEPT, stage_log, account, detail)
+    # At 4 or more axes some block has two or more: a single axis is
+    # trivially a product over itself and needs no test.
+    tested = [(blk, eta) for blk, eta in zip(blocks, etas) if eta is not None]
+    union = [a for blk, _ in tested for a in blk]
+    local = {a: i for i, a in enumerate(union)}
+    stage_log.append("learning")
+    t, gaps = _learn_blocks(
+        ReindexedSampler(sampler, [[a] for a in union]),
+        [[local[a] for a in blk] for blk, _ in tested],
+        [eta for _, eta in tested],
+        delta_inner,
+        rng.split(1),
+        inner.account,
+    )
+    learned = []
+    for (blk, eta), gap in zip(tested, gaps):
+        threshold = (len(blk) + 1) * eta
+        learned.append({"axes": blk, "eta": eta, "gap": gap, "threshold": threshold, "margin": threshold - gap})
+    detail["learning"] = {"t": t, "blocks": learned}
+    outcome = Outcome.ACCEPT if all(b["gap"] <= b["threshold"] for b in learned) else Outcome.REJECT
+    return Verdict(outcome, stage_log, inner.account, detail)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ GOLDEN = {
     ),
     "arity5_d": (
         dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2, 2, 2, 2, 2]}),
-        "c7b1d717e54c5a01ab596319ea63bb75cc6a413751e5bd8c12f0525c41cfbd52",
-        "b16421f5c10bc8a874f9700a6dd8f5e87dad9e34c8687672cc86485ed2d57cb6",
+        "1ad4924950535bcb4d0687b2df7b6fa8cb7f7496b796576dd6d19cef70484b87",
+        "1a4b7dba6fd0cb3085752c5c9d122c3a32cba89f29be64d72de6851f90c9bbc6",
         "b58b44712866352880fa801e2007986b4c223e6c8bb30d2af5b814a33c08edbd",
     ),
     # Ascending axes: the 2-axis tester runs on its axis-permuted view.
@@ -84,8 +84,8 @@ GOLDEN = {
     ),
     "grouped_d": (
         dict(tester="d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [3, 5, 2, 4]}),
-        "bd2bcc26167b3105f7af8d4758c2a7839b9a9161cd8073753233f40212a50e96",
-        "1ad967305e0d8d45f8bd7c12df946a9351689c3c5c37ca4e702b8d3a71adedea",
+        "451e2ddc9bf028cb9ffbef4791c35ad3c9c84f648b7f0545f19cd0787300375b",
+        "016b22a31973f5a206d0ca0effb53994d61dbe192c366e56435bce55355be258",
         "b58b44712866352880fa801e2007986b4c223e6c8bb30d2af5b814a33c08edbd",
     ),
     "learn": (

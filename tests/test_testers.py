@@ -369,8 +369,18 @@ class TestPartition:
     def test_two_block_when_first_axis_dominates(self):
         assert partition_coordinates([16, 2, 2]) == [[0], [1, 2]]
 
-    def test_three_blocks_balanced(self):
-        assert partition_coordinates([2, 2, 2, 2, 2]) == [[0], [1, 2], [3, 4]]
+    @pytest.mark.parametrize(
+        "dims, blocks",
+        [
+            ((2, 2, 2, 2, 2), [[0], [1, 2], [3, 4]]),
+            # B stops once n_1 * prod(B) reaches sqrt(N): 4 * 4 = sqrt(256),
+            # so B = [1] has size 4, not 16
+            ((4, 4, 4, 4), [[0], [1], [2, 3]]),
+            ((16,) * 4, [[0], [1], [2, 3]]),
+        ],
+    )
+    def test_three_blocks_balanced(self, dims, blocks):
+        assert partition_coordinates(dims) == blocks
 
     def test_block_products_bounded_by_root(self):
         dims = [5, 4, 3, 3, 2, 2]
@@ -495,19 +505,24 @@ class TestGeneralArity:
         assert v.stage_log[0] == "partition"
         assert v.detail["blocks"] == [[0], [1, 2], [3, 4]]
         assert v.detail["grouped_dims"] == (2, 4, 4)
-        # both multi-axis blocks were re-checked by learning
-        assert v.stage_log.count("learning") == 2
+        # both multi-axis blocks were re-checked by one learning stage
+        assert v.stage_log.count("learning") == 1
         assert v.outcome is Outcome.ACCEPT
-        # three terms: the pipeline at eps/3, each 2-axis block at 7 * (eps/3) / 9
+        # three terms: the pipeline at eps/3, each 2-axis block at eta = (eps/3) / 6
         split = v.detail["eps_split"]
-        block_eps = split["blocks"][1]
+        eta = split["block_eta"][1]
         assert split["pipeline"] == 0.4 / 3
         assert [c[3] for c in calls if c[0] == "closeness"] == [0.4 / 3]
-        assert split["blocks"] == (None, block_eps, block_eps)
-        assert block_eps == pytest.approx(7 * 0.4 / 27, rel=1e-12)
-        for i in (1, 2):
-            t = math.ceil((4 + math.log(1 / 0.02)) / (block_eps / 7) ** 2)
-            assert v.detail[f"learning_block_{i}"]["t"] == t
+        assert split["block_eta"] == (None, eta, eta)
+        assert eta == pytest.approx(0.4 / 18, rel=1e-12)
+        learning = v.detail["learning"]
+        assert learning["t"] == math.ceil((4 + math.log(1 / 0.02)) / eta**2)
+        assert v.account.learning == learning["t"]
+        assert [b["axes"] for b in learning["blocks"]] == [[1, 2], [3, 4]]
+        for b in learning["blocks"]:
+            assert b["eta"] == eta
+            assert b["threshold"] == 3 * eta
+            assert b["margin"] == b["threshold"] - b["gap"] > 0
 
     def test_one_reindexed_view_per_run(self, monkeypatch):
         # the grouped view is sorted and relabeled once, and the input is validated once
@@ -527,12 +542,74 @@ class TestGeneralArity:
         p = JointDistribution.uniform((2, 2, 2, 2, 2))
         hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0])
         v = aug_independence_d(JointSampler(p), p, TesterConfig(0.4, 0.05), Rng(17), hooks)
-        assert built == [[[1, 2], [3, 4], [0]], [[1], [2]], [[3], [4]]]  # grouped view, then learning
-        assert len(merges) == 4  # one per reindexed law, and the prediction once
+        assert built == [[[1, 2], [3, 4], [0]], [[1], [2], [3], [4]]]  # grouped view, then learning
+        assert len(merges) == 3  # one per reindexed law, and the prediction once
         assert len(validated) == 1
         assert v.detail["grouped_dims"] == (2, 4, 4)  # in partition order
         assert v.detail["inner"]["dims"] == (4, 4, 2)  # sorted so sizes descend
         assert v.outcome is Outcome.ACCEPT
+
+    def test_one_learning_draw_serves_every_block(self, monkeypatch):
+        # (2,)*6 partitions into [0], [1, 2], [3, 4, 5]: blocks of 4 and 8
+        # cells at eta = (eps/3) / 6 and (eps/3) / 8, so the 3-axis block sets t
+        draws, scored = [], []
+
+        def recording_learn(sampler, t, rng, account=None):
+            emp = estimators.learn_empirical(sampler, t, rng, account)
+            draws.append((sampler.dims, t, rng, emp))
+            return emp
+
+        def recording_tv(law):
+            scored.append(law)
+            return tv_to_own_product(law)
+
+        monkeypatch.setattr(testers, "learn_empirical", recording_learn)
+        monkeypatch.setattr(testers, "empirical_tv_to_product", recording_tv)
+        gen = Rng(44).gen
+        dims = (2,) * 6
+        p = JointDistribution(dims, domain.outer_product(gen.dirichlet(np.ones(2)) for _ in dims))
+        hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0])
+        v = aug_independence_d(JointSampler(p), p, TesterConfig(0.3, 0.05), Rng(45), hooks)
+        assert v.detail["blocks"] == [[0], [1, 2], [3, 4, 5]]
+        [(union_dims, t, rng, emp)] = draws  # one draw over the union of the blocks' axes
+        assert union_dims == (2,) * 5
+        assert (rng.seed, rng.stream) == (45, (1,))
+        etas = [0.1 / 6, 0.1 / 8]
+        t_blocks = [math.ceil((n + math.log(1 / 0.02)) / eta**2) for n, eta in zip((4, 8), etas)]
+        assert t == max(t_blocks) == t_blocks[1] == v.detail["learning"]["t"]
+        assert v.account.learning == t
+        # each block's law is its marginal of that one histogram
+        assert [law.dims for law in scored] == [(2, 2), (2, 2, 2)]
+        for law, axes in zip(scored, ([0, 1], [2, 3, 4])):
+            assert np.array_equal(law.probs, marginal(emp, axes).probs)
+        for b, law, eta in zip(v.detail["learning"]["blocks"], scored, etas):
+            assert b["eta"] == pytest.approx(eta, rel=1e-12)
+            assert b["gap"] == tv_to_own_product(law)
+        assert v.outcome is Outcome.ACCEPT
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_block_accepts_a_product_and_rejects_at_its_eps_share(self, k):
+        # A k-axis block B of (2,)*(k+3), in the partition [0], [1, 2], B:
+        # a product accepts, and a law whose block is at E = eps/3 from its
+        # own product, the least a far input puts on one of the 3 terms,
+        # rejects. The pipeline is scripted to accept, so learning decides.
+        eps = 0.1
+        dims = (2,) * (k + 3)
+        block = list(range(3, k + 3))
+        uniform = JointDistribution.uniform((2,) * k)
+        dep = constrained_law((2,) * k, lambda x: x[0] == x[1])
+        w = (eps / 3) / tv_to_own_product(dep)
+        law_b = JointDistribution((2,) * k, (1 - w) * uniform.probs + w * dep.probs)
+        far = JointDistribution(dims, np.kron(np.full(8, 1 / 8), law_b.probs))
+        assert tv_to_own_product(marginal(far, block)) == pytest.approx(eps / 3, abs=1e-12)
+        product = JointDistribution.uniform(dims)
+        for seed in range(3):
+            for p, outcome in ((product, Outcome.ACCEPT), (far, Outcome.REJECT)):
+                hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0])
+                v = aug_independence_d(JointSampler(p), p, TesterConfig(eps, 0.05), Rng(46, (k, seed)), hooks)
+                assert v.detail["blocks"] == [[0], [1, 2], block]
+                assert v.stage == "learning"
+                assert v.outcome is outcome, (k, seed, v.detail["learning"])
 
     def test_partition_respects_size_order(self):
         # largest axis leads even when it arrives last
@@ -611,19 +688,18 @@ class TestDarySplit:
     @pytest.mark.parametrize(
         "blocks, expected",
         [
-            # m = 3: two 2-axis blocks, as (2,)*5 partitions; 7 * (eps/3) / 9 each
-            ([[0], [1, 2], [3, 4]], (0.1 / 3, (None, 0.7 / 27, 0.7 / 27))),
+            # m = 3: two 2-axis blocks, as (2,)*5 partitions; eta = (eps/3) / 6 each
+            ([[0], [1, 2], [3, 4]], (0.1 / 3, (None, 0.1 / 18, 0.1 / 18))),
             # m = 2: one 2-axis block, as (3, 2, 2, 2) and (16,)*4 partition
-            ([[0], [1], [2, 3]], (0.1 / 2, (None, None, 0.7 / 18))),
-            # m = 2: one 3-axis block; 7 * (eps/2) / 10
-            ([[0], [1, 2, 3]], (0.1 / 2, (None, 0.7 / 20))),
-            # m = 3: a 3-axis and a 6-axis block, as (2,)*10 partitions;
-            # c = 8 on 6 axes: (eps/3) * 8 / 14
-            ([[0], [1, 2, 3], [4, 5, 6, 7, 8, 9]], (0.1 / 3, (None, 0.7 / 30, 0.8 / 42))),
+            ([[0], [1], [2, 3]], (0.1 / 2, (None, None, 0.1 / 12))),
+            # m = 2: one 3-axis block; (eps/2) / 8
+            ([[0], [1, 2, 3]], (0.1 / 2, (None, 0.1 / 16))),
+            # m = 3: a 3-axis and a 6-axis block, as (2,)*10 partitions
+            ([[0], [1, 2, 3], [4, 5, 6, 7, 8, 9]], (0.1 / 3, (None, 0.1 / 24, 0.1 / 42))),
             # m = 3: a 5-axis and a 6-axis block, as (2,)*12 partitions
-            (partition_coordinates((2,) * 12), (0.1 / 3, (None, 0.7 / 36, 0.8 / 42))),
-            # m = 2: one 12-axis block; c = 14: (eps/2) * 14 / 26
-            ([[0], list(range(1, 13))], (0.1 / 2, (None, 1.4 / 52))),
+            (partition_coordinates((2,) * 12), (0.1 / 3, (None, 0.1 / 36, 0.1 / 42))),
+            # m = 2: one 12-axis block; (eps/2) / 26
+            ([[0], list(range(1, 13))], (0.1 / 2, (None, 0.1 / 52))),
         ],
     )
     def test_split_matches_the_formula(self, blocks, expected):
@@ -636,19 +712,19 @@ class TestDarySplit:
     @pytest.mark.parametrize("k", range(2, 13))
     @pytest.mark.parametrize("m", [2, 3])
     def test_every_block_test_is_complete_and_sound(self, k, m):
-        # A block of k axes at eps' with eta = eps' / c: a product scores at
-        # most (k + 1) * eta, which must not exceed the threshold eps' - eta,
+        # A block of k axes at eta with threshold (k + 1) * eta: a product
+        # scores below (k + 1) * eta, which must not exceed the threshold,
         # and a block term E = eps / m scores above E - (k + 1) * eta, which
-        # must be at least the threshold.
+        # must be at least the threshold. The two meet: c = k + 2 is the
+        # least the argument allows.
         eps = 0.1
         blocks = [[0], list(range(1, k + 1))]
         if m == 3:
             blocks.append([k + 1, k + 2])
         _, per_block = testers._dary_split(eps, blocks)
-        eps_blk = per_block[1]
-        eta = eps_blk / max(7, k + 2)
-        assert (k + 1) * eta <= (eps_blk - eta) * (1 + 1e-12)
-        assert eps / m - (k + 1) * eta >= (eps_blk - eta) * (1 - 1e-12)
+        eta = per_block[1]
+        threshold = (k + 1) * eta
+        assert eps / m - (k + 1) * eta == pytest.approx(threshold, rel=1e-12)
 
 
 def constrained_law(dims, holds) -> JointDistribution:
