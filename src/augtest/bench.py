@@ -24,7 +24,6 @@ import ctypes
 import functools
 import json
 import math
-import numbers
 import operator
 import os
 import pickle
@@ -50,8 +49,10 @@ from .domain import (
 )
 from .hard_instances import check_hard_params, embed_hard_to_d, gen_valid_hard_2d
 from .testers import (
+    BASE_DELTA,
     Outcome,
     TesterConfig,
+    Verdict,
     _run_at_delta,
     aug_independence_2d,
     aug_independence_3d,
@@ -108,7 +109,7 @@ class ExperimentConfig:
     instance: dict
     alpha: float | str = 0.0  # numeric, or "exact" for per-trial tv(p, pred)
     alpha_margin: float = 0.0  # added to "exact" alpha
-    delta: float | None = None  # < 0.1 runs amplified
+    delta: float | None = None  # below testers.BASE_DELTA runs amplified
     profile: str = "practical"
     prediction: str | dict = "exact"
     jobs: int = 1
@@ -117,25 +118,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.tester not in ("2d", "3d", "d", "learn"):
             raise DomainError(f"unknown tester {self.tester!r}")
-        # bool is an int, so JSON true and false would otherwise pass as 1 and 0.
         for name in ("trials", "jobs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+            _stream_key(name, getattr(self, name))
         if self.trials < 1:
             raise DomainError("trials must be >= 1")
         if self.jobs < 1:
             raise DomainError("jobs must be >= 1")
         if not isinstance(self.record_timing, bool):
             raise DomainError(f"record_timing must be true or false, got {self.record_timing!r}")
-        for name in ("eps", "alpha", "delta", "alpha_margin"):
+        for name in ("eps", "alpha", "alpha_margin"):
             value = getattr(self, name)
-            if (name, value) not in (("alpha", "exact"), ("delta", None)):
+            if (name, value) != ("alpha", "exact"):
                 _check_finite(name, value)
-        if self.delta is not None and not 0 < self.delta < 1:
-            raise DomainError(f"delta must be in (0, 1), got {self.delta}")
+        if self.delta is not None:
+            _check_finite("delta", self.delta, "(0, 1)")
         if not isinstance(self.instance, dict) or self.instance.get("kind") not in _INSTANCE_KEYS:
             raise DomainError(f"instance must be a mapping with a kind in {sorted(_INSTANCE_KEYS)}")
         kind = self.instance["kind"]
@@ -224,6 +220,20 @@ def _build_prediction(
     return JointDistribution(dist.dims, probs)
 
 
+def _run_tester(tester: str, dist, pred, cfg: TesterConfig, delta: float | None, rng: Rng) -> Verdict:
+    """Runs tester "2d", "3d", "d" or "learn" on the law dist with prediction pred, from rng.
+
+    learn reads only cfg.eps; it is sized for delta itself, BASE_DELTA when
+    delta is None, and never amplified. The others run through _run_at_delta,
+    looked up in this module on every call: a caller may have patched them.
+    """
+    sampler = JointSampler(dist)
+    if tester == "learn":
+        return test_independence_by_learning(sampler, cfg.eps, BASE_DELTA if delta is None else delta, rng)
+    run = {"2d": aug_independence_2d, "3d": aug_independence_3d, "d": aug_independence_d}[tester]
+    return _run_at_delta(lambda r: run(sampler, pred, cfg, r), delta, rng)
+
+
 @functools.cache
 def _keep_freed_heap() -> None:
     """Sets glibc malloc's M_TOP_PAD to _TOP_PAD_BYTES, once per process; a no-op off glibc.
@@ -255,16 +265,9 @@ def run_single_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
         alpha = float(cfg.alpha)
 
     tcfg = TesterConfig(eps=cfg.eps, alpha=alpha, profile=cfg.profile)
-    sampler = JointSampler(dist)
 
     start = time.perf_counter() if cfg.record_timing else 0.0
-    if cfg.tester == "learn":  # sized for delta itself, never amplified
-        delta = 0.1 if cfg.delta is None else cfg.delta
-        verdict = test_independence_by_learning(sampler, cfg.eps, delta, rng.split(1))
-    else:
-        # Looked up per trial: a caller may have patched these module names.
-        tester = {"2d": aug_independence_2d, "3d": aug_independence_3d, "d": aug_independence_d}[cfg.tester]
-        verdict = _run_at_delta(lambda r: tester(sampler, pred, tcfg, r), cfg.delta, rng.split(1))
+    verdict = _run_tester(cfg.tester, dist, pred, tcfg, cfg.delta, rng.split(1))
     ms = (time.perf_counter() - start) * 1000.0 if cfg.record_timing else 0.0
 
     acct = verdict.account

@@ -12,19 +12,10 @@ from dataclasses import replace
 
 import click
 
-from .bench import ExperimentConfig, emit_report, emit_sweep, run_trials, sweep_alpha
-from .domain import JointSampler, Rng, distribution_to_json, load_distribution, marginal
+from .bench import ExperimentConfig, _run_tester, emit_report, emit_sweep, run_trials, sweep_alpha
+from .domain import Rng, distribution_to_json, load_distribution, marginal
 from .hard_instances import gen_hard_2d, poissonized_counts, validity_check
-from .testers import (
-    Outcome,
-    TesterConfig,
-    Verdict,
-    _run_at_delta,
-    aug_independence_2d,
-    aug_independence_3d,
-    aug_independence_d,
-    test_independence_by_learning,
-)
+from .testers import BASE_DELTA, Outcome, TesterConfig, Verdict
 
 _EXIT_CODES = {Outcome.ACCEPT: 0, Outcome.REJECT: 2, Outcome.INACCURATE: 3}
 
@@ -39,17 +30,11 @@ def _finish(verdict: Verdict, seed: int) -> None:
     sys.exit(_EXIT_CODES[verdict.outcome])
 
 
-def _run_tester(runner, dist_path, pred_path, alpha, eps, delta, seed, profile) -> None:
+def _test(tester, dist_path, pred_path, alpha, eps, delta, seed, profile) -> None:
     dist = load_distribution(dist_path)
     pred = load_distribution(pred_path)
     cfg = TesterConfig(eps=eps, alpha=alpha, profile=profile)
-    sampler = JointSampler(dist)
-    rng = Rng(seed)
-
-    def run(r: Rng) -> Verdict:
-        return runner(sampler, pred, cfg, r)
-
-    _finish(_run_at_delta(run, delta, rng), seed)
+    _finish(_run_tester(tester, dist, pred, cfg, delta, Rng(seed)), seed)
 
 
 def _tester_options(fn):
@@ -103,27 +88,27 @@ def main() -> None:
 @_tester_options
 def test2d(dist_path, pred_path, alpha, eps, delta, seed, profile):
     """Test a two-axis distribution for independence."""
-    _run_tester(aug_independence_2d, dist_path, pred_path, alpha, eps, delta, seed, profile)
+    _test("2d", dist_path, pred_path, alpha, eps, delta, seed, profile)
 
 
 @main.command("test3d")
 @_tester_options
 def test3d(dist_path, pred_path, alpha, eps, delta, seed, profile):
     """Test a three-axis distribution for independence."""
-    _run_tester(aug_independence_3d, dist_path, pred_path, alpha, eps, delta, seed, profile)
+    _test("3d", dist_path, pred_path, alpha, eps, delta, seed, profile)
 
 
 @main.command("testd")
 @_tester_options
 def testd(dist_path, pred_path, alpha, eps, delta, seed, profile):
     """Test a distribution of any arity for full independence."""
-    _run_tester(aug_independence_d, dist_path, pred_path, alpha, eps, delta, seed, profile)
+    _test("d", dist_path, pred_path, alpha, eps, delta, seed, profile)
 
 
 @main.command("learn")
 @click.option("--dist", "dist_path", required=True, type=click.Path(exists=True))
 @click.option("--eps", required=True, type=float)
-@click.option("--delta", type=float, default=0.1, show_default=True)
+@click.option("--delta", type=float, default=BASE_DELTA, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--axes", default=None, help="comma-separated axis subset, e.g. 0,2")
 def learn(dist_path, eps, delta, seed, axes):
@@ -132,7 +117,7 @@ def learn(dist_path, eps, delta, seed, axes):
     if axes is not None:
         subset = [int(a) for a in axes.split(",") if a != ""]
         dist = marginal(dist, subset)
-    _finish(test_independence_by_learning(JointSampler(dist), eps, delta, Rng(seed)), seed)
+    _finish(_run_tester("learn", dist, None, TesterConfig(eps=eps, alpha=0.0), delta, Rng(seed)), seed)
 
 
 @main.command("gen-hard")

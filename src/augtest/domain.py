@@ -12,7 +12,8 @@ import math
 import numbers
 import operator
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
+from fractions import Fraction
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,10 +40,25 @@ def _checked_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return out
 
 
-def _check_finite(name: str, value) -> None:
-    """Raises DomainError naming the field unless value is a finite real number; bool is not one."""
+@cache
+def _interval_ends(interval: str) -> tuple[float, float, bool, bool]:
+    """(low, high, low closed, high closed) of an interval written "(0, 1]"; an end may be a ratio "1/2"."""
+    low, high = (float(Fraction(end)) for end in interval[1:-1].split(", "))
+    return low, high, interval[0] == "[", interval[-1] == "]"
+
+
+def _check_finite(name: str, value, interval: str | None = None) -> None:
+    """Raises DomainError naming the field unless value is a finite real number; bool is not one.
+
+    interval, written as the message shows it ("(0, 1]", "[0, 1/2)"), also
+    bounds the value; its ends are parsed on the first check that uses it.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise DomainError(f"{name} must be a finite number, got {value!r}")
+    if interval is not None:
+        low, high, low_closed, high_closed = _interval_ends(interval)
+        if not ((low <= value if low_closed else low < value) and (value <= high if high_closed else value < high)):
+            raise DomainError(f"{name} must be in {interval}, got {value}")
 
 
 class JointDistribution:
@@ -126,9 +142,14 @@ class JointDistribution:
 
 
 def _stream_key(name: str, value) -> int:
-    """value as an int, or DomainError naming it unless it is a non-negative integer."""
+    """value as an int, or DomainError naming it unless it is a non-negative integer.
+
+    bool is not one, and neither is a 0-d integer array, which operator.index reads.
+    """
+    if type(value) is int and value >= 0:  # the common case, without the checks below
+        return value
     try:
-        out = None if isinstance(value, bool) else operator.index(value)
+        out = None if isinstance(value, (bool, np.ndarray)) else operator.index(value)
     except TypeError:
         out = None
     if out is None or out < 0:
@@ -167,11 +188,18 @@ class Rng:
         return f"Rng(seed={self.seed}, stream={self.stream})"
 
 
+# The largest mean numpy's Generator.poisson draws at (its POISSON_LAM_MAX):
+# the int64 maximum less ten times its square root.
+_POISSON_MEAN_MAX = np.iinfo(np.int64).max - math.sqrt(np.iinfo(np.int64).max) * 10
+
+
 def poisson(mean: float, rng: Rng) -> int:
     """One Poisson draw with the given mean. mean 0 gives 0 with no randomness."""
     _check_finite("Poisson mean", mean)
     if mean < 0:
         raise DomainError(f"Poisson mean must be >= 0, got {mean!r}")
+    if mean > _POISSON_MEAN_MAX:
+        raise DomainError(f"Poisson mean must be at most {_POISSON_MEAN_MAX:.6g}, got {mean!r}")
     if mean == 0:
         return 0
     return int(rng.gen.poisson(mean))
@@ -417,7 +445,11 @@ def split_axis(p: JointDistribution, axis: int, factors: Sequence[int]) -> Joint
 def merge_index(
     idx: np.ndarray, dims: Sequence[int], blocks: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """Applies the merge relabeling to index rows. idx shape (k, d) -> (k, len(blocks))."""
+    """Applies the merge relabeling to index rows. idx shape (k, d) -> (k, len(blocks)).
+
+    blocks are checked as merge_axes checks them, against len(dims) axes.
+    """
+    blocks = _check_blocks(len(dims), blocks)
     idx = np.asarray(idx)
     cols = [np.ravel_multi_index(tuple(idx[:, a] for a in b), [dims[a] for a in b]) for b in blocks]
     return np.stack(cols, axis=1).astype(np.int64, copy=False)

@@ -124,10 +124,8 @@ def _median_plan(delta: float, side_error: float = NORM_SIDE_ERROR) -> int:
     gives 0.288, since an even r fails on r/2 misses), so r is found by
     scanning up from 1; it is memoized.
     """
-    if not 0 < delta < 1:
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
-    if not 0 < side_error < 0.5:
-        raise DomainError(f"side_error must be in (0, 1/2), got {side_error}")
+    _check_finite("delta", delta, "(0, 1)")
+    _check_finite("side_error", side_error, "(0, 1/2)")
     r = 1
     while not binomial_tail_at_most(r, side_error, (r + 1) // 2, delta / 2):
         r += 1
@@ -187,10 +185,8 @@ def _race_plan(delta: float, vote_error: float = VOTE_ERROR) -> tuple[int, int]:
     higher one does, and the error cannot fall as the per-vote error rises
     to p.
     """
-    if not 0 < delta < 1:
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
-    if not 0 < vote_error < 0.5:
-        raise DomainError(f"vote_error must be in (0, 1/2), got {vote_error}")
+    _check_finite("delta", delta, "(0, 1)")
+    _check_finite("vote_error", vote_error, "(0, 1/2)")
     wrong, total = vote_error.as_integer_ratio()
     right = total - wrong
     num, den = delta.as_integer_ratio()
@@ -329,10 +325,8 @@ def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tupl
     mass vector has l2^2 <= 1, so it is clamped to 1 rather than inflating
     the batch; the testers pass measured bounds, which are usually far below.
     """
-    _check_finite("eps", eps)
+    _check_finite("eps", eps, "(0, 2]")
     _check_finite("b", b)
-    if not 0 < eps <= 2:
-        raise DomainError(f"eps must be in (0, 2], got {eps}")
     if b <= 0:
         raise DomainError(f"norm bound b must be positive, got {b}")
     b_eff = min(float(b), 1.0)

@@ -24,6 +24,7 @@ from .domain import (
     DomainError,
     JointDistribution,
     Rng,
+    _check_blocks,
     inverse_cdf,
     marginal,
     outer_product,
@@ -76,6 +77,8 @@ def build_axis_flattening(pred_marginal, counts) -> AxisFlattening:
         raise DomainError(f"marginal length {q.size} != counts length {c.size}")
     if q.size == 0:
         raise DomainError(f"an axis needs at least one cell, got marginal {pred_marginal!r}")
+    if not np.all(np.isfinite(q)):
+        raise DomainError("predicted marginal has non-finite entries")
     if np.any(q < 0):
         raise DomainError("predicted marginal has negative entries")
     if np.any(c < 0):
@@ -137,10 +140,11 @@ def flatten_distribution_explicit(
 class FlatView:
     """1-D sample access over [size], with its law in probs when known.
 
-    A law is divided by its sum once, when the view is built, and its one
-    inverse-CDF map is kept for the view's lifetime (see inverse_cdf), so
-    every estimator call on the view, and every count-level draw, looks
-    symbols up through the same cumulative table.
+    A law must have size entries and a finite positive sum. It is divided
+    by that sum once, when the view is built, and its one inverse-CDF map
+    is kept for the view's lifetime (see inverse_cdf), so every estimator
+    call on the view, and every count-level draw, looks symbols up through
+    the same cumulative table.
     """
 
     size: int
@@ -154,7 +158,13 @@ class FlatView:
     def __post_init__(self):
         if self.probs is not None:
             probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
-            self.probs = probs / probs.sum()
+            total = probs.sum()
+            if probs.size != self.size or not 0 < total < math.inf:
+                raise DomainError(
+                    f"a view over {self.size} cells needs a law of as many entries with a finite"
+                    f" positive sum, got {probs.size} entries summing to {total}"
+                )
+            self.probs = probs / total
 
     def inverse_cdf(self, lookups: float) -> Callable[[np.ndarray], np.ndarray]:
         """domain.inverse_cdf over the view's law, for about `lookups` uniforms.
@@ -172,12 +182,15 @@ class FlatView:
 
     @staticmethod
     def from_law(probs) -> "FlatView":
-        """View over [len(probs)] drawing by inverse CDF from a mass vector, normalized to sum 1."""
+        """View over [len(probs)] drawing by inverse CDF from a nonnegative mass vector, normalized to sum 1."""
+        probs = np.asarray(probs, dtype=np.float64).reshape(-1)
+        if np.any(probs < 0):
+            raise DomainError("a view's law has negative entries")
 
         def draw(count: int, rng: Rng) -> np.ndarray:
             return view.inverse_cdf(count)(rng.gen.random(count))
 
-        view = FlatView(np.size(probs), probs, 1, draw)
+        view = FlatView(probs.size, probs, 1, draw)
         return view
 
 
@@ -206,6 +219,7 @@ def _flat_view(sampler, pf: ProductFlattening, groups: Sequence[Sequence[int]], 
 
 def flattened_axis_view(sampler, axis: int, pf: ProductFlattening) -> FlatView:
     """View of the flattened marginal on one axis; one joint draw per sample."""
+    ((axis,),) = _check_blocks(pf.arity, [[axis]])
     probs = None
     if getattr(sampler, "dist", None) is not None:
         f = pf.axes[axis]
@@ -231,6 +245,8 @@ def flattened_product_view(
     per-axis flattened marginals, axis_laws (the probs of each
     flattened_axis_view), or None when any of them is None.
     """
+    if len(axis_laws) != pf.arity:
+        raise DomainError(f"a product view of {pf.arity} axes needs as many axis laws, got {len(axis_laws)}")
     probs = None
     if all(law is not None for law in axis_laws):
         probs = outer_product(axis_laws)

@@ -19,7 +19,6 @@ of own marginals >= 3 eps, which certifies eps-farness from every product).
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -31,6 +30,7 @@ from .domain import (
     JointDistribution,
     Rng,
     _check_finite,
+    _stream_key,
     product_of_marginals,
     split_axis,
     tv_distance,
@@ -105,25 +105,18 @@ def check_hard_params(
     n: int, m: int, k: int, alpha: float, eps: float, force_x=None, eps_meas=None, alpha_meas=None
 ) -> tuple[float, float]:
     """Checks gen_hard_2d's arguments; returns (eps_meas, alpha_meas) with their defaults filled in."""
-    # bool is an int, so JSON true would otherwise pass as 1.
-    for name, value in (("n", n), ("m", m), ("k", k)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"n, m and k must be integers, got {name}={value!r}")
-    for name, value in (("alpha", alpha), ("eps", eps), ("eps_meas", eps_meas), ("alpha_meas", alpha_meas)):
-        if value is not None or name in ("alpha", "eps"):  # None picks a measured value's default
+    n, m, k = (_stream_key(name, value) for name, value in (("n", n), ("m", m), ("k", k)))
+    for name, value in (("eps_meas", eps_meas), ("alpha_meas", alpha_meas)):
+        if value is not None:  # None picks a measured value's default
             _check_finite(name, value)
-    if force_x is not None and (
-        isinstance(force_x, bool) or not isinstance(force_x, numbers.Integral) or force_x not in (0, 1)
-    ):
+    if force_x is not None and _stream_key("force_x", force_x) not in (0, 1):
         raise DomainError(f"force_x must be 0 or 1, got {force_x!r}")
     if not (n >= m >= 2):
         raise DomainError(f"need n >= m >= 2, got n={n}, m={m}")
     if not (1 <= k <= n / 2):
         raise DomainError(f"need 1 <= k <= n/2, got k={k}, n={n}")
-    if not 0 < alpha <= 1:
-        raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    if not 0 < eps <= 1:
-        raise DomainError(f"eps must be in (0, 1], got {eps}")
+    _check_finite("alpha", alpha, "(0, 1]")
+    _check_finite("eps", eps, "(0, 1]")
     if eps_meas is None:
         if eps > EPS_REGIME_MAX:
             raise DomainError(
@@ -133,8 +126,7 @@ def check_hard_params(
         eps_meas = 192.0 * eps
     if alpha_meas is None:
         alpha_meas = 2.0 * alpha / 3.0
-    if not 0 <= eps_meas <= 1:
-        raise DomainError(f"eps_meas must be in [0, 1], got {eps_meas}")
+    _check_finite("eps_meas", eps_meas, "[0, 1]")
     if alpha_meas * k / n > 1:
         raise DomainError(f"alpha_meas*k/n = {alpha_meas * k / n} exceeds 1")
     return eps_meas, alpha_meas

@@ -5,7 +5,7 @@ distribution pred, and a claimed accuracy alpha with tv(p, pred) <= alpha,
 the testers distinguish product distributions from distributions eps-far (in
 tv) from every product, with a third verdict InaccurateInformation that is
 only permitted when the claimed accuracy is violated. Each failure mode has
-probability at most 0.1.
+probability at most BASE_DELTA.
 
 Pipeline for 2 and 3 axes: Poissonized per-axis sample sizes with a cap
 check, prediction-assisted flattening of every axis, an l2 gate on each
@@ -108,6 +108,10 @@ _CLOSENESS_DELTA = {2: 1.0 / 80.0, 3: 1.0 / 120.0}
 # The estimators run at their calibrated multipliers.
 _ESTIMATOR = EstimatorConfig()
 
+# The failure probability each base tester is built for; a smaller target
+# is reached by amplify.
+BASE_DELTA = 0.1
+
 
 @dataclass(frozen=True)
 class TesterConfig:
@@ -128,12 +132,8 @@ class TesterConfig:
     def validate(self) -> None:
         if self.profile not in ("theory", "practical"):
             raise DomainError(f"unknown profile {self.profile!r}")
-        _check_finite("eps", self.eps)
-        _check_finite("alpha", self.alpha)
-        if not 0 < self.eps <= 1:
-            raise DomainError(f"eps must be in (0, 1], got {self.eps}")
-        if not 0 <= self.alpha <= 1:
-            raise DomainError(f"alpha must be in [0, 1], got {self.alpha}")
+        _check_finite("eps", self.eps, "(0, 1]")
+        _check_finite("alpha", self.alpha, "[0, 1]")
 
 
 @dataclass
@@ -302,12 +302,19 @@ def _run_blocks(sampler, pred, cfg: TesterConfig, rng: Rng, hooks, blocks) -> Ve
     return _flatten_pipeline(sampler, pred, cfg, rng, hooks or _DEFAULT_HOOKS)
 
 
+def _check_prediction(pred, arity: int | None = None) -> None:
+    """Raises DomainError unless pred is a JointDistribution, of the given arity if one is given."""
+    if not isinstance(pred, JointDistribution):
+        raise DomainError(f"prediction must be a JointDistribution, got {type(pred).__name__}")
+    if arity is not None and len(pred.dims) != arity:
+        raise DomainError(f"expected {arity} axes, got dims {pred.dims}")
+
+
 def aug_independence_2d(
     sampler, pred: JointDistribution, cfg: TesterConfig, rng: Rng, hooks: TesterHooks | None = None
 ) -> Verdict:
     """aug_independence_d on a two-axis input; the verdict is orientation-independent."""
-    if len(pred.dims) != 2:
-        raise DomainError(f"expected 2 axes, got dims {pred.dims}")
+    _check_prediction(pred, 2)
     return aug_independence_d(sampler, pred, cfg, rng, hooks)
 
 
@@ -315,8 +322,7 @@ def aug_independence_3d(
     sampler, pred: JointDistribution, cfg: TesterConfig, rng: Rng, hooks: TesterHooks | None = None
 ) -> Verdict:
     """aug_independence_d on a three-axis input, with its own gate constants and sub-confidences."""
-    if len(pred.dims) != 3:
-        raise DomainError(f"expected 3 axes, got dims {pred.dims}")
+    _check_prediction(pred, 3)
     return aug_independence_d(sampler, pred, cfg, rng, hooks)
 
 
@@ -373,9 +379,7 @@ def _learn_blocks(
     return t, [empirical_tv_to_product(marginal(emp, blk)) for blk in blocks]
 
 
-def test_independence_by_learning(
-    sampler, eps: float, delta: float, rng: Rng, account: SampleAccount | None = None
-) -> Verdict:
+def test_independence_by_learning(sampler, eps: float, delta: float, rng: Rng) -> Verdict:
     """Learns the joint empirically and compares it to its own marginal product.
 
     On k axes it uses t = ceil((N_S + ln(1/delta)) / eta^2) samples with
@@ -404,14 +408,10 @@ def test_independence_by_learning(
     (_dary_split). c stays max(7, k + 2) here because this t is the
     reference the benchmark compares the augmented tester against.
     """
-    _check_finite("eps", eps)
-    _check_finite("delta", delta)
-    if not 0 < eps <= 1:
-        raise DomainError(f"eps must be in (0, 1], got {eps}")
-    if not 0 < delta < 1:
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
+    _check_finite("eps", eps, "(0, 1]")
+    _check_finite("delta", delta, "(0, 1)")
     sampler = as_sampler(sampler)
-    acct = account if account is not None else SampleAccount()
+    acct = SampleAccount()
     dims = tuple(sampler.dims)
     if len(dims) == 1:
         return Verdict(Outcome.ACCEPT, ["learning"], acct, {"dims": dims, "t": 0})
@@ -475,22 +475,23 @@ def aug_independence_d(
 ) -> Verdict:
     """General-arity tester; the one entry point behind the 2- and 3-axis ones.
 
-    It validates cfg and the prediction's dims once. Arity 2 and 3 run the
-    flattening pipeline on the axes stable-sorted so sizes descend. Otherwise
-    the axes (sorted by size) are partitioned into 2 or 3 blocks, and the
-    grouped view runs the matching pipeline. If it accepts, the learning
-    stage checks each multi-axis block for internal independence: one
-    learned histogram over the union of those blocks' axes, drawn from one
-    stream, gives each block's law as a marginal (_learn_blocks). Each
-    block's learned law is within its eta of the truth w.p. 1 - delta/5,
-    with delta = 0.1 the base failure probability, and a union bound covers
-    the blocks. _dary_split sets the pipeline's eps and each block's eta and
-    proves the split sound; detail["eps_split"] records it, and
+    It validates cfg, the prediction's type and its dims once. Arity 2 and
+    3 run the flattening pipeline on the axes stable-sorted so sizes
+    descend. Otherwise the axes (sorted by size) are partitioned into 2 or 3
+    blocks, and the grouped view runs the matching pipeline. If it accepts,
+    the learning stage checks each multi-axis block for internal
+    independence: one learned histogram over the union of those blocks'
+    axes, drawn from one stream, gives each block's law as a marginal
+    (_learn_blocks). Each block's learned law is within its eta of the truth
+    w.p. 1 - BASE_DELTA/5, and a union bound covers the blocks. _dary_split
+    sets the pipeline's eps and each block's eta and proves the split
+    sound; detail["eps_split"] records it, and
     detail["learning"] the shared t and each block's eta, gap, threshold
     (k + 1) * eta and margin (threshold - gap; negative rejects). Any
     sub-test failure decides the verdict.
     """
     cfg.validate()
+    _check_prediction(pred)
     sampler = as_sampler(sampler)
     if pred.dims != tuple(sampler.dims):
         raise DomainError(f"prediction dims {pred.dims} != input dims {tuple(sampler.dims)}")
@@ -498,7 +499,7 @@ def aug_independence_d(
     if d in (2, 3):
         return _run_blocks(sampler, pred, cfg, rng, hooks, [[a] for a in range(d)])
 
-    delta_inner = 0.1 / 5.0
+    delta_inner = BASE_DELTA / 5.0
     order = [int(a) for a in np.argsort([-x for x in sampler.dims], kind="stable")]
     sorted_dims = [sampler.dims[a] for a in order]
     blocks_sorted = partition_coordinates(sorted_dims)
@@ -547,22 +548,22 @@ _TIE_ORDER = [Outcome.REJECT, Outcome.INACCURATE, Outcome.ACCEPT]
 
 
 def amplify(run: Callable[[Rng], Verdict], delta_target: float, rng: Rng) -> Verdict:
-    """Drives the base testers' 0.1 failure probability down to delta_target.
+    """Drives the base testers' failure probability BASE_DELTA = 0.1 down to delta_target.
 
     Runs r independent trials and returns the most frequent outcome; ties
     break toward Reject, then InaccurateInformation. Sample accounts sum over
     the runs. Each base run lands on each disallowed outcome w.p. at most
-    0.1, and r is the smallest odd count for which the exact binomial tails
-    cover both cases of the contract:
+    BASE_DELTA, and r is the smallest odd count for which the exact binomial
+    tails cover both cases of the contract:
 
     - one allowed outcome (tv(p, p-hat) <= alpha): the two disallowed ones
-      together occur w.p. at most 0.2, and the allowed outcome holds a strict
-      majority unless at least ceil(r/2) runs are disallowed, so
-      P(Bin(r, 0.2) >= ceil(r/2)) <= delta_target;
+      together occur w.p. at most 2 * BASE_DELTA, and the allowed outcome
+      holds a strict majority unless at least ceil(r/2) runs are disallowed,
+      so P(Bin(r, 2 * BASE_DELTA) >= ceil(r/2)) <= delta_target;
     - two allowed outcomes (tv(p, p-hat) > alpha, where InaccurateInformation
       is also correct): with D < r/3 runs on the disallowed one, the allowed
       two hold more than 2r/3, so one of them beats D, and
-      P(Bin(r, 0.1) >= ceil(r/3)) <= delta_target.
+      P(Bin(r, BASE_DELTA) >= ceil(r/3)) <= delta_target.
 
     That is 7 runs at delta_target 0.05, 13 at 0.01 and 25 at 0.001.
 
@@ -573,12 +574,11 @@ def amplify(run: Callable[[Rng], Verdict], delta_target: float, rng: Rng) -> Ver
     reports the runs planned ("runs") and the runs run ("runs_run"), and
     the stage is that of the winner's last run.
     """
-    if not 0 < delta_target < 1:
-        raise DomainError(f"delta_target must be in (0, 1), got {delta_target}")
+    _check_finite("delta_target", delta_target, "(0, 1)")
     runs = 1
     while not (
-        binomial_tail_at_most(runs, 0.2, (runs + 1) // 2, delta_target)
-        and binomial_tail_at_most(runs, 0.1, (runs + 2) // 3, delta_target)
+        binomial_tail_at_most(runs, 2 * BASE_DELTA, (runs + 1) // 2, delta_target)
+        and binomial_tail_at_most(runs, BASE_DELTA, (runs + 2) // 3, delta_target)
     ):
         runs += 2
     account = SampleAccount()
@@ -600,12 +600,11 @@ def amplify(run: Callable[[Rng], Verdict], delta_target: float, rng: Rng) -> Ver
 
 
 def _run_at_delta(run: Callable[[Rng], Verdict], delta: float | None, rng: Rng) -> Verdict:
-    """Runs a base tester once, or amplified to delta when delta < 0.1.
+    """Runs a base tester once, or amplified to delta when delta < BASE_DELTA.
 
-    delta None means the base testers' own 0.1; any other delta must be in (0, 1).
+    delta None means the base testers' own BASE_DELTA; any other delta must be in (0, 1).
     """
     if delta is None:
         return run(rng)
-    if not 0 < delta < 1:
-        raise DomainError(f"delta must be in (0, 1), got {delta}")
-    return amplify(run, delta, rng) if delta < 0.1 else run(rng)
+    _check_finite("delta", delta, "(0, 1)")
+    return amplify(run, delta, rng) if delta < BASE_DELTA else run(rng)

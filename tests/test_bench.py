@@ -65,12 +65,12 @@ LOAD_ERRORS = [
     ({"instance": dict(HARD2D, embed_dims=[4, 5])}, "do not multiply to m=16"),
     ({"instance": dict(HARD2D, embed_dims=[8, 2, 1])}, "every axis size must be >= 2"),
     ({"instance": dict(HARD2D, embed_dims=[4.0, 4])}, "dims must be a sequence of integers"),
-    ({"trials": 2.5}, "trials must be an integer"),
-    ({"jobs": 1.5}, "jobs must be an integer"),
-    ({"seed": "11"}, "seed must be an integer"),
-    ({"seed": -5}, "seed must be >= 0, got -5"),
-    ({"instance": dict(HARD2D, n=64.5)}, "n, m and k must be integers"),
-    ({"instance": dict(HARD2D, k=6.0)}, "n, m and k must be integers"),
+    ({"trials": 2.5}, "trials must be a non-negative integer, got 2.5"),
+    ({"jobs": 1.5}, "jobs must be a non-negative integer, got 1.5"),
+    ({"seed": "11"}, "seed must be a non-negative integer, got '11'"),
+    ({"seed": -5}, "seed must be a non-negative integer, got -5"),
+    ({"instance": dict(HARD2D, n=64.5)}, "n must be a non-negative integer, got 64.5"),
+    ({"instance": dict(HARD2D, k=6.0)}, "k must be a non-negative integer, got 6.0"),
     ({"instance": {"kind": "correlated", "size": 2.5}}, "dims must be a sequence of integers"),
     ({"instance": {"kind": "correlated", "size": "3"}}, "dims must be a sequence of integers"),
     ({"instance": {"kind": "correlated", "size": 1}}, "every axis size must be >= 2"),
@@ -82,9 +82,9 @@ LOAD_ERRORS = [
     ({"instance": {"kind": "uniform", "dims": [1, 5]}}, "every axis size must be >= 2"),
     ({"instance": {"kind": "product_random", "dims": [2.5, 3]}}, "dims must be a sequence of integers"),
     ({"instance": {"kind": "product_random", "dims": "43"}}, "dims must be a sequence of integers"),
-    ({"trials": True}, "trials must be an integer"),
-    ({"jobs": True}, "jobs must be an integer"),
-    ({"seed": False}, "seed must be an integer"),
+    ({"trials": True}, "trials must be a non-negative integer, got True"),
+    ({"jobs": True}, "jobs must be a non-negative integer, got True"),
+    ({"seed": False}, "seed must be a non-negative integer, got False"),
     ({"record_timing": "no"}, "record_timing must be true or false"),
     ({"record_timing": 1}, "record_timing must be true or false"),
     ({"eps": "0.4"}, "eps must be a finite number"),
@@ -99,12 +99,12 @@ LOAD_ERRORS = [
     ({"instance": dict(HARD2D, eps="0.005")}, "eps must be a finite number"),
     ({"instance": dict(HARD2D, eps=True)}, "eps must be a finite number"),
     ({"instance": dict(HARD2D, eps=float("inf"))}, "eps must be a finite number"),
-    ({"instance": dict(HARD2D, force_x=True)}, "force_x must be 0 or 1"),
-    ({"instance": dict(HARD2D, force_x=1.0)}, "force_x must be 0 or 1"),
-    ({"instance": dict(HARD2D, force_x="1")}, "force_x must be 0 or 1"),
-    ({"instance": dict(HARD2D, n=True)}, "must be integers, got n=True"),
-    ({"instance": dict(HARD2D, m=True)}, "must be integers, got m=True"),
-    ({"instance": dict(HARD2D, k=True)}, "must be integers, got k=True"),
+    ({"instance": dict(HARD2D, force_x=True)}, "force_x must be a non-negative integer, got True"),
+    ({"instance": dict(HARD2D, force_x=1.0)}, "force_x must be a non-negative integer, got 1.0"),
+    ({"instance": dict(HARD2D, force_x="1")}, "force_x must be a non-negative integer, got '1'"),
+    ({"instance": dict(HARD2D, n=True)}, "n must be a non-negative integer, got True"),
+    ({"instance": dict(HARD2D, m=True)}, "m must be a non-negative integer, got True"),
+    ({"instance": dict(HARD2D, k=True)}, "k must be a non-negative integer, got True"),
 ]
 
 
@@ -581,6 +581,81 @@ class TestAmplification:
         # one learning call at delta=0.05: t = ceil((40 + ln(1/0.05)) / (0.05)^2)
         t = math.ceil((40 + math.log(1 / 0.05)) / 0.05**2)
         assert r.samples_learning == t
+
+
+class TestTesterRunner:
+    """bench._run_tester, the one place a named tester is chosen and sized."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"delta": 0.05},
+            {"tester": "3d", "instance": {"kind": "uniform", "dims": [4, 3, 2]}},
+            {"tester": "d", "eps": 0.3, "instance": {"kind": "uniform", "dims": [2, 2, 2, 2]}},
+            {"tester": "learn", "eps": 0.35},
+        ],
+    )
+    def test_every_trial_goes_through_the_runner(self, monkeypatch, overrides):
+        cfg = ExperimentConfig.from_dict(dict(BASE, trials=1, **overrides))
+        plain = run_single_trial(cfg, 0)
+        calls = []
+        runner = bench._run_tester
+
+        def recording(tester, dist, pred, tcfg, delta, rng):
+            calls.append((tester, dist.dims, delta, rng.stream))
+            return runner(tester, dist, pred, tcfg, delta, rng)
+
+        monkeypatch.setattr(bench, "_run_tester", recording)
+        assert run_single_trial(cfg, 0) == plain
+        assert calls == [(cfg.tester, tuple(cfg.instance["dims"]), cfg.delta, (0, 1))]
+
+    def test_learn_runs_at_the_base_delta_when_none_is_given(self, monkeypatch):
+        deltas = []
+        learn = bench.test_independence_by_learning
+
+        def recording(sampler, eps, delta, rng):
+            deltas.append(delta)
+            return learn(sampler, eps, delta, rng)
+
+        monkeypatch.setattr(bench, "test_independence_by_learning", recording)
+        for delta in (None, 0.05, 0.5):
+            run_single_trial(ExperimentConfig.from_dict(dict(BASE, tester="learn", trials=1, delta=delta)), 0)
+        assert deltas == [bench.BASE_DELTA, 0.05, 0.5]
+
+    @pytest.mark.parametrize("name, tester", [("aug_independence_2d", "2d"), ("aug_independence_d", "d")])
+    def test_a_patched_entry_point_is_looked_up_on_every_call(self, monkeypatch, name, tester):
+        dist = JointDistribution.uniform((3, 2))
+        seen = []
+
+        def fake(sampler, pred, cfg, rng):
+            seen.append((sampler.dist, pred, cfg.eps, rng.stream))
+            return Verdict(Outcome.INACCURATE, ["fake"], SampleAccount())
+
+        monkeypatch.setattr(bench, name, fake)
+        cfg = bench.TesterConfig(0.4, 0.05)
+        v = bench._run_tester(tester, dist, dist, cfg, None, bench.Rng(3, (1,)))
+        assert (v.outcome, v.stage) == (Outcome.INACCURATE, "fake")
+        assert seen == [(dist, dist, 0.4, (1,))]
+        # amplified, each run reaches the patched name on its own stream
+        v = bench._run_tester(tester, dist, dist, cfg, 0.05, bench.Rng(3, (1,)))
+        assert v.stage_log == ["amplify", "fake"]
+        assert [s[3] for s in seen[1:]] == [(1, i) for i in range(len(seen) - 1)]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{name: np.array(3)} for name in ("seed", "trials", "jobs")]
+    + [
+        {"instance": dict(HARD2D, **{name: np.array(value)})}
+        for name, value in (("n", 64), ("m", 16), ("k", 6), ("force_x", 1))
+    ],
+)
+def test_a_zero_d_integer_array_is_still_no_integer(overrides):
+    # operator.index reads np.array(3) as 3; numbers.Integral, which these
+    # checks used before _stream_key, never did
+    with pytest.raises(DomainError, match="must be a non-negative integer, got array"):
+        ExperimentConfig.from_dict(dict(BASE, **overrides))
 
 
 class TestSweep:

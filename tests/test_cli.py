@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from augtest import bench, cli, testers
 from augtest.cli import main
-from augtest.domain import JointDistribution, save_distribution
+from augtest.domain import JointDistribution, SampleAccount, save_distribution
+from augtest.testers import Outcome, Verdict
 
 
 @pytest.fixture
@@ -197,6 +199,10 @@ class TestVerdictCommands:
 
 
 class TestLearnCommand:
+    def test_default_delta_is_the_base_delta(self, runner):
+        (param,) = [p for p in main.commands["learn"].params if p.name == "delta"]
+        assert param.default == testers.BASE_DELTA == 0.1
+
     def test_accept(self, runner, files):
         res = runner.invoke(main, ["learn", "--dist", files["uniform"], "--eps", "0.35", "--seed", "0"])
         assert res.exit_code == 0
@@ -303,7 +309,7 @@ class TestBenchCommands:
         res = runner.invoke(main, [*command, "--config", cfg, "--out", str(out)])
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert res.exit_code == 1
-        assert "error: seed must be >= 0, got -5" in res.output
+        assert "error: seed must be a non-negative integer, got -5" in res.output
         assert not out.exists()
 
     def test_bench_estimator_block_exits_one(self, runner, files):
@@ -377,3 +383,58 @@ class TestBenchCommands:
             main, ["sweep-alpha", "--config", cfg, "--alphas", ",", "--out", str(files["tmp"] / "s.csv")]
         )
         assert res.exit_code == 1
+
+
+class TestCommandsGoThroughTheBenchRunner:
+    """test2d, test3d, testd and learn choose and size their tester in bench._run_tester."""
+
+    @pytest.mark.parametrize(
+        "command, name, dist, extra",
+        [
+            ("test2d", "aug_independence_2d", "uniform", []),
+            ("test2d", "aug_independence_2d", "uniform", ["--delta", "0.05"]),
+            ("test3d", "aug_independence_3d", "uniform3d", []),
+            ("testd", "aug_independence_d", "uniform3d", []),
+        ],
+    )
+    def test_a_patched_bench_entry_point_decides_the_command(
+        self, runner, files, monkeypatch, command, name, dist, extra
+    ):
+        seen = []
+
+        def fake(sampler, pred, cfg, rng):
+            seen.append((cfg.eps, cfg.alpha, cfg.profile, rng.stream))
+            return Verdict(Outcome.INACCURATE, ["fake"], SampleAccount())
+
+        monkeypatch.setattr(bench, name, fake)
+        res = runner.invoke(
+            main,
+            [command, "--dist", files[dist], "--pred", files[dist], "--alpha", "0.05", "--eps", "0.4",
+             "--seed", "4", "--profile", "theory", *extra],
+        )
+        assert res.exit_code == 3
+        payload = json.loads(res.output)
+        assert payload["stage"] == "fake"  # the last stage of the deciding run
+        assert seen[0] == (0.4, 0.05, "theory", (0,) if extra else ())
+        assert len(seen) == (4 if extra else 1)  # a unanimous vote of 7 stops after 4
+
+    @pytest.mark.parametrize("extra, delta", [([], 0.1), (["--delta", "0.05"], 0.05)])
+    def test_learn_reaches_the_patched_learning_tester(self, runner, files, monkeypatch, extra, delta):
+        seen = []
+
+        def fake(sampler, eps, d, rng):
+            seen.append((sampler.dims, eps, d, rng.seed, rng.stream))
+            return Verdict(Outcome.REJECT, ["fake"], SampleAccount())
+
+        monkeypatch.setattr(bench, "test_independence_by_learning", fake)
+        res = runner.invoke(
+            main, ["learn", "--dist", files["uniform3d"], "--eps", "0.35", "--seed", "6", "--axes", "0,2", *extra]
+        )
+        assert res.exit_code == 2
+        assert json.loads(res.output)["stage"] == "fake"
+        assert seen == [((4, 2), 0.35, delta, 6, ())]
+
+    def test_the_cli_imports_no_tester_entry_point(self):
+        names = set(vars(cli))
+        entry_points = {"aug_independence_2d", "aug_independence_3d", "aug_independence_d"}
+        assert not names & (entry_points | {"test_independence_by_learning", "_run_at_delta", "JointSampler"})

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,11 @@ class TestRng:
         # float(True) would run at mean 1
         with pytest.raises(DomainError, match="Poisson mean must be a finite number, got True"):
             poisson(True, Rng(1))
+
+    def test_poisson_mean_numpy_cannot_draw_is_rejected_by_name(self):
+        assert poisson(domain._POISSON_MEAN_MAX, Rng(1)) > 0
+        with pytest.raises(DomainError, match=r"Poisson mean must be at most 9.22337e\+18, got 1e\+20"):
+            poisson(1e20, Rng(1))
 
     def test_poisson_mean_matches(self):
         gen = Rng(8)
@@ -388,6 +394,22 @@ class TestReshaping:
         with pytest.raises(DomainError, match=message):
             call(JointDistribution.uniform((2, 3)))
 
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([[0], [0]], "duplicate axes"),
+            ([[1.7]], "axis must be a non-negative integer, got 1.7"),
+            ([[2]], "axis 2 out of range for arity 2"),
+            ([[0], []], "nonempty list of nonempty blocks"),
+        ],
+    )
+    def test_merge_index_checks_its_blocks_as_merge_axes_does(self, blocks, message):
+        rows = draw_samples(JointDistribution.uniform((3, 2)), 5, Rng(36))
+        with pytest.raises(DomainError, match=message):
+            merge_index(rows, (3, 2), blocks)
+        with pytest.raises(DomainError, match=message):
+            merge_axes(JointDistribution.uniform((3, 2)), blocks)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_merge_is_the_marginal_then_the_merge(self, data):
@@ -580,3 +602,46 @@ class TestInverseCdf:
         assert got.shape == u.shape
         assert np.array_equal(got, searchsorted_reference(cum, u))
         assert np.array_equal(inverse_cdf(cum, 1)(u), got)
+
+
+class TestCheckFinite:
+    """domain._check_finite, the one place a range message is formatted."""
+
+    @pytest.mark.parametrize(
+        "interval, inside, outside",
+        [
+            ("(0, 1)", [1e-300, 0.5, 0.9999999999999999], [0, 1, -0.5, 1.5]),
+            ("(0, 1]", [1e-300, 1], [0, 1.0000000000000002]),
+            ("[0, 1)", [0, 0.0, 0.5], [1, -1e-300]),
+            ("[0, 1]", [0, 1, np.float64(0.25)], [-1e-300, 1.0000000000000002]),
+            ("(0, 1/2)", [0.25, 0.49999999999999994], [0, 0.5, 1]),
+            ("(0, 2]", [2, 1e-9], [0, 2.0000000000000004]),
+        ],
+    )
+    def test_each_bracket_form_keeps_or_drops_its_ends(self, interval, inside, outside):
+        for value in inside:
+            domain._check_finite("x", value, interval)
+        for value in outside:
+            with pytest.raises(DomainError, match=rf"^x must be in {re.escape(interval)}, got {value}$"):
+                domain._check_finite("x", value, interval)
+
+    def test_a_fractional_end_is_parsed_exactly_and_once(self):
+        assert domain._interval_ends("(0, 1/2)") == (0.0, 0.5, False, False)
+        assert domain._interval_ends("[1/4, 3]") == (0.25, 3.0, True, True)
+        assert domain._interval_ends("(0, 1/2)") is domain._interval_ends("(0, 1/2)")
+
+    def test_the_message_shows_the_value_as_the_range_checks_did(self):
+        with pytest.raises(DomainError, match=r"^eps must be in \(0, 1\], got 7$"):
+            domain._check_finite("eps", 7, "(0, 1]")
+        with pytest.raises(DomainError, match=r"^delta must be in \(0, 1\), got 0.0$"):
+            domain._check_finite("delta", 0.0, "(0, 1)")
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", float("nan"), float("inf"), -float("inf"), None])
+    @pytest.mark.parametrize("interval", [None, "(0, 1)", "[0, 1]"])
+    def test_bools_strings_and_non_finite_values_fail_the_finite_check_first(self, value, interval):
+        with pytest.raises(DomainError, match=rf"^x must be a finite number, got {re.escape(repr(value))}$"):
+            domain._check_finite("x", value, interval)
+
+    def test_without_an_interval_any_finite_number_passes(self):
+        for value in (-1e300, 0, 7, np.float32(2.5), np.int64(-3)):
+            domain._check_finite("x", value)

@@ -18,6 +18,7 @@ from augtest.domain import (
 )
 from augtest.flattening import (
     AxisFlattening,
+    FlatView,
     ProductFlattening,
     build_axis_flattening,
     flatten_distribution_explicit,
@@ -86,6 +87,13 @@ class TestAxisFlattening:
         # not a bare ZeroDivisionError from nu = 1/0
         with pytest.raises(DomainError, match=r"at least one cell, got marginal \[\]"):
             build_axis_flattening([], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_marginal_is_rejected_by_name(self, bad):
+        # not "every symbol needs at least one bucket" after a cast warning
+        with pytest.raises(DomainError, match="predicted marginal has non-finite entries"):
+            build_axis_flattening([bad, 0.5], [0, 0])
 
     def test_flat_size_bound(self):
         gen = Rng(1).gen
@@ -312,6 +320,53 @@ class TestFlatViews:
         laws = [np.arange(1.0, f.flat_size + 1) for f in self.pf.axes]
         view = flattened_product_view(self.sampler, self.pf, laws)
         assert view.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_product_view_needs_one_law_per_axis(self):
+        # one law of a 2-axis flattening would otherwise give a view over
+        # every flat cell holding a law of only the first axis's cells
+        law = self.axis_laws(self.sampler)[0]
+        with pytest.raises(DomainError, match="a product view of 2 axes needs as many axis laws, got 1"):
+            flattened_product_view(self.sampler, self.pf, [law])
+        with pytest.raises(DomainError, match="got 3"):
+            flattened_product_view(self.sampler, self.pf, [law, law, law])
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            (5, "axis 5 out of range for arity 2"),
+            (1.5, "axis must be a non-negative integer, got 1.5"),
+            (-1, "got -1"),
+            (True, "got True"),
+        ],
+    )
+    def test_axis_view_reads_its_axis_by_value(self, axis, message):
+        with pytest.raises(DomainError, match=message):
+            flattened_axis_view(self.sampler, axis, self.pf)
+
+    @pytest.mark.parametrize(
+        "size, probs, message",
+        [
+            (3, [0.5, 0.5], "a view over 3 cells needs a law of as many entries .* got 2 entries summing to 1.0"),
+            (2, [0.0, 0.0], "got 2 entries summing to 0.0"),
+            (2, [np.nan, 1.0], "summing to nan"),
+            (2, [np.inf, 1.0], "summing to inf"),
+            (2, [-1.0, 0.5], "summing to -0.5"),
+        ],
+    )
+    def test_a_view_rejects_a_law_that_does_not_fit_it(self, size, probs, message):
+        with pytest.raises(DomainError, match=message):
+            FlatView(size, np.array(probs), 1, lambda count, rng: None)
+        assert FlatView(size, None, 1, lambda count, rng: None).probs is None
+
+    @pytest.mark.parametrize("probs", [[-1.0, 2.0], [0.5, -0.0001, 0.5001]])
+    def test_from_law_rejects_negative_entries(self, probs):
+        # their sum is positive, so only the per-entry check sees them
+        with pytest.raises(DomainError, match="a view's law has negative entries"):
+            FlatView.from_law(probs)
+
+    def test_from_law_rejects_a_law_of_zero_mass(self):
+        with pytest.raises(DomainError, match="summing to 0.0"):
+            FlatView.from_law([0, 0])
 
     def test_views_without_explicit_law(self):
         opaque = OpaqueSampler(self.p)

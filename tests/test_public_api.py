@@ -6,6 +6,7 @@ uses, and no module defines a function or class nothing uses.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -89,3 +90,20 @@ def test_every_definition_is_used():
         and refs[node.name] == _references(node)[node.name]
     ]
     assert dead == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("__init__.py", "domain.py"))
+)
+def test_only_domain_formats_a_range_message(path):
+    # every "must be in (lo, hi]" check goes through domain._check_finite's
+    # interval, so each message keeps one spelling and one finite check
+    tree = ast.parse((PACKAGE / path).read_text())
+    messages = [
+        f"line {node.lineno}: {text.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        for text in ast.walk(node)
+        if isinstance(text, ast.Constant) and isinstance(text.value, str) and re.search(r"must be in [(\[]", text.value)
+    ]
+    assert messages == []

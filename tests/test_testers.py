@@ -488,6 +488,14 @@ class TestLearning:
 
 
 class TestGeneralArity:
+    @pytest.mark.parametrize("tester", [aug_independence_2d, aug_independence_3d, aug_independence_d])
+    @pytest.mark.parametrize("pred", [None, np.full(6, 1 / 6), "uniform"])
+    def test_a_prediction_that_is_not_a_law_is_rejected_by_name(self, tester, pred):
+        # it raised an AttributeError on pred.dims
+        p = JointDistribution.uniform((3, 2))
+        with pytest.raises(DomainError, match="prediction must be a JointDistribution, got "):
+            tester(JointSampler(p), pred, TesterConfig(0.4, 0.05), Rng(16))
+
     def test_low_arity_routes_directly(self):
         for dims in [(6, 4), (4, 3, 2)]:
             p = JointDistribution.uniform(dims)
@@ -912,6 +920,35 @@ class TestAmplify:
     def test_run_at_delta_rejects_delta_outside_the_unit_interval(self, delta):
         with pytest.raises(DomainError):
             _run_at_delta(self.scripted_run([Outcome.ACCEPT]), delta, Rng(29))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda run: amplify(run, "0.05", Rng(29)),
+            lambda run: amplify(run, True, Rng(29)),
+            lambda run: amplify(run, float("nan"), Rng(29)),
+            lambda run: _run_at_delta(run, "0.05", Rng(29)),
+            lambda run: _run_at_delta(run, float("inf"), Rng(29)),
+        ],
+    )
+    def test_a_delta_that_is_not_a_finite_number_is_rejected_by_name(self, call):
+        # "0.05" raised a bare TypeError from the comparison
+        with pytest.raises(DomainError, match="delta(_target)? must be a finite number"):
+            call(self.scripted_run([Outcome.ACCEPT]))
+
+    def test_range_messages_are_unchanged(self):
+        run = self.scripted_run([Outcome.ACCEPT])
+        with pytest.raises(DomainError, match=r"^delta_target must be in \(0, 1\), got 0.0$"):
+            amplify(run, 0.0, Rng(27))
+        with pytest.raises(DomainError, match=r"^delta must be in \(0, 1\), got 1.5$"):
+            _run_at_delta(run, 1.5, Rng(27))
+
+    def test_the_base_delta_sets_the_threshold_and_the_tails(self):
+        assert testers.BASE_DELTA == 0.1
+        assert 2 * testers.BASE_DELTA == 0.2  # the one-allowed-outcome tail, exactly
+        run = self.scripted_run([Outcome.ACCEPT] * 5)
+        assert "amplify" not in _run_at_delta(run, testers.BASE_DELTA, Rng(30)).stage_log
+        assert "amplify" in _run_at_delta(run, math.nextafter(testers.BASE_DELTA, 0), Rng(30)).stage_log
 
 
 class TestVerdictJson:
