@@ -66,6 +66,7 @@ from augtest.estimators import (
     VOTE_ERROR,
     EstimatorConfig,
     _median_plan,
+    _norm_batch,
     _norm_statistics,
     _race_errors,
     _race_plan,
@@ -179,7 +180,7 @@ def plan_point(c_close: float, c_thr: float, errors: dict[str, float]) -> dict:
 def norm_ratios(law: np.ndarray, c_norm: float, trials: int, rng: Rng) -> np.ndarray:
     """`trials` collision statistics of the norm estimator over batches of
     T = c_norm * ceil(sqrt(M)) draws of law, each divided by ||law||_2^2."""
-    T = max(2, math.ceil(c_norm * math.ceil(math.sqrt(law.size))))
+    T = _norm_batch(law.size, c_norm)
     view = FlatView.from_law(law)
     stats = [
         _norm_statistics(view, T, min(NORM_CHUNK, trials - start), rng) for start in range(0, trials, NORM_CHUNK)

@@ -7,13 +7,14 @@ aggregated. The norm takes the median of r statistics. The median misses
 low only when ceil(r/2) statistics miss low, and likewise high, so r is the
 smallest count whose exact binomial tail P(Bin(r, e) >= ceil(r/2)) is at
 most delta / 2, where e = NORM_SIDE_ERROR is the calibrated bound on either
-side's per-statistic miss (see _median_plan). Closeness runs a sequential
-vote (Wald's SPRT, 1945): it stops once accepts and rejects differ by h, or
-after r votes, and accepts iff accepts outnumber rejects, where (h, r) is
-sized so that its exact error at the calibrated per-vote error bound
-VOTE_ERROR is at most delta, with a cap of at least 2h + 1 votes (see
-_race_plan). The batch multipliers and those bounds are calibrated together,
-so a clean input stops after 3 votes; only the votes that run draw samples.
+side's per-statistic miss; that count is always odd (see _median_plan), so
+the median is one statistic. Closeness runs a sequential vote (Wald's SPRT,
+1945): it stops once accepts and rejects differ by h, or after r votes, and
+accepts iff accepts outnumber rejects, where (h, r) is sized so that its
+exact error at the calibrated per-vote error bound VOTE_ERROR is at most
+delta, with a cap of at least 2h + 1 votes (see _race_plan). The batch
+multipliers and those bounds are calibrated together, so a clean input
+stops after 3 votes; only the votes that run draw samples.
 Sample draws are logged into a SampleAccount in units of base joint draws,
 counting only what was drawn.
 
@@ -32,6 +33,8 @@ looks up enough symbols on, it is a guide table, which finds a symbol in
 O(1) where a binary search takes O(log M), and returns the same index (see
 domain.inverse_cdf). Both batching modes produce identically distributed
 statistics; the count level is what makes desk-scale Monte-Carlo affordable.
+Each kernel reads its mode off the view it is given: _norm_statistics for
+the norm, _poissonized_counts for each closeness batch.
 
 Stream layout: at the count level one estimator call draws all of its
 repetitions (closeness votes) in sequence from the generator of the Rng it
@@ -54,6 +57,7 @@ from .domain import (
     JointDistribution,
     Rng,
     SampleAccount,
+    _POISSON_MEAN_MAX,
     _check_finite,
     _stream_key,
 )
@@ -84,8 +88,9 @@ NORM_SIDE_ERROR = 0.15625
 # multiple of 1/64 (calibration.json records it with the plans it gives).
 VOTE_ERROR = 0.125
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 # The most samples two closeness batches may hold for their int64 Z to be exact.
-_INT64_DOT_SAMPLES = math.isqrt(2**63 - 1)
+_INT64_DOT_SAMPLES = math.isqrt(_INT64_MAX)
 
 
 def binomial_tail_at_most(r: int, p: float, k: int, delta: float) -> bool:
@@ -111,7 +116,7 @@ def repetitions(delta: float, cfg: EstimatorConfig) -> int:
 
 @functools.cache
 def _median_plan(delta: float, side_error: float = NORM_SIDE_ERROR) -> int:
-    """The smallest r with P(Bin(r, side_error) >= ceil(r/2)) <= delta / 2.
+    """The smallest r with P(Bin(r, side_error) >= ceil(r/2)) <= delta / 2; it is odd.
 
     If each statistic falls below 1/2 times the truth w.p. at most
     side_error, their median does only when at least ceil(r/2) of them do,
@@ -120,15 +125,16 @@ def _median_plan(delta: float, side_error: float = NORM_SIDE_ERROR) -> int:
     calibrated NORM_SIDE_ERROR of 10/64 that gives 11 repetitions at delta
     1/120 and 13 at 1/180.
 
-    The tail is not monotone in r (at 10/64, r = 1 gives 0.156 and r = 2
-    gives 0.288, since an even r fails on r/2 misses), so r is found by
-    scanning up from 1; it is memoized.
+    An even r = 2k fails on k misses, and so does 2k - 1, from one fewer
+    statistic, so whenever 2k meets the bound 2k - 1 meets it too. The
+    smallest r is therefore odd, and only odd r are scanned, up from 1; the
+    count is memoized.
     """
     _check_finite("delta", delta, "(0, 1)")
     _check_finite("side_error", side_error, "(0, 1/2)")
     r = 1
     while not binomial_tail_at_most(r, side_error, (r + 1) // 2, delta / 2):
-        r += 1
+        r += 2
     return r
 
 
@@ -198,12 +204,6 @@ def _race_plan(delta: float, vote_error: float = VOTE_ERROR) -> tuple[int, int]:
             return h, r
 
 
-def _rep_rng(rng: Rng, count_level: bool, index: int) -> Rng:
-    """The stream repetition `index` draws from: the call's own stream at the
-    count level, its own child stream when the view can only draw."""
-    return rng if count_level else rng.split(index)
-
-
 def _ordered_pairs(idx: np.ndarray) -> np.ndarray:
     """Per row of sorted symbol indices, the ordered pairs of equal entries.
 
@@ -219,18 +219,14 @@ def _ordered_pairs(idx: np.ndarray) -> np.ndarray:
 
 
 def _median(values: np.ndarray) -> float:
-    """float(np.median(values)), bit for bit, for a nonempty 1-D float array without NaNs.
+    """float(np.median(values)), bit for bit, for a 1-D float array of odd length without NaNs.
 
-    values is sorted in place and its middle entry read, or the mean of its
-    two middle entries when the length is even, the same (a + b) / 2 that
-    np.median takes; a sort of a few dozen floats skips np.median's fixed
-    per-call cost.
+    values is sorted in place and its middle entry read; the length is a
+    _median_plan count, which is odd. A sort of a few dozen floats skips
+    np.median's fixed per-call cost.
     """
     values.sort()
-    mid = values.size // 2
-    if values.size % 2:
-        return float(values[mid])
-    return float((values[mid - 1] + values[mid]) / 2)
+    return float(values[values.size // 2])
 
 
 def _check_size(M: int, *views) -> None:
@@ -242,35 +238,25 @@ def _check_size(M: int, *views) -> None:
             raise DomainError(f"domain size M = {M} but the view has {view.size} cells")
 
 
-def _count_table(view, lam: float, r: int):
-    """What _poissonized_counts draws about r Poi(lam)-sized batches of the view from.
-
-    That is the inverse-CDF map of the view's law when lam < M, where a batch
-    is sparse, and the per-cell means lam * law otherwise; None when the view
-    can only draw.
-    """
-    if view.probs is None:
-        return None
-    return view.inverse_cdf(r * lam) if lam < view.size else lam * view.probs
-
-
-def _poissonized_counts(view, table, lam: float, rng: Rng) -> np.ndarray:
+def _poissonized_counts(view, lam: float, lookups: float, rng: Rng, index: int) -> np.ndarray:
     """Per-symbol counts of a Poi(lam)-sized batch: independent Poi(lam * p_i)
     entries, as a dense integer vector of length M.
 
-    table is _count_table(view, lam, r). Below lam = M it is the law's inverse-CDF
-    map, and K ~ Poi(lam) uniforms are mapped through it and binned, which
-    Poisson splitting makes the same law; otherwise it holds the means and
-    each cell draws its own Poisson.
+    A view without a law draws from rng.split(index): K ~ Poi(lam) from its
+    child 0 and K symbols from its child 1. A view with one draws from rng's
+    own generator: at lam >= M one Poisson per cell; below, K ~ Poi(lam)
+    uniforms mapped through view.inverse_cdf(lookups) and binned, which
+    Poisson splitting makes the same law. lookups is how many symbols the
+    caller expects to look up on the view, which picks the map's kind.
     """
-    if table is None:
-        k = int(rng.split(0).gen.poisson(lam))
-        draws = view.draw(k, rng.split(1))
+    if view.probs is None:
+        rng = rng.split(index)
+        draws = view.draw(int(rng.split(0).gen.poisson(lam)), rng.split(1))
         return np.bincount(draws, minlength=view.size)
     if lam >= view.size:
-        return rng.gen.poisson(table)
+        return rng.gen.poisson(lam * view.probs)
     u = rng.gen.random(int(rng.gen.poisson(lam)))
-    return np.bincount(table(u), minlength=view.size)
+    return np.bincount(view.inverse_cdf(lookups)(u), minlength=view.size)
 
 
 def estimate_l2_squared(
@@ -292,12 +278,17 @@ def estimate_l2_squared(
     rng.split(j).
     """
     _check_size(M, view)
-    T = max(2, math.ceil(cfg.norm_sample_mult * math.ceil(math.sqrt(M))))
+    T = _norm_batch(M, cfg.norm_sample_mult)
     r = repetitions(delta, cfg)
     ests = _norm_statistics(view, T, r, rng)
     if account is not None:
         account.add(stage, T * r * view.cost)
     return _median(ests)
+
+
+def _norm_batch(M: int, mult: float) -> int:
+    """The norm's batch size on M cells: T = mult * ceil(sqrt(M)), rounded up, at least 2."""
+    return max(2, math.ceil(mult * math.ceil(math.sqrt(M))))
 
 
 def _norm_statistics(view, T: int, r: int, rng: Rng) -> np.ndarray:
@@ -324,6 +315,8 @@ def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tupl
     b bounds min(||p||_2^2, ||q||_2^2). A b above 1 says nothing, since every
     mass vector has l2^2 <= 1, so it is clamped to 1 rather than inflating
     the batch; the testers pass measured bounds, which are usually far below.
+    A rate above the largest Poisson mean numpy draws at is rejected; no
+    cell's mean lambda * p_i exceeds it.
     """
     _check_finite("eps", eps, "(0, 2]")
     _check_finite("b", b)
@@ -331,6 +324,11 @@ def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tupl
         raise DomainError(f"norm bound b must be positive, got {b}")
     b_eff = min(float(b), 1.0)
     lam = cfg.closeness_sample_mult * M * math.sqrt(b_eff) / (eps * eps)
+    if lam > _POISSON_MEAN_MAX:
+        raise DomainError(
+            f"closeness batch mean lambda = {lam:.6g} exceeds the largest Poisson mean,"
+            f" {_POISSON_MEAN_MAX:.6g}; eps = {eps!r} is too small"
+        )
     threshold = cfg.closeness_threshold_mult * lam * lam * eps * eps / M
     return lam, threshold
 
@@ -365,9 +363,8 @@ def closeness_test(
     _check_size(M, view_p, view_q)
     lam, threshold = closeness_params(M, b, eps, cfg)
     h, r = _race_plan(delta)
-    # A vote runs at least h repetitions, and a clean input runs exactly h.
-    table_p = _count_table(view_p, lam, h)
-    table_q = _count_table(view_q, lam, h)
+    # A call runs h votes or more, each looking up about lam symbols per view.
+    lookups = h * lam
     lead = 0  # accepts - rejects
     used_p = used_q = 0
     # X - Y of every vote goes here, so a vote allocates only X and Y. The
@@ -376,8 +373,8 @@ def closeness_test(
     # M-sized array can make glibc trim the heap top and fault it back in.
     d = np.empty(M, dtype=np.int64)
     for j in range(r):
-        x = _poissonized_counts(view_p, table_p, lam, _rep_rng(rng, table_p is not None, 2 * j))
-        y = _poissonized_counts(view_q, table_q, lam, _rep_rng(rng, table_q is not None, 2 * j + 1))
+        x = _poissonized_counts(view_p, lam, lookups, rng, 2 * j)
+        y = _poissonized_counts(view_q, lam, lookups, rng, 2 * j + 1)
         sx, sy = int(x.sum()), int(y.sum())
         used_p += sx
         used_q += sy
@@ -404,6 +401,8 @@ def learn_empirical(sampler, t: int, rng: Rng, account: SampleAccount | None = N
     t = _stream_key("sample size t", t)
     if t < 1:
         raise DomainError("sample size t must be >= 1")
+    if t > _INT64_MAX:
+        raise DomainError(f"sample size t = {t} exceeds the largest count numpy draws, {_INT64_MAX}")
     dims = tuple(sampler.dims)
     dist = getattr(sampler, "dist", None)
     if dist is not None:

@@ -198,6 +198,22 @@ class TestVerdictCommands:
         assert "error:" in res.output
 
 
+    @pytest.mark.parametrize(
+        "command, names", [("test2d", "lambda"), ("testd", "lambda"), ("learn", "sample size t")]
+    )
+    def test_an_eps_too_small_to_draw_at_exits_one(self, runner, files, command, names):
+        # At eps 1e-10 closeness needs a Poisson mean, and learning a sample
+        # count, beyond what numpy draws; both used to escape as numpy errors.
+        args = ["--dist", files["uniform"], "--eps", "1e-10", "--seed", "1"]
+        if command != "learn":
+            args += ["--pred", files["uniform"], "--alpha", "0.1"]
+        res = runner.invoke(main, [command, *args])
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert res.exit_code == 1
+        assert res.output.startswith("error:") and res.output.count("\n") == 1
+        assert names in res.output
+
+
 class TestLearnCommand:
     def test_default_delta_is_the_base_delta(self, runner):
         (param,) = [p for p in main.commands["learn"].params if p.name == "delta"]

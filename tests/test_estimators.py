@@ -1,6 +1,7 @@
 """Tests for the l2 estimator, the closeness tester, and empirical learning."""
 
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -9,10 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from augtest import estimators
+from augtest import domain, estimators, testers
 from augtest.bench import wilson_interval
 from augtest.domain import (
     DomainError,
@@ -33,6 +34,7 @@ from augtest.estimators import (
     repetitions,
 )
 from augtest.flattening import FlatView
+from augtest.testers import TesterConfig, aug_independence_2d
 
 CFG = EstimatorConfig()
 CALIBRATION = os.path.join(os.path.dirname(__file__), os.pardir, "calibration.json")
@@ -103,14 +105,12 @@ def reference_l2_squared(view, M, delta, cfg, rng) -> float:
 
 class TestMedian:
     @settings(max_examples=400, deadline=None)
-    @given(
-        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
-        even=st.booleans(),
-    )
-    def test_is_numpys_median_to_the_bit(self, values, even):
-        # Odd and even lengths, ties, signed zeros and sums that overflow.
-        if (len(values) % 2 == 0) != even:
-            values = values[1:] if len(values) > 1 else values * 2
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+    def test_is_numpys_median_to_the_bit(self, values):
+        # Odd lengths, the only ones _median_plan returns; ties, signed zeros
+        # and values near the float range's ends.
+        if len(values) % 2 == 0:
+            values = values[1:]
         x = np.array(values)
         with np.errstate(over="ignore"):
             assert estimators._median(x.copy()) == float(np.median(x))
@@ -152,6 +152,23 @@ class TestConfig:
             repetitions(0.0, CFG)
         with pytest.raises(DomainError):
             repetitions(1.0, CFG)
+
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 24), delta=st.floats(1e-3, 0.5))
+    @example(k=24, delta=1e-3)
+    @example(k=1, delta=0.5)
+    def test_median_plan_is_the_smallest_count_of_either_parity_and_odd(self, k, delta):
+        # The tail over every r, odd and even, times 64^r as an integer, so
+        # the comparison with delta / 2 is exact.
+        num, den = delta.as_integer_ratio()
+
+        def meets(r):
+            tail = sum(math.comb(r, i) * k**i * (64 - k) ** (r - i) for i in range((r + 1) // 2, r + 1))
+            return 2 * tail * den <= num * 64**r
+
+        smallest = next(r for r in itertools.count(1) if meets(r))
+        assert estimators._median_plan(delta, k / 64) == smallest
+        assert smallest % 2 == 1
 
     @pytest.mark.parametrize("side_error", [0.0, 0.5, 0.75, -0.125])
     def test_median_plan_rejects_a_side_error_no_median_can_beat(self, side_error):
@@ -512,8 +529,8 @@ class TestClosenessTest:
         kernel = estimators._poissonized_counts
         drawn = []
 
-        def recording(v, table, lam, rng):
-            counts = kernel(v, table, lam, rng)
+        def recording(v, lam, lookups, rng, index):
+            counts = kernel(v, lam, lookups, rng, index)
             drawn.append(counts)
             return counts
 
@@ -526,12 +543,7 @@ class TestClosenessTest:
         r = plan[1]
         votes = []
         for j in range(r):
-            xy = [
-                kernel(v, estimators._count_table(v, lam, r), lam, rng)
-                if explicit
-                else kernel(v, None, lam, rng.split(2 * j + i))
-                for i, v in enumerate(views)
-            ]
+            xy = [kernel(v, lam, r * lam, rng, 2 * j + i) for i, v in enumerate(views)]
             d = xy[0].astype(np.float64) - xy[1]
             votes.append(float(d @ d - xy[0].sum() - xy[1].sum()) > threshold)
         return accepted, account, drawn, votes
@@ -633,6 +645,48 @@ class TestDomainSize:
         with pytest.raises(DomainError, match="but the view has"):
             closeness_test(p, q, M, 1 / M, 0.3, 0.1, CFG, Rng(51), account)
         assert account.total == 0
+
+
+class TestDrawCeilings:
+    """A batch numpy cannot draw is a DomainError before any draw: a closeness
+    rate above the largest Poisson mean, a learning size above int64."""
+
+    @pytest.mark.parametrize("explicit", [True, False])
+    @pytest.mark.parametrize("M, b", [(4, 1.0), (4, 0.25), (1, 1.0)])
+    def test_closeness_rejects_a_rate_above_the_poisson_ceiling(self, M, b, explicit):
+        # numpy raised a bare "lam value too large" at eps 1e-10
+        with pytest.raises(DomainError, match=r"closeness batch mean lambda = .* exceeds"):
+            closeness_params(M, b, 1e-10, CFG)
+        v = FlatView.from_law(np.full(M, 1 / M))
+        account = SampleAccount()
+        with pytest.raises(DomainError, match="lambda"):
+            closeness_test(*[v if explicit else draw_only(v)] * 2, M, b, 1e-10, 0.1, CFG, Rng(52), account)
+        assert account.total == 0
+
+    def test_closeness_rate_at_the_ceiling_is_drawn(self):
+        # lambda = 3 / eps^2 on one cell, just below the ceiling, just above it
+        below = math.sqrt(CFG.closeness_sample_mult / domain._POISSON_MEAN_MAX) * (1 + 1e-9)
+        lam, _ = closeness_params(1, 1.0, below, CFG)
+        assert domain._POISSON_MEAN_MAX * (1 - 1e-8) < lam <= domain._POISSON_MEAN_MAX
+        assert closeness_test(FlatView.from_law([1.0]), FlatView.from_law([1.0]), 1, 1.0, below, 0.1, CFG, Rng(53))
+        with pytest.raises(DomainError, match="lambda"):
+            closeness_params(1, 1.0, below * (1 - 1e-8), CFG)
+
+    def test_two_axis_tester_at_a_tiny_eps_raises_a_domain_error(self):
+        p = JointDistribution.uniform((4, 3))
+        with pytest.raises(DomainError, match="lambda"):
+            aug_independence_2d(JointSampler(p), p, TesterConfig(eps=1e-10, alpha=0.1), Rng(1))
+
+    def test_learning_size_above_int64_is_rejected(self):
+        p = JointSampler(JointDistribution.uniform((2, 2)))
+        account = SampleAccount()
+        with pytest.raises(DomainError, match="sample size t = 9223372036854775808 exceeds"):
+            learn_empirical(p, 2**63, Rng(54), account)
+        assert account.total == 0
+        assert learn_empirical(p, 2**63 - 1, Rng(54)).probs.sum() == pytest.approx(1.0)
+        # numpy raised a bare OverflowError from multinomial
+        with pytest.raises(DomainError, match="sample size t"):
+            testers.test_independence_by_learning(JointSampler(JointDistribution.uniform((4, 3))), 1e-10, 0.1, Rng(1))
 
 
 class TestClosenessMemory:
@@ -743,8 +797,8 @@ class TestStreamLayout:
         seen = []
         kernel = estimators._poissonized_counts
 
-        def recording(v, table, lam, rng):
-            counts = kernel(v, table, lam, rng)
+        def recording(v, lam, lookups, rng, index):
+            counts = kernel(v, lam, lookups, rng, index)
             seen.append((v, counts))
             return counts
 
@@ -800,11 +854,12 @@ class TestPoissonizedCounts:
         view = FlatView.from_law(law)
         rng = Rng(40)
         n = 20_000
-        # One table serves all n batches, which is enough lookups for a guide.
-        table = estimators._count_table(view, lam, n)
+        # All n batches look up through one map, and n * lam lookups are
+        # enough for a guide.
+        counts = np.array([estimators._poissonized_counts(view, lam, n * lam, rng, j) for j in range(n)])
+        table = view.inverse_cdf(n * lam)
         u = np.linspace(0.0, 1.0, 64, endpoint=False)
         assert np.array_equal(table(u), inverse_cdf(np.cumsum(law), 1)(u))
-        counts = np.array([estimators._poissonized_counts(view, table, lam, rng) for _ in range(n)])
         assert counts.shape == (n, M)
         assert np.issubdtype(counts.dtype, np.integer)
         assert np.all(counts[:, law == 0] == 0)
@@ -828,13 +883,13 @@ class TestPoissonizedCounts:
         view = FlatView.from_law(law)
         for lam in (float(M), M * (1 + 1e-12), 3.7 * M, 2.5e7):
             rng, ref = Rng(41), Rng(41).gen
-            counts = estimators._poissonized_counts(view, estimators._count_table(view, lam, 17), lam, rng)
+            counts = estimators._poissonized_counts(view, lam, 17 * lam, rng, 0)
             assert np.array_equal(counts, ref.poisson(lam * law))
             assert rng.gen.bit_generator.state == ref.bit_generator.state
         lam = math.nextafter(M, 0)
         for r in (1, 1000):
             rng, ref = Rng(41), Rng(41).gen
-            counts = estimators._poissonized_counts(view, estimators._count_table(view, lam, r), lam, rng)
+            counts = estimators._poissonized_counts(view, lam, r * lam, rng, 0)
             u = ref.random(int(ref.poisson(lam)))
             assert np.array_equal(counts, np.bincount(inverse_cdf(np.cumsum(law), u.size)(u), minlength=M))
             assert rng.gen.bit_generator.state == ref.bit_generator.state

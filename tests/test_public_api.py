@@ -107,3 +107,33 @@ def test_only_domain_formats_a_range_message(path):
         if isinstance(text, ast.Constant) and isinstance(text.value, str) and re.search(r"must be in [(\[]", text.value)
     ]
     assert messages == []
+
+
+def _asks_for_a_law(node: ast.AST) -> bool:
+    """Whether node compares a `probs` or `dist` (an attribute, a name or a
+    getattr of one) with None."""
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+
+    def name(x):
+        if isinstance(x, ast.Call) and len(x.args) >= 2 and isinstance(x.args[1], ast.Constant):
+            return x.args[1].value  # getattr(obj, "dist", None)
+        return getattr(x, "attr", getattr(x, "id", None))
+
+    law = any(name(x) in ("probs", "dist") for x in operands)
+    return law and any(isinstance(x, ast.Constant) and x.value is None for x in operands)
+
+
+def test_estimators_choose_a_draw_mode_in_three_places():
+    # Whether a view exposes its law, or a sampler its distribution, is asked
+    # only where a batch is drawn: by the norm's statistics, the closeness
+    # count kernel and learn_empirical. A helper that asks again writes a
+    # draw mode a second time.
+    tree = ast.parse((PACKAGE / "estimators.py").read_text())
+    askers = sorted(
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and any(_asks_for_a_law(n) for n in ast.walk(node))
+    )
+    assert askers == ["_norm_statistics", "_poissonized_counts", "learn_empirical"]

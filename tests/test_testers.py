@@ -251,9 +251,10 @@ class TestGateLogic:
             joint_views.append(joint_view(*args))
             return joint_views[-1]
 
-        def recording_counts(view, table, lam, rng):
-            tables.append((view, table))
-            return kernel(view, table, lam, rng)
+        def recording_counts(view, lam, lookups, rng, index):
+            counts = kernel(view, lam, lookups, rng, index)
+            tables.append((view, view._map))
+            return counts
 
         monkeypatch.setattr(domain, "_guide_table", counting_guide)
         monkeypatch.setattr(flattening.FlatView, "inverse_cdf", recording_map)
@@ -263,9 +264,13 @@ class TestGateLogic:
         assert v.outcome is Outcome.ACCEPT and v.stage == "closeness"
         (joint,) = joint_views
         joint_lookups = [n for view, n in lookups if view is joint]
-        assert len(joint_lookups) == 2  # the joint norm, then closeness
+        # The joint norm, then each closeness vote's batch of the joint view,
+        # every one of them at closeness's one lookup count.
+        norm_lookups, *closeness_lookups = joint_lookups
+        assert len(closeness_lookups) == sum(view is joint for view, _ in tables) >= 1
+        assert len(set(closeness_lookups)) == 1
         T = 4 * math.ceil(math.sqrt(joint.size))
-        assert joint_lookups[0] == 11 * T < domain._GUIDE_MIN_LOOKUPS <= joint_lookups[1]
+        assert norm_lookups == 11 * T < domain._GUIDE_MIN_LOOKUPS <= closeness_lookups[0]
         # One guide over the joint view's table, one over the product view's.
         assert len(guides) == 2
         assert sum(cum is joint._cum for cum in guides) == 1
