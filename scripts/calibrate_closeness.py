@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Grid-search the closeness and norm multipliers and freeze the winners.
 
-The closeness statistic draws Poissonized count vectors X, Y at per-stream
-rate lambda = C_close * M * sqrt(b) / eps^2 and rejects a repetition when
+The closeness test draws one pair of Poissonized count vectors X, Y at
+per-stream rate lambda = C_close * M * sqrt(b) / eps^2 and rejects when
 Z = sum (X_i - Y_i)^2 - X_i - Y_i exceeds C_thr * lambda^2 eps^2 / M. This
-script measures the per-repetition error of that rule over a grid of
-(C_close, C_thr) on matched null/alternative instances:
+script measures the error of that rule over a grid of (C_close, C_thr) on
+matched null/alternative instances:
 
   null: p = q = a law on [M]
   alt:  p = the law, q = p +- 2 eps / M alternating, so tv(p, q) = eps
@@ -16,41 +16,41 @@ min(||p||_2^2, ||q||_2^2) exactly). The laws are the uniform one (b M = 1)
 with M in {10, 50, 200}, and two-level laws with b M in {2, 5} with M in
 {50, 200}: the testers size closeness from measured norms, which put b M near
 2 on a uniform (100, 20) input and near 5 on the hidden-bit instances. Every
-cell of a two-level law exceeds 2 eps / M, so q stays a law.
+cell of a two-level law exceeds 2 eps / M, so q stays a law. The M = 10 laws
+stand for the smallest flattened domain a tester builds, 9 cells: an axis of
+size 2 flattens to at least 3 buckets.
 
-The batch and the vote race are chosen as one plan. Each grid point's
-per-vote bound is its worst cell's error plus two binomial standard errors,
-rounded up to a multiple of 1/64, and its plans are estimators._race_plan at
-that bound for the two- and three-axis closeness confidences. A point is
-excluded when either plan errs by more than delta / 8 at the point's worst
-null-cell error, the error a product input's votes show: a race errs at a
-small per-vote error p about as often as p^h, so a short lead bought by a
-loose bound shows there. Among the points left, the winner has the smallest
-clean cost C_close * h (a clean call runs h votes, each costing C_close
-batch units), with h the larger of the two plans' leads, then the smallest
-worst null-cell error.
+Each C_close draws two sets of TRIALS statistics per cell on apart streams.
+Its threshold is the C_thr with the smallest worst cell error on the first
+set (the selection set); the same rule's worst cell error on the second set
+(the check set) is held out from that choice. The point's bound is the
+held-out worst error plus two binomial standard errors, rounded up to a
+multiple of 1/2048. A point is left when its bound is at most the smallest
+confidence the testers run closeness at (delta 1/120, three axes), and the
+winner is the left point with the
+smallest C_close, which is the call's cost in units of M sqrt(b) / eps^2
+samples per stream, then the smallest bound.
 
-The norm's batch and median are chosen the same way, per side. For each
-C_norm in NORM_SAMPLE_MULTS and each law above plus the uniform law on
-8,192 cells (about the size of a flattened (100, 20) joint), NORM_TRIALS
-collision statistics over batches of T = C_norm * ceil(sqrt(M)) are drawn,
-and the shares below 1/2 and above 3/2 of ||p||_2^2 are counted apart. The
-point's per-side bound is its worst side plus two binomial standard errors,
-rounded up to a multiple of 1/64 as above, and its repetition counts are
+The norm's batch and median are chosen per side. For each C_norm in
+NORM_SAMPLE_MULTS and each law above plus the uniform law on 8,192 cells
+(about the size of a flattened (100, 20) joint), NORM_TRIALS collision
+statistics over batches of T = C_norm * ceil(sqrt(M)) are drawn, and the
+shares below 1/2 and above 3/2 of ||p||_2^2 are counted apart. The point's
+per-side bound is its worst side plus two binomial standard errors, rounded
+up to a multiple of 1/64, and its repetition counts are
 estimators._median_plan at that bound for the two- and three-axis norm
 confidences. The winner has the smallest C_norm * r at the two-axis
 confidence, then the smallest r at the three-axis one.
 
 Writes calibration.json next to pyproject.toml and prints the chosen points.
-The chosen multipliers are frozen as EstimatorConfig defaults and the bounds
-as estimators.VOTE_ERROR and estimators.NORM_SIDE_ERROR; the script exits 1
-when no closeness point is left or when a chosen bound exceeds the one the
-committed estimators are sized for.
+The chosen multipliers are frozen as EstimatorConfig defaults, and
+estimators.CLOSENESS_ERROR and estimators.NORM_SIDE_ERROR are the bounds the
+estimators are sized for; the script exits 1 when no closeness point is left
+or when a chosen bound exceeds the committed one.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import pathlib
@@ -62,26 +62,31 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from augtest.domain import Rng
 from augtest.estimators import (
+    CLOSENESS_ERROR,
     NORM_SIDE_ERROR,
-    VOTE_ERROR,
     EstimatorConfig,
     _median_plan,
     _norm_batch,
     _norm_statistics,
-    _race_errors,
-    _race_plan,
     closeness_params,
 )
 from augtest.flattening import FlatView
 from augtest.testers import _CLOSENESS_DELTA, _NORM_DELTA
 
 SEED = 20260814
-TRIALS = 16000
-SAMPLE_MULTS = [1.0, 2.0, 2.5, 3.0, 3.5, 4.0, 6.0]
-THRESHOLD_MULTS = [0.5, 0.75, 1.0, 1.25, 1.5, 1.6, 1.65, 1.7, 1.75, 2.0]
-BOUND_GRID = 64  # per-vote bounds are multiples of 1 / BOUND_GRID
-# The confidences the two- and three-axis testers run closeness at.
-DELTAS = {f"delta=1/{round(1 / d)}": d for d in _CLOSENESS_DELTA.values()}
+TRIALS = 40000  # statistics per cell in each of the selection and check sets
+SAMPLE_MULTS = [5.0, 6.0, 7.0, 8.0, 9.0]
+# 0.8, 0.85, ..., 3.55
+THRESHOLD_MULTS = [round(0.8 + 0.05 * i, 2) for i in range(56)]
+# A left point's bound is at most the smallest confidence the testers run
+# closeness at.
+LEFT_BOUND = min(_CLOSENESS_DELTA.values())
+SELECT, CHECK = 0, 1  # the two stream sets of a closeness cell
+CHUNK = 5000  # statistics drawn per block, to bound the working arrays
+# Bounds are rounded up to a multiple of 1 / CLOSENESS_GRID (closeness) and
+# 1 / BOUND_GRID (the norm's per-side error).
+CLOSENESS_GRID = 2048
+BOUND_GRID = 64
 SIZES = [10, 50, 200]
 EPSILONS = [0.1, 0.3]
 # b M of the two-level laws, and their sizes; b M = 1 is the uniform law.
@@ -133,48 +138,60 @@ def spread_pair(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def z_samples(p: np.ndarray, q: np.ndarray, lam: float, trials: int, rng: Rng) -> np.ndarray:
-    """`trials` independent draws of the per-repetition statistic Z."""
-    x = rng.split(0).gen.poisson(lam * p, size=(trials, p.size)).astype(np.float64)
-    y = rng.split(1).gen.poisson(lam * q, size=(trials, q.size)).astype(np.float64)
-    d = x - y
-    return (d * d - x - y).sum(axis=1)
+    """`trials` independent draws of the single-batch statistic Z, X from
+    rng.split(0) and Y from rng.split(1), CHUNK rows at a time."""
+    gx, gy = rng.split(0).gen, rng.split(1).gen
+    z = []
+    for start in range(0, trials, CHUNK):
+        rows = min(CHUNK, trials - start)
+        x = gx.poisson(lam * p, size=(rows, p.size))
+        y = gy.poisson(lam * q, size=(rows, q.size))
+        d = x - y
+        z.append((d * d - x - y).sum(axis=1))
+    return np.concatenate(z)
 
 
-def vote_bound(error: float, trials: int) -> float:
-    """error plus two binomial standard errors, rounded up to a multiple of 1/64."""
-    upper = error + 2.0 * math.sqrt(error * (1.0 - error) / trials)
-    return math.ceil(upper * BOUND_GRID) / BOUND_GRID
+def cell_errors(z: np.ndarray, unit: float, case: str) -> list[float]:
+    """The rule's error on one cell's statistics z at each C_thr of
+    THRESHOLD_MULTS, where the threshold is C_thr * unit: the share of z
+    above it on a null cell, at or below it on an alternative one."""
+    at_or_below = np.searchsorted(np.sort(z), [c_thr * unit for c_thr in THRESHOLD_MULTS], side="right")
+    wrong = z.size - at_or_below if case == "null" else at_or_below
+    return [float(w) / z.size for w in wrong]
 
 
-def plan_point(c_close: float, c_thr: float, errors: dict[str, float]) -> dict:
-    """The grid point's per-vote bound, race plans, clean cost and exclusion."""
-    max_err = max(errors.values())
-    null_err = max(e for label, e in errors.items() if label.endswith("null"))
-    point = {
+def bound_up(error: float, trials: int, grid: int) -> float:
+    """error plus two binomial standard errors over trials draws, rounded up to a multiple of 1 / grid."""
+    return math.ceil((error + 2.0 * math.sqrt(error * (1.0 - error) / trials)) * grid) / grid
+
+
+def threshold_index(select_worst: list[float]) -> int:
+    """The index of the first C_thr with the smallest worst cell error on the selection set."""
+    return min(range(len(THRESHOLD_MULTS)), key=select_worst.__getitem__)
+
+
+def closeness_point(c_close: float, select_worst: list[float], select_errors: dict, check_errors: dict) -> dict:
+    """The C_close row's threshold, held-out bound and standing.
+
+    select_worst holds the selection set's worst cell error at each C_thr of
+    THRESHOLD_MULTS; select_errors and check_errors are the per-cell errors
+    at the threshold_index(select_worst) one on the selection and check sets.
+    """
+    i = threshold_index(select_worst)
+    check = max(check_errors.values())
+    bound = bound_up(check, TRIALS, CLOSENESS_GRID)
+    return {
         "closeness_sample_mult": c_close,
-        "closeness_threshold_mult": c_thr,
-        "max_error": max_err,
-        "null_error": null_err,
-        "bound": vote_bound(max_err, TRIALS),
+        "closeness_threshold_mult": THRESHOLD_MULTS[i],
+        "select_error": select_worst[i],
+        "check_error": check,
+        "binding_cell": max(check_errors, key=check_errors.get),
+        "bound": bound,
+        "left": bound <= LEFT_BOUND,
+        "select_worst": select_worst,
+        "select_errors": select_errors,
+        "check_errors": check_errors,
     }
-    if point["bound"] >= 0.5:
-        # no race converges on votes that err half the time
-        return dict(point, plans=None, clean_cost=None, excluded=True, errors=errors)
-    plans = {label: _race_plan(delta, point["bound"]) for label, delta in DELTAS.items()}
-    # the wrong-rejection rate of each race on a null input
-    null_race = {
-        label: float(next(itertools.islice(_race_errors(h, null_err), r - 1, None)))
-        for label, (h, r) in plans.items()
-    }
-    excluded = any(null_race[label] > delta / 8 for label, delta in DELTAS.items())
-    return dict(
-        point,
-        plans=plans,
-        clean_cost=c_close * max(h for h, _ in plans.values()),
-        null_race_error=null_race,
-        excluded=excluded,
-        errors=errors,
-    )
 
 
 def norm_ratios(law: np.ndarray, c_norm: float, trials: int, rng: Rng) -> np.ndarray:
@@ -191,7 +208,7 @@ def norm_ratios(law: np.ndarray, c_norm: float, trials: int, rng: Rng) -> np.nda
 def norm_plan_point(c_norm: float, errors: dict[str, float]) -> dict:
     """The norm grid point's per-side bound, repetition counts and cost."""
     max_err = max(errors.values())
-    bound = vote_bound(max_err, NORM_TRIALS)
+    bound = bound_up(max_err, NORM_TRIALS, BOUND_GRID)
     reps = {label: _median_plan(delta, bound) for label, delta in NORM_DELTAS.items()}
     return {
         "norm_sample_mult": c_norm,
@@ -230,62 +247,73 @@ def calibrate_norm(laws, rng: Rng) -> dict:
     }
 
 
-def main() -> int:
-    root = pathlib.Path(__file__).resolve().parents[1]
-    rng = Rng(SEED)
-    # Cells are (label, law, b, eps, case) with b = ratio / M = ||p||_2^2 of
-    # the law. The uniform cells come first, so they keep the labels and
-    # streams of the uniform-only grid.
+def calibration_laws() -> list[tuple[str, np.ndarray, int]]:
+    """(label, law, b M) of the uniform laws, then of the two-level ones."""
     laws = [(f"M={M}", np.full(M, 1.0 / M), 1) for M in SIZES]
-    laws += [
+    return laws + [
         (f"M={M},bM={ratio}", two_level_law(M, ratio), ratio)
         for ratio in NORM_RATIOS
         for M in SHAPED_SIZES
     ]
-    cells = [
+
+
+def closeness_cells(laws) -> list[tuple[str, np.ndarray, float, float, str]]:
+    """(label, law, b, eps, case) of every closeness cell, with b = b M / M = ||p||_2^2 of the law."""
+    return [
         (f"{name},eps={eps},{case}", law, ratio / law.size, eps, case)
         for name, law, ratio in laws
         for eps in EPSILONS
         for case in ("null", "alt")
     ]
 
+
+def main() -> int:
+    root = pathlib.Path(__file__).resolve().parents[1]
+    rng = Rng(SEED)
+    laws = calibration_laws()
+    cells = closeness_cells(laws)
+
     results = []
     # Z's law depends on C_close and the cell only; thresholds are linear in
-    # C_thr, so one batch of Z draws serves the whole threshold row.
+    # C_thr, so one set of Z draws serves the whole threshold row.
     for ci, c_close in enumerate(SAMPLE_MULTS):
-        cell_z = {}
-        thr_unit = {}
+        cfg = EstimatorConfig(closeness_sample_mult=c_close, closeness_threshold_mult=1.0)
+        errors = {SELECT: {}, CHECK: {}}  # per stream set: cell label -> errors by C_thr
         for ki, (label, law, b, eps, case) in enumerate(cells):
-            cfg = EstimatorConfig(closeness_sample_mult=c_close, closeness_threshold_mult=1.0)
-            lam, thr_unit[label] = closeness_params(law.size, b, eps, cfg)
+            lam, unit = closeness_params(law.size, b, eps, cfg)
             p, q = spread_pair(law, eps)
             if case == "null":
                 q = p
-            cell_z[label] = z_samples(p, q, lam, TRIALS, rng.split(ci).split(ki))
-        for c_thr in THRESHOLD_MULTS:
-            errors = {}
-            for label, z in cell_z.items():
-                rej = float(np.mean(z > c_thr * thr_unit[label]))
-                errors[label] = rej if label.endswith("null") else 1.0 - rej
-            results.append(plan_point(c_close, c_thr, errors))
+            for s, by_label in errors.items():
+                z = z_samples(p, q, lam, TRIALS, rng.split(ci).split(ki).split(s))
+                by_label[label] = cell_errors(z, unit, case)
+        select_worst = [max(e[i] for e in errors[SELECT].values()) for i in range(len(THRESHOLD_MULTS))]
+        i = threshold_index(select_worst)
+        at = {s: {label: e[i] for label, e in by_label.items()} for s, by_label in errors.items()}
+        results.append(closeness_point(c_close, select_worst, at[SELECT], at[CHECK]))
 
     large = np.full(NORM_LARGE_M, 1.0 / NORM_LARGE_M)
     norm = calibrate_norm(laws + [(f"M={NORM_LARGE_M}", large, 1)], rng.split(NORM_STREAM))
 
-    left = [r for r in results if not r["excluded"]]
+    left = [r for r in results if r["left"]]
     if not left:
-        print("no grid point's race plan stays within delta / 8 at its null error", file=sys.stderr)
+        print(f"no grid point's held-out bound is at most {LEFT_BOUND}", file=sys.stderr)
         return 1
-    chosen = min(left, key=lambda r: (r["clean_cost"], r["null_error"]))
+    chosen = min(left, key=lambda r: (r["closeness_sample_mult"], r["bound"]))
 
     out = {
         "seed": SEED,
         "trials_per_cell": TRIALS,
+        "streams": (
+            "cell k of the C_close at grid index c draws its selection set from "
+            "Rng(seed).split(c).split(k).split(0) and its check set from .split(1); "
+            "X from the set's .split(0), Y from its .split(1)"
+        ),
         "criterion": (
-            "bound = worst cell error + 2 binomial standard errors, rounded up to k/64; "
-            "plans = _race_plan(delta, bound) at the two- and three-axis deltas; a point is "
-            "excluded when a plan errs by more than delta/8 at its worst null-cell error; "
-            "the winner has the smallest C_close * max h, then the smallest null error"
+            "one X/Y batch per call; the threshold is the first C_thr with the smallest worst cell "
+            "error on the selection set; bound = worst cell error on the check set + 2 binomial "
+            f"standard errors, rounded up to k/{CLOSENESS_GRID}; a point is left when its bound is at most {LEFT_BOUND!r} (delta 1/120); "
+            "the winner has the smallest C_close, then the smallest bound"
         ),
         "norm_bound": (
             "b = ||p||_2^2 (exactly min(||p||_2^2, ||q||_2^2)); bM = 1 on the uniform "
@@ -309,8 +337,8 @@ def main() -> int:
     print(
         "chosen: closeness_sample_mult="
         f"{chosen['closeness_sample_mult']}, closeness_threshold_mult="
-        f"{chosen['closeness_threshold_mult']} (max per-vote error "
-        f"{chosen['max_error']:.4f}, bound {chosen['bound']}, plans {chosen['plans']})"
+        f"{chosen['closeness_threshold_mult']} (held-out worst cell error "
+        f"{chosen['check_error']:.4f} at {chosen['binding_cell']}, bound {chosen['bound']})"
     )
     norm_chosen = norm["chosen"]
     print(
@@ -320,7 +348,7 @@ def main() -> int:
     # bound >= max_error by construction, so this also holds the premises
     status = 0
     for name, got, committed in (
-        ("VOTE_ERROR", chosen["bound"], VOTE_ERROR),
+        ("CLOSENESS_ERROR", chosen["bound"], CLOSENESS_ERROR),
         ("NORM_SIDE_ERROR", norm_chosen["bound"], NORM_SIDE_ERROR),
     ):
         if got > committed:

@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
@@ -59,6 +60,18 @@ def _check_finite(name: str, value, interval: str | None = None) -> None:
         low, high, low_closed, high_closed = _interval_ends(interval)
         if not ((low <= value if low_closed else low < value) and (value <= high if high_closed else value < high)):
             raise DomainError(f"{name} must be in {interval}, got {value}")
+
+
+def _normal_square(name: str, value: float) -> float:
+    """value * value, raising DomainError naming the field unless it is a positive normal float.
+
+    The sizing formulas divide by such a square; below the normal floats it
+    is zero or has lost its precision.
+    """
+    square = value * value
+    if not square >= sys.float_info.min:
+        raise DomainError(f"{name}^2 = {square!r} is below the smallest normal float; {name} = {value!r} is too small")
+    return square
 
 
 class JointDistribution:

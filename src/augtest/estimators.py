@@ -1,22 +1,18 @@
 """Sample-based estimators: squared l2 norm, two-stream closeness, learning.
 
-The norm and closeness estimators follow the median and vote amplification
-of Chan-Diakonikolas-Valiant-Valiant (SODA'14) and Diakonikolas-Kane
-(FOCS'16): a cheap base routine with a bounded error is repeated and
-aggregated. The norm takes the median of r statistics. The median misses
-low only when ceil(r/2) statistics miss low, and likewise high, so r is the
-smallest count whose exact binomial tail P(Bin(r, e) >= ceil(r/2)) is at
-most delta / 2, where e = NORM_SIDE_ERROR is the calibrated bound on either
-side's per-statistic miss; that count is always odd (see _median_plan), so
-the median is one statistic. Closeness runs a sequential vote (Wald's SPRT,
-1945): it stops once accepts and rejects differ by h, or after r votes, and
-accepts iff accepts outnumber rejects, where (h, r) is sized so that its
-exact error at the calibrated per-vote error bound VOTE_ERROR is at most
-delta, with a cap of at least 2h + 1 votes (see _race_plan). The batch
-multipliers and those bounds are calibrated together, so a clean input
-stops after 3 votes; only the votes that run draw samples.
-Sample draws are logged into a SampleAccount in units of base joint draws,
-counting only what was drawn.
+The norm follows the median amplification of Chan-Diakonikolas-Valiant-
+Valiant (SODA'14) and Diakonikolas-Kane (FOCS'16): a cheap base statistic
+with a bounded error is repeated and the median of r statistics returned.
+The median misses low only when ceil(r/2) statistics miss low, and likewise
+high, so r is the smallest count whose exact binomial tail
+P(Bin(r, e) >= ceil(r/2)) is at most delta / 2, where e = NORM_SIDE_ERROR is
+the calibrated bound on either side's per-statistic miss; that count is
+always odd (see _median_plan), so the median is one statistic. Closeness is
+one Poissonized batch per stream. Its statistic's signal-to-noise ratio
+grows linearly in the batch rate, so one batch calibrated to err w.p. at
+most CLOSENESS_ERROR serves every delta at or above that bound; amplify
+reaches a smaller one. Sample draws are logged into a SampleAccount in units
+of base joint draws, counting only what was drawn.
 
 When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
@@ -37,10 +33,10 @@ Each kernel reads its mode off the view it is given: _norm_statistics for
 the norm, _poissonized_counts for each closeness batch.
 
 Stream layout: at the count level one estimator call draws all of its
-repetitions (closeness votes) in sequence from the generator of the Rng it
-was given, building no child stream. A view without a law can only draw
-from an Rng, so there each repetition j splits its own child stream (j for
-the norm, 2j and 2j+1 for the two batches of closeness vote j).
+batches in sequence from the generator of the Rng it was given, building no
+child stream. A view without a law can only draw from an Rng, so there each
+batch splits its own child stream (j for the norm's repetition j, 0 and 1
+for closeness's X and Y).
 """
 
 from __future__ import annotations
@@ -59,6 +55,7 @@ from .domain import (
     SampleAccount,
     _POISSON_MEAN_MAX,
     _check_finite,
+    _normal_square,
     _stream_key,
 )
 
@@ -69,12 +66,12 @@ class EstimatorConfig:
 
     All three are frozen by the committed calibration run
     (scripts/calibrate_closeness.py); see calibration.json for the measured
-    per-repetition error tables, the norm's under its "norm" key.
+    error tables, the norm's under its "norm" key.
     """
 
     norm_sample_mult: float = 4.0  # batch size T = this * ceil(sqrt(M))
-    closeness_sample_mult: float = 3.0  # lambda = this * M * sqrt(b) / eps^2
-    closeness_threshold_mult: float = 1.65  # reject when Z > this * lambda^2 eps^2 / M
+    closeness_sample_mult: float = 8.0  # lambda = this * M * sqrt(b) / eps^2
+    closeness_threshold_mult: float = 1.5  # reject when Z > this * lambda^2 eps^2 / M
 
 
 # The per-side error the norm's median is sized for: the chance that one
@@ -83,13 +80,16 @@ class EstimatorConfig:
 # rounded up to a multiple of 1/64 (calibration.json records it under
 # "norm" with the repetitions it gives).
 NORM_SIDE_ERROR = 0.15625
-# The per-vote error the closeness race is sized for: the calibrated rule's
-# worst measured cell plus two binomial standard errors, rounded up to a
-# multiple of 1/64 (calibration.json records it with the plans it gives).
-VOTE_ERROR = 0.125
+# The error closeness_test is sized for: the calibrated rule's worst cell
+# error on the calibration's held-out draws plus two binomial standard
+# errors, rounded up to a multiple of 1/2048 (calibration.json records it
+# under "chosen"). It is the smallest delta closeness_test takes, and at
+# most 1/120, the three-axis testers' delta.
+CLOSENESS_ERROR = 17 / 2048
+_CLOSENESS_DELTAS = f"[{Fraction(CLOSENESS_ERROR)}, 1)"
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# The most samples two closeness batches may hold for their int64 Z to be exact.
+# The most samples X and Y may hold for their int64 Z to be exact.
 _INT64_DOT_SAMPLES = math.isqrt(_INT64_MAX)
 
 
@@ -109,7 +109,7 @@ def repetitions(delta: float, cfg: EstimatorConfig) -> int:
     """The norm estimator's repetition count at confidence delta: _median_plan(delta).
 
     cfg does not enter the count; it stays in the signature so every sizing
-    call reads alike. The closeness vote is sized by _race_plan instead.
+    call reads alike.
     """
     return _median_plan(delta)
 
@@ -136,72 +136,6 @@ def _median_plan(delta: float, side_error: float = NORM_SIDE_ERROR) -> int:
     while not binomial_tail_at_most(r, side_error, (r + 1) // 2, delta / 2):
         r += 2
     return r
-
-
-def _race_errors(h: int, vote_error: float):
-    """Yields the exact chance that the race (h, r) errs on a null input, for r = 1, 2, ...
-
-    The race is a walk on the lead of right over wrong votes: one step up
-    w.p. 1 - vote_error, one down w.p. vote_error, stopped at -h, +h or step
-    r. On a null input it errs when it stops at a lead of 0 or less. The
-    paths are weighed as integers over vote_error's dyadic ratio, as
-    binomial_tail_at_most does, so each value is an exact Fraction.
-    """
-    wrong, total = vote_error.as_integer_ratio()
-    right = total - wrong
-    # walk[i] weighs the paths at lead i - h, scaled by total^r after r
-    # steps; the two ends absorb.
-    walk = [0] * (2 * h + 1)
-    walk[h] = 1
-    scale = 1
-    while True:
-        step = [0] * (2 * h + 1)
-        step[0], step[-1] = walk[0] * total, walk[-1] * total
-        for i in range(1, 2 * h):
-            step[i + 1] += walk[i] * right
-            step[i - 1] += walk[i] * wrong
-        walk, scale = step, scale * total
-        yield Fraction(sum(walk[: h + 1]), scale)
-
-
-@functools.cache
-def _race_plan(delta: float, vote_error: float = VOTE_ERROR) -> tuple[int, int]:
-    """(h, r) for the closeness vote: stop at a lead of h votes, or after r.
-
-    The vote accepts iff accepts > rejects when it stops. With each vote
-    wrong w.p. p = vote_error, a far input, where ties reject, errs only on
-    paths where a null input errs too, so the plan is sized by the exact
-    null-input error _race_errors(h, p), compared against delta.
-
-    Without a cap the walk hits -h first w.p. p^h / (p^h + (1 - p)^h)
-    (gambler's ruin), and each two more votes lower the capped error toward
-    that limit. h is the smallest lead whose limit is at most delta / 2, and
-    r the smallest odd cap of at least 2h + 1 votes whose error is at most
-    delta, so the cap spends the other half and always exists. A race errs
-    at a per-vote error well below p about as often as h wrong votes open
-    it; a shorter cap would let a wrong verdict at the cap take fewer, while
-    at 2h + 1 it takes h + 1, so the cap never sets the error there. At the
-    calibrated VOTE_ERROR of 1/8 that gives (3, 7) at delta 1/80 and 1/120,
-    and a clean input stops after 3 votes.
-
-    The per-vote error p is the worst case. Couple the votes through
-    uniforms U_j, vote j wrong iff U_j < p. Raising p only turns right votes
-    into wrong ones, which lowers the walk at every step; a lower walk hits
-    -h no later, +h no sooner and ends no higher, so it errs whenever the
-    higher one does, and the error cannot fall as the per-vote error rises
-    to p.
-    """
-    _check_finite("delta", delta, "(0, 1)")
-    _check_finite("vote_error", vote_error, "(0, 1/2)")
-    wrong, total = vote_error.as_integer_ratio()
-    right = total - wrong
-    num, den = delta.as_integer_ratio()
-    h = 1
-    while 2 * wrong**h * den > num * (wrong**h + right**h):
-        h += 1
-    for r, error in enumerate(_race_errors(h, vote_error), start=1):
-        if r % 2 and r > 2 * h and error <= delta:
-            return h, r
 
 
 def _ordered_pairs(idx: np.ndarray) -> np.ndarray:
@@ -238,16 +172,15 @@ def _check_size(M: int, *views) -> None:
             raise DomainError(f"domain size M = {M} but the view has {view.size} cells")
 
 
-def _poissonized_counts(view, lam: float, lookups: float, rng: Rng, index: int) -> np.ndarray:
+def _poissonized_counts(view, lam: float, rng: Rng, index: int) -> np.ndarray:
     """Per-symbol counts of a Poi(lam)-sized batch: independent Poi(lam * p_i)
     entries, as a dense integer vector of length M.
 
     A view without a law draws from rng.split(index): K ~ Poi(lam) from its
     child 0 and K symbols from its child 1. A view with one draws from rng's
     own generator: at lam >= M one Poisson per cell; below, K ~ Poi(lam)
-    uniforms mapped through view.inverse_cdf(lookups) and binned, which
-    Poisson splitting makes the same law. lookups is how many symbols the
-    caller expects to look up on the view, which picks the map's kind.
+    uniforms mapped through view.inverse_cdf(lam) and binned, which Poisson
+    splitting makes the same law.
     """
     if view.probs is None:
         rng = rng.split(index)
@@ -256,7 +189,7 @@ def _poissonized_counts(view, lam: float, lookups: float, rng: Rng, index: int) 
     if lam >= view.size:
         return rng.gen.poisson(lam * view.probs)
     u = rng.gen.random(int(rng.gen.poisson(lam)))
-    return np.bincount(view.inverse_cdf(lookups)(u), minlength=view.size)
+    return np.bincount(view.inverse_cdf(lam)(u), minlength=view.size)
 
 
 def estimate_l2_squared(
@@ -310,20 +243,21 @@ def _norm_statistics(view, T: int, r: int, rng: Rng) -> np.ndarray:
 
 
 def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tuple[float, float]:
-    """Per-repetition Poisson rate and reject threshold used by closeness_test.
+    """Per-stream Poisson rate and reject threshold used by closeness_test.
 
     b bounds min(||p||_2^2, ||q||_2^2). A b above 1 says nothing, since every
     mass vector has l2^2 <= 1, so it is clamped to 1 rather than inflating
     the batch; the testers pass measured bounds, which are usually far below.
-    A rate above the largest Poisson mean numpy draws at is rejected; no
-    cell's mean lambda * p_i exceeds it.
+    An eps whose square is not a positive normal float is rejected, and so
+    is a rate above the largest Poisson mean numpy draws at; no cell's mean
+    lambda * p_i exceeds it.
     """
     _check_finite("eps", eps, "(0, 2]")
     _check_finite("b", b)
     if b <= 0:
         raise DomainError(f"norm bound b must be positive, got {b}")
     b_eff = min(float(b), 1.0)
-    lam = cfg.closeness_sample_mult * M * math.sqrt(b_eff) / (eps * eps)
+    lam = cfg.closeness_sample_mult * M * math.sqrt(b_eff) / _normal_square("eps", eps)
     if lam > _POISSON_MEAN_MAX:
         raise DomainError(
             f"closeness batch mean lambda = {lam:.6g} exceeds the largest Poisson mean,"
@@ -344,56 +278,38 @@ def closeness_test(
     rng: Rng,
     account: SampleAccount | None = None,
 ) -> bool:
-    """Tests p = q against tv(p, q) >= eps for laws with min l2^2 <= b.
+    """Tests p = q against tv(p, q) >= eps for laws with min l2^2 <= b; errs w.p. at most delta.
 
-    Each repetition draws Poissonized count vectors X, Y with expected batch
+    Draws one pair of Poissonized count vectors X, Y with expected batch
     size lambda = closeness_sample_mult * M * sqrt(b) / eps^2 per stream and
     rejects when Z = sum (X_i - Y_i)^2 - X_i - Y_i exceeds
     closeness_threshold_mult * lambda^2 eps^2 / M (E[Z] = lambda^2 ||p - q||_2^2,
-    and tv >= eps forces ||p - q||_2^2 >= 4 eps^2 / M). The votes race:
-    with (h, r) = _race_plan(delta) the loop stops once accepts and rejects
-    differ by h, or after r votes (r is odd), and returns True to accept
-    p = q iff accepts > rejects. The account holds the samples of the
-    votes that ran.
+    and tv >= eps forces ||p - q||_2^2 >= 4 eps^2 / M). Returns True to
+    accept p = q. The calibrated rule errs w.p. at most CLOSENESS_ERROR, so
+    delta must be at least that; amplify reaches a smaller one. The account
+    holds the samples drawn.
 
-    A view that exposes its law draws its batches from rng's own generator,
-    X then Y within each vote; otherwise vote j draws X from rng.split(2j)
-    and Y from rng.split(2j + 1).
+    A view that exposes its law draws X then Y from rng's own generator;
+    otherwise X draws from rng.split(0) and Y from rng.split(1).
     """
     _check_size(M, view_p, view_q)
     lam, threshold = closeness_params(M, b, eps, cfg)
-    h, r = _race_plan(delta)
-    # A call runs h votes or more, each looking up about lam symbols per view.
-    lookups = h * lam
-    lead = 0  # accepts - rejects
-    used_p = used_q = 0
-    # X - Y of every vote goes here, so a vote allocates only X and Y. The
-    # bench harness has glibc keep freed heap pages between trials, but a
-    # caller outside it runs with glibc's default trimming, where a third
-    # M-sized array can make glibc trim the heap top and fault it back in.
-    d = np.empty(M, dtype=np.int64)
-    for j in range(r):
-        x = _poissonized_counts(view_p, lam, lookups, rng, 2 * j)
-        y = _poissonized_counts(view_q, lam, lookups, rng, 2 * j + 1)
-        sx, sy = int(x.sum()), int(y.sum())
-        used_p += sx
-        used_q += sy
-        np.subtract(x, y, out=d)
-        # Exact integer Z. sum d_i^2 <= (sum |d_i|)^2 <= (sx + sy)^2, so the
-        # int64 dot cannot wrap while sx + sy <= isqrt(2^63 - 1); a larger
-        # batch is summed in Python ints. numpy's integer dot is its own loop,
-        # not a BLAS call, so it does not multi-thread over the cores that
-        # parallel trials already fill.
-        e = d.astype(object) if sx + sy > _INT64_DOT_SAMPLES else d
-        z = int(e @ e) - sx - sy
-        # Free this vote's vectors before the next one draws its own.
-        del x, y, e
-        lead += 1 if z <= threshold else -1
-        if abs(lead) == h:
-            break
+    _check_finite("delta", delta, _CLOSENESS_DELTAS)
+    x = _poissonized_counts(view_p, lam, rng, 0)
+    y = _poissonized_counts(view_q, lam, rng, 1)
+    sx, sy = int(x.sum()), int(y.sum())
+    d = np.subtract(x, y, out=x)
+    # Exact integer Z. sum d_i^2 <= (sum |d_i|)^2 <= (sx + sy)^2, so the
+    # int64 dot cannot wrap while sx + sy <= isqrt(2^63 - 1); a larger
+    # batch is summed in Python ints. numpy's integer dot is its own loop,
+    # not a BLAS call, so it does not multi-thread over the cores that
+    # parallel trials already fill.
+    if sx + sy > _INT64_DOT_SAMPLES:
+        d = d.astype(object)
+    z = int(d @ d) - sx - sy
     if account is not None:
-        account.add("closeness", used_p * view_p.cost + used_q * view_q.cost)
-    return lead > 0
+        account.add("closeness", sx * view_p.cost + sy * view_q.cost)
+    return z <= threshold
 
 
 def learn_empirical(sampler, t: int, rng: Rng, account: SampleAccount | None = None) -> JointDistribution:

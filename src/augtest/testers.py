@@ -34,6 +34,7 @@ from .domain import (
     _check_blocks,
     _check_finite,
     _checked_dims,
+    _normal_square,
     marginal,
     merge_axes,
     merge_index,
@@ -368,13 +369,16 @@ def _learn_blocks(
     of t i.i.d. joint draws is t i.i.d. draws of B, so each block's learned
     law is within eta_B of the truth w.p. 1 - delta (see
     test_independence_by_learning); a union bound over blocks needs no
-    independence between them.
+    independence between them. An eta whose square is not a positive normal
+    float, or a t beyond the floats, is a DomainError.
     """
     log_term = math.log(1.0 / delta)
-    t = max(
-        math.ceil((math.prod(sampler.dims[a] for a in blk) + log_term) / (eta * eta))
+    size = max(
+        (math.prod(sampler.dims[a] for a in blk) + log_term) / _normal_square("eta", eta)
         for blk, eta in zip(blocks, etas)
     )
+    _check_finite("sample size t", size)
+    t = math.ceil(size)
     emp = learn_empirical(sampler, t, rng, account)
     return t, [empirical_tv_to_product(marginal(emp, blk)) for blk in blocks]
 

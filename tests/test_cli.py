@@ -213,6 +213,24 @@ class TestVerdictCommands:
         assert res.output.startswith("error:") and res.output.count("\n") == 1
         assert names in res.output
 
+    @pytest.mark.parametrize(
+        "command, eps, names",
+        [("learn", "1e-158", "eta^2"), ("learn", "1.6e-153", "sample size t"), ("test2d", "1e-170", "eps^2")],
+    )
+    def test_an_eps_whose_square_underflows_exits_one(self, runner, files, command, eps, names):
+        # The sizing formulas divide by eta^2 and eps^2: a subnormal square
+        # gave learning an infinite t (a bare OverflowError from ceil), a zero
+        # one a bare ZeroDivisionError, and a normal one just above zero an
+        # infinite t as well.
+        args = ["--dist", files["uniform"], "--eps", eps, "--seed", "1"]
+        if command != "learn":
+            args += ["--pred", files["uniform"], "--alpha", "0.1"]
+        res = runner.invoke(main, [command, *args])
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert res.exit_code == 1
+        assert res.output.startswith("error:") and res.output.count("\n") == 1
+        assert names in res.output
+
 
 class TestLearnCommand:
     def test_default_delta_is_the_base_delta(self, runner):

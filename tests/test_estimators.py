@@ -6,7 +6,6 @@ import json
 import math
 import os
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -54,36 +53,6 @@ def upper_tail(r: int, p: float) -> float:
     return float(law[math.ceil(r / 2) :].sum())
 
 
-def race(votes, h: int, r: int) -> tuple[bool, int, int]:
-    """(accepted, tau, lead) of the closeness race over votes (True for
-    reject): it stops at the first vote tau where accepts - rejects = lead
-    reaches h or -h, or at tau = r, and accepts iff lead > 0."""
-    lead = 0
-    for tau, reject in enumerate(votes[:r], 1):
-        lead += -1 if reject else 1
-        if abs(lead) == h:
-            break
-    return lead > 0, tau, lead
-
-
-def race_errors(h: int, r: int, p: Fraction) -> tuple[Fraction, Fraction]:
-    """The closeness race's exact (null, far) error when each vote errs
-    w.p. p: on a null input it errs by stopping at accepts - rejects <= 0,
-    on a far input at accepts - rejects > 0 (see race)."""
-    errors = []
-    for accept, wrong in ((1 - p, lambda lead: lead <= 0), (p, lambda lead: lead > 0)):
-        law = {0: Fraction(1)}  # accepts - rejects -> probability
-        for _ in range(r):
-            step = {}
-            for lead, w in law.items():
-                moves = [(lead, 1)] if abs(lead) == h else [(lead + 1, accept), (lead - 1, 1 - accept)]
-                for to, q in moves:
-                    step[to] = step.get(to, 0) + w * q
-            law = step
-        errors.append(sum(w for lead, w in law.items() if wrong(lead)))
-    return errors[0], errors[1]
-
-
 def reference_l2_squared(view, M, delta, cfg, rng) -> float:
     """The per-repetition histogram form of estimate_l2_squared.
 
@@ -119,8 +88,8 @@ class TestMedian:
 class TestConfig:
     def test_defaults_are_the_calibrated_constants(self):
         assert CFG.norm_sample_mult == 4.0
-        assert CFG.closeness_sample_mult == 3.0
-        assert CFG.closeness_threshold_mult == 1.65
+        assert CFG.closeness_sample_mult == 8.0
+        assert CFG.closeness_threshold_mult == 1.5
         # a recalibration that is not carried into the defaults fails here
         with open(CALIBRATION) as fh:
             record = json.load(fh)
@@ -176,77 +145,30 @@ class TestConfig:
             estimators._median_plan(0.1, side_error)
 
 
-class TestRacePlan:
-    """_race_plan sizes the closeness race exactly at the calibrated per-vote
-    error bound VOTE_ERROR, or at the bound it is given."""
+class TestClosenessError:
+    """closeness_test is sized for one calibrated error, CLOSENESS_ERROR, and
+    takes no delta below it."""
 
-    DELTAS = [0.45, 0.25, 0.2, 0.1, 0.05, 1 / 80, 1 / 120, 1 / 180, 0.01, 1e-4, 1e-6]
-
-    def test_two_and_three_axis_plans(self):
-        assert estimators.VOTE_ERROR == 1 / 8
-        assert estimators._race_plan(1 / 80) == (3, 7)
-        assert estimators._race_plan(1 / 120) == (3, 7)
-        # a looser per-vote bound needs a longer lead and cap
-        assert estimators._race_plan(1 / 80, 0.25) == (5, 19)
-
-    def test_plans_are_the_calibrated_ones(self):
+    def test_is_the_calibrated_bound_and_covers_every_tester(self):
+        assert estimators.CLOSENESS_ERROR == 17 / 2048
         with open(CALIBRATION) as fh:
-            chosen = json.load(fh)["chosen"]
-        assert chosen["bound"] == estimators.VOTE_ERROR
-        assert sorted(chosen["plans"]) == ["delta=1/120", "delta=1/80"]
-        for label, plan in chosen["plans"].items():
-            delta = 1 / int(label.removeprefix("delta=1/"))
-            assert estimators._race_plan(delta) == tuple(plan)
+            assert json.load(fh)["chosen"]["bound"] == estimators.CLOSENESS_ERROR
+        assert estimators.CLOSENESS_ERROR <= min(testers._CLOSENESS_DELTA.values()) == 1 / 120
 
-    @pytest.mark.parametrize("vote_error", [estimators.VOTE_ERROR, 0.25])
-    @pytest.mark.parametrize("delta", DELTAS)
-    def test_plan_is_the_smallest_race_within_delta(self, delta, vote_error):
-        h, r = estimators._race_plan(delta, vote_error)
-        p, bound = Fraction(vote_error), Fraction(delta)
-        # an odd cap of at least 2h + 1 votes: a wrong verdict there takes
-        # h + 1 wrong votes, more than the h that open the race's far end
-        assert r % 2 == 1
-        assert r >= 2 * h + 1
-        assert max(race_errors(h, r, p)) <= bound
-        # h is the smallest lead whose uncapped race errs w.p. at most
-        # delta / 2, and r the smallest such cap within delta.
-        def limit(lead):
-            return p**lead / (p**lead + (1 - p) ** lead)
+    @pytest.mark.parametrize("explicit", [True, False])
+    @pytest.mark.parametrize("delta", [math.nextafter(17 / 2048, 0), 1 / 200, 1e-6, 0.0, -0.1, 1.0, math.nan])
+    def test_a_delta_below_it_is_a_domain_error(self, delta, explicit):
+        v = FlatView.from_law(np.full(4, 0.25))
+        account = SampleAccount()
+        with pytest.raises(DomainError, match="delta must be"):
+            closeness_test(*[v if explicit else draw_only(v)] * 2, 4, 0.25, 0.3, delta, CFG, Rng(15), account)
+        assert account.total == 0
 
-        assert limit(h) <= bound / 2
-        if h > 1:
-            assert limit(h - 1) > bound / 2
-        if r > 2 * h + 1:
-            assert race_errors(h, r - 2, p)[0] > bound
-
-    @pytest.mark.parametrize("vote_error", [estimators.VOTE_ERROR, 0.25])
-    @pytest.mark.parametrize("delta", DELTAS)
-    def test_race_errors_are_the_reference_walk(self, delta, vote_error):
-        h, r = estimators._race_plan(delta, vote_error)
-        walk = estimators._race_errors(h, vote_error)
-        for cap, error in zip(range(1, r + 1), walk):
-            assert error == race_errors(h, cap, Fraction(vote_error))[0]
-
-    @pytest.mark.parametrize("delta", [1 / 80, 1 / 120])
-    def test_error_does_not_fall_as_the_vote_error_rises(self, delta):
-        plan = estimators._race_plan(delta)
-        top = int(estimators.VOTE_ERROR * 64)
-        assert Fraction(top, 64) == Fraction(estimators.VOTE_ERROR)
-        errors = [race_errors(*plan, Fraction(k, 64)) for k in range(top + 1)]
-        for side in (0, 1):
-            assert all(a[side] <= b[side] for a, b in zip(errors, errors[1:]))
-        assert errors[0] == (0, 0)
-        assert max(errors[-1]) <= delta
-
-    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
-    def test_rejects_bad_delta(self, delta):
-        with pytest.raises(DomainError):
-            estimators._race_plan(delta)
-
-    @pytest.mark.parametrize("vote_error", [0.0, 0.5, 0.75, -0.125])
-    def test_rejects_a_vote_error_no_race_can_beat(self, vote_error):
-        with pytest.raises(DomainError, match="vote_error"):
-            estimators._race_plan(0.1, vote_error)
+    def test_a_delta_at_it_is_drawn(self):
+        v = FlatView.from_law(np.full(4, 0.25))
+        account = SampleAccount()
+        assert closeness_test(v, v, 4, 0.25, 0.3, estimators.CLOSENESS_ERROR, CFG, Rng(15), account)
+        assert account.closeness > 0
 
 
 def _calibration_script():
@@ -258,18 +180,34 @@ def _calibration_script():
 
 
 class TestCalibrationRecord:
-    def test_every_point_re_derives_from_its_errors(self):
-        # the plans, bound, cost and exclusion of each grid point follow
-        # from its recorded per-cell errors through the script's own rule
+    @pytest.mark.parametrize("row", range(5))
+    def test_every_point_re_derives_from_its_errors(self, row):
+        # each C_close row's threshold, held-out bound and standing follow
+        # from its recorded selection and check errors through the script's
+        # own rule
         script = _calibration_script()
         with open(CALIBRATION) as fh:
-            results = json.load(fh)["results"]
-        assert len(results) == len(script.SAMPLE_MULTS) * len(script.THRESHOLD_MULTS) == 70
-        for point in results:
-            derived = script.plan_point(
-                point["closeness_sample_mult"], point["closeness_threshold_mult"], point["errors"]
-            )
-            assert json.loads(json.dumps(derived)) == point
+            record = json.load(fh)
+        results = record["results"]
+        assert [point["closeness_sample_mult"] for point in results] == script.SAMPLE_MULTS
+        assert record["trials_per_cell"] == script.TRIALS == 40_000
+        point = results[row]
+        derived = script.closeness_point(
+            point["closeness_sample_mult"], point["select_worst"], point["select_errors"], point["check_errors"]
+        )
+        assert json.loads(json.dumps(derived)) == point
+        assert len(point["select_worst"]) == len(script.THRESHOLD_MULTS) == 56
+        assert len(point["select_errors"]) == len(point["check_errors"]) == 28
+        assert max(point["select_errors"].values()) == point["select_error"]
+
+    def test_the_chosen_point_is_the_cheapest_left(self):
+        with open(CALIBRATION) as fh:
+            record = json.load(fh)
+        left = [point for point in record["results"] if point["left"]]
+        chosen = record["chosen"]
+        assert chosen == min(left, key=lambda p: (p["closeness_sample_mult"], p["bound"]))
+        assert chosen["closeness_sample_mult"] <= 9
+        assert chosen["bound"] <= 1 / 120
 
     def test_every_norm_point_re_derives_from_its_errors(self):
         # the norm's bound, repetition counts and cost follow from its
@@ -292,15 +230,33 @@ class TestCalibrationRecord:
 
 class TestRepetitionPremise:
     """repetitions() assumes each norm statistic falls below 1/2, and above
-    3/2, of the truth w.p. at most NORM_SIDE_ERROR each, and _race_plan()
-    that each closeness vote errs w.p. at most VOTE_ERROR; these measure
-    both premises on the calibration laws."""
+    3/2, of the truth w.p. at most NORM_SIDE_ERROR each, and closeness_test
+    that its one batch errs w.p. at most CLOSENESS_ERROR; these measure both
+    premises on the calibration laws."""
 
     def test_calibrated_closeness_error_is_at_most_the_recorded_bound(self):
         with open(CALIBRATION) as fh:
             chosen = json.load(fh)["chosen"]
-        assert chosen["max_error"] == max(chosen["errors"].values())
-        assert chosen["max_error"] <= chosen["bound"] == estimators.VOTE_ERROR
+        assert chosen["check_error"] == max(chosen["check_errors"].values())
+        assert chosen["check_error"] <= chosen["bound"] == estimators.CLOSENESS_ERROR
+
+    @pytest.mark.parametrize("k", range(28))
+    def test_single_batch_errors_are_covered_by_the_bound(self, k):
+        # 40,000 single-batch statistics Z on calibration cell k at the
+        # calibrated (C_close, C_thr), drawn by the script's own routine on
+        # streams apart from the calibration's; the Wilson upper bound on
+        # the cell's share of wrong verdicts must stay within
+        # CLOSENESS_ERROR.
+        trials = 40_000
+        script = _calibration_script()
+        cells = script.closeness_cells(script.calibration_laws())
+        assert len(cells) == 28
+        _, law, b, eps, case = cells[k]
+        lam, threshold = closeness_params(law.size, b, eps, CFG)
+        p, q = script.spread_pair(law, eps)
+        z = script.z_samples(p, p if case == "null" else q, lam, trials, Rng(34, (k,)))
+        wrong = int(np.sum(z > threshold if case == "null" else z <= threshold))
+        assert wilson_interval(wrong, trials)[1] <= estimators.CLOSENESS_ERROR
 
     def test_norm_misses_are_covered_by_the_tail(self):
         # 40,000 of estimate_l2_squared's per-repetition statistics per law,
@@ -470,7 +426,7 @@ class TestClosenessTest:
     def test_z_is_exact_past_the_int64_range(self):
         # lambda = 2.5e9 per stream on two disjoint point masses: X - Y is
         # about (2.5e9, -2.5e9), so sum (X_i - Y_i)^2 = 1.25e19 passes 2^63,
-        # where an int64 dot wraps negative. The vote must see the exact Z.
+        # where an int64 dot wraps negative. The verdict must rest on the exact Z.
         p, q = FlatView.from_law(np.array([1.0, 0.0])), FlatView.from_law(np.array([0.0, 1.0]))
         eps = 4e-5
         lam, _ = closeness_params(2, 1.0, eps, CFG)
@@ -506,102 +462,63 @@ class TestClosenessTest:
         assert a1.closeness == a2.closeness > 0
 
     @staticmethod
-    def _near_threshold_pair(seed: int, M: int, gap: float, eps: float):
-        """Laws p, q with ||p - q||_2^2 = gap * 1.5 eps^2 / M (unless q hits w).
+    def _near_threshold_pair(seed: int, M: int, eps: float):
+        """Laws p, q with ||p - q||_2^2 = C_thr eps^2 / M (unless q hits w).
 
-        At gap 1 the statistic's mean lambda^2 ||p - q||_2^2 sits on the
-        reject threshold, so single votes go both ways near it.
+        The statistic's mean lambda^2 ||p - q||_2^2 sits on the reject
+        threshold, so the verdict goes both ways on them.
         """
         gen = Rng(seed).gen
         p = gen.dirichlet(np.ones(M))
         w = gen.dirichlet(np.ones(M))
-        t = min(1.0, math.sqrt(gap * CFG.closeness_threshold_mult * eps * eps / M / float((p - w) @ (p - w))))
+        t = min(1.0, math.sqrt(CFG.closeness_threshold_mult * eps * eps / M / float((p - w) @ (p - w))))
         return p, (1 - t) * p + t * w
 
-    def _votes(self, p, q, M, b, eps, plan, explicit, seed):
-        """closeness_test's verdict, its account and the (X, Y) pairs it drew
-        when _race_plan returns plan = (h, r), next to every one of the r
-        votes recomputed from the same streams (True for reject)."""
-        views = [FlatView.from_law(v) for v in (p, q)]
-        if not explicit:
-            views = [draw_only(v) for v in views]
+    @staticmethod
+    def _regime(sparse: bool) -> tuple[int, float, float]:
+        """(M, b, eps): b = 1 on 4 cells puts lambda above M, so each cell
+        draws its own Poisson; b = 1/M at eps .5 on 2,000 cells puts it
+        below M, so the batch is drawn as inverse-CDF symbols."""
+        M, b, eps = (2000, 1 / 2000, 0.5) if sparse else (4, 1.0, 0.3)
+        assert (closeness_params(M, b, eps, CFG)[0] < M) == sparse
+        return M, b, eps
+
+    @pytest.mark.parametrize("explicit", [True, False])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_verdict_is_one_batch_of_the_same_streams(self, explicit, sparse):
+        # closeness_test draws X then Y once through the count kernel,
+        # accepts iff their Z is at most the threshold, and accounts for
+        # exactly the counts drawn. On laws whose Z sits at the threshold the
+        # verdict goes both ways, with lambda above M and below it.
+        M, b, eps = self._regime(sparse)
         lam, threshold = closeness_params(M, b, eps, CFG)
         kernel = estimators._poissonized_counts
-        drawn = []
+        verdicts = []
+        for seed in range(20):
+            p, q = self._near_threshold_pair(seed, M, eps)
+            views = [FlatView.from_law(v) for v in (p, q)]
+            if not explicit:
+                views = [draw_only(v) for v in views]
+            drawn = []
 
-        def recording(v, lam, lookups, rng, index):
-            counts = kernel(v, lam, lookups, rng, index)
-            drawn.append(counts)
-            return counts
+            def recording(v, lam, rng, index):
+                counts = kernel(v, lam, rng, index)
+                drawn.append(counts.copy())  # closeness_test forms X - Y in X's array
+                return counts
 
-        account = SampleAccount()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimators, "_poissonized_counts", recording)
-            mp.setattr(estimators, "_race_plan", lambda delta: plan)
-            accepted = closeness_test(*views, M, b, eps, 0.1, CFG, Rng(seed), account)
-        rng = Rng(seed)
-        r = plan[1]
-        votes = []
-        for j in range(r):
-            xy = [kernel(v, lam, r * lam, rng, 2 * j + i) for i, v in enumerate(views)]
-            d = xy[0].astype(np.float64) - xy[1]
-            votes.append(float(d @ d - xy[0].sum() - xy[1].sum()) > threshold)
-        return accepted, account, drawn, votes
-
-    @staticmethod
-    def _regime(M: int, sparse: bool) -> tuple[int, float, float]:
-        """(M, b, eps): b = 1 puts lambda above M, so each cell draws its own
-        Poisson; b = 1/M at eps .5 on 100 or more cells puts it below M, so
-        the batch is drawn as inverse-CDF symbols."""
-        if not sparse:
-            return M, 1.0, 0.3
-        M = 100 + 25 * M
-        assert closeness_params(M, 1 / M, 0.5, CFG)[0] < M
-        return M, 1 / M, 0.5
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        M=st.integers(2, 12),
-        gap=st.floats(0.3, 2.0),
-        plan=st.one_of(
-            st.sampled_from([0.45, 0.1, 0.01, 1e-4]).map(estimators._race_plan),
-            st.tuples(st.integers(1, 4), st.integers(1, 12)),
-        ),
-        explicit=st.booleans(),
-        sparse=st.booleans(),
-    )
-    def test_curtailed_vote_is_the_full_majority(self, seed, M, gap, plan, explicit, sparse):
-        # The verdict is the race's outcome over the votes the streams hold,
-        # and only the votes up to its stopping vote tau draw. Besides the
-        # exact plans, any (h, r) is run, so an even cap can end in a tie,
-        # which must reject.
-        M, b, eps = self._regime(M, sparse)
-        p, q = self._near_threshold_pair(seed, M, gap, eps)
-        accepted, account, drawn, votes = self._votes(p, q, M, b, eps, plan, explicit, seed)
-        verdict, tau, _ = race(votes, *plan)
-        assert accepted == verdict
-        assert len(drawn) == 2 * tau
-        assert account.closeness == sum(int(c.sum()) for c in drawn)
-
-    def test_near_threshold_laws_split_the_votes(self):
-        # The property above is not vacuous: on these laws single votes go
-        # both ways, and calls stop at a lead of h and at the cap, with
-        # lambda above M and below it.
-        plan = estimators._race_plan(0.01)
-        for sparse in (False, True):
-            M, b, eps = self._regime(4, sparse)
-            mixed = early = capped = 0
-            for seed in range(20):
-                p, q = self._near_threshold_pair(seed, M, 1.0, eps)
-                _, _, drawn, votes = self._votes(p, q, M, b, eps, plan, True, seed)
-                tau = len(drawn) // 2
-                mixed += 0 < sum(votes[:tau]) < tau
-                early += tau < plan[1]
-                capped += tau == plan[1]
-            assert mixed >= 10
-            assert early >= 5
-            assert capped >= 5
+            account = SampleAccount()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimators, "_poissonized_counts", recording)
+                accepted = closeness_test(*views, M, b, eps, 0.1, CFG, Rng(seed), account)
+            rng = Rng(seed)
+            x, y = (kernel(v, lam, rng, i) for i, v in enumerate(views))
+            d = x.astype(np.float64) - y
+            assert accepted == (float(d @ d - x.sum() - y.sum()) <= threshold)
+            assert len(drawn) == 2
+            assert np.array_equal(drawn[0], x) and np.array_equal(drawn[1], y)
+            assert account.closeness == int(x.sum()) + int(y.sum())
+            verdicts.append(accepted)
+        assert 5 <= sum(verdicts) <= 15
 
     def test_validation(self):
         v = FlatView.from_law(np.array([1.0]))
@@ -631,7 +548,7 @@ class TestDomainSize:
     @pytest.mark.parametrize(
         "M, sizes",
         [
-            # lambda sized for the wrong M, and a vote cast anyway
+            # lambda sized for the wrong M, and a verdict drawn anyway
             (10, (100, 100)),
             (1000, (100, 100)),
             # numpy's broadcast ValueError from X - Y
@@ -664,7 +581,7 @@ class TestDrawCeilings:
         assert account.total == 0
 
     def test_closeness_rate_at_the_ceiling_is_drawn(self):
-        # lambda = 3 / eps^2 on one cell, just below the ceiling, just above it
+        # lambda = C_close / eps^2 on one cell, just below the ceiling, just above it
         below = math.sqrt(CFG.closeness_sample_mult / domain._POISSON_MEAN_MAX) * (1 + 1e-9)
         lam, _ = closeness_params(1, 1.0, below, CFG)
         assert domain._POISSON_MEAN_MAX * (1 - 1e-8) < lam <= domain._POISSON_MEAN_MAX
@@ -689,6 +606,44 @@ class TestDrawCeilings:
             testers.test_independence_by_learning(JointSampler(JointDistribution.uniform((4, 3))), 1e-10, 0.1, Rng(1))
 
 
+class TestSquareUnderflow:
+    """The sizing formulas divide by eps^2 (closeness) and eta^2 (learning);
+    a square that is not a positive normal float is a DomainError naming its
+    field, before any draw."""
+
+    @pytest.mark.parametrize("eps", [1e-170, 1e-158, 5e-324])
+    def test_closeness_params(self, eps):
+        # 1e-170 squared is 0.0, which raised a bare ZeroDivisionError
+        with pytest.raises(DomainError, match=r"eps\^2 = .* below the smallest normal float"):
+            closeness_params(4, 1.0, eps, CFG)
+
+    @pytest.mark.parametrize("eps", [1e-170, 1e-158])
+    def test_two_axis_tester(self, eps):
+        p = JointDistribution.uniform((4, 3))
+        with pytest.raises(DomainError, match=r"eps\^2"):
+            aug_independence_2d(JointSampler(p), p, TesterConfig(eps=eps, alpha=0.1), Rng(1))
+
+    @pytest.mark.parametrize(
+        "eps, names",
+        [
+            (1e-170, r"eta\^2 = 0.0 is below"),  # a bare ZeroDivisionError
+            (1e-158, r"eta\^2 = .* is below"),  # subnormal: a bare OverflowError from ceil
+            (1.6e-153, "sample size t must be a finite number"),  # normal, but t overflows
+        ],
+    )
+    def test_learning(self, eps, names):
+        sampler = JointSampler(JointDistribution.uniform((4, 3)))
+        with pytest.raises(DomainError, match=names):
+            testers.test_independence_by_learning(sampler, eps, 0.1, Rng(1))
+
+    def test_the_smallest_normal_square_passes_the_check(self):
+        eps = math.sqrt(np.finfo(float).tiny) * (1 + 1e-15)
+        assert eps * eps >= np.finfo(float).tiny
+        # past the check, the rate is far above the Poisson ceiling
+        with pytest.raises(DomainError, match="lambda"):
+            closeness_params(4, 1.0, eps, CFG)
+
+
 class TestClosenessMemory:
     """Peak traced allocation of one closeness_test call, on uniform laws."""
 
@@ -706,7 +661,7 @@ class TestClosenessMemory:
         b = 2 / M
         assert (closeness_params(M, b, eps, CFG)[0] < M) == sparse
         # A first call pays for lazily built state (the seeded generator, the
-        # memoized race plan, the view's map); the second is the one measured.
+        # view's map); the second is the one measured.
         closeness_test(view, view, M, b, eps, 1 / 80, CFG, Rng(60))
         tracemalloc.start()
         try:
@@ -718,7 +673,7 @@ class TestClosenessMemory:
 
 
 class TestStreamLayout:
-    """Count-level calls draw every repetition from the Rng they were given."""
+    """Count-level calls draw every batch from the Rng they were given."""
 
     @staticmethod
     def _streams_built(monkeypatch, call) -> int:
@@ -734,15 +689,12 @@ class TestStreamLayout:
         monkeypatch.setattr(Rng, "__init__", init)
         return len(built)
 
-    @pytest.mark.parametrize("which", ["norm", "closeness"])
-    def test_stream_count_does_not_grow_with_repetitions(self, monkeypatch, which):
+    def test_stream_count_does_not_grow_with_repetitions(self, monkeypatch):
         v = FlatView.from_law(np.full(20, 0.05))
 
         def call(delta):
             rng = Rng(30)
-            if which == "norm":
-                return lambda: estimate_l2_squared(v, 20, delta, CFG, rng)
-            return lambda: closeness_test(v, v, 20, 0.05, 0.3, delta, CFG, rng)
+            return lambda: estimate_l2_squared(v, 20, delta, CFG, rng)
 
         assert repetitions(1e-6, CFG) > 5 * repetitions(0.1, CFG)
         few = self._streams_built(monkeypatch, call(0.1))
@@ -789,52 +741,48 @@ class TestStreamLayout:
     @pytest.mark.parametrize("explicit", [True, False])
     def test_closeness_draws_x_then_y_through_the_count_seam(self, monkeypatch, explicit):
         # perfbench's tracer counts reject votes by wrapping
-        # estimators._poissonized_counts and pairing its results X, Y, X, Y.
+        # estimators._poissonized_counts and scoring X, Y when Y returns,
+        # before closeness_test reuses X's array.
         def view(pv):
             s = FlatView.from_law(pv)
             return s if explicit else FlatView(size=s.size, probs=None, cost=1, draw=s.draw)
 
         seen = []
+        z = []
         kernel = estimators._poissonized_counts
 
-        def recording(v, lam, lookups, rng, index):
-            counts = kernel(v, lam, lookups, rng, index)
+        def recording(v, lam, rng, index):
+            counts = kernel(v, lam, rng, index)
+            if seen:
+                x = seen[-1][1]
+                d = x.astype(np.float64) - counts
+                z.append(float(d @ d - x.sum() - counts.sum()))
             seen.append((v, counts))
             return counts
 
         monkeypatch.setattr(estimators, "_poissonized_counts", recording)
-        # The exact plan stops this far pair at a lead of h; (5, 4) runs
-        # it to the cap.
-        for h, r in (estimators._race_plan(0.1), (5, 4)):
-            monkeypatch.setattr(estimators, "_race_plan", lambda delta: (h, r))
-            # b = 1 at eps .1 on 6 cells runs lambda = 1,800, above M; b = .0016
-            # at eps .5 on 2,000 cells runs lambda = 960, below it. On a point
-            # mass against uniform, Z's mean lambda^2 ||p - q||^2 sits about
-            # sqrt(lambda) / 2 of its standard deviations (about 2 lambda^1.5)
-            # above the threshold, 15 or more here, so every vote rejects.
-            for M, b, eps, sparse in ((6, 1.0, 0.1, False), (2000, 0.0016, 0.5, True)):
-                point = np.zeros(M)
-                point[0] = 1.0
-                p, q = view(np.full(M, 1 / M)), view(point)
-                seen.clear()
-                closeness_test(p, q, M, b, eps, 0.1, CFG, Rng(32))
-                # The vote stops after vote k, the first at a lead of h, or at r.
-                lam, threshold = closeness_params(M, b, eps, CFG)
-                assert (lam < M) == sparse
-                lead = k = 0
-                while abs(lead) < h and k < r:
-                    (_, x), (_, y) = seen[2 * k : 2 * k + 2]
-                    d = x.astype(np.float64) - y
-                    z = float(d @ d - x.sum() - y.sum())
-                    lead, k = lead + (1 if z <= threshold else -1), k + 1
-                assert lead == -k
-                assert k == min(h, r)
-                assert len(seen) == 2 * k
-                assert all(v is w for (v, _), w in zip(seen, [p, q] * k))
-                for _, counts in seen:
-                    assert isinstance(counts, np.ndarray)
-                    assert counts.shape == (M,)
-                    assert np.issubdtype(counts.dtype, np.integer)
+        # b = 1 at eps .1 on 6 cells runs lambda = 4,800, above M; b = 1/2,000
+        # at eps .5 on 2,000 cells runs lambda = 1,431, below it. On a point
+        # mass against uniform, Z's mean lambda^2 ||p - q||^2 sits about
+        # sqrt(lambda) / 2 of its standard deviations (about 2 lambda^1.5)
+        # above the threshold, 15 or more here, so the call rejects.
+        for M, b, eps, sparse in ((6, 1.0, 0.1, False), (2000, 1 / 2000, 0.5, True)):
+            point = np.zeros(M)
+            point[0] = 1.0
+            p, q = view(np.full(M, 1 / M)), view(point)
+            seen.clear()
+            z.clear()
+            accepted = closeness_test(p, q, M, b, eps, 0.1, CFG, Rng(32))
+            lam, threshold = closeness_params(M, b, eps, CFG)
+            assert (lam < M) == sparse
+            assert not accepted
+            assert len(seen) == 2 and len(z) == 1
+            assert z[0] > threshold
+            assert all(v is w for (v, _), w in zip(seen, [p, q]))
+            for _, counts in seen:
+                assert isinstance(counts, np.ndarray)
+                assert counts.shape == (M,)
+                assert np.issubdtype(counts.dtype, np.integer)
 
 
 class TestPoissonizedCounts:
@@ -854,10 +802,11 @@ class TestPoissonizedCounts:
         view = FlatView.from_law(law)
         rng = Rng(40)
         n = 20_000
-        # All n batches look up through one map, and n * lam lookups are
-        # enough for a guide.
-        counts = np.array([estimators._poissonized_counts(view, lam, n * lam, rng, j) for j in range(n)])
+        # All n batches look up through one guide map, which the view keeps
+        # from a first call that expects their n * lam lookups.
         table = view.inverse_cdf(n * lam)
+        counts = np.array([estimators._poissonized_counts(view, lam, rng, j) for j in range(n)])
+        assert view.inverse_cdf(lam) is table
         u = np.linspace(0.0, 1.0, 64, endpoint=False)
         assert np.array_equal(table(u), inverse_cdf(np.cumsum(law), 1)(u))
         assert counts.shape == (n, M)
@@ -878,18 +827,22 @@ class TestPoissonizedCounts:
         # At and above lambda = M the counts, and the stream left behind,
         # are exactly those of rng.gen.poisson(lam * law); just below M the
         # kernel draws K ~ Poi(lam) inverse-CDF symbols instead, with or
-        # without a guide table (one repetition, or enough for one).
+        # without a guide table (a view's first map, or one an earlier call
+        # with enough lookups kept).
         law, M = self.LAW, self.LAW.size
         view = FlatView.from_law(law)
         for lam in (float(M), M * (1 + 1e-12), 3.7 * M, 2.5e7):
             rng, ref = Rng(41), Rng(41).gen
-            counts = estimators._poissonized_counts(view, lam, 17 * lam, rng, 0)
+            counts = estimators._poissonized_counts(view, lam, rng, 0)
             assert np.array_equal(counts, ref.poisson(lam * law))
             assert rng.gen.bit_generator.state == ref.bit_generator.state
         lam = math.nextafter(M, 0)
-        for r in (1, 1000):
+        for lookups in (None, 1000 * lam):
+            view = FlatView.from_law(law)
+            if lookups is not None:
+                view.inverse_cdf(lookups)
             rng, ref = Rng(41), Rng(41).gen
-            counts = estimators._poissonized_counts(view, lam, r * lam, rng, 0)
+            counts = estimators._poissonized_counts(view, lam, rng, 0)
             u = ref.random(int(ref.poisson(lam)))
             assert np.array_equal(counts, np.bincount(inverse_cdf(np.cumsum(law), u.size)(u), minlength=M))
             assert rng.gen.bit_generator.state == ref.bit_generator.state

@@ -233,7 +233,7 @@ class TestGateLogic:
         # norm's 11 batches of T = 4 * ceil(sqrt(M)) look up about 4,000
         # symbols, too few for a guide table, and binary-search them;
         # closeness looks up enough for one. The joint view builds its guide
-        # once and every closeness vote reuses it.
+        # once and closeness's batch of it reads that guide.
         p = JointDistribution.uniform((100, 20))
         guides, lookups, joint_views, tables = [], [], [], []
         guide_table, view_map = domain._guide_table, flattening.FlatView.inverse_cdf
@@ -251,8 +251,8 @@ class TestGateLogic:
             joint_views.append(joint_view(*args))
             return joint_views[-1]
 
-        def recording_counts(view, lam, lookups, rng, index):
-            counts = kernel(view, lam, lookups, rng, index)
+        def recording_counts(view, lam, rng, index):
+            counts = kernel(view, lam, rng, index)
             tables.append((view, view._map))
             return counts
 
@@ -264,8 +264,8 @@ class TestGateLogic:
         assert v.outcome is Outcome.ACCEPT and v.stage == "closeness"
         (joint,) = joint_views
         joint_lookups = [n for view, n in lookups if view is joint]
-        # The joint norm, then each closeness vote's batch of the joint view,
-        # every one of them at closeness's one lookup count.
+        # The joint norm, then closeness's batch of the joint view, at its
+        # one lookup count.
         norm_lookups, *closeness_lookups = joint_lookups
         assert len(closeness_lookups) == sum(view is joint for view, _ in tables) >= 1
         assert len(set(closeness_lookups)) == 1
