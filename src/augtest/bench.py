@@ -180,11 +180,21 @@ class ExperimentConfig:
             return ExperimentConfig.from_dict(json.load(fh))
 
 
+@functools.lru_cache(maxsize=8)
+def _uniform(dims: tuple[int, ...]) -> JointDistribution:
+    """The uniform law on dims, built once per process per dims.
+
+    It is read-only and the same on every trial, so the relabelings
+    merge_axes memoizes on it serve every later trial too.
+    """
+    return JointDistribution.uniform(dims)
+
+
 def _build_instance(desc: dict, rng: Rng) -> tuple[JointDistribution, JointDistribution | None]:
     """Returns (distribution, natural prediction or None)."""
     kind = desc.get("kind")
     if kind == "uniform":
-        p = JointDistribution.uniform(desc["dims"])
+        p = _uniform(_checked_dims(desc["dims"]))
         return p, p
     if kind == "file":
         return load_distribution(desc["path"]), None
@@ -213,7 +223,7 @@ def _build_prediction(
     if choice == "natural":
         return natural
     if choice == "uniform":
-        return JointDistribution.uniform(dist.dims)
+        return _uniform(dist.dims)
     # point_mass: all mass on cell 0
     probs = np.zeros(dist.probs.size)
     probs[0] = 1.0

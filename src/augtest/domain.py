@@ -14,7 +14,7 @@ import operator
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,6 +125,11 @@ class JointDistribution:
         out.probs = probs
         return out
 
+    @cached_property
+    def _relabelings(self) -> dict:
+        """merge_axes results on this law, keyed by their checked blocks."""
+        return {}
+
     def table(self) -> np.ndarray:
         """The mass vector reshaped to the domain dims (read-only view)."""
         return self.probs.reshape(self.dims)
@@ -170,16 +175,117 @@ def _stream_key(name: str, value) -> int:
     return out
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): hashmix's multiplier
+# starts at _HASH_A and steps on through every word mixed into the 4-word
+# pool; generate_state hashes the pool out the same way from _HASH_B.
+_MASK32 = 0xFFFFFFFF
+_HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hashmix(value: int, h: int, mult: int = _MULT_A) -> tuple[int, int]:
+    """SeedSequence's hash of one uint32 word: (the hashed word, the next multiplier)."""
+    value ^= h
+    h = h * mult & _MASK32
+    value = value * h & _MASK32
+    return value ^ value >> 16, h
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of the hashed word y into the pool word x."""
+    x = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return x ^ x >> 16
+
+
+def _uint32_words(n: int) -> list[int]:
+    """n's uint32 words, least significant first, as SeedSequence reads an int; 0 is one word."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _absorb(pool: tuple[int, ...], words) -> tuple[int, ...]:
+    """The pool (4 words, then hashmix's multiplier) with each further entropy word mixed into every pool word."""
+    *p, h = pool
+    for w in words:
+        for i in range(4):
+            v, h = _hashmix(w, h)
+            p[i] = _mix(p[i], v)
+    return (*p, h)
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[int, ...]:
+    """The pool of SeedSequence(entropy=seed, spawn_key=key) before the key's first word.
+
+    The seed's words are padded with zeros to 4, and the key is then mixed
+    in word by word, so every stream of one seed starts from this pool.
+    With an empty key numpy pads nothing, but it hashes zeros into the
+    pool's unfilled words all the same.
+    """
+    words = _uint32_words(seed)
+    p, h = [], _HASH_A
+    for w in (words + [0, 0, 0])[:4]:
+        v, h = _hashmix(w, h)
+        p.append(v)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                v, h = _hashmix(p[src], h)
+                p[dst] = _mix(p[dst], v)
+    return _absorb((*p, h), words[4:])
+
+
+def _state_words(pool: tuple[int, ...]) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) of the pool: 8 uint32 words, paired little-endian."""
+    w, h = [], _HASH_B
+    for i in range(8):
+        v, h = _hashmix(pool[i & 3], h, _MULT_B)
+        w.append(v)
+    return np.array([w[i] | w[i + 1] << 32 for i in range(0, 8, 2)], dtype=np.uint64)
+
+
+@cache
+def _state_words_seed() -> type:
+    """An ISeedSequence that hands PCG64 its 4 uint64 seed words, with no SeedSequence built.
+
+    The class is made on first use, so that importing augtest does not
+    import numpy.random; numpy loads that package lazily.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"holds PCG64's 4 uint64 words only, asked for {n_words} of {dtype}")
+            return self.words
+
+    return StateWords
+
+
 class Rng:
     """Deterministic random stream keyed by (seed, stream).
 
-    Identical (seed, stream) pairs reproduce identical draw sequences.
-    `split(i)` derives an independent child stream; children with distinct
-    indices never collide, which keeps concurrent trials reproducible.
-    The generator is seeded on first use of `gen`, so a stream that is only
-    split never pays for seeding one. The seed, each stream entry and each
-    split index must be a non-negative integer (numpy integers included, bool
-    not): a float or a string is rejected, never truncated onto another stream.
+    Its draws are exactly those of numpy's
+    Generator(PCG64(SeedSequence(entropy=seed, spawn_key=stream))), so
+    identical (seed, stream) pairs reproduce identical draw sequences.
+    `split(i)` derives the child keyed stream + (i,), which keeps concurrent
+    trials reproducible. SeedSequence hashes a key into 128 bits, so two
+    distinct keys collide with negligible probability, not never.
+
+    No SeedSequence is built: its pool is derived incrementally. The pool
+    after the seed is cached per seed, a split child mixes only its own
+    index into its parent's pool, and PCG64 takes the pool's hashed-out
+    state words. A pool is derived on first need and the generator on first
+    use of `gen`, so a stream that is only split never pays for seeding one.
+    The seed, each stream entry and each split index must be a non-negative
+    integer (numpy integers included, bool not): a float or a string is
+    rejected, never truncated onto another stream.
     """
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = ()):
@@ -188,14 +294,22 @@ class Rng:
             self.stream = tuple(_stream_key("stream entry", s) for s in stream)
         else:
             self.stream = (_stream_key("stream entry", stream),)
+        self._parent: Rng | None = None  # set by split
+
+    @cached_property
+    def _pool(self) -> tuple[int, ...]:
+        if self._parent is not None:
+            return _absorb(self._parent._pool, _uint32_words(self.stream[-1]))
+        return _absorb(_seed_pool(self.seed), [w for s in self.stream for w in _uint32_words(s)])
 
     @cached_property
     def gen(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream)
-        return np.random.Generator(np.random.PCG64(ss))
+        return np.random.Generator(np.random.PCG64(_state_words_seed()(_state_words(self._pool))))
 
     def split(self, index: int) -> "Rng":
-        return Rng(self.seed, self.stream + (_stream_key("split index", index),))
+        child = Rng(self.seed, self.stream + (_stream_key("split index", index),))
+        child._parent = self
+        return child
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, stream={self.stream})"
@@ -431,16 +545,23 @@ def merge_axes(p: JointDistribution, blocks: Sequence[Sequence[int]]) -> JointDi
     A block is merged row-major (its last axis varies fastest) and axes in no
     block are summed out, so one axis per block gives a marginal. When the
     blocks cover every axis the map is a bijection, inverted by `split_axis`.
+
+    The blocks are checked on every call. The result is memoized on p, keyed
+    by the checked blocks, so a repeated relabeling of one law returns the
+    same read-only law; the memo is freed with p.
     """
-    blocks = _check_blocks(len(p.dims), blocks)
-    order = [a for b in blocks for a in b]
-    drop = tuple(a for a in range(len(p.dims)) if a not in order)
-    t = p.table().sum(axis=drop)  # with no axis to drop, a copy
-    # t's axes follow the original order; permute them into block order.
-    kept = sorted(order)
-    t = np.transpose(t, [kept.index(a) for a in order])
-    new_dims = tuple(math.prod(p.dims[a] for a in b) for b in blocks)
-    return JointDistribution._derived(new_dims, np.ascontiguousarray(t).reshape(-1))
+    blocks = tuple(_check_blocks(len(p.dims), blocks))
+    memo = p._relabelings
+    if blocks not in memo:
+        order = [a for b in blocks for a in b]
+        drop = tuple(a for a in range(len(p.dims)) if a not in order)
+        t = p.table().sum(axis=drop)  # with no axis to drop, a copy
+        # t's axes follow the original order; permute them into block order.
+        kept = sorted(order)
+        t = np.transpose(t, [kept.index(a) for a in order])
+        new_dims = tuple(math.prod(p.dims[a] for a in b) for b in blocks)
+        memo[blocks] = JointDistribution._derived(new_dims, np.ascontiguousarray(t).reshape(-1))
+    return memo[blocks]
 
 
 def split_axis(p: JointDistribution, axis: int, factors: Sequence[int]) -> JointDistribution:
@@ -462,7 +583,11 @@ def merge_index(
 
     blocks are checked as merge_axes checks them, against len(dims) axes.
     """
-    blocks = _check_blocks(len(dims), blocks)
+    return _merge_index(idx, dims, _check_blocks(len(dims), blocks))
+
+
+def _merge_index(idx, dims: Sequence[int], blocks: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """merge_index on blocks already checked against len(dims) axes."""
     idx = np.asarray(idx)
     cols = [np.ravel_multi_index(tuple(idx[:, a] for a in b), [dims[a] for a in b]) for b in blocks]
     return np.stack(cols, axis=1).astype(np.int64, copy=False)

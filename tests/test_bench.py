@@ -27,7 +27,7 @@ from augtest.bench import (
     wilson_interval,
     worker_count,
 )
-from augtest.domain import DomainError, JointDistribution, SampleAccount, save_distribution
+from augtest.domain import DomainError, JointDistribution, Rng, SampleAccount, save_distribution
 from augtest.testers import Outcome, Verdict
 
 BASE = dict(
@@ -314,6 +314,43 @@ class TestDeterminism:
         a = run_trials(ExperimentConfig.from_dict(dict(BASE)))
         b = run_trials(ExperimentConfig.from_dict(dict(BASE, seed=12)))
         assert a != b
+
+
+class TestStreamCost:
+    """Trials build no SeedSequence: each Rng derives numpy's pool incrementally (see domain.Rng)."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}),
+            dict(
+                tester="2d",
+                eps=1.0 / 192.0,
+                alpha="exact",
+                alpha_margin=0.01,
+                prediction="natural",
+                instance={"kind": "hard2d", "n": 100, "m": 10, "k": 10, "alpha": 0.3, "eps": 1.0 / 192.0, "force_x": 1},
+            ),
+            dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2] * 5}),
+        ],
+        ids=["2d_uniform", "hard2d", "d_cube"],
+    )
+    def test_a_trial_builds_no_seed_sequence(self, monkeypatch, overrides):
+        cfg = ExperimentConfig.from_dict(dict(BASE, trials=1, **overrides))
+        expected = run_single_trial(cfg, 0)
+
+        def no_seed_sequence(*args, **kwargs):
+            raise AssertionError("a trial built a SeedSequence")
+
+        monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+        assert run_single_trial(cfg, 0) == expected
+
+    def test_the_uniform_law_is_built_once_per_dims(self):
+        desc = {"kind": "uniform", "dims": [4, 3]}
+        p, natural = bench._build_instance(desc, Rng(1))
+        assert p is natural is bench._build_instance(dict(desc, dims=(4, 3)), Rng(2))[0]
+        assert bench._build_prediction("uniform", JointDistribution.uniform((4, 3)), None) is p
+        assert bench._uniform.cache_info().maxsize is not None
 
 
 class TestCsvOutput:

@@ -1,8 +1,10 @@
 """Unit and property tests for domains, distributions, and reshaping."""
 
+import gc
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -125,6 +127,33 @@ class TestRng:
         assert np.array_equal(rng.gen.random(8), ref.random(8))
         assert np.array_equal(rng.gen.integers(0, 2**62, 8), ref.integers(0, 2**62, 8))
         assert rng.gen.bit_generator.state == ref.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(1, 5).flatmap(lambda n: st.integers(2 ** (32 * n - 32) if n > 1 else 0, 2 ** (32 * n) - 1)),
+        stream=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**100)), max_size=6).map(tuple),
+        data=st.data(),
+    )
+    def test_derived_state_is_the_seed_sequence_state(self, seed, stream, data):
+        """Seeds of 1-5 uint32 words and stream entries past one word, by key and by splits."""
+        ref = np.random.SeedSequence(entropy=seed, spawn_key=stream)
+        cut = data.draw(st.integers(0, len(stream)), label="cut")
+        by_splits = Rng(seed, stream[:cut])
+        for index in stream[cut:]:
+            by_splits = by_splits.split(index)
+        for rng in (Rng(seed, stream), by_splits):
+            assert rng.stream == stream
+            words = rng.gen.bit_generator.seed_seq.generate_state(4, np.uint64)
+            assert words.dtype == np.uint64
+            assert np.array_equal(words, ref.generate_state(4, np.uint64))
+            assert rng.gen.bit_generator.state == np.random.PCG64(ref).state
+
+    def test_seed_pools_are_cached_with_a_bound(self):
+        Rng(2**40 + 9, (1,)).gen
+        assert domain._seed_pool.cache_info().maxsize is not None
+        hits = domain._seed_pool.cache_info().hits
+        Rng(2**40 + 9, (2,)).gen
+        assert domain._seed_pool.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize("seed", [-1, -5, -(2**70)])
     def test_negative_seed_is_rejected_by_name(self, seed):
@@ -409,6 +438,46 @@ class TestReshaping:
             merge_index(rows, (3, 2), blocks)
         with pytest.raises(DomainError, match=message):
             merge_axes(JointDistribution.uniform((3, 2)), blocks)
+
+    def test_a_repeated_relabeling_is_the_same_law(self):
+        p = random_dist((3, 4, 2), Rng(38).gen)
+        fresh = JointDistribution(p.dims, p.probs.copy())
+        for blocks in ([[1], [0, 2]], [[2]], [[0], [1], [2]]):
+            merged = merge_axes(p, blocks)
+            assert merge_axes(p, [list(b) for b in blocks]) is merged
+            assert merged.probs.tobytes() == merge_axes(fresh, blocks).probs.tobytes()
+            assert not merged.probs.flags.writeable
+        assert marginal(p, [1]) is marginal(p, [np.int64(1)]) is merge_axes(p, [[1]])
+        assert marginal(p, [2, 0]) is merge_axes(p, [[2], [0]])
+        assert marginal(p, [1]).probs.tobytes() == marginal(fresh, [1]).probs.tobytes()
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([[True]], "axis must be a non-negative integer, got True"),
+            ([[1.0]], "axis must be a non-negative integer, got 1.0"),
+            ([[5]], "axis 5 out of range for arity 2"),
+        ],
+    )
+    def test_a_memoized_relabeling_still_checks_its_blocks(self, blocks, message):
+        p = JointDistribution.uniform((2, 3))
+        merge_axes(p, [[1]])
+        with pytest.raises(DomainError, match=message):
+            merge_axes(p, blocks)
+        with pytest.raises(DomainError, match=message):
+            marginal(p, blocks[0])
+
+    def test_a_law_and_its_memo_are_freed_together(self):
+        p = random_dist((2, 3, 2), Rng(39).gen)
+        merged = merge_axes(p, [[2], [0, 1]])
+        # The memo lives on the law: a law cannot key a dict, global or not.
+        assert vars(p)["_relabelings"] == {((2,), (0, 1)): merged}
+        with pytest.raises(TypeError):
+            hash(p)
+        law, relabeled = weakref.ref(p), weakref.ref(merged)
+        del p, merged
+        gc.collect()
+        assert law() is None and relabeled() is None
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

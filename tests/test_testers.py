@@ -116,6 +116,17 @@ class TestSamplerViews:
     def test_permuted(self):
         self.check((2, 3), [[1], [0]], lambda p: merge_axes(p, [[1], [0]]))
 
+    def test_draw_relabels_through_the_blocks_init_checked(self, monkeypatch):
+        base = JointSampler(JointDistribution.uniform((2, 3, 2)))
+        s = ReindexedSampler(base, [[2, 0], [1]])
+        expected = s.draw(20, Rng(2))
+
+        def no_check(*args):
+            raise AssertionError("draw re-checked its blocks")
+
+        monkeypatch.setattr(domain, "_check_blocks", no_check)
+        assert np.array_equal(s.draw(20, Rng(2)), expected)
+
     def test_grouped(self):
         self.check((2, 3, 2), [[0], [1, 2]], lambda p: merge_axes(p, [[0], [1, 2]]))
         self.check((2, 3, 2, 3), [[3], [2, 0], [1]], lambda p: merge_axes(p, [[3], [2, 0], [1]]))
