@@ -11,10 +11,11 @@ import json
 import math
 import numbers
 import operator
+import struct
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -97,9 +98,9 @@ class JointDistribution:
                 f"probs of shape {p.shape} fit neither domain size {size} nor dims {self.dims}"
             )
         p = p.reshape(-1)
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise DomainError("prob vector has non-finite entries")
-        if np.any(p < 0):
+        if (p < 0).any():
             raise DomainError("prob vector has negative entries")
         total = float(p.sum())
         if abs(total - 1.0) > MASS_TOL:
@@ -124,11 +125,6 @@ class JointDistribution:
         probs.flags.writeable = False
         out.probs = probs
         return out
-
-    @cached_property
-    def _relabelings(self) -> dict:
-        """merge_axes results on this law, keyed by their checked blocks."""
-        return {}
 
     def table(self) -> np.ndarray:
         """The mass vector reshaped to the domain dims (read-only view)."""
@@ -175,19 +171,29 @@ def _stream_key(name: str, value) -> int:
     return out
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): hashmix's multiplier
-# starts at _HASH_A and steps on through every word mixed into the 4-word
-# pool; generate_state hashes the pool out the same way from _HASH_B.
+# numpy's SeedSequence (numpy/random/bit_generator.pyx) hashes each word it
+# mixes in with a multiplier that starts at _HASH_A and steps by _MULT_A on
+# every hash, through every word mixed into the 4-word pool; generate_state
+# hashes the pool out the same way from _HASH_B, by _MULT_B.
 _MASK32 = 0xFFFFFFFF
 _HASH_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _HASH_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# Output hash k (k = 0..7) xors pool word k % 4 with _HASH_B * _MULT_B**k and
+# multiplies by _HASH_B * _MULT_B**(k + 1): generate_state always starts its
+# multiplier afresh, so its 8 hashes read a fixed table.
+_OUT_HASH = tuple(
+    (k & 3, _HASH_B * pow(_MULT_B, k, 1 << 32) & _MASK32, _HASH_B * pow(_MULT_B, k + 1, 1 << 32) & _MASK32)
+    for k in range(8)
+)
+# The 8 hashed uint32 words, paired little-endian into generate_state's 4 uint64 words.
+_PACK_STATE = struct.Struct("<8I").pack
 
 
-def _hashmix(value: int, h: int, mult: int = _MULT_A) -> tuple[int, int]:
+def _hashmix(value: int, h: int) -> tuple[int, int]:
     """SeedSequence's hash of one uint32 word: (the hashed word, the next multiplier)."""
     value ^= h
-    h = h * mult & _MASK32
+    h = h * _MULT_A & _MASK32
     value = value * h & _MASK32
     return value ^ value >> 16, h
 
@@ -206,14 +212,37 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _absorb(pool: tuple[int, ...], words) -> tuple[int, ...]:
-    """The pool (4 words, then hashmix's multiplier) with each further entropy word mixed into every pool word."""
-    *p, h = pool
-    for w in words:
-        for i in range(4):
-            v, h = _hashmix(w, h)
-            p[i] = _mix(p[i], v)
-    return (*p, h)
+def _absorb(pool: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The pool (4 words, then hashmix's multiplier) with each of n's uint32 words mixed into every pool word.
+
+    _hashmix and _mix, written out: this runs once per stream entry.
+    """
+    p0, p1, p2, p3, h = pool
+    while True:
+        w = n & _MASK32
+        v = w ^ h
+        h = h * _MULT_A & _MASK32
+        v = v * h & _MASK32
+        x = (_MIX_L * p0 - _MIX_R * (v ^ v >> 16)) & _MASK32
+        p0 = x ^ x >> 16
+        v = w ^ h
+        h = h * _MULT_A & _MASK32
+        v = v * h & _MASK32
+        x = (_MIX_L * p1 - _MIX_R * (v ^ v >> 16)) & _MASK32
+        p1 = x ^ x >> 16
+        v = w ^ h
+        h = h * _MULT_A & _MASK32
+        v = v * h & _MASK32
+        x = (_MIX_L * p2 - _MIX_R * (v ^ v >> 16)) & _MASK32
+        p2 = x ^ x >> 16
+        v = w ^ h
+        h = h * _MULT_A & _MASK32
+        v = v * h & _MASK32
+        x = (_MIX_L * p3 - _MIX_R * (v ^ v >> 16)) & _MASK32
+        p3 = x ^ x >> 16
+        n >>= 32
+        if not n:
+            return p0, p1, p2, p3, h
 
 
 @lru_cache(maxsize=64)
@@ -235,16 +264,15 @@ def _seed_pool(seed: int) -> tuple[int, ...]:
             if src != dst:
                 v, h = _hashmix(p[src], h)
                 p[dst] = _mix(p[dst], v)
-    return _absorb((*p, h), words[4:])
+    pool = (*p, h)
+    return _absorb(pool, seed >> 128) if len(words) > 4 else pool
 
 
 def _state_words(pool: tuple[int, ...]) -> np.ndarray:
-    """SeedSequence.generate_state(4, np.uint64) of the pool: 8 uint32 words, paired little-endian."""
-    w, h = [], _HASH_B
-    for i in range(8):
-        v, h = _hashmix(pool[i & 3], h, _MULT_B)
-        w.append(v)
-    return np.array([w[i] | w[i + 1] << 32 for i in range(0, 8, 2)], dtype=np.uint64)
+    """SeedSequence.generate_state(4, np.uint64) of the pool: 8 hashed uint32 words, paired little-endian."""
+    return np.frombuffer(
+        _PACK_STATE(*[(v := (pool[i] ^ x) * m & _MASK32) ^ v >> 16 for i, x, m in _OUT_HASH]), "<u8"
+    )
 
 
 @cache
@@ -279,37 +307,49 @@ class Rng:
     distinct keys collide with negligible probability, not never.
 
     No SeedSequence is built: its pool is derived incrementally. The pool
-    after the seed is cached per seed, a split child mixes only its own
-    index into its parent's pool, and PCG64 takes the pool's hashed-out
-    state words. A pool is derived on first need and the generator on first
-    use of `gen`, so a stream that is only split never pays for seeding one.
+    after the seed is cached per seed, and a split child absorbs only its
+    own index, one uint32 word for an index below 2**32, into its parent's
+    pool. PCG64 takes the pool's hashed-out state words; their multipliers
+    are a fixed sequence, read from a precomputed table. A pool is derived
+    on first need and the generator on first use of `gen`, so a stream that
+    is only split never pays for seeding one.
     The seed, each stream entry and each split index must be a non-negative
     integer (numpy integers included, bool not): a float or a string is
-    rejected, never truncated onto another stream.
+    rejected, never truncated onto another stream. `Rng(seed, stream)`
+    checks every entry; `split(i)` checks only i, since the parent's
+    entries were checked when it was made.
     """
 
-    def __init__(self, seed: int, stream: int | tuple[int, ...] = ()):
+    def __init__(self, seed: int, stream: int | tuple[int, ...] = (), *, _parent: Rng | None = None):
+        if _parent is not None:  # from split, which checked the one new entry
+            self.seed, self.stream, self._parent = seed, stream, _parent
+            return
         self.seed = _stream_key("seed", seed)
         if isinstance(stream, tuple):
             self.stream = tuple(_stream_key("stream entry", s) for s in stream)
         else:
             self.stream = (_stream_key("stream entry", stream),)
-        self._parent: Rng | None = None  # set by split
+        self._parent = None
 
-    @cached_property
-    def _pool(self) -> tuple[int, ...]:
-        if self._parent is not None:
-            return _absorb(self._parent._pool, _uint32_words(self.stream[-1]))
-        return _absorb(_seed_pool(self.seed), [w for s in self.stream for w in _uint32_words(s)])
-
-    @cached_property
-    def gen(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(_state_words_seed()(_state_words(self._pool))))
+    def __getattr__(self, name: str):
+        # Only reached while the instance has no such attribute: _pool and
+        # gen are derived on first need and then set as plain attributes.
+        if name == "_pool":
+            if self._parent is not None:
+                pool = _absorb(self._parent._pool, self.stream[-1])
+            else:
+                pool = _seed_pool(self.seed)
+                for s in self.stream:
+                    pool = _absorb(pool, s)
+            self._pool = pool
+            return pool
+        if name == "gen":
+            self.gen = np.random.Generator(np.random.PCG64(_state_words_seed()(_state_words(self._pool))))
+            return self.gen
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def split(self, index: int) -> "Rng":
-        child = Rng(self.seed, self.stream + (_stream_key("split index", index),))
-        child._parent = self
-        return child
+        return Rng(self.seed, (*self.stream, _stream_key("split index", index)), _parent=self)
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, stream={self.stream})"
@@ -388,17 +428,33 @@ def marginal(p: JointDistribution, axes: Sequence[int]) -> JointDistribution:
 
 
 def _check_blocks(arity: int, blocks: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Checks a nonempty list of nonempty blocks of distinct axes in range(arity)."""
-    blocks = [tuple(_stream_key("axis", a) for a in b) for b in blocks]
-    axes = [a for b in blocks for a in b]
-    if not blocks or not all(blocks):
-        raise DomainError(f"axis blocks {blocks} must be a nonempty list of nonempty blocks")
-    if len(set(axes)) != len(axes):
-        raise DomainError(f"duplicate axes in {blocks}")
-    for a in axes:
-        if not 0 <= a < arity:
-            raise DomainError(f"axis {a} out of range for arity {arity}")
-    return blocks
+    """Checks a nonempty list of nonempty blocks of distinct axes in range(arity).
+
+    One pass reads every axis, and a non-integer one raises as it is read;
+    the other faults raise after the pass, in this order: an empty list or
+    block, a repeated axis, then the first axis out of range.
+    """
+    checked, seen, empty, repeated, stray = [], set(), False, False, None
+    for b in blocks:
+        block = []
+        for a in b:
+            if type(a) is not int or a < 0:
+                a = _stream_key("axis", a)
+            if a in seen:
+                repeated = True
+            seen.add(a)
+            if a >= arity and stray is None:
+                stray = a
+            block.append(a)
+        empty = empty or not block
+        checked.append(tuple(block))
+    if empty or not checked:
+        raise DomainError(f"axis blocks {checked} must be a nonempty list of nonempty blocks")
+    if repeated:
+        raise DomainError(f"duplicate axes in {checked}")
+    if stray is not None:
+        raise DomainError(f"axis {stray} out of range for arity {arity}")
+    return checked
 
 
 def outer_product(vectors) -> np.ndarray:
@@ -442,6 +498,22 @@ def tv_to_own_product(p: JointDistribution) -> float:
 # at 3,000 to 12,000 on Dirichlet(5) ones (8,000 to 12,000 at M 4,096
 # and 9,202).
 _GUIDE_MIN_LOOKUPS = 4096
+# Nor below this many lookups per cell, since the build is O(M) and a
+# lookup's saving is not. Timed the same way on sorted uniforms (medians of
+# 150 interleaved calls) at M from 8,694 to 26,023, the guide breaks even
+# at 0.2 to 0.3 lookups per cell on flat tables and at 0.33 on the
+# hidden-bit joint laws of 23,000 to 26,000 cells, where about half the
+# table's edges repeat; unsorted uniforms break even sooner, at 0.1 to 0.2.
+# A table with half its cells at 1e-4 of the others' mass needs about one
+# sorted lookup per cell. A norm call of 11 batches looks up about
+# 44 / sqrt(M) per cell: 0.26-0.30 on the hidden-bit joints, 0.44-0.48 on
+# flattened uniform (100, 20) joints, whose guide then serves closeness too.
+_GUIDE_MIN_LOOKUPS_PER_CELL = 0.375
+
+
+def _wants_guide(lookups: float, cells: int) -> bool:
+    """Whether a map over cells cells, for about lookups uniforms in all, is built with a guide table."""
+    return lookups >= _GUIDE_MIN_LOOKUPS and lookups >= _GUIDE_MIN_LOOKUPS_PER_CELL * cells
 
 
 def _guide_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -470,7 +542,7 @@ def _guide_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     edges[M] = G
     runs = np.diff(edges)
     del edges, repeated  # so that fewer arrays are alive beside the guide
-    return np.repeat(np.arange(M), runs), crowded
+    return np.arange(M).repeat(runs), crowded
 
 
 def inverse_cdf(cum: np.ndarray, lookups: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -481,25 +553,26 @@ def inverse_cdf(cum: np.ndarray, lookups: float) -> Callable[[np.ndarray], np.nd
     goes to the last cell with positive mass, never to trailing zero-mass cells.
 
     lookups is about how many uniforms the map will take in all. From
-    _GUIDE_MIN_LOOKUPS on, it builds a guide table once: a u in a bucket that
+    _GUIDE_MIN_LOOKUPS on, and from _GUIDE_MIN_LOOKUPS_PER_CELL per cell on
+    (see _wants_guide), it builds a guide table once: a u in a bucket that
     holds at most one boundary is answered by guide[floor(u * G)] and one
     comparison, and only a u in a crowded bucket is binary-searched. Fewer
     lookups binary-search every u. Either way each index is the one
     searchsorted(cum, u, "right") gives, clipped as above.
     """
-    last = np.searchsorted(cum, cum[-1], side="left")
-    guide, crowded = _guide_table(cum) if lookups >= _GUIDE_MIN_LOOKUPS else (None, None)
+    last = cum.searchsorted(cum[-1], side="left")
+    guide, crowded = _guide_table(cum) if _wants_guide(lookups, cum.size) else (None, None)
 
     def lookup(u: np.ndarray) -> np.ndarray:
         if guide is None:
-            idx = np.searchsorted(cum, u, side="right")
+            idx = cum.searchsorted(u, side="right")
         else:
             j = (u * guide.size).astype(np.intp)
             idx = guide[j]
             idx += cum[idx] <= u
             if crowded is not None:
                 slow = crowded[j]
-                idx[slow] = np.searchsorted(cum, u[slow], side="right")
+                idx[slow] = cum.searchsorted(u[slow], side="right")
         return np.minimum(idx, last, out=idx)
 
     return lookup
@@ -514,7 +587,7 @@ def draw_samples(p: JointDistribution, count: int, rng: Rng) -> np.ndarray:
     count = _stream_key("sample count", count)
     if count == 0:
         return np.empty((0, len(p.dims)), dtype=np.int64)
-    flat = inverse_cdf(np.cumsum(p.probs), count)(rng.gen.random(count))
+    flat = inverse_cdf(p.probs.cumsum(), count)(rng.gen.random(count))
     idx = np.unravel_index(flat, p.dims)
     return np.stack(idx, axis=1).astype(np.int64)
 
@@ -551,7 +624,7 @@ def merge_axes(p: JointDistribution, blocks: Sequence[Sequence[int]]) -> JointDi
     same read-only law; the memo is freed with p.
     """
     blocks = tuple(_check_blocks(len(p.dims), blocks))
-    memo = p._relabelings
+    memo = p.__dict__.setdefault("_relabelings", {})
     if blocks not in memo:
         order = [a for b in blocks for a in b]
         drop = tuple(a for a in range(len(p.dims)) if a not in order)

@@ -20,11 +20,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .domain import (
-    _GUIDE_MIN_LOOKUPS,
     DomainError,
     JointDistribution,
     Rng,
     _check_blocks,
+    _wants_guide,
     inverse_cdf,
     marginal,
     outer_product,
@@ -44,11 +44,11 @@ class AxisFlattening:
             raise DomainError("bucket vector must be 1-D and nonempty")
         if b.dtype.kind not in "iu":
             raise DomainError(f"bucket counts must be integers, got {buckets!r}")
-        if np.any(b < 1):
+        if (b < 1).any():
             raise DomainError("every symbol needs at least one bucket")
         b = self.buckets = b.astype(np.int64)
         self.buckets.flags.writeable = False
-        self.offsets = np.concatenate(([0], np.cumsum(b)[:-1]))
+        self.offsets = np.concatenate(([0], b.cumsum()[:-1]))
         self.offsets.flags.writeable = False
         self.base_size = int(b.size)
         self.flat_size = int(b.sum())
@@ -77,11 +77,11 @@ def build_axis_flattening(pred_marginal, counts) -> AxisFlattening:
         raise DomainError(f"marginal length {q.size} != counts length {c.size}")
     if q.size == 0:
         raise DomainError(f"an axis needs at least one cell, got marginal {pred_marginal!r}")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise DomainError("predicted marginal has non-finite entries")
-    if np.any(q < 0):
+    if (q < 0).any():
         raise DomainError("predicted marginal has negative entries")
-    if np.any(c < 0):
+    if (c < 0).any():
         raise DomainError("counts must be nonnegative")
     nu = 1.0 / q.size
     b = np.floor(q / nu + _FLOOR_FUZZ).astype(np.int64) + c + 1
@@ -110,8 +110,8 @@ def _flattened_law(p: JointDistribution, pf: ProductFlattening) -> np.ndarray:
         raise DomainError(f"distribution dims {p.dims} != flattening base {pf.base_dims}")
     t = p.table().astype(np.float64)
     for ax, f in enumerate(pf.axes):
-        t = np.repeat(t, f.buckets, axis=ax)
-        w = np.repeat(f.buckets.astype(np.float64), f.buckets)
+        t = t.repeat(f.buckets, axis=ax)
+        w = f.buckets.astype(np.float64).repeat(f.buckets)
         shape = [1] * t.ndim
         shape[ax] = w.size
         t = t / w.reshape(shape)
@@ -174,9 +174,11 @@ class FlatView:
         rebuilds the map once, with the guide. Every map returns the same
         index for a u, so which one serves a call changes no draw.
         """
-        if self._map is None or lookups >= _GUIDE_MIN_LOOKUPS > self._map_lookups:
+        if self._map is None or (
+            _wants_guide(lookups, self.size) and not _wants_guide(self._map_lookups, self.size)
+        ):
             if self._cum is None:
-                self._cum = np.cumsum(self.probs)
+                self._cum = self.probs.cumsum()
             self._map, self._map_lookups = inverse_cdf(self._cum, lookups), lookups
         return self._map
 
@@ -184,7 +186,7 @@ class FlatView:
     def from_law(probs) -> "FlatView":
         """View over [len(probs)] drawing by inverse CDF from a nonnegative mass vector, normalized to sum 1."""
         probs = np.asarray(probs, dtype=np.float64).reshape(-1)
-        if np.any(probs < 0):
+        if (probs < 0).any():
             raise DomainError("a view's law has negative entries")
 
         def draw(count: int, rng: Rng) -> np.ndarray:
@@ -223,7 +225,7 @@ def flattened_axis_view(sampler, axis: int, pf: ProductFlattening) -> FlatView:
     probs = None
     if getattr(sampler, "dist", None) is not None:
         f = pf.axes[axis]
-        probs = np.repeat(marginal(sampler.dist, [axis]).probs / f.buckets, f.buckets)
+        probs = (marginal(sampler.dist, [axis]).probs / f.buckets).repeat(f.buckets)
     return _flat_view(sampler, pf, [[axis]], probs)
 
 

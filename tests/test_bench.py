@@ -6,7 +6,10 @@ import math
 import os
 import pickle
 import resource
+import shutil
 import signal
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -794,3 +797,34 @@ class TestFreedHeapKept:
             run_single_trial(cfg, i)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults <= 20 * 10
+
+
+class TestAbTrials:
+    """scripts/ab_trials.py: two source trees timed in one process, rows compared."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def run_script(self, src_a, src_b, chunks):
+        script = os.path.join(self.ROOT, "scripts", "ab_trials.py")
+        return subprocess.run(
+            [sys.executable, script, src_a, src_b, "arity5_d", "--chunks", str(chunks)],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+
+    def test_the_checkout_against_itself_gives_identical_rows(self):
+        done = self.run_script(self.ROOT, self.ROOT, 2)
+        assert done.returncode == 0, done.stderr
+        assert "trials 200 per side" in done.stdout
+        assert done.stdout.splitlines()[-1] == "rows identical"
+
+    def test_a_tree_that_draws_otherwise_exits_one(self, tmp_path):
+        shutil.copytree(os.path.join(self.ROOT, "src", "augtest"), tmp_path / "src" / "augtest")
+        estimators = tmp_path / "src" / "augtest" / "estimators.py"
+        text = estimators.read_text()
+        assert text.count("closeness_sample_mult: float = 8.0") == 1
+        estimators.write_text(text.replace("closeness_sample_mult: float = 8.0", "closeness_sample_mult: float = 9.0"))
+        done = self.run_script(self.ROOT, str(tmp_path), 1)
+        assert done.returncode == 1
+        assert "trial rows differ between A and B" in done.stderr

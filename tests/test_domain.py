@@ -53,6 +53,28 @@ def reference_merge(p, blocks):
     return t.reshape([math.prod(p.dims[a] for a in b) for b in blocks])
 
 
+def reference_check_blocks(arity, blocks):
+    """The block check as separate passes: read every axis, then the list, the repeats and the range."""
+    blocks = [tuple(domain._stream_key("axis", a) for a in b) for b in blocks]
+    axes = [a for b in blocks for a in b]
+    if not blocks or not all(blocks):
+        raise DomainError(f"axis blocks {blocks} must be a nonempty list of nonempty blocks")
+    if len(set(axes)) != len(axes):
+        raise DomainError(f"duplicate axes in {blocks}")
+    for a in axes:
+        if not 0 <= a < arity:
+            raise DomainError(f"axis {a} out of range for arity {arity}")
+    return blocks
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
 class TestJointDistribution:
     def test_basic_fields(self):
         p = JointDistribution.uniform([4, 3, 2])
@@ -131,11 +153,11 @@ class TestRng:
     @settings(max_examples=200, deadline=None)
     @given(
         seed=st.integers(1, 5).flatmap(lambda n: st.integers(2 ** (32 * n - 32) if n > 1 else 0, 2 ** (32 * n) - 1)),
-        stream=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**100)), max_size=6).map(tuple),
+        stream=st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**100)), max_size=12).map(tuple),
         data=st.data(),
     )
     def test_derived_state_is_the_seed_sequence_state(self, seed, stream, data):
-        """Seeds of 1-5 uint32 words and stream entries past one word, by key and by splits."""
+        """Seeds of 1-5 uint32 words and stream entries past one word, by key and by split chains of up to 12."""
         ref = np.random.SeedSequence(entropy=seed, spawn_key=stream)
         cut = data.draw(st.integers(0, len(stream)), label="cut")
         by_splits = Rng(seed, stream[:cut])
@@ -177,6 +199,10 @@ class TestRng:
             (lambda: Rng(7).split(2.5), "split index must be a non-negative integer, got 2.5"),
             (lambda: Rng(7).split("1"), "split index must be a non-negative integer, got '1'"),
             (lambda: Rng(7).split(np.True_), r"split index must be a non-negative integer, got np.True_"),
+            (lambda: Rng(7, (2,)).split(-1), "split index must be a non-negative integer, got -1"),
+            (lambda: Rng(7, (2,)).split(True), "split index must be a non-negative integer, got True"),
+            (lambda: Rng(7, (2,)).split(1.5), "split index must be a non-negative integer, got 1.5"),
+            (lambda: Rng(7, (2,)).split("3"), "split index must be a non-negative integer, got '3'"),
         ],
     )
     def test_non_integral_key_is_rejected_by_name(self, make, message):
@@ -189,6 +215,34 @@ class TestRng:
         assert (rng.seed, rng.stream) == (7, (1, 2))
         assert all(type(k) is int for k in (rng.seed, *rng.stream))
         assert np.array_equal(rng.gen.random(4), Rng(7, (1, 2)).gen.random(4))
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_a_split_checks_only_its_own_index(self, k, monkeypatch):
+        stream = tuple(range(5, 5 + k))
+        parent = Rng(2**33 + k, stream)
+        checked, stream_key = [], domain._stream_key
+
+        def counting_key(name, value):
+            checked.append((name, value))
+            return stream_key(name, value)
+
+        monkeypatch.setattr(domain, "_stream_key", counting_key)
+        child = parent.split(2**32 + 3)
+        assert checked == [("split index", 2**32 + 3)]
+        monkeypatch.undo()
+        assert child.stream == stream + (2**32 + 3,)
+        ref = Rng(2**33 + k, stream + (2**32 + 3,))
+        assert child.gen.bit_generator.state == ref.gen.bit_generator.state
+
+    def test_the_stream_is_derived_on_first_need_and_kept(self):
+        r = Rng(7, (3,))
+        child = r.split(4)
+        assert "_pool" not in vars(r) and "_pool" not in vars(child)
+        gen = child.gen
+        assert vars(child)["gen"] is gen and "_pool" in vars(r)
+        assert "gen" not in vars(r)
+        with pytest.raises(AttributeError, match="'Rng' object has no attribute 'other'"):
+            r.other
 
     def test_poisson_zero_mean_draws_nothing(self):
         assert poisson(0.0, Rng(1)) == 0
@@ -439,6 +493,33 @@ class TestReshaping:
         with pytest.raises(DomainError, match=message):
             merge_axes(JointDistribution.uniform((3, 2)), blocks)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        arity=st.integers(1, 5),
+        blocks=st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(-1, 6),
+                    st.integers(0, 6).map(np.int64),
+                    st.sampled_from([True, False, 1.0, "1", 2**70]),
+                ),
+                max_size=3,
+            ),
+            max_size=4,
+        ),
+    )
+    @example(arity=3, blocks=[[0], [], [7]])
+    @example(arity=3, blocks=[[0, 0], [5]])
+    @example(arity=3, blocks=[[5], [1.5]])
+    @example(arity=2, blocks=[[2], [0, 0], []])
+    def test_the_block_check_is_the_reference_check(self, arity, blocks):
+        # One pass raises what the separate passes raise, in the same order,
+        # with the same message, and returns the same blocks.
+        got = outcome(domain._check_blocks, arity, blocks)
+        assert got == outcome(reference_check_blocks, arity, blocks)
+        if not isinstance(got, tuple):
+            assert all(type(a) is int for b in got for a in b)
+
     def test_a_repeated_relabeling_is_the_same_law(self):
         p = random_dist((3, 4, 2), Rng(38).gen)
         fresh = JointDistribution(p.dims, p.probs.copy())
@@ -671,6 +752,27 @@ class TestInverseCdf:
         assert got.shape == u.shape
         assert np.array_equal(got, searchsorted_reference(cum, u))
         assert np.array_equal(inverse_cdf(cum, 1)(u), got)
+
+    @pytest.mark.parametrize(
+        "cells, lookups, guided",
+        [
+            (100, 4095, False),
+            (100, 4096, True),
+            (20_000, 4096, False),
+            (20_000, 7_499, False),
+            (20_000, 7_500, True),
+            (26_023, 7_128, False),  # a hidden-bit joint law's norm
+            (8_694, 4_136, True),  # a uniform (100, 20) joint view's norm
+        ],
+    )
+    def test_a_guide_is_built_from_enough_lookups_in_all_and_per_cell(self, cells, lookups, guided, monkeypatch):
+        built, guide_table = [], domain._guide_table
+        monkeypatch.setattr(domain, "_guide_table", lambda cum: built.append(cum) or guide_table(cum))
+        cum = np.cumsum(np.full(cells, 1.0 / cells))
+        lookup = inverse_cdf(cum, lookups)
+        assert len(built) == guided
+        u = Rng(42).gen.random(1000)
+        assert np.array_equal(lookup(u), searchsorted_reference(cum, u))
 
 
 class TestCheckFinite:

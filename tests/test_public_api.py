@@ -6,7 +6,10 @@ uses, and no module defines a function or class nothing uses.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -51,6 +54,16 @@ def test_exports_are_pinned():
     assert exported == EXPORTS
     assert all(hasattr(augtest, name) for name in exported)
     assert "outer_product" not in exported  # shared by the modules, not public
+
+
+def test_importing_augtest_leaves_numpy_random_unloaded():
+    # Rng builds its generators' seed class on first use, so the import
+    # stays off numpy.random, which numpy loads lazily.
+    code = "import sys, augtest; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
