@@ -13,8 +13,11 @@ order (A then B on even chunks, B then A on odd ones), one
 `bench.run_single_trial` at a time, each timed by its thread's CPU time as
 perfbench/harness.py's serial phase times it.
 
-Prints the median CPU ms per trial of each side and their ratio B / A.
-Exits 1 if any trial's `TrialRecord.row()` differs between the sides.
+Prints each side's quartiles of CPU ms per trial, the ratio of the medians
+B / A, and in how many chunks B's median trial beat A's (ties count for
+neither side). A gain of a few per cent is read against that count, not one
+median ratio alone: six runs of one pair of trees read B / A from 0.974 to
+1.022. Exits 1 if any trial's `TrialRecord.row()` differs between the sides.
 """
 
 from __future__ import annotations
@@ -89,19 +92,26 @@ def main(argv=None) -> int:
         bench.run_single_trial(configs[0][side], 0)
 
     ms = {"A": [], "B": []}
-    differing = 0
+    differing = b_wins = 0
     for k, cfgs in enumerate(configs):
-        rows = {}
+        rows, chunk_median = {}, {}
         for side in ("AB" if k % 2 == 0 else "BA"):
             chunk_ms, rows[side] = timed_chunk(sides[side], cfgs[side])
             ms[side] += chunk_ms
+            chunk_median[side] = statistics.median(chunk_ms)
         differing += sum(a != b for a, b in zip(rows["A"], rows["B"]))
+        b_wins += chunk_median["B"] < chunk_median["A"]
 
-    med = {side: statistics.median(v) for side, v in ms.items()}
+    quartiles = {side: statistics.quantiles(v, n=4) for side, v in ms.items()}
     print(f"workload {args.workload}  seed {args.seed}  chunks {args.chunks}  trials {len(ms['A'])} per side")
-    print(f"A {med['A']:.4f} ms/trial  ({os.path.dirname(os.path.dirname(dir_a))})")
-    print(f"B {med['B']:.4f} ms/trial  ({os.path.dirname(os.path.dirname(dir_b))})")
-    print(f"B / A {med['B'] / med['A']:.4f}")
+    for side, checkout in (("A", dir_a), ("B", dir_b)):
+        q1, med, q3 = quartiles[side]
+        print(
+            f"{side} {med:.4f} ms/trial  quartiles {q1:.4f} {q3:.4f}"
+            f"  ({os.path.dirname(os.path.dirname(checkout))})"
+        )
+    print(f"B / A {quartiles['B'][1] / quartiles['A'][1]:.4f}")
+    print(f"B faster in {b_wins} of {args.chunks} chunks")
     if differing:
         print(f"error: {differing} trial rows differ between A and B", file=sys.stderr)
         return 1

@@ -489,79 +489,134 @@ def tv_to_own_product(p: JointDistribution) -> float:
 # Sampling
 
 
-# Below this many lookups in all, a guide table saves too little to pay for
-# itself: building one runs about a dozen O(M) numpy passes that a binary
-# search does not. Timed as one map build plus one call on sorted uniforms
-# (2-core Xeon, numpy 2.4, glibc keeping freed heap pages as the bench
-# harness has it, medians of 300 interleaved calls) with M from 128 to
-# 9,202, the guide breaks even at 1,500 to 3,000 lookups on flat laws and
-# at 3,000 to 12,000 on Dirichlet(5) ones (8,000 to 12,000 at M 4,096
-# and 9,202).
-_GUIDE_MIN_LOOKUPS = 4096
-# Nor below this many lookups per cell, since the build is O(M) and a
-# lookup's saving is not. Timed the same way on sorted uniforms (medians of
-# 150 interleaved calls) at M from 8,694 to 26,023, the guide breaks even
-# at 0.2 to 0.3 lookups per cell on flat tables and at 0.33 on the
-# hidden-bit joint laws of 23,000 to 26,000 cells, where about half the
-# table's edges repeat; unsorted uniforms break even sooner, at 0.1 to 0.2.
-# A table with half its cells at 1e-4 of the others' mass needs about one
-# sorted lookup per cell. A norm call of 11 batches looks up about
-# 44 / sqrt(M) per cell: 0.26-0.30 on the hidden-bit joints, 0.44-0.48 on
-# flattened uniform (100, 20) joints, whose guide then serves closeness too.
-_GUIDE_MIN_LOOKUPS_PER_CELL = 0.375
+# Whether a map is built with a guide table (Chen and Asau, 1974) or binary
+# searches depends on the table and on the order of the keys it looks up. A
+# guide costs one build, about a dozen O(M + G) numpy passes, and then finds
+# a key in O(1); a binary search costs nothing to build and O(log M) per
+# key, least on sorted keys, each of whose searches starts where the last
+# one ended. Callers look keys up in one of two orders: the norm's (r, T)
+# block, rows each sorted on its own, and no order (closeness batches,
+# draw_samples). Timed as one build plus its lookups against one binary
+# search (2-core Xeon, numpy 2.4, glibc keeping freed heap pages as the
+# bench harness has it, interleaved medians, flat tables), the guide breaks
+# even between these counts, in keys per cell from 8,649 cells on:
+#
+#   cells      11 sorted rows     no order           one sorted row
+#   1,000      1,024-1,536 keys   512-1,024 keys     1,024-1,536 keys
+#   8,649      0.12-0.18          0.06-0.12          0.18-0.24
+#   26,023     0.06-0.08          0.04-0.06          0.12-0.16
+#   65,536     0.06-0.09          0.03-0.05          0.09-0.13
+#   131,072    above 0.25         0.09-0.13          above 0.25
+#   939,029    -                  below 0.09         -
+#
+# Past 65,536 cells the guide's arrays outgrow the caches and its build goes
+# from about 5 ns a cell to 9-28 ns, so sorted keys break even later (the
+# norm's 12,452 keys on 80,000 cells took 1,066 us by binary search against
+# 1,221 us with a guide); unsorted keys still pay for a guide (about 570 ns
+# a key by binary search at 939,029 cells). The norm looks up 44 sqrt(M)
+# keys, under 1/8 of a key per cell past about 124,000 cells, so only its
+# views of 65,536 to about 124,000 cells take a guide that can lose; no
+# benchmark workload has views of that size. At 8,649 cells the norm's
+# 4,096 keys took 265 us by binary search and 100 us with a guide, and
+# 6,144 unsorted keys 695 us and 80 us. Below _GUIDE_MIN_LOOKUPS keys in
+# all no map has a guide, where its fixed cost is most of what it saves (at
+# most about 16 us a map at 1,000 cells); that keeps the d-ary tester's
+# views (at most about 1,000 cells and 1,612 norm keys) on binary search.
+# From there a guide needs _GUIDE_MIN_LOOKUPS_PER_CELL_SORTED keys a cell
+# in sorted rows, or _GUIDE_MIN_LOOKUPS_PER_CELL in no order.
+_GUIDE_MIN_LOOKUPS = 2048
+_GUIDE_MIN_LOOKUPS_PER_CELL_SORTED = 0.125
+_GUIDE_MIN_LOOKUPS_PER_CELL = 0.0625
+# For sorted rows, a table on which more than this share of the cells end in
+# the bucket the cell before ended in stays on binary search. Such repeated
+# edges come from cells lighter than a bucket, tiny or zero-mass ones; they
+# make the build's repeat branchy, and each key in a bucket with two or
+# more boundaries is binary-searched after its guide lookup. At 25,000
+# cells, with 13,000 keys in one sorted row or the norm's 7,128 in 11, the
+# guide loses from about 2-8 % repeated edges on: Dirichlet(20) laws repeat
+# 1.7 %, Dirichlet(5) 8.9 %, Dirichlet(1) 30 %, the hidden-bit joint laws of
+# 23,000-28,000 cells about 47 %, and the flattened uniform (100, 20) joints
+# 0.12-0.14 %. Unsorted keys keep the guide, which beats their binary search
+# on all of these (535 against 906 us at 7,000 keys on Dirichlet(5), 476
+# against 1,031 on a hidden-bit joint).
+_GUIDE_MAX_REPEATED_EDGES_SORTED = 0.03125
 
 
-def _wants_guide(lookups: float, cells: int) -> bool:
-    """Whether a map over cells cells, for about lookups uniforms in all, is built with a guide table."""
-    return lookups >= _GUIDE_MIN_LOOKUPS and lookups >= _GUIDE_MIN_LOOKUPS_PER_CELL * cells
+def _wants_guide(lookups: float, cells: int, sorted_rows: bool = False) -> bool:
+    """Whether a map over cells cells, for about lookups keys in all, is worth a guide table.
+
+    sorted_rows says the keys come in rows each sorted on its own; otherwise
+    they come in no order. For sorted rows a table with crowded buckets is
+    binary-searched even so (see _guide_table).
+    """
+    if lookups < _GUIDE_MIN_LOOKUPS:
+        return False
+    per_cell = _GUIDE_MIN_LOOKUPS_PER_CELL_SORTED if sorted_rows else _GUIDE_MIN_LOOKUPS_PER_CELL
+    return lookups >= per_cell * cells
 
 
-def _guide_table(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """A guide table over cum (Chen and Asau, 1974) and its crowded buckets.
+def _guide_table(cum: np.ndarray, max_repeated: float = 1.0) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """A guide table over cum (Chen and Asau, 1974) and its crowded buckets, or (None, None).
 
     G is the least power of two >= M, so u * G and j / G are exact. guide[j]
     counts the cells with cum[i] <= j / G, capped at M - 1; crowded[j] marks
-    a bucket [j / G, (j + 1) / G) that may hold two or more boundaries cum[i],
-    and is None when no bucket does. Built in O(M + G).
+    a bucket [j / G, (j + 1) / G) that holds two or more boundaries cum[i],
+    i < M - 1, and is None when no bucket does. The last cell's boundary is
+    left to the lookup's comparison and clip. Built in O(M + G).
+
+    When more than max_repeated of the cells end in the bucket the cell
+    before ended in, the build stops after its first passes and (None, None)
+    is returned.
     """
     M = cum.size
     G = 1 << (M - 1).bit_length()
-    # edges[i + 1] = ceil(cum[i] * G) is one past the bucket holding cell
-    # i's boundary; past 1 it is clipped to G, which no u reaches.
-    edges = np.zeros(M + 1, dtype=np.intp)
-    edges[1:] = np.ceil(np.minimum(cum * G, G))
-    # Two equal nonzero edges put two boundaries in one bucket.
-    repeated = edges[2:] == edges[1:-1]
+    # edge[i] = ceil(cum[i] * G) is one past the bucket holding cell i's
+    # boundary; past 1 it is clipped to G, which no u reaches.
+    edge = cum * G
+    np.minimum(edge, G, out=edge)
+    np.ceil(edge, out=edge)
+    repeated = edge[1:-1] == edge[:-2]
+    n_repeated = np.count_nonzero(repeated)
+    if n_repeated > max_repeated * M:
+        return None, None
+    edges = np.empty(M + 1, dtype=np.intp)
+    edges[0] = 0
+    edges[1:] = edge
     crowded = None
-    if repeated.any():
+    if n_repeated:
         crowded = np.zeros(G + 1, dtype=bool)
-        crowded[edges[2:][repeated]] = True
+        crowded[edges[2:M][repeated]] = True
         crowded = crowded[1:]
-    # guide[j] counts the edges <= j, capped at M - 1: the last cell's own
+    # guide[j] counts the edges <= j, capped at M - 1: the last cell's
     # boundary is left to the lookup's comparison.
     edges[M] = G
-    runs = np.diff(edges)
-    del edges, repeated  # so that fewer arrays are alive beside the guide
+    runs = edges[1:] - edges[:-1]
+    del edge, edges, repeated  # so that fewer arrays are alive beside the guide
     return np.arange(M).repeat(runs), crowded
 
 
-def inverse_cdf(cum: np.ndarray, lookups: float) -> Callable[[np.ndarray], np.ndarray]:
+def inverse_cdf(cum: np.ndarray, lookups: float, sorted_rows: bool = False) -> Callable[[np.ndarray], np.ndarray]:
     """The map from uniforms u in [0, 1) to flat indices through a cumulative mass table.
 
     Index i is returned when cum[i-1] <= u < cum[i], so a zero-mass cell is
     never hit. A table sums to 1 only up to rounding; a u at or past cum[-1]
     goes to the last cell with positive mass, never to trailing zero-mass cells.
 
-    lookups is about how many uniforms the map will take in all. From
-    _GUIDE_MIN_LOOKUPS on, and from _GUIDE_MIN_LOOKUPS_PER_CELL per cell on
-    (see _wants_guide), it builds a guide table once: a u in a bucket that
-    holds at most one boundary is answered by guide[floor(u * G)] and one
-    comparison, and only a u in a crowded bucket is binary-searched. Fewer
-    lookups binary-search every u. Either way each index is the one
-    searchsorted(cum, u, "right") gives, clipped as above.
+    lookups is about how many uniforms the map will take in all, and
+    sorted_rows whether they come in rows each sorted on its own (the norm's
+    block) or in no order. When _wants_guide says they pay for one, the map
+    builds a guide table once, unless the keys are sorted rows and the
+    table's buckets are crowded (see _GUIDE_MAX_REPEATED_EDGES_SORTED): a u
+    in a bucket that holds at most one boundary is answered by
+    guide[floor(u * G)] and one comparison, and only a u in a crowded bucket
+    is binary-searched. Otherwise every u is binary-searched. Either way each
+    index is the one searchsorted(cum, u, "right") gives, clipped as above.
+    The map's `guided` attribute says whether it holds a guide.
     """
     last = cum.searchsorted(cum[-1], side="left")
-    guide, crowded = _guide_table(cum) if _wants_guide(lookups, cum.size) else (None, None)
+    guide = crowded = None
+    if _wants_guide(lookups, cum.size, sorted_rows):
+        guide, crowded = _guide_table(cum, _GUIDE_MAX_REPEATED_EDGES_SORTED if sorted_rows else 1.0)
 
     def lookup(u: np.ndarray) -> np.ndarray:
         if guide is None:
@@ -575,7 +630,17 @@ def inverse_cdf(cum: np.ndarray, lookups: float) -> Callable[[np.ndarray], np.nd
                 idx[slow] = cum.searchsorted(u[slow], side="right")
         return np.minimum(idx, last, out=idx)
 
+    lookup.guided = guide is not None
     return lookup
+
+
+def _cumulative(p: JointDistribution) -> np.ndarray:
+    """p's cumulative mass table, p.probs.cumsum(), summed once and memoized on p (read-only)."""
+    cum = p.__dict__.get("_cum")
+    if cum is None:
+        cum = p._cum = p.probs.cumsum()
+        cum.flags.writeable = False
+    return cum
 
 
 def draw_samples(p: JointDistribution, count: int, rng: Rng) -> np.ndarray:
@@ -587,7 +652,7 @@ def draw_samples(p: JointDistribution, count: int, rng: Rng) -> np.ndarray:
     count = _stream_key("sample count", count)
     if count == 0:
         return np.empty((0, len(p.dims)), dtype=np.int64)
-    flat = inverse_cdf(p.probs.cumsum(), count)(rng.gen.random(count))
+    flat = inverse_cdf(_cumulative(p), count)(rng.gen.random(count))
     idx = np.unravel_index(flat, p.dims)
     return np.stack(idx, axis=1).astype(np.int64)
 

@@ -24,11 +24,13 @@ is drawn as K ~ Poi(lambda) inverse-CDF symbols and binned, which has the
 same law by Poisson splitting and draws about lambda uniforms in place of
 M Poissons; at lambda >= M it is one Poisson per cell. Each view keeps one
 inverse-CDF map of its law for its lifetime (FlatView.inverse_cdf), so the
-norm and closeness calls on one view share it; from the first call that
-looks up enough symbols on, it is a guide table, which finds a symbol in
-O(1) where a binary search takes O(log M), and returns the same index (see
-domain.inverse_cdf). Both batching modes produce identically distributed
-statistics; the count level is what makes desk-scale Monte-Carlo affordable.
+norm and closeness calls on one view share it; from the first call whose
+symbols pay for one on, in their count and order (the norm's rows are
+sorted, closeness's uniforms are not), it is a guide table, which finds a
+symbol in O(1) where a binary search takes O(log M), and returns the same
+index (see domain.inverse_cdf). Both batching modes produce identically
+distributed statistics; the count level is what makes desk-scale
+Monte-Carlo affordable.
 Each kernel reads its mode off the view it is given: _norm_statistics for
 the norm, _poissonized_counts for each closeness batch.
 
@@ -236,7 +238,7 @@ def _norm_statistics(view, T: int, r: int, rng: Rng) -> np.ndarray:
         # rows group equal symbols.
         u = rng.gen.random(r * T).reshape(r, T)
         u.sort(axis=1)
-        idx = view.inverse_cdf(u.size)(u)
+        idx = view.inverse_cdf(u.size, sorted_rows=True)(u)
     else:
         idx = np.sort([view.draw(T, rng.split(j)) for j in range(r)], axis=1)
     return _ordered_pairs(idx) / (T * (T - 1))

@@ -153,7 +153,7 @@ class FlatView:
     draw: Callable[[int, Rng], np.ndarray]
     _cum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _map: Callable[[np.ndarray], np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
-    _map_lookups: float = field(default=0.0, init=False, repr=False, compare=False)
+    _refused_sorted: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.probs is not None:
@@ -166,20 +166,24 @@ class FlatView:
                 )
             self.probs = probs / total
 
-    def inverse_cdf(self, lookups: float) -> Callable[[np.ndarray], np.ndarray]:
-        """domain.inverse_cdf over the view's law, for about `lookups` uniforms.
+    def inverse_cdf(self, lookups: float, sorted_rows: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+        """domain.inverse_cdf over the view's law, for about `lookups` uniforms in the given order.
 
-        The cumulative table and the map are built on the first call and
-        kept; the first call that expects enough lookups for a guide table
-        rebuilds the map once, with the guide. Every map returns the same
-        index for a u, so which one serves a call changes no draw.
+        The cumulative table and the map are built on the first call, for
+        that call's keys, and kept. A later call whose keys want a guide
+        table (domain._wants_guide) that the kept map lacks rebuilds it,
+        unless the keys are sorted rows and a build for sorted rows already
+        found the table too crowded for them; unsorted keys, for which the
+        guide wins on crowded tables too, still rebuild once. A kept guide
+        serves every later call. Every map returns the same index for a u,
+        so which one serves a call changes no draw.
         """
-        if self._map is None or (
-            _wants_guide(lookups, self.size) and not _wants_guide(self._map_lookups, self.size)
-        ):
+        wants = _wants_guide(lookups, self.size, sorted_rows)
+        if self._map is None or (wants and not self._map.guided and not (sorted_rows and self._refused_sorted)):
             if self._cum is None:
                 self._cum = self.probs.cumsum()
-            self._map, self._map_lookups = inverse_cdf(self._cum, lookups), lookups
+            self._map = inverse_cdf(self._cum, lookups, sorted_rows)
+            self._refused_sorted |= sorted_rows and wants and not self._map.guided
         return self._map
 
     @staticmethod

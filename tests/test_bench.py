@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import re
 import resource
 import shutil
 import signal
@@ -818,6 +819,19 @@ class TestAbTrials:
         assert done.returncode == 0, done.stderr
         assert "trials 200 per side" in done.stdout
         assert done.stdout.splitlines()[-1] == "rows identical"
+
+    def test_it_prints_each_sides_quartiles_and_the_chunks_b_won(self):
+        done = self.run_script(self.ROOT, self.ROOT, 3)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        for side in "AB":
+            (line,) = [s for s in lines if s.startswith(f"{side} ") and "quartiles" in s]
+            match = re.match(rf"{side} (\S+) ms/trial  quartiles (\S+) (\S+)  \(", line)
+            q1, med, q3 = float(match[2]), float(match[1]), float(match[3])
+            assert 0 < q1 <= med <= q3
+        (wins,) = [s for s in lines if s.startswith("B faster in ")]
+        match = re.fullmatch(r"B faster in (\d+) of 3 chunks", wins)
+        assert match and 0 <= int(match[1]) <= 3
 
     def test_a_tree_that_draws_otherwise_exits_one(self, tmp_path):
         shutil.copytree(os.path.join(self.ROOT, "src", "augtest"), tmp_path / "src" / "augtest")

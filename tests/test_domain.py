@@ -752,26 +752,87 @@ class TestInverseCdf:
         assert got.shape == u.shape
         assert np.array_equal(got, searchsorted_reference(cum, u))
         assert np.array_equal(inverse_cdf(cum, 1)(u), got)
+        # Sorted rows take the guide too unless the table is crowded; either
+        # way the indices are the same.
+        assert np.array_equal(inverse_cdf(cum, domain._GUIDE_MIN_LOOKUPS, sorted_rows=True)(u), got)
 
     @pytest.mark.parametrize(
-        "cells, lookups, guided",
+        "cells, lookups, sorted_rows, guided",
         [
-            (100, 4095, False),
-            (100, 4096, True),
-            (20_000, 4096, False),
-            (20_000, 7_499, False),
-            (20_000, 7_500, True),
-            (26_023, 7_128, False),  # a hidden-bit joint law's norm
-            (8_694, 4_136, True),  # a uniform (100, 20) joint view's norm
+            (100, 2_047, False, False),
+            (100, 2_048, False, True),
+            (100, 2_047, True, False),
+            (100, 2_048, True, True),
+            (100, 4_095, True, True),
+            (100, 4_096, True, True),
+            (40_000, 2_499, False, False),
+            (40_000, 2_500, False, True),  # 1/16 of a key per cell in no order
+            (20_000, 2_499, True, False),
+            (20_000, 2_500, True, True),  # 1/8 of a key per cell in sorted rows
+            (20_000, 4_096, True, True),
+            (20_000, 7_499, True, True),
+            (20_000, 7_500, True, True),
+            (65_536, 8_192, True, True),
+            (123_904, 15_488, True, True),  # the largest view whose norm takes a guide
+            (131_072, 15_972, True, False),  # and the norm on 2^17 cells
+            (939_029, 87_272, False, True),  # closeness on a uniform (500, 200) joint at alpha 1
+            (400, 880, True, False),  # the d-ary tester's norm: 18 us by binary search, 28 with a guide
+            (8_649, 4_092, True, True),  # a uniform (100, 20) joint view's norm at T = 372
+            (8_694, 4_136, True, True),  # and at T = 376
+            (8_694, 6_600, False, True),  # its closeness batch
+            # A flat table the size of a hidden-bit joint, with its norm's
+            # keys; the hidden-bit law itself is crowded and keeps binary
+            # search (test_testers.py).
+            (26_023, 7_128, True, True),
         ],
     )
-    def test_a_guide_is_built_from_enough_lookups_in_all_and_per_cell(self, cells, lookups, guided, monkeypatch):
+    def test_a_guide_is_built_from_enough_lookups_in_all_and_per_cell(
+        self, cells, lookups, sorted_rows, guided, monkeypatch
+    ):
         built, guide_table = [], domain._guide_table
-        monkeypatch.setattr(domain, "_guide_table", lambda cum: built.append(cum) or guide_table(cum))
+        monkeypatch.setattr(domain, "_guide_table", lambda cum, *limit: built.append(cum) or guide_table(cum, *limit))
         cum = np.cumsum(np.full(cells, 1.0 / cells))
-        lookup = inverse_cdf(cum, lookups)
-        assert len(built) == guided
+        lookup = inverse_cdf(cum, lookups, sorted_rows)
+        assert len(built) == guided and lookup.guided is guided
         u = Rng(42).gen.random(1000)
+        assert np.array_equal(lookup(u), searchsorted_reference(cum, u))
+
+    @pytest.mark.parametrize(
+        "alpha, cells, lookups",
+        [
+            (1.0, 25_000, 13_000),
+            (5.0, 25_000, 13_000),
+            (1.0, 8_000, 4_000),
+        ],
+    )
+    def test_sorted_rows_on_a_crowded_table_stay_on_binary_search(self, alpha, cells, lookups):
+        # A Dirichlet law puts many boundaries in some buckets. A guide would
+        # send each sorted key in such a bucket through a gather and a
+        # searchsorted, and binary search is the cheaper map, so no key
+        # takes that path.
+        cum = np.cumsum(np.random.default_rng(25).dirichlet(np.full(cells, alpha)))
+        assert domain._wants_guide(lookups, cells, sorted_rows=True)
+        guide, crowded = domain._guide_table(cum)
+        assert crowded is not None and crowded.mean() > 0.05
+        u = np.sort(Rng(44).gen.random(lookups))
+        sorted_map = inverse_cdf(cum, lookups, sorted_rows=True)
+        assert not sorted_map.guided
+        assert np.array_equal(sorted_map(u), searchsorted_reference(cum, u))
+        # Unsorted keys keep the guide, and most of them skip the slow path.
+        unsorted_map = inverse_cdf(cum, lookups)
+        assert unsorted_map.guided
+        v = Rng(45).gen.random(lookups)
+        assert crowded[(v * crowded.size).astype(np.intp)].mean() < 0.5
+        assert np.array_equal(unsorted_map(v), searchsorted_reference(cum, v))
+
+    def test_an_uncrowded_sorted_table_takes_the_guide(self):
+        # A flattened uniform (100, 20) joint repeats about 0.13 % of its
+        # edges; a flat one none.
+        cells = 25_000
+        cum = np.cumsum(np.full(cells, 1.0 / cells))
+        lookup = inverse_cdf(cum, 13_000, sorted_rows=True)
+        assert lookup.guided
+        u = np.sort(Rng(46).gen.random(13_000))
         assert np.array_equal(lookup(u), searchsorted_reference(cum, u))
 
 

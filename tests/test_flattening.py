@@ -370,18 +370,35 @@ class TestFlatViews:
             FlatView.from_law([0, 0])
 
     def test_a_view_rebuilds_its_map_once_for_a_guide(self, monkeypatch):
-        # 20,000 cells take a guide from 7,500 lookups on (3/8 per cell): the
-        # first call that expects as many rebuilds the kept map with one.
+        # 20,000 cells take a guide from 2,048 keys in no order and from
+        # 2,500 in sorted rows (1/8 per cell): the first call that expects as
+        # many rebuilds the kept map with one.
         built, guide_table = [], domain._guide_table
-        monkeypatch.setattr(domain, "_guide_table", lambda cum: built.append(cum) or guide_table(cum))
+        monkeypatch.setattr(domain, "_guide_table", lambda cum, *limit: built.append(cum) or guide_table(cum, *limit))
         view = FlatView.from_law(np.full(20_000, 1.0))
-        first = view.inverse_cdf(5_000)
-        assert view.inverse_cdf(7_499) is first and not built
-        guided = view.inverse_cdf(7_500)
-        assert guided is not first and len(built) == 1 and built[0] is view._cum
+        first = view.inverse_cdf(1_000)
+        assert view.inverse_cdf(2_047) is first and view.inverse_cdf(2_499, sorted_rows=True) is first and not built
+        guided = view.inverse_cdf(2_500, sorted_rows=True)
+        assert guided is not first and guided.guided and len(built) == 1 and built[0] is view._cum
         assert view.inverse_cdf(10) is guided and view.inverse_cdf(10**6) is guided and len(built) == 1
         u = Rng(43).gen.random(1000)
         assert np.array_equal(guided(u), first(u))
+
+    def test_a_table_too_crowded_for_sorted_rows_is_guided_for_unsorted_keys(self, monkeypatch):
+        # Every other run of 5 cells has zero mass: sorted rows keep binary
+        # search and do not retry it; the first call with enough unsorted
+        # keys rebuilds the map once, with the guide.
+        built, guide_table = [], domain._guide_table
+        monkeypatch.setattr(domain, "_guide_table", lambda cum, *limit: built.append(cum) or guide_table(cum, *limit))
+        view = FlatView.from_law(np.where(np.arange(20_000) // 5 % 2 == 0, 1.0, 0.0))
+        rows = view.inverse_cdf(4_000, sorted_rows=True)
+        assert not rows.guided and len(built) == 1
+        assert view.inverse_cdf(8_000, sorted_rows=True) is rows and len(built) == 1
+        guided = view.inverse_cdf(2_048)
+        assert guided.guided and len(built) == 2
+        assert view.inverse_cdf(8_000, sorted_rows=True) is guided and view.inverse_cdf(10**6) is guided
+        u = Rng(47).gen.random(1000)
+        assert np.array_equal(guided(u), rows(u))
 
     def test_views_without_explicit_law(self):
         opaque = OpaqueSampler(self.p)

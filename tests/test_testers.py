@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augtest import domain, estimators, flattening, testers
-from augtest.bench import wilson_interval
+from augtest.bench import ExperimentConfig, run_single_trial, wilson_interval
 from augtest.domain import (
     DomainError,
     JointDistribution,
@@ -242,21 +242,21 @@ class TestGateLogic:
     def test_joint_view_builds_its_sampling_map_once(self, monkeypatch):
         # On uniform (100, 20) with the exact prediction at eps .4 the joint
         # norm's 11 batches of T = 4 * ceil(sqrt(M)) look up about 4,000
-        # symbols, too few for a guide table, and binary-search them;
-        # closeness looks up enough for one. The joint view builds its guide
-        # once and closeness's batch of it reads that guide.
+        # symbols in sorted rows, enough for a guide table on about 8,700
+        # cells; the norm builds it and closeness's batch of the joint view
+        # reads that same map, with no rebuild.
         p = JointDistribution.uniform((100, 20))
         guides, lookups, joint_views, tables = [], [], [], []
         guide_table, view_map = domain._guide_table, flattening.FlatView.inverse_cdf
         joint_view, kernel = testers.flattened_joint_view, estimators._poissonized_counts
 
-        def counting_guide(cum):
+        def counting_guide(cum, *limit):
             guides.append(cum)
-            return guide_table(cum)
+            return guide_table(cum, *limit)
 
-        def recording_map(view, n):
-            lookups.append((view, n))
-            return view_map(view, n)
+        def recording_map(view, n, sorted_rows=False):
+            lookups.append((view, n, sorted_rows))
+            return view_map(view, n, sorted_rows)
 
         def recording_joint_view(*args):
             joint_views.append(joint_view(*args))
@@ -274,22 +274,66 @@ class TestGateLogic:
         v = aug_independence_2d(JointSampler(p), p, TesterConfig(eps=0.4, alpha=0.1), Rng(3))
         assert v.outcome is Outcome.ACCEPT and v.stage == "closeness"
         (joint,) = joint_views
-        joint_lookups = [n for view, n in lookups if view is joint]
-        # The joint norm, then closeness's batch of the joint view, at its
-        # one lookup count.
-        norm_lookups, *closeness_lookups = joint_lookups
+        joint_lookups = [(n, rows) for view, n, rows in lookups if view is joint]
+        # The joint norm in sorted rows, then closeness's batch of the joint
+        # view, unsorted, at its one lookup count.
+        (norm_lookups, norm_rows), *closeness_lookups = joint_lookups
+        assert norm_rows and not any(rows for _, rows in closeness_lookups)
         assert len(closeness_lookups) == sum(view is joint for view, _ in tables) >= 1
         assert len(set(closeness_lookups)) == 1
         T = 4 * math.ceil(math.sqrt(joint.size))
-        assert norm_lookups == 11 * T < domain._GUIDE_MIN_LOOKUPS <= closeness_lookups[0]
+        assert domain._GUIDE_MIN_LOOKUPS <= norm_lookups == 11 * T
+        assert norm_lookups >= domain._GUIDE_MIN_LOOKUPS_PER_CELL_SORTED * joint.size
         # One guide over the joint view's table, one over the product view's.
         assert len(guides) == 2
         assert sum(cum is joint._cum for cum in guides) == 1
         joint_tables = [table for view, table in tables if view is joint]
-        assert joint_tables and all(table is joint._map for table in joint_tables)
+        assert joint_tables and all(table is joint._map and table.guided for table in joint_tables)
         cum = np.cumsum(joint.probs)
         u = np.concatenate([Rng(4).gen.random(200_000), cum[:-1], np.nextafter(cum[:-1], 0), [0.0]])
         assert np.array_equal(joint_tables[0](u), domain.inverse_cdf(cum, 1)(u))
+
+    def test_a_closeness_chunk_builds_one_map_and_at_most_one_guide_per_view(self, monkeypatch):
+        # A 20-trial chunk of the uniform (100, 20) config at eps .4: every
+        # view's map is built once, whatever its flat size, and its guide at
+        # most once. Flat sizes of 8,649 cells and below take the guide at
+        # the joint norm too (4,092 sorted keys), so closeness does not
+        # rebuild their map.
+        maps, guides = [], []
+        view_map, guide_table = flattening.inverse_cdf, domain._guide_table
+        monkeypatch.setattr(flattening, "inverse_cdf", lambda cum, *a: maps.append(cum) or view_map(cum, *a))
+        monkeypatch.setattr(domain, "_guide_table", lambda cum, *a: guides.append(cum) or guide_table(cum, *a))
+        cfg = ExperimentConfig(
+            tester="2d", trials=20, seed=7 << 20, eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}
+        )
+        sizes = []
+        for trial in range(cfg.trials):
+            maps.clear()
+            guides.clear()
+            run_single_trial(cfg, trial)
+            tables = {id(cum): cum.size for cum in maps}
+            assert len(tables) == len(maps), "a view rebuilt its map"
+            assert guides and len({id(cum) for cum in guides}) == len(guides)
+            sizes.append(max(tables.values()))
+        assert min(sizes) <= 8_649 < max(sizes)
+
+    def test_a_hidden_bit_joint_norm_stays_on_binary_search(self, monkeypatch):
+        # A hidden-bit joint's flattened law (about 25,000 cells, half of
+        # them zero-mass) crowds its buckets: its norm's 7,000 sorted keys
+        # want a guide by their count, and binary search is cheaper there
+        # (411 against 437 us with a guide, 2-core Xeon), so the map keeps it.
+        views, joint_view = [], testers.flattened_joint_view
+        monkeypatch.setattr(testers, "flattened_joint_view", lambda *a: views.append(joint_view(*a)) or views[-1])
+        instance = {"kind": "hard2d", "n": 200, "m": 20, "k": 10, "alpha": 0.3, "eps": 1 / 192, "force_x": 1}
+        cfg = ExperimentConfig(
+            tester="2d", trials=1, seed=7 << 20, eps=1 / 192, alpha="exact", alpha_margin=0.01,
+            prediction="natural", instance=instance,
+        )
+        run_single_trial(cfg, 0)
+        (joint,) = views
+        T = 4 * math.ceil(math.sqrt(joint.size))
+        assert joint.size > 20_000 and domain._wants_guide(11 * T, joint.size, sorted_rows=True)
+        assert not joint._map.guided
 
     def test_norm_call_confidences(self):
         calls = []
