@@ -13,6 +13,11 @@ order (A then B on even chunks, B then A on odd ones), one
 `bench.run_single_trial` at a time, each timed by its thread's CPU time as
 perfbench/harness.py's serial phase times it.
 
+It times serial trials only. A change to the parallel path needs
+alternating perfbench runs, one process per side: forks made for one side
+in a shared process would leave the other side's pages write-protected, so
+each side would pay copy-on-write faults the other caused.
+
 Prints each side's quartiles of CPU ms per trial, the ratio of the medians
 B / A, and in how many chunks B's median trial beat A's (ties count for
 neither side). A gain of a few per cent is read against that count, not one

@@ -3,13 +3,25 @@
 A run is fully determined by (config, seed): trial i uses the derived stream
 Rng(seed, (i,)), so results are reproducible byte-for-byte regardless of the
 --jobs level. With jobs > 1 the trials split into shares: the caller runs one
-share and forks a child for each of the others, jobs - 1 children, capped by
-the trial count and the usable cores. Wall-time measurement is opt-in
-(record_timing) because it is the one field that would break byte-identical
-reruns.
+share and sends each of the others to a forked worker, jobs - 1 workers,
+capped by the trial count and the usable cores. Wall-time measurement is
+opt-in (record_timing) because it is the one field that would break
+byte-identical reruns.
+
+The workers are forked on the first call that needs them and serve every
+later one; jobs and results travel as length-prefixed pickles over a pair
+of pipes per worker. Forking per call cost a fork, a reap and, on both sides,
+a copy-on-write fault on every page written after it: about 850 minor faults
+in the caller per 20-trial jobs=2 chunk of perfbench's closeness_2d, against
+4 with the workers kept (2-core Xeon). A worker is retired (its pipes
+closed, then reaped) when a run fails, when an attribute of a loaded augtest
+module or of a class defined in one has been rebound since it was forked,
+so that a patched entry point reaches the workers, and at exit. A worker
+exits at EOF on its job pipe, so one whose caller is killed exits too, and a
+process forked from the caller closes and forgets the caller's workers.
 
 run_single_trial first sets glibc malloc's M_TOP_PAD to 4 MiB, once per
-process (forked shares inherit it), so each trial reuses the heap pages the
+process (forked workers inherit it), so each trial reuses the heap pages the
 last one freed instead of faulting them in again; the cost is up to 4 MiB of
 already-touched heap kept resident. Off glibc it sets nothing. Over 40
 steady-state trials on a 2-core Xeon it took minor faults per trial from
@@ -19,6 +31,7 @@ closeness_2d; arity5_d stayed at 1.6.
 
 from __future__ import annotations
 
+import atexit
 import csv
 import ctypes
 import functools
@@ -27,6 +40,7 @@ import math
 import operator
 import os
 import pickle
+import sys
 import time
 import traceback
 import warnings
@@ -250,7 +264,7 @@ def _keep_freed_heap() -> None:
 
     glibc otherwise hands a trial's freed arrays back to the OS, and the next
     trial faults the same pages in again. With the pad each heap extension
-    and trim keeps that much slack. Forked children inherit the setting.
+    and trim keeps that much slack. Forked workers inherit the setting.
     """
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
@@ -298,7 +312,8 @@ def run_single_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
 def worker_count(jobs: int, trials: int) -> int:
     """Shares a run splits into: jobs, capped by the trial count and the usable cores.
 
-    The caller runs one share itself and forks one child for each other share.
+    The caller runs one share itself and a forked worker runs each other
+    share; run_trials keeps the workers for later calls.
     """
     if hasattr(os, "sched_getaffinity"):  # absent on macOS
         cores = len(os.sched_getaffinity(0))
@@ -318,69 +333,197 @@ def _run_share(cfg: ExperimentConfig, share: range) -> tuple[list[TrialRecord], 
     return records, None
 
 
-def _fork_share(cfg: ExperimentConfig, share: range) -> tuple[int, int]:
-    """Forks a child that runs the share and writes the pickled _run_share result to a pipe.
+@dataclass(slots=True)
+class _Worker:
+    """A forked worker: its pid, the write end of its job pipe and the read end of its result pipe."""
 
-    Returns (child pid, read end of the pipe). The child always ends in
-    os._exit, so it never returns into the caller's stack.
+    pid: int
+    jobs: int
+    results: int
+    code: int | None = None  # its exit code, once reaped
+
+    def reap(self, block: bool = True) -> int | None:
+        """The exit code, waiting for the worker to exit when block; None while it runs."""
+        if self.code is None:
+            pid, status = os.waitpid(self.pid, 0 if block else os.WNOHANG)
+            if pid:
+                self.code = os.waitstatus_to_exitcode(status)
+        return self.code
+
+
+# The workers run_trials forked, in fork order, and _module_state() as it was
+# when the first of them was forked.
+_workers: list[_Worker] = []
+_forked_with: list = []
+
+
+def _send(fd: int, obj) -> None:
+    """Writes obj to fd as a pickle behind its 8-byte length."""
+    payload = pickle.dumps(obj)
+    view = memoryview(len(payload).to_bytes(8, "little") + payload)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read_exactly(fd: int, size: int) -> bytes | None:
+    """size bytes from fd, or None if it reaches EOF first."""
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
+def _receive(fd: int) -> bytes | None:
+    """The next pickle _send wrote to fd, still pickled; None at EOF."""
+    head = _read_exactly(fd, 8)
+    return None if head is None else _read_exactly(fd, int.from_bytes(head, "little"))
+
+
+def _serve(jobs: int, results: int) -> None:
+    """A worker's loop: runs each (cfg, share) read from jobs and sends the _run_share result, until EOF."""
+    while (job := _receive(jobs)) is not None:
+        records, failure = _run_share(*pickle.loads(job))
+        if failure is not None:  # pickling drops the traceback; keep it as text
+            trace = "".join(traceback.format_exception(failure[1]))
+            failure[1].add_note(f"trial {failure[0]} raised in a forked worker:\n{trace}")
+        _send(results, (records, failure))
+
+
+def _fork_worker() -> _Worker:
+    """Forks a worker that serves jobs until its job pipe reaches EOF.
+
+    The worker always ends in os._exit, so it never returns into the
+    caller's stack. It holds the write end of no job pipe, its own
+    included, so once its caller is gone its job pipe is at EOF.
     """
-    read_fd, write_fd = os.pipe()
+    jobs_read, jobs_write = os.pipe()
+    results_read, results_write = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
+        for fd in (jobs_read, jobs_write, results_read, results_write):
+            os.close(fd)
         raise
-    if pid == 0:
+    if pid == 0:  # _forget_workers has closed the other workers' pipes
         code = 1
         try:
-            os.close(read_fd)
-            records, failure = _run_share(cfg, share)
-            if failure is not None:  # pickling drops the traceback; keep it as text
-                trace = "".join(traceback.format_exception(failure[1]))
-                failure[1].add_note(f"trial {failure[0]} raised in a forked child:\n{trace}")
-            with open(write_fd, "wb") as fh:
-                fh.write(pickle.dumps((records, failure)))
+            os.close(jobs_write)
+            os.close(results_read)
+            _serve(jobs_read, results_write)
             code = 0
         finally:
             os._exit(code)
-    os.close(write_fd)  # else a later child inherits it and this pipe never reaches EOF
-    return pid, read_fd
+    os.close(jobs_read)
+    os.close(results_write)
+    return _Worker(pid, jobs_write, results_read)
+
+
+def _module_state() -> list:
+    """Each loaded module of this package and each class defined in one, followed by its attribute names and values.
+
+    Held by reference and compared item by item with `is`, it tells whether
+    any attribute was rebound since it was taken; the objects it holds stay
+    alive, so no freed object's address can come back in their place.
+    """
+    state = []
+    for name in [n for n in sys.modules if n == __package__ or n.startswith(__package__ + ".")]:
+        module = sys.modules[name]
+        classes = [v for v in vars(module).values() if isinstance(v, type) and v.__module__ == name]
+        for namespace in (module, *classes):
+            attrs = vars(namespace)
+            state.append(namespace)
+            state.extend(attrs)
+            state.extend(attrs.values())
+    return state
+
+
+def _forget_workers() -> None:
+    """Closes every worker's pipes and forgets the workers, reaping none; what a fork of their owner runs."""
+    for worker in _workers:
+        os.close(worker.jobs)
+        os.close(worker.results)
+    _workers.clear()
+    _forked_with.clear()
+
+
+def _retire_workers() -> None:
+    """Closes every worker's pipes, so that each exits at EOF, then reaps them."""
+    workers = list(_workers)
+    _forget_workers()
+    for worker in workers:
+        worker.reap()
+
+
+@functools.cache
+def _retire_at_exit() -> None:
+    """Retires the workers at exit, and has each later fork forget them; once per process."""
+    atexit.register(_retire_workers)
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _pool(size: int) -> list[_Worker]:
+    """size running workers forked from the current module state, forking those missing.
+
+    The workers are retired first when an attribute of this package was
+    rebound since they were forked (a patched entry point must reach them),
+    or when one of them has exited.
+    """
+    state = _module_state()
+    stale = len(state) != len(_forked_with) or not all(map(operator.is_, state, _forked_with))
+    if stale or any(worker.reap(block=False) is not None for worker in _workers):
+        _retire_workers()
+    if not _workers:
+        _forked_with[:] = state
+        _retire_at_exit()
+    while len(_workers) < size:
+        _workers.append(_fork_worker())
+    return _workers[:size]
 
 
 def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     """Runs cfg.trials independent trials, split into worker_count shares.
 
-    Trial i belongs to share i % workers. The caller runs share 0 itself and
-    forks one child per other share; fork carries in-process module state
-    (such as patched entry points) into the children without a re-import.
-    A failing run raises the exception of its lowest-numbered failing trial,
-    the same one a serial run raises.
+    Trial i belongs to share i % workers. The caller runs share 0 itself
+    and sends each other share to a forked worker. The workers are forked
+    once and serve every later call with jobs > 1: fork carries in-process
+    module state (such as patched entry points) into them without a
+    re-import, and they are forked afresh once any attribute of an augtest
+    module or class has been rebound since. They are retired (their pipes
+    closed, each reaped) when a run fails and at exit; a worker whose caller
+    dies exits at EOF on its job pipe. The workers serve one call at a time,
+    so calls from several threads at once are not supported. A failing run
+    raises the exception of its lowest-numbered failing trial, the same one
+    a serial run raises.
     """
     workers = worker_count(cfg.jobs, cfg.trials)
     if workers == 1:
         return [run_single_trial(cfg, i) for i in range(cfg.trials)]
     shares = [range(s, cfg.trials, workers) for s in range(workers)]
-    children, payloads = [], []
+    pool = _pool(workers - 1)
+    results = []
     try:
-        for share in shares[1:]:
-            children.append(_fork_share(cfg, share))
-        results = [_run_share(cfg, shares[0])]
+        for worker, share in zip(pool, shares[1:]):
+            _send(worker.jobs, (cfg, share))
+        results.append(_run_share(cfg, shares[0]))
+        for worker, share in zip(pool, shares[1:]):
+            payload = _receive(worker.results)
+            if payload is None:  # it exited in a trial, or its result could not be pickled
+                error = RuntimeError(
+                    f"the forked worker running trials from {share[0]} exited with code {worker.reap()},"
+                    " sending no records"
+                )
+                results.append(([], (share[0], error)))
+            else:
+                results.append(pickle.loads(payload))
     finally:
-        # Drained and reaped even when the caller's own share raised.
-        for pid, read_fd in children:
-            with open(read_fd, "rb") as fh:
-                payload = fh.read()
-            payloads.append((payload, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
-    for share, (payload, code) in zip(shares[1:], payloads):
-        if payload:
-            results.append(pickle.loads(payload))
-        else:  # it exited in a trial, or its result could not be pickled
-            error = RuntimeError(
-                f"the forked child running trials from {share[0]} exited with code {code}, sending no records"
-            )
-            results.append(([], (share[0], error)))
-    failures = [failure for _, failure in results if failure is not None]
+        # A failed run retires every worker, also when the caller's own share raised.
+        failures = [failure for _, failure in results if failure is not None]
+        if failures or len(results) < workers:
+            _retire_workers()
     if failures:
         raise min(failures, key=operator.itemgetter(0))[1]
     records = [None] * cfg.trials

@@ -157,8 +157,9 @@ def gen_hard(n, m, k, alpha, eps, force_x, seed, out, eps_meas, alpha_meas):
     "--jobs",
     type=int,
     default=None,
-    help="overrides the config's jobs: this process runs one share of the trials and forks"
-    " jobs - 1 children for the others, capped by the trial count and the usable cores",
+    help="overrides the config's jobs: this process runs one share of the trials and forked"
+    " workers run the others, jobs - 1 of them, capped by the trial count and the usable cores;"
+    " the workers are forked once, serve every later run and exit with this process",
 )
 def bench(config_path, out_path, jobs):
     """Run a trial batch from a JSON config; write the per-trial CSV."""

@@ -11,7 +11,9 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ BASE = dict(
     alpha=0.05,
     instance={"kind": "uniform", "dims": [8, 5]},
 )
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 HARD2D = {"kind": "hard2d", "n": 64, "m": 16, "k": 6, "alpha": 0.3, "eps": 1.0 / 192.0}
 
 # Config values ExperimentConfig rejects at load, with the error each raises.
@@ -202,9 +205,16 @@ def deadline():
     signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture
+def no_workers():
+    """Retires the workers earlier runs left, so that a test starts without any."""
+    bench._retire_workers()
+
+
 def _stub_trials(monkeypatch, fail=(), exit_in_child=()):
     """Replaces bench.run_single_trial: trials in `fail` raise, those in
-    `exit_in_child` end their process when it is not the caller's."""
+    `exit_in_child` end their process when it is not the caller's. A
+    record's stage is the pid of the process that ran it."""
     caller = os.getpid()
 
     def trial(cfg, i):
@@ -212,7 +222,7 @@ def _stub_trials(monkeypatch, fail=(), exit_in_child=()):
             raise DomainError(f"trial {i} failed")
         if i in exit_in_child and os.getpid() != caller:
             os._exit(3)
-        return TrialRecord(i, cfg.seed, "accept", "stub", 0, 0, 0, 0, 0, 0.0)
+        return TrialRecord(i, cfg.seed, "accept", str(os.getpid()), 0, 0, 0, 0, 0, 0.0)
 
     monkeypatch.setattr(bench, "run_single_trial", trial)
 
@@ -226,7 +236,29 @@ def _assert_no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.usefixtures("four_cores", "deadline")
+def _worker_pids(records) -> set[int]:
+    """The pids, other than this process's, that ran _stub_trials records."""
+    return {int(r.stage) for r in records} - {os.getpid()}
+
+
+def _is_open(fd: int) -> bool:
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+def _alive(pid: int) -> bool:
+    """Whether pid runs; a zombie, exited but not yet reaped, does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.usefixtures("four_cores", "deadline", "no_workers")
 class TestForkedShares:
     # The caller runs share 0; trial i belongs to share i % workers.
 
@@ -265,16 +297,104 @@ class TestForkedShares:
         _assert_no_children_left()
         assert _open_fds() == fds
 
+    def test_a_worker_that_died_is_replaced(self, monkeypatch):
+        cfg = ExperimentConfig.from_dict(dict(BASE, trials=8, jobs=4))
+        _stub_trials(monkeypatch)
+        before = _worker_pids(run_trials(cfg))
+        _stub_trials(monkeypatch, exit_in_child={5})
+        with pytest.raises(RuntimeError, match="trials from 1 exited with code 3, sending no records"):
+            run_trials(cfg)
+        _stub_trials(monkeypatch)
+        records = run_trials(cfg)
+        assert [r.trial for r in records] == list(range(8))
+        after = _worker_pids(records)
+        assert len(after) == 3 and not after & before
+        # one killed between runs is replaced before the next run sends it a share
+        killed = min(after)
+        os.kill(killed, signal.SIGKILL)
+        while _alive(killed):
+            time.sleep(0.01)
+        replaced = _worker_pids(run_trials(cfg))
+        assert len(replaced) == 3 and killed not in replaced
+
+    def test_consecutive_runs_reuse_the_workers(self, monkeypatch):
+        _stub_trials(monkeypatch)
+        cfg = ExperimentConfig.from_dict(dict(BASE, jobs=2))
+        first = _worker_pids(run_trials(cfg))
+        assert len(first) == 1
+        assert _worker_pids(run_trials(replace(cfg, seed=12))) == first
+        # a run over more shares keeps the worker it has and forks the others
+        more = _worker_pids(run_trials(replace(cfg, trials=8, jobs=4)))
+        assert len(more) == 3 and first < more
+
     def test_children_see_the_callers_patched_modules(self, monkeypatch):
         def stub(sampler, pred, tcfg, rng):
             return Verdict(Outcome.REJECT, [f"stub in {os.getpid()}"], SampleAccount(closeness=7))
 
+        cfg = ExperimentConfig.from_dict(dict(BASE, jobs=2))
+        unpatched = run_trials(cfg)  # leaves workers forked before the patch
         monkeypatch.setattr(bench, "aug_independence_2d", stub)
-        records = run_trials(ExperimentConfig.from_dict(dict(BASE, jobs=2)))
+        records = run_trials(cfg)
         assert [(r.outcome, r.samples_total) for r in records] == [("reject", 7)] * BASE["trials"]
         # both shares ran the stub, one of them in the caller
         stages = {r.stage for r in records}
         assert len(stages) == 2 and f"stub in {os.getpid()}" in stages
+        # undoing the patch reaches the workers too
+        monkeypatch.undo()
+        assert run_trials(cfg) == unpatched
+
+    def test_a_patched_class_attribute_reaches_the_workers(self, monkeypatch):
+        cfg = ExperimentConfig.from_dict(dict(BASE, jobs=2))
+        run_trials(cfg)
+        monkeypatch.setattr(SampleAccount, "total", property(lambda self: os.getpid()))
+        pids = {r.samples_total for r in run_trials(cfg)}
+        assert len(pids) == 2 and os.getpid() in pids
+
+    def test_a_fork_of_the_caller_leaves_its_workers_alone(self, monkeypatch):
+        _stub_trials(monkeypatch)
+        cfg = ExperimentConfig.from_dict(dict(BASE, jobs=2))
+        first = _worker_pids(run_trials(cfg))
+        fds = [fd for worker in bench._workers for fd in (worker.jobs, worker.results)]
+        pid = os.fork()
+        if pid == 0:  # the fork's copies of the pipes are closed and its list is empty
+            code = 1
+            try:
+                code = 0 if not bench._workers and not any(map(_is_open, fds)) else 2
+            finally:
+                os._exit(code)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert _worker_pids(run_trials(cfg)) == first
+
+
+_WORKER_LIFETIME_SCRIPT = """
+import os, sys
+from augtest import bench
+os.sched_getaffinity = lambda pid: set(range(4))
+cfg = bench.ExperimentConfig(tester="2d", trials=4, seed=11, eps=0.4, alpha=0.05,
+                             instance={"kind": "uniform", "dims": [8, 5]}, jobs=2)
+bench.run_trials(cfg)
+print(" ".join(str(worker.pid) for worker in bench._workers), flush=True)
+if sys.argv[1] == "wait":
+    sys.stdin.read()
+"""
+
+
+@pytest.mark.usefixtures("deadline")
+@pytest.mark.parametrize("end", ["exit", "kill"])
+def test_no_worker_outlives_its_caller(end):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    command = [sys.executable, "-c", _WORKER_LIFETIME_SCRIPT, "wait" if end == "kill" else "exit"]
+    with subprocess.Popen(command, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as proc:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        if end == "kill":
+            proc.kill()
+        assert proc.wait(timeout=60) == (-signal.SIGKILL if end == "kill" else 0)
+    assert len(pids) == 1
+    # A caller that exits reaps its workers first; one that is killed leaves them at EOF.
+    deadline = time.monotonic() + (5 if end == "kill" else 0)
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not any(map(_alive, pids))
 
 
 class TestDeterminism:
