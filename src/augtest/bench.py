@@ -9,9 +9,10 @@ opt-in (record_timing) because it is the one field that would break
 byte-identical reruns.
 
 The workers are forked on the first call that needs them and serve every
-later one; jobs and results travel as length-prefixed pickles over a pair
-of pipes per worker. Forking per call cost a fork, a reap and, on both sides,
-a copy-on-write fault on every page written after it: about 850 minor faults
+later one; jobs and results travel as pickles over a pair of one-way
+multiprocessing.connection pipes per worker, a module imported on the first
+fork. Forking per call cost a fork, a reap and, on both sides, a
+copy-on-write fault on every page written after it: about 850 minor faults
 in the caller per 20-trial jobs=2 chunk of perfbench's closeness_2d, against
 4 with the workers kept (2-core Xeon). A worker is retired (its pipes
 closed, then reaped) when a run fails, when an attribute of a loaded augtest
@@ -39,13 +40,12 @@ import json
 import math
 import operator
 import os
-import pickle
 import sys
 import time
 import traceback
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -73,6 +73,9 @@ from .testers import (
     aug_independence_d,
     test_independence_by_learning,
 )
+
+if TYPE_CHECKING:  # imported by _fork_worker, on the first fork
+    from multiprocessing.connection import Connection
 
 # Instance kind -> the keys its description must hold.
 _INSTANCE_KEYS = {
@@ -284,7 +287,7 @@ def run_single_trial(cfg: ExperimentConfig, trial: int) -> TrialRecord:
     dist, natural = _build_instance(cfg.instance, rng.split(0))
     pred = _build_prediction(cfg.prediction, dist, natural)
     if cfg.alpha == "exact":
-        alpha = min(1.0, tv_distance(dist, pred) + cfg.alpha_margin)
+        alpha = min(1.0, max(0.0, tv_distance(dist, pred) + cfg.alpha_margin))
     else:
         alpha = float(cfg.alpha)
 
@@ -338,8 +341,8 @@ class _Worker:
     """A forked worker: its pid, the write end of its job pipe and the read end of its result pipe."""
 
     pid: int
-    jobs: int
-    results: int
+    jobs: Connection
+    results: Connection
     code: int | None = None  # its exit code, once reaped
 
     def reap(self, block: bool = True) -> int | None:
@@ -357,40 +360,18 @@ _workers: list[_Worker] = []
 _forked_with: list = []
 
 
-def _send(fd: int, obj) -> None:
-    """Writes obj to fd as a pickle behind its 8-byte length."""
-    payload = pickle.dumps(obj)
-    view = memoryview(len(payload).to_bytes(8, "little") + payload)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-def _read_exactly(fd: int, size: int) -> bytes | None:
-    """size bytes from fd, or None if it reaches EOF first."""
-    chunks = []
-    while size:
-        chunk = os.read(fd, size)
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        size -= len(chunk)
-    return b"".join(chunks)
-
-
-def _receive(fd: int) -> bytes | None:
-    """The next pickle _send wrote to fd, still pickled; None at EOF."""
-    head = _read_exactly(fd, 8)
-    return None if head is None else _read_exactly(fd, int.from_bytes(head, "little"))
-
-
-def _serve(jobs: int, results: int) -> None:
-    """A worker's loop: runs each (cfg, share) read from jobs and sends the _run_share result, until EOF."""
-    while (job := _receive(jobs)) is not None:
-        records, failure = _run_share(*pickle.loads(job))
+def _serve(jobs: Connection, results: Connection) -> None:
+    """A worker's loop: runs each (cfg, share) received on jobs and sends the _run_share result, until EOF."""
+    while True:
+        try:
+            job = jobs.recv()
+        except EOFError:
+            return
+        records, failure = _run_share(*job)
         if failure is not None:  # pickling drops the traceback; keep it as text
             trace = "".join(traceback.format_exception(failure[1]))
             failure[1].add_note(f"trial {failure[0]} raised in a forked worker:\n{trace}")
-        _send(results, (records, failure))
+        results.send((records, failure))
 
 
 def _fork_worker() -> _Worker:
@@ -400,25 +381,27 @@ def _fork_worker() -> _Worker:
     caller's stack. It holds the write end of no job pipe, its own
     included, so once its caller is gone its job pipe is at EOF.
     """
-    jobs_read, jobs_write = os.pipe()
-    results_read, results_write = os.pipe()
+    from multiprocessing.connection import Pipe  # not at import: it costs about 1 MB and 10 ms
+
+    jobs_read, jobs_write = Pipe(duplex=False)
+    results_read, results_write = Pipe(duplex=False)
     try:
         pid = os.fork()
     except OSError:
-        for fd in (jobs_read, jobs_write, results_read, results_write):
-            os.close(fd)
+        for end in (jobs_read, jobs_write, results_read, results_write):
+            end.close()
         raise
     if pid == 0:  # _forget_workers has closed the other workers' pipes
         code = 1
         try:
-            os.close(jobs_write)
-            os.close(results_read)
+            jobs_write.close()
+            results_read.close()
             _serve(jobs_read, results_write)
             code = 0
         finally:
             os._exit(code)
-    os.close(jobs_read)
-    os.close(results_write)
+    jobs_read.close()
+    results_write.close()
     return _Worker(pid, jobs_write, results_read)
 
 
@@ -444,8 +427,8 @@ def _module_state() -> list:
 def _forget_workers() -> None:
     """Closes every worker's pipes and forgets the workers, reaping none; what a fork of their owner runs."""
     for worker in _workers:
-        os.close(worker.jobs)
-        os.close(worker.results)
+        worker.jobs.close()
+        worker.results.close()
     _workers.clear()
     _forked_with.clear()
 
@@ -507,18 +490,17 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     results = []
     try:
         for worker, share in zip(pool, shares[1:]):
-            _send(worker.jobs, (cfg, share))
+            worker.jobs.send((cfg, share))
         results.append(_run_share(cfg, shares[0]))
         for worker, share in zip(pool, shares[1:]):
-            payload = _receive(worker.results)
-            if payload is None:  # it exited in a trial, or its result could not be pickled
+            try:
+                results.append(worker.results.recv())
+            except EOFError:  # it exited in a trial, or its result could not be pickled
                 error = RuntimeError(
                     f"the forked worker running trials from {share[0]} exited with code {worker.reap()},"
                     " sending no records"
                 )
                 results.append(([], (share[0], error)))
-            else:
-                results.append(pickle.loads(payload))
     finally:
         # A failed run retires every worker, also when the caller's own share raised.
         failures = [failure for _, failure in results if failure is not None]

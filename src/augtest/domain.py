@@ -190,32 +190,10 @@ _OUT_HASH = tuple(
 _PACK_STATE = struct.Struct("<8I").pack
 
 
-def _hashmix(value: int, h: int) -> tuple[int, int]:
-    """SeedSequence's hash of one uint32 word: (the hashed word, the next multiplier)."""
-    value ^= h
-    h = h * _MULT_A & _MASK32
-    value = value * h & _MASK32
-    return value ^ value >> 16, h
-
-
-def _mix(x: int, y: int) -> int:
-    """SeedSequence's mix of the hashed word y into the pool word x."""
-    x = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return x ^ x >> 16
-
-
-def _uint32_words(n: int) -> list[int]:
-    """n's uint32 words, least significant first, as SeedSequence reads an int; 0 is one word."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
 def _absorb(pool: tuple[int, ...], n: int) -> tuple[int, ...]:
     """The pool (4 words, then hashmix's multiplier) with each of n's uint32 words mixed into every pool word.
 
-    _hashmix and _mix, written out: this runs once per stream entry.
+    SeedSequence's hashmix and mix, written out: this runs once per stream entry.
     """
     p0, p1, p2, p3, h = pool
     while True:
@@ -247,25 +225,16 @@ def _absorb(pool: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def _seed_pool(seed: int) -> tuple[int, ...]:
-    """The pool of SeedSequence(entropy=seed, spawn_key=key) before the key's first word.
+    """The pool of SeedSequence(entropy=seed, spawn_key=key) before the key's first word, then its multiplier.
 
     The seed's words are padded with zeros to 4, and the key is then mixed
     in word by word, so every stream of one seed starts from this pool.
     With an empty key numpy pads nothing, but it hashes zeros into the
-    pool's unfilled words all the same.
+    pool's unfilled words all the same, so SeedSequence(seed).pool is that
+    pool. Filling it ran 16 hashes, 4 more per seed word past the fourth.
     """
-    words = _uint32_words(seed)
-    p, h = [], _HASH_A
-    for w in (words + [0, 0, 0])[:4]:
-        v, h = _hashmix(w, h)
-        p.append(v)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                v, h = _hashmix(p[src], h)
-                p[dst] = _mix(p[dst], v)
-    pool = (*p, h)
-    return _absorb(pool, seed >> 128) if len(words) > 4 else pool
+    hashes = 16 + 4 * max(0, (seed.bit_length() + 31) // 32 - 4)
+    return (*np.random.SeedSequence(seed).pool.tolist(), _HASH_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32)
 
 
 def _state_words(pool: tuple[int, ...]) -> np.ndarray:
@@ -306,13 +275,14 @@ class Rng:
     trials reproducible. SeedSequence hashes a key into 128 bits, so two
     distinct keys collide with negligible probability, not never.
 
-    No SeedSequence is built: its pool is derived incrementally. The pool
-    after the seed is cached per seed, and a split child absorbs only its
-    own index, one uint32 word for an index below 2**32, into its parent's
-    pool. PCG64 takes the pool's hashed-out state words; their multipliers
-    are a fixed sequence, read from a precomputed table. A pool is derived
-    on first need and the generator on first use of `gen`, so a stream that
-    is only split never pays for seeding one.
+    One SeedSequence is built per seed, and its pool is cached; each stream
+    key is then absorbed into that pool incrementally, with no SeedSequence
+    built per stream. A split child absorbs only its own index, one uint32
+    word for an index below 2**32, into its parent's pool. PCG64 takes the
+    pool's hashed-out state words; their multipliers are a fixed sequence,
+    read from a precomputed table. A pool is derived on first need and the
+    generator on first use of `gen`, so a stream that is only split never
+    pays for seeding one.
     The seed, each stream entry and each split index must be a non-negative
     integer (numpy integers included, bool not): a float or a string is
     rejected, never truncated onto another stream. `Rng(seed, stream)`

@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo benchmark harness: configs, determinism, reports."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -44,6 +45,19 @@ BASE = dict(
     alpha=0.05,
     instance={"kind": "uniform", "dims": [8, 5]},
 )
+# The configs of perfbench's three workloads (perfbench/workloads.py), less trials and seed.
+PERFBENCH_CONFIGS = {
+    "closeness_2d": dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}),
+    "hidden_bit_2d": dict(
+        tester="2d",
+        eps=1 / 192,
+        alpha="exact",
+        alpha_margin=0.01,
+        prediction="natural",
+        instance={"kind": "hard2d", "n": 200, "m": 20, "k": 10, "alpha": 0.3, "eps": 1 / 192, "force_x": 1},
+    ),
+    "arity5_d": dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2] * 5}),
+}
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 HARD2D = {"kind": "hard2d", "n": 64, "m": 16, "k": 6, "alpha": 0.3, "eps": 1.0 / 192.0}
 
@@ -354,7 +368,7 @@ class TestForkedShares:
         _stub_trials(monkeypatch)
         cfg = ExperimentConfig.from_dict(dict(BASE, jobs=2))
         first = _worker_pids(run_trials(cfg))
-        fds = [fd for worker in bench._workers for fd in (worker.jobs, worker.results)]
+        fds = [end.fileno() for worker in bench._workers for end in (worker.jobs, worker.results)]
         pid = os.fork()
         if pid == 0:  # the fork's copies of the pipes are closed and its list is empty
             code = 1
@@ -441,7 +455,7 @@ class TestDeterminism:
 
 
 class TestStreamCost:
-    """Trials build no SeedSequence: each Rng derives numpy's pool incrementally (see domain.Rng)."""
+    """A trial builds no SeedSequence once its seed's pool is cached (see domain.Rng)."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -461,7 +475,7 @@ class TestStreamCost:
     )
     def test_a_trial_builds_no_seed_sequence(self, monkeypatch, overrides):
         cfg = ExperimentConfig.from_dict(dict(BASE, trials=1, **overrides))
-        expected = run_single_trial(cfg, 0)
+        expected = run_single_trial(cfg, 0)  # builds and caches the seed's pool
 
         def no_seed_sequence(*args, **kwargs):
             raise AssertionError("a trial built a SeedSequence")
@@ -696,6 +710,13 @@ class TestAlphaHandling:
         r = run_single_trial(cfg, 0)
         assert r.outcome in ("accept", "reject", "inaccurate_information")
 
+    def test_exact_alpha_with_a_negative_margin_clamps_at_zero(self):
+        # the exact prediction has tv 0, so tv + margin is -0.05: the trials claim alpha 0
+        cfg = ExperimentConfig.from_dict(
+            dict(BASE, eps=0.4, alpha="exact", alpha_margin=-0.05, instance={"kind": "uniform", "dims": [10, 5]})
+        )
+        assert run_trials(cfg) == run_trials(replace(cfg, alpha=0.0))
+
     def test_alpha_override_wins(self):
         # a sweep row summarizes a plain run at the row's alpha, whatever alpha the config holds
         cfg = ExperimentConfig.from_dict(dict(BASE, alpha=1.0, trials=2))
@@ -897,27 +918,30 @@ class TestFreedHeapKept:
 
     @pytest.mark.skipif(not _glibc(), reason="M_TOP_PAD is a glibc malloc parameter")
     def test_later_trials_fault_in_no_fresh_pages(self):
-        # perfbench's hidden_bit_2d config. Without the pad glibc hands each
-        # trial's freed arrays back to the OS, and the next trial faults
-        # several hundred pages back in.
-        cfg = ExperimentConfig.from_dict(
-            dict(
-                tester="2d",
-                trials=11,
-                seed=50,
-                eps=1 / 192,
-                alpha="exact",
-                alpha_margin=0.01,
-                prediction="natural",
-                instance={"kind": "hard2d", "n": 200, "m": 20, "k": 10, "alpha": 0.3, "eps": 1 / 192, "force_x": 1},
-            )
-        )
+        # Without the pad glibc hands each trial's freed arrays back to the
+        # OS, and the next trial faults several hundred pages back in.
+        cfg = ExperimentConfig.from_dict(dict(PERFBENCH_CONFIGS["hidden_bit_2d"], trials=11, seed=50))
         run_single_trial(cfg, 0)  # warm-up
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for i in range(1, 11):
             run_single_trial(cfg, i)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults <= 20 * 10
+
+
+@pytest.mark.parametrize("name", sorted(PERFBENCH_CONFIGS))
+def test_a_trial_leaves_no_reference_cycle(name):
+    # The pad above saves faults only if each trial's dense laws are freed
+    # by their reference counts, not later by the cyclic collector.
+    cfg = ExperimentConfig.from_dict(dict(PERFBENCH_CONFIGS[name], trials=2, seed=7))
+    run_single_trial(cfg, 0)  # warm-up: fills the per-process caches
+    gc.collect()
+    gc.disable()
+    try:
+        run_single_trial(cfg, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestAbTrials:

@@ -58,8 +58,12 @@ def test_exports_are_pinned():
 
 def test_importing_augtest_leaves_numpy_random_unloaded():
     # Rng builds its generators' seed class on first use, so the import
-    # stays off numpy.random, which numpy loads lazily.
-    code = "import sys, augtest; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    # stays off numpy.random, which numpy loads lazily; the trial harness
+    # imports multiprocessing's pipes only when it forks its first worker.
+    code = (
+        "import sys, augtest;"
+        " print(sorted(m for m in sys.modules if m.startswith(('numpy.random', 'multiprocessing'))))"
+    )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
