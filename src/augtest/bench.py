@@ -10,8 +10,8 @@ byte-identical reruns.
 
 The workers are forked on the first call that needs them and serve every
 later one; jobs and results travel as pickles over a pair of one-way
-multiprocessing.connection pipes per worker, a module imported on the first
-fork. Forking per call cost a fork, a reap and, on both sides, a
+os.pipe()s per worker, opened as buffered files: a pickle marks its own
+end. Forking per call cost a fork, a reap and, on both sides, a
 copy-on-write fault on every page written after it: about 850 minor faults
 in the caller per 20-trial jobs=2 chunk of perfbench's closeness_2d, against
 4 with the workers kept (2-core Xeon). A worker is retired (its pipes
@@ -40,12 +40,13 @@ import json
 import math
 import operator
 import os
+import pickle
 import sys
 import time
 import traceback
 import warnings
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -73,9 +74,6 @@ from .testers import (
     aug_independence_d,
     test_independence_by_learning,
 )
-
-if TYPE_CHECKING:  # imported by _fork_worker, on the first fork
-    from multiprocessing.connection import Connection
 
 # Instance kind -> the keys its description must hold.
 _INSTANCE_KEYS = {
@@ -168,10 +166,12 @@ class ExperimentConfig:
             raise DomainError(f"unknown prediction {self.prediction!r}")
         elif self.prediction == "natural" and kind not in ("uniform", "hard2d"):
             raise DomainError(f"instance kind {kind!r} has no natural prediction")
+        axes = None  # a file instance's axis count is known only once a trial reads it
         if kind in ("uniform", "product_random"):
-            _checked_dims(self.instance["dims"])
+            axes = len(_checked_dims(self.instance["dims"]))
         if kind == "correlated":
             _checked_dims([self.instance["size"]])  # an integer >= 2
+            axes = 2
         # open() would take an integer path as a file descriptor
         if kind == "file" and not isinstance(self.instance["path"], str):
             raise DomainError(f"a file instance's path must be a string, got {self.instance['path']!r}")
@@ -180,11 +180,16 @@ class ExperimentConfig:
             check_hard_params(inst["n"], inst["m"], inst["k"], inst["alpha"], inst["eps"], inst.get("force_x"))
             if "embed_dims" in inst and math.prod(_checked_dims(inst["embed_dims"])) != inst["m"]:
                 raise DomainError(f"embed_dims {inst['embed_dims']} do not multiply to m={inst['m']}")
+            axes = 1 + len(inst["embed_dims"]) if "embed_dims" in inst else 2
+        if axes is not None and not {"2d": axes == 2, "3d": axes == 3, "d": axes >= 2}.get(self.tester, True):
+            raise DomainError(f"tester {self.tester!r} cannot run on a {axes}-axis instance")
         # The testers' own checks; "exact" alpha is a tv distance, so in [0, 1].
         TesterConfig(self.eps, 0.0 if self.alpha == "exact" else self.alpha, self.profile).validate()
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise DomainError(f"a config must be a JSON object, got {type(obj).__name__}")
         known = {f for f in ExperimentConfig.__dataclass_fields__}
         extra = set(obj) - known
         if extra:
@@ -341,8 +346,8 @@ class _Worker:
     """A forked worker: its pid, the write end of its job pipe and the read end of its result pipe."""
 
     pid: int
-    jobs: Connection
-    results: Connection
+    jobs: BinaryIO
+    results: BinaryIO
     code: int | None = None  # its exit code, once reaped
 
     def reap(self, block: bool = True) -> int | None:
@@ -360,18 +365,19 @@ _workers: list[_Worker] = []
 _forked_with: list = []
 
 
-def _serve(jobs: Connection, results: Connection) -> None:
+def _serve(jobs: BinaryIO, results: BinaryIO) -> None:
     """A worker's loop: runs each (cfg, share) received on jobs and sends the _run_share result, until EOF."""
     while True:
         try:
-            job = jobs.recv()
-        except EOFError:
+            job = pickle.load(jobs)
+        except (EOFError, pickle.UnpicklingError):  # a caller that died mid-message is EOF too
             return
         records, failure = _run_share(*job)
         if failure is not None:  # pickling drops the traceback; keep it as text
             trace = "".join(traceback.format_exception(failure[1]))
             failure[1].add_note(f"trial {failure[0]} raised in a forked worker:\n{trace}")
-        results.send((records, failure))
+        pickle.dump((records, failure), results)
+        results.flush()
 
 
 def _fork_worker() -> _Worker:
@@ -381,28 +387,26 @@ def _fork_worker() -> _Worker:
     caller's stack. It holds the write end of no job pipe, its own
     included, so once its caller is gone its job pipe is at EOF.
     """
-    from multiprocessing.connection import Pipe  # not at import: it costs about 1 MB and 10 ms
-
-    jobs_read, jobs_write = Pipe(duplex=False)
-    results_read, results_write = Pipe(duplex=False)
+    jobs_read, jobs_write = os.pipe()
+    results_read, results_write = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        for end in (jobs_read, jobs_write, results_read, results_write):
-            end.close()
+        for fd in (jobs_read, jobs_write, results_read, results_write):
+            os.close(fd)
         raise
     if pid == 0:  # _forget_workers has closed the other workers' pipes
         code = 1
         try:
-            jobs_write.close()
-            results_read.close()
-            _serve(jobs_read, results_write)
+            os.close(jobs_write)
+            os.close(results_read)
+            _serve(open(jobs_read, "rb"), open(results_write, "wb"))
             code = 0
         finally:
             os._exit(code)
-    jobs_read.close()
-    results_write.close()
-    return _Worker(pid, jobs_write, results_read)
+    os.close(jobs_read)
+    os.close(results_write)
+    return _Worker(pid, open(jobs_write, "wb"), open(results_read, "rb"))
 
 
 def _module_state() -> list:
@@ -427,7 +431,7 @@ def _module_state() -> list:
 def _forget_workers() -> None:
     """Closes every worker's pipes and forgets the workers, reaping none; what a fork of their owner runs."""
     for worker in _workers:
-        worker.jobs.close()
+        worker.jobs.raw.close()  # close() would flush any bytes a failed send left, and raise again
         worker.results.close()
     _workers.clear()
     _forked_with.clear()
@@ -490,12 +494,13 @@ def run_trials(cfg: ExperimentConfig) -> list[TrialRecord]:
     results = []
     try:
         for worker, share in zip(pool, shares[1:]):
-            worker.jobs.send((cfg, share))
+            pickle.dump((cfg, share), worker.jobs)
+            worker.jobs.flush()
         results.append(_run_share(cfg, shares[0]))
         for worker, share in zip(pool, shares[1:]):
             try:
-                results.append(worker.results.recv())
-            except EOFError:  # it exited in a trial, or its result could not be pickled
+                results.append(pickle.load(worker.results))
+            except (EOFError, pickle.UnpicklingError):  # it exited in a trial or before its whole result was sent
                 error = RuntimeError(
                     f"the forked worker running trials from {share[0]} exited with code {worker.reap()},"
                     " sending no records"

@@ -126,6 +126,14 @@ LOAD_ERRORS = [
     ({"instance": dict(HARD2D, n=True)}, "n must be a non-negative integer, got True"),
     ({"instance": dict(HARD2D, m=True)}, "m must be a non-negative integer, got True"),
     ({"instance": dict(HARD2D, k=True)}, "k must be a non-negative integer, got True"),
+    ({"tester": "3d"}, "tester '3d' cannot run on a 2-axis instance"),
+    ({"tester": "3d", "instance": {"kind": "correlated", "size": 4}}, "tester '3d' cannot run on a 2-axis instance"),
+    ({"tester": "3d", "instance": {"kind": "product_random", "dims": [4, 3]}}, "cannot run on a 2-axis"),
+    ({"instance": {"kind": "uniform", "dims": [4, 3, 2]}}, "tester '2d' cannot run on a 3-axis instance"),
+    ({"instance": dict(HARD2D, embed_dims=[4, 4])}, "tester '2d' cannot run on a 3-axis instance"),
+    ({"tester": "3d", "instance": dict(HARD2D, embed_dims=[2, 2, 4])}, "tester '3d' cannot run on a 4-axis"),
+    ({"tester": "d", "instance": {"kind": "uniform", "dims": [6]}}, "tester 'd' cannot run on a 1-axis instance"),
+    ({"tester": "d", "instance": {"kind": "product_random", "dims": [6]}}, "tester 'd' cannot run on a 1-axis"),
 ]
 
 
@@ -155,6 +163,13 @@ class TestConfig:
         path.write_text(json.dumps(BASE))
         assert ExperimentConfig.from_file(str(path)).seed == 11
 
+    @pytest.mark.parametrize("obj, got", [([{"tester": "2d"}], "list"), (42, "int"), ("x", "str"), (["tester"], "list")])
+    def test_a_file_that_holds_no_json_object_is_named_so(self, tmp_path, obj, got):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(DomainError, match=f"^a config must be a JSON object, got {got}$"):
+            ExperimentConfig.from_file(str(path))
+
     def test_estimator_block_rejected(self):
         # the estimators run at their calibrated defaults; a config cannot set them
         with pytest.raises(DomainError, match="unknown config keys"):
@@ -173,7 +188,11 @@ class TestConfig:
             {"alpha": 1.0, "profile": "theory"},
             {"alpha": "exact", "prediction": "natural"},
             {"prediction": {"file": "p.json"}},  # read per trial, not at load
-            {"instance": dict(HARD2D, force_x=1, embed_dims=[4, 4]), "prediction": "natural"},
+            {"tester": "3d", "instance": dict(HARD2D, force_x=1, embed_dims=[4, 4]), "prediction": "natural"},
+            {"tester": "d", "instance": dict(HARD2D, embed_dims=[2, 2, 4])},
+            {"tester": "d", "instance": {"kind": "correlated", "size": 4}},
+            {"tester": "learn", "instance": {"kind": "uniform", "dims": [6]}},
+            {"tester": "3d", "instance": {"kind": "file", "path": "p.json"}},  # axes read per trial, not at load
         ],
     )
     def test_edge_values_load(self, overrides):
@@ -311,6 +330,55 @@ class TestForkedShares:
         _assert_no_children_left()
         assert _open_fds() == fds
 
+    def test_a_worker_that_dies_midway_through_its_result_makes_the_run_raise(self, monkeypatch):
+        caller, truncated = os.getpid(), []
+
+        def dump(obj, file):  # a worker writes half its result, then exits
+            if os.getpid() == caller:
+                return pickle.dump(obj, file)
+            data = pickle.dumps(obj)
+            file.write(data[: len(data) // 2])
+            file.flush()
+            os._exit(3)
+
+        def load(file):
+            try:
+                return pickle.load(file)
+            except pickle.UnpicklingError:
+                truncated.append(os.getpid())
+                raise
+
+        _stub_trials(monkeypatch)
+        stand_in = types.SimpleNamespace(dump=dump, load=load, UnpicklingError=pickle.UnpicklingError)
+        monkeypatch.setattr(bench, "pickle", stand_in)
+        fds = _open_fds()
+        with pytest.raises(RuntimeError, match="trials from 1 exited with code 3, sending no records"):
+            run_trials(ExperimentConfig.from_dict(dict(BASE, trials=8, jobs=4)))
+        assert truncated == [caller] * 3  # the caller read each half result, not an empty pipe
+        _assert_no_children_left()
+        assert _open_fds() == fds
+
+    def test_a_worker_that_dies_before_its_job_is_sent_leaves_nothing_open(self, monkeypatch):
+        pool = bench._pool
+
+        def pool_then_kill(size):
+            workers = pool(size)
+            for worker in workers:
+                os.kill(worker.pid, signal.SIGKILL)
+                while _alive(worker.pid):
+                    time.sleep(0.01)
+            return workers
+
+        _stub_trials(monkeypatch)
+        monkeypatch.setattr(bench, "_pool", pool_then_kill)
+        fds = _open_fds()
+        with pytest.raises(BrokenPipeError):  # sending the first job
+            run_trials(ExperimentConfig.from_dict(dict(BASE, trials=8, jobs=4)))
+        # retiring them closed every pipe, the job still buffered for the first one included
+        assert not bench._workers
+        _assert_no_children_left()
+        assert _open_fds() == fds
+
     def test_a_worker_that_died_is_replaced(self, monkeypatch):
         cfg = ExperimentConfig.from_dict(dict(BASE, trials=8, jobs=4))
         _stub_trials(monkeypatch)
@@ -391,6 +459,17 @@ print(" ".join(str(worker.pid) for worker in bench._workers), flush=True)
 if sys.argv[1] == "wait":
     sys.stdin.read()
 """
+
+
+@pytest.mark.usefixtures("deadline")
+def test_a_parallel_run_loads_no_multiprocessing_module():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    script = _WORKER_LIFETIME_SCRIPT + "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+    done = subprocess.run([sys.executable, "-c", script, "exit"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    pids, modules = done.stdout.splitlines()
+    assert len(pids.split()) == 1  # it forked a worker and ran a share there
+    assert modules == "[]"
 
 
 @pytest.mark.usefixtures("deadline")

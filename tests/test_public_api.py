@@ -59,7 +59,7 @@ def test_exports_are_pinned():
 def test_importing_augtest_leaves_numpy_random_unloaded():
     # Rng builds its generators' seed class on first use, so the import
     # stays off numpy.random, which numpy loads lazily; the trial harness
-    # imports multiprocessing's pipes only when it forks its first worker.
+    # talks to its forked workers over os.pipe()s, with no multiprocessing.
     code = (
         "import sys, augtest;"
         " print(sorted(m for m in sys.modules if m.startswith(('numpy.random', 'multiprocessing'))))"
