@@ -141,10 +141,7 @@ class ExperimentConfig:
             raise DomainError("jobs must be >= 1")
         if not isinstance(self.record_timing, bool):
             raise DomainError(f"record_timing must be true or false, got {self.record_timing!r}")
-        for name in ("eps", "alpha", "alpha_margin"):
-            value = getattr(self, name)
-            if (name, value) != ("alpha", "exact"):
-                _check_finite(name, value)
+        _check_finite("alpha_margin", self.alpha_margin)
         if self.delta is not None:
             _check_finite("delta", self.delta, "(0, 1)")
         if not isinstance(self.instance, dict) or self.instance.get("kind") not in _INSTANCE_KEYS:

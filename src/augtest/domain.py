@@ -15,7 +15,7 @@ import struct
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -280,9 +280,10 @@ class Rng:
     built per stream. A split child absorbs only its own index, one uint32
     word for an index below 2**32, into its parent's pool. PCG64 takes the
     pool's hashed-out state words; their multipliers are a fixed sequence,
-    read from a precomputed table. A pool is derived on first need and the
-    generator on first use of `gen`, so a stream that is only split never
-    pays for seeding one.
+    read from a precomputed table. The pool is derived when the stream is
+    made, so a child holds no reference to its parent; the generator is
+    built on first use of `gen`, so a stream that is only split never pays
+    for seeding one.
     The seed, each stream entry and each split index must be a non-negative
     integer (numpy integers included, bool not): a float or a string is
     rejected, never truncated onto another stream. `Rng(seed, stream)`
@@ -290,36 +291,27 @@ class Rng:
     entries were checked when it was made.
     """
 
-    def __init__(self, seed: int, stream: int | tuple[int, ...] = (), *, _parent: Rng | None = None):
-        if _parent is not None:  # from split, which checked the one new entry
-            self.seed, self.stream, self._parent = seed, stream, _parent
+    def __init__(self, seed: int, stream: int | tuple[int, ...] = (), *, _pool: tuple[int, ...] | None = None):
+        if _pool is not None:  # from split, which checked and absorbed the one new entry
+            self.seed, self.stream, self._pool = seed, stream, _pool
             return
         self.seed = _stream_key("seed", seed)
         if isinstance(stream, tuple):
             self.stream = tuple(_stream_key("stream entry", s) for s in stream)
         else:
             self.stream = (_stream_key("stream entry", stream),)
-        self._parent = None
+        pool = _seed_pool(self.seed)
+        for s in self.stream:
+            pool = _absorb(pool, s)
+        self._pool = pool
 
-    def __getattr__(self, name: str):
-        # Only reached while the instance has no such attribute: _pool and
-        # gen are derived on first need and then set as plain attributes.
-        if name == "_pool":
-            if self._parent is not None:
-                pool = _absorb(self._parent._pool, self.stream[-1])
-            else:
-                pool = _seed_pool(self.seed)
-                for s in self.stream:
-                    pool = _absorb(pool, s)
-            self._pool = pool
-            return pool
-        if name == "gen":
-            self.gen = np.random.Generator(np.random.PCG64(_state_words_seed()(_state_words(self._pool))))
-            return self.gen
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(_state_words_seed()(_state_words(self._pool))))
 
     def split(self, index: int) -> "Rng":
-        return Rng(self.seed, (*self.stream, _stream_key("split index", index)), _parent=self)
+        index = _stream_key("split index", index)
+        return Rng(self.seed, (*self.stream, index), _pool=_absorb(self._pool, index))
 
     def __repr__(self):
         return f"Rng(seed={self.seed}, stream={self.stream})"

@@ -234,15 +234,24 @@ class TestRng:
         ref = Rng(2**33 + k, stream + (2**32 + 3,))
         assert child.gen.bit_generator.state == ref.gen.bit_generator.state
 
-    def test_the_stream_is_derived_on_first_need_and_kept(self):
+    def test_the_pool_is_derived_when_made_and_the_generator_on_first_use(self):
         r = Rng(7, (3,))
         child = r.split(4)
-        assert "_pool" not in vars(r) and "_pool" not in vars(child)
+        assert "_pool" in vars(r) and "_pool" in vars(child)
+        assert "gen" not in vars(r) and "gen" not in vars(child)
         gen = child.gen
-        assert vars(child)["gen"] is gen and "_pool" in vars(r)
+        assert vars(child)["gen"] is gen and child.gen is gen
         assert "gen" not in vars(r)
         with pytest.raises(AttributeError, match="'Rng' object has no attribute 'other'"):
             r.other
+
+    def test_a_split_child_does_not_keep_its_parent_alive(self):
+        parent = Rng(7, (3,))
+        child, ref = parent.split(4), weakref.ref(parent)
+        child.gen
+        del parent
+        gc.collect()
+        assert ref() is None
 
     def test_poisson_zero_mean_draws_nothing(self):
         assert poisson(0.0, Rng(1)) == 0
