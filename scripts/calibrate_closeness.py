@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Grid-search the closeness and norm multipliers and freeze the winners.
+"""Grid-search the closeness multipliers per domain-size band, and the norm's.
 
 The closeness test draws one pair of Poissonized count vectors X, Y at
 per-stream rate lambda = C_close * M * sqrt(b) / eps^2 and rejects when
@@ -13,48 +13,76 @@ matched null/alternative instances:
 
 with eps in {0.1, 0.3} and the tight norm bound b = ||p||_2^2 (=
 min(||p||_2^2, ||q||_2^2) exactly). The laws are the uniform one (b M = 1)
-with M in {10, 50, 200}, and two-level laws with b M in {2, 5} with M in
-{50, 200}: the testers size closeness from measured norms, which put b M near
-2 on a uniform (100, 20) input and near 5 on the hidden-bit instances. Every
-cell of a two-level law exceeds 2 eps / M, so q stays a law. The M = 10 laws
+and two-level laws with b M in {2, 5}, each with M in {10, 50, 200, 2000,
+8192}: the testers size closeness from measured norms, which put b M near 2
+on a uniform (100, 20) input and near 5 on the hidden-bit instances. Every
+cell of a law exceeds 2 eps / M, so q stays a law, save on the two-level
+law with b M = 5 on 10 cells at eps 0.3, which is left out. The M = 10 laws
 stand for the smallest flattened domain a tester builds, 9 cells: an axis of
 size 2 flattens to at least 3 buckets.
 
-Each C_close draws two sets of TRIALS statistics per cell on apart streams.
-Its threshold is the C_thr with the smallest worst cell error on the first
-set (the selection set); the same rule's worst cell error on the second set
-(the check set) is held out from that choice. The point's bound is the
-held-out worst error plus two binomial standard errors, rounded up to a
-multiple of 1/2048. A point is left when its bound is at most the smallest
-confidence the testers run closeness at (delta 1/120, three axes), and the
-winner is the left point with the
-smallest C_close, which is the call's cost in units of M sqrt(b) / eps^2
-samples per stream, then the smallest bound.
+Each band of flattened domain sizes, starting at M = 9, 50, 200, 2000 and
+8192 (BANDS), gets its own (C_close, C_thr), calibrated on the cells of the
+band's lowest M: Z's tails thin toward the Gaussian as M grows, so a band's
+error does not grow with M and its lowest M binds. The lowest band also
+serves M below 9 and the top band every M above 8192.
+
+Per band, each C_close draws two sets of TRIALS statistics per cell on apart
+streams. Its threshold is the C_thr with the smallest worst cell error on the
+first set (the selection set); the same rule's worst cell error on the
+second set (the check set) is held out from that choice. The point's bound
+is the held-out worst error plus two binomial standard errors, rounded up to
+a multiple of 1/2048. A point is left when its bound is at most the smallest
+confidence the testers run closeness at (delta 1/120, three axes). The
+band's winner is the left point with the smallest C_close, which is the
+call's cost in units of M sqrt(b) / eps^2 samples per stream; so C_close
+runs up the band's grid and stops at the first left point.
+
+The grid starts at 5 below M = 200 and at 6 from there on. At a tight b the
+threshold sits about C_close * C_thr / (2 sqrt 2) standard deviations of
+the null's Z out, and C_thr settles near 2 on the larger cells, so C_close
+5 puts it about 3.5 out, against 4.2 at the single-point calibration's
+(8, 1.5). The testers' measured b is seldom far from tight, and at C_close
+5 single statistics of the benchmark laws crossed the threshold: 1 in
+80,000 trials of a uniform (100, 20) joint rejected, and the largest
+Z / threshold over 120,000 trials of the uniform (2,)^5 cube was 0.93,
+against 0.64 at (8, 1.5). C_close 4 at M >= 2000 crossed it on laws of
+the same joint.
 
 The norm's batch and median are chosen per side. For each C_norm in
-NORM_SAMPLE_MULTS and each law above plus the uniform law on 8,192 cells
-(about the size of a flattened (100, 20) joint), NORM_TRIALS collision
-statistics over batches of T = C_norm * ceil(sqrt(M)) are drawn, and the
-shares below 1/2 and above 3/2 of ||p||_2^2 are counted apart. The point's
-per-side bound is its worst side plus two binomial standard errors, rounded
-up to a multiple of 1/64, and its repetition counts are
-estimators._median_plan at that bound for the two- and three-axis norm
+NORM_SAMPLE_MULTS and each law on at most 200 cells above plus the uniform
+law on 8,192 cells (about the size of a flattened (100, 20) joint),
+NORM_TRIALS collision statistics over batches of T = C_norm * ceil(sqrt(M))
+are drawn, and the shares below 1/2 and above 3/2 of ||p||_2^2 are counted
+apart. The point's per-side bound is its worst side plus two binomial
+standard errors, rounded up to a multiple of 1/64, and its repetition counts
+are estimators._median_plan at that bound for the two- and three-axis norm
 confidences. The winner has the smallest C_norm * r at the two-axis
 confidence, then the smallest r at the three-axis one.
 
+Every cell runs in a worker process, one per core the process may use; each
+cell's streams are fixed, so the record is the same at any core count. A
+block of a cell's statistics holds about BLOCK_COUNTS Poisson counts, so
+the workers' memory does not grow with M.
+
 Writes calibration.json next to pyproject.toml and prints the chosen points.
 The chosen multipliers are frozen as EstimatorConfig defaults, and
-estimators.CLOSENESS_ERROR and estimators.NORM_SIDE_ERROR are the bounds the
-estimators are sized for; the script exits 1 when no closeness point is left
-or when a chosen bound exceeds the committed one.
+estimators.CLOSENESS_ERROR (the largest band bound) and
+estimators.NORM_SIDE_ERROR are the bounds the estimators are sized for; the
+script exits 1 when a band has no left point or when a chosen bound exceeds
+the committed one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 import pathlib
 import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -82,7 +110,9 @@ THRESHOLD_MULTS = [round(0.8 + 0.05 * i, 2) for i in range(56)]
 # closeness at.
 LEFT_BOUND = min(_CLOSENESS_DELTA.values())
 SELECT, CHECK = 0, 1  # the two stream sets of a closeness cell
-CHUNK = 5000  # statistics drawn per block, to bound the working arrays
+# Poisson counts per working array; a block of statistics holds
+# max(1, BLOCK_COUNTS // M) rows of M cells.
+BLOCK_COUNTS = 1 << 20
 # Bounds are rounded up to a multiple of 1 / CLOSENESS_GRID (closeness) and
 # 1 / BOUND_GRID (the norm's per-side error).
 CLOSENESS_GRID = 2048
@@ -93,6 +123,15 @@ EPSILONS = [0.1, 0.3]
 NORM_RATIOS = [2, 5]
 SHAPED_SIZES = [50, 200]
 HEAVY_SHARE = 0.02  # share of the cells that are heavy in a two-level law
+# Closeness alone is also calibrated on the uniform and two-level laws of
+# these sizes, the lowest M of the two top bands, and on the two-level laws
+# of the smallest size.
+LARGE_SIZES = [2000, 8192]
+# The first flattened domain size of each closeness band.
+BANDS = [9, 50, 200, 2000, 8192]
+# From FLOOR_M cells on, a band's C_close grid starts at FLOOR_MULT (see the
+# module docstring).
+FLOOR_M, FLOOR_MULT = 200, 6.0
 NORM_TRIALS = 40000
 NORM_SAMPLE_MULTS = [3.0, 3.5, 4.0, 5.0, 6.0]
 NORM_LARGE_M = 8192  # a uniform law the norm is also calibrated on
@@ -139,16 +178,25 @@ def spread_pair(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
 
 def z_samples(p: np.ndarray, q: np.ndarray, lam: float, trials: int, rng: Rng) -> np.ndarray:
     """`trials` independent draws of the single-batch statistic Z, X from
-    rng.split(0) and Y from rng.split(1), CHUNK rows at a time."""
+    rng.split(0) and Y from rng.split(1).
+
+    Each block draws whole rows of p.size counts, about BLOCK_COUNTS in all,
+    so the working arrays are bounded whatever M is; a generator hands out
+    the same counts however its rows are blocked.
+    """
     gx, gy = rng.split(0).gen, rng.split(1).gen
-    z = []
-    for start in range(0, trials, CHUNK):
-        rows = min(CHUNK, trials - start)
+    block = max(1, BLOCK_COUNTS // p.size)
+    z = np.empty(trials, dtype=np.int64)
+    for start in range(0, trials, block):
+        rows = min(block, trials - start)
         x = gx.poisson(lam * p, size=(rows, p.size))
         y = gy.poisson(lam * q, size=(rows, q.size))
-        d = x - y
-        z.append((d * d - x - y).sum(axis=1))
-    return np.concatenate(z)
+        s = x + y
+        np.subtract(x, y, out=x)
+        np.multiply(x, x, out=x)
+        np.subtract(x, s, out=x)
+        x.sum(axis=1, out=z[start : start + rows])
+    return z
 
 
 def cell_errors(z: np.ndarray, unit: float, case: str) -> list[float]:
@@ -171,11 +219,12 @@ def threshold_index(select_worst: list[float]) -> int:
 
 
 def closeness_point(c_close: float, select_worst: list[float], select_errors: dict, check_errors: dict) -> dict:
-    """The C_close row's threshold, held-out bound and standing.
+    """The C_close row's threshold, held-out bound and standing in one band.
 
-    select_worst holds the selection set's worst cell error at each C_thr of
-    THRESHOLD_MULTS; select_errors and check_errors are the per-cell errors
-    at the threshold_index(select_worst) one on the selection and check sets.
+    select_worst holds the selection set's worst cell error over the band's
+    cells at each C_thr of THRESHOLD_MULTS; select_errors and check_errors
+    are the per-cell errors at the threshold_index(select_worst) one on the
+    selection and check sets.
     """
     i = threshold_index(select_worst)
     check = max(check_errors.values())
@@ -192,6 +241,17 @@ def closeness_point(c_close: float, select_worst: list[float], select_errors: di
         "select_errors": select_errors,
         "check_errors": check_errors,
     }
+
+
+def band_point(c_close: float, errors: dict) -> dict:
+    """closeness_point of one band's C_close row from its cells' errors.
+
+    errors maps SELECT and CHECK to {cell label: errors by C_thr}.
+    """
+    select_worst = [max(e[i] for e in errors[SELECT].values()) for i in range(len(THRESHOLD_MULTS))]
+    i = threshold_index(select_worst)
+    at = {s: {label: e[i] for label, e in by_label.items()} for s, by_label in errors.items()}
+    return closeness_point(c_close, select_worst, at[SELECT], at[CHECK])
 
 
 def norm_ratios(law: np.ndarray, c_norm: float, trials: int, rng: Rng) -> np.ndarray:
@@ -221,15 +281,27 @@ def norm_plan_point(c_norm: float, errors: dict[str, float]) -> dict:
     }
 
 
-def calibrate_norm(laws, rng: Rng) -> dict:
-    """The norm grid's points and the chosen one, as calibration.json records them."""
+def norm_cell(law: np.ndarray, c_norm: float, stream: tuple[int, ...]) -> tuple[float, float]:
+    """The shares of NORM_TRIALS statistics below 1/2 and above 3/2 of the truth on Rng(SEED, stream)."""
+    ratio = norm_ratios(law, c_norm, NORM_TRIALS, Rng(SEED, stream))
+    return float(np.mean(ratio < 0.5)), float(np.mean(ratio > 1.5))
+
+
+def calibrate_norm(laws, pool) -> dict:
+    """The norm grid's points and the chosen one, as calibration.json records them.
+
+    The norm point at grid index m draws law l from Rng(SEED).split(NORM_STREAM).split(m).split(l).
+    """
+    jobs = {
+        (mi, li): pool.submit(norm_cell, law, c_norm, (NORM_STREAM, mi, li))
+        for mi, c_norm in enumerate(NORM_SAMPLE_MULTS)
+        for li, (_, law, _) in enumerate(laws)
+    }
     results = []
     for mi, c_norm in enumerate(NORM_SAMPLE_MULTS):
         errors = {}
-        for li, (name, law, _) in enumerate(laws):
-            ratio = norm_ratios(law, c_norm, NORM_TRIALS, rng.split(mi).split(li))
-            errors[f"{name},low"] = float(np.mean(ratio < 0.5))
-            errors[f"{name},high"] = float(np.mean(ratio > 1.5))
+        for li, (name, _, _) in enumerate(laws):
+            errors[f"{name},low"], errors[f"{name},high"] = jobs[mi, li].result()
         results.append(norm_plan_point(c_norm, errors))
     chosen = min(results, key=lambda r: (r["cost"], r["reps"][THREE_AXIS]))
     return {
@@ -248,7 +320,7 @@ def calibrate_norm(laws, rng: Rng) -> dict:
 
 
 def calibration_laws() -> list[tuple[str, np.ndarray, int]]:
-    """(label, law, b M) of the uniform laws, then of the two-level ones."""
+    """(label, law, b M) of the laws on at most 200 cells: the uniform ones, then the two-level ones."""
     laws = [(f"M={M}", np.full(M, 1.0 / M), 1) for M in SIZES]
     return laws + [
         (f"M={M},bM={ratio}", two_level_law(M, ratio), ratio)
@@ -257,49 +329,111 @@ def calibration_laws() -> list[tuple[str, np.ndarray, int]]:
     ]
 
 
+def added_laws() -> list[tuple[str, np.ndarray, int]]:
+    """(label, law, b M) of the laws closeness alone is calibrated on: the
+    uniform and two-level ones on LARGE_SIZES cells, then the two-level ones
+    on the smallest size, so that the lowest band meets them too."""
+    large = [(f"M={M}", np.full(M, 1.0 / M), 1) for M in LARGE_SIZES]
+    large += [(f"M={M},bM={ratio}", two_level_law(M, ratio), ratio) for ratio in NORM_RATIOS for M in LARGE_SIZES]
+    M = SIZES[0]
+    return large + [(f"M={M},bM={ratio}", two_level_law(M, ratio), ratio) for ratio in NORM_RATIOS]
+
+
 def closeness_cells(laws) -> list[tuple[str, np.ndarray, float, float, str]]:
-    """(label, law, b, eps, case) of every closeness cell, with b = b M / M = ||p||_2^2 of the law."""
+    """(label, law, b, eps, case) of every closeness cell, with b = b M / M = ||p||_2^2 of the law.
+
+    A law whose lightest cell is at most 2 eps / M has no spread pair at
+    that eps, and its cells there are left out.
+    """
     return [
         (f"{name},eps={eps},{case}", law, ratio / law.size, eps, case)
         for name, law, ratio in laws
         for eps in EPSILONS
+        if law.min() > 2.0 * eps / law.size
         for case in ("null", "alt")
+    ]
+
+
+def all_closeness_cells() -> list[tuple[str, np.ndarray, float, float, str]]:
+    """Every closeness cell, in stream order: those of calibration_laws(), then those of added_laws().
+
+    The cells of calibration_laws() keep the indices the single-point
+    calibration gave them, so their statistics are drawn from the same streams.
+    """
+    return closeness_cells(calibration_laws()) + closeness_cells(added_laws())
+
+
+def band_of(M: int) -> int:
+    """The index in BANDS of the band that serves M cells."""
+    return max(0, sum(start <= M for start in BANDS) - 1)
+
+
+def band_cells(cells) -> list[list[int]]:
+    """Per band, the indices of the cells it is calibrated on: those of the lowest M in the band."""
+    lowest = [min(law.size for _, law, *_ in cells if band_of(law.size) == band) for band in range(len(BANDS))]
+    return [[k for k, (_, law, *_) in enumerate(cells) if law.size == M] for M in lowest]
+
+
+def cell_row(cell, c_close: float, trials: int, stream: tuple[int, ...]) -> list[float]:
+    """cell_errors of `trials` statistics of one cell at C_close, drawn on Rng(SEED, stream)."""
+    _, law, b, eps, case = cell
+    lam, unit = closeness_params(law.size, b, eps, EstimatorConfig(closeness_bands=((1, c_close, 1.0),)))
+    p, q = spread_pair(law, eps)
+    z = z_samples(p, p if case == "null" else q, lam, trials, Rng(SEED, stream))
+    return cell_errors(z, unit, case)
+
+
+def band_grid(first_M: int) -> list[float]:
+    """The C_close grid of the band that starts at first_M cells: SAMPLE_MULTS from its floor on."""
+    floor = FLOOR_MULT if first_M >= FLOOR_M else SAMPLE_MULTS[0]
+    return [c for c in SAMPLE_MULTS if c >= floor]
+
+
+def calibrate_bands(cells, pool) -> list[dict]:
+    """Per band, its C_close rows up to the first left one, and that point.
+
+    Each round runs the next C_close of every band without a left point yet,
+    all of its cells and both stream sets in the pool at once. Cell k of the
+    C_close at grid index c draws its set s from Rng(SEED).split(c).split(k).split(s).
+    """
+    members = band_cells(cells)
+    rows: list[list[dict]] = [[] for _ in BANDS]
+    for ci, c_close in enumerate(SAMPLE_MULTS):
+        open_bands = [
+            band
+            for band, start in enumerate(BANDS)
+            if c_close in band_grid(start) and not (rows[band] and rows[band][-1]["left"])
+        ]
+        # the largest cells first, so the small ones fill the cores at the end
+        order = sorted(
+            ((k, s) for band in open_bands for k in members[band] for s in (SELECT, CHECK)),
+            key=lambda ks: -cells[ks[0]][1].size,
+        )
+        jobs = {(k, s): pool.submit(cell_row, cells[k], c_close, TRIALS, (ci, k, s)) for k, s in order}
+        for band in open_bands:
+            errors = {s: {cells[k][0]: jobs[k, s].result() for k in members[band]} for s in (SELECT, CHECK)}
+            rows[band].append(band_point(c_close, errors))
+    return [
+        {
+            "first_M": start,
+            "M": int(cells[members[band][0]][1].size),
+            "chosen": next((row for row in rows[band] if row["left"]), None),
+            "results": rows[band],
+        }
+        for band, start in enumerate(BANDS)
     ]
 
 
 def main() -> int:
     root = pathlib.Path(__file__).resolve().parents[1]
-    rng = Rng(SEED)
+    began = time.monotonic()
+    cells = all_closeness_cells()
     laws = calibration_laws()
-    cells = closeness_cells(laws)
-
-    results = []
-    # Z's law depends on C_close and the cell only; thresholds are linear in
-    # C_thr, so one set of Z draws serves the whole threshold row.
-    for ci, c_close in enumerate(SAMPLE_MULTS):
-        cfg = EstimatorConfig(closeness_sample_mult=c_close, closeness_threshold_mult=1.0)
-        errors = {SELECT: {}, CHECK: {}}  # per stream set: cell label -> errors by C_thr
-        for ki, (label, law, b, eps, case) in enumerate(cells):
-            lam, unit = closeness_params(law.size, b, eps, cfg)
-            p, q = spread_pair(law, eps)
-            if case == "null":
-                q = p
-            for s, by_label in errors.items():
-                z = z_samples(p, q, lam, TRIALS, rng.split(ci).split(ki).split(s))
-                by_label[label] = cell_errors(z, unit, case)
-        select_worst = [max(e[i] for e in errors[SELECT].values()) for i in range(len(THRESHOLD_MULTS))]
-        i = threshold_index(select_worst)
-        at = {s: {label: e[i] for label, e in by_label.items()} for s, by_label in errors.items()}
-        results.append(closeness_point(c_close, select_worst, at[SELECT], at[CHECK]))
-
     large = np.full(NORM_LARGE_M, 1.0 / NORM_LARGE_M)
-    norm = calibrate_norm(laws + [(f"M={NORM_LARGE_M}", large, 1)], rng.split(NORM_STREAM))
-
-    left = [r for r in results if r["left"]]
-    if not left:
-        print(f"no grid point's held-out bound is at most {LEFT_BOUND}", file=sys.stderr)
-        return 1
-    chosen = min(left, key=lambda r: (r["closeness_sample_mult"], r["bound"]))
+    workers = len(os.sched_getaffinity(0))  # the cores this process may run on
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        bands = calibrate_bands(cells, pool)
+        norm = calibrate_norm(laws + [(f"M={NORM_LARGE_M}", large, 1)], pool)
 
     out = {
         "seed": SEED,
@@ -307,13 +441,16 @@ def main() -> int:
         "streams": (
             "cell k of the C_close at grid index c draws its selection set from "
             "Rng(seed).split(c).split(k).split(0) and its check set from .split(1); "
-            "X from the set's .split(0), Y from its .split(1)"
+            "X from the set's .split(0), Y from its .split(1); k indexes the cells in the "
+            "order of cells, the same in every band"
         ),
         "criterion": (
-            "one X/Y batch per call; the threshold is the first C_thr with the smallest worst cell "
-            "error on the selection set; bound = worst cell error on the check set + 2 binomial "
-            f"standard errors, rounded up to k/{CLOSENESS_GRID}; a point is left when its bound is at most {LEFT_BOUND!r} (delta 1/120); "
-            "the winner has the smallest C_close, then the smallest bound"
+            "per band, on the cells of its lowest M: one X/Y batch per call; the threshold is the "
+            "first C_thr with the smallest worst cell error on the selection set; bound = worst "
+            "cell error on the check set + 2 binomial standard errors, rounded up to "
+            f"k/{CLOSENESS_GRID}; a point is left when its bound is at most {LEFT_BOUND!r} "
+            "(delta 1/120); C_close runs up the band's grid, which starts at 6 from M = 200 on, "
+            "and the band's first left point wins"
         ),
         "norm_bound": (
             "b = ||p||_2^2 (exactly min(||p||_2^2, ||q||_2^2)); bM = 1 on the uniform "
@@ -322,33 +459,41 @@ def main() -> int:
         "grid": {
             "closeness_sample_mult": SAMPLE_MULTS,
             "closeness_threshold_mult": THRESHOLD_MULTS,
-            "M": SIZES,
+            "M": SIZES + LARGE_SIZES,
             "two_level_bM": NORM_RATIOS,
-            "two_level_M": SHAPED_SIZES,
+            "two_level_M": SIZES[:1] + SHAPED_SIZES + LARGE_SIZES,
             "eps": EPSILONS,
+            "bands": BANDS,
         },
-        "chosen": chosen,
-        "results": results,
+        "cells": [label for label, *_ in cells],
+        "bands": bands,
         "norm": norm,
     }
     path = root / "calibration.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
-    print(f"wrote {path}")
-    print(
-        "chosen: closeness_sample_mult="
-        f"{chosen['closeness_sample_mult']}, closeness_threshold_mult="
-        f"{chosen['closeness_threshold_mult']} (held-out worst cell error "
-        f"{chosen['check_error']:.4f} at {chosen['binding_cell']}, bound {chosen['bound']})"
-    )
+    print(f"wrote {path} in {time.monotonic() - began:.0f} s on {workers} cores")
+    status = 0
+    for band in bands:
+        chosen = band["chosen"]
+        if chosen is None:
+            print(f"band M >= {band['first_M']}: no grid point's held-out bound is at most {LEFT_BOUND}", file=sys.stderr)
+            status = 1
+            continue
+        print(
+            f"band M >= {band['first_M']}: closeness_sample_mult={chosen['closeness_sample_mult']}, "
+            f"closeness_threshold_mult={chosen['closeness_threshold_mult']} (held-out worst cell error "
+            f"{chosen['check_error']:.4f} at {chosen['binding_cell']}, bound {chosen['bound']})"
+        )
     norm_chosen = norm["chosen"]
     print(
         f"chosen: norm_sample_mult={norm_chosen['norm_sample_mult']} (max per-side error "
         f"{norm_chosen['max_error']:.4f}, bound {norm_chosen['bound']}, reps {norm_chosen['reps']})"
     )
+    if status:
+        return status
     # bound >= max_error by construction, so this also holds the premises
-    status = 0
     for name, got, committed in (
-        ("CLOSENESS_ERROR", chosen["bound"], CLOSENESS_ERROR),
+        ("CLOSENESS_ERROR", max(band["chosen"]["bound"] for band in bands), CLOSENESS_ERROR),
         ("NORM_SIDE_ERROR", norm_chosen["bound"], NORM_SIDE_ERROR),
     ):
         if got > committed:

@@ -181,7 +181,9 @@ class ExperimentConfig:
         if axes is not None and not {"2d": axes == 2, "3d": axes == 3, "d": axes >= 2}.get(self.tester, True):
             raise DomainError(f"tester {self.tester!r} cannot run on a {axes}-axis instance")
         # The testers' own checks; "exact" alpha is a tv distance, so in [0, 1].
-        TesterConfig(self.eps, 0.0 if self.alpha == "exact" else self.alpha, self.profile).validate()
+        # An array alpha compares elementwise, so only a string is matched.
+        exact = isinstance(self.alpha, str) and self.alpha == "exact"
+        TesterConfig(self.eps, 0.0 if exact else self.alpha, self.profile).validate()
 
     @staticmethod
     def from_dict(obj: dict) -> "ExperimentConfig":

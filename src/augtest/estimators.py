@@ -11,8 +11,14 @@ always odd (see _median_plan), so the median is one statistic. Closeness is
 one Poissonized batch per stream. Its statistic's signal-to-noise ratio
 grows linearly in the batch rate, so one batch calibrated to err w.p. at
 most CLOSENESS_ERROR serves every delta at or above that bound; amplify
-reaches a smaller one. Sample draws are logged into a SampleAccount in units
-of base joint draws, counting only what was drawn.
+reaches a smaller one. The batch rate and threshold are calibrated per band
+of the flattened domain size M (EstimatorConfig.closeness_bands), each band
+on the calibration laws of its lowest M. That rests on the premise that a
+band's error does not grow with M: the statistic sums more and smaller
+terms as M grows, its tails thin toward the Gaussian's, and the lowest M
+binds; the top band's point serves every larger M. Sample draws are logged
+into a SampleAccount in units of base joint draws, counting only what was
+drawn.
 
 When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
@@ -66,14 +72,31 @@ from .domain import (
 class EstimatorConfig:
     """Multipliers for the estimator sample sizes and thresholds.
 
-    All three are frozen by the committed calibration run
+    The norm's batch has one multiplier. Closeness has one pair per band of
+    the flattened domain size M: closeness_bands holds (first M, C_close,
+    C_thr) per band, by ascending first M, and a call on M cells runs at the
+    last band whose first M is at most M; the first band also serves every
+    smaller M and the last every larger one. The call draws
+    lambda = C_close * M * sqrt(b) / eps^2 per stream and rejects when
+    Z > C_thr * lambda^2 eps^2 / M.
+
+    Each band is calibrated on the cells of its lowest M, on the premise that
+    a band's error does not grow with M: the statistic's tails thin toward
+    the Gaussian's as the counts spread over more cells, so the band's
+    lowest M binds, and the top band's point holds on every larger domain.
+    All of them are frozen by the committed calibration run
     (scripts/calibrate_closeness.py); see calibration.json for the measured
-    error tables, the norm's under its "norm" key.
+    error tables, each band's under "bands" and the norm's under "norm".
     """
 
     norm_sample_mult: float = 4.0  # batch size T = this * ceil(sqrt(M))
-    closeness_sample_mult: float = 8.0  # lambda = this * M * sqrt(b) / eps^2
-    closeness_threshold_mult: float = 1.5  # reject when Z > this * lambda^2 eps^2 / M
+    closeness_bands: tuple[tuple[int, float, float], ...] = (
+        (9, 9.0, 1.5),
+        (50, 7.0, 1.9),
+        (200, 6.0, 1.95),
+        (2000, 6.0, 1.95),
+        (8192, 6.0, 1.95),
+    )
 
 
 # The per-side error the norm's median is sized for: the chance that one
@@ -82,12 +105,13 @@ class EstimatorConfig:
 # rounded up to a multiple of 1/64 (calibration.json records it under
 # "norm" with the repetitions it gives).
 NORM_SIDE_ERROR = 0.15625
-# The error closeness_test is sized for: the calibrated rule's worst cell
-# error on the calibration's held-out draws plus two binomial standard
-# errors, rounded up to a multiple of 1/2048 (calibration.json records it
-# under "chosen"). It is the smallest delta closeness_test takes, and at
-# most 1/120, the three-axis testers' delta.
-CLOSENESS_ERROR = 17 / 2048
+# The error closeness_test is sized for: the largest band bound, each the
+# band's worst cell error on the calibration's held-out draws plus two
+# binomial standard errors, rounded up to a multiple of 1/2048
+# (calibration.json records each under its band's "chosen"). It is the
+# smallest delta closeness_test takes, and at most 1/120, the three-axis
+# testers' delta.
+CLOSENESS_ERROR = 13 / 2048
 _CLOSENESS_DELTAS = f"[{Fraction(CLOSENESS_ERROR)}, 1)"
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -245,7 +269,8 @@ def _norm_statistics(view, T: int, r: int, rng: Rng) -> np.ndarray:
 
 
 def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tuple[float, float]:
-    """Per-stream Poisson rate and reject threshold used by closeness_test.
+    """Per-stream Poisson rate and reject threshold used by closeness_test,
+    at the multipliers of the band of cfg.closeness_bands that serves M.
 
     b bounds min(||p||_2^2, ||q||_2^2). A b above 1 says nothing, since every
     mass vector has l2^2 <= 1, so it is clamped to 1 rather than inflating
@@ -258,15 +283,27 @@ def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tupl
     _check_finite("b", b)
     if b <= 0:
         raise DomainError(f"norm bound b must be positive, got {b}")
+    _, sample_mult, threshold_mult = _closeness_band(M, cfg.closeness_bands)
     b_eff = min(float(b), 1.0)
-    lam = cfg.closeness_sample_mult * M * math.sqrt(b_eff) / _normal_square("eps", eps)
+    lam = sample_mult * M * math.sqrt(b_eff) / _normal_square("eps", eps)
     if lam > _POISSON_MEAN_MAX:
         raise DomainError(
             f"closeness batch mean lambda = {lam:.6g} exceeds the largest Poisson mean,"
             f" {_POISSON_MEAN_MAX:.6g}; eps = {eps!r} is too small"
         )
-    threshold = cfg.closeness_threshold_mult * lam * lam * eps * eps / M
+    threshold = threshold_mult * lam * lam * eps * eps / M
     return lam, threshold
+
+
+def _closeness_band(M: int, bands: tuple[tuple[int, float, float], ...]) -> tuple[int, float, float]:
+    """The (first M, C_close, C_thr) of the band that serves M cells: the
+    last whose first M is at most M, or the first band below them all."""
+    band = bands[0]
+    for nxt in bands[1:]:
+        if nxt[0] > M:
+            break
+        band = nxt
+    return band
 
 
 def closeness_test(
@@ -283,11 +320,12 @@ def closeness_test(
     """Tests p = q against tv(p, q) >= eps for laws with min l2^2 <= b; errs w.p. at most delta.
 
     Draws one pair of Poissonized count vectors X, Y with expected batch
-    size lambda = closeness_sample_mult * M * sqrt(b) / eps^2 per stream and
-    rejects when Z = sum (X_i - Y_i)^2 - X_i - Y_i exceeds
-    closeness_threshold_mult * lambda^2 eps^2 / M (E[Z] = lambda^2 ||p - q||_2^2,
-    and tv >= eps forces ||p - q||_2^2 >= 4 eps^2 / M). Returns True to
-    accept p = q. The calibrated rule errs w.p. at most CLOSENESS_ERROR, so
+    size lambda = C_close * M * sqrt(b) / eps^2 per stream and rejects when
+    Z = sum (X_i - Y_i)^2 - X_i - Y_i exceeds C_thr * lambda^2 eps^2 / M
+    (E[Z] = lambda^2 ||p - q||_2^2, and tv >= eps forces
+    ||p - q||_2^2 >= 4 eps^2 / M), with (C_close, C_thr) the band of
+    cfg.closeness_bands that serves M. Returns True to accept p = q. The
+    calibrated rule errs w.p. at most CLOSENESS_ERROR in every band, so
     delta must be at least that; amplify reaches a smaller one. The account
     holds the samples drawn.
 

@@ -181,6 +181,12 @@ class TestConfig:
         with pytest.raises(DomainError, match=message):
             ExperimentConfig.from_dict(dict(BASE, **overrides))
 
+    @pytest.mark.parametrize("alpha", [np.array([0.1, 0.2]), np.array(["exact", "exact"]), [0.1], "inexact"])
+    def test_an_alpha_that_is_neither_a_number_nor_exact_is_named(self, alpha):
+        # an array used to raise numpy's bare ValueError from alpha == "exact"
+        with pytest.raises(DomainError, match="^alpha must be a finite number"):
+            ExperimentConfig(**dict(BASE, alpha=alpha))
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -1060,8 +1066,9 @@ class TestAbTrials:
         shutil.copytree(os.path.join(self.ROOT, "src", "augtest"), tmp_path / "src" / "augtest")
         estimators = tmp_path / "src" / "augtest" / "estimators.py"
         text = estimators.read_text()
-        assert text.count("closeness_sample_mult: float = 8.0") == 1
-        estimators.write_text(text.replace("closeness_sample_mult: float = 8.0", "closeness_sample_mult: float = 9.0"))
+        # the band that serves the cube's 288- to 405-cell flattened joints
+        assert text.count("(200, 6.0, 1.95),") == 1
+        estimators.write_text(text.replace("(200, 6.0, 1.95),", "(200, 7.0, 1.95),"))
         done = self.run_script(self.ROOT, str(tmp_path), 1)
         assert done.returncode == 1
         assert "trial rows differ between A and B" in done.stderr

@@ -1,11 +1,15 @@
 """Tests for the l2 estimator, the closeness tester, and empirical learning."""
 
+import functools
 import importlib.util
 import itertools
 import json
 import math
+import multiprocessing
 import os
+import sys
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -37,6 +41,19 @@ from augtest.testers import TesterConfig, aug_independence_2d
 
 CFG = EstimatorConfig()
 CALIBRATION = os.path.join(os.path.dirname(__file__), os.pardir, "calibration.json")
+# The calibrated closeness bands: (first M, C_close, C_thr).
+BANDS = ((9, 9.0, 1.5), (50, 7.0, 1.9), (200, 6.0, 1.95), (2000, 6.0, 1.95), (8192, 6.0, 1.95))
+# The calibration cells of the bands that start at 9, 50 and 200 cells, by
+# stream index: the single-point calibration's 28, then the two-level laws on 10 cells.
+SMALL_BAND_CELLS = [*range(28), *range(52, 58)]
+# Per band that starts at 2,000 or 8,192 cells, its binding cell and its
+# uniform null, with the statistics drawn on each.
+LARGE_BAND_CELLS = [
+    ("M=2000,bM=5,eps=0.3,null", 5000),
+    ("M=2000,eps=0.3,null", 5000),
+    ("M=8192,bM=5,eps=0.3,null", 5000),
+    ("M=8192,eps=0.3,null", 5000),
+]
 
 
 def draw_only(view: FlatView) -> FlatView:
@@ -88,13 +105,14 @@ class TestMedian:
 class TestConfig:
     def test_defaults_are_the_calibrated_constants(self):
         assert CFG.norm_sample_mult == 4.0
-        assert CFG.closeness_sample_mult == 8.0
-        assert CFG.closeness_threshold_mult == 1.5
+        assert CFG.closeness_bands == BANDS
         # a recalibration that is not carried into the defaults fails here
         with open(CALIBRATION) as fh:
             record = json.load(fh)
-        assert CFG.closeness_sample_mult == record["chosen"]["closeness_sample_mult"]
-        assert CFG.closeness_threshold_mult == record["chosen"]["closeness_threshold_mult"]
+        assert CFG.closeness_bands == tuple(
+            (band["first_M"], band["chosen"]["closeness_sample_mult"], band["chosen"]["closeness_threshold_mult"])
+            for band in record["bands"]
+        )
         assert CFG.norm_sample_mult == record["norm"]["chosen"]["norm_sample_mult"]
 
     def test_repetition_counts(self):
@@ -150,13 +168,14 @@ class TestClosenessError:
     takes no delta below it."""
 
     def test_is_the_calibrated_bound_and_covers_every_tester(self):
-        assert estimators.CLOSENESS_ERROR == 17 / 2048
+        assert estimators.CLOSENESS_ERROR == 13 / 2048
         with open(CALIBRATION) as fh:
-            assert json.load(fh)["chosen"]["bound"] == estimators.CLOSENESS_ERROR
+            bands = json.load(fh)["bands"]
+        assert max(band["chosen"]["bound"] for band in bands) == estimators.CLOSENESS_ERROR
         assert estimators.CLOSENESS_ERROR <= min(testers._CLOSENESS_DELTA.values()) == 1 / 120
 
     @pytest.mark.parametrize("explicit", [True, False])
-    @pytest.mark.parametrize("delta", [math.nextafter(17 / 2048, 0), 1 / 200, 1e-6, 0.0, -0.1, 1.0, math.nan])
+    @pytest.mark.parametrize("delta", [math.nextafter(13 / 2048, 0), 1 / 200, 1e-6, 0.0, -0.1, 1.0, math.nan])
     def test_a_delta_below_it_is_a_domain_error(self, delta, explicit):
         v = FlatView.from_law(np.full(4, 0.25))
         account = SampleAccount()
@@ -171,43 +190,103 @@ class TestClosenessError:
         assert account.closeness > 0
 
 
+@functools.cache
 def _calibration_script():
+    # loaded once and registered under its name, so that pickle finds the
+    # functions its pool's workers run
     path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "calibrate_closeness.py")
     spec = importlib.util.spec_from_file_location("calibrate_closeness", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules["calibrate_closeness"] = module
     spec.loader.exec_module(module)
     return module
 
 
 class TestCalibrationRecord:
-    @pytest.mark.parametrize("row", range(5))
-    def test_every_point_re_derives_from_its_errors(self, row):
-        # each C_close row's threshold, held-out bound and standing follow
-        # from its recorded selection and check errors through the script's
-        # own rule
+    def test_the_cells_are_recorded_in_stream_order(self):
+        # the single-point calibration's 28 cells keep the stream indices it
+        # gave them; the added ones follow
         script = _calibration_script()
         with open(CALIBRATION) as fh:
             record = json.load(fh)
-        results = record["results"]
-        assert [point["closeness_sample_mult"] for point in results] == script.SAMPLE_MULTS
-        assert record["trials_per_cell"] == script.TRIALS == 40_000
-        point = results[row]
-        derived = script.closeness_point(
-            point["closeness_sample_mult"], point["select_worst"], point["select_errors"], point["check_errors"]
-        )
-        assert json.loads(json.dumps(derived)) == point
-        assert len(point["select_worst"]) == len(script.THRESHOLD_MULTS) == 56
-        assert len(point["select_errors"]) == len(point["check_errors"]) == 28
-        assert max(point["select_errors"].values()) == point["select_error"]
+        cells = script.all_closeness_cells()
+        labels = [label for label, *_ in cells]
+        assert record["cells"] == labels
+        assert labels[:28] == [label for label, *_ in script.closeness_cells(script.calibration_laws())]
+        assert len(labels) == 58
+        assert record["grid"]["bands"] == script.BANDS == [first for first, _, _ in CFG.closeness_bands]
+        members = script.band_cells(cells)
+        assert sorted(members[0] + members[1] + members[2]) == SMALL_BAND_CELLS
 
-    def test_the_chosen_point_is_the_cheapest_left(self):
+    @pytest.mark.parametrize("band", range(5))
+    def test_every_point_re_derives_from_its_errors(self, band):
+        # each C_close row's threshold, held-out bound and standing follow
+        # from its recorded selection and check errors through the script's
+        # own rule, over the cells of the band's lowest M
+        script = _calibration_script()
         with open(CALIBRATION) as fh:
             record = json.load(fh)
-        left = [point for point in record["results"] if point["left"]]
-        chosen = record["chosen"]
-        assert chosen == min(left, key=lambda p: (p["closeness_sample_mult"], p["bound"]))
+        assert record["trials_per_cell"] == script.TRIALS == 40_000
+        entry = record["bands"][band]
+        assert entry["first_M"] == script.BANDS[band]
+        cells = script.all_closeness_cells()
+        labels = [cells[k][0] for k in script.band_cells(cells)[band]]
+        assert {cells[k][1].size for k in script.band_cells(cells)[band]} == {entry["M"]}
+        assert entry["M"] == [10, 50, 200, 2000, 8192][band]
+        # on 10 cells, the two-level law with b M = 5 has no spread pair at eps 0.3
+        assert len(labels) == (10 if band == 0 else 12)
+        for point in entry["results"]:
+            derived = script.closeness_point(
+                point["closeness_sample_mult"], point["select_worst"], point["select_errors"], point["check_errors"]
+            )
+            assert json.loads(json.dumps(derived)) == point
+            assert len(point["select_worst"]) == len(script.THRESHOLD_MULTS) == 56
+            assert list(point["select_errors"]) == list(point["check_errors"]) == labels
+            assert max(point["select_errors"].values()) == point["select_error"]
+
+    @pytest.mark.parametrize("band", range(5))
+    def test_each_bands_point_is_the_cheapest_left(self, band):
+        # C_close runs up the band's grid and stops at the band's first left
+        # point, which is the left point with the smallest C_close
+        script = _calibration_script()
+        with open(CALIBRATION) as fh:
+            entry = json.load(fh)["bands"][band]
+        results = entry["results"]
+        grid = script.band_grid(entry["first_M"])
+        assert grid == script.SAMPLE_MULTS[(entry["first_M"] >= 200) :]
+        assert [point["closeness_sample_mult"] for point in results] == grid[: len(results)]
+        assert [point["left"] for point in results] == [False] * (len(results) - 1) + [True]
+        chosen = entry["chosen"]
+        left = [point for point in results if point["left"]]
+        assert chosen == results[-1] == min(left, key=lambda p: (p["closeness_sample_mult"], p["bound"]))
         assert chosen["closeness_sample_mult"] <= 9
         assert chosen["bound"] <= 1 / 120
+
+    def test_cell_rows_are_the_same_at_any_worker_count(self, monkeypatch):
+        # the calibration's pool draws each cell on its own streams, so the
+        # record does not depend on how many cores run it; its spawned
+        # workers import the script by name
+        script = _calibration_script()
+        monkeypatch.syspath_prepend(os.path.dirname(script.__file__))
+        monkeypatch.setattr(script, "TRIALS", 300)
+        monkeypatch.setattr(script, "BANDS", [9, 50])
+        cells = [cell for cell in script.all_closeness_cells() if cell[1].size in (10, 50)]
+        runs = []
+        for workers in (1, 2):
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+                runs.append(script.calibrate_bands(cells, pool))
+        assert json.dumps(runs[0]) == json.dumps(runs[1])
+        assert all(band["results"] for band in runs[0])
+
+    def test_z_blocks_bound_the_working_arrays_and_not_the_draws(self):
+        # blocks of BLOCK_COUNTS // M rows draw what one block of every row draws
+        script = _calibration_script()
+        p, q = script.spread_pair(script.two_level_law(200, 5), 0.1)
+        one = script.z_samples(p, q, 3000.0, 700, Rng(35))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(script, "BLOCK_COUNTS", 200 * 64 + 1)
+            blocked = script.z_samples(p, q, 3000.0, 700, Rng(35))
+        assert np.array_equal(one, blocked)
 
     def test_every_norm_point_re_derives_from_its_errors(self):
         # the norm's bound, repetition counts and cost follow from its
@@ -231,32 +310,52 @@ class TestCalibrationRecord:
 class TestRepetitionPremise:
     """repetitions() assumes each norm statistic falls below 1/2, and above
     3/2, of the truth w.p. at most NORM_SIDE_ERROR each, and closeness_test
-    that its one batch errs w.p. at most CLOSENESS_ERROR; these measure both
-    premises on the calibration laws."""
+    that its one batch errs w.p. at most CLOSENESS_ERROR in every band; these
+    measure both premises on the calibration laws."""
 
     def test_calibrated_closeness_error_is_at_most_the_recorded_bound(self):
         with open(CALIBRATION) as fh:
-            chosen = json.load(fh)["chosen"]
-        assert chosen["check_error"] == max(chosen["check_errors"].values())
-        assert chosen["check_error"] <= chosen["bound"] == estimators.CLOSENESS_ERROR
+            bands = json.load(fh)["bands"]
+        for band in bands:
+            chosen = band["chosen"]
+            assert chosen["check_error"] == max(chosen["check_errors"].values())
+            assert chosen["check_error"] <= chosen["bound"] <= estimators.CLOSENESS_ERROR
+        assert max(band["chosen"]["bound"] for band in bands) == estimators.CLOSENESS_ERROR
 
-    @pytest.mark.parametrize("k", range(28))
-    def test_single_batch_errors_are_covered_by_the_bound(self, k):
-        # 40,000 single-batch statistics Z on calibration cell k at the
-        # calibrated (C_close, C_thr), drawn by the script's own routine on
-        # streams apart from the calibration's; the Wilson upper bound on
-        # the cell's share of wrong verdicts must stay within
-        # CLOSENESS_ERROR.
-        trials = 40_000
+    @staticmethod
+    def _wrong_share_bound(cell, trials: int, stream) -> float:
+        """The Wilson upper bound on the share of wrong verdicts of `trials`
+        single-batch statistics Z on a calibration cell, at the band of
+        CFG.closeness_bands that serves its M, drawn by the calibration
+        script's own routine on Rng(stream), apart from the calibration's."""
         script = _calibration_script()
-        cells = script.closeness_cells(script.calibration_laws())
-        assert len(cells) == 28
-        _, law, b, eps, case = cells[k]
+        _, law, b, eps, case = cell
         lam, threshold = closeness_params(law.size, b, eps, CFG)
         p, q = script.spread_pair(law, eps)
-        z = script.z_samples(p, p if case == "null" else q, lam, trials, Rng(34, (k,)))
+        z = script.z_samples(p, p if case == "null" else q, lam, trials, stream)
         wrong = int(np.sum(z > threshold if case == "null" else z <= threshold))
-        assert wilson_interval(wrong, trials)[1] <= estimators.CLOSENESS_ERROR
+        return wilson_interval(wrong, trials)[1]
+
+    @pytest.mark.parametrize("k", SMALL_BAND_CELLS)
+    def test_single_batch_errors_are_covered_by_the_bound(self, k):
+        # 40,000 statistics on each cell of the bands that start at 9, 50
+        # and 200 cells, which are those of M = 10, 50 and 200; the Wilson
+        # upper bound on the cell's share of wrong verdicts must stay within
+        # CLOSENESS_ERROR.
+        script = _calibration_script()
+        cell = script.all_closeness_cells()[k]
+        assert cell[1].size <= 200
+        assert self._wrong_share_bound(cell, 40_000, Rng(34, (k,))) <= estimators.CLOSENESS_ERROR
+
+    @pytest.mark.parametrize("label, trials", LARGE_BAND_CELLS)
+    def test_the_large_bands_binding_and_uniform_null_cells_are_covered(self, label, trials):
+        # the bands that start at 2,000 and 8,192 cells on their binding
+        # cell and their uniform null, at fewer statistics
+        script = _calibration_script()
+        cells = script.all_closeness_cells()
+        k = [cell[0] for cell in cells].index(label)
+        assert k >= 28
+        assert self._wrong_share_bound(cells[k], trials, Rng(34, (k,))) <= estimators.CLOSENESS_ERROR
 
     def test_norm_misses_are_covered_by_the_tail(self):
         # 40,000 of estimate_l2_squared's per-repetition statistics per law,
@@ -380,8 +479,9 @@ class TestClosenessTest:
     def test_params_formulas(self):
         M, b, eps = 50, 1.0 / 50.0, 0.3
         lam, thr = closeness_params(M, b, eps, CFG)
-        assert lam == pytest.approx(CFG.closeness_sample_mult * M * math.sqrt(b) / eps**2)
-        assert thr == pytest.approx(CFG.closeness_threshold_mult * lam * lam * eps**2 / M)
+        _, c_close, c_thr = BANDS[1]  # the band of 50 to 199 cells
+        assert lam == pytest.approx(c_close * M * math.sqrt(b) / eps**2)
+        assert thr == pytest.approx(c_thr * lam * lam * eps**2 / M)
 
     def test_params_clamp_norm_bound(self):
         lam_clamped, _ = closeness_params(10, 5.0, 0.3, CFG)
@@ -471,7 +571,8 @@ class TestClosenessTest:
         gen = Rng(seed).gen
         p = gen.dirichlet(np.ones(M))
         w = gen.dirichlet(np.ones(M))
-        t = min(1.0, math.sqrt(CFG.closeness_threshold_mult * eps * eps / M / float((p - w) @ (p - w))))
+        c_thr = estimators._closeness_band(M, CFG.closeness_bands)[2]
+        t = min(1.0, math.sqrt(c_thr * eps * eps / M / float((p - w) @ (p - w))))
         return p, (1 - t) * p + t * w
 
     @staticmethod
@@ -528,6 +629,35 @@ class TestClosenessTest:
             closeness_test(v, v, 1, -1.0, 0.3, 0.1, CFG, Rng(14))
 
 
+class TestClosenessBands:
+    """closeness_params sizes a call on M cells at the one band that serves M."""
+
+    @pytest.mark.parametrize("edge", [9, 50, 200, 2000, 8192])
+    def test_each_band_starts_at_its_edge(self, edge):
+        i = [first for first, _, _ in BANDS].index(edge)
+        for M, (_, c_close, c_thr) in ((edge - 1, BANDS[max(0, i - 1)]), (edge, BANDS[i])):
+            b, eps = 1 / M, 0.3
+            lam, threshold = closeness_params(M, b, eps, CFG)
+            assert lam == c_close * M * math.sqrt(b) / (eps * eps)
+            assert threshold == c_thr * lam * lam * eps * eps / M
+
+    @settings(max_examples=300, deadline=None)
+    @given(M=st.integers(1, 10**12))
+    @example(M=1)
+    @example(M=8)
+    @example(M=8191)
+    @example(M=8192)
+    def test_every_domain_size_has_exactly_one_band(self, M):
+        # band i serves [first_i, first_(i+1)); the first band also serves
+        # every M below it, and the last every M above
+        firsts = [first for first, _, _ in BANDS]
+        assert firsts == sorted(set(firsts)) and firsts[0] == 9
+        lows, highs = [1] + firsts[1:], firsts[1:] + [math.inf]
+        serving = [band for band, low, high in zip(BANDS, lows, highs) if low <= M < high]
+        assert len(serving) == 1
+        assert estimators._closeness_band(M, CFG.closeness_bands) == serving[0]
+
+
 class TestDomainSize:
     """M must be the number of cells the views draw over; anything else is a
     DomainError before any draw, with or without a law."""
@@ -582,7 +712,8 @@ class TestDrawCeilings:
 
     def test_closeness_rate_at_the_ceiling_is_drawn(self):
         # lambda = C_close / eps^2 on one cell, just below the ceiling, just above it
-        below = math.sqrt(CFG.closeness_sample_mult / domain._POISSON_MEAN_MAX) * (1 + 1e-9)
+        c_close = BANDS[0][1]  # the band that serves one cell
+        below = math.sqrt(c_close / domain._POISSON_MEAN_MAX) * (1 + 1e-9)
         lam, _ = closeness_params(1, 1.0, below, CFG)
         assert domain._POISSON_MEAN_MAX * (1 - 1e-8) < lam <= domain._POISSON_MEAN_MAX
         assert closeness_test(FlatView.from_law([1.0]), FlatView.from_law([1.0]), 1, 1.0, below, 0.1, CFG, Rng(53))

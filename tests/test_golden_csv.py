@@ -32,7 +32,7 @@ GOLDEN = {
     # The three benchmark workloads.
     "closeness_2d": (
         dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}),
-        "a055391df7e4bf649432cafb0d935527efe3a6f5dd0fb844e4a5e7bd19e420a2",
+        "60529f8236ed80da9bab3e3e2d8d804f91cbb385aa3d1928cad57c62f0eb6774",
         "73c1cd2cc02336f2a317e8c148857d469d55ee296cac26074029b2079967c125",
         "1af2bfbad86983e91fd9fef7d93194274a89f93a52871e66b2d765d26b6e28f9",
     ),
@@ -53,13 +53,13 @@ GOLDEN = {
                 "force_x": 1,
             },
         ),
-        "29a40a751b98b1ed1bcd1c8ffac553690f686dc919fac529510cb36d6a80075e",
+        "195d3fc57ffa7fa947870ee06e2cc71febadc9f3275f331f2114fd3c7138d9e0",
         "f6445df5f711f17c821757857b942c7d46e138c03dc6effd44cf44ec0e049300",
         "bb7342ebe65cb55d425cf63f352e11e6e0bbee606d417de1a93e4a01be3755c1",
     ),
     "arity5_d": (
         dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2, 2, 2, 2, 2]}),
-        "1f28dc4cc9b75aed80b97bd3039e76cdd83c277f7929029aadeffbe817a0dd20",
+        "61c71057f301fad5d0e62eec34b9a799604a9c0a9a4d9f5e35d8c64b1b133941",
         "1a4b7dba6fd0cb3085752c5c9d122c3a32cba89f29be64d72de6851f90c9bbc6",
         "b58b44712866352880fa801e2007986b4c223e6c8bb30d2af5b814a33c08edbd",
     ),
@@ -72,19 +72,19 @@ GOLDEN = {
             prediction="uniform",
             instance={"kind": "product_random", "dims": [10, 40]},
         ),
-        "5df2bb8d0a0ce8e814e49b1de9d9ba5fed2195d78f01c3ad792fd2189fb836a5",
+        "a92df84cc7488e300da85cba9e6324a4eb282fc669d73ee51704280161e583a2",
         "8b8ad8d3dc7536231b0942d1d9e53f7fe572fa04f940ef509b62fd43c6b73373",
         "1af2bfbad86983e91fd9fef7d93194274a89f93a52871e66b2d765d26b6e28f9",
     ),
     "product_3d": (
         dict(tester="3d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [4, 9, 6]}),
-        "35d27d1dccafaf1967a0e0da255dffc7a87e17c331c8f58532a5bf7758ceb2de",
+        "f8eefe0b87765a551c302c8a3c5abfa16d946c65ca8ef5c117ffb3d971fc7ba7",
         "bd1a37c3440428f9ef1a12e9dafc45a48796c53fef54326d815a8aaefec61e96",
         "1af2bfbad86983e91fd9fef7d93194274a89f93a52871e66b2d765d26b6e28f9",
     ),
     "grouped_d": (
         dict(tester="d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [3, 5, 2, 4]}),
-        "f0bf7771dc7d8cef5c333c364c58d9cb716de609e066e4cb0509f28c1f77a255",
+        "2c321b5c6393173ea00079f6bc0f9c7476703e0ff92fd65090330fa47cb69d34",
         "016b22a31973f5a206d0ca0effb53994d61dbe192c366e56435bce55355be258",
         "b58b44712866352880fa801e2007986b4c223e6c8bb30d2af5b814a33c08edbd",
     ),

@@ -841,6 +841,37 @@ class TestDaryFarSideNearEps:
         assert wilson_interval(rejects, trials)[0] >= 0.9, f"{name}: {rejects}/{trials} rejected"
 
 
+class TestSignPerturbationAtEps:
+    """A far law at exactly eps whose closeness call runs in the top band.
+
+    U(100) x U(20) with each cell scaled by 1 + 2c s_i t_j, for balanced
+    signs s and t, keeps uniform marginals, so its tv to its own product is
+    c. At c = eps its flattened joint has 8,000 to 8,800 cells, and a
+    uniform prediction claimed exact (alpha 0) must not hide it.
+    """
+
+    EPS = 0.1
+
+    def test_rejects_at_eps_in_the_top_band(self):
+        s = np.where(np.arange(100) % 2 == 0, 1.0, -1.0)
+        t = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
+        p = JointDistribution((100, 20), (1 + 2 * self.EPS * np.outer(s, t)) / 2000)
+        assert tv_to_own_product(p) == pytest.approx(self.EPS, abs=1e-12)
+        pred = JointDistribution.uniform((100, 20))
+        trials = 60
+        verdicts = [
+            aug_independence_2d(JointSampler(p), pred, TesterConfig(self.EPS, 0.0), Rng(2034, (i,))) for i in range(trials)
+        ]
+        # the flattened joint's 8,000-odd cells straddle the top band's first
+        # M, and the band below runs at the top band's point
+        bands = estimators.EstimatorConfig().closeness_bands
+        sizes = [math.prod(v.detail["flat_dims"]) for v in verdicts]
+        assert all(estimators._closeness_band(M, bands)[1:] == bands[-1][1:] for M in sizes)
+        assert max(sizes) >= bands[-1][0]
+        rejects = sum(v.outcome is Outcome.REJECT for v in verdicts)
+        assert wilson_interval(rejects, trials)[0] >= 0.9, f"{rejects}/{trials} rejected"
+
+
 class TestAmplify:
     @staticmethod
     def scripted_run(outcomes):
