@@ -21,11 +21,16 @@ law with b M = 5 on 10 cells at eps 0.3, which is left out. The M = 10 laws
 stand for the smallest flattened domain a tester builds, 9 cells: an axis of
 size 2 flattens to at least 3 buckets.
 
-Each band of flattened domain sizes, starting at M = 9, 50, 200, 2000 and
-8192 (BANDS), gets its own (C_close, C_thr), calibrated on the cells of the
-band's lowest M: Z's tails thin toward the Gaussian as M grows, so a band's
-error does not grow with M and its lowest M binds. The lowest band also
-serves M below 9 and the top band every M above 8192.
+Each band of flattened domain sizes in EstimatorConfig.closeness_bands
+(BANDS; they start at M = 9, 50 and 200) gets its own (C_close, C_thr),
+calibrated on the cells of the band's lowest M. That rests on the premise
+that a band's error does not grow with M: Z's tails thin toward the
+Gaussian as M grows, so the lowest M binds. The lowest band also serves M
+below its first, and the top band every larger M. The premise is checked
+on the band's cells of higher M (the 2000- and 8192-cell ones, in the top
+band): each draws one held-out set at the band's chosen point, and that
+set's worst error, plus two binomial standard errors and rounded up as
+below, must stay within the band's bound.
 
 Per band, each C_close draws two sets of TRIALS statistics per cell on apart
 streams. Its threshold is the C_thr with the smallest worst cell error on the
@@ -33,21 +38,20 @@ first set (the selection set); the same rule's worst cell error on the
 second set (the check set) is held out from that choice. The point's bound
 is the held-out worst error plus two binomial standard errors, rounded up to
 a multiple of 1/2048. A point is left when its bound is at most the smallest
-confidence the testers run closeness at (delta 1/120, three axes). The
-band's winner is the left point with the smallest C_close, which is the
-call's cost in units of M sqrt(b) / eps^2 samples per stream; so C_close
-runs up the band's grid and stops at the first left point.
+confidence the testers run closeness at (delta 1/120, three axes) and its
+threshold sits at least NULL_SDS standard deviations of the null's Z out at
+a tight b. The band's winner is the left point with the smallest C_close,
+which is the call's cost in units of M sqrt(b) / eps^2 samples per stream;
+so C_close runs up the grid and stops at the band's first left point.
 
-The grid starts at 5 below M = 200 and at 6 from there on. At a tight b the
-threshold sits about C_close * C_thr / (2 sqrt 2) standard deviations of
-the null's Z out, and C_thr settles near 2 on the larger cells, so C_close
-5 puts it about 3.5 out, against 4.2 at the single-point calibration's
-(8, 1.5). The testers' measured b is seldom far from tight, and at C_close
-5 single statistics of the benchmark laws crossed the threshold: 1 in
-80,000 trials of a uniform (100, 20) joint rejected, and the largest
-Z / threshold over 120,000 trials of the uniform (2,)^5 cube was 0.93,
-against 0.64 at (8, 1.5). C_close 4 at M >= 2000 crossed it on laws of
-the same joint.
+The null tail is a rule of its own because the bound of 1/120 does not see
+it. Under the null Var Z = 8 lambda^2 ||p||_2^2 exactly, so at a tight b
+the threshold sits C_close * C_thr / (2 sqrt 2) standard deviations out,
+whatever the cell (null_sds). A benchmark run of the testers makes tens of
+thousands of closeness calls on null laws, so a call may err far less often
+than 1/120 allows: at (5, 2.0), 3.5 standard deviations out, 1 in 80,000
+trials of a uniform (100, 20) joint rejected, while the single-point
+calibration's (8, 1.5), 4.2 out, never did; NULL_SDS = 4 lies between.
 
 The norm's batch and median are chosen per side. For each C_norm in
 NORM_SAMPLE_MULTS and each law on at most 200 cells above plus the uniform
@@ -69,8 +73,8 @@ Writes calibration.json next to pyproject.toml and prints the chosen points.
 The chosen multipliers are frozen as EstimatorConfig defaults, and
 estimators.CLOSENESS_ERROR (the largest band bound) and
 estimators.NORM_SIDE_ERROR are the bounds the estimators are sized for; the
-script exits 1 when a band has no left point or when a chosen bound exceeds
-the committed one.
+script exits 1 when a band has no left point, when a premise check fails,
+or when a chosen bound exceeds the committed one.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ from augtest.estimators import (
     CLOSENESS_ERROR,
     NORM_SIDE_ERROR,
     EstimatorConfig,
+    _closeness_band,
     _median_plan,
     _norm_batch,
     _norm_statistics,
@@ -109,6 +114,9 @@ THRESHOLD_MULTS = [round(0.8 + 0.05 * i, 2) for i in range(56)]
 # A left point's bound is at most the smallest confidence the testers run
 # closeness at.
 LEFT_BOUND = min(_CLOSENESS_DELTA.values())
+# A left point's threshold also sits at least this many standard deviations
+# of the null's Z out at a tight b (see the module docstring).
+NULL_SDS = 4.0
 SELECT, CHECK = 0, 1  # the two stream sets of a closeness cell
 # Poisson counts per working array; a block of statistics holds
 # max(1, BLOCK_COUNTS // M) rows of M cells.
@@ -123,15 +131,14 @@ EPSILONS = [0.1, 0.3]
 NORM_RATIOS = [2, 5]
 SHAPED_SIZES = [50, 200]
 HEAVY_SHARE = 0.02  # share of the cells that are heavy in a two-level law
-# Closeness alone is also calibrated on the uniform and two-level laws of
-# these sizes, the lowest M of the two top bands, and on the two-level laws
-# of the smallest size.
+# Closeness alone also draws on the uniform and two-level laws of these
+# sizes, which check the top band's premise, and on the two-level laws of
+# the smallest size, which the lowest band is calibrated on.
 LARGE_SIZES = [2000, 8192]
-# The first flattened domain size of each closeness band.
-BANDS = [9, 50, 200, 2000, 8192]
-# From FLOOR_M cells on, a band's C_close grid starts at FLOOR_MULT (see the
-# module docstring).
-FLOOR_M, FLOOR_MULT = 200, 6.0
+# The closeness bands of EstimatorConfig, (first M, C_close, C_thr) by
+# ascending first M; the script takes their edges and calibrates a point for
+# each.
+BANDS = EstimatorConfig().closeness_bands
 NORM_TRIALS = 40000
 NORM_SAMPLE_MULTS = [3.0, 3.5, 4.0, 5.0, 6.0]
 NORM_LARGE_M = 8192  # a uniform law the norm is also calibrated on
@@ -229,6 +236,7 @@ def closeness_point(c_close: float, select_worst: list[float], select_errors: di
     i = threshold_index(select_worst)
     check = max(check_errors.values())
     bound = bound_up(check, TRIALS, CLOSENESS_GRID)
+    null_sds = c_close * THRESHOLD_MULTS[i] / (2.0 * math.sqrt(2.0))
     return {
         "closeness_sample_mult": c_close,
         "closeness_threshold_mult": THRESHOLD_MULTS[i],
@@ -236,7 +244,8 @@ def closeness_point(c_close: float, select_worst: list[float], select_errors: di
         "check_error": check,
         "binding_cell": max(check_errors, key=check_errors.get),
         "bound": bound,
-        "left": bound <= LEFT_BOUND,
+        "null_sds": null_sds,
+        "left": bound <= LEFT_BOUND and null_sds >= NULL_SDS,
         "select_worst": select_worst,
         "select_errors": select_errors,
         "check_errors": check_errors,
@@ -330,9 +339,9 @@ def calibration_laws() -> list[tuple[str, np.ndarray, int]]:
 
 
 def added_laws() -> list[tuple[str, np.ndarray, int]]:
-    """(label, law, b M) of the laws closeness alone is calibrated on: the
-    uniform and two-level ones on LARGE_SIZES cells, then the two-level ones
-    on the smallest size, so that the lowest band meets them too."""
+    """(label, law, b M) of the laws closeness alone draws on: the uniform and
+    two-level ones on LARGE_SIZES cells, then the two-level ones on the
+    smallest size, so that the lowest band meets them too."""
     large = [(f"M={M}", np.full(M, 1.0 / M), 1) for M in LARGE_SIZES]
     large += [(f"M={M},bM={ratio}", two_level_law(M, ratio), ratio) for ratio in NORM_RATIOS for M in LARGE_SIZES]
     M = SIZES[0]
@@ -365,13 +374,20 @@ def all_closeness_cells() -> list[tuple[str, np.ndarray, float, float, str]]:
 
 def band_of(M: int) -> int:
     """The index in BANDS of the band that serves M cells."""
-    return max(0, sum(start <= M for start in BANDS) - 1)
+    return BANDS.index(_closeness_band(M, BANDS))
 
 
-def band_cells(cells) -> list[list[int]]:
-    """Per band, the indices of the cells it is calibrated on: those of the lowest M in the band."""
-    lowest = [min(law.size for _, law, *_ in cells if band_of(law.size) == band) for band in range(len(BANDS))]
-    return [[k for k, (_, law, *_) in enumerate(cells) if law.size == M] for M in lowest]
+def band_cells(cells) -> tuple[list[list[int]], list[list[int]]]:
+    """Per band, the indices of the cells it is calibrated on, those of its
+    lowest M, and of the cells that check its premise, those of higher M."""
+    sizes = [[law.size for _, law, *_ in cells if band_of(law.size) == band] for band in range(len(BANDS))]
+    lowest = [min(in_band) for in_band in sizes]
+    members = [[k for k, (_, law, *_) in enumerate(cells) if law.size == M] for M in lowest]
+    above = [
+        [k for k, (_, law, *_) in enumerate(cells) if band_of(law.size) == band and law.size > M]
+        for band, M in enumerate(lowest)
+    ]
+    return members, above
 
 
 def cell_row(cell, c_close: float, trials: int, stream: tuple[int, ...]) -> list[float]:
@@ -383,27 +399,31 @@ def cell_row(cell, c_close: float, trials: int, stream: tuple[int, ...]) -> list
     return cell_errors(z, unit, case)
 
 
-def band_grid(first_M: int) -> list[float]:
-    """The C_close grid of the band that starts at first_M cells: SAMPLE_MULTS from its floor on."""
-    floor = FLOOR_MULT if first_M >= FLOOR_M else SAMPLE_MULTS[0]
-    return [c for c in SAMPLE_MULTS if c >= floor]
+def premise_check(chosen: dict, jobs: list) -> dict:
+    """The band's chosen point on the cells of higher M: their check-set
+    errors at its threshold, the worst, and its bound, which must stay
+    within the band's. jobs holds (label, cell_row future) per cell."""
+    i = THRESHOLD_MULTS.index(chosen["closeness_threshold_mult"])
+    errors = {label: job.result()[i] for label, job in jobs}
+    check = max(errors.values())
+    bound = bound_up(check, TRIALS, CLOSENESS_GRID)
+    return {"check_error": check, "bound": bound, "holds": bound <= chosen["bound"], "check_errors": errors}
 
 
 def calibrate_bands(cells, pool) -> list[dict]:
-    """Per band, its C_close rows up to the first left one, and that point.
+    """Per band, its C_close rows up to the first left one, that point, and
+    the point's premise check on the band's cells of higher M.
 
     Each round runs the next C_close of every band without a left point yet,
     all of its cells and both stream sets in the pool at once. Cell k of the
-    C_close at grid index c draws its set s from Rng(SEED).split(c).split(k).split(s).
+    C_close at grid index c draws its set s from Rng(SEED).split(c).split(k).split(s);
+    a premise check draws the check set of its cells at the chosen C_close.
     """
-    members = band_cells(cells)
+    members, above = band_cells(cells)
     rows: list[list[dict]] = [[] for _ in BANDS]
+    premise_jobs: list[list] = [[] for _ in BANDS]
     for ci, c_close in enumerate(SAMPLE_MULTS):
-        open_bands = [
-            band
-            for band, start in enumerate(BANDS)
-            if c_close in band_grid(start) and not (rows[band] and rows[band][-1]["left"])
-        ]
+        open_bands = [band for band in range(len(BANDS)) if not (rows[band] and rows[band][-1]["left"])]
         # the largest cells first, so the small ones fill the cores at the end
         order = sorted(
             ((k, s) for band in open_bands for k in members[band] for s in (SELECT, CHECK)),
@@ -413,15 +433,25 @@ def calibrate_bands(cells, pool) -> list[dict]:
         for band in open_bands:
             errors = {s: {cells[k][0]: jobs[k, s].result() for k in members[band]} for s in (SELECT, CHECK)}
             rows[band].append(band_point(c_close, errors))
-    return [
-        {
-            "first_M": start,
-            "M": int(cells[members[band][0]][1].size),
-            "chosen": next((row for row in rows[band] if row["left"]), None),
-            "results": rows[band],
-        }
-        for band, start in enumerate(BANDS)
-    ]
+            if rows[band][-1]["left"]:
+                # drawn while the other bands run on
+                premise_jobs[band] = [
+                    (cells[k][0], pool.submit(cell_row, cells[k], c_close, TRIALS, (ci, k, CHECK)))
+                    for k in above[band]
+                ]
+    out = []
+    for band, (first_M, _, _) in enumerate(BANDS):
+        chosen = next((row for row in rows[band] if row["left"]), None)
+        out.append(
+            {
+                "first_M": first_M,
+                "M": int(cells[members[band][0]][1].size),
+                "chosen": chosen,
+                "premise": premise_check(chosen, premise_jobs[band]) if premise_jobs[band] else None,
+                "results": rows[band],
+            }
+        )
+    return out
 
 
 def main() -> int:
@@ -449,8 +479,11 @@ def main() -> int:
             "first C_thr with the smallest worst cell error on the selection set; bound = worst "
             "cell error on the check set + 2 binomial standard errors, rounded up to "
             f"k/{CLOSENESS_GRID}; a point is left when its bound is at most {LEFT_BOUND!r} "
-            "(delta 1/120); C_close runs up the band's grid, which starts at 6 from M = 200 on, "
-            "and the band's first left point wins"
+            f"(delta 1/120) and null_sds = C_close * C_thr / (2 sqrt 2), the threshold's distance "
+            f"in null standard deviations of Z at a tight b, is at least {NULL_SDS!r}; C_close "
+            "runs up the grid and the band's first left point wins; its premise check draws the "
+            "check set of the band's cells of higher M at that point, and its bound, rounded up "
+            "likewise, must be at most the band's"
         ),
         "norm_bound": (
             "b = ||p||_2^2 (exactly min(||p||_2^2, ||q||_2^2)); bM = 1 on the uniform "
@@ -463,7 +496,7 @@ def main() -> int:
             "two_level_bM": NORM_RATIOS,
             "two_level_M": SIZES[:1] + SHAPED_SIZES + LARGE_SIZES,
             "eps": EPSILONS,
-            "bands": BANDS,
+            "bands": [first_M for first_M, _, _ in BANDS],
         },
         "cells": [label for label, *_ in cells],
         "bands": bands,
@@ -476,14 +509,23 @@ def main() -> int:
     for band in bands:
         chosen = band["chosen"]
         if chosen is None:
-            print(f"band M >= {band['first_M']}: no grid point's held-out bound is at most {LEFT_BOUND}", file=sys.stderr)
+            print(f"band M >= {band['first_M']}: no grid point is left", file=sys.stderr)
             status = 1
             continue
         print(
             f"band M >= {band['first_M']}: closeness_sample_mult={chosen['closeness_sample_mult']}, "
             f"closeness_threshold_mult={chosen['closeness_threshold_mult']} (held-out worst cell error "
-            f"{chosen['check_error']:.4f} at {chosen['binding_cell']}, bound {chosen['bound']})"
+            f"{chosen['check_error']:.4f} at {chosen['binding_cell']}, bound {chosen['bound']}, "
+            f"{chosen['null_sds']:.2f} null SDs out)"
         )
+        premise = band["premise"]
+        if premise is not None and not premise["holds"]:
+            print(
+                f"band M >= {band['first_M']}: its cells of higher M err up to {premise['check_error']:.4f}, "
+                f"a bound of {premise['bound']} above the band's",
+                file=sys.stderr,
+            )
+            status = 1
     norm_chosen = norm["chosen"]
     print(
         f"chosen: norm_sample_mult={norm_chosen['norm_sample_mult']} (max per-side error "
