@@ -53,6 +53,25 @@ than 1/120 allows: at (5, 2.0), 3.5 standard deviations out, 1 in 80,000
 trials of a uniform (100, 20) joint rejected, while the single-point
 calibration's (8, 1.5), 4.2 out, never did; NULL_SDS = 4 lies between.
 
+The one-batch statistic of closeness_test(view, None, ...), which tests a
+two-axis joint against the product of its own marginals, gets its own
+bands (EstimatorConfig.independence_bands, the same edges; INDEPENDENCE_*
+below). Each band is calibrated on product laws of its smallest grids,
+INDEPENDENCE_GRIDS (3 x 3 and 4 x 3 for the band from 9 cells, 10 x 5 from
+50, 20 x 10 and 40 x 5 from 200), as nulls, and on their sign
+perturbations p_1(i) p_2(j) (1 + 2 eps s_i t_j) as alternatives: signs
+with sum p_1 s = sum p_2 t = 0 keep both marginals, and the perturbation
+lies at tv eps from their product. On each grid the laws are the flat one
+(uniform on an even axis, (2, 1, ..., 1) on an odd one) and those with
+b M in INDEPENDENCE_RATIOS that heavy pairs on the first axis reach (see
+axis_law), at b = min(||p||_2^2, ||p_1 x p_2||_2^2). The rule is the one
+above, save two things: a point is left only when its bound is at most
+estimators.CLOSENESS_ERROR, the error closeness_test is sized for, and its
+null_sds is measured, the threshold over the largest standard deviation of
+the band's null statistics, since this Z's null variance has no closed
+form here. The top band's premise is checked on PREMISE_GRIDS, 100 x 20
+and 128 x 64.
+
 The norm's batch and median are chosen per side. For each C_norm in
 NORM_SAMPLE_MULTS and each law on at most 200 cells above plus the uniform
 law on 8,192 cells (about the size of a flattened (100, 20) joint),
@@ -70,7 +89,8 @@ block of a cell's statistics holds about BLOCK_COUNTS Poisson counts, so
 the workers' memory does not grow with M.
 
 Writes calibration.json next to pyproject.toml and prints the chosen points.
-The chosen multipliers are frozen as EstimatorConfig defaults, and
+The chosen multipliers are frozen as EstimatorConfig defaults (the joint
+batch's under "independence"), and
 estimators.CLOSENESS_ERROR (the largest band bound) and
 estimators.NORM_SIDE_ERROR are the bounds the estimators are sized for; the
 script exits 1 when a band has no left point, when a premise check fails,
@@ -102,6 +122,7 @@ from augtest.estimators import (
     _norm_batch,
     _norm_statistics,
     closeness_params,
+    independence_params,
 )
 from augtest.flattening import FlatView
 from augtest.testers import _CLOSENESS_DELTA, _NORM_DELTA
@@ -149,6 +170,18 @@ TWO_AXIS, THREE_AXIS = NORM_DELTAS
 # closeness rows, which take the streams 0, 1, ... of their C_close.
 NORM_STREAM = 100
 NORM_CHUNK = 5000  # statistics drawn per block, to bound the working arrays
+# The one-batch statistic of two-axis joints (EstimatorConfig.independence_bands):
+# its C grid, the grids of each band's smallest laws, keyed by the band's
+# first M, and the grids of higher M that check the top band's premise. A
+# flattened axis has at least 3 cells, so 3 x 3 is the smallest grid.
+INDEPENDENCE_BANDS = EstimatorConfig().independence_bands
+INDEPENDENCE_MULTS = [2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 6.0]
+INDEPENDENCE_GRIDS = {9: [(3, 3), (4, 3)], 50: [(10, 5)], 200: [(20, 10), (40, 5)]}
+PREMISE_GRIDS = [(100, 20), (128, 64)]
+# b M of the laws beside the flat one on each grid.
+INDEPENDENCE_RATIOS = [2, 5]
+# The independence cells draw from Rng(SEED).split(INDEPENDENCE_STREAM).
+INDEPENDENCE_STREAM = 200
 
 
 def two_level_law(M: int, ratio: float) -> np.ndarray:
@@ -257,10 +290,16 @@ def band_point(c_close: float, errors: dict) -> dict:
 
     errors maps SELECT and CHECK to {cell label: errors by C_thr}.
     """
+    return closeness_point(c_close, *selected_errors(errors))
+
+
+def selected_errors(errors: dict) -> tuple[list[float], dict, dict]:
+    """The selection set's worst cell error at each C_thr of THRESHOLD_MULTS,
+    and each cell's selection and check errors at the threshold_index one."""
     select_worst = [max(e[i] for e in errors[SELECT].values()) for i in range(len(THRESHOLD_MULTS))]
     i = threshold_index(select_worst)
     at = {s: {label: e[i] for label, e in by_label.items()} for s, by_label in errors.items()}
-    return closeness_point(c_close, select_worst, at[SELECT], at[CHECK])
+    return select_worst, at[SELECT], at[CHECK]
 
 
 def norm_ratios(law: np.ndarray, c_norm: float, trials: int, rng: Rng) -> np.ndarray:
@@ -399,12 +438,12 @@ def cell_row(cell, c_close: float, trials: int, stream: tuple[int, ...]) -> list
     return cell_errors(z, unit, case)
 
 
-def premise_check(chosen: dict, jobs: list) -> dict:
+def premise_check(chosen: dict, rows: dict) -> dict:
     """The band's chosen point on the cells of higher M: their check-set
     errors at its threshold, the worst, and its bound, which must stay
-    within the band's. jobs holds (label, cell_row future) per cell."""
+    within the band's. rows maps each cell's label to its errors by C_thr."""
     i = THRESHOLD_MULTS.index(chosen["closeness_threshold_mult"])
-    errors = {label: job.result()[i] for label, job in jobs}
+    errors = {label: row[i] for label, row in rows.items()}
     check = max(errors.values())
     bound = bound_up(check, TRIALS, CLOSENESS_GRID)
     return {"check_error": check, "bound": bound, "holds": bound <= chosen["bound"], "check_errors": errors}
@@ -447,8 +486,182 @@ def calibrate_bands(cells, pool) -> list[dict]:
                 "first_M": first_M,
                 "M": int(cells[members[band][0]][1].size),
                 "chosen": chosen,
-                "premise": premise_check(chosen, premise_jobs[band]) if premise_jobs[band] else None,
+                "premise": (
+                    premise_check(chosen, {label: job.result() for label, job in premise_jobs[band]})
+                    if premise_jobs[band]
+                    else None
+                ),
                 "results": rows[band],
+            }
+        )
+    return out
+
+
+def axis_law(n: int, ratio: float | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+    """A law on n cells and signs s = +-1 with sum law * s = 0, or None when
+    no law of this shape reaches the ratio.
+
+    The cells form units whose masses cancel under s: pairs (w, w) signed
+    (+, -), and on odd n a leading triple (2w, w, w) signed (+, -, -). With
+    ratio None every w is equal (the uniform law on even n). Otherwise the
+    first max(1, round(HEAVY_SHARE * n / 2)) pairs are heavy, their w raised
+    so that n ||law||_2^2 = ratio; a ratio at or above what heavy pairs
+    alone give is not reached.
+    """
+    first = 3 * (n % 2)  # the cells of the triple
+    w = np.ones(n)
+    w[:first] = (2.0, 1.0, 1.0)[:first]
+    s = np.concatenate(((1.0, -1.0, -1.0)[:first], np.where(np.arange(n - first) % 2 == 0, 1.0, -1.0)))
+    if ratio is not None:
+        heavy = np.zeros(n, dtype=bool)
+        heavy[first : first + 2 * max(1, round(HEAVY_SHARE * n / 2))] = True
+        if not heavy.any():
+            return None
+        sh, qh = w[heavy].sum(), (w[heavy] ** 2).sum()
+        sl, ql = w[~heavy].sum(), (w[~heavy] ** 2).sum()
+        # ratio = n (h^2 qh + ql) / (h sh + sl)^2, a quadratic in the heavy factor h
+        a, b, c = n * qh - ratio * sh * sh, -2.0 * ratio * sh * sl, n * ql - ratio * sl * sl
+        if a <= 0:
+            return None
+        h = max((-b + sign * math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a) for sign in (1.0, -1.0))
+        w[heavy] *= h
+    law = w / w.sum()
+    assert abs(law @ s) < 1e-12
+    assert ratio is None or abs(n * (law @ law) - ratio) < 1e-9
+    return law, s
+
+
+def grid_laws(dims: tuple[int, int]) -> list[tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(label, p_1, s, p_2, t) of the product laws on a grid: the flat one,
+    then those whose b M is each of INDEPENDENCE_RATIOS that axis 1 reaches,
+    with axis 2 flat."""
+    p2, t = axis_law(dims[1])
+    laws = [(f"{dims[0]}x{dims[1]}", *axis_law(dims[0]), p2, t)]
+    for ratio in INDEPENDENCE_RATIOS:
+        axis = axis_law(dims[0], ratio / (dims[1] * float(p2 @ p2)))
+        if axis is not None:
+            laws.append((f"{dims[0]}x{dims[1]},bM={ratio}", *axis, p2, t))
+    return laws
+
+
+def independence_cells(grids) -> list[tuple[str, np.ndarray, float, float, str]]:
+    """(label, joint law, b, eps, case) of every cell on the grids.
+
+    The null law is the product p_1 x p_2; the alternative perturbs it by
+    1 + 2 eps s_i t_j, which keeps both marginals (sum p_1 s = sum p_2 t = 0)
+    and lies at tv eps from that product. b is the tight bound
+    min(||p||_2^2, ||p_1 x p_2||_2^2).
+    """
+    cells = []
+    for dims in grids:
+        for name, p1, s, p2, t in grid_laws(dims):
+            product = np.outer(p1, p2)
+            for eps in EPSILONS:
+                alt = product * (1.0 + 2.0 * eps * np.outer(s, t))
+                assert abs(0.5 * np.abs(alt - product).sum() - eps) < 1e-12
+                b = min(float((alt * alt).sum()), float((product * product).sum()))
+                cells.append((f"{name},eps={eps},null", product, float((product * product).sum()), eps, "null"))
+                cells.append((f"{name},eps={eps},alt", alt, b, eps, "alt"))
+    return cells
+
+
+def joint_z_samples(p: np.ndarray, lam: float, trials: int, rng: Rng) -> np.ndarray:
+    """`trials` independent draws of the one-batch statistic Z of a joint law
+    p on a grid, each from a table N of Poi(lam p_ij) counts on rng's generator.
+
+    Z = D - 2 T_3 / lam + T_4 / lam^2, with the coincidence counts of
+    estimators._independence_terms taken row-wise over blocks of tables.
+    """
+    gen = rng.gen
+    block = max(1, BLOCK_COUNTS // p.size)
+    z = np.empty(trials)
+    for start in range(0, trials, block):
+        n = gen.poisson(lam * p, size=(min(block, trials - start), *p.shape))
+        k = n.sum(axis=(1, 2))
+        rows, cols = n.sum(axis=2), n.sum(axis=1)
+        squares = (n * n).sum(axis=(1, 2))
+        row_squares, col_squares = (rows * rows).sum(axis=1), (cols * cols).sum(axis=1)
+        weighted = np.einsum("ri,rij,rj->r", rows, n, cols)
+        pairs = squares - k
+        triples = weighted - row_squares - col_squares - squares + 2 * k
+        quads = (row_squares - k).astype(np.float64) * (col_squares - k) - 4 * triples - 2 * pairs
+        z[start : start + n.shape[0]] = pairs - 2.0 * triples / lam + quads / (lam * lam)
+    return z
+
+
+def independence_row(cell, c: float, trials: int, stream: tuple[int, ...]) -> tuple[list[float], float]:
+    """cell_errors of `trials` one-batch statistics of a cell at sample
+    multiplier c, drawn on Rng(SEED, stream), and their standard deviation
+    in units of the threshold at C_thr = 1."""
+    _, law, b, eps, case = cell
+    lam, unit = independence_params(law.size, b, eps, EstimatorConfig(independence_bands=((1, c, 1.0),)))
+    z = joint_z_samples(law, lam, trials, Rng(SEED, stream))
+    return cell_errors(z, unit, case), float(z.std()) / unit
+
+
+def independence_point(
+    c: float, select_worst: list[float], select_errors: dict, check_errors: dict, null_sd: dict
+) -> dict:
+    """closeness_point of a joint batch band's row at sample multiplier c,
+    whose null_sds is measured: the threshold over the largest standard
+    deviation of its null cells' Z, null_sd[label] in units of the threshold
+    at C_thr = 1. The point is left when its bound is at most
+    CLOSENESS_ERROR and null_sds is at least NULL_SDS.
+    """
+    point = closeness_point(c, select_worst, select_errors, check_errors)
+    null_sds = point["closeness_threshold_mult"] / max(null_sd.values())
+    point.update(null_sds=null_sds, left=point["bound"] <= CLOSENESS_ERROR and null_sds >= NULL_SDS, null_sd=null_sd)
+    return point
+
+
+def calibrate_independence(pool) -> list[dict]:
+    """Per band of INDEPENDENCE_BANDS, its rows up to the first left one on
+    the cells of INDEPENDENCE_GRIDS[first M], that point, and, in the top
+    band, the point's premise check on the cells of PREMISE_GRIDS.
+
+    Cell k of the band's cells at grid index c of INDEPENDENCE_MULTS draws
+    its set s from Rng(SEED).split(INDEPENDENCE_STREAM).split(c).split(first M).split(k).split(s);
+    a premise cell k draws its check set at the chosen c from
+    .split(c).split(0).split(k).split(CHECK). A null cell's standard
+    deviation is that of both of its sets' statistics, the larger one.
+    """
+    out = []
+    for first_M, _, _ in INDEPENDENCE_BANDS:
+        cells = independence_cells(INDEPENDENCE_GRIDS[first_M])
+        rows = []
+        for ci, c in enumerate(INDEPENDENCE_MULTS):
+            jobs = {
+                (k, s): pool.submit(independence_row, cell, c, TRIALS, (INDEPENDENCE_STREAM, ci, first_M, k, s))
+                for k, cell in enumerate(cells)
+                for s in (SELECT, CHECK)
+            }
+            errors = {s: {cell[0]: jobs[k, s].result()[0] for k, cell in enumerate(cells)} for s in (SELECT, CHECK)}
+            null_sd = {
+                cell[0]: max(jobs[k, s].result()[1] for s in (SELECT, CHECK))
+                for k, cell in enumerate(cells)
+                if cell[4] == "null"
+            }
+            rows.append(independence_point(c, *selected_errors(errors), null_sd))
+            if rows[-1]["left"]:
+                break
+        chosen = rows[-1] if rows[-1]["left"] else None
+        premise = None
+        if chosen is not None and first_M == INDEPENDENCE_BANDS[-1][0]:
+            c = chosen["closeness_sample_mult"]
+            ci = INDEPENDENCE_MULTS.index(c)
+            jobs = [
+                (cell[0], pool.submit(independence_row, cell, c, TRIALS, (INDEPENDENCE_STREAM, ci, 0, k, CHECK)))
+                for k, cell in enumerate(independence_cells(PREMISE_GRIDS))
+            ]
+            premise = premise_check(chosen, {label: job.result()[0] for label, job in jobs})
+        out.append(
+            {
+                "first_M": first_M,
+                "grids": [list(dims) for dims in INDEPENDENCE_GRIDS[first_M]],
+                "cells": [cell[0] for cell in cells],
+                "chosen": chosen,
+                "premise": premise,
+                "results": rows,
             }
         )
     return out
@@ -464,6 +677,7 @@ def main() -> int:
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         bands = calibrate_bands(cells, pool)
         norm = calibrate_norm(laws + [(f"M={NORM_LARGE_M}", large, 1)], pool)
+        independence = calibrate_independence(pool)
 
     out = {
         "seed": SEED,
@@ -501,6 +715,28 @@ def main() -> int:
         "cells": [label for label, *_ in cells],
         "bands": bands,
         "norm": norm,
+        "independence": {
+            "streams": (
+                "cell k of the band starting at M = m, at grid index c of sample_mult, draws its "
+                f"set s from Rng(seed).split({INDEPENDENCE_STREAM}).split(c).split(m).split(k).split(s); "
+                "premise cell k draws its check set from .split(c).split(0).split(k).split(1)"
+            ),
+            "criterion": (
+                "per band, on the product laws of its smallest grids (null) and their sign "
+                "perturbations 1 + 2 eps s_i t_j at tv eps (alt), at b = min(||p||_2^2, "
+                "||p_1 x p_2||_2^2): one joint batch per call; the threshold and bound follow the "
+                f"closeness rule; a point is left when its bound is at most CLOSENESS_ERROR = "
+                f"{CLOSENESS_ERROR!r} and null_sds = C_thr / (the largest standard deviation of the "
+                f"null cells' Z, in units of the threshold at C_thr 1) is at least {NULL_SDS!r}; the "
+                "top band's premise check draws the check set of its grids of higher M"
+            ),
+            "grid": {
+                "sample_mult": INDEPENDENCE_MULTS,
+                "bM": INDEPENDENCE_RATIOS,
+                "premise_grids": [list(dims) for dims in PREMISE_GRIDS],
+            },
+            "bands": independence,
+        },
     }
     path = root / "calibration.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
@@ -523,6 +759,25 @@ def main() -> int:
             print(
                 f"band M >= {band['first_M']}: its cells of higher M err up to {premise['check_error']:.4f}, "
                 f"a bound of {premise['bound']} above the band's",
+                file=sys.stderr,
+            )
+            status = 1
+    for band in independence:
+        chosen, premise = band["chosen"], band["premise"]
+        if chosen is None:
+            print(f"independence band M >= {band['first_M']}: no grid point is left", file=sys.stderr)
+            status = 1
+            continue
+        print(
+            f"independence band M >= {band['first_M']}: sample_mult={chosen['closeness_sample_mult']}, "
+            f"threshold_mult={chosen['closeness_threshold_mult']} (held-out worst cell error "
+            f"{chosen['check_error']:.4f} at {chosen['binding_cell']}, bound {chosen['bound']}, "
+            f"{chosen['null_sds']:.2f} null SDs out)"
+        )
+        if premise is not None and not premise["holds"]:
+            print(
+                f"independence band M >= {band['first_M']}: its grids of higher M err up to "
+                f"{premise['check_error']:.4f}, a bound of {premise['bound']} above the band's",
                 file=sys.stderr,
             )
             status = 1

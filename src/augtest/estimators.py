@@ -1,4 +1,4 @@
-"""Sample-based estimators: squared l2 norm, two-stream closeness, learning.
+"""Sample-based estimators: squared l2 norm, closeness, learning.
 
 The norm follows the median amplification of Chan-Diakonikolas-Valiant-
 Valiant (SODA'14) and Diakonikolas-Kane (FOCS'16): a cheap base statistic
@@ -7,18 +7,25 @@ The median misses low only when ceil(r/2) statistics miss low, and likewise
 high, so r is the smallest count whose exact binomial tail
 P(Bin(r, e) >= ceil(r/2)) is at most delta / 2, where e = NORM_SIDE_ERROR is
 the calibrated bound on either side's per-statistic miss; that count is
-always odd (see _median_plan), so the median is one statistic. Closeness is
-one Poissonized batch per stream. Its statistic's signal-to-noise ratio
-grows linearly in the batch rate, so one batch calibrated to err w.p. at
-most CLOSENESS_ERROR serves every delta at or above that bound; amplify
-reaches a smaller one. The batch rate and threshold are calibrated per band
-of the flattened domain size M (EstimatorConfig.closeness_bands), each band
-on the calibration laws of its lowest M. That rests on the premise that a
-band's error does not grow with M: the statistic sums more and smaller
-terms as M grows, its tails thin toward the Gaussian's, and the lowest M
-binds; the top band's point serves every larger M. Sample draws are logged
-into a SampleAccount in units of base joint draws, counting only what was
-drawn.
+always odd (see _median_plan), so the median is one statistic. Closeness
+comes in two forms. Between two views it is one Poissonized batch per
+stream, X and Y (Chan-Diakonikolas-Valiant-Valiant). A 2-axis joint is
+tested against the product of its own marginals from one Poissonized batch
+of the joint alone (Diakonikolas-Kane FOCS'16; Acharya-Daskalakis-Kamath
+NeurIPS'15): a table N of counts, whose coincidences among distinct
+samples in one cell, one row or one column estimate
+||p - p_1 x p_2||_2^2 without bias (_independence_terms), so no sample of
+the product is drawn. Either statistic's signal-to-noise ratio grows
+linearly in the batch rate, so one batch calibrated to err w.p. at most
+CLOSENESS_ERROR serves every delta at or above that bound; amplify reaches
+a smaller one. The batch rate and threshold are calibrated per band of the
+flattened domain size M (EstimatorConfig.closeness_bands and
+independence_bands), each band on the calibration laws of its smallest M.
+That rests on the premise that a band's error does not grow with M: the
+statistic sums more and smaller terms as M grows, its tails thin toward the
+Gaussian's, and the lowest M binds; the top band's point serves every
+larger M. Sample draws are logged into a SampleAccount in units of base
+joint draws, counting only what was drawn.
 
 When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
@@ -44,13 +51,14 @@ Stream layout: at the count level one estimator call draws all of its
 batches in sequence from the generator of the Rng it was given, building no
 child stream. A view without a law can only draw from an Rng, so there each
 batch splits its own child stream (j for the norm's repetition j, 0 and 1
-for closeness's X and Y).
+for closeness's X and Y, 0 for a joint batch).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,7 +86,9 @@ class EstimatorConfig:
     last band whose first M is at most M; the first band also serves every
     smaller M and the last every larger one. The call draws
     lambda = C_close * M * sqrt(b) / eps^2 per stream and rejects when
-    Z > C_thr * lambda^2 eps^2 / M.
+    Z > C_thr * lambda^2 eps^2 / M. independence_bands holds the same for
+    the one joint batch of a 2-axis independence call, whose null Z spreads
+    about half as far at one rate, so it runs at about half the rate.
 
     Each band is calibrated on the cells of its lowest M, on the premise that
     a band's error does not grow with M: the statistic's tails thin toward
@@ -88,10 +98,14 @@ class EstimatorConfig:
     8,192 cells, and it keeps each band's threshold at least 4 standard
     deviations of the null's Z out at a tight b, so that the tail the
     testers meet over many calls on null laws stays thin. A band is added
-    only where the rule picks a different point. All of them are frozen by
-    the committed calibration run
-    (scripts/calibrate_closeness.py); see calibration.json for the measured
-    error tables, each band's under "bands" and the norm's under "norm".
+    only where the rule picks a different point. The joint batch's bands
+    are calibrated on product laws of 2-axis grids and their sign
+    perturbations at tv eps, and each threshold sits at least 4 measured
+    null standard deviations out. All of them are frozen by the committed
+    calibration run (scripts/calibrate_closeness.py); see calibration.json
+    for the measured error tables, each two-stream band's under "bands",
+    each joint batch band's under "independence" and the norm's under
+    "norm".
     """
 
     norm_sample_mult: float = 4.0  # batch size T = this * ceil(sqrt(M))
@@ -99,6 +113,11 @@ class EstimatorConfig:
         (9, 9.0, 1.5),
         (50, 7.0, 1.9),
         (200, 6.0, 1.95),
+    )
+    independence_bands: tuple[tuple[int, float, float], ...] = (
+        (9, 3.0, 1.45),
+        (50, 3.0, 1.75),
+        (200, 3.5, 1.7),
     )
 
 
@@ -108,17 +127,18 @@ class EstimatorConfig:
 # rounded up to a multiple of 1/64 (calibration.json records it under
 # "norm" with the repetitions it gives).
 NORM_SIDE_ERROR = 0.15625
-# The error closeness_test is sized for: the largest band bound, each the
-# band's worst cell error on the calibration's held-out draws plus two
-# binomial standard errors, rounded up to a multiple of 1/2048
-# (calibration.json records each under its band's "chosen"). It is the
-# smallest delta closeness_test takes, and at most 1/120, the three-axis
-# testers' delta.
+# The error closeness_test is sized for: the largest two-stream band bound,
+# each the band's worst cell error on the calibration's held-out draws plus
+# two binomial standard errors, rounded up to a multiple of 1/2048
+# (calibration.json records each under its band's "chosen"); a joint batch
+# band's bound is held to at most this. It is the smallest delta
+# closeness_test takes, and at most 1/120, the three-axis testers' delta.
 CLOSENESS_ERROR = 13 / 2048
 _CLOSENESS_DELTAS = f"[{Fraction(CLOSENESS_ERROR)}, 1)"
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# The most samples X and Y may hold for their int64 Z to be exact.
+# The most samples X and Y may hold for their int64 Z to be exact, and a
+# joint batch for its int64 sums of squares to be.
 _INT64_DOT_SAMPLES = math.isqrt(_INT64_MAX)
 
 
@@ -272,8 +292,9 @@ def _norm_statistics(view, T: int, r: int, rng: Rng) -> np.ndarray:
 
 
 def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tuple[float, float]:
-    """Per-stream Poisson rate and reject threshold used by closeness_test,
-    at the multipliers of the band of cfg.closeness_bands that serves M.
+    """Per-stream Poisson rate and reject threshold used by closeness_test
+    on two views, at the multipliers of the band of cfg.closeness_bands that
+    serves M.
 
     b bounds min(||p||_2^2, ||q||_2^2). A b above 1 says nothing, since every
     mass vector has l2^2 <= 1, so it is clamped to 1 rather than inflating
@@ -282,11 +303,24 @@ def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tupl
     is a rate above the largest Poisson mean numpy draws at; no cell's mean
     lambda * p_i exceeds it.
     """
+    return _batch_params(M, b, eps, cfg.closeness_bands)
+
+
+def independence_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tuple[float, float]:
+    """closeness_params for closeness_test's one joint batch (view_q None),
+    at the band of cfg.independence_bands that serves M."""
+    return _batch_params(M, b, eps, cfg.independence_bands)
+
+
+def _batch_params(M: int, b: float, eps: float, bands: tuple[tuple[int, float, float], ...]) -> tuple[float, float]:
+    """The rate lambda = C * M * sqrt(min(b, 1)) / eps^2 and the threshold
+    C_thr * lambda^2 eps^2 / M of the band of bands that serves M, checked
+    as closeness_params states."""
     _check_finite("eps", eps, "(0, 2]")
     _check_finite("b", b)
     if b <= 0:
         raise DomainError(f"norm bound b must be positive, got {b}")
-    _, sample_mult, threshold_mult = _closeness_band(M, cfg.closeness_bands)
+    _, sample_mult, threshold_mult = _closeness_band(M, bands)
     b_eff = min(float(b), 1.0)
     lam = sample_mult * M * math.sqrt(b_eff) / _normal_square("eps", eps)
     if lam > _POISSON_MEAN_MAX:
@@ -332,9 +366,15 @@ def closeness_test(
     delta must be at least that; amplify reaches a smaller one. The account
     holds the samples drawn.
 
+    With view_q None, q is the product p_1 x p_2 of the marginals of
+    view_p's law on its 2-axis grid view_p.dims, and one batch of view_p
+    alone is drawn (see _independence_test).
+
     A view that exposes its law draws X then Y from rng's own generator;
     otherwise X draws from rng.split(0) and Y from rng.split(1).
     """
+    if view_q is None:
+        return _independence_test(view_p, M, b, eps, delta, cfg, rng, account)
     _check_size(M, view_p, view_q)
     lam, threshold = closeness_params(M, b, eps, cfg)
     _check_finite("delta", delta, _CLOSENESS_DELTAS)
@@ -353,6 +393,71 @@ def closeness_test(
     if account is not None:
         account.add("closeness", sx * view_p.cost + sy * view_q.cost)
     return z <= threshold
+
+
+def _independence_test(
+    view, M: int, b: float, eps: float, delta: float, cfg: EstimatorConfig, rng: Rng, account: SampleAccount | None
+) -> bool:
+    """closeness_test of a 2-axis joint p against the product p_1 x p_2 of its marginals, from one batch of p.
+
+    Draws one Poissonized count table N of the view, shaped view.dims, at
+    rate lambda = C * M * sqrt(b) / eps^2 and rejects when
+    Z = D - 2 T_3 / lambda + T_4 / lambda^2 exceeds
+    C_thr * lambda^2 eps^2 / M, with (C, C_thr) the band of
+    cfg.independence_bands that serves M. The coincidence counts D, T_3,
+    T_4 (_independence_terms) have means lambda^2 ||p||_2^2,
+    lambda^3 sum_ij p_ij p_1(i) p_2(j) and lambda^4 ||p_1||_2^2 ||p_2||_2^2,
+    so E[Z] = lambda^2 ||p - p_1 x p_2||_2^2, which tv >= eps puts at
+    4 lambda^2 eps^2 / M or more, as in the two-stream test. Z is compared
+    with the threshold exactly. N is _poissonized_counts(view, lambda, rng, 0).
+    """
+    if view.dims is None or len(view.dims) != 2:
+        raise DomainError(f"a joint batch tests two axes for independence, but the view's grid is {view.dims}")
+    _check_size(M, view)
+    lam, threshold = independence_params(M, b, eps, cfg)
+    _check_finite("delta", delta, _CLOSENESS_DELTAS)
+    counts = _poissonized_counts(view, lam, rng, 0).reshape(view.dims)
+    pairs, triples, quads, k = _independence_terms(counts)
+    if account is not None:
+        account.add("closeness", k * view.cost)
+    # Z <= threshold, times lambda^2 and both denominators: lambda = a / c
+    # and threshold = t / u exactly, as floats are.
+    a, c = lam.as_integer_ratio()
+    t, u = threshold.as_integer_ratio()
+    return (pairs * a * a - 2 * triples * a * c + quads * c * c) * u <= t * a * a
+
+
+def _independence_terms(counts: np.ndarray) -> tuple[int, int, int, int]:
+    """(D, T_3, T_4, K) of a count table N with row sums R and column sums C, as exact ints.
+
+    Read each of the K = sum N samples as a cell (i, j). D = sum N_ij (N_ij - 1)
+    counts ordered pairs of distinct samples in one cell. T_3 counts ordered
+    triples (s, t, u) of distinct samples with t in the row of s and u in
+    its column, which is R . (N C) less the triples in which two coincide:
+    T_3 = R . (N C) - sum R_i^2 - sum C_j^2 - sum N_ij^2 + 2 K. T_4 counts
+    ordered quadruples of distinct samples, two in one row and two in one
+    column: sum R_i (R_i - 1) * sum C_j (C_j - 1) less the pairs of pairs
+    that share a sample, 4 T_3 of them sharing one and 2 D sharing two. On
+    Poissonized counts every such tuple of distinct samples has mean
+    lambda^k times the product of the masses it names.
+
+    The sums of squares are at most K^2, and N C or R N at most K times a
+    row or column sum; while K <= isqrt(2^63 - 1) they are summed in int64,
+    a larger table in Python ints. The last dot product, over the shorter
+    axis, is always summed in Python ints, since it reaches K^3.
+    """
+    k = int(counts.sum())
+    if k > _INT64_DOT_SAMPLES:
+        counts = counts.astype(object)
+    rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+    flat = counts.reshape(-1)
+    squares, row_squares, col_squares = int(flat @ flat), int(rows @ rows), int(cols @ cols)
+    short, inner = (rows, counts @ cols) if rows.size <= cols.size else (cols, rows @ counts)
+    weighted = sum(map(operator.mul, short.tolist(), inner.tolist()))
+    pairs = squares - k
+    triples = weighted - row_squares - col_squares - squares + 2 * k
+    quads = (row_squares - k) * (col_squares - k) - 4 * triples - 2 * pairs
+    return pairs, triples, quads, k
 
 
 def learn_empirical(sampler, t: int, rng: Rng, account: SampleAccount | None = None) -> JointDistribution:

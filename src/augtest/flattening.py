@@ -130,10 +130,11 @@ def flatten_distribution_explicit(
 #
 # A "flat view" is 1-D sample access over [size] with an optional explicit
 # law, normalized to sum 1 by FlatView itself. Estimators only need
-# draw/size/probs/cost, and inverse_cdf when probs is set; cost is the
-# number of base joint draws consumed per emitted sample, used for the
-# sample account. The three builders differ only in their law and in how
-# they group the axes for _flat_view, which does every draw.
+# draw/size/probs/cost, inverse_cdf when probs is set, and dims to test a
+# 2-axis joint for independence; cost is the number of base joint draws
+# consumed per emitted sample, used for the sample account. The three
+# builders differ only in their law and in how they group the axes for
+# _flat_view, which does every draw.
 
 
 @dataclass
@@ -144,18 +145,23 @@ class FlatView:
     by that sum once, when the view is built, and its one inverse-CDF map
     is kept for the view's lifetime (see inverse_cdf), so every estimator
     call on the view, and every count-level draw, looks symbols up through
-    the same cumulative table.
+    the same cumulative table. dims, when set, is the grid the cells
+    linearize row-major (its product is size); the flattened views set it
+    to their flat dims.
     """
 
     size: int
     probs: np.ndarray | None
     cost: int
     draw: Callable[[int, Rng], np.ndarray]
+    dims: tuple[int, ...] | None = None
     _cum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _map: Callable[[np.ndarray], np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
     _refused_sorted: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.dims is not None and math.prod(self.dims) != self.size:
+            raise DomainError(f"a view over {self.size} cells cannot linearize the grid {self.dims}")
         if self.probs is not None:
             probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
             total = probs.sum()
@@ -220,7 +226,7 @@ def _flat_view(sampler, pf: ProductFlattening, groups: Sequence[Sequence[int]], 
                 cols.append(f.offsets[ids] + sub.gen.integers(0, f.buckets[ids]))
         return np.ravel_multi_index(tuple(cols), flat_dims)
 
-    return FlatView(math.prod(flat_dims), probs, len(groups), draw)
+    return FlatView(math.prod(flat_dims), probs, len(groups), draw, flat_dims)
 
 
 def flattened_axis_view(sampler, axis: int, pf: ProductFlattening) -> FlatView:

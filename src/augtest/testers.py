@@ -11,9 +11,11 @@ Pipeline for 2 and 3 axes: Poissonized per-axis sample sizes with a cap
 check, prediction-assisted flattening of every axis, an l2 gate on each
 flattened marginal (fires InaccurateInformation), an l2 gate on the flattened
 joint (fires Reject), and finally an l1 closeness test between the flattened
-joint and the product of flattened marginals. Higher arities are reduced to a
-grouped 2- or 3-axis instance plus learning-based tests inside the grouped
-blocks.
+joint and the product of flattened marginals. On two axes that test scores
+one batch of the flattened joint alone against its own marginals; on three
+it compares the joint with a second stream drawn from the product view.
+Higher arities are reduced to a grouped 2- or 3-axis instance plus
+learning-based tests inside the grouped blocks.
 """
 
 from __future__ import annotations
@@ -142,7 +144,8 @@ class TesterHooks:
     """Injection seam: the three stochastic primitives the gate logic consumes.
 
     Tests script these to drive every branch deterministically; defaults call
-    the real implementations.
+    the real implementations. closeness gets the flattened joint and, on
+    three axes, the product view; on two its view_q is None.
     """
 
     poisson: Callable = poisson
@@ -259,13 +262,18 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
         return Verdict(Outcome.REJECT, stage_log, account, detail)
 
     # l1 closeness between the flattened joint and the product of flattened
-    # marginals; flattening preserved the tv gap.
+    # marginals; flattening preserved the tv gap. On two axes one batch of
+    # the joint estimates the gap itself (view_q None); on three, a second
+    # stream draws the product of the marginals.
     stage_log.append("closeness")
     b, detail["closeness_b_source"] = _closeness_bound(joint_norm, marg_norms, pf.flat_size)
     detail["closeness_b"] = b
+    product_view = None
+    if arity == 3:
+        product_view = flattened_product_view(sampler, pf, [v.probs for v in axis_views])
     ok = hooks.closeness(
         joint_view,
-        flattened_product_view(sampler, pf, [v.probs for v in axis_views]),
+        product_view,
         pf.flat_size,
         b,
         eps,
@@ -283,10 +291,12 @@ def _closeness_bound(joint_norm: float, marg_norms: Sequence[float], M: int) -> 
 
     Each norm estimate is at least half its truth (w.p. >= 1 - norm_delta),
     so 2 * joint_norm bounds ||p||^2 of the flattened joint and the product
-    of 2 * marg_norms bounds that of the product view, whose law is the
-    outer product of the flattened marginals. Closeness needs a bound on the
-    smaller of the two only. Every law on M cells has ||p||^2 >= 1/M, so b
-    never goes below that floor; closeness_params clamps b above at 1.
+    of 2 * marg_norms bounds that of the outer product of the flattened
+    marginals: the product view's law on three axes, and on two the law
+    the joint batch's statistic compares the joint with. Either closeness
+    form needs a bound on the smaller of the two only. Every law on M cells
+    has ||p||^2 >= 1/M, so b never goes below that floor; the estimators'
+    params clamp b above at 1.
     """
     joint = 2.0 * joint_norm
     product = math.prod(2.0 * m for m in marg_norms)

@@ -10,6 +10,7 @@ import os
 import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,8 +42,10 @@ from augtest.testers import TesterConfig, aug_independence_2d
 
 CFG = EstimatorConfig()
 CALIBRATION = os.path.join(os.path.dirname(__file__), os.pardir, "calibration.json")
-# The first M of each closeness band, which EstimatorConfig owns.
+# The first M of each closeness band, which EstimatorConfig owns; the joint
+# batch's bands share them.
 EDGES = [first for first, _, _ in CFG.closeness_bands]
+INDEPENDENCE_BANDS = ((9, 3.0, 1.45), (50, 3.0, 1.75), (200, 3.5, 1.7))
 # The calibration cells of the bands that start at 9, 50 and 200 cells, by
 # stream index: the single-point calibration's 28, then the two-level laws on 10 cells.
 SMALL_BAND_CELLS = [*range(28), *range(52, 58)]
@@ -106,6 +109,7 @@ class TestConfig:
     def test_defaults_are_the_calibrated_constants(self):
         assert CFG.norm_sample_mult == 4.0
         assert CFG.closeness_bands == ((9, 9.0, 1.5), (50, 7.0, 1.9), (200, 6.0, 1.95))
+        assert CFG.independence_bands == INDEPENDENCE_BANDS
         # a recalibration that is not carried into the defaults fails here
         with open(CALIBRATION) as fh:
             record = json.load(fh)
@@ -114,6 +118,10 @@ class TestConfig:
             for band in record["bands"]
         )
         assert CFG.norm_sample_mult == record["norm"]["chosen"]["norm_sample_mult"]
+        assert CFG.independence_bands == tuple(
+            (band["first_M"], band["chosen"]["closeness_sample_mult"], band["chosen"]["closeness_threshold_mult"])
+            for band in record["independence"]["bands"]
+        )
 
     def test_repetition_counts(self):
         assert estimators.NORM_SIDE_ERROR == 10 / 64
@@ -292,6 +300,92 @@ class TestCalibrationRecord:
         assert premise["bound"] == script.bound_up(premise["check_error"], script.TRIALS, script.CLOSENESS_GRID)
         assert premise["holds"] and premise["bound"] <= top["chosen"]["bound"]
 
+    @pytest.mark.parametrize("band", range(3))
+    def test_every_joint_batch_point_re_derives_from_its_errors(self, band):
+        # each row of the one-batch statistic's band follows from its
+        # recorded errors and null standard deviations through the script's
+        # own rule, over the product laws of the band's grids and their sign
+        # perturbations
+        script = _calibration_script()
+        with open(CALIBRATION) as fh:
+            entry = json.load(fh)["independence"]["bands"][band]
+        assert entry["first_M"] == EDGES[band]
+        grids = script.INDEPENDENCE_GRIDS[EDGES[band]]
+        assert entry["grids"] == [list(dims) for dims in grids]
+        assert {a * b for a, b in grids} <= set(range(EDGES[band], 4 * EDGES[band]))
+        cells = script.independence_cells(grids)
+        labels = [label for label, *_ in cells]
+        assert entry["cells"] == labels
+        nulls = [label for label, *_, case in cells if case == "null"]
+        for point in entry["results"]:
+            derived = script.independence_point(
+                point["closeness_sample_mult"],
+                point["select_worst"],
+                point["select_errors"],
+                point["check_errors"],
+                point["null_sd"],
+            )
+            assert json.loads(json.dumps(derived)) == point
+            assert list(point["select_errors"]) == list(point["check_errors"]) == labels
+            assert list(point["null_sd"]) == nulls
+
+    @pytest.mark.parametrize("band", range(3))
+    def test_each_joint_batch_bands_point_is_the_cheapest_left(self, band):
+        # the config's independence_bands is the record's chosen points; each
+        # is the first left row, with a bound within CLOSENESS_ERROR and its
+        # threshold at least 4 measured null standard deviations out
+        script = _calibration_script()
+        with open(CALIBRATION) as fh:
+            entry = json.load(fh)["independence"]["bands"][band]
+        results, chosen = entry["results"], entry["chosen"]
+        assert [point["closeness_sample_mult"] for point in results] == script.INDEPENDENCE_MULTS[: len(results)]
+        assert [point["left"] for point in results] == [False] * (len(results) - 1) + [True]
+        assert chosen == results[-1]
+        assert chosen["bound"] <= estimators.CLOSENESS_ERROR
+        assert chosen["null_sds"] >= script.NULL_SDS
+        assert CFG.independence_bands[band] == (
+            entry["first_M"],
+            chosen["closeness_sample_mult"],
+            chosen["closeness_threshold_mult"],
+        )
+
+    def test_the_joint_batch_top_bands_premise_check_re_derives_and_holds(self):
+        # the top band's point on the held-out sets of its 100 x 20 and
+        # 128 x 64 grids errs within the band's own bound
+        script = _calibration_script()
+        with open(CALIBRATION) as fh:
+            bands = json.load(fh)["independence"]["bands"]
+        assert [band["premise"] is None for band in bands] == [True, True, False]
+        top = bands[2]
+        premise = top["premise"]
+        assert list(premise["check_errors"]) == [label for label, *_ in script.independence_cells(script.PREMISE_GRIDS)]
+        assert premise["check_error"] == max(premise["check_errors"].values())
+        assert premise["bound"] == script.bound_up(premise["check_error"], script.TRIALS, script.CLOSENESS_GRID)
+        assert premise["holds"] and premise["bound"] <= top["chosen"]["bound"]
+
+    def test_the_sign_perturbation_keeps_the_marginals_at_tv_eps(self):
+        script = _calibration_script()
+        for grids in [*script.INDEPENDENCE_GRIDS.values(), script.PREMISE_GRIDS]:
+            cells = script.independence_cells(grids)
+            for (_, null, b_null, eps, _), (_, alt, b, _, case) in zip(cells[::2], cells[1::2]):
+                assert case == "alt"
+                assert np.allclose(alt.sum(axis=1), null.sum(axis=1)) and np.allclose(alt.sum(axis=0), null.sum(axis=0))
+                assert tv_to_own_product(JointDistribution(alt.shape, alt)) == pytest.approx(eps, abs=1e-12)
+                assert b == min(b_null, float((alt * alt).sum()))
+
+    def test_joint_z_blocks_are_the_library_statistic(self):
+        # the script's row-wise Z equals the library's terms on each table
+        # it draws, in blocks or not
+        script = _calibration_script()
+        p = script.independence_cells([(10, 5)])[1][1]
+        one = script.joint_z_samples(p, 300.0, 40, Rng(37))
+        gen = Rng(37).gen
+        tables = [gen.poisson(300.0 * p) for _ in range(40)]
+        assert np.allclose(one, [joint_z(n, 300.0) for n in tables], rtol=0, atol=1e-6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(script, "BLOCK_COUNTS", 50 * 7 + 1)
+            assert np.array_equal(script.joint_z_samples(p, 300.0, 40, Rng(37)), one)
+
     def test_cell_rows_are_the_same_at_any_worker_count(self, monkeypatch):
         # the calibration's pool draws each cell on its own streams, so the
         # record does not depend on how many cores run it; its spawned
@@ -387,6 +481,21 @@ class TestRepetitionPremise:
         k = [cell[0] for cell in cells].index(label)
         assert k >= 28
         assert self._wrong_share_bound(cells[k], trials, Rng(34, (k,))) <= estimators.CLOSENESS_ERROR
+
+    @pytest.mark.parametrize("band", range(3))
+    def test_the_joint_batch_binding_cells_are_covered_by_the_bound(self, band):
+        # 40,000 one-batch statistics on the cell each band's point errs
+        # most on, on streams apart from the calibration's, at the band of
+        # CFG.independence_bands that serves its M
+        script = _calibration_script()
+        with open(CALIBRATION) as fh:
+            label = json.load(fh)["independence"]["bands"][band]["chosen"]["binding_cell"]
+        cells = script.independence_cells(script.INDEPENDENCE_GRIDS[EDGES[band]])
+        _, law, b, eps, case = next(cell for cell in cells if cell[0] == label)
+        lam, threshold = estimators.independence_params(law.size, b, eps, CFG)
+        z = script.joint_z_samples(law, lam, 40_000, Rng(34, (100 + band,)))
+        wrong = int(np.sum(z > threshold if case == "null" else z <= threshold))
+        assert wilson_interval(wrong, z.size)[1] <= estimators.CLOSENESS_ERROR
 
     def test_norm_misses_are_covered_by_the_tail(self):
         # 40,000 of estimate_l2_squared's per-repetition statistics per law,
@@ -660,14 +769,160 @@ class TestClosenessTest:
             closeness_test(v, v, 1, -1.0, 0.3, 0.1, CFG, Rng(14))
 
 
+def grid_view(law: np.ndarray, explicit: bool = True) -> FlatView:
+    """A view over a 2-axis law's cells, row-major, that carries its grid;
+    with explicit False its law is hidden, so the batch splits a stream."""
+    view = FlatView.from_law(law.reshape(-1))
+    view.dims = law.shape
+    return view if explicit else FlatView(view.size, None, 1, view.draw, law.shape)
+
+
+def brute_terms(counts: np.ndarray) -> tuple[int, int, int]:
+    """(D, T_3, T_4) of a small table by enumerating ordered tuples of distinct samples."""
+    cells = [cell for cell in np.ndindex(counts.shape) for _ in range(counts[cell])]
+    pairs = sum(a == b for a, b in itertools.permutations(cells, 2))
+    triples = sum(t[0] == s[0] and u[1] == s[1] for s, t, u in itertools.permutations(cells, 3))
+    quads = sum(s[0] == t[0] and u[1] == v[1] for s, t, u, v in itertools.permutations(cells, 4))
+    return pairs, triples, quads
+
+
+def python_int_terms(counts: np.ndarray) -> tuple[int, int, int]:
+    """(D, T_3, T_4) in Python ints, T_4 by its per-cell expansion over the
+    falling factorials N^(k): sum R(R-1) * sum C(C-1) less
+    sum_ij [4 N^(3) + 2 N^(2) + 4 N^(2) (R_i + C_j - 2 N_ij) + 4 N_ij (R_i - N_ij) (C_j - N_ij)]."""
+    n = [[int(x) for x in row] for row in counts]
+    rows = [sum(row) for row in n]
+    cols = [sum(col) for col in zip(*n)]
+    k = sum(rows)
+    pairs = sum(x * (x - 1) for row in n for x in row)
+    weighted = sum(x * r * c for row, r in zip(n, rows) for x, c in zip(row, cols))
+    squares = sum(x * x for row in n for x in row)
+    triples = weighted - sum(r * r for r in rows) - sum(c * c for c in cols) - squares + 2 * k
+    shared = sum(
+        4 * x * (x - 1) * (x - 2) + 2 * x * (x - 1) + 4 * x * (x - 1) * (r + c - 2 * x) + 4 * x * (r - x) * (c - x)
+        for row, r in zip(n, rows)
+        for x, c in zip(row, cols)
+    )
+    quads = sum(r * (r - 1) for r in rows) * sum(c * (c - 1) for c in cols) - shared
+    return pairs, triples, quads
+
+
+def joint_z(counts: np.ndarray, lam: float) -> float:
+    """The one-batch statistic Z = D - 2 T_3 / lambda + T_4 / lambda^2 of a count table."""
+    pairs, triples, quads, _ = estimators._independence_terms(counts)
+    return pairs - 2 * triples / lam + quads / (lam * lam)
+
+
+class TestIndependenceStatistic:
+    """closeness_test(view, None, ...): one Poissonized batch of a 2-axis
+    joint, scored against the product of its own marginals."""
+
+    @staticmethod
+    def _laws(F: int = 4) -> dict:
+        """F x F laws for even F: a product of Dirichlet marginals, a sign
+        perturbation of the uniform law at tv .3 (uniform marginals) and a
+        Dirichlet joint."""
+        gen = Rng(70).gen
+        s = np.where(np.arange(F) % 2 == 0, 1.0, -1.0)
+        return {
+            "product": np.outer(gen.dirichlet(np.ones(F)), gen.dirichlet(np.ones(F))),
+            "sign": (1 + 0.6 * np.outer(s, s)) / (F * F),
+            "joint": gen.dirichlet(np.ones(F * F)).reshape(F, F),
+        }
+
+    @pytest.mark.parametrize("law", ["product", "sign", "joint"])
+    @pytest.mark.parametrize("lam, explicit", [(6.0, True), (40.0, True), (6.0, False)], ids=["sparse", "dense", "draw"])
+    def test_mean_is_the_squared_l2_gap_to_the_product(self, law, lam, explicit):
+        # E[Z] = lambda^2 ||p - p_1 x p_2||_2^2 whether the kernel bins
+        # inverse-CDF symbols (lambda < M), draws a Poisson per cell
+        # (lambda >= M) or splits a stream on a view that hides its law
+        p = self._laws()[law]
+        target = lam * lam * float(((p - np.outer(p.sum(axis=1), p.sum(axis=0))) ** 2).sum())
+        view = grid_view(p, explicit)
+        assert (lam < view.size) == (lam == 6.0)
+        rng = Rng(71)
+        z = np.array(
+            [joint_z(estimators._poissonized_counts(view, lam, rng.split(i), 0).reshape(4, 4), lam) for i in range(8000)]
+        )
+        assert abs(z.mean() - target) <= 3 * z.std(ddof=1) / math.sqrt(z.size)
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1, max_size=3).filter(
+        lambda t: len({len(row) for row in t}) == 1 and sum(map(sum, t)) <= 7
+    ))
+    def test_terms_count_the_tuples_of_distinct_samples(self, counts):
+        counts = np.array(counts, dtype=np.int64)
+        pairs, triples, quads, k = estimators._independence_terms(counts)
+        assert k == counts.sum()
+        assert (pairs, triples, quads) == brute_terms(counts) == python_int_terms(counts)
+
+    def test_terms_are_exact_at_hidden_bit_scale(self):
+        # lambda about 4e7 on 25,000 cells, as on hidden_bit_2d: the
+        # product of row and column pair counts passes 1e25 and R . (N C)
+        # nears the int64 limit, so every term must be summed exactly
+        gen = Rng(72).gen
+        law = np.outer(gen.dirichlet(np.ones(1000)), gen.dirichlet(np.ones(25)))
+        counts = gen.poisson(4e7 * law)
+        rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+        assert int(rows @ rows) * int(cols @ cols) > 1e25
+        assert sum(int(r) * int(v) for r, v in zip(rows, counts @ cols)) > 2**61
+        assert estimators._independence_terms(counts)[:3] == python_int_terms(counts)
+
+    def test_terms_are_exact_past_the_int64_range(self):
+        # 7e9 samples: the sums of squares pass 2^63 and are summed in Python ints
+        counts = np.array([[3_000_000_000, 1_000_000_000], [1_000_000_000, 2_000_000_000]])
+        assert counts.sum() > estimators._INT64_DOT_SAMPLES
+        assert estimators._independence_terms(counts)[:3] == python_int_terms(counts)
+
+    @pytest.mark.parametrize("explicit", [True, False])
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_verdict_is_one_batch_compared_exactly(self, explicit, sparse):
+        # one batch through the count kernel at index 0; the verdict is
+        # Z <= threshold in exact rationals, and the account holds K. b = 1/M
+        # on 48 x 48 cells puts lambda below M, b = 1 on 4 x 4 above it.
+        F = 48 if sparse else 4
+        M, eps = F * F, 0.3
+        b = 1 / M if sparse else 1.0
+        lam, threshold = estimators.independence_params(M, b, eps, CFG)
+        assert (lam < M) == sparse
+        kernel = estimators._poissonized_counts
+        verdicts = []
+        for seed, law in enumerate(self._laws(F).values()):
+            view = grid_view(law, explicit)
+            account = SampleAccount()
+            accepted = closeness_test(view, None, M, b, eps, 0.1, CFG, Rng(seed), account)
+            counts = kernel(grid_view(law, explicit), lam, Rng(seed), 0).reshape(F, F)
+            pairs, triples, quads = python_int_terms(counts)
+            z = pairs - 2 * triples / Fraction(lam) + quads / Fraction(lam) ** 2
+            assert accepted == (z <= Fraction(threshold))
+            assert account.closeness == counts.sum()
+            verdicts.append(accepted)
+        assert verdicts[0] and not verdicts[1]
+
+    def test_a_view_without_a_two_axis_grid_is_a_domain_error(self):
+        law = np.full(12, 1 / 12)
+        for view in (FlatView.from_law(law), grid_view(law.reshape(2, 2, 3))):
+            account = SampleAccount()
+            with pytest.raises(DomainError, match="two axes"):
+                closeness_test(view, None, 12, 1 / 12, 0.3, 0.1, CFG, Rng(73), account)
+            assert account.total == 0
+        with pytest.raises(DomainError, match="but the view has"):
+            closeness_test(grid_view(law.reshape(3, 4)), None, 16, 1 / 12, 0.3, 0.1, CFG, Rng(73))
+        with pytest.raises(DomainError, match="delta must be"):
+            closeness_test(grid_view(law.reshape(3, 4)), None, 12, 1 / 12, 0.3, 1 / 200, CFG, Rng(73))
+        with pytest.raises(DomainError, match="cannot linearize the grid"):
+            FlatView(12, law, 1, FlatView.from_law(law).draw, (3, 5))
+
+
 class TestNullTail:
     """The calibration keeps each band's threshold at least NULL_SDS = 4
     standard deviations of the null's Z out at a tight b, since the testers
     make many closeness calls on null laws and a call may err far less often
     than CLOSENESS_ERROR allows. These measure what that buys on the
     benchmark's null laws: the flattened joints of the uniform (100, 20)
-    input of closeness_2d and of the uniform (2,)^5 cube of arity5_d, both
-    in the top band.
+    input of closeness_2d, tested for independence from one joint batch,
+    and of the uniform (2,)^5 cube of arity5_d, tested against the product
+    view by two streams, both in the top band.
 
     Each draws null statistics Z on one closeness call's laws of a real
     trial, at the tight b = ||p||_2^2, where the threshold sits nearest (the
@@ -675,21 +930,23 @@ class TestNullTail:
     99th percentile by 5/8 of the threshold. At 4 standard deviations the
     Gaussian's 99th percentile, 2.33 of them, is 0.58 of the threshold; the
     bound leaves 7 % over that for sampling and for Z's heavier tail on a
-    few hundred cells. At the top band's (6, 1.95) the two laws read 0.57
-    and 0.60; at (C_close, C_thr) = (5, 2), 3.5 standard deviations out,
-    where 1 in 80,000 closeness_2d trials rejected, they read 0.66 and 0.70.
+    few hundred cells. The two-stream statistic at the top band's (6, 1.95)
+    reads 0.57 on closeness_2d and 0.60 on arity5_d; at (C_close, C_thr) =
+    (5, 2), 3.5 standard deviations out, where 1 in 80,000 closeness_2d
+    trials rejected, they read 0.66 and 0.70. The one-batch statistic at
+    its top band's (3.5, 1.7) reads 0.57 on closeness_2d.
     """
 
     BOUND = 5 / 8
 
     @staticmethod
     def _first_closeness_call(monkeypatch, config: dict) -> tuple:
-        """(joint law, product law, M, eps) of trial 0's first closeness call under config."""
+        """(joint view, product view or None, M, eps) of trial 0's first closeness call under config."""
         calls = []
         real = testers._DEFAULT_HOOKS.closeness
 
         def record(view_p, view_q, M, b, eps, *rest):
-            calls.append((view_p.probs, view_q.probs, M, eps))
+            calls.append((view_p, view_q, M, eps))
             return real(view_p, view_q, M, b, eps, *rest)
 
         monkeypatch.setattr(testers._DEFAULT_HOOKS, "closeness", record)
@@ -697,18 +954,26 @@ class TestNullTail:
         return calls[0]
 
     @pytest.mark.parametrize(
-        "config, statistics",
+        "config, statistics, joint_only",
         [
-            (dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}), 3000),
-            (dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2] * 5}), 20000),
+            (dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}), 3000, True),
+            (dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2] * 5}), 20000, False),
         ],
         ids=["closeness_2d", "arity5_d"],
     )
-    def test_the_99th_percentile_stays_well_inside_the_threshold(self, monkeypatch, config, statistics):
-        p, q, M, eps = self._first_closeness_call(monkeypatch, config)
-        assert estimators._closeness_band(M, CFG.closeness_bands) == CFG.closeness_bands[-1]
-        lam, threshold = closeness_params(M, float(p @ p), eps, CFG)
-        z = _calibration_script().z_samples(p, q, lam, statistics, Rng(36))
+    def test_the_99th_percentile_stays_well_inside_the_threshold(self, monkeypatch, config, statistics, joint_only):
+        view_p, view_q, M, eps = self._first_closeness_call(monkeypatch, config)
+        p, script = view_p.probs, _calibration_script()
+        assert (view_q is None) == joint_only
+        if joint_only:
+            bands = CFG.independence_bands
+            lam, threshold = estimators.independence_params(M, float(p @ p), eps, CFG)
+            z = script.joint_z_samples(p.reshape(view_p.dims), lam, statistics, Rng(36))
+        else:
+            bands = CFG.closeness_bands
+            lam, threshold = closeness_params(M, float(p @ p), eps, CFG)
+            z = script.z_samples(p, view_q.probs, lam, statistics, Rng(36))
+        assert estimators._closeness_band(M, bands) == bands[-1]
         assert np.quantile(z, 0.99) / threshold <= self.BOUND
 
 

@@ -32,7 +32,7 @@ GOLDEN = {
     # The three benchmark workloads.
     "closeness_2d": (
         dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}),
-        "60529f8236ed80da9bab3e3e2d8d804f91cbb385aa3d1928cad57c62f0eb6774",
+        "96742045cddc3feffbc2d6c65712d4acd8f8a956aa645159b0f688508cd7d95f",
         "73c1cd2cc02336f2a317e8c148857d469d55ee296cac26074029b2079967c125",
         "1af2bfbad86983e91fd9fef7d93194274a89f93a52871e66b2d765d26b6e28f9",
     ),
@@ -53,7 +53,7 @@ GOLDEN = {
                 "force_x": 1,
             },
         ),
-        "195d3fc57ffa7fa947870ee06e2cc71febadc9f3275f331f2114fd3c7138d9e0",
+        "639bfe40d37bcd4014165428cc0a171d4381d4a88302d30be14d7b7c53354e09",
         "f6445df5f711f17c821757857b942c7d46e138c03dc6effd44cf44ec0e049300",
         "bb7342ebe65cb55d425cf63f352e11e6e0bbee606d417de1a93e4a01be3755c1",
     ),
@@ -72,7 +72,7 @@ GOLDEN = {
             prediction="uniform",
             instance={"kind": "product_random", "dims": [10, 40]},
         ),
-        "a92df84cc7488e300da85cba9e6324a4eb282fc669d73ee51704280161e583a2",
+        "a9bd147f671c0717d72367b0dec94e9841cec741796fbabc65c7928cfe59b59a",
         "8b8ad8d3dc7536231b0942d1d9e53f7fe572fa04f940ef509b62fd43c6b73373",
         "1af2bfbad86983e91fd9fef7d93194274a89f93a52871e66b2d765d26b6e28f9",
     ),

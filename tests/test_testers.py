@@ -22,7 +22,7 @@ from augtest.domain import (
     product_of_marginals,
     tv_to_own_product,
 )
-from augtest.estimators import EstimatorConfig, closeness_params
+from augtest.estimators import EstimatorConfig, independence_params
 from augtest.testers import (
     Outcome,
     ReindexedSampler,
@@ -226,7 +226,7 @@ class TestGateLogic:
         assert delta == 1.0 / 80.0
 
     def test_each_flattened_marginal_is_computed_once(self, monkeypatch):
-        # the axis views' laws are shared with the product view
+        # the axis views compute them; closeness on two axes needs none
         axes = []
         inner = flattening.marginal
 
@@ -284,9 +284,9 @@ class TestGateLogic:
         T = 4 * math.ceil(math.sqrt(joint.size))
         assert domain._GUIDE_MIN_LOOKUPS <= norm_lookups == 11 * T
         assert norm_lookups >= domain._GUIDE_MIN_LOOKUPS_PER_CELL_SORTED * joint.size
-        # One guide over the joint view's table, one over the product view's.
-        assert len(guides) == 2
-        assert sum(cum is joint._cum for cum in guides) == 1
+        # One guide, over the joint view's table: two axes build no product view.
+        assert len(guides) == 1
+        assert guides[0] is joint._cum
         joint_tables = [table for view, table in tables if view is joint]
         assert joint_tables and all(table is joint._map and table.guided for table in joint_tables)
         cum = np.cumsum(joint.probs)
@@ -369,7 +369,7 @@ class TestGateLogic:
             ([0.3, 0.3, 0.05], "joint"),  # 2 joint < (2 marg)^2
             ([0.1, 0.2, 0.1], "product"),  # (2 marg)^2 < 2 joint
             ([0.0, 0.0, 0.0], "floor"),  # hooks that return 0: b = 1/M
-            ([20.0, 20.0, 30.0], "joint"),  # b > 1: closeness_params clamps it to 1
+            ([20.0, 20.0, 30.0], "joint"),  # b > 1: independence_params clamps it to 1
         ],
     )
     def test_closeness_bound_branches(self, norms, source):
@@ -379,7 +379,7 @@ class TestGateLogic:
         _, size, b, eps, delta = calls[-1]
         want = measured_bound(norms, size)
         assert min(b, 1.0) == want
-        assert closeness_params(size, b, eps, EstimatorConfig()) == closeness_params(
+        assert independence_params(size, b, eps, EstimatorConfig()) == independence_params(
             size, want, eps, EstimatorConfig()
         )
         assert v.detail["closeness_b"] == b
@@ -842,34 +842,54 @@ class TestDaryFarSideNearEps:
 
 
 class TestSignPerturbationAtEps:
-    """A far law at exactly eps whose closeness call runs in the top band.
+    """Far laws at exactly eps whose closeness call runs in each band.
 
-    U(100) x U(20) with each cell scaled by 1 + 2c s_i t_j, for balanced
+    U(n_1) x U(n_2) with each cell scaled by 1 + 2c s_i t_j, for balanced
     signs s and t, keeps uniform marginals, so its tv to its own product is
-    c. At c = eps its flattened joint has 8,000 to 8,800 cells, and a
-    uniform prediction claimed exact (alpha 0) must not hide it.
+    c. At c = eps a uniform prediction claimed exact (alpha 0) must not hide
+    it: the one-batch statistic of its flattened joint rejects, in the band
+    its flat size falls in, w.p. whose Wilson lower bound is at least 0.9
+    over 60 trials.
     """
 
     EPS = 0.1
 
+    @staticmethod
+    def _verdicts(dims, eps):
+        s = np.where(np.arange(dims[0]) % 2 == 0, 1.0, -1.0)
+        t = np.where(np.arange(dims[1]) % 2 == 0, 1.0, -1.0)
+        p = JointDistribution(dims, (1 + 2 * eps * np.outer(s, t)) / math.prod(dims))
+        assert tv_to_own_product(p) == pytest.approx(eps, abs=1e-12)
+        pred = JointDistribution.uniform(dims)
+        return [aug_independence_2d(JointSampler(p), pred, TesterConfig(eps, 0.0), Rng(2034, (i,))) for i in range(60)]
+
+    @staticmethod
+    def _assert_rejected(verdicts):
+        rejects = sum(v.outcome is Outcome.REJECT for v in verdicts)
+        assert wilson_interval(rejects, len(verdicts))[0] >= 0.9, f"{rejects}/{len(verdicts)} rejected"
+
     def test_rejects_at_eps_in_the_top_band(self):
-        s = np.where(np.arange(100) % 2 == 0, 1.0, -1.0)
-        t = np.where(np.arange(20) % 2 == 0, 1.0, -1.0)
-        p = JointDistribution((100, 20), (1 + 2 * self.EPS * np.outer(s, t)) / 2000)
-        assert tv_to_own_product(p) == pytest.approx(self.EPS, abs=1e-12)
-        pred = JointDistribution.uniform((100, 20))
-        trials = 60
-        verdicts = [
-            aug_independence_2d(JointSampler(p), pred, TesterConfig(self.EPS, 0.0), Rng(2034, (i,))) for i in range(trials)
-        ]
+        verdicts = self._verdicts((100, 20), self.EPS)
         # the flattened joint's 8,000-odd cells lie far above the top band's
         # first M, the cells it is calibrated on
-        bands = estimators.EstimatorConfig().closeness_bands
+        bands = estimators.EstimatorConfig().independence_bands
         sizes = [math.prod(v.detail["flat_dims"]) for v in verdicts]
         assert all(estimators._closeness_band(M, bands) == bands[-1] for M in sizes)
         assert min(sizes) >= 40 * bands[-1][0]
-        rejects = sum(v.outcome is Outcome.REJECT for v in verdicts)
-        assert wilson_interval(rejects, trials)[0] >= 0.9, f"{rejects}/{trials} rejected"
+        self._assert_rejected(verdicts)
+
+    @pytest.mark.parametrize("dims, band", [((2, 2), 0), ((4, 4), 1)], ids=["band_9", "band_50"])
+    def test_rejects_at_eps_in_the_lower_bands(self, dims, band):
+        # each axis flattens to 2 n_l buckets plus its Poi(1) flattening
+        # counts: 16 to about 50 cells on (2, 2), 64 to about 130 on (4, 4).
+        # The verdicts scored are those of the trials whose flattened joint
+        # falls in the band; on (2, 2) 59 of the first 60 do.
+        bands = estimators.EstimatorConfig().independence_bands
+        verdicts = self._verdicts(dims, 0.3)
+        sizes = [math.prod(v.detail["flat_dims"]) for v in verdicts]
+        in_band = [v for v, M in zip(verdicts, sizes) if estimators._closeness_band(M, bands) == bands[band]]
+        assert len(in_band) >= 55, sizes
+        self._assert_rejected(in_band)
 
 
 class TestAmplify:
