@@ -344,7 +344,8 @@ class SampleAccount:
 
     Counts are in units of draws from the joint input distribution. Stages:
     flattening (bucket construction), norm (l2 estimation), closeness
-    (two-stream comparison), learning (empirical-histogram tester).
+    (joint batches scored against their own marginals), learning
+    (empirical-histogram tester).
     """
 
     flattening: int = 0

@@ -8,24 +8,23 @@ high, so r is the smallest count whose exact binomial tail
 P(Bin(r, e) >= ceil(r/2)) is at most delta / 2, where e = NORM_SIDE_ERROR is
 the calibrated bound on either side's per-statistic miss; that count is
 always odd (see _median_plan), so the median is one statistic. Closeness
-comes in two forms. Between two views it is one Poissonized batch per
-stream, X and Y (Chan-Diakonikolas-Valiant-Valiant). A 2-axis joint is
-tested against the product of its own marginals from one Poissonized batch
-of the joint alone (Diakonikolas-Kane FOCS'16; Acharya-Daskalakis-Kamath
-NeurIPS'15): a table N of counts, whose coincidences among distinct
-samples in one cell, one row or one column estimate
-||p - p_1 x p_2||_2^2 without bias (_independence_terms), so no sample of
-the product is drawn. Either statistic's signal-to-noise ratio grows
-linearly in the batch rate, so one batch calibrated to err w.p. at most
-CLOSENESS_ERROR serves every delta at or above that bound; amplify reaches
-a smaller one. The batch rate and threshold are calibrated per band of the
-flattened domain size M (EstimatorConfig.closeness_bands and
-independence_bands), each band on the calibration laws of its smallest M.
-That rests on the premise that a band's error does not grow with M: the
-statistic sums more and smaller terms as M grows, its tails thin toward the
-Gaussian's, and the lowest M binds; the top band's point serves every
-larger M. Sample draws are logged into a SampleAccount in units of base
-joint draws, counting only what was drawn.
+tests a joint law on a grid against the product of its last axis's
+marginal and the marginal of the others, from one Poissonized batch of the
+joint alone (Diakonikolas-Kane FOCS'16; Acharya-Daskalakis-Kamath
+NeurIPS'15): a table N of counts, read with the last axis as columns, whose
+coincidences among distinct samples in one cell, one row or one column
+estimate ||p - p_rows x p_cols||_2^2 without bias (_independence_terms), so
+no sample of the product is drawn. The statistic's signal-to-noise ratio
+grows linearly in the batch rate, so one batch calibrated to err w.p. at
+most CLOSENESS_ERROR serves every delta at or above that bound; amplify
+reaches a smaller one. The batch rate and threshold are calibrated per band
+of the flattened domain size M (EstimatorConfig.closeness_bands), each band
+on the calibration laws of its smallest grids. That rests on the premise
+that a band's error does not grow with M: the statistic sums more and
+smaller terms as M grows, its tails thin toward the Gaussian's, and the
+lowest M binds; the top band's point serves every larger M. Sample draws
+are logged into a SampleAccount in units of base joint draws, counting only
+what was drawn.
 
 When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
@@ -45,13 +44,13 @@ index (see domain.inverse_cdf). Both batching modes produce identically
 distributed statistics; the count level is what makes desk-scale
 Monte-Carlo affordable.
 Each kernel reads its mode off the view it is given: _norm_statistics for
-the norm, _poissonized_counts for each closeness batch.
+the norm, _poissonized_counts for the closeness batch.
 
 Stream layout: at the count level one estimator call draws all of its
 batches in sequence from the generator of the Rng it was given, building no
 child stream. A view without a law can only draw from an Rng, so there each
-batch splits its own child stream (j for the norm's repetition j, 0 and 1
-for closeness's X and Y, 0 for a joint batch).
+batch splits its own child stream (j for the norm's repetition j, 0 for the
+closeness batch).
 """
 
 from __future__ import annotations
@@ -81,40 +80,29 @@ class EstimatorConfig:
     """Multipliers for the estimator sample sizes and thresholds.
 
     The norm's batch has one multiplier. Closeness has one pair per band of
-    the flattened domain size M: closeness_bands holds (first M, C_close,
-    C_thr) per band, by ascending first M, and a call on M cells runs at the
-    last band whose first M is at most M; the first band also serves every
-    smaller M and the last every larger one. The call draws
-    lambda = C_close * M * sqrt(b) / eps^2 per stream and rejects when
-    Z > C_thr * lambda^2 eps^2 / M. independence_bands holds the same for
-    the one joint batch of a 2-axis independence call, whose null Z spreads
-    about half as far at one rate, so it runs at about half the rate.
+    the flattened domain size M: closeness_bands holds (first M, C, C_thr)
+    per band, by ascending first M, and a call on M cells runs at the last
+    band whose first M is at most M; the first band also serves every
+    smaller M and the last every larger one. The call draws one joint batch
+    at lambda = C * M * sqrt(b) / eps^2 and rejects when
+    Z > C_thr * lambda^2 eps^2 / M.
 
-    Each band is calibrated on the cells of its lowest M, on the premise that
-    a band's error does not grow with M: the statistic's tails thin toward
-    the Gaussian's as the counts spread over more cells, so the band's
-    lowest M binds, and the top band's point holds on every larger domain.
-    The calibration checks that premise on the top band's cells of 2,000 and
-    8,192 cells, and it keeps each band's threshold at least 4 standard
+    Each band is calibrated on product laws of its smallest 2-axis grids
+    and their sign perturbations at tv eps, on the premise that a band's
+    error does not grow with M: the statistic's tails thin toward the
+    Gaussian's as the counts spread over more cells, so the band's lowest M
+    binds, and the top band's point holds on every larger domain. The
+    calibration checks that premise on the top band's 100 x 20 and 128 x 64
+    grids, and it keeps each band's threshold at least 4 measured standard
     deviations of the null's Z out at a tight b, so that the tail the
-    testers meet over many calls on null laws stays thin. A band is added
-    only where the rule picks a different point. The joint batch's bands
-    are calibrated on product laws of 2-axis grids and their sign
-    perturbations at tv eps, and each threshold sits at least 4 measured
-    null standard deviations out. All of them are frozen by the committed
-    calibration run (scripts/calibrate_closeness.py); see calibration.json
-    for the measured error tables, each two-stream band's under "bands",
-    each joint batch band's under "independence" and the norm's under
-    "norm".
+    testers meet over many calls on null laws stays thin. All of them are
+    frozen by the committed calibration run (scripts/calibrate_closeness.py);
+    see calibration.json for the measured error tables, each closeness
+    band's under "independence" and the norm's under "norm".
     """
 
     norm_sample_mult: float = 4.0  # batch size T = this * ceil(sqrt(M))
     closeness_bands: tuple[tuple[int, float, float], ...] = (
-        (9, 9.0, 1.5),
-        (50, 7.0, 1.9),
-        (200, 6.0, 1.95),
-    )
-    independence_bands: tuple[tuple[int, float, float], ...] = (
         (9, 3.0, 1.45),
         (50, 3.0, 1.75),
         (200, 3.5, 1.7),
@@ -127,18 +115,18 @@ class EstimatorConfig:
 # rounded up to a multiple of 1/64 (calibration.json records it under
 # "norm" with the repetitions it gives).
 NORM_SIDE_ERROR = 0.15625
-# The error closeness_test is sized for: the largest two-stream band bound,
-# each the band's worst cell error on the calibration's held-out draws plus
-# two binomial standard errors, rounded up to a multiple of 1/2048
-# (calibration.json records each under its band's "chosen"); a joint batch
-# band's bound is held to at most this. It is the smallest delta
-# closeness_test takes, and at most 1/120, the three-axis testers' delta.
+# The error closeness_test is sized for: the bound every closeness band is
+# held to, each band's worst cell error on the calibration's held-out draws
+# plus two binomial standard errors, rounded up to a multiple of 1/2048
+# (calibration.json records each under its band's "chosen"). It is the
+# smallest delta closeness_test takes, and at most 1/120, the three-axis
+# testers' delta.
 CLOSENESS_ERROR = 13 / 2048
 _CLOSENESS_DELTAS = f"[{Fraction(CLOSENESS_ERROR)}, 1)"
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# The most samples X and Y may hold for their int64 Z to be exact, and a
-# joint batch for its int64 sums of squares to be.
+# The most samples a closeness batch may hold for its int64 sums of squares
+# to be exact.
 _INT64_DOT_SAMPLES = math.isqrt(_INT64_MAX)
 
 
@@ -212,27 +200,26 @@ def _median(values: np.ndarray) -> float:
     return float(values[values.size // 2])
 
 
-def _check_size(M: int, *views) -> None:
-    """Raises DomainError unless M >= 1 cells and every view draws over exactly M."""
+def _check_size(M: int, view) -> None:
+    """Raises DomainError unless M >= 1 cells and the view draws over exactly M."""
     if M < 1:
         raise DomainError("domain size must be >= 1")
-    for view in views:
-        if view.size != M:
-            raise DomainError(f"domain size M = {M} but the view has {view.size} cells")
+    if view.size != M:
+        raise DomainError(f"domain size M = {M} but the view has {view.size} cells")
 
 
-def _poissonized_counts(view, lam: float, rng: Rng, index: int) -> np.ndarray:
+def _poissonized_counts(view, lam: float, rng: Rng) -> np.ndarray:
     """Per-symbol counts of a Poi(lam)-sized batch: independent Poi(lam * p_i)
     entries, as a dense integer vector of length M.
 
-    A view without a law draws from rng.split(index): K ~ Poi(lam) from its
+    A view without a law draws from rng.split(0): K ~ Poi(lam) from its
     child 0 and K symbols from its child 1. A view with one draws from rng's
     own generator: at lam >= M one Poisson per cell; below, K ~ Poi(lam)
     uniforms mapped through view.inverse_cdf(lam) and binned, which Poisson
     splitting makes the same law.
     """
     if view.probs is None:
-        rng = rng.split(index)
+        rng = rng.split(0)
         draws = view.draw(int(rng.split(0).gen.poisson(lam)), rng.split(1))
         return np.bincount(draws, minlength=view.size)
     if lam >= view.size:
@@ -292,35 +279,23 @@ def _norm_statistics(view, T: int, r: int, rng: Rng) -> np.ndarray:
 
 
 def closeness_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tuple[float, float]:
-    """Per-stream Poisson rate and reject threshold used by closeness_test
-    on two views, at the multipliers of the band of cfg.closeness_bands that
-    serves M.
+    """Poisson rate and reject threshold used by closeness_test on M cells:
+    lambda = C * M * sqrt(min(b, 1)) / eps^2 and C_thr * lambda^2 eps^2 / M,
+    with (C, C_thr) the band of cfg.closeness_bands that serves M.
 
-    b bounds min(||p||_2^2, ||q||_2^2). A b above 1 says nothing, since every
-    mass vector has l2^2 <= 1, so it is clamped to 1 rather than inflating
-    the batch; the testers pass measured bounds, which are usually far below.
-    An eps whose square is not a positive normal float is rejected, and so
-    is a rate above the largest Poisson mean numpy draws at; no cell's mean
+    b bounds min(||p||_2^2, ||q||_2^2) of the joint p and the product q it
+    is tested against. A b above 1 says nothing, since every mass vector has
+    l2^2 <= 1, so it is clamped to 1 rather than inflating the batch; the
+    testers pass measured bounds, which are usually far below. An eps whose
+    square is not a positive normal float is rejected, and so is a rate
+    above the largest Poisson mean numpy draws at; no cell's mean
     lambda * p_i exceeds it.
     """
-    return _batch_params(M, b, eps, cfg.closeness_bands)
-
-
-def independence_params(M: int, b: float, eps: float, cfg: EstimatorConfig) -> tuple[float, float]:
-    """closeness_params for closeness_test's one joint batch (view_q None),
-    at the band of cfg.independence_bands that serves M."""
-    return _batch_params(M, b, eps, cfg.independence_bands)
-
-
-def _batch_params(M: int, b: float, eps: float, bands: tuple[tuple[int, float, float], ...]) -> tuple[float, float]:
-    """The rate lambda = C * M * sqrt(min(b, 1)) / eps^2 and the threshold
-    C_thr * lambda^2 eps^2 / M of the band of bands that serves M, checked
-    as closeness_params states."""
     _check_finite("eps", eps, "(0, 2]")
     _check_finite("b", b)
     if b <= 0:
         raise DomainError(f"norm bound b must be positive, got {b}")
-    _, sample_mult, threshold_mult = _closeness_band(M, bands)
+    _, sample_mult, threshold_mult = _closeness_band(M, cfg.closeness_bands)
     b_eff = min(float(b), 1.0)
     lam = sample_mult * M * math.sqrt(b_eff) / _normal_square("eps", eps)
     if lam > _POISSON_MEAN_MAX:
@@ -333,8 +308,8 @@ def _batch_params(M: int, b: float, eps: float, bands: tuple[tuple[int, float, f
 
 
 def _closeness_band(M: int, bands: tuple[tuple[int, float, float], ...]) -> tuple[int, float, float]:
-    """The (first M, C_close, C_thr) of the band that serves M cells: the
-    last whose first M is at most M, or the first band below them all."""
+    """The (first M, C, C_thr) of the band that serves M cells: the last
+    whose first M is at most M, or the first band below them all."""
     band = bands[0]
     for nxt in bands[1:]:
         if nxt[0] > M:
@@ -344,8 +319,7 @@ def _closeness_band(M: int, bands: tuple[tuple[int, float, float], ...]) -> tupl
 
 
 def closeness_test(
-    view_p,
-    view_q,
+    view,
     M: int,
     b: float,
     eps: float,
@@ -354,69 +328,35 @@ def closeness_test(
     rng: Rng,
     account: SampleAccount | None = None,
 ) -> bool:
-    """Tests p = q against tv(p, q) >= eps for laws with min l2^2 <= b; errs w.p. at most delta.
+    """Tests whether the last axis of the view's grid is independent of the others, from one batch.
 
-    Draws one pair of Poissonized count vectors X, Y with expected batch
-    size lambda = C_close * M * sqrt(b) / eps^2 per stream and rejects when
-    Z = sum (X_i - Y_i)^2 - X_i - Y_i exceeds C_thr * lambda^2 eps^2 / M
-    (E[Z] = lambda^2 ||p - q||_2^2, and tv >= eps forces
-    ||p - q||_2^2 >= 4 eps^2 / M), with (C_close, C_thr) the band of
-    cfg.closeness_bands that serves M. Returns True to accept p = q. The
-    calibrated rule errs w.p. at most CLOSENESS_ERROR in every band, so
-    delta must be at least that; amplify reaches a smaller one. The account
-    holds the samples drawn.
+    Reads the view's law p on its grid view.dims as a table whose columns
+    are the last axis and whose rows are the others, row-major, and tests p
+    = p_rows x p_cols, the product of its row and column marginals, against
+    tv(p, p_rows x p_cols) >= eps, for laws with
+    min(||p||_2^2, ||p_rows x p_cols||_2^2) <= b; errs w.p. at most delta.
+    Returns True to accept.
 
-    With view_q None, q is the product p_1 x p_2 of the marginals of
-    view_p's law on its 2-axis grid view_p.dims, and one batch of view_p
-    alone is drawn (see _independence_test).
-
-    A view that exposes its law draws X then Y from rng's own generator;
-    otherwise X draws from rng.split(0) and Y from rng.split(1).
-    """
-    if view_q is None:
-        return _independence_test(view_p, M, b, eps, delta, cfg, rng, account)
-    _check_size(M, view_p, view_q)
-    lam, threshold = closeness_params(M, b, eps, cfg)
-    _check_finite("delta", delta, _CLOSENESS_DELTAS)
-    x = _poissonized_counts(view_p, lam, rng, 0)
-    y = _poissonized_counts(view_q, lam, rng, 1)
-    sx, sy = int(x.sum()), int(y.sum())
-    d = np.subtract(x, y, out=x)
-    # Exact integer Z. sum d_i^2 <= (sum |d_i|)^2 <= (sx + sy)^2, so the
-    # int64 dot cannot wrap while sx + sy <= isqrt(2^63 - 1); a larger
-    # batch is summed in Python ints. numpy's integer dot is its own loop,
-    # not a BLAS call, so it does not multi-thread over the cores that
-    # parallel trials already fill.
-    if sx + sy > _INT64_DOT_SAMPLES:
-        d = d.astype(object)
-    z = int(d @ d) - sx - sy
-    if account is not None:
-        account.add("closeness", sx * view_p.cost + sy * view_q.cost)
-    return z <= threshold
-
-
-def _independence_test(
-    view, M: int, b: float, eps: float, delta: float, cfg: EstimatorConfig, rng: Rng, account: SampleAccount | None
-) -> bool:
-    """closeness_test of a 2-axis joint p against the product p_1 x p_2 of its marginals, from one batch of p.
-
-    Draws one Poissonized count table N of the view, shaped view.dims, at
-    rate lambda = C * M * sqrt(b) / eps^2 and rejects when
+    Draws one Poissonized count table N of the view at rate
+    lambda = C * M * sqrt(b) / eps^2 and rejects when
     Z = D - 2 T_3 / lambda + T_4 / lambda^2 exceeds
     C_thr * lambda^2 eps^2 / M, with (C, C_thr) the band of
-    cfg.independence_bands that serves M. The coincidence counts D, T_3,
-    T_4 (_independence_terms) have means lambda^2 ||p||_2^2,
-    lambda^3 sum_ij p_ij p_1(i) p_2(j) and lambda^4 ||p_1||_2^2 ||p_2||_2^2,
-    so E[Z] = lambda^2 ||p - p_1 x p_2||_2^2, which tv >= eps puts at
-    4 lambda^2 eps^2 / M or more, as in the two-stream test. Z is compared
-    with the threshold exactly. N is _poissonized_counts(view, lambda, rng, 0).
+    cfg.closeness_bands that serves M. The coincidence counts D, T_3, T_4
+    (_independence_terms) have means lambda^2 ||p||_2^2,
+    lambda^3 sum_ij p_ij p_rows(i) p_cols(j) and
+    lambda^4 ||p_rows||_2^2 ||p_cols||_2^2, so
+    E[Z] = lambda^2 ||p - p_rows x p_cols||_2^2, which tv >= eps puts at
+    4 lambda^2 eps^2 / M or more. Z is compared with the threshold exactly.
+    The calibrated rule errs w.p. at most CLOSENESS_ERROR in every band, so
+    delta must be at least that; amplify reaches a smaller one. The account
+    holds the samples drawn. N is _poissonized_counts(view, lambda, rng).
     """
-    if view.dims is None or len(view.dims) != 2:
-        raise DomainError(f"a joint batch tests two axes for independence, but the view's grid is {view.dims}")
+    if view.dims is None or len(view.dims) < 2:
+        raise DomainError(f"closeness tests an axis against the others, but the view's grid is {view.dims}")
     _check_size(M, view)
-    lam, threshold = independence_params(M, b, eps, cfg)
+    lam, threshold = closeness_params(M, b, eps, cfg)
     _check_finite("delta", delta, _CLOSENESS_DELTAS)
-    counts = _poissonized_counts(view, lam, rng, 0).reshape(view.dims)
+    counts = _poissonized_counts(view, lam, rng).reshape(-1, view.dims[-1])
     pairs, triples, quads, k = _independence_terms(counts)
     if account is not None:
         account.add("closeness", k * view.cost)

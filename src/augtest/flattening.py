@@ -130,11 +130,12 @@ def flatten_distribution_explicit(
 #
 # A "flat view" is 1-D sample access over [size] with an optional explicit
 # law, normalized to sum 1 by FlatView itself. Estimators only need
-# draw/size/probs/cost, inverse_cdf when probs is set, and dims to test a
-# 2-axis joint for independence; cost is the number of base joint draws
-# consumed per emitted sample, used for the sample account. The three
+# draw/size/probs/cost, inverse_cdf when probs is set, and dims to test the
+# last axis of a grid against the others; cost is the number of base joint
+# draws consumed per emitted sample, used for the sample account. The
 # builders differ only in their law and in how they group the axes for
-# _flat_view, which does every draw.
+# _flat_view, which does every draw; the 3-axis tester also builds the view
+# of its first two axes' flattened marginal through _flat_view itself.
 
 
 @dataclass

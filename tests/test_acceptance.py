@@ -162,21 +162,24 @@ def test_criterion_03_l2_estimator_contract():
 
 
 def test_criterion_04_closeness_rates():
+    # closeness_test scores one batch of a joint against the product of its
+    # own marginals: a product law on 50 cells, and the 2 x 2 diagonal law,
+    # at tv 0.5 from its own product, at its tight b = ||product||_2^2
     start = time.perf_counter()
     null_hits = 0
     for t in range(200):
         u = FlatView.from_law(np.full(50, 0.02))
-        v = FlatView.from_law(np.full(50, 0.02))
-        null_hits += closeness_test(u, v, 50, 1.0 / 50.0, 0.3, 0.05, EST, Rng(1004, (0, t)))
+        u.dims = (10, 5)
+        null_hits += closeness_test(u, 50, 1.0 / 50.0, 0.3, 0.05, EST, Rng(1004, (0, t)))
     alt_hits = 0
     for t in range(200):
-        p = FlatView.from_law(np.array([1.0, 0.0]))
-        q = FlatView.from_law(np.array([0.5, 0.5]))
-        alt_hits += not closeness_test(p, q, 2, 1.0, 0.3, 0.05, EST, Rng(1004, (1, t)))
+        p = FlatView.from_law(np.array([0.5, 0.0, 0.0, 0.5]))
+        p.dims = (2, 2)
+        alt_hits += not closeness_test(p, 4, 0.25, 0.3, 0.05, EST, Rng(1004, (1, t)))
     accept_rate, reject_rate = null_hits / 200, alt_hits / 200
     elapsed = time.perf_counter() - start
     ok = accept_rate >= 0.95 and reject_rate >= 0.95 and elapsed < 60
-    _report(4, "closeness tester: null accepts and tv=0.5 pair rejects", ok,
+    _report(4, "closeness tester: product accepts and the tv=0.5 diagonal law rejects", ok,
             f"null accept {accept_rate:.3f}, alt reject {reject_rate:.3f}, {elapsed:.1f}s")
 
 
@@ -285,7 +288,7 @@ def test_criterion_06_gate_logic_table():
             _calls.append("norm")
             return _nq.pop(0)
 
-        def fake_closeness(vp, vq, size, b, eps, delta, est, rng, account=None, _calls=calls):
+        def fake_closeness(view, size, b, eps, delta, est, rng, account=None, _calls=calls):
             _calls.append(("closeness", b, size))
             return close_ok
 

@@ -1066,9 +1066,9 @@ class TestAbTrials:
         shutil.copytree(os.path.join(self.ROOT, "src", "augtest"), tmp_path / "src" / "augtest")
         estimators = tmp_path / "src" / "augtest" / "estimators.py"
         text = estimators.read_text()
-        # the band that serves the cube's 288- to 405-cell flattened joints
-        assert text.count("(200, 6.0, 1.95),") == 1
-        estimators.write_text(text.replace("(200, 6.0, 1.95),", "(200, 7.0, 1.95),"))
+        # the band that serves the cube's flattened joints, each of 8 x 8 x 4 cells or more
+        assert text.count("(200, 3.5, 1.7),") == 1
+        estimators.write_text(text.replace("(200, 3.5, 1.7),", "(200, 4.0, 1.7),"))
         done = self.run_script(self.ROOT, str(tmp_path), 1)
         assert done.returncode == 1
         assert "trial rows differ between A and B" in done.stderr

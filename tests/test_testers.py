@@ -22,7 +22,7 @@ from augtest.domain import (
     product_of_marginals,
     tv_to_own_product,
 )
-from augtest.estimators import EstimatorConfig, independence_params
+from augtest.estimators import EstimatorConfig, closeness_params
 from augtest.testers import (
     Outcome,
     ReindexedSampler,
@@ -53,7 +53,7 @@ def scripted_hooks(poisson_vals, norm_vals, closeness_ok=True, calls=None):
             calls.append(("norm", size, delta))
         return nq.pop(0)
 
-    def fake_closeness(vp, vq, size, b, eps, delta, est, rng, account=None):
+    def fake_closeness(view, size, b, eps, delta, est, rng, account=None):
         if calls is not None:
             calls.append(("closeness", size, b, eps, delta))
         return closeness_ok
@@ -262,8 +262,8 @@ class TestGateLogic:
             joint_views.append(joint_view(*args))
             return joint_views[-1]
 
-        def recording_counts(view, lam, rng, index):
-            counts = kernel(view, lam, rng, index)
+        def recording_counts(view, lam, rng):
+            counts = kernel(view, lam, rng)
             tables.append((view, view._map))
             return counts
 
@@ -351,17 +351,27 @@ class TestGateLogic:
         assert len(v.detail["flat_dims"]) == 2
 
     def test_3d_constants(self):
-        calls = []
+        # four norm calls at 1/180; the joint batch tests (X, Y) against Z
+        # and, when it accepts, the (X, Y) marginal's batch tests X against
+        # Y, each at 1/120 and eps/2. The joint batch's product bound takes
+        # the smaller of the X and Y norms, since ||p_XY||^2 is at most
+        # either; the second batch has no joint norm and runs at the product.
         dims = (6, 5, 4)
-        hooks = scripted_hooks([3, 3, 3], [0.0, 0.0, 0.0, 0.0], calls=calls)
-        v = self.run(hooks, dims=dims)
-        assert v.outcome is Outcome.ACCEPT
-        deltas = [c[2] for c in calls if c[0] == "norm"]
-        assert deltas == [1.0 / 180.0] * 4
-        kind, size, b, eps, delta = calls[-1]
-        assert size == math.prod(v.detail["flat_dims"])
-        assert b == measured_bound([0.0, 0.0, 0.0, 0.0], size)
-        assert delta == 1.0 / 120.0
+        norms = [0.1, 0.05, 0.05, 0.02]
+        for accept in (True, False):
+            calls = []
+            v = self.run(scripted_hooks([3, 3, 3], norms, closeness_ok=accept, calls=calls), dims=dims)
+            assert v.outcome is (Outcome.ACCEPT if accept else Outcome.REJECT)
+            assert [c[2] for c in calls if c[0] == "norm"] == [1.0 / 180.0] * 4
+            batches = [c[1:] for c in calls if c[0] == "closeness"]
+            fx, fy, fz = v.detail["flat_dims"]
+            grids = [(fx * fy, fz), (fx, fy)]
+            assert v.detail["closeness_grids"] == grids[: len(batches)]
+            assert len(batches) == (2 if accept else 1)
+            assert batches[0] == (fx * fy * fz, measured_bound([0.05, 0.05, 0.02], fx * fy * fz), 0.2, 1 / 120)
+            assert (v.detail["closeness_b"], v.detail["closeness_b_source"]) == (batches[0][1], "product")
+            if accept:
+                assert batches[1] == (fx * fy, measured_bound([0.1, 0.05, math.inf], fx * fy), 0.2, 1 / 120)
 
     @pytest.mark.parametrize(
         "norms, source",
@@ -369,7 +379,7 @@ class TestGateLogic:
             ([0.3, 0.3, 0.05], "joint"),  # 2 joint < (2 marg)^2
             ([0.1, 0.2, 0.1], "product"),  # (2 marg)^2 < 2 joint
             ([0.0, 0.0, 0.0], "floor"),  # hooks that return 0: b = 1/M
-            ([20.0, 20.0, 30.0], "joint"),  # b > 1: independence_params clamps it to 1
+            ([20.0, 20.0, 30.0], "joint"),  # b > 1: closeness_params clamps it to 1
         ],
     )
     def test_closeness_bound_branches(self, norms, source):
@@ -379,7 +389,7 @@ class TestGateLogic:
         _, size, b, eps, delta = calls[-1]
         want = measured_bound(norms, size)
         assert min(b, 1.0) == want
-        assert independence_params(size, b, eps, EstimatorConfig()) == independence_params(
+        assert closeness_params(size, b, eps, EstimatorConfig()) == closeness_params(
             size, want, eps, EstimatorConfig()
         )
         assert v.detail["closeness_b"] == b
@@ -580,7 +590,8 @@ class TestGeneralArity:
         split = v.detail["eps_split"]
         eta = split["block_eta"][1]
         assert split["pipeline"] == 0.4 / 3
-        assert [c[3] for c in calls if c[0] == "closeness"] == [0.4 / 3]
+        # the grouped view's two closeness batches each run at half its eps
+        assert [c[3] for c in calls if c[0] == "closeness"] == [0.4 / 6, 0.4 / 6]
         assert split["block_eta"] == (None, eta, eta)
         assert eta == pytest.approx(0.4 / 18, rel=1e-12)
         learning = v.detail["learning"]
@@ -872,7 +883,7 @@ class TestSignPerturbationAtEps:
         verdicts = self._verdicts((100, 20), self.EPS)
         # the flattened joint's 8,000-odd cells lie far above the top band's
         # first M, the cells it is calibrated on
-        bands = estimators.EstimatorConfig().independence_bands
+        bands = estimators.EstimatorConfig().closeness_bands
         sizes = [math.prod(v.detail["flat_dims"]) for v in verdicts]
         assert all(estimators._closeness_band(M, bands) == bands[-1] for M in sizes)
         assert min(sizes) >= 40 * bands[-1][0]
@@ -884,12 +895,43 @@ class TestSignPerturbationAtEps:
         # counts: 16 to about 50 cells on (2, 2), 64 to about 130 on (4, 4).
         # The verdicts scored are those of the trials whose flattened joint
         # falls in the band; on (2, 2) 59 of the first 60 do.
-        bands = estimators.EstimatorConfig().independence_bands
+        bands = estimators.EstimatorConfig().closeness_bands
         verdicts = self._verdicts(dims, 0.3)
         sizes = [math.prod(v.detail["flat_dims"]) for v in verdicts]
         in_band = [v for v, M in zip(verdicts, sizes) if estimators._closeness_band(M, bands) == bands[band]]
         assert len(in_band) >= 55, sizes
         self._assert_rejected(in_band)
+
+
+class TestThreeAxisBatches:
+    """Far laws at exactly eps on (10, 6, 4) whose dependence only one of the
+    two closeness batches of aug_independence_3d sees.
+
+    A sign perturbation 1 + 2 eps s t of two uniform axes, times the third
+    uniform axis, keeps uniform marginals and lies at tv eps from its own
+    product. Perturbing X and Y keeps p = p_XY x p_Z, so the joint batch
+    faces a null and the (X, Y) marginal's batch must reject; perturbing Y
+    and Z keeps p_XY = p_X x p_Y, so the joint batch must reject before the
+    second runs. detail["closeness_grids"] lists the batches run, so its
+    length names the batch that decided. A uniform prediction claimed exact
+    (alpha 0) must not hide the dependence.
+    """
+
+    DIMS = (10, 6, 4)
+
+    @pytest.mark.parametrize("eps", [0.4, 0.2])
+    @pytest.mark.parametrize("axes, batch", [((0, 1), 2), ((1, 2), 1)], ids=["x_y_batch_2", "y_z_batch_1"])
+    def test_rejects_at_eps_in_its_batch(self, axes, batch, eps):
+        s, t = (np.where(np.arange(self.DIMS[a]) % 2 == 0, 1.0, -1.0) for a in axes)
+        (other,) = {0, 1, 2} - set(axes)
+        table = np.expand_dims(1 + 2 * eps * np.outer(s, t), other) * np.ones(self.DIMS)
+        p = JointDistribution(self.DIMS, table / table.sum())
+        assert tv_to_own_product(p) == pytest.approx(eps, abs=1e-12)
+        pred, cfg = JointDistribution.uniform(self.DIMS), TesterConfig(eps, 0.0)
+        verdicts = [aug_independence_3d(JointSampler(p), pred, cfg, Rng(2036, (i,))) for i in range(60)]
+        rejected = [v for v in verdicts if v.outcome is Outcome.REJECT]
+        assert wilson_interval(len(rejected), len(verdicts))[0] >= 0.9, f"{len(rejected)}/60 rejected"
+        assert all(v.stage == "closeness" and len(v.detail["closeness_grids"]) == batch for v in rejected)
 
 
 class TestAmplify:
