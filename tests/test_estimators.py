@@ -46,6 +46,17 @@ CALIBRATION = os.path.join(os.path.dirname(__file__), os.pardir, "calibration.js
 # The first M of each closeness band, which EstimatorConfig owns.
 EDGES = [first for first, _, _ in CFG.closeness_bands]
 BANDS = ((9, 3.0, 1.45), (50, 3.0, 1.75), (200, 3.5, 1.7))
+# The 12, 12 and 24 cells of the calibration grids of the bands from 9, 50
+# and 200 cells, in band order.
+BAND_CELLS = range(48)
+# The top band's premise cells on 100 x 20 and 128 x 64 grids: on each the
+# one its premise check errs most on and the uniform null.
+LARGE_BAND_CELLS = [
+    ("100x20,bM=5,eps=0.3,null", 5000),
+    ("100x20,eps=0.3,null", 5000),
+    ("128x64,bM=5,eps=0.1,null", 5000),
+    ("128x64,eps=0.3,null", 5000),
+]
 
 
 def draw_only(view: FlatView) -> FlatView:
@@ -363,30 +374,40 @@ class TestRepetitionPremise:
             assert chosen["check_error"] == max(chosen["check_errors"].values())
             assert chosen["check_error"] <= chosen["bound"] <= estimators.CLOSENESS_ERROR
 
-    @pytest.mark.parametrize(
-        "band, trials", [(0, 40_000), (1, 40_000), (2, 40_000), ("premise", 5_000)], ids=["9", "50", "200", "premise"]
-    )
-    def test_the_binding_cells_are_covered_by_the_bound(self, band, trials):
-        # one-batch statistics on the cell each band's point errs most on,
-        # and on the cell the top band's premise check errs most on (fewer
-        # of them, on up to 8,192 cells), on streams apart from the
-        # calibration's, at the band of CFG.closeness_bands that serves its M
-        script = _calibration_script()
-        with open(CALIBRATION) as fh:
-            bands = json.load(fh)["independence"]["bands"]
-        if band == "premise":
-            errors = bands[-1]["premise"]["check_errors"]
-            label, cells = max(errors, key=errors.get), script.independence_cells(script.PREMISE_GRIDS)
-            stream = 103
-        else:
-            label = bands[band]["chosen"]["binding_cell"]
-            cells = script.independence_cells(script.INDEPENDENCE_GRIDS[EDGES[band]])
-            stream = 100 + band
-        _, law, b, eps, case = next(cell for cell in cells if cell[0] == label)
+    @staticmethod
+    def _wrong_share_bound(cell, trials: int, stream) -> float:
+        """The Wilson upper bound on the share of wrong verdicts of `trials`
+        one-batch statistics on a calibration cell, at the band of
+        CFG.closeness_bands that serves its M, drawn by the calibration
+        script's own routine on Rng(stream), apart from the calibration's."""
+        _, law, b, eps, case = cell
         lam, threshold = closeness_params(law.size, b, eps, CFG)
-        z = script.joint_z_samples(law, lam, trials, Rng(34, (stream,)))
+        z = _calibration_script().joint_z_samples(law, lam, trials, stream)
         wrong = int(np.sum(z > threshold if case == "null" else z <= threshold))
-        assert wilson_interval(wrong, z.size)[1] <= estimators.CLOSENESS_ERROR
+        return wilson_interval(wrong, trials)[1]
+
+    @pytest.mark.parametrize("k", BAND_CELLS)
+    def test_single_batch_errors_are_covered_by_the_bound(self, k):
+        # 40,000 statistics on each cell of the grids the bands from 9, 50
+        # and 200 cells are calibrated on, the binding ones among them; the
+        # Wilson upper bound on the cell's share of wrong verdicts must stay
+        # within CLOSENESS_ERROR.
+        script = _calibration_script()
+        cells = [cell for edge in EDGES for cell in script.independence_cells(script.INDEPENDENCE_GRIDS[edge])]
+        assert len(cells) == len(BAND_CELLS)
+        assert cells[k][1].size < 4 * EDGES[-1]
+        assert self._wrong_share_bound(cells[k], 40_000, Rng(34, (k,))) <= estimators.CLOSENESS_ERROR
+
+    @pytest.mark.parametrize("label, trials", LARGE_BAND_CELLS)
+    def test_the_top_bands_point_holds_on_its_larger_cells(self, label, trials):
+        # the premise that the band's error does not grow with M, on the
+        # cells of 2,000 and 8,192 cells its premise check errs most on and
+        # the uniform null of each, at fewer statistics
+        script = _calibration_script()
+        cells = script.independence_cells(script.PREMISE_GRIDS)
+        k = [cell[0] for cell in cells].index(label)
+        assert cells[k][1].size >= 2000
+        assert self._wrong_share_bound(cells[k], trials, Rng(34, (100 + k,))) <= estimators.CLOSENESS_ERROR
 
     def test_norm_misses_are_covered_by_the_tail(self):
         # 40,000 of estimate_l2_squared's per-repetition statistics per law,
