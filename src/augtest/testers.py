@@ -48,10 +48,13 @@ from .domain import (
 )
 from .estimators import (
     EstimatorConfig,
+    _norm_batch,
     binomial_tail_at_most,
+    closeness_params,
     closeness_test,
     estimate_l2_squared,
     learn_empirical,
+    repetitions,
 )
 from .flattening import (
     ProductFlattening,
@@ -258,17 +261,25 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     if any(marg_norms[l] > gate * tau[l] for l in range(arity)):
         return Verdict(Outcome.INACCURATE, stage_log, account, detail)
 
-    # Joint norm gate: a product of small-norm marginals has small joint norm,
-    # so an oversized joint flattened norm is evidence against independence.
-    stage_log.append("joint_norm")
-    joint_reject = (10.0 * gate * gate) if arity == 2 else (6.0 * gate ** 3)
-    # One view serves both the joint norm and closeness: it holds the dense
-    # flattened joint law, the largest array a run builds.
+    # Joint norm gate, drawn only where it pays (_joint_norm_trade): a product
+    # of small-norm marginals has small joint norm, so an oversized joint
+    # flattened norm is evidence against independence. The view is built
+    # either way: it holds the dense flattened joint law, the largest array
+    # a run builds, and closeness reads it.
     joint_view = flattened_joint_view(sampler, pf)
-    joint_norm = hooks.norm(joint_view, pf.flat_size, norm_delta, _ESTIMATOR, rng.split(30), account)
-    detail["joint_norm"] = joint_norm
-    if joint_norm > joint_reject * math.prod(tau):
-        return Verdict(Outcome.REJECT, stage_log, account, detail)
+    M, last = pf.flat_size, pf.flat_dims[-1]
+    batch_eps = eps if arity == 2 else eps / 2
+    grid_norms = marg_norms if arity == 2 else [min(marg_norms[:2]), marg_norms[2]]
+    cost, saving = _joint_norm_trade(M, joint_view.cost, grid_norms, batch_eps, norm_delta)
+    detail["joint_norm_cost"], detail["joint_norm_saving"] = cost, saving
+    joint_norm = math.inf
+    if cost < saving:
+        stage_log.append("joint_norm")
+        joint_reject = (10.0 * gate * gate) if arity == 2 else (6.0 * gate ** 3)
+        joint_norm = hooks.norm(joint_view, M, norm_delta, _ESTIMATOR, rng.split(30), account)
+        detail["joint_norm"] = joint_norm
+        if joint_norm > joint_reject * math.prod(tau):
+            return Verdict(Outcome.REJECT, stage_log, account, detail)
 
     # l1 closeness between the flattened joint and the product of flattened
     # marginals; flattening preserved the tv gap. Each batch tests the last
@@ -277,9 +288,6 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     # min(||p_X||^2, ||p_Y||^2), and the (X, Y) marginal's batch then tests
     # X against Y, each at eps/2 (see aug_independence_3d).
     stage_log.append("closeness")
-    M, last = pf.flat_size, pf.flat_dims[-1]
-    batch_eps = eps if arity == 2 else eps / 2
-    grid_norms = marg_norms if arity == 2 else [min(marg_norms[:2]), marg_norms[2]]
     b, detail["closeness_b_source"] = _closeness_bound(joint_norm, grid_norms, M)
     detail["closeness_b"] = b
     detail["closeness_grids"] = [(M // last, last)]
@@ -294,6 +302,31 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     return Verdict(outcome, stage_log, account, detail)
 
 
+def _joint_norm_trade(
+    M: int, view_cost: int, grid_norms: Sequence[float], eps: float, norm_delta: float
+) -> tuple[int, float]:
+    """(cost, saving) in samples of the joint norm on M cells; the pipeline draws it only when cost < saving.
+
+    cost, known before any draw, is r batches of T at norm_delta, each
+    sample view_cost joint draws. saving is what the joint bound saves on a
+    product, where 2 * joint_norm lands near half the product bound b_prod:
+    the first batch's closeness rate at b_prod less its rate at
+    max(b_prod / 2, 1/M), so the band and the clamps enter; unclamped,
+    (1 - 1/sqrt(2)) * lambda(b_prod). The product bound alone is sound
+    (_closeness_bound), so the joint norm is only an optimisation. A b_prod
+    whose rate closeness_params refuses saves without limit: the joint
+    bound may bring the rate back within range.
+    """
+    cost = _norm_batch(M, _ESTIMATOR.norm_sample_mult) * repetitions(norm_delta, _ESTIMATOR) * view_cost
+    b_prod, _ = _closeness_bound(math.inf, grid_norms, M)
+    try:
+        lam_prod, _ = closeness_params(M, b_prod, eps, _ESTIMATOR)
+    except DomainError:
+        return cost, math.inf
+    lam_joint, _ = closeness_params(M, max(b_prod / 2.0, 1.0 / M), eps, _ESTIMATOR)
+    return cost, (lam_prod - lam_joint) * view_cost
+
+
 def _closeness_bound(joint_norm: float, marg_norms: Sequence[float], M: int) -> tuple[float, str]:
     """The norm bound b a closeness batch on M cells runs at, and which bound set it.
 
@@ -301,9 +334,10 @@ def _closeness_bound(joint_norm: float, marg_norms: Sequence[float], M: int) -> 
     Each norm estimate is at least half its truth (w.p. >= 1 - norm_delta),
     so 2 * joint_norm bounds ||p||^2, and the product of 2 * m over
     marg_norms bounds the product law's when each m estimates a marginal's
-    squared norm or one at least as large; a joint_norm of inf leaves the
-    product term alone. closeness_test needs a bound on the smaller of the
-    two only. Every law on M cells has ||p||^2 >= 1/M,
+    squared norm or one at least as large; a joint_norm of inf, as the
+    pipeline passes when it skips the joint norm (_joint_norm_trade), leaves
+    the product term alone. closeness_test needs a bound on the smaller of
+    the two only. Every law on M cells has ||p||^2 >= 1/M,
     so b never goes below that floor; closeness_params clamps b above at 1.
     """
     joint = 2.0 * joint_norm
@@ -364,11 +398,13 @@ def aug_independence_3d(
       both batches face their null and accept.
     - Norm bounds. Batch 1 needs b >= min(||p||^2, ||p_XY||^2 ||p_Z||^2),
       and ||p_XY||^2 = sum p_XY(x, y)^2 <= sum p_XY(x, y) p_X(x) = ||p_X||^2,
-      and likewise for Y, so it runs at the smaller of 2 * joint_norm and
-      2 min(m_X, m_Y) * 2 m_Z, from the measured norms. Batch 2's law has no
-      measured norm of its own, so it runs at 2 m_X * 2 m_Y.
-    - Error budget. The four norm calls run at delta 1/180 and each batch at
-      1/120, so by a union bound a call errs w.p. at most
+      and likewise for Y, so it runs at 2 min(m_X, m_Y) * 2 m_Z from the
+      measured marginal norms, or at 2 * joint_norm if that is smaller and
+      the joint norm was drawn (it is drawn only when it costs fewer samples
+      than it saves, see _joint_norm_trade). Batch 2's law has no measured
+      norm of its own, so it runs at 2 m_X * 2 m_Y.
+    - Error budget. At most four norm calls run, each at delta 1/180, and
+      each batch at 1/120, so by a union bound a call errs w.p. at most
       4/180 + 2/120 ~ 0.039, below BASE_DELTA.
     """
     _check_prediction(pred, 3)

@@ -32,8 +32,8 @@ GOLDEN = {
     # The three benchmark workloads.
     "closeness_2d": (
         dict(tester="2d", eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}),
-        "96742045cddc3feffbc2d6c65712d4acd8f8a956aa645159b0f688508cd7d95f",
-        "73c1cd2cc02336f2a317e8c148857d469d55ee296cac26074029b2079967c125",
+        "f1100337f9aec4d34af09c57ea6b3ff3cd04fc65685bf95772e939fe1478dd05",
+        "d7575454034b84abab1bf6226604427680617b547851b8794759004334b9960d",
         "1af2bfbad86983e91fd9fef7d93194274a89f93a52871e66b2d765d26b6e28f9",
     ),
     "hidden_bit_2d": (
@@ -72,8 +72,8 @@ GOLDEN = {
             prediction="uniform",
             instance={"kind": "product_random", "dims": [10, 40]},
         ),
-        "a9bd147f671c0717d72367b0dec94e9841cec741796fbabc65c7928cfe59b59a",
-        "8b8ad8d3dc7536231b0942d1d9e53f7fe572fa04f940ef509b62fd43c6b73373",
+        "82d21fb1c6fcfd4d73dc705c744db8cd269391ea46a6eccd5fb3071b46dd14e6",
+        "ffebb7a75e3f6b9989247a21306deb1da65662b4a6d50b4dc4acafe71758a5f3",
         "1af2bfbad86983e91fd9fef7d93194274a89f93a52871e66b2d765d26b6e28f9",
     ),
     "product_3d": (

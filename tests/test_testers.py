@@ -139,6 +139,14 @@ class TestGateLogic:
     """Scripted-hook runs pin the branch structure of the shared pipeline."""
 
     CFG = TesterConfig(eps=0.4, alpha=0.05, profile="theory")
+    # Scripted Poisson draws of 5 flatten (20, 10) to 45 x 25 = 1,125 cells,
+    # in closeness's top band (C = 3.5): the joint norm costs 11 * 136 =
+    # 1,496 samples, and on a product bound b it saves
+    # 3.5 * 1125 * (1 - 1/sqrt(2)) * sqrt(b) / .4^2 ~ 7,208 sqrt(b), so the
+    # rule draws it from b ~ 0.0431 up. Marginal norms of 0.1 and 0.2 put b
+    # at 0.08, where it is drawn; 0.1 and 0.1 at 0.04, where it is not.
+    DRAWN = [0.1, 0.2]
+    SKIPPED = [0.1, 0.1]
 
     def run(self, hooks, dims=(20, 10)):
         p = JointDistribution.uniform(dims)
@@ -194,7 +202,7 @@ class TestGateLogic:
     def test_joint_norm_reject(self):
         _, tau = self.s_and_tau()
         limit = 10 * 120 * 120 * tau[0] * tau[1]
-        hooks = scripted_hooks([5, 5], [0.0, 0.0, limit * 1.0001])
+        hooks = scripted_hooks([5, 5], self.DRAWN + [limit * 1.0001])
         v = self.run(hooks)
         assert v.outcome is Outcome.REJECT
         assert v.stage == "joint_norm"
@@ -203,17 +211,20 @@ class TestGateLogic:
     def test_joint_norm_boundary_passes(self):
         _, tau = self.s_and_tau()
         limit = 10 * 120 * 120 * tau[0] * tau[1]
-        hooks = scripted_hooks([5, 5], [0.0, 0.0, limit])
+        hooks = scripted_hooks([5, 5], self.DRAWN + [limit])
         v = self.run(hooks)
-        assert v.stage == "closeness"
+        assert v.stage_log[-2:] == ["joint_norm", "closeness"]
 
     def test_closeness_decides(self):
-        hooks_ok = scripted_hooks([5, 5], [0.0, 0.0, 0.0], closeness_ok=True)
-        hooks_bad = scripted_hooks([5, 5], [0.0, 0.0, 0.0], closeness_ok=False)
+        hooks_ok = scripted_hooks([5, 5], self.DRAWN + [0.0], closeness_ok=True)
+        hooks_bad = scripted_hooks([5, 5], self.DRAWN + [0.0], closeness_ok=False)
         assert self.run(hooks_ok).outcome is Outcome.ACCEPT
         assert self.run(hooks_bad).outcome is Outcome.REJECT
-        v = self.run(scripted_hooks([5, 5], [0.0, 0.0, 0.0]))
+        v = self.run(scripted_hooks([5, 5], self.DRAWN + [0.0]))
         assert v.stage_log == ["poisson_cap", "flattening", "norm_gate", "joint_norm", "closeness"]
+        v = self.run(scripted_hooks([5, 5], self.SKIPPED, closeness_ok=False))
+        assert v.outcome is Outcome.REJECT
+        assert v.stage_log == ["poisson_cap", "flattening", "norm_gate", "closeness"]
 
     def test_closeness_call_parameters(self):
         calls = []
@@ -240,12 +251,13 @@ class TestGateLogic:
         assert sorted(axes) == [(0,), (1,)]
 
     def test_joint_view_builds_its_sampling_map_once(self, monkeypatch):
-        # On uniform (100, 20) with the exact prediction at eps .4 the joint
-        # norm's 11 batches of T = 4 * ceil(sqrt(M)) look up about 4,000
-        # symbols in sorted rows, enough for a guide table on about 8,700
-        # cells; the norm builds it and closeness's batch of the joint view
-        # reads that same map, with no rebuild.
-        p = JointDistribution.uniform((100, 20))
+        # On uniform (300, 60) with the exact prediction at eps .18 the rule
+        # draws the joint norm (at Rng(3) it saves 1.8 times its cost). Its
+        # 11 batches of T = 4 * ceil(sqrt(M)) look up about 12,400 symbols in
+        # sorted rows, enough for a guide table on about 79,500 cells; the
+        # norm builds it and closeness's batch of the joint view, below one
+        # sample a cell, reads that same map, with no rebuild.
+        p = JointDistribution.uniform((300, 60))
         guides, lookups, joint_views, tables = [], [], [], []
         guide_table, view_map = domain._guide_table, flattening.FlatView.inverse_cdf
         joint_view, kernel = testers.flattened_joint_view, estimators._poissonized_counts
@@ -271,8 +283,8 @@ class TestGateLogic:
         monkeypatch.setattr(flattening.FlatView, "inverse_cdf", recording_map)
         monkeypatch.setattr(testers, "flattened_joint_view", recording_joint_view)
         monkeypatch.setattr(estimators, "_poissonized_counts", recording_counts)
-        v = aug_independence_2d(JointSampler(p), p, TesterConfig(eps=0.4, alpha=0.1), Rng(3))
-        assert v.outcome is Outcome.ACCEPT and v.stage == "closeness"
+        v = aug_independence_2d(JointSampler(p), p, TesterConfig(eps=0.18, alpha=0.1), Rng(3))
+        assert v.outcome is Outcome.ACCEPT and v.stage_log[-2:] == ["joint_norm", "closeness"]
         (joint,) = joint_views
         joint_lookups = [(n, rows) for view, n, rows in lookups if view is joint]
         # The joint norm in sorted rows, then closeness's batch of the joint
@@ -284,6 +296,8 @@ class TestGateLogic:
         T = 4 * math.ceil(math.sqrt(joint.size))
         assert domain._GUIDE_MIN_LOOKUPS <= norm_lookups == 11 * T
         assert norm_lookups >= domain._GUIDE_MIN_LOOKUPS_PER_CELL_SORTED * joint.size
+        # the trade's cost is what the joint norm drew, and it paid
+        assert v.detail["joint_norm_cost"] == norm_lookups < v.detail["joint_norm_saving"]
         # One guide, over the joint view's table: two axes build no product view.
         assert len(guides) == 1
         assert guides[0] is joint._cum
@@ -296,9 +310,10 @@ class TestGateLogic:
     def test_a_closeness_chunk_builds_one_map_and_at_most_one_guide_per_view(self, monkeypatch):
         # A 20-trial chunk of the uniform (100, 20) config at eps .4: every
         # view's map is built once, whatever its flat size, and its guide at
-        # most once. Flat sizes of 8,649 cells and below take the guide at
-        # the joint norm too (4,092 sorted keys), so closeness does not
-        # rebuild their map.
+        # most once. The flat sizes span 8,649 cells, at and below which a
+        # drawn joint norm's 4,092 sorted keys would take the guide; the rule
+        # skips the joint norm on this config, so closeness's unsorted keys
+        # build each joint view's map, once.
         maps, guides = [], []
         view_map, guide_table = flattening.inverse_cdf, domain._guide_table
         monkeypatch.setattr(flattening, "inverse_cdf", lambda cum, *a: maps.append(cum) or view_map(cum, *a))
@@ -337,7 +352,7 @@ class TestGateLogic:
 
     def test_norm_call_confidences(self):
         calls = []
-        self.run(scripted_hooks([5, 5], [0.0, 0.0, 0.0], calls=calls))
+        self.run(scripted_hooks([5, 5], self.DRAWN + [0.0], calls=calls))
         deltas = [c[2] for c in calls if c[0] == "norm"]
         assert deltas == [1.0 / 120.0] * 3
 
@@ -379,7 +394,7 @@ class TestGateLogic:
             ([0.3, 0.3, 0.05], "joint"),  # 2 joint < (2 marg)^2
             ([0.1, 0.2, 0.1], "product"),  # (2 marg)^2 < 2 joint
             ([0.0, 0.0, 0.0], "floor"),  # hooks that return 0: b = 1/M
-            ([20.0, 20.0, 30.0], "joint"),  # b > 1: closeness_params clamps it to 1
+            ([0.75, 0.5, 0.6], "joint"),  # b = 1.2 > 1: closeness_params clamps it to 1
         ],
     )
     def test_closeness_bound_branches(self, norms, source):
@@ -395,6 +410,53 @@ class TestGateLogic:
         assert v.detail["closeness_b"] == b
         assert v.detail["closeness_b_source"] == source
 
+    def test_the_joint_norm_trade_on_both_sides_of_its_boundary(self):
+        # On 1,125 cells at eps .4 and delta 1/120 (see DRAWN) the norm costs
+        # 11 * 4 * ceil(sqrt(1125)) = 1,496 samples. b = 0.04 saves
+        # 3.5 * 1125 * (0.2 - sqrt(0.02)) / 0.16 ~ 1,441.5 of closeness's,
+        # b = 0.0441 about 1,513.6.
+        cost = 11 * 4 * 34
+        for norms, b, drawn in ((self.SKIPPED, 0.04, False), ([0.105, 0.105], 0.0441, True)):
+            saving = 3.5 * 1125 * (math.sqrt(b) - math.sqrt(b / 2)) / 0.4**2
+            got = testers._joint_norm_trade(1125, 1, norms, 0.4, 1 / 120)
+            assert got == (cost, pytest.approx(saving, rel=1e-12))
+            assert (got[0] < got[1]) is drawn
+            # a view whose samples cost 2 joint draws doubles both sides
+            assert testers._joint_norm_trade(1125, 2, norms, 0.4, 1 / 120) == (2 * cost, pytest.approx(2 * saving))
+
+    def test_the_joint_norm_trade_reads_the_clamps_band_and_confidence(self):
+        trade = testers._joint_norm_trade
+        # b at the 1/M floor, or half of it past the clamp at 1, saves nothing
+        assert trade(1125, 1, [0.0, 0.0], 0.4, 1 / 120) == (1496, 0.0)
+        assert trade(1125, 1, [1.0, 1.0], 0.4, 1 / 120) == (1496, 0.0)
+        # b between 1/M and 2/M halves only down to the floor
+        b = 1.5 / 1125
+        saving = 3.5 * 1125 * (math.sqrt(b) - math.sqrt(1 / 1125)) / 0.16
+        assert trade(1125, 1, [b / 2, 0.5], 0.4, 1 / 120)[1] == pytest.approx(saving, rel=1e-12)
+        # 100 cells lie in the 50 band (C = 3); delta 1/180 takes 13 batches
+        saving = 3.0 * 100 * (math.sqrt(0.04) - math.sqrt(0.02)) / 0.16
+        assert trade(100, 1, self.SKIPPED, 0.4, 1 / 180) == (13 * 40, pytest.approx(saving, rel=1e-12))
+        # a product bound whose batch is past the largest Poisson mean saves
+        # without limit, so the norm whose bound may bring it back is drawn
+        assert trade(1125, 1, self.DRAWN, 1e-9, 1 / 120) == (1496, math.inf)
+
+    @pytest.mark.parametrize("drawn", [True, False])
+    def test_detail_records_the_trade_and_only_a_drawn_joint_norm(self, drawn):
+        calls = []
+        norms = self.DRAWN if drawn else self.SKIPPED
+        v = self.run(scripted_hooks([5, 5], norms + [0.01], calls=calls))
+        M = math.prod(v.detail["flat_dims"])
+        assert M == 1125
+        assert (v.detail["joint_norm_cost"], v.detail["joint_norm_saving"]) == testers._joint_norm_trade(
+            M, 1, norms, 0.4, 1 / 120
+        )
+        assert sum(c[0] == "norm" for c in calls) == (3 if drawn else 2)
+        assert ("joint_norm" in v.stage_log) is drawn and ("joint_norm" in v.detail) is drawn
+        # drawn, the joint bound 2 * 0.01 is the smaller; skipped, the product's 4 * 0.1 * 0.1
+        b = 0.02 if drawn else 0.04
+        assert calls[-1][2] == pytest.approx(b) and v.detail["closeness_b"] == calls[-1][2]
+        assert v.detail["closeness_b_source"] == ("joint" if drawn else "product")
+
     def test_3d_joint_reject_constant(self):
         dims = (6, 5, 4)
         a, e = 0.05, 0.4
@@ -402,7 +464,8 @@ class TestGateLogic:
         s = [s1, max(1.0, 5 * a), max(1.0, 4 * a)]
         tau = [2 * a / s[l] + 4 / dims[l] for l in range(3)]
         limit = 6 * 180 ** 3 * math.prod(tau)
-        v = self.run(scripted_hooks([3, 3, 3], [0.0, 0.0, 0.0, limit * 1.0001]), dims=dims)
+        # test_3d_constants' marginal norms, at which the rule draws the joint norm
+        v = self.run(scripted_hooks([3, 3, 3], [0.1, 0.05, 0.05, limit * 1.0001]), dims=dims)
         assert v.outcome is Outcome.REJECT and v.stage == "joint_norm"
 
 
@@ -932,6 +995,31 @@ class TestThreeAxisBatches:
         rejected = [v for v in verdicts if v.outcome is Outcome.REJECT]
         assert wilson_interval(len(rejected), len(verdicts))[0] >= 0.9, f"{len(rejected)}/60 rejected"
         assert all(v.stage == "closeness" and len(v.detail["closeness_grids"]) == batch for v in rejected)
+
+
+class TestProductBoundFarSide:
+    """Far laws the product bound alone must carry, with the joint norm skipped.
+
+    p = (1 - w) U(k) x U(k) + w Diag(k), with w = eps / (1 - 1/k), keeps
+    uniform marginals and lies at tv eps from its own product, while its
+    ||p||^2 is about w/k, far above the product's 1/k^2. Run with the exact
+    prediction, the rule skips the joint norm in every trial (the flattened
+    product bound saves a quarter to a half of its cost), so closeness runs
+    at the product bound, below ||p||^2, and must still reject w.p. whose
+    Wilson lower bound is at least 0.9 over 200 trials.
+    """
+
+    @pytest.mark.parametrize("k, eps, alpha", [(20, 0.4, 0.1), (60, 0.3, 0.05)])
+    def test_rejects_at_eps_with_the_joint_norm_skipped(self, k, eps, alpha):
+        w = eps / (1 - 1 / k)
+        p = JointDistribution((k, k), (1 - w) * np.full((k, k), 1 / k**2) + w * np.eye(k) / k)
+        assert tv_to_own_product(p) == pytest.approx(eps, abs=1e-12)
+        cfg = TesterConfig(eps, alpha)
+        verdicts = [aug_independence_2d(JointSampler(p), p, cfg, Rng(seed, ())) for seed in range(9000, 9200)]
+        assert all("joint_norm" not in v.stage_log for v in verdicts)
+        assert all(v.detail["closeness_b_source"] == "product" for v in verdicts)
+        rejects = sum(v.outcome is Outcome.REJECT for v in verdicts)
+        assert wilson_interval(rejects, len(verdicts))[0] >= 0.9, f"{rejects}/{len(verdicts)} rejected"
 
 
 class TestAmplify:
