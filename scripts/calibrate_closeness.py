@@ -106,7 +106,7 @@ from augtest.estimators import (
     closeness_params,
 )
 from augtest.flattening import FlatView
-from augtest.testers import _NORM_DELTA
+from augtest.testers import TesterConfig, _plan
 
 SEED = 20260814
 TRIALS = 40000  # statistics per cell in each of the selection and check sets
@@ -136,7 +136,9 @@ NORM_TRIALS = 40000
 NORM_SAMPLE_MULTS = [3.0, 3.5, 4.0, 5.0, 6.0]
 NORM_LARGE_M = 8192  # a uniform law the norm is also calibrated on
 # The confidences the two- and three-axis testers run each norm call at.
-NORM_DELTAS = {f"delta=1/{round(1 / d)}": d for d in _NORM_DELTA.values()}
+NORM_DELTAS = {
+    f"delta=1/{round(1 / d)}": d for d in (_plan((2,) * k, TesterConfig(1.0, 1.0)).norm_delta for k in (2, 3))
+}
 TWO_AXIS, THREE_AXIS = NORM_DELTAS
 # The norm grid draws from Rng(SEED).split(NORM_STREAM), apart from the
 # closeness cells.

@@ -122,7 +122,7 @@ NORM_SIDE_ERROR = 0.15625
 # smallest delta closeness_test takes, and at most 1/120, the three-axis
 # testers' delta.
 CLOSENESS_ERROR = 13 / 2048
-_CLOSENESS_DELTAS = f"[{Fraction(CLOSENESS_ERROR)}, 1)"
+_DELTA_RANGE_OF_CLOSENESS = f"[{Fraction(CLOSENESS_ERROR)}, 1)"
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # The most samples a closeness batch may hold for its int64 sums of squares
@@ -355,7 +355,7 @@ def closeness_test(
         raise DomainError(f"closeness tests an axis against the others, but the view's grid is {view.dims}")
     _check_size(M, view)
     lam, threshold = closeness_params(M, b, eps, cfg)
-    _check_finite("delta", delta, _CLOSENESS_DELTAS)
+    _check_finite("delta", delta, _DELTA_RANGE_OF_CLOSENESS)
     counts = _poissonized_counts(view, lam, rng).reshape(-1, view.dims[-1])
     pairs, triples, quads, k = _independence_terms(counts)
     if account is not None:

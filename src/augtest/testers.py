@@ -18,13 +18,13 @@ batch of the joint tests the first two axes together against the third and,
 if it accepts, a second tests the first axis against the second on their
 flattened marginal (see aug_independence_3d). Higher arities are reduced to
 a grouped 2- or 3-axis instance plus learning-based tests inside the
-grouped blocks.
+grouped blocks. One plan (_Plan) sizes every stage before any draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -100,24 +100,7 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Profiles
-
-# (norm gate multiplier, Poisson cap multiplier) per (profile, arity). The
-# theory values are the ones the soundness proofs use; the practical values
-# keep the identical control flow and gate structure at desk-scale sample
-# sizes (3-axis values scale the 2-axis ones by the same 1.5x ratio the
-# theory constants use).
-_PROFILE_GATES = {
-    ("theory", 2): (120.0, 160.0),
-    ("practical", 2): (6.0, 8.0),
-    ("theory", 3): (180.0, 240.0),
-    ("practical", 3): (9.0, 12.0),
-}
-
-# Sub-confidences are structural, not profile-dependent: per-axis and joint
-# norm estimates, then the closeness call.
-_NORM_DELTA = {2: 1.0 / 120.0, 3: 1.0 / 180.0}
-_CLOSENESS_DELTA = {2: 1.0 / 80.0, 3: 1.0 / 120.0}
+# Config
 
 # The estimators run at their calibrated multipliers.
 _ESTIMATOR = EstimatorConfig()
@@ -138,10 +121,6 @@ class TesterConfig:
     eps: float
     alpha: float
     profile: str = "practical"
-
-    def gates(self, arity: int) -> tuple[float, float]:
-        """(norm gate multiplier, Poisson cap multiplier) of the profile at this arity."""
-        return _PROFILE_GATES[(self.profile, arity)]
 
     def validate(self) -> None:
         if self.profile not in ("theory", "practical"):
@@ -201,41 +180,185 @@ class ReindexedSampler:
 
 
 # ---------------------------------------------------------------------------
-# Shared 2/3-axis pipeline
+# The plan and the shared 2/3-axis pipeline
 
 
-def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterHooks) -> Verdict:
+@dataclass(frozen=True)
+class _Plan:
+    """Every size a run of aug_independence_d draws at, fixed from (dims, cfg) before any draw.
+
+    blocks partitions the input's axes: one per axis on 2 or 3 axes, else
+    partition_coordinates' blocks of the axes stable-sorted by size. The
+    pipeline merges the axes of view[i], the blocks stable-sorted by size
+    descending, into coordinate i. On its k axes s is the Poissonized
+    sample sizes (at least 1, so that tau stays finite) and tau the norm
+    thresholds; gate is 60 k on the theory profile, whose constants the
+    proofs use, and 3 k on the practical one, of the same control flow at
+    desk-scale sizes; cap is 4/3 gate, joint_reject 10 gate^2 on two axes
+    and 6 gate^3 on three. Each norm call runs at norm_delta = 1/(60 k),
+    each closeness batch at close_delta = 1/(40 k) and its batch_eps: eps on
+    two axes, eps/2 for each of two batches on three (aug_independence_3d).
+
+    eps is the input's eps / m, with m 1 plus the number of blocks of two or
+    more axes. Such a block, of k axes, learns at block_eta = eps / (2k + 2)
+    and rejects when its gap exceeds (k + 1) * eta; a single axis runs no
+    test (None). The blocks learn from one draw at learn_delta =
+    BASE_DELTA / 5, which is None on 2 or 3 axes, where none is learned.
+
+    Why the split is sound. Write p_B for p's marginal on the axes of block
+    B, p_i for its marginal on axis i, q = prod_B p_B for the product of
+    the block marginals and pi = prod_i p_i. The tv of two products is at
+    most the sum of their factors' tvs, so
+
+        tv(p, pi) <= tv(p, q) + tv(q, pi)
+                  <= tv(p, q) + sum over multi-axis B of tv(p_B, prod_{i in B} p_i),
+
+    where a single-axis block adds nothing. That is m terms. pi is a
+    product, so if p is eps-far from every product, tv(p, pi) >= eps and
+    some term is at least eps / m. Each sub-test rejects when its own term
+    is (w.p. its own confidence):
+
+    - tv(p, q) >= eps / m. This is the grouped view's distance to the
+      product of its own marginals. The pipeline's closeness tests the
+      flattened joint against the product of its own flattened marginals
+      (on three blocks in two batches; see aug_independence_3d), and
+      flattening keeps that tv, so the pipeline at eps / m rejects. (Merging
+      axes does not grow tv(p, pred), so InaccurateInformation stays
+      reserved for a prediction that misses alpha.)
+    - E = tv(p_B, prod_{i in B} p_i) >= eps / m = (2k + 2) * eta on a block
+      of k axes. Its learned law p-hat has tv(p-hat, p_B) < eta (see
+      _learn_blocks), and so does each marginal, since marginalizing never
+      grows tv. Hence
+          gap >= E - tv(p-hat, p_B) - sum_i tv(p-hat_i, p_i)
+              >  E - (k + 1) * eta >= (k + 1) * eta.
+      The middle step is strict, so the test rejects also at the boundary
+      E = (2k + 2) * eta.
+
+    For a product p, q = p and every p_B is a product. The pipeline accepts
+    w.p. its own confidence, and a block's gap is below
+    tv(p-hat, p_B) + sum_i tv(p-hat_i, p_i) < (k + 1) * eta, so it accepts.
+    In test_independence_by_learning's terms this is eta = eps' / c at
+    eps' = (eps / m) * c / (c + k) with c = k + 2, the least c both sides
+    allow.
+
+    Error budget, by a union bound over the calls: on two pipeline axes
+    three norm calls at 1/120 and one batch at 1/80 err w.p. at most
+    0.0375, on three four norm calls at 1/180 and two batches at 1/120 at
+    most 0.039, and learning adds 0.02: at most 0.059 < BASE_DELTA.
+    """
+
+    profile: str
+    blocks: list[list[int]]
+    view: list[list[int]]
+    eps: float
+    s: list[float]
+    tau: list[float]
+    gate: float
+    cap: float
+    joint_reject: float
+    norm_delta: float
+    close_delta: float
+    batch_eps: tuple[float, ...]
+    block_eta: tuple[float | None, ...]
+    learn_delta: float | None
+
+    def closeness_bound(
+        self, batch: int, M: int, marg_norms: Sequence[float], joint_norm: float = math.inf
+    ) -> tuple[float, str]:
+        """The norm bound b closeness batch `batch` on M cells runs at, and which bound set it.
+
+        A norm estimate is at least half its truth w.p. >= 1 - norm_delta,
+        so 2 * joint_norm bounds the batch's law's squared norm, and the
+        product of 2 * m over its grid's marginal norms the product law's
+        (on three axes see aug_independence_3d); closeness_test needs the
+        smaller only, and a joint_norm of inf, as when the pipeline skips
+        the joint norm, leaves the product. b never goes below 1/M, the
+        least squared norm on M cells; closeness_params clamps it at 1.
+        """
+        if len(marg_norms) == 3:  # batch 0's grid is (XY, Z), batch 1's (X, Y)
+            marg_norms = marg_norms[:2] if batch else [min(marg_norms[:2]), marg_norms[2]]
+        joint = 2.0 * joint_norm
+        product = math.prod(2.0 * m for m in marg_norms)
+        b, source = (joint, "joint") if joint <= product else (product, "product")
+        if b < 1.0 / M:
+            return 1.0 / M, "floor"
+        return b, source
+
+    def joint_norm_trade(self, M: int, view_cost: int, marg_norms: Sequence[float]) -> tuple[int, float]:
+        """(cost, saving) in samples of the joint norm on M cells; the pipeline draws it only when cost < saving.
+
+        cost, known before any draw, is r batches of T at norm_delta, each
+        sample view_cost joint draws. saving is what the joint bound saves
+        on a product, where 2 * joint_norm lands near half the product
+        bound b_prod: the first batch's rate at b_prod less its rate at
+        max(b_prod / 2, 1/M), so the band and the clamps enter. The product
+        bound alone is sound, so the joint norm is only an optimisation. A
+        b_prod whose rate closeness_params refuses saves without limit: the
+        joint bound may bring the rate back within range.
+        """
+        cost = _norm_batch(M, _ESTIMATOR.norm_sample_mult) * repetitions(self.norm_delta, _ESTIMATOR) * view_cost
+        b_prod, _ = self.closeness_bound(0, M, marg_norms)
+        try:
+            lam_prod, _ = closeness_params(M, b_prod, self.batch_eps[0], _ESTIMATOR)
+        except DomainError:
+            return cost, math.inf
+        lam_joint, _ = closeness_params(M, max(b_prod / 2.0, 1.0 / M), self.batch_eps[0], _ESTIMATOR)
+        return cost, (lam_prod - lam_joint) * view_cost
+
+
+def _plan(dims: Sequence[int], cfg: TesterConfig) -> _Plan:
+    """The plan of aug_independence_d on an input of these dims at cfg (see _Plan)."""
+    d = len(dims)
+    if d < 2:
+        raise DomainError(f"independence needs at least two axes, got dims {tuple(dims)}")
+    if d <= 3:
+        blocks = [[a] for a in range(d)]
+    else:
+        order = sorted(range(d), key=lambda a: -dims[a])
+        blocks = [[order[i] for i in blk] for blk in partition_coordinates([dims[a] for a in order])]
+    view = sorted(blocks, key=lambda blk: -math.prod(dims[a] for a in blk))
+    eps = cfg.eps / (1 + sum(len(blk) > 1 for blk in blocks))
+
+    pdims = [math.prod(dims[a] for a in blk) for blk in view]
+    k, alpha = len(pdims), cfg.alpha
+    n1, rest = pdims[0], math.prod(pdims[1:])
+    s1 = n1 ** (2.0 / 3.0) * rest ** (1.0 / 3.0) * alpha ** (1.0 / 3.0) / eps ** (4.0 / 3.0)
+    s = [max(1.0, min(s1, n1 * alpha))] + [max(1.0, n * alpha) for n in pdims[1:]]
+    gate = {"theory": 60.0, "practical": 3.0}[cfg.profile] * k
+    return _Plan(
+        profile=cfg.profile,
+        blocks=blocks,
+        view=view,
+        eps=eps,
+        s=s,
+        tau=[2.0 * alpha / s[l] + 4.0 / pdims[l] for l in range(k)],
+        gate=gate,
+        cap=gate * 4.0 / 3.0,
+        joint_reject=(10.0 * gate * gate) if k == 2 else (6.0 * gate**3),
+        norm_delta=1.0 / (60 * k),
+        close_delta=1.0 / (40 * k),
+        batch_eps=(eps,) if k == 2 else (eps / 2, eps / 2),
+        block_eta=tuple(eps / (2 * len(blk) + 2) if len(blk) > 1 else None for blk in blocks),
+        learn_delta=BASE_DELTA / 5.0 if d > 3 else None,
+    )
+
+
+def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks | None) -> Verdict:
+    """Runs the plan's pipeline on the view merging the input's axes plan.view[i] into coordinate i."""
+    if plan.view != [[a] for a in range(len(sampler.dims))]:
+        sampler, pred = ReindexedSampler(sampler, plan.view), merge_axes(pred, plan.view)
+    hooks = hooks or _DEFAULT_HOOKS
     dims = sampler.dims
     arity = len(dims)
-    gate, cap = cfg.gates(arity)
-    norm_delta = _NORM_DELTA[arity]
-    close_delta = _CLOSENESS_DELTA[arity]
-    eps, alpha = cfg.eps, cfg.alpha
+    s, tau = plan.s, plan.tau
     account = SampleAccount()
     stage_log: list[str] = []
-    detail: dict = {"dims": dims, "profile": cfg.profile}
-
-    # Poissonized per-axis sample sizes, clamped below at 1 so tau stays finite.
-    n1 = dims[0]
-    rest = math.prod(dims[1:])
-    s = [
-        max(
-            1.0,
-            min(
-                n1 ** (2.0 / 3.0) * rest ** (1.0 / 3.0) * alpha ** (1.0 / 3.0) / eps ** (4.0 / 3.0),
-                n1 * alpha,
-            ),
-        )
-    ]
-    s += [max(1.0, d * alpha) for d in dims[1:]]
-    tau = [2.0 * alpha / s[l] + 4.0 / dims[l] for l in range(arity)]
-    detail["s"] = s
-    detail["tau"] = tau
+    detail: dict = {"dims": dims, "profile": plan.profile, "s": s, "tau": tau}
 
     stage_log.append("poisson_cap")
     shat = [hooks.poisson(s[l], rng.split(l)) for l in range(arity)]
     detail["s_hat"] = shat
-    if any(shat[l] > cap * s[l] for l in range(arity)):
+    if any(shat[l] > plan.cap * s[l] for l in range(arity)):
         return Verdict(Outcome.REJECT, stage_log, account, detail)
 
     # Flattening: each axis consumes its own projected joint draws.
@@ -254,106 +377,50 @@ def _flatten_pipeline(sampler, pred, cfg: TesterConfig, rng: Rng, hooks: TesterH
     stage_log.append("norm_gate")
     axis_views = [flattened_axis_view(sampler, l, pf) for l in range(arity)]
     marg_norms = [
-        hooks.norm(view, view.size, norm_delta, _ESTIMATOR, rng.split(20 + l), account)
+        hooks.norm(view, view.size, plan.norm_delta, _ESTIMATOR, rng.split(20 + l), account)
         for l, view in enumerate(axis_views)
     ]
     detail["marginal_norms"] = marg_norms
-    if any(marg_norms[l] > gate * tau[l] for l in range(arity)):
+    if any(marg_norms[l] > plan.gate * tau[l] for l in range(arity)):
         return Verdict(Outcome.INACCURATE, stage_log, account, detail)
 
-    # Joint norm gate, drawn only where it pays (_joint_norm_trade): a product
+    # Joint norm gate, drawn only where it pays (joint_norm_trade): a product
     # of small-norm marginals has small joint norm, so an oversized joint
     # flattened norm is evidence against independence. The view is built
     # either way: it holds the dense flattened joint law, the largest array
     # a run builds, and closeness reads it.
     joint_view = flattened_joint_view(sampler, pf)
     M, last = pf.flat_size, pf.flat_dims[-1]
-    batch_eps = eps if arity == 2 else eps / 2
-    grid_norms = marg_norms if arity == 2 else [min(marg_norms[:2]), marg_norms[2]]
-    cost, saving = _joint_norm_trade(M, joint_view.cost, grid_norms, batch_eps, norm_delta)
+    cost, saving = plan.joint_norm_trade(M, joint_view.cost, marg_norms)
     detail["joint_norm_cost"], detail["joint_norm_saving"] = cost, saving
     joint_norm = math.inf
     if cost < saving:
         stage_log.append("joint_norm")
-        joint_reject = (10.0 * gate * gate) if arity == 2 else (6.0 * gate ** 3)
-        joint_norm = hooks.norm(joint_view, M, norm_delta, _ESTIMATOR, rng.split(30), account)
+        joint_norm = hooks.norm(joint_view, M, plan.norm_delta, _ESTIMATOR, rng.split(30), account)
         detail["joint_norm"] = joint_norm
-        if joint_norm > joint_reject * math.prod(tau):
+        if joint_norm > plan.joint_reject * math.prod(tau):
             return Verdict(Outcome.REJECT, stage_log, account, detail)
 
     # l1 closeness between the flattened joint and the product of flattened
     # marginals; flattening preserved the tv gap. Each batch tests the last
-    # axis of its view's grid against the others. On three axes the joint
-    # batch tests (X, Y) against Z, whose ||p_XY||^2 is at most
-    # min(||p_X||^2, ||p_Y||^2), and the (X, Y) marginal's batch then tests
-    # X against Y, each at eps/2 (see aug_independence_3d).
+    # axis of its view's grid against the others: on three axes the joint
+    # batch tests (X, Y) against Z and, if it accepts, the (X, Y) marginal's
+    # batch tests X against Y (see aug_independence_3d).
     stage_log.append("closeness")
-    b, detail["closeness_b_source"] = _closeness_bound(joint_norm, grid_norms, M)
+    b, detail["closeness_b_source"] = plan.closeness_bound(0, M, marg_norms, joint_norm)
     detail["closeness_b"] = b
     detail["closeness_grids"] = [(M // last, last)]
-    ok = hooks.closeness(joint_view, M, b, batch_eps, close_delta, _ESTIMATOR, rng.split(31), account)
+    ok = hooks.closeness(joint_view, M, b, plan.batch_eps[0], plan.close_delta, _ESTIMATOR, rng.split(31), account)
     if ok and arity == 3:
         law = joint_view.probs
         pair_view = _flat_view(sampler, pf, [[0, 1]], None if law is None else law.reshape(pf.flat_dims).sum(axis=2))
-        b, _ = _closeness_bound(math.inf, marg_norms[:2], pair_view.size)
+        b, _ = plan.closeness_bound(1, pair_view.size, marg_norms)
         detail["closeness_grids"].append(pair_view.dims)
-        ok = hooks.closeness(pair_view, pair_view.size, b, batch_eps, close_delta, _ESTIMATOR, rng.split(32), account)
+        ok = hooks.closeness(
+            pair_view, pair_view.size, b, plan.batch_eps[1], plan.close_delta, _ESTIMATOR, rng.split(32), account
+        )
     outcome = Outcome.ACCEPT if ok else Outcome.REJECT
     return Verdict(outcome, stage_log, account, detail)
-
-
-def _joint_norm_trade(
-    M: int, view_cost: int, grid_norms: Sequence[float], eps: float, norm_delta: float
-) -> tuple[int, float]:
-    """(cost, saving) in samples of the joint norm on M cells; the pipeline draws it only when cost < saving.
-
-    cost, known before any draw, is r batches of T at norm_delta, each
-    sample view_cost joint draws. saving is what the joint bound saves on a
-    product, where 2 * joint_norm lands near half the product bound b_prod:
-    the first batch's closeness rate at b_prod less its rate at
-    max(b_prod / 2, 1/M), so the band and the clamps enter; unclamped,
-    (1 - 1/sqrt(2)) * lambda(b_prod). The product bound alone is sound
-    (_closeness_bound), so the joint norm is only an optimisation. A b_prod
-    whose rate closeness_params refuses saves without limit: the joint
-    bound may bring the rate back within range.
-    """
-    cost = _norm_batch(M, _ESTIMATOR.norm_sample_mult) * repetitions(norm_delta, _ESTIMATOR) * view_cost
-    b_prod, _ = _closeness_bound(math.inf, grid_norms, M)
-    try:
-        lam_prod, _ = closeness_params(M, b_prod, eps, _ESTIMATOR)
-    except DomainError:
-        return cost, math.inf
-    lam_joint, _ = closeness_params(M, max(b_prod / 2.0, 1.0 / M), eps, _ESTIMATOR)
-    return cost, (lam_prod - lam_joint) * view_cost
-
-
-def _closeness_bound(joint_norm: float, marg_norms: Sequence[float], M: int) -> tuple[float, str]:
-    """The norm bound b a closeness batch on M cells runs at, and which bound set it.
-
-    The batch tests a law p against the product of its grid's marginals.
-    Each norm estimate is at least half its truth (w.p. >= 1 - norm_delta),
-    so 2 * joint_norm bounds ||p||^2, and the product of 2 * m over
-    marg_norms bounds the product law's when each m estimates a marginal's
-    squared norm or one at least as large; a joint_norm of inf, as the
-    pipeline passes when it skips the joint norm (_joint_norm_trade), leaves
-    the product term alone. closeness_test needs a bound on the smaller of
-    the two only. Every law on M cells has ||p||^2 >= 1/M,
-    so b never goes below that floor; closeness_params clamps b above at 1.
-    """
-    joint = 2.0 * joint_norm
-    product = math.prod(2.0 * m for m in marg_norms)
-    b, source = (joint, "joint") if joint <= product else (product, "product")
-    if b < 1.0 / M:
-        return 1.0 / M, "floor"
-    return b, source
-
-
-def _run_blocks(sampler, pred, cfg: TesterConfig, rng: Rng, hooks, blocks) -> Verdict:
-    """The pipeline on the view merging base axes blocks[i] into coordinate i, sizes descending (stable)."""
-    blocks = sorted(blocks, key=lambda blk: -math.prod(sampler.dims[a] for a in blk))
-    if blocks != [[a] for a in range(len(sampler.dims))]:
-        sampler, pred = ReindexedSampler(sampler, blocks), merge_axes(pred, blocks)
-    return _flatten_pipeline(sampler, pred, cfg, rng, hooks or _DEFAULT_HOOKS)
 
 
 def _check_prediction(pred, arity: int | None = None) -> None:
@@ -382,7 +449,8 @@ def aug_independence_3d(
     read as an (F_X F_Y, F_Z) grid, tests (X, Y) against Z; if that accepts,
     the flattened (X, Y) marginal, an (F_X, F_Y) grid drawn from joint
     draws, tests X against Y. detail["closeness_grids"] lists the grids of
-    the batches run, so the last one decided. Why that is sound:
+    the batches run, so the last one decided; _Plan states the error
+    budget. Why that is sound:
 
     - Far side. p_X x p_Y x p_Z is a product, so an eps-far p has
           eps <= tv(p, p_X x p_Y x p_Z)
@@ -400,12 +468,8 @@ def aug_independence_3d(
       and ||p_XY||^2 = sum p_XY(x, y)^2 <= sum p_XY(x, y) p_X(x) = ||p_X||^2,
       and likewise for Y, so it runs at 2 min(m_X, m_Y) * 2 m_Z from the
       measured marginal norms, or at 2 * joint_norm if that is smaller and
-      the joint norm was drawn (it is drawn only when it costs fewer samples
-      than it saves, see _joint_norm_trade). Batch 2's law has no measured
-      norm of its own, so it runs at 2 m_X * 2 m_Y.
-    - Error budget. At most four norm calls run, each at delta 1/180, and
-      each batch at 1/120, so by a union bound a call errs w.p. at most
-      4/180 + 2/120 ~ 0.039, below BASE_DELTA.
+      the joint norm was drawn (_Plan.joint_norm_trade). Batch 2's law has
+      no measured norm of its own, so it runs at 2 m_X * 2 m_Y.
     """
     _check_prediction(pred, 3)
     return aug_independence_d(sampler, pred, cfg, rng, hooks)
@@ -493,7 +557,7 @@ def test_independence_by_learning(sampler, eps: float, delta: float, rng: Rng) -
       product, and an eps-far p is rejected.
 
     c = k + 2 would suffice on both sides, as it does for the d-ary blocks
-    (_dary_split). c stays max(7, k + 2) here because this t is the
+    (_Plan). c stays max(7, k + 2) here because this t is the
     reference the benchmark compares the augmented tester against.
     """
     _check_finite("eps", eps, "(0, 1]")
@@ -509,78 +573,21 @@ def test_independence_by_learning(sampler, eps: float, delta: float, rng: Rng) -
     return Verdict(outcome, ["learning"], acct, {"dims": dims, "t": t, "gap": gap})
 
 
-def _dary_split(eps: float, blocks: Sequence[Sequence[int]]) -> tuple[float, tuple[float | None, ...]]:
-    """The eps of the grouped pipeline and the eta of each block's learning test.
-
-    Returns (eps / m, per_block), where m is 1 plus the number of blocks of
-    two or more axes. per_block[j] is eta = (eps / m) / (2k + 2) for a block
-    of k >= 2 axes, whose test rejects when its gap exceeds (k + 1) * eta,
-    and None for a single axis, which runs no test.
-
-    Why it is sound. Write p_B for p's marginal on the axes of block B, p_i
-    for its marginal on axis i, q = prod_B p_B for the product of the block
-    marginals and pi = prod_i p_i. The tv of two products is at most the
-    sum of their factors' tvs, so
-
-        tv(p, pi) <= tv(p, q) + tv(q, pi)
-                  <= tv(p, q) + sum over multi-axis B of tv(p_B, prod_{i in B} p_i),
-
-    where a single-axis block adds nothing. That is m terms. pi is a
-    product, so if p is eps-far from every product, tv(p, pi) >= eps and
-    some term is at least eps / m. Each sub-test rejects when its own term
-    is (w.p. its own confidence):
-
-    - tv(p, q) >= eps / m. This is the grouped view's distance to the
-      product of its own marginals. The pipeline's closeness tests the
-      flattened joint against the product of its own flattened marginals
-      (on three blocks in two batches; see aug_independence_3d), and
-      flattening keeps that tv, so the pipeline at eps / m rejects. (Merging
-      axes does not grow tv(p, pred), so InaccurateInformation stays
-      reserved for a prediction that misses alpha.)
-    - E = tv(p_B, prod_{i in B} p_i) >= eps / m = (2k + 2) * eta on a block
-      of k axes. Its learned law p-hat has tv(p-hat, p_B) < eta (see
-      _learn_blocks), and so does each marginal, since marginalizing never
-      grows tv. Hence
-          gap >= E - tv(p-hat, p_B) - sum_i tv(p-hat_i, p_i)
-              >  E - (k + 1) * eta >= (k + 1) * eta.
-      The middle step is strict, so the test rejects also at the boundary
-      E = (2k + 2) * eta.
-
-    For a product p, q = p and every p_B is a product. The pipeline accepts
-    w.p. its own confidence, and a block's gap is below
-    tv(p-hat, p_B) + sum_i tv(p-hat_i, p_i) < (k + 1) * eta, so it accepts.
-    In test_independence_by_learning's terms this is eta = eps' / c at
-    eps' = (eps / m) * c / (c + k) with c = k + 2, the least c both sides
-    allow.
-
-    Error budget. The pipeline errs w.p. at most 4/180 + 2/120 ~ 0.039 on a
-    grouped view of three blocks (see aug_independence_3d) and
-    3/120 + 1/80 = 0.0375 on one of two, and the learning stage w.p.
-    BASE_DELTA / 5 = 0.02, so a d-ary call errs w.p. at most 0.059, below
-    BASE_DELTA.
-    """
-    multi = sum(len(blk) > 1 for blk in blocks)
-    eps_pipeline = eps / (1 + multi)
-    per_block = tuple(eps_pipeline / (2 * len(blk) + 2) if len(blk) > 1 else None for blk in blocks)
-    return eps_pipeline, per_block
-
-
 def aug_independence_d(
     sampler, pred: JointDistribution, cfg: TesterConfig, rng: Rng, hooks: TesterHooks | None = None
 ) -> Verdict:
     """General-arity tester; the one entry point behind the 2- and 3-axis ones.
 
-    It validates cfg, the prediction's type and its dims once. Arity 2 and
+    It validates cfg, the prediction's type and its dims (at least two
+    axes) once, and sizes every stage before any draw (_Plan). Arity 2 and
     3 run the flattening pipeline on the axes stable-sorted so sizes
-    descend. Otherwise the axes (sorted by size) are partitioned into 2 or 3
-    blocks, and the grouped view runs the matching pipeline. If it accepts,
-    the learning stage checks each multi-axis block for internal
+    descend. Otherwise the axes (sorted by size) are partitioned into 2 or
+    3 blocks, and the grouped view runs the matching pipeline. If it
+    accepts, the learning stage checks each multi-axis block for internal
     independence: one learned histogram over the union of those blocks'
     axes, drawn from one stream, gives each block's law as a marginal
-    (_learn_blocks). Each block's learned law is within its eta of the truth
-    w.p. 1 - BASE_DELTA/5, and a union bound covers the blocks. _dary_split
-    sets the pipeline's eps and each block's eta and proves the split
-    sound; detail["eps_split"] records it, and
+    (_learn_blocks). The plan sets the pipeline's eps and each block's eta
+    and proves the split sound; detail["eps_split"] records it, and
     detail["learning"] the shared t and each block's eta, gap, threshold
     (k + 1) * eta and margin (threshold - gap; negative rejects). Any
     sub-test failure decides the verdict.
@@ -590,32 +597,23 @@ def aug_independence_d(
     sampler = as_sampler(sampler)
     if pred.dims != tuple(sampler.dims):
         raise DomainError(f"prediction dims {pred.dims} != input dims {tuple(sampler.dims)}")
-    d = len(sampler.dims)
-    if d in (2, 3):
-        return _run_blocks(sampler, pred, cfg, rng, hooks, [[a] for a in range(d)])
+    plan = _plan(sampler.dims, cfg)
+    if plan.learn_delta is None:
+        return _flatten_pipeline(sampler, pred, plan, rng, hooks)
 
-    delta_inner = BASE_DELTA / 5.0
-    order = [int(a) for a in np.argsort([-x for x in sampler.dims], kind="stable")]
-    sorted_dims = [sampler.dims[a] for a in order]
-    blocks_sorted = partition_coordinates(sorted_dims)
-    blocks = [[order[i] for i in blk] for blk in blocks_sorted]
-    eps_pipeline, etas = _dary_split(cfg.eps, blocks)
-
-    inner = _run_blocks(sampler, pred, replace(cfg, eps=eps_pipeline), rng.split(0), hooks, blocks)
+    inner = _flatten_pipeline(sampler, pred, plan, rng.split(0), hooks)
     stage_log = ["partition"] + inner.stage_log
-    grouped_dims = tuple(math.prod(sampler.dims[a] for a in blk) for blk in blocks)
+    blocks = plan.blocks
     detail = {
         "blocks": blocks,
-        "grouped_dims": grouped_dims,
-        "eps_split": {"pipeline": eps_pipeline, "block_eta": etas},
+        "grouped_dims": tuple(math.prod(sampler.dims[a] for a in blk) for blk in blocks),
+        "eps_split": {"pipeline": plan.eps, "block_eta": plan.block_eta},
         "inner": inner.detail,
     }
     if inner.outcome is not Outcome.ACCEPT:
         return Verdict(inner.outcome, stage_log, inner.account, detail)
 
-    # At 4 or more axes some block has two or more: a single axis is
-    # trivially a product over itself and needs no test.
-    tested = [(blk, eta) for blk, eta in zip(blocks, etas) if eta is not None]
+    tested = [(blk, eta) for blk, eta in zip(blocks, plan.block_eta) if eta is not None]
     union = [a for blk, _ in tested for a in blk]
     local = {a: i for i, a in enumerate(union)}
     stage_log.append("learning")
@@ -623,7 +621,7 @@ def aug_independence_d(
         ReindexedSampler(sampler, [[a] for a in union]),
         [[local[a] for a in blk] for blk, _ in tested],
         [eta for _, eta in tested],
-        delta_inner,
+        plan.learn_delta,
         rng.split(1),
         inner.account,
     )

@@ -45,6 +45,7 @@ from augtest.testers import (
     Outcome,
     TesterConfig,
     TesterHooks,
+    _plan,
     aug_independence_2d,
     aug_independence_d,
     partition_coordinates,
@@ -236,7 +237,8 @@ def test_criterion_06_gate_logic_table():
     start = time.perf_counter()
     cfg = TesterConfig(eps=0.4, alpha=0.05, profile="theory")
     dims = (20, 10)
-    gate, cap = cfg.gates(2)
+    plan = _plan(dims, cfg)
+    gate, cap = plan.gate, plan.cap
     n1, rest = dims
     a, e = cfg.alpha, cfg.eps
     s = [

@@ -117,6 +117,14 @@ class TestVerdictCommands:
         assert res.exit_code == 1
         assert "error:" in res.output
 
+    def test_a_one_axis_input_to_testd_exits_one_naming_its_dims(self, runner, files):
+        one = str(files["tmp"] / "one.json")
+        save_distribution(JointDistribution.uniform((8,)), one)
+        res = runner.invoke(main, ["testd", "--dist", one, "--pred", one, "--alpha", "0.05", "--eps", "0.4"])
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert res.exit_code == 1
+        assert "error: independence needs at least two axes, got dims (8,)" in res.output
+
     def test_bad_alpha_exits_one(self, runner, files):
         res = runner.invoke(
             main,

@@ -186,7 +186,9 @@ class TestClosenessError:
             bands = json.load(fh)["independence"]["bands"]
         assert len(bands) == len(CFG.closeness_bands)
         assert all(band["chosen"]["bound"] <= estimators.CLOSENESS_ERROR for band in bands)
-        assert estimators.CLOSENESS_ERROR <= min(testers._CLOSENESS_DELTA.values()) == 1 / 120
+        cfg = testers.TesterConfig(0.3, 0.1)
+        deltas = [testers._plan(dims, cfg).close_delta for dims in [(4, 3), (4, 3, 2), (2,) * 5, (16,) * 4]]
+        assert estimators.CLOSENESS_ERROR <= min(deltas) == 1 / 120
 
     @pytest.mark.parametrize("explicit", [True, False])
     @pytest.mark.parametrize("delta", [math.nextafter(13 / 2048, 0), 1 / 200, 1e-6, 0.0, -0.1, 1.0, math.nan])

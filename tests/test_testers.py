@@ -22,7 +22,7 @@ from augtest.domain import (
     product_of_marginals,
     tv_to_own_product,
 )
-from augtest.estimators import EstimatorConfig, closeness_params
+from augtest.estimators import EstimatorConfig, _norm_batch, closeness_params, repetitions
 from augtest.testers import (
     Outcome,
     ReindexedSampler,
@@ -30,6 +30,8 @@ from augtest.testers import (
     TesterHooks,
     Verdict,
     _run_at_delta,
+    _Plan,
+    _plan,
     amplify,
     aug_independence_2d,
     aug_independence_3d,
@@ -70,10 +72,15 @@ def measured_bound(norms, M):
 
 class TestConfigAndGates:
     def test_profile_table(self):
-        assert TesterConfig(0.3, 0.1, profile="theory").gates(2) == (120.0, 160.0)
-        assert TesterConfig(0.3, 0.1, profile="practical").gates(2) == (6.0, 8.0)
-        assert TesterConfig(0.3, 0.1, profile="theory").gates(3) == (180.0, 240.0)
-        assert TesterConfig(0.3, 0.1, profile="practical").gates(3) == (9.0, 12.0)
+        # (norm gate, Poisson cap) of each profile on two and three axes
+        def gates(profile, dims):
+            plan = _plan(dims, TesterConfig(0.3, 0.1, profile=profile))
+            return plan.gate, plan.cap
+
+        assert gates("theory", (5, 4)) == (120.0, 160.0)
+        assert gates("practical", (5, 4)) == (6.0, 8.0)
+        assert gates("theory", (5, 4, 3)) == (180.0, 240.0)
+        assert gates("practical", (5, 4, 3)) == (9.0, 12.0)
 
     def test_unknown_profile(self):
         with pytest.raises(DomainError):
@@ -310,27 +317,33 @@ class TestGateLogic:
     def test_a_closeness_chunk_builds_one_map_and_at_most_one_guide_per_view(self, monkeypatch):
         # A 20-trial chunk of the uniform (100, 20) config at eps .4: every
         # view's map is built once, whatever its flat size, and its guide at
-        # most once. The flat sizes span 8,649 cells, at and below which a
-        # drawn joint norm's 4,092 sorted keys would take the guide; the rule
-        # skips the joint norm on this config, so closeness's unsorted keys
-        # build each joint view's map, once.
-        maps, guides = [], []
+        # most once. The rule skips the joint norm on every trial of this
+        # config, so the norm stage is the two marginal norms alone and
+        # closeness's unsorted keys build each joint view's map, once.
+        maps, guides, normed = [], [], []
         view_map, guide_table = flattening.inverse_cdf, domain._guide_table
         monkeypatch.setattr(flattening, "inverse_cdf", lambda cum, *a: maps.append(cum) or view_map(cum, *a))
         monkeypatch.setattr(domain, "_guide_table", lambda cum, *a: guides.append(cum) or guide_table(cum, *a))
+        norm = testers._DEFAULT_HOOKS.norm
+
+        def recording_norm(view, size, delta, est, *rest):
+            normed.append(_norm_batch(size, est.norm_sample_mult) * repetitions(delta, est) * view.cost)
+            return norm(view, size, delta, est, *rest)
+
+        monkeypatch.setattr(testers, "_DEFAULT_HOOKS", TesterHooks(norm=recording_norm))
         cfg = ExperimentConfig(
             tester="2d", trials=20, seed=7 << 20, eps=0.4, alpha=0.1, instance={"kind": "uniform", "dims": [100, 20]}
         )
-        sizes = []
         for trial in range(cfg.trials):
             maps.clear()
             guides.clear()
-            run_single_trial(cfg, trial)
+            normed.clear()
+            record = run_single_trial(cfg, trial)
             tables = {id(cum): cum.size for cum in maps}
             assert len(tables) == len(maps), "a view rebuilt its map"
             assert guides and len({id(cum) for cum in guides}) == len(guides)
-            sizes.append(max(tables.values()))
-        assert min(sizes) <= 8_649 < max(sizes)
+            assert record.stage == "closeness" and len(normed) == 2
+            assert record.samples_norm == sum(normed) > 0
 
     def test_a_hidden_bit_joint_norm_stays_on_binary_search(self, monkeypatch):
         # A hidden-bit joint's flattened law (about 25,000 cells, half of
@@ -409,36 +422,43 @@ class TestGateLogic:
         )
         assert v.detail["closeness_b"] == b
         assert v.detail["closeness_b_source"] == source
+        # a bound at the floor saves nothing, so the third scripted norm is never read
+        assert sum(c[0] == "norm" for c in calls) == (2 if source == "floor" else 3)
 
-    def test_the_joint_norm_trade_on_both_sides_of_its_boundary(self):
+    def test_the_trade_of_the_joint_norm_on_both_sides_of_its_boundary(self):
         # On 1,125 cells at eps .4 and delta 1/120 (see DRAWN) the norm costs
         # 11 * 4 * ceil(sqrt(1125)) = 1,496 samples. b = 0.04 saves
         # 3.5 * 1125 * (0.2 - sqrt(0.02)) / 0.16 ~ 1,441.5 of closeness's,
         # b = 0.0441 about 1,513.6.
         cost = 11 * 4 * 34
+        plan = _plan((20, 10), self.CFG)
         for norms, b, drawn in ((self.SKIPPED, 0.04, False), ([0.105, 0.105], 0.0441, True)):
             saving = 3.5 * 1125 * (math.sqrt(b) - math.sqrt(b / 2)) / 0.4**2
-            got = testers._joint_norm_trade(1125, 1, norms, 0.4, 1 / 120)
+            got = plan.joint_norm_trade(1125, 1, norms)
             assert got == (cost, pytest.approx(saving, rel=1e-12))
             assert (got[0] < got[1]) is drawn
             # a view whose samples cost 2 joint draws doubles both sides
-            assert testers._joint_norm_trade(1125, 2, norms, 0.4, 1 / 120) == (2 * cost, pytest.approx(2 * saving))
+            assert plan.joint_norm_trade(1125, 2, norms) == (2 * cost, pytest.approx(2 * saving))
 
-    def test_the_joint_norm_trade_reads_the_clamps_band_and_confidence(self):
-        trade = testers._joint_norm_trade
+    def test_the_trade_of_the_joint_norm_reads_the_clamps_band_and_confidence(self):
+        trade = _plan((20, 10), self.CFG).joint_norm_trade
         # b at the 1/M floor, or half of it past the clamp at 1, saves nothing
-        assert trade(1125, 1, [0.0, 0.0], 0.4, 1 / 120) == (1496, 0.0)
-        assert trade(1125, 1, [1.0, 1.0], 0.4, 1 / 120) == (1496, 0.0)
+        assert trade(1125, 1, [0.0, 0.0]) == (1496, 0.0)
+        assert trade(1125, 1, [1.0, 1.0]) == (1496, 0.0)
         # b between 1/M and 2/M halves only down to the floor
         b = 1.5 / 1125
         saving = 3.5 * 1125 * (math.sqrt(b) - math.sqrt(1 / 1125)) / 0.16
-        assert trade(1125, 1, [b / 2, 0.5], 0.4, 1 / 120)[1] == pytest.approx(saving, rel=1e-12)
-        # 100 cells lie in the 50 band (C = 3); delta 1/180 takes 13 batches
+        assert trade(1125, 1, [b / 2, 0.5])[1] == pytest.approx(saving, rel=1e-12)
+        # 100 cells lie in the 50 band (C = 3). Three axes at eps .8 run the
+        # first batch at .4 on the (XY, Z) grid, whose norms are
+        # min(0.1, 0.1) and 0.1, and each norm at 1/180, which takes 13 batches.
+        plan = _plan((6, 5, 4), TesterConfig(0.8, 0.05))
         saving = 3.0 * 100 * (math.sqrt(0.04) - math.sqrt(0.02)) / 0.16
-        assert trade(100, 1, self.SKIPPED, 0.4, 1 / 180) == (13 * 40, pytest.approx(saving, rel=1e-12))
+        assert plan.joint_norm_trade(100, 1, [0.1, 0.1, 0.1]) == (13 * 40, pytest.approx(saving, rel=1e-12))
         # a product bound whose batch is past the largest Poisson mean saves
         # without limit, so the norm whose bound may bring it back is drawn
-        assert trade(1125, 1, self.DRAWN, 1e-9, 1 / 120) == (1496, math.inf)
+        plan = _plan((20, 10), TesterConfig(1e-9, 0.05))
+        assert plan.joint_norm_trade(1125, 1, self.DRAWN) == (1496, math.inf)
 
     @pytest.mark.parametrize("drawn", [True, False])
     def test_detail_records_the_trade_and_only_a_drawn_joint_norm(self, drawn):
@@ -447,9 +467,9 @@ class TestGateLogic:
         v = self.run(scripted_hooks([5, 5], norms + [0.01], calls=calls))
         M = math.prod(v.detail["flat_dims"])
         assert M == 1125
-        assert (v.detail["joint_norm_cost"], v.detail["joint_norm_saving"]) == testers._joint_norm_trade(
-            M, 1, norms, 0.4, 1 / 120
-        )
+        assert (v.detail["joint_norm_cost"], v.detail["joint_norm_saving"]) == _plan(
+            (20, 10), self.CFG
+        ).joint_norm_trade(M, 1, norms)
         assert sum(c[0] == "norm" for c in calls) == (3 if drawn else 2)
         assert ("joint_norm" in v.stage_log) is drawn and ("joint_norm" in v.detail) is drawn
         # drawn, the joint bound 2 * 0.01 is the smaller; skipped, the product's 4 * 0.1 * 0.1
@@ -628,6 +648,14 @@ class TestGeneralArity:
         p = JointDistribution.uniform((3, 2))
         with pytest.raises(DomainError, match="prediction must be a JointDistribution, got "):
             tester(JointSampler(p), pred, TesterConfig(0.4, 0.05), Rng(16))
+
+    def test_a_one_axis_input_is_a_domain_error_naming_its_dims(self):
+        # it used to raise from partition_coordinates, which the caller never called
+        p = JointDistribution.uniform((8,))
+        calls = []
+        with pytest.raises(DomainError, match=r"^independence needs at least two axes, got dims \(8,\)$"):
+            aug_independence_d(JointSampler(p), p, TesterConfig(0.4, 0.05), Rng(16), scripted_hooks([], [], calls=calls))
+        assert calls == []
 
     def test_low_arity_routes_directly(self):
         for dims in [(6, 4), (4, 3, 2)]:
@@ -828,28 +856,33 @@ class TestGeneralArity:
 
 class TestDarySplit:
     @pytest.mark.parametrize(
-        "blocks, expected",
+        "dims, blocks, expected",
         [
-            # m = 3: two 2-axis blocks, as (2,)*5 partitions; eta = (eps/3) / 6 each
-            ([[0], [1, 2], [3, 4]], (0.1 / 3, (None, 0.1 / 18, 0.1 / 18))),
-            # m = 2: one 2-axis block, as (3, 2, 2, 2) and (16,)*4 partition
-            ([[0], [1], [2, 3]], (0.1 / 2, (None, None, 0.1 / 12))),
+            # m = 3: two 2-axis blocks; eta = (eps/3) / 6 each
+            ((2,) * 5, [[0], [1, 2], [3, 4]], (0.1 / 3, (None, 0.1 / 18, 0.1 / 18))),
+            # m = 2: one 2-axis block
+            ((3, 2, 2, 2), [[0], [1], [2, 3]], (0.1 / 2, (None, None, 0.1 / 12))),
+            ((16,) * 4, [[0], [1], [2, 3]], (0.1 / 2, (None, None, 0.1 / 12))),
             # m = 2: one 3-axis block; (eps/2) / 8
-            ([[0], [1, 2, 3]], (0.1 / 2, (None, 0.1 / 16))),
-            # m = 3: a 3-axis and a 6-axis block, as (2,)*10 partitions
-            ([[0], [1, 2, 3], [4, 5, 6, 7, 8, 9]], (0.1 / 3, (None, 0.1 / 24, 0.1 / 42))),
-            # m = 3: a 5-axis and a 6-axis block, as (2,)*12 partitions
-            (partition_coordinates((2,) * 12), (0.1 / 3, (None, 0.1 / 36, 0.1 / 42))),
+            ((8, 2, 2, 2), [[0], [1, 2, 3]], (0.1 / 2, (None, 0.1 / 16))),
+            # m = 3: a 3-axis and a 6-axis block
+            ((4, 4, 4, 4) + (2,) * 6, [[0], [1, 2, 3], [4, 5, 6, 7, 8, 9]], (0.1 / 3, (None, 0.1 / 24, 0.1 / 42))),
+            # m = 3: a 5-axis and a 6-axis block
+            ((2,) * 12, [[0], [1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]], (0.1 / 3, (None, 0.1 / 36, 0.1 / 42))),
             # m = 2: one 12-axis block; (eps/2) / 26
-            ([[0], list(range(1, 13))], (0.1 / 2, (None, 0.1 / 52))),
+            ((4096,) + (2,) * 12, [[0], list(range(1, 13))], (0.1 / 2, (None, 0.1 / 52))),
+            # the blocks are those of the axes sorted by size, in input labels
+            ((2, 2, 3, 2), [[2], [0], [1, 3]], (0.1 / 2, (None, None, 0.1 / 12))),
         ],
     )
-    def test_split_matches_the_formula(self, blocks, expected):
-        pipeline, per_block = testers._dary_split(0.1, blocks)
-        assert pipeline == pytest.approx(expected[0], rel=1e-12)
-        assert len(per_block) == len(blocks)
-        for got, want in zip(per_block, expected[1]):
+    def test_split_matches_the_formula(self, dims, blocks, expected):
+        plan = _plan(dims, TesterConfig(0.1, 0.05))
+        assert plan.blocks == blocks
+        assert plan.eps == pytest.approx(expected[0], rel=1e-12)
+        assert len(plan.block_eta) == len(blocks)
+        for got, want in zip(plan.block_eta, expected[1]):
             assert got == want if want is None else got == pytest.approx(want, rel=1e-12)
+        assert plan.learn_delta == 0.1 / 5
 
     @pytest.mark.parametrize("k", range(2, 13))
     @pytest.mark.parametrize("m", [2, 3])
@@ -858,15 +891,100 @@ class TestDarySplit:
         # scores below (k + 1) * eta, which must not exceed the threshold,
         # and a block term E = eps / m scores above E - (k + 1) * eta, which
         # must be at least the threshold. The two meet: c = k + 2 is the
-        # least the argument allows.
+        # least the argument allows. (2^k, 2, ..., 2) partitions into [0]
+        # and one k-axis block, and (3, 2, 2, 2) into [0], [1] and [2, 3];
+        # (2,)^(2k) into [0] and blocks of k - 1 and k axes, and (2,)^5
+        # into [0] and two 2-axis blocks.
         eps = 0.1
-        blocks = [[0], list(range(1, k + 1))]
-        if m == 3:
-            blocks.append([k + 1, k + 2])
-        _, per_block = testers._dary_split(eps, blocks)
-        eta = per_block[1]
+        if m == 2:
+            dims = (3, 2, 2, 2) if k == 2 else (2**k,) + (2,) * k
+        else:
+            dims = (2,) * (5 if k == 2 else 2 * k)
+        plan = _plan(dims, TesterConfig(eps, 0.05))
+        assert 1 + sum(len(blk) > 1 for blk in plan.blocks) == m
+        eta = next(eta for blk, eta in zip(plan.blocks, plan.block_eta) if len(blk) == k)
         threshold = (k + 1) * eta
         assert eps / m - (k + 1) * eta == pytest.approx(threshold, rel=1e-12)
+
+
+class TestPlan:
+    """Every field of the plan, pinned before any draw."""
+
+    @pytest.mark.parametrize(
+        "dims, cfg, plan",
+        [
+            # closeness_2d
+            (
+                (100, 20),
+                TesterConfig(0.4, 0.1),
+                _Plan("practical", [[0], [1]], [[0], [1]], 0.4, [10.0, 2.0], [0.06, 0.30000000000000004],
+                      6.0, 8.0, 360.0, 1 / 120, 1 / 80, (0.4,), (None, None), None),
+            ),
+            # hidden_bit_2d, at 0.5, about the "exact" alpha its trials run at
+            (
+                (200, 20),
+                TesterConfig(1 / 192, 0.5),
+                _Plan("practical", [[0], [1]], [[0], [1]], 1 / 192, [100.0, 10.0], [0.03, 0.30000000000000004],
+                      6.0, 8.0, 360.0, 1 / 120, 1 / 80, (1 / 192,), (None, None), None),
+            ),
+            # arity5_d
+            (
+                (2,) * 5,
+                TesterConfig(0.1, 0.05),
+                _Plan("practical", [[0], [1, 2], [3, 4]], [[1, 2], [3, 4], [0]], 0.1 / 3, [1.0, 1.0, 1.0],
+                      [1.1, 1.1, 2.1], 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.1 / 6, 0.1 / 6),
+                      (None, 0.1 / 18, 0.1 / 18), 0.02),
+            ),
+            # both profiles on two and three axes, where s[0] is the power
+            # term, not a clamp, and the view sorts the axes
+            (
+                (10, 1000),
+                TesterConfig(0.9, 0.5, "theory"),
+                _Plan("theory", [[0], [1]], [[1], [0]], 0.9, [196.7886239227057, 5.0],
+                      [0.009081594555957556, 0.6000000000000001], 120.0, 160.0, 144000.0, 1 / 120, 1 / 80, (0.9,),
+                      (None, None), None),
+            ),
+            (
+                (10, 1000),
+                TesterConfig(0.9, 0.5, "practical"),
+                _Plan("practical", [[0], [1]], [[1], [0]], 0.9, [196.7886239227057, 5.0],
+                      [0.009081594555957556, 0.6000000000000001], 6.0, 8.0, 360.0, 1 / 120, 1 / 80, (0.9,), (None, None), None),
+            ),
+            (
+                (10, 1000, 5),
+                TesterConfig(0.9, 0.5, "theory"),
+                _Plan("theory", [[0], [1], [2]], [[1], [0], [2]], 0.9, [336.5038134874332, 5.0, 2.5],
+                      [0.006971734524005164, 0.6000000000000001, 1.2000000000000002], 180.0, 240.0, 34992000.0, 1 / 180, 1 / 120,
+                      (0.45, 0.45), (None, None, None), None),
+            ),
+            (
+                (10, 1000, 5),
+                TesterConfig(0.9, 0.5, "practical"),
+                _Plan("practical", [[0], [1], [2]], [[1], [0], [2]], 0.9, [336.5038134874332, 5.0, 2.5],
+                      [0.006971734524005164, 0.6000000000000001, 1.2000000000000002], 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.45, 0.45),
+                      (None, None, None), None),
+            ),
+            (
+                (16,) * 4,
+                TesterConfig(0.2, 0.05),
+                _Plan("practical", [[0], [1], [2, 3]], [[2, 3], [0], [1]], 0.1, [12.8, 1.0, 1.0],
+                      [0.0234375, 0.35, 0.35], 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.05, 0.05),
+                      (None, None, 0.1 / 6), 0.02),
+            ),
+            (
+                (2,) * 12,
+                TesterConfig(0.1, 0.05),
+                _Plan("practical", [[0], [1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]],
+                      [[6, 7, 8, 9, 10, 11], [1, 2, 3, 4, 5], [0]], 0.1 / 3, [3.2, 1.6, 1.0],
+                      [0.09375, 0.1875, 2.1], 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.1 / 6, 0.1 / 6),
+                      (None, 0.002777777777777778, 0.0023809523809523807), 0.02),
+            ),
+        ],
+        ids=["closeness_2d", "hidden_bit_2d", "arity5_d", "theory-2", "practical-2", "theory-3", "practical-3",
+             "16^4", "2^12"],
+    )
+    def test_every_field(self, dims, cfg, plan):
+        assert _plan(dims, cfg) == plan
 
 
 def constrained_law(dims, holds) -> JointDistribution:
