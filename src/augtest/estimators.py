@@ -24,7 +24,8 @@ that a band's error does not grow with M: the statistic sums more and
 smaller terms as M grows, its tails thin toward the Gaussian's, and the
 lowest M binds; the top band's point serves every larger M. Sample draws
 are logged into a SampleAccount in units of base joint draws, counting only
-what was drawn.
+what was drawn: a batch thinned from a parent view's (_poissonized_counts)
+adds only its fresh samples.
 
 When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
@@ -210,22 +211,39 @@ def _check_size(M: int, view) -> None:
 
 def _poissonized_counts(view, lam: float, rng: Rng) -> np.ndarray:
     """Per-symbol counts of a Poi(lam)-sized batch: independent Poi(lam * p_i)
-    entries, as a dense integer vector of length M.
+    entries, as a dense integer vector of length M; view.last records them
+    with lam and the samples drawn fresh.
 
-    A view without a law draws from rng.split(0): K ~ Poi(lam) from its
+    A view whose parent holds a batch at lam_1 (parent.last) keeps each of
+    its samples, summed over the parent's trailing axes, w.p.
+    min(1, lam / lam_1), by binomial draws from rng's own generator:
+    thinning Poi(lam_1 p_i) leaves Poi(min(lam, lam_1) p_i). The rest of the
+    rate, l = lam - lam_1 (all of lam with no parent batch), is drawn fresh.
+    A view without a law draws it from rng.split(0): K ~ Poi(l) from its
     child 0 and K symbols from its child 1. A view with one draws from rng's
-    own generator: at lam >= M one Poisson per cell; below, K ~ Poi(lam)
-    uniforms mapped through view.inverse_cdf(lam) and binned, which Poisson
+    own generator: at l >= M one Poisson per cell; below, K ~ Poi(l)
+    uniforms mapped through view.inverse_cdf(l) and binned, which Poisson
     splitting makes the same law.
     """
-    if view.probs is None:
-        rng = rng.split(0)
-        draws = view.draw(int(rng.split(0).gen.poisson(lam)), rng.split(1))
-        return np.bincount(draws, minlength=view.size)
-    if lam >= view.size:
-        return rng.gen.poisson(lam * view.probs)
-    u = rng.gen.random(int(rng.gen.poisson(lam)))
-    return np.bincount(view.inverse_cdf(lam)(u), minlength=view.size)
+    lam_parent, counts = 0.0, None
+    if view.parent is not None and view.parent.last is not None:
+        lam_parent, table, _ = view.parent.last
+        counts = rng.gen.binomial(table.reshape(view.size, -1).sum(axis=1), min(1.0, lam / lam_parent))
+    fresh_lam, drawn = lam - lam_parent, 0
+    if fresh_lam > 0:
+        if view.probs is None:
+            rng = rng.split(0)
+            drawn = int(rng.split(0).gen.poisson(fresh_lam))
+            fresh = np.bincount(view.draw(drawn, rng.split(1)), minlength=view.size)
+        elif fresh_lam >= view.size:
+            fresh = rng.gen.poisson(fresh_lam * view.probs)
+            drawn = int(fresh.sum())
+        else:
+            drawn = int(rng.gen.poisson(fresh_lam))
+            fresh = np.bincount(view.inverse_cdf(fresh_lam)(rng.gen.random(drawn)), minlength=view.size)
+        counts = fresh if counts is None else counts + fresh
+    view.last = (lam, counts, drawn)
+    return counts
 
 
 def estimate_l2_squared(
@@ -349,7 +367,7 @@ def closeness_test(
     4 lambda^2 eps^2 / M or more. Z is compared with the threshold exactly.
     The calibrated rule errs w.p. at most CLOSENESS_ERROR in every band, so
     delta must be at least that; amplify reaches a smaller one. The account
-    holds the samples drawn. N is _poissonized_counts(view, lambda, rng).
+    holds the fresh samples. N is _poissonized_counts(view, lambda, rng).
     """
     if view.dims is None or len(view.dims) < 2:
         raise DomainError(f"closeness tests an axis against the others, but the view's grid is {view.dims}")
@@ -357,9 +375,9 @@ def closeness_test(
     lam, threshold = closeness_params(M, b, eps, cfg)
     _check_finite("delta", delta, _DELTA_RANGE_OF_CLOSENESS)
     counts = _poissonized_counts(view, lam, rng).reshape(-1, view.dims[-1])
-    pairs, triples, quads, k = _independence_terms(counts)
+    pairs, triples, quads, _ = _independence_terms(counts)
     if account is not None:
-        account.add("closeness", k * view.cost)
+        account.add("closeness", view.last[2] * view.cost)
     # Z <= threshold, times lambda^2 and both denominators: lambda = a / c
     # and threshold = t / u exactly, as floats are.
     a, c = lam.as_integer_ratio()

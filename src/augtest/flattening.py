@@ -148,7 +148,9 @@ class FlatView:
     call on the view, and every count-level draw, looks symbols up through
     the same cumulative table. dims, when set, is the grid the cells
     linearize row-major (its product is size); the flattened views set it
-    to their flat dims.
+    to their flat dims. A parent's grid begins with dims, and the view's law
+    is its marginal; last is (lam, counts, fresh samples) of the view's last
+    Poissonized batch, which a child thins (estimators._poissonized_counts).
     """
 
     size: int
@@ -156,6 +158,8 @@ class FlatView:
     cost: int
     draw: Callable[[int, Rng], np.ndarray]
     dims: tuple[int, ...] | None = None
+    parent: FlatView | None = field(default=None, repr=False, compare=False)
+    last: tuple[float, np.ndarray, int] | None = field(default=None, init=False, repr=False, compare=False)
     _cum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _map: Callable[[np.ndarray], np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
     _refused_sorted: bool = field(default=False, init=False, repr=False, compare=False)
@@ -163,6 +167,8 @@ class FlatView:
     def __post_init__(self):
         if self.dims is not None and math.prod(self.dims) != self.size:
             raise DomainError(f"a view over {self.size} cells cannot linearize the grid {self.dims}")
+        if self.parent is not None and (self.dims is None or (self.parent.dims or ())[: len(self.dims)] != self.dims):
+            raise DomainError(f"the grid {self.dims} does not lead its parent's grid {self.parent.dims}")
         if self.probs is not None:
             probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
             total = probs.sum()
@@ -207,7 +213,7 @@ class FlatView:
         return view
 
 
-def _flat_view(sampler, pf: ProductFlattening, groups: Sequence[Sequence[int]], probs) -> FlatView:
+def _flat_view(sampler, pf: ProductFlattening, groups: Sequence[Sequence[int]], probs, parent=None) -> FlatView:
     """View over the flat cells of the axes in groups, linearized row-major in that order.
 
     Group i takes its axes from its own joint draws, on rng.split(2i), so one
@@ -227,7 +233,7 @@ def _flat_view(sampler, pf: ProductFlattening, groups: Sequence[Sequence[int]], 
                 cols.append(f.offsets[ids] + sub.gen.integers(0, f.buckets[ids]))
         return np.ravel_multi_index(tuple(cols), flat_dims)
 
-    return FlatView(math.prod(flat_dims), probs, len(groups), draw, flat_dims)
+    return FlatView(math.prod(flat_dims), probs, len(groups), draw, flat_dims, parent)
 
 
 def flattened_axis_view(sampler, axis: int, pf: ProductFlattening) -> FlatView:

@@ -23,6 +23,7 @@ grouped blocks. One plan (_Plan) sizes every stage before any draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -136,7 +137,8 @@ class TesterHooks:
     Tests script these to drive every branch deterministically; defaults call
     the real implementations. closeness gets one view per batch: the
     flattened joint, and on three axes then the flattened marginal of the
-    first two axes.
+    first two axes, whose batch thins the joint's, or is drawn fresh after a
+    closeness that drew none (see aug_independence_3d).
     """
 
     poisson: Callable = poisson
@@ -244,15 +246,17 @@ class _Plan:
     Error budget, by a union bound over the calls: on two pipeline axes
     three norm calls at 1/120 and one batch at 1/80 err w.p. at most
     0.0375, on three four norm calls at 1/180 and two batches at 1/120 at
-    most 0.039, and learning adds 0.02: at most 0.059 < BASE_DELTA.
+    most 0.039, and learning adds 0.02: at most 0.059 < BASE_DELTA. It
+    needs no independence between the calls, so the two 3-axis batches may
+    share one table (aug_independence_3d).
     """
 
     profile: str
-    blocks: list[list[int]]
-    view: list[list[int]]
+    blocks: tuple[tuple[int, ...], ...]
+    view: tuple[tuple[int, ...], ...]
     eps: float
-    s: list[float]
-    tau: list[float]
+    s: tuple[float, ...]
+    tau: tuple[float, ...]
     gate: float
     cap: float
     joint_reject: float
@@ -306,24 +310,25 @@ class _Plan:
         return cost, (lam_prod - lam_joint) * view_cost
 
 
-def _plan(dims: Sequence[int], cfg: TesterConfig) -> _Plan:
-    """The plan of aug_independence_d on an input of these dims at cfg (see _Plan)."""
+@functools.lru_cache(maxsize=64)
+def _plan(dims: tuple[int, ...], cfg: TesterConfig) -> _Plan:
+    """The plan of aug_independence_d on an input of these dims at cfg (see _Plan); memoized, being immutable."""
     d = len(dims)
     if d < 2:
         raise DomainError(f"independence needs at least two axes, got dims {tuple(dims)}")
     if d <= 3:
-        blocks = [[a] for a in range(d)]
+        blocks = tuple((a,) for a in range(d))
     else:
         order = sorted(range(d), key=lambda a: -dims[a])
-        blocks = [[order[i] for i in blk] for blk in partition_coordinates([dims[a] for a in order])]
-    view = sorted(blocks, key=lambda blk: -math.prod(dims[a] for a in blk))
+        blocks = tuple(tuple(order[i] for i in blk) for blk in partition_coordinates([dims[a] for a in order]))
+    view = tuple(sorted(blocks, key=lambda blk: -math.prod(dims[a] for a in blk)))
     eps = cfg.eps / (1 + sum(len(blk) > 1 for blk in blocks))
 
     pdims = [math.prod(dims[a] for a in blk) for blk in view]
     k, alpha = len(pdims), cfg.alpha
     n1, rest = pdims[0], math.prod(pdims[1:])
     s1 = n1 ** (2.0 / 3.0) * rest ** (1.0 / 3.0) * alpha ** (1.0 / 3.0) / eps ** (4.0 / 3.0)
-    s = [max(1.0, min(s1, n1 * alpha))] + [max(1.0, n * alpha) for n in pdims[1:]]
+    s = (max(1.0, min(s1, n1 * alpha)),) + tuple(max(1.0, n * alpha) for n in pdims[1:])
     gate = {"theory": 60.0, "practical": 3.0}[cfg.profile] * k
     return _Plan(
         profile=cfg.profile,
@@ -331,7 +336,7 @@ def _plan(dims: Sequence[int], cfg: TesterConfig) -> _Plan:
         view=view,
         eps=eps,
         s=s,
-        tau=[2.0 * alpha / s[l] + 4.0 / pdims[l] for l in range(k)],
+        tau=tuple(2.0 * alpha / s[l] + 4.0 / pdims[l] for l in range(k)),
         gate=gate,
         cap=gate * 4.0 / 3.0,
         joint_reject=(10.0 * gate * gate) if k == 2 else (6.0 * gate**3),
@@ -345,7 +350,7 @@ def _plan(dims: Sequence[int], cfg: TesterConfig) -> _Plan:
 
 def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks | None) -> Verdict:
     """Runs the plan's pipeline on the view merging the input's axes plan.view[i] into coordinate i."""
-    if plan.view != [[a] for a in range(len(sampler.dims))]:
+    if plan.view != tuple((a,) for a in range(len(sampler.dims))):
         sampler, pred = ReindexedSampler(sampler, plan.view), merge_axes(pred, plan.view)
     hooks = hooks or _DEFAULT_HOOKS
     dims = sampler.dims
@@ -353,7 +358,7 @@ def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks |
     s, tau = plan.s, plan.tau
     account = SampleAccount()
     stage_log: list[str] = []
-    detail: dict = {"dims": dims, "profile": plan.profile, "s": s, "tau": tau}
+    detail: dict = {"dims": dims, "profile": plan.profile, "s": list(s), "tau": list(tau)}
 
     stage_log.append("poisson_cap")
     shat = [hooks.poisson(s[l], rng.split(l)) for l in range(arity)]
@@ -390,7 +395,7 @@ def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks |
     # either way: it holds the dense flattened joint law, the largest array
     # a run builds, and closeness reads it.
     joint_view = flattened_joint_view(sampler, pf)
-    M, last = pf.flat_size, pf.flat_dims[-1]
+    M = pf.flat_size
     cost, saving = plan.joint_norm_trade(M, joint_view.cost, marg_norms)
     detail["joint_norm_cost"], detail["joint_norm_saving"] = cost, saving
     joint_norm = math.inf
@@ -405,20 +410,24 @@ def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks |
     # marginals; flattening preserved the tv gap. Each batch tests the last
     # axis of its view's grid against the others: on three axes the joint
     # batch tests (X, Y) against Z and, if it accepts, the (X, Y) marginal's
-    # batch tests X against Y (see aug_independence_3d).
+    # batch, thinned from the joint batch's table, tests X against Y (see
+    # aug_independence_3d). closeness_drawn holds what each batch drew fresh.
     stage_log.append("closeness")
     b, detail["closeness_b_source"] = plan.closeness_bound(0, M, marg_norms, joint_norm)
     detail["closeness_b"] = b
-    detail["closeness_grids"] = [(M // last, last)]
-    ok = hooks.closeness(joint_view, M, b, plan.batch_eps[0], plan.close_delta, _ESTIMATOR, rng.split(31), account)
-    if ok and arity == 3:
-        law = joint_view.probs
-        pair_view = _flat_view(sampler, pf, [[0, 1]], None if law is None else law.reshape(pf.flat_dims).sum(axis=2))
-        b, _ = plan.closeness_bound(1, pair_view.size, marg_norms)
-        detail["closeness_grids"].append(pair_view.dims)
-        ok = hooks.closeness(
-            pair_view, pair_view.size, b, plan.batch_eps[1], plan.close_delta, _ESTIMATOR, rng.split(32), account
-        )
+    detail["closeness_grids"], detail["closeness_drawn"] = [], []
+    view = joint_view
+    for batch, batch_eps in enumerate(plan.batch_eps):
+        if batch:
+            law = None if joint_view.probs is None else joint_view.probs.reshape(pf.flat_dims).sum(axis=2)
+            view = _flat_view(sampler, pf, [[0, 1]], law, joint_view)
+            b, _ = plan.closeness_bound(1, view.size, marg_norms)
+        detail["closeness_grids"].append((view.size // view.dims[-1], view.dims[-1]))
+        drawn = account.closeness
+        ok = hooks.closeness(view, view.size, b, batch_eps, plan.close_delta, _ESTIMATOR, rng.split(31 + batch), account)
+        detail["closeness_drawn"].append(account.closeness - drawn)
+        if not ok:
+            break
     outcome = Outcome.ACCEPT if ok else Outcome.REJECT
     return Verdict(outcome, stage_log, account, detail)
 
@@ -470,6 +479,13 @@ def aug_independence_3d(
       measured marginal norms, or at 2 * joint_norm if that is smaller and
       the joint norm was drawn (_Plan.joint_norm_trade). Batch 2's law has
       no measured norm of its own, so it runs at 2 m_X * 2 m_Y.
+    - One draw. Batch 1's table at rate lam_1, summed over Z, holds
+      independent Poi(lam_1 p_XY) counts. Batch 2 keeps each sample w.p.
+      min(1, lam_2 / lam_1) and draws only Poi(max(0, lam_2 - lam_1) p_XY)
+      fresh, from rng.split(32). Thinning a Poisson gives a Poisson, so
+      batch 2 has exactly its calibrated law Poi(lam_2 p_XY), and the union
+      bound over the batches needs no independence. The account, and
+      detail["closeness_drawn"] per batch, count only fresh samples.
     """
     _check_prediction(pred, 3)
     return aug_independence_d(sampler, pred, cfg, rng, hooks)
@@ -597,7 +613,7 @@ def aug_independence_d(
     sampler = as_sampler(sampler)
     if pred.dims != tuple(sampler.dims):
         raise DomainError(f"prediction dims {pred.dims} != input dims {tuple(sampler.dims)}")
-    plan = _plan(sampler.dims, cfg)
+    plan = _plan(pred.dims, cfg)
     if plan.learn_delta is None:
         return _flatten_pipeline(sampler, pred, plan, rng, hooks)
 
@@ -605,7 +621,7 @@ def aug_independence_d(
     stage_log = ["partition"] + inner.stage_log
     blocks = plan.blocks
     detail = {
-        "blocks": blocks,
+        "blocks": [list(blk) for blk in blocks],
         "grouped_dims": tuple(math.prod(sampler.dims[a] for a in blk) for blk in blocks),
         "eps_split": {"pipeline": plan.eps, "block_eta": plan.block_eta},
         "inner": inner.detail,
@@ -628,7 +644,7 @@ def aug_independence_d(
     learned = []
     for (blk, eta), gap in zip(tested, gaps):
         threshold = (len(blk) + 1) * eta
-        learned.append({"axes": blk, "eta": eta, "gap": gap, "threshold": threshold, "margin": threshold - gap})
+        learned.append({"axes": list(blk), "eta": eta, "gap": gap, "threshold": threshold, "margin": threshold - gap})
     detail["learning"] = {"t": t, "blocks": learned}
     outcome = Outcome.ACCEPT if all(b["gap"] <= b["threshold"] for b in learned) else Outcome.REJECT
     return Verdict(outcome, stage_log, inner.account, detail)

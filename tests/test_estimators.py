@@ -1149,6 +1149,62 @@ class TestPoissonizedCounts:
         want = np.bincount(view.draw(int(child.split(0).gen.poisson(30.0)), child.split(1)), minlength=view.size)
         assert np.array_equal(counts, want)
 
+    # A (3, 2, 2) law with zero-mass cells, and the view of its (3, 2) marginal.
+    JOINT = np.array([0.0, 0.1, 0.05, 0.05, 0.2, 0.0, 0.1, 0.1, 0.0, 0.15, 0.1, 0.15]).reshape(3, 2, 2)
+
+    def marginal_view(self, parent: FlatView, explicit: bool) -> FlatView:
+        law = self.JOINT.sum(axis=2)
+        return FlatView(law.size, law.reshape(-1) if explicit else None, 1, FlatView.from_law(law).draw, law.shape, parent)
+
+    @pytest.mark.parametrize("explicit", [True, False], ids=["law", "draw_only"])
+    @pytest.mark.parametrize("lam1, lam2", [(8.0, 4.0), (30.0, 12.0), (8.0, 13.6), (30.0, 51.0)])
+    def test_a_marginal_view_thins_its_parents_batch(self, lam1, lam2, explicit):
+        # Each repetition draws the parent's batch at lam1, then the
+        # marginal's at lam2: below lam1 by thinning the parent's table
+        # summed over its last axis, drawing no fresh sample; above it by
+        # that table plus a fresh batch at lam2 - lam1 (sparse at 5.6 and
+        # dense at 21 on 6 cells). Either way every cell is Poi(lam2 p_i):
+        # its mean and its variance are lam2 p_i, within 4 standard errors.
+        parent = grid_view(self.JOINT)
+        view = self.marginal_view(parent, explicit)
+        n = 10_000
+        counts, drawn = np.empty((n, view.size), dtype=np.int64), np.empty(n, dtype=np.int64)
+        for i in range(n):
+            rng = Rng(44, (i,))  # a view without a law splits rng, so each repetition has its own
+            table = estimators._poissonized_counts(parent, lam1, rng)
+            counts[i] = estimators._poissonized_counts(view, lam2, rng)
+            assert parent.last[0] == lam1 and parent.last[1] is table and parent.last[2] == table.sum()
+            assert view.last[0] == lam2 and view.last[1] is not None
+            drawn[i] = view.last[2]
+            if lam2 <= lam1:
+                assert np.all(counts[i] <= table.reshape(view.size, -1).sum(axis=1))
+        if lam2 <= lam1:
+            assert not drawn.any()
+        else:
+            assert abs(drawn.mean() - (lam2 - lam1)) <= 4 * math.sqrt((lam2 - lam1) / n)
+        law = self.JOINT.sum(axis=2).reshape(-1)
+        assert np.all(counts[:, law == 0] == 0)
+        mu = lam2 * law[law > 0]
+        c = counts[:, law > 0].astype(np.float64)
+        assert np.all(np.abs(c.mean(axis=0) - mu) <= 4 * np.sqrt(mu / n))
+        assert np.all(np.abs(c.var(axis=0, ddof=1) - mu) <= 4 * np.sqrt((mu + 2 * mu * mu) / n))
+
+    @pytest.mark.parametrize("explicit", [True, False], ids=["law", "draw_only"])
+    def test_a_parent_without_a_batch_leaves_the_whole_rate_fresh(self, explicit):
+        # lam_1 = 0: the marginal draws as a view with no parent would, from the same stream
+        parent = grid_view(self.JOINT)
+        view, alone = self.marginal_view(parent, explicit), self.marginal_view(None, explicit)
+        for lam in (4.0, 30.0):
+            counts = estimators._poissonized_counts(view, lam, Rng(45))
+            assert np.array_equal(counts, estimators._poissonized_counts(alone, lam, Rng(45)))
+            assert view.last[2] == counts.sum()
+
+    def test_a_parent_must_lead_with_the_views_grid(self):
+        parent = grid_view(self.JOINT)
+        law = self.JOINT.sum(axis=0)
+        with pytest.raises(DomainError, match="does not lead"):
+            FlatView(law.size, law.reshape(-1), 1, FlatView.from_law(law).draw, law.shape, parent)
+
 
 class TestLearnEmpirical:
     def test_point_mass_reproduced_exactly(self):

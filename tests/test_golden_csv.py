@@ -59,7 +59,7 @@ GOLDEN = {
     ),
     "arity5_d": (
         dict(tester="d", eps=0.1, alpha=0.05, instance={"kind": "uniform", "dims": [2, 2, 2, 2, 2]}),
-        "af483cec510e341bd2c649caa00fb1fbc1417a9884ff87b093dcd0b3006bd284",
+        "c9cd6e01e304a22ae7b96e4643eae1e7fbd6ad75f56dfc1b5551c24425789903",
         "1a4b7dba6fd0cb3085752c5c9d122c3a32cba89f29be64d72de6851f90c9bbc6",
         "b58b44712866352880fa801e2007986b4c223e6c8bb30d2af5b814a33c08edbd",
     ),
@@ -78,13 +78,13 @@ GOLDEN = {
     ),
     "product_3d": (
         dict(tester="3d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [4, 9, 6]}),
-        "5b62b8e7ed91e6ec7637c71b60ddcbeebd562fab49c954e52dd4162833840ce0",
+        "0cf6cba402fc11a71c85eddff4f71be446fb41a18191bd76ddb9bd216911d91f",
         "bd1a37c3440428f9ef1a12e9dafc45a48796c53fef54326d815a8aaefec61e96",
         "1af2bfbad86983e91fd9fef7d93194274a89f93a52871e66b2d765d26b6e28f9",
     ),
     "grouped_d": (
         dict(tester="d", eps=0.4, alpha=0.1, instance={"kind": "product_random", "dims": [3, 5, 2, 4]}),
-        "4d88004bf434368eb38989f1c20d6e2cbb208bd7c8c81e383874467578780bfd",
+        "c195f1dbad142691a42292ae6503a321100e558c6e4afd43a569fbf32c187864",
         "016b22a31973f5a206d0ca0effb53994d61dbe192c366e56435bce55355be258",
         "b58b44712866352880fa801e2007986b4c223e6c8bb30d2af5b814a33c08edbd",
     ),

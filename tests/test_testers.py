@@ -712,7 +712,7 @@ class TestGeneralArity:
         p = JointDistribution.uniform((2, 2, 2, 2, 2))
         hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0])
         v = aug_independence_d(JointSampler(p), p, TesterConfig(0.4, 0.05), Rng(17), hooks)
-        assert built == [[[1, 2], [3, 4], [0]], [[1], [2], [3], [4]]]  # grouped view, then learning
+        assert built == [((1, 2), (3, 4), (0,)), [[1], [2], [3], [4]]]  # grouped view, then learning
         assert len(merges) == 3  # one per reindexed law, and the prediction once
         assert len(validated) == 1
         assert v.detail["grouped_dims"] == (2, 4, 4)  # in partition order
@@ -877,7 +877,7 @@ class TestDarySplit:
     )
     def test_split_matches_the_formula(self, dims, blocks, expected):
         plan = _plan(dims, TesterConfig(0.1, 0.05))
-        assert plan.blocks == blocks
+        assert plan.blocks == tuple(map(tuple, blocks))
         assert plan.eps == pytest.approx(expected[0], rel=1e-12)
         assert len(plan.block_eta) == len(blocks)
         for got, want in zip(plan.block_eta, expected[1]):
@@ -917,22 +917,22 @@ class TestPlan:
             (
                 (100, 20),
                 TesterConfig(0.4, 0.1),
-                _Plan("practical", [[0], [1]], [[0], [1]], 0.4, [10.0, 2.0], [0.06, 0.30000000000000004],
+                _Plan("practical", ((0,), (1,)), ((0,), (1,)), 0.4, (10.0, 2.0), (0.06, 0.30000000000000004),
                       6.0, 8.0, 360.0, 1 / 120, 1 / 80, (0.4,), (None, None), None),
             ),
             # hidden_bit_2d, at 0.5, about the "exact" alpha its trials run at
             (
                 (200, 20),
                 TesterConfig(1 / 192, 0.5),
-                _Plan("practical", [[0], [1]], [[0], [1]], 1 / 192, [100.0, 10.0], [0.03, 0.30000000000000004],
+                _Plan("practical", ((0,), (1,)), ((0,), (1,)), 1 / 192, (100.0, 10.0), (0.03, 0.30000000000000004),
                       6.0, 8.0, 360.0, 1 / 120, 1 / 80, (1 / 192,), (None, None), None),
             ),
             # arity5_d
             (
                 (2,) * 5,
                 TesterConfig(0.1, 0.05),
-                _Plan("practical", [[0], [1, 2], [3, 4]], [[1, 2], [3, 4], [0]], 0.1 / 3, [1.0, 1.0, 1.0],
-                      [1.1, 1.1, 2.1], 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.1 / 6, 0.1 / 6),
+                _Plan("practical", ((0,), (1, 2), (3, 4)), ((1, 2), (3, 4), (0,)), 0.1 / 3, (1.0, 1.0, 1.0),
+                      (1.1, 1.1, 2.1), 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.1 / 6, 0.1 / 6),
                       (None, 0.1 / 18, 0.1 / 18), 0.02),
             ),
             # both profiles on two and three axes, where s[0] is the power
@@ -940,43 +940,43 @@ class TestPlan:
             (
                 (10, 1000),
                 TesterConfig(0.9, 0.5, "theory"),
-                _Plan("theory", [[0], [1]], [[1], [0]], 0.9, [196.7886239227057, 5.0],
-                      [0.009081594555957556, 0.6000000000000001], 120.0, 160.0, 144000.0, 1 / 120, 1 / 80, (0.9,),
+                _Plan("theory", ((0,), (1,)), ((1,), (0,)), 0.9, (196.7886239227057, 5.0),
+                      (0.009081594555957556, 0.6000000000000001), 120.0, 160.0, 144000.0, 1 / 120, 1 / 80, (0.9,),
                       (None, None), None),
             ),
             (
                 (10, 1000),
                 TesterConfig(0.9, 0.5, "practical"),
-                _Plan("practical", [[0], [1]], [[1], [0]], 0.9, [196.7886239227057, 5.0],
-                      [0.009081594555957556, 0.6000000000000001], 6.0, 8.0, 360.0, 1 / 120, 1 / 80, (0.9,), (None, None), None),
+                _Plan("practical", ((0,), (1,)), ((1,), (0,)), 0.9, (196.7886239227057, 5.0),
+                      (0.009081594555957556, 0.6000000000000001), 6.0, 8.0, 360.0, 1 / 120, 1 / 80, (0.9,), (None, None), None),
             ),
             (
                 (10, 1000, 5),
                 TesterConfig(0.9, 0.5, "theory"),
-                _Plan("theory", [[0], [1], [2]], [[1], [0], [2]], 0.9, [336.5038134874332, 5.0, 2.5],
-                      [0.006971734524005164, 0.6000000000000001, 1.2000000000000002], 180.0, 240.0, 34992000.0, 1 / 180, 1 / 120,
+                _Plan("theory", ((0,), (1,), (2,)), ((1,), (0,), (2,)), 0.9, (336.5038134874332, 5.0, 2.5),
+                      (0.006971734524005164, 0.6000000000000001, 1.2000000000000002), 180.0, 240.0, 34992000.0, 1 / 180, 1 / 120,
                       (0.45, 0.45), (None, None, None), None),
             ),
             (
                 (10, 1000, 5),
                 TesterConfig(0.9, 0.5, "practical"),
-                _Plan("practical", [[0], [1], [2]], [[1], [0], [2]], 0.9, [336.5038134874332, 5.0, 2.5],
-                      [0.006971734524005164, 0.6000000000000001, 1.2000000000000002], 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.45, 0.45),
+                _Plan("practical", ((0,), (1,), (2,)), ((1,), (0,), (2,)), 0.9, (336.5038134874332, 5.0, 2.5),
+                      (0.006971734524005164, 0.6000000000000001, 1.2000000000000002), 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.45, 0.45),
                       (None, None, None), None),
             ),
             (
                 (16,) * 4,
                 TesterConfig(0.2, 0.05),
-                _Plan("practical", [[0], [1], [2, 3]], [[2, 3], [0], [1]], 0.1, [12.8, 1.0, 1.0],
-                      [0.0234375, 0.35, 0.35], 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.05, 0.05),
+                _Plan("practical", ((0,), (1,), (2, 3)), ((2, 3), (0,), (1,)), 0.1, (12.8, 1.0, 1.0),
+                      (0.0234375, 0.35, 0.35), 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.05, 0.05),
                       (None, None, 0.1 / 6), 0.02),
             ),
             (
                 (2,) * 12,
                 TesterConfig(0.1, 0.05),
-                _Plan("practical", [[0], [1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 11]],
-                      [[6, 7, 8, 9, 10, 11], [1, 2, 3, 4, 5], [0]], 0.1 / 3, [3.2, 1.6, 1.0],
-                      [0.09375, 0.1875, 2.1], 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.1 / 6, 0.1 / 6),
+                _Plan("practical", ((0,), (1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11)),
+                      ((6, 7, 8, 9, 10, 11), (1, 2, 3, 4, 5), (0,)), 0.1 / 3, (3.2, 1.6, 1.0),
+                      (0.09375, 0.1875, 2.1), 9.0, 12.0, 4374.0, 1 / 180, 1 / 120, (0.1 / 6, 0.1 / 6),
                       (None, 0.002777777777777778, 0.0023809523809523807), 0.02),
             ),
         ],
@@ -1113,6 +1113,27 @@ class TestThreeAxisBatches:
         rejected = [v for v in verdicts if v.outcome is Outcome.REJECT]
         assert wilson_interval(len(rejected), len(verdicts))[0] >= 0.9, f"{len(rejected)}/60 rejected"
         assert all(v.stage == "closeness" and len(v.detail["closeness_grids"]) == batch for v in rejected)
+
+    def test_the_pair_batch_thins_the_joint_batch(self, monkeypatch):
+        # On a uniform input the (X, Y) batch runs below the joint batch's
+        # rate, so it keeps a thinned share of that batch's table and draws
+        # nothing fresh: the run's closeness samples are the joint batch's.
+        batches, kernel = [], estimators._poissonized_counts
+
+        def recording(view, lam, rng):
+            counts = kernel(view, lam, rng)
+            batches.append((view, lam, int(counts.sum())))
+            return counts
+
+        monkeypatch.setattr(estimators, "_poissonized_counts", recording)
+        p = JointDistribution.uniform(self.DIMS)
+        for seed in range(5):
+            batches.clear()
+            v = aug_independence_3d(JointSampler(p), p, TesterConfig(0.4, 0.1), Rng(seed, ()))
+            assert v.outcome is Outcome.ACCEPT and len(v.detail["closeness_grids"]) == 2
+            (joint, lam1, k1), (pair, lam2, _) = batches
+            assert pair.parent is joint and lam2 < lam1 and pair.last[2] == 0
+            assert v.account.closeness == k1 > 0 and v.detail["closeness_drawn"] == [k1, 0]
 
 
 class TestProductBoundFarSide:
