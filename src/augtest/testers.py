@@ -18,7 +18,8 @@ batch of the joint tests the first two axes together against the third and,
 if it accepts, a second tests the first axis against the second on their
 flattened marginal (see aug_independence_3d). Higher arities are reduced to
 a grouped 2- or 3-axis instance plus learning-based tests inside the
-grouped blocks. One plan (_Plan) sizes every stage before any draw.
+grouped blocks. One plan (_Plan) sizes every stage before any draw, and
+every verdict records it in detail["plan"].
 """
 
 from __future__ import annotations
@@ -206,6 +207,7 @@ class _Plan:
     and rejects when its gap exceeds (k + 1) * eta; a single axis runs no
     test (None). The blocks learn from one draw at learn_delta =
     BASE_DELTA / 5, which is None on 2 or 3 axes, where none is learned.
+    Every verdict of aug_independence_d holds its plan as detail["plan"].
 
     Why the split is sound. Write p_B for p's marginal on the axes of block
     B, p_i for its marginal on axis i, q = prod_B p_B for the product of
@@ -349,7 +351,12 @@ def _plan(dims: tuple[int, ...], cfg: TesterConfig) -> _Plan:
 
 
 def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks | None) -> Verdict:
-    """Runs the plan's pipeline on the view merging the input's axes plan.view[i] into coordinate i."""
+    """Runs the plan's pipeline on the view merging the input's axes plan.view[i] into coordinate i.
+
+    detail holds the plan and what the run drew or measured: the view's
+    dims, s_hat, flat_dims, the norms, the joint norm's cost and saving,
+    closeness_b and its source, and each batch's grid and fresh draw.
+    """
     if plan.view != tuple((a,) for a in range(len(sampler.dims))):
         sampler, pred = ReindexedSampler(sampler, plan.view), merge_axes(pred, plan.view)
     hooks = hooks or _DEFAULT_HOOKS
@@ -358,7 +365,7 @@ def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks |
     s, tau = plan.s, plan.tau
     account = SampleAccount()
     stage_log: list[str] = []
-    detail: dict = {"dims": dims, "profile": plan.profile, "s": list(s), "tau": list(tau)}
+    detail: dict = {"plan": plan, "dims": dims}
 
     stage_log.append("poisson_cap")
     shat = [hooks.poisson(s[l], rng.split(l)) for l in range(arity)]
@@ -595,18 +602,20 @@ def aug_independence_d(
     """General-arity tester; the one entry point behind the 2- and 3-axis ones.
 
     It validates cfg, the prediction's type and its dims (at least two
-    axes) once, and sizes every stage before any draw (_Plan). Arity 2 and
-    3 run the flattening pipeline on the axes stable-sorted so sizes
-    descend. Otherwise the axes (sorted by size) are partitioned into 2 or
-    3 blocks, and the grouped view runs the matching pipeline. If it
-    accepts, the learning stage checks each multi-axis block for internal
-    independence: one learned histogram over the union of those blocks'
-    axes, drawn from one stream, gives each block's law as a marginal
-    (_learn_blocks). The plan sets the pipeline's eps and each block's eta
-    and proves the split sound; detail["eps_split"] records it, and
-    detail["learning"] the shared t and each block's eta, gap, threshold
-    (k + 1) * eta and margin (threshold - gap; negative rejects). Any
-    sub-test failure decides the verdict.
+    axes) once, and sizes every stage before any draw (_Plan). The pipeline
+    runs on the plan's view: the axes stable-sorted so sizes descend, or on
+    4 or more axes their 2 or 3 blocks, each merged into one coordinate. If
+    the plan learns and the pipeline accepts, the learning stage checks each
+    multi-axis block for internal independence: one learned histogram over
+    the union of those blocks' axes, drawn from one stream, gives each
+    block's law as a marginal (_learn_blocks). Any sub-test failure decides.
+
+    Every arity returns one verdict shape: detail["plan"] is the plan, which
+    sets the pipeline's eps and each block's eta and proves the split sound;
+    beside it detail holds only what the run drew or measured
+    (_flatten_pipeline). detail["learning"], only when that stage ran, holds
+    the shared t and, per multi-axis block in plan.blocks order, its gap and
+    margin (k + 1) * eta - gap, negative when the block rejects.
     """
     cfg.validate()
     _check_prediction(pred)
@@ -614,40 +623,28 @@ def aug_independence_d(
     if pred.dims != tuple(sampler.dims):
         raise DomainError(f"prediction dims {pred.dims} != input dims {tuple(sampler.dims)}")
     plan = _plan(pred.dims, cfg)
-    if plan.learn_delta is None:
-        return _flatten_pipeline(sampler, pred, plan, rng, hooks)
+    learns = plan.learn_delta is not None
+    v = _flatten_pipeline(sampler, pred, plan, rng.split(0) if learns else rng, hooks)
+    if not learns or v.outcome is not Outcome.ACCEPT:
+        return v
 
-    inner = _flatten_pipeline(sampler, pred, plan, rng.split(0), hooks)
-    stage_log = ["partition"] + inner.stage_log
-    blocks = plan.blocks
-    detail = {
-        "blocks": [list(blk) for blk in blocks],
-        "grouped_dims": tuple(math.prod(sampler.dims[a] for a in blk) for blk in blocks),
-        "eps_split": {"pipeline": plan.eps, "block_eta": plan.block_eta},
-        "inner": inner.detail,
-    }
-    if inner.outcome is not Outcome.ACCEPT:
-        return Verdict(inner.outcome, stage_log, inner.account, detail)
-
-    tested = [(blk, eta) for blk, eta in zip(blocks, plan.block_eta) if eta is not None]
+    tested = [(blk, eta) for blk, eta in zip(plan.blocks, plan.block_eta) if eta is not None]
     union = [a for blk, _ in tested for a in blk]
     local = {a: i for i, a in enumerate(union)}
-    stage_log.append("learning")
+    v.stage_log.append("learning")
     t, gaps = _learn_blocks(
         ReindexedSampler(sampler, [[a] for a in union]),
         [[local[a] for a in blk] for blk, _ in tested],
         [eta for _, eta in tested],
         plan.learn_delta,
         rng.split(1),
-        inner.account,
+        v.account,
     )
-    learned = []
-    for (blk, eta), gap in zip(tested, gaps):
-        threshold = (len(blk) + 1) * eta
-        learned.append({"axes": list(blk), "eta": eta, "gap": gap, "threshold": threshold, "margin": threshold - gap})
-    detail["learning"] = {"t": t, "blocks": learned}
-    outcome = Outcome.ACCEPT if all(b["gap"] <= b["threshold"] for b in learned) else Outcome.REJECT
-    return Verdict(outcome, stage_log, inner.account, detail)
+    thresholds = [(len(blk) + 1) * eta for blk, eta in tested]
+    v.detail["learning"] = {"t": t, "blocks": [{"gap": g, "margin": th - g} for g, th in zip(gaps, thresholds)]}
+    if not all(g <= th for g, th in zip(gaps, thresholds)):
+        v.outcome = Outcome.REJECT
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,10 @@ import importlib.util
 import itertools
 import json
 import math
-import multiprocessing
 import os
+import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +42,8 @@ from augtest.testers import TesterConfig, aug_independence_2d
 
 CFG = EstimatorConfig()
 CALIBRATION = os.path.join(os.path.dirname(__file__), os.pardir, "calibration.json")
+CALIBRATION_SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "calibrate_closeness.py")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # The first M of each closeness band, which EstimatorConfig owns.
 EDGES = [first for first, _, _ in CFG.closeness_bands]
 BANDS = ((9, 3.0, 1.45), (50, 3.0, 1.75), (200, 3.5, 1.7))
@@ -210,12 +211,33 @@ class TestClosenessError:
 def _calibration_script():
     # loaded once and registered under its name, so that pickle finds the
     # functions its pool's workers run
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "calibrate_closeness.py")
-    spec = importlib.util.spec_from_file_location("calibrate_closeness", path)
+    spec = importlib.util.spec_from_file_location("calibrate_closeness", CALIBRATION_SCRIPT)
     module = importlib.util.module_from_spec(spec)
     sys.modules["calibrate_closeness"] = module
     spec.loader.exec_module(module)
     return module
+
+
+# Runs the calibration's independence bands on a small grid at 1 and 2
+# spawned workers and prints both records as one JSON list; argv[1] is the
+# calibration script.
+_WORKER_COUNT_SCRIPT = """
+import json, multiprocessing, os, sys
+from concurrent.futures import ProcessPoolExecutor
+
+sys.path.insert(0, os.path.dirname(sys.argv[1]))
+import calibrate_closeness as script
+from augtest.estimators import EstimatorConfig
+
+script.TRIALS = 300
+script.INDEPENDENCE_BANDS = EstimatorConfig().closeness_bands[:2]
+script.PREMISE_GRIDS = [(20, 10)]
+runs = []
+for workers in (1, 2):
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        runs.append(script.calibrate_independence(pool))
+print(json.dumps(runs))
+"""
 
 
 class TestCalibrationRecord:
@@ -327,21 +349,19 @@ class TestCalibrationRecord:
             mp.setattr(script, "BLOCK_COUNTS", 50 * 7 + 1)
             assert np.array_equal(script.joint_z_samples(p, 300.0, 40, Rng(37)), one)
 
-    def test_cell_rows_are_the_same_at_any_worker_count(self, monkeypatch):
+    def test_cell_rows_are_the_same_at_any_worker_count(self):
         # the calibration's pool draws each cell on its own streams, so the
-        # record does not depend on how many cores run it; its spawned
-        # workers import the script by name
-        script = _calibration_script()
-        monkeypatch.syspath_prepend(os.path.dirname(script.__file__))
-        monkeypatch.setattr(script, "TRIALS", 300)
-        monkeypatch.setattr(script, "INDEPENDENCE_BANDS", CFG.closeness_bands[:2])
-        monkeypatch.setattr(script, "PREMISE_GRIDS", [(20, 10)])
-        runs = []
-        for workers in (1, 2):
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-                runs.append(script.calibrate_independence(pool))
-        assert json.dumps(runs[0]) == json.dumps(runs[1])
-        assert all(band["results"] for band in runs[0])
+        # record does not depend on how many cores run it. Both pools run in
+        # a child process, whose spawned workers import the script by name:
+        # the resource tracker a spawn pool starts outlives the pool, and so
+        # it is the child's and ends with it, not a child left to this process
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        command = [sys.executable, "-c", _WORKER_COUNT_SCRIPT, os.path.abspath(CALIBRATION_SCRIPT)]
+        done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=600)
+        assert done.returncode == 0, done.stderr
+        one, two = json.loads(done.stdout)
+        assert json.dumps(one) == json.dumps(two)
+        assert all(band["results"] for band in one)
 
     def test_every_norm_point_re_derives_from_its_errors(self):
         # the norm's bound, repetition counts and cost follow from its

@@ -372,9 +372,10 @@ class TestGateLogic:
     def test_detail_records_pipeline_state(self):
         v = self.run(scripted_hooks([5, 5], [0.0, 0.0, 0.0]))
         s, tau = self.s_and_tau()
+        plan = v.detail["plan"]
         assert v.detail["dims"] == (20, 10)
-        assert v.detail["s"] == pytest.approx(s)
-        assert v.detail["tau"] == pytest.approx(tau)
+        assert list(plan.s) == pytest.approx(s)
+        assert list(plan.tau) == pytest.approx(tau)
         assert v.detail["s_hat"] == [5, 5]
         assert len(v.detail["flat_dims"]) == 2
 
@@ -671,28 +672,26 @@ class TestGeneralArity:
         calls = []
         hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0], calls=calls)
         v = aug_independence_d(JointSampler(p), p, TesterConfig(0.4, 0.05), Rng(17), hooks)
-        assert v.stage_log[0] == "partition"
-        assert v.detail["blocks"] == [[0], [1, 2], [3, 4]]
-        assert v.detail["grouped_dims"] == (2, 4, 4)
+        plan = v.detail["plan"]
+        assert v.stage_log[0] == "poisson_cap"
+        assert plan.blocks == ((0,), (1, 2), (3, 4))
+        assert tuple(math.prod(p.dims[a] for a in blk) for blk in plan.blocks) == (2, 4, 4)
         # both multi-axis blocks were re-checked by one learning stage
         assert v.stage_log.count("learning") == 1
         assert v.outcome is Outcome.ACCEPT
         # three terms: the pipeline at eps/3, each 2-axis block at eta = (eps/3) / 6
-        split = v.detail["eps_split"]
-        eta = split["block_eta"][1]
-        assert split["pipeline"] == 0.4 / 3
+        eta = plan.block_eta[1]
+        assert plan.eps == 0.4 / 3
         # the grouped view's two closeness batches each run at half its eps
         assert [c[3] for c in calls if c[0] == "closeness"] == [0.4 / 6, 0.4 / 6]
-        assert split["block_eta"] == (None, eta, eta)
+        assert plan.block_eta == (None, eta, eta)
         assert eta == pytest.approx(0.4 / 18, rel=1e-12)
         learning = v.detail["learning"]
         assert learning["t"] == math.ceil((4 + math.log(1 / 0.02)) / eta**2)
         assert v.account.learning == learning["t"]
-        assert [b["axes"] for b in learning["blocks"]] == [[1, 2], [3, 4]]
+        assert len(learning["blocks"]) == 2  # one per multi-axis block, (1, 2) and (3, 4)
         for b in learning["blocks"]:
-            assert b["eta"] == eta
-            assert b["threshold"] == 3 * eta
-            assert b["margin"] == b["threshold"] - b["gap"] > 0
+            assert b["margin"] == 3 * eta - b["gap"] > 0
 
     def test_one_reindexed_view_per_run(self, monkeypatch):
         # the grouped view is sorted and relabeled once, and the input is validated once
@@ -715,8 +714,9 @@ class TestGeneralArity:
         assert built == [((1, 2), (3, 4), (0,)), [[1], [2], [3], [4]]]  # grouped view, then learning
         assert len(merges) == 3  # one per reindexed law, and the prediction once
         assert len(validated) == 1
-        assert v.detail["grouped_dims"] == (2, 4, 4)  # in partition order
-        assert v.detail["inner"]["dims"] == (4, 4, 2)  # sorted so sizes descend
+        plan = v.detail["plan"]
+        assert tuple(math.prod(p.dims[a] for a in blk) for blk in plan.blocks) == (2, 4, 4)  # in partition order
+        assert v.detail["dims"] == (4, 4, 2)  # sorted so sizes descend
         assert v.outcome is Outcome.ACCEPT
 
     def test_one_learning_draw_serves_every_block(self, monkeypatch):
@@ -740,7 +740,8 @@ class TestGeneralArity:
         p = JointDistribution(dims, domain.outer_product(gen.dirichlet(np.ones(2)) for _ in dims))
         hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0])
         v = aug_independence_d(JointSampler(p), p, TesterConfig(0.3, 0.05), Rng(45), hooks)
-        assert v.detail["blocks"] == [[0], [1, 2], [3, 4, 5]]
+        plan = v.detail["plan"]
+        assert plan.blocks == ((0,), (1, 2), (3, 4, 5))
         [(union_dims, t, rng, emp)] = draws  # one draw over the union of the blocks' axes
         assert union_dims == (2,) * 5
         assert (rng.seed, rng.stream) == (45, (1,))
@@ -752,8 +753,8 @@ class TestGeneralArity:
         assert [law.dims for law in scored] == [(2, 2), (2, 2, 2)]
         for law, axes in zip(scored, ([0, 1], [2, 3, 4])):
             assert np.array_equal(law.probs, marginal(emp, axes).probs)
-        for b, law, eta in zip(v.detail["learning"]["blocks"], scored, etas):
-            assert b["eta"] == pytest.approx(eta, rel=1e-12)
+        for b, law, eta, plan_eta in zip(v.detail["learning"]["blocks"], scored, etas, plan.block_eta[1:]):
+            assert plan_eta == pytest.approx(eta, rel=1e-12)
             assert b["gap"] == tv_to_own_product(law)
         assert v.outcome is Outcome.ACCEPT
 
@@ -777,7 +778,7 @@ class TestGeneralArity:
             for p, outcome in ((product, Outcome.ACCEPT), (far, Outcome.REJECT)):
                 hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0])
                 v = aug_independence_d(JointSampler(p), p, TesterConfig(eps, 0.05), Rng(46, (k, seed)), hooks)
-                assert v.detail["blocks"] == [[0], [1, 2], block]
+                assert v.detail["plan"].blocks == ((0,), (1, 2), tuple(block))
                 assert v.stage == "learning"
                 assert v.outcome is outcome, (k, seed, v.detail["learning"])
 
@@ -786,8 +787,43 @@ class TestGeneralArity:
         p = JointDistribution.uniform((2, 2, 2, 2, 16))
         hooks = scripted_hooks([2, 2], [0.0, 0.0, 0.0])
         v = aug_independence_d(JointSampler(p), p, TesterConfig(0.4, 0.05), Rng(18), hooks)
-        assert v.detail["blocks"][0] == [4]
-        assert v.detail["grouped_dims"][0] == 16
+        plan = v.detail["plan"]
+        assert plan.blocks[0] == (4,)
+        assert math.prod(p.dims[a] for a in plan.blocks[0]) == 16
+
+    PIPELINE_KEYS = {
+        "dims", "s_hat", "flat_dims", "marginal_norms", "joint_norm_cost", "joint_norm_saving",
+        "closeness_b", "closeness_b_source", "closeness_grids", "closeness_drawn",
+    }
+
+    @pytest.mark.parametrize("dims", [(20, 10), (6, 5, 4), (2,) * 5])
+    def test_every_arity_returns_one_verdict_shape(self, dims):
+        # the plan the run was sized at, the pipeline's measurements beside
+        # it, and learning only where that stage ran
+        p = JointDistribution.uniform(dims)
+        cfg = TesterConfig(0.4, 0.05)
+        for seed in range(3):
+            v = aug_independence_d(JointSampler(p), p, cfg, Rng(47, (len(dims), seed)))
+            assert v.detail["plan"] is testers._plan(dims, cfg)
+            assert self.PIPELINE_KEYS <= v.detail.keys()
+            assert v.detail.keys().isdisjoint({"inner", "profile", "s", "tau", "blocks", "grouped_dims", "eps_split"})
+            assert "partition" not in v.stage_log
+            assert ("learning" in v.detail) == ("learning" in v.stage_log) == (len(dims) == 5)
+
+    def test_a_block_that_rejects_has_its_plan_margin(self):
+        # axes 3 and 4 of (2,)^5 perfectly correlated, the pipeline scripted
+        # to accept: the block (3, 4) rejects, its margin (k + 1) * eta - gap
+        diag = np.zeros((2, 2))
+        diag[0, 0] = diag[1, 1] = 0.5
+        p = JointDistribution.from_table(np.einsum("i,j,k,lm->ijklm", [0.5, 0.5], [0.5, 0.5], [0.5, 0.5], diag))
+        hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0])
+        v = aug_independence_d(JointSampler(p), product_of_marginals(p), TesterConfig(0.4, 0.05), Rng(48), hooks)
+        plan = v.detail["plan"]
+        assert (v.outcome, v.stage) == (Outcome.REJECT, "learning")
+        assert plan.blocks == ((0,), (1, 2), (3, 4))
+        first, last = v.detail["learning"]["blocks"]
+        assert first["margin"] == 3 * plan.block_eta[1] - first["gap"] >= 0
+        assert last["margin"] == 3 * plan.block_eta[2] - last["gap"] < 0
 
     def test_inner_failure_short_circuits(self):
         p = JointDistribution.uniform((2, 2, 2, 2))
