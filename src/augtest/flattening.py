@@ -134,8 +134,8 @@ def flatten_distribution_explicit(
 # last axis of a grid against the others; cost is the number of base joint
 # draws consumed per emitted sample, used for the sample account. The
 # builders differ only in their law and in how they group the axes for
-# _flat_view, which does every draw; the 3-axis tester also builds the view
-# of its first two axes' flattened marginal through _flat_view itself.
+# _flat_view, which does every draw; the pipeline's later closeness links
+# build the views of their leading coordinates through _flat_view itself.
 
 
 @dataclass

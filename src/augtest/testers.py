@@ -11,12 +11,9 @@ Pipeline for 2 and 3 axes: Poissonized per-axis sample sizes with a cap
 check, prediction-assisted flattening of every axis, an l2 gate on each
 flattened marginal (fires InaccurateInformation), an l2 gate on the flattened
 joint (fires Reject), and finally an l1 closeness test between the flattened
-joint and the product of flattened marginals. Each closeness batch draws
-one table of a flattened law alone and scores it against the product of
-that law's own marginals: on two axes one batch of the joint; on three one
-batch of the joint tests the first two axes together against the third and,
-if it accepts, a second tests the first axis against the second on their
-flattened marginal (see aug_independence_3d). Higher arities are reduced to
+joint and the product of flattened marginals, run as a chain of links, each
+testing one coordinate against those before it on one table of their
+flattened marginal (see _Plan). Higher arities are reduced to
 a grouped 2- or 3-axis instance plus learning-based tests inside the
 grouped blocks. One plan (_Plan) sizes every stage before any draw, and
 every verdict records it in detail["plan"].
@@ -136,10 +133,10 @@ class TesterHooks:
     """Injection seam: the three stochastic primitives the gate logic consumes.
 
     Tests script these to drive every branch deterministically; defaults call
-    the real implementations. closeness gets one view per batch: the
-    flattened joint, and on three axes then the flattened marginal of the
-    first two axes, whose batch thins the joint's, or is drawn fresh after a
-    closeness that drew none (see aug_independence_3d).
+    the real implementations. closeness gets one view per link of the
+    plan's chain, the flattened joint first; a later link's batch thins its
+    parent's table, or is drawn whole after a closeness that drew none (see
+    _Plan).
     """
 
     poisson: Callable = poisson
@@ -199,8 +196,8 @@ class _Plan:
     proofs use, and 3 k on the practical one, of the same control flow at
     desk-scale sizes; cap is 4/3 gate, joint_reject 10 gate^2 on two axes
     and 6 gate^3 on three. Each norm call runs at norm_delta = 1/(60 k),
-    each closeness batch at close_delta = 1/(40 k) and its batch_eps: eps on
-    two axes, eps/2 for each of two batches on three (aug_independence_3d).
+    each link of the closeness chain (below) at close_delta = 1/(40 k) and
+    its share of eps in batch_eps, eps/(k - 1) each.
 
     eps is the input's eps / m, with m 1 plus the number of blocks of two or
     more axes. Such a block, of k axes, learns at block_eta = eps / (2k + 2)
@@ -223,10 +220,8 @@ class _Plan:
     is (w.p. its own confidence):
 
     - tv(p, q) >= eps / m. This is the grouped view's distance to the
-      product of its own marginals. The pipeline's closeness tests the
-      flattened joint against the product of its own flattened marginals
-      (on three blocks in two batches; see aug_independence_3d), and
-      flattening keeps that tv, so the pipeline at eps / m rejects. (Merging
+      product of its own marginals, which the pipeline's closeness chain
+      at eps / m rejects (below). (Merging
       axes does not grow tv(p, pred), so InaccurateInformation stays
       reserved for a prediction that misses alpha.)
     - E = tv(p_B, prod_{i in B} p_i) >= eps / m = (2k + 2) * eta on a block
@@ -245,12 +240,44 @@ class _Plan:
     eps' = (eps / m) * c / (c + k) with c = k + 2, the least c both sides
     allow.
 
-    Error budget, by a union bound over the calls: on two pipeline axes
-    three norm calls at 1/120 and one batch at 1/80 err w.p. at most
-    0.0375, on three four norm calls at 1/180 and two batches at 1/120 at
-    most 0.039, and learning adds 0.02: at most 0.059 < BASE_DELTA. It
-    needs no independence between the calls, so the two 3-axis batches may
-    share one table (aug_independence_3d).
+    The closeness chain. On the view's k coordinates write p_{0..a} for the
+    law of coordinates 0..a and p_a for coordinate a's. Link a, for
+    a = k - 1 down to 1, tests coordinate a against coordinates 0..a-1: it
+    draws one table of the flattened p_{0..a}, read as an
+    (F_0 ... F_{a-1}, F_a) grid, and scores it against the product of that
+    grid's own marginals, the flattened p_{0..a-1} x p_a. The first link
+    that rejects decides; link j = k - 1 - a draws from rng.split(31 + j).
+
+    - Far side. Two products with a common factor are as far apart as
+      their other factors, so by the triangle inequality
+          tv(p, prod_i p_i) <= sum over a of tv(p_{0..a}, p_{0..a-1} x p_a),
+      and an eps-far p is at least eps/(k - 1) far on some link, which
+      rejects. Flattening keeps every term: both sides split each cell's
+      mass evenly over the same sub-buckets.
+    - Product side. A product p has p_{0..a} = p_{0..a-1} x p_a for every
+      a, so every link faces its null and accepts.
+    - Norm bounds (closeness_bound). With r = p_{0..a-1}, r(x) <= p_i(x_i)
+      gives ||r||^2 = sum r(x)^2 <= sum r(x) p_i(x_i) = ||p_i||^2 for each
+      i < a, so link a runs at 2 min(m_0..m_{a-1}) * 2 m_a from the
+      measured marginal norms m, or the first link at 2 * joint_norm if the
+      joint norm was drawn and that is smaller.
+    - One draw. Link a's law is link a+1's summed over its last
+      coordinate, so link a+1's table at rate lam_{a+1}, summed the same
+      way, holds independent Poi(lam_{a+1} p_{0..a}) counts. Link a keeps
+      each of those samples w.p. min(1, lam_a / lam_{a+1}) and draws only
+      Poi(max(0, lam_a - lam_{a+1}) p_{0..a}) fresh; after a link that drew
+      no table, as under a scripted hook, it draws its own. Thinning a
+      Poisson gives a Poisson, so each link has exactly its calibrated law.
+      The account counts only fresh samples.
+
+    Error budget, by a union bound over the calls, which needs no
+    independence between them, so the links may share one table: k + 1
+    norm calls at 1/(60 k) and k - 1 links at 1/(40 k) err w.p. at most
+    0.0375 on two coordinates and 0.039 on three, and learning adds 0.02:
+    at most 0.059 < BASE_DELTA. From k = 4 on, 1/(40 k) <= 1/160 falls
+    below CLOSENESS_ERROR = 13/2048, which closeness_test refuses, so the
+    chain runs on at most 3 coordinates until its links get a budget of
+    their own.
     """
 
     profile: str
@@ -269,22 +296,20 @@ class _Plan:
     learn_delta: float | None
 
     def closeness_bound(
-        self, batch: int, M: int, marg_norms: Sequence[float], joint_norm: float = math.inf
+        self, a: int, M: int, marg_norms: Sequence[float], joint_norm: float = math.inf
     ) -> tuple[float, str]:
-        """The norm bound b closeness batch `batch` on M cells runs at, and which bound set it.
+        """The norm bound b link a of the chain runs at on M cells, and which bound set it.
 
         A norm estimate is at least half its truth w.p. >= 1 - norm_delta,
-        so 2 * joint_norm bounds the batch's law's squared norm, and the
-        product of 2 * m over its grid's marginal norms the product law's
-        (on three axes see aug_independence_3d); closeness_test needs the
-        smaller only, and a joint_norm of inf, as when the pipeline skips
-        the joint norm, leaves the product. b never goes below 1/M, the
-        least squared norm on M cells; closeness_params clamps it at 1.
+        so 2 * joint_norm bounds the first link's law's squared norm, and
+        2 min(m_0..m_{a-1}) * 2 m_a the product law's (see the chain's norm
+        bounds); closeness_test needs the smaller only, and a joint_norm of
+        inf, as on a later link or when the pipeline skips the joint norm,
+        leaves the product. b never goes below 1/M, the least squared norm
+        on M cells; closeness_params clamps it at 1.
         """
-        if len(marg_norms) == 3:  # batch 0's grid is (XY, Z), batch 1's (X, Y)
-            marg_norms = marg_norms[:2] if batch else [min(marg_norms[:2]), marg_norms[2]]
         joint = 2.0 * joint_norm
-        product = math.prod(2.0 * m for m in marg_norms)
+        product = 2.0 * min(marg_norms[:a]) * (2.0 * marg_norms[a])
         b, source = (joint, "joint") if joint <= product else (product, "product")
         if b < 1.0 / M:
             return 1.0 / M, "floor"
@@ -296,14 +321,14 @@ class _Plan:
         cost, known before any draw, is r batches of T at norm_delta, each
         sample view_cost joint draws. saving is what the joint bound saves
         on a product, where 2 * joint_norm lands near half the product
-        bound b_prod: the first batch's rate at b_prod less its rate at
+        bound b_prod: the first link's rate at b_prod less its rate at
         max(b_prod / 2, 1/M), so the band and the clamps enter. The product
         bound alone is sound, so the joint norm is only an optimisation. A
         b_prod whose rate closeness_params refuses saves without limit: the
         joint bound may bring the rate back within range.
         """
         cost = _norm_batch(M, _ESTIMATOR.norm_sample_mult) * repetitions(self.norm_delta, _ESTIMATOR) * view_cost
-        b_prod, _ = self.closeness_bound(0, M, marg_norms)
+        b_prod, _ = self.closeness_bound(len(self.view) - 1, M, marg_norms)
         try:
             lam_prod, _ = closeness_params(M, b_prod, self.batch_eps[0], _ESTIMATOR)
         except DomainError:
@@ -344,7 +369,7 @@ def _plan(dims: tuple[int, ...], cfg: TesterConfig) -> _Plan:
         joint_reject=(10.0 * gate * gate) if k == 2 else (6.0 * gate**3),
         norm_delta=1.0 / (60 * k),
         close_delta=1.0 / (40 * k),
-        batch_eps=(eps,) if k == 2 else (eps / 2, eps / 2),
+        batch_eps=(eps / (k - 1),) * (k - 1),
         block_eta=tuple(eps / (2 * len(blk) + 2) if len(blk) > 1 else None for blk in blocks),
         learn_delta=BASE_DELTA / 5.0 if d > 3 else None,
     )
@@ -355,7 +380,7 @@ def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks |
 
     detail holds the plan and what the run drew or measured: the view's
     dims, s_hat, flat_dims, the norms, the joint norm's cost and saving,
-    closeness_b and its source, and each batch's grid and fresh draw.
+    closeness_b and its source, and each link's grid and fresh draw.
     """
     if plan.view != tuple((a,) for a in range(len(sampler.dims))):
         sampler, pred = ReindexedSampler(sampler, plan.view), merge_axes(pred, plan.view)
@@ -414,24 +439,24 @@ def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks |
             return Verdict(Outcome.REJECT, stage_log, account, detail)
 
     # l1 closeness between the flattened joint and the product of flattened
-    # marginals; flattening preserved the tv gap. Each batch tests the last
-    # axis of its view's grid against the others: on three axes the joint
-    # batch tests (X, Y) against Z and, if it accepts, the (X, Y) marginal's
-    # batch, thinned from the joint batch's table, tests X against Y (see
-    # aug_independence_3d). closeness_drawn holds what each batch drew fresh.
+    # marginals, along the plan's chain: link a tests coordinate a against
+    # coordinates 0..a-1 on the view of the leading a + 1, whose law is its
+    # parent's summed over the parent's last axis and whose batch thins the
+    # parent's table. closeness_drawn holds what each link drew fresh.
     stage_log.append("closeness")
-    b, detail["closeness_b_source"] = plan.closeness_bound(0, M, marg_norms, joint_norm)
+    b, detail["closeness_b_source"] = plan.closeness_bound(arity - 1, M, marg_norms, joint_norm)
     detail["closeness_b"] = b
     detail["closeness_grids"], detail["closeness_drawn"] = [], []
     view = joint_view
-    for batch, batch_eps in enumerate(plan.batch_eps):
-        if batch:
-            law = None if joint_view.probs is None else joint_view.probs.reshape(pf.flat_dims).sum(axis=2)
-            view = _flat_view(sampler, pf, [[0, 1]], law, joint_view)
-            b, _ = plan.closeness_bound(1, view.size, marg_norms)
+    for j, batch_eps in enumerate(plan.batch_eps):
+        if j:
+            a = arity - 1 - j
+            law = None if view.probs is None else view.probs.reshape(view.dims).sum(axis=-1)
+            view = _flat_view(sampler, pf, [list(range(a + 1))], law, view)
+            b, _ = plan.closeness_bound(a, view.size, marg_norms)
         detail["closeness_grids"].append((view.size // view.dims[-1], view.dims[-1]))
         drawn = account.closeness
-        ok = hooks.closeness(view, view.size, b, batch_eps, plan.close_delta, _ESTIMATOR, rng.split(31 + batch), account)
+        ok = hooks.closeness(view, view.size, b, batch_eps, plan.close_delta, _ESTIMATOR, rng.split(31 + j), account)
         detail["closeness_drawn"].append(account.closeness - drawn)
         if not ok:
             break
@@ -460,39 +485,13 @@ def aug_independence_3d(
 ) -> Verdict:
     """aug_independence_d on a three-axis input, with its own gate constants and sub-confidences.
 
-    The pipeline sorts the axes so that X >= Y >= Z by size and runs two
-    closeness batches, each at eps/2 and delta 1/120: the flattened joint,
-    read as an (F_X F_Y, F_Z) grid, tests (X, Y) against Z; if that accepts,
-    the flattened (X, Y) marginal, an (F_X, F_Y) grid drawn from joint
-    draws, tests X against Y. detail["closeness_grids"] lists the grids of
-    the batches run, so the last one decided; _Plan states the error
-    budget. Why that is sound:
-
-    - Far side. p_X x p_Y x p_Z is a product, so an eps-far p has
-          eps <= tv(p, p_X x p_Y x p_Z)
-              <= tv(p, p_XY x p_Z) + tv(p_XY x p_Z, p_X x p_Y x p_Z)
-               = tv(p, p_XY x p_Z) + tv(p_XY, p_X x p_Y),
-      since two products with a common factor are as far apart as their
-      other factors. One term is at least eps/2, and the batch that tests it
-      rejects. Flattening keeps both tvs: each side splits every cell's
-      mass evenly over the same sub-buckets, and the flattened p_XY x p_Z
-      and p_X x p_Y are the products of the flattened laws' own marginals on
-      each batch's grid.
-    - Product side. A product p has p = p_XY x p_Z and p_XY = p_X x p_Y, so
-      both batches face their null and accept.
-    - Norm bounds. Batch 1 needs b >= min(||p||^2, ||p_XY||^2 ||p_Z||^2),
-      and ||p_XY||^2 = sum p_XY(x, y)^2 <= sum p_XY(x, y) p_X(x) = ||p_X||^2,
-      and likewise for Y, so it runs at 2 min(m_X, m_Y) * 2 m_Z from the
-      measured marginal norms, or at 2 * joint_norm if that is smaller and
-      the joint norm was drawn (_Plan.joint_norm_trade). Batch 2's law has
-      no measured norm of its own, so it runs at 2 m_X * 2 m_Y.
-    - One draw. Batch 1's table at rate lam_1, summed over Z, holds
-      independent Poi(lam_1 p_XY) counts. Batch 2 keeps each sample w.p.
-      min(1, lam_2 / lam_1) and draws only Poi(max(0, lam_2 - lam_1) p_XY)
-      fresh, from rng.split(32). Thinning a Poisson gives a Poisson, so
-      batch 2 has exactly its calibrated law Poi(lam_2 p_XY), and the union
-      bound over the batches needs no independence. The account, and
-      detail["closeness_drawn"] per batch, count only fresh samples.
+    The pipeline sorts the axes so that X >= Y >= Z by size and runs the
+    k = 3 case of _Plan's closeness chain, two links at eps/2 and delta
+    1/120 each: the flattened joint, read as an (F_X F_Y, F_Z) grid, tests
+    (X, Y) against Z; if that accepts, the flattened (X, Y) marginal, an
+    (F_X, F_Y) grid whose batch thins the first's table, tests X against Y.
+    detail["closeness_grids"] lists the grids of the links run, so the last
+    one decided. _Plan proves the chain sound and states its error budget.
     """
     _check_prediction(pred, 3)
     return aug_independence_d(sampler, pred, cfg, rng, hooks)

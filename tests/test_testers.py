@@ -1154,22 +1154,41 @@ class TestThreeAxisBatches:
         # On a uniform input the (X, Y) batch runs below the joint batch's
         # rate, so it keeps a thinned share of that batch's table and draws
         # nothing fresh: the run's closeness samples are the joint batch's.
+        # On it and on a non-uniform product the pair view's law is the
+        # flattened (X, Y) marginal, the law that thinning the joint batch's
+        # table summed over Z yields.
         batches, kernel = [], estimators._poissonized_counts
+        flattenings, joint_view = [], testers.flattened_joint_view
 
         def recording(view, lam, rng):
             counts = kernel(view, lam, rng)
             batches.append((view, lam, int(counts.sum())))
             return counts
 
+        def recording_joint_view(sampler, pf):
+            flattenings.append(pf)
+            return joint_view(sampler, pf)
+
         monkeypatch.setattr(estimators, "_poissonized_counts", recording)
-        p = JointDistribution.uniform(self.DIMS)
-        for seed in range(5):
-            batches.clear()
-            v = aug_independence_3d(JointSampler(p), p, TesterConfig(0.4, 0.1), Rng(seed, ()))
-            assert v.outcome is Outcome.ACCEPT and len(v.detail["closeness_grids"]) == 2
-            (joint, lam1, k1), (pair, lam2, _) = batches
-            assert pair.parent is joint and lam2 < lam1 and pair.last[2] == 0
-            assert v.account.closeness == k1 > 0 and v.detail["closeness_drawn"] == [k1, 0]
+        monkeypatch.setattr(testers, "flattened_joint_view", recording_joint_view)
+        uniform = JointDistribution.uniform(self.DIMS)
+        x, y, z = (np.arange(1.0, n + 1) ** 2 for n in self.DIMS)
+        table = x[:, None, None] * y[None, :, None] * z[None, None, :]
+        for p in (uniform, JointDistribution(self.DIMS, table / table.sum())):
+            for seed in range(5):
+                batches.clear()
+                flattenings.clear()
+                v = aug_independence_3d(JointSampler(p), p, TesterConfig(0.4, 0.1), Rng(seed, ()))
+                assert v.outcome is Outcome.ACCEPT and len(v.detail["closeness_grids"]) == 2
+                (joint, lam1, k1), (pair, lam2, _) = batches
+                (pf,) = flattenings
+                assert pair.parent is joint
+                xy = flattening.ProductFlattening(pf.axes[:2])
+                want = flattening.flatten_distribution_explicit(marginal(p, [0, 1]), xy).probs
+                np.testing.assert_allclose(pair.probs, want, rtol=1e-12, atol=0)
+                if p is uniform:
+                    assert lam2 < lam1 and pair.last[2] == 0
+                    assert v.account.closeness == k1 > 0 and v.detail["closeness_drawn"] == [k1, 0]
 
 
 class TestProductBoundFarSide:
