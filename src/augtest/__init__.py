@@ -27,7 +27,6 @@ from .flattening import (
     flatten_distribution_explicit,
     flattened_axis_view,
     flattened_joint_view,
-    flattened_product_view,
 )
 from .estimators import (
     EstimatorConfig,

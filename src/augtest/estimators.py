@@ -23,9 +23,9 @@ on the calibration laws of its smallest grids. That rests on the premise
 that a band's error does not grow with M: the statistic sums more and
 smaller terms as M grows, its tails thin toward the Gaussian's, and the
 lowest M binds; the top band's point serves every larger M. Sample draws
-are logged into a SampleAccount in units of base joint draws, counting only
-what was drawn: a batch thinned from a parent view's (_poissonized_counts)
-adds only its fresh samples.
+are logged into a SampleAccount, one per sample, since every view emits one
+sample per base joint draw, counting only what was drawn: a batch thinned
+from a parent view's (_poissonized_counts) adds only its fresh samples.
 
 When a sample view exposes its law, batches are drawn at the count level: a
 norm call as one (repetitions, T) block of inverse-CDF draws, each row sorted
@@ -269,7 +269,7 @@ def estimate_l2_squared(
     r = repetitions(delta, cfg)
     ests = _norm_statistics(view, T, r, rng)
     if account is not None:
-        account.add(stage, T * r * view.cost)
+        account.add(stage, T * r)
     return _median(ests)
 
 
@@ -369,7 +369,7 @@ def closeness_test(
     delta must be at least that; amplify reaches a smaller one. The account
     holds the fresh samples. N is _poissonized_counts(view, lambda, rng).
     """
-    if view.dims is None or len(view.dims) < 2:
+    if len(view.dims) < 2:
         raise DomainError(f"closeness tests an axis against the others, but the view's grid is {view.dims}")
     _check_size(M, view)
     lam, threshold = closeness_params(M, b, eps, cfg)
@@ -377,7 +377,7 @@ def closeness_test(
     counts = _poissonized_counts(view, lam, rng).reshape(-1, view.dims[-1])
     pairs, triples, quads, _ = _independence_terms(counts)
     if account is not None:
-        account.add("closeness", view.last[2] * view.cost)
+        account.add("closeness", view.last[2])
     # Z <= threshold, times lambda^2 and both denominators: lambda = a / c
     # and threshold = t / u exactly, as floats are.
     a, c = lam.as_integer_ratio()

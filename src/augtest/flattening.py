@@ -27,7 +27,6 @@ from .domain import (
     _wants_guide,
     inverse_cdf,
     marginal,
-    outer_product,
 )
 
 # Tolerance added before floor() so that masses intended to be exact
@@ -128,46 +127,43 @@ def flatten_distribution_explicit(
 # ---------------------------------------------------------------------------
 # Flattened sample views over a joint sampler.
 #
-# A "flat view" is 1-D sample access over [size] with an optional explicit
-# law, normalized to sum 1 by FlatView itself. Estimators only need
-# draw/size/probs/cost, inverse_cdf when probs is set, and dims to test the
-# last axis of a grid against the others; cost is the number of base joint
-# draws consumed per emitted sample, used for the sample account. The
-# builders differ only in their law and in how they group the axes for
-# _flat_view, which does every draw; the pipeline's later closeness links
-# build the views of their leading coordinates through _flat_view itself.
+# Estimators only need draw/size/probs, inverse_cdf when probs is set, and
+# dims to test the last axis of the grid against the others. Every view
+# emits one sample per base joint draw. The builders differ only in their
+# law and their axes; _flat_view does every draw, and the pipeline's later
+# closeness links build their views through it with no law, reading their
+# parent's table (estimators._poissonized_counts).
 
 
 @dataclass
 class FlatView:
-    """1-D sample access over [size], with its law in probs when known.
+    """Sample access over the cells of the grid dims, row-major, with its law in probs when known.
 
-    A law must have size entries and a finite positive sum. It is divided
-    by that sum once, when the view is built, and its one inverse-CDF map
-    is kept for the view's lifetime (see inverse_cdf), so every estimator
-    call on the view, and every count-level draw, looks symbols up through
-    the same cumulative table. dims, when set, is the grid the cells
-    linearize row-major (its product is size); the flattened views set it
-    to their flat dims. A parent's grid begins with dims, and the view's law
-    is its marginal; last is (lam, counts, fresh samples) of the view's last
-    Poissonized batch, which a child thins (estimators._poissonized_counts).
+    size is the number of cells, the product of dims. A law must have size
+    entries and a finite positive sum. It is divided by that sum once, when
+    the view is built, and its one inverse-CDF map is kept for the view's
+    lifetime (see inverse_cdf), so every estimator call on the view, and
+    every count-level draw, looks symbols up through the same cumulative
+    table. A parent's grid begins with dims, and the view's law, carried or
+    not, is its marginal; last is (lam, counts, fresh samples) of the view's
+    last Poissonized batch, which a child thins
+    (estimators._poissonized_counts).
     """
 
-    size: int
+    dims: tuple[int, ...]
     probs: np.ndarray | None
-    cost: int
     draw: Callable[[int, Rng], np.ndarray]
-    dims: tuple[int, ...] | None = None
     parent: FlatView | None = field(default=None, repr=False, compare=False)
+    size: int = field(init=False)
     last: tuple[float, np.ndarray, int] | None = field(default=None, init=False, repr=False, compare=False)
     _cum: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _map: Callable[[np.ndarray], np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
     _refused_sorted: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dims is not None and math.prod(self.dims) != self.size:
-            raise DomainError(f"a view over {self.size} cells cannot linearize the grid {self.dims}")
-        if self.parent is not None and (self.dims is None or (self.parent.dims or ())[: len(self.dims)] != self.dims):
+        self.dims = tuple(self.dims)
+        self.size = math.prod(self.dims)
+        if self.parent is not None and self.parent.dims[: len(self.dims)] != self.dims:
             raise DomainError(f"the grid {self.dims} does not lead its parent's grid {self.parent.dims}")
         if self.probs is not None:
             probs = np.asarray(self.probs, dtype=np.float64).reshape(-1)
@@ -201,7 +197,7 @@ class FlatView:
 
     @staticmethod
     def from_law(probs) -> "FlatView":
-        """View over [len(probs)] drawing by inverse CDF from a nonnegative mass vector, normalized to sum 1."""
+        """View over the 1-axis grid [len(probs)], drawing by inverse CDF from a nonnegative mass vector."""
         probs = np.asarray(probs, dtype=np.float64).reshape(-1)
         if (probs < 0).any():
             raise DomainError("a view's law has negative entries")
@@ -209,41 +205,37 @@ class FlatView:
         def draw(count: int, rng: Rng) -> np.ndarray:
             return view.inverse_cdf(count)(rng.gen.random(count))
 
-        view = FlatView(probs.size, probs, 1, draw)
+        view = FlatView((probs.size,), probs, draw)
         return view
 
 
-def _flat_view(sampler, pf: ProductFlattening, groups: Sequence[Sequence[int]], probs, parent=None) -> FlatView:
-    """View over the flat cells of the axes in groups, linearized row-major in that order.
+def _flat_view(sampler, pf: ProductFlattening, axes: Sequence[int], probs, parent=None) -> FlatView:
+    """View over the flat cells of the given axes, linearized row-major in that order.
 
-    Group i takes its axes from its own joint draws, on rng.split(2i), so one
-    emitted sample costs len(groups) joint draws. Each row's sub-bucket is
-    drawn uniformly and fresh, from rng.split(2i + 1), matching the i.i.d.
-    flattened sample model; nothing is memoized per base symbol.
+    Each emitted sample is one joint draw, on rng.split(0). Each row's
+    sub-bucket is drawn uniformly and fresh, axis by axis, from
+    rng.split(1), matching the i.i.d. flattened sample model; nothing is
+    memoized per base symbol.
     """
-    flat_dims = tuple(pf.flat_dims[a] for g in groups for a in g)
+    axes = tuple(axes)
+    flat_dims = tuple(pf.flat_dims[a] for a in axes)
 
     def draw(count: int, rng: Rng) -> np.ndarray:
-        cols = []
-        for i, group in enumerate(groups):
-            rows = sampler.draw(count, rng.split(2 * i))
-            sub = rng.split(2 * i + 1)
-            for a in group:
-                f, ids = pf.axes[a], rows[:, a]
-                cols.append(f.offsets[ids] + sub.gen.integers(0, f.buckets[ids]))
+        rows, sub = sampler.draw(count, rng.split(0)), rng.split(1)
+        cols = [pf.axes[a].offsets[rows[:, a]] + sub.gen.integers(0, pf.axes[a].buckets[rows[:, a]]) for a in axes]
         return np.ravel_multi_index(tuple(cols), flat_dims)
 
-    return FlatView(math.prod(flat_dims), probs, len(groups), draw, flat_dims, parent)
+    return FlatView(flat_dims, probs, draw, parent)
 
 
 def flattened_axis_view(sampler, axis: int, pf: ProductFlattening) -> FlatView:
-    """View of the flattened marginal on one axis; one joint draw per sample."""
+    """View of the flattened marginal on one axis."""
     ((axis,),) = _check_blocks(pf.arity, [[axis]])
     probs = None
     if getattr(sampler, "dist", None) is not None:
         f = pf.axes[axis]
         probs = (marginal(sampler.dist, [axis]).probs / f.buckets).repeat(f.buckets)
-    return _flat_view(sampler, pf, [[axis]], probs)
+    return _flat_view(sampler, pf, [axis], probs)
 
 
 def flattened_joint_view(sampler, pf: ProductFlattening) -> FlatView:
@@ -251,22 +243,4 @@ def flattened_joint_view(sampler, pf: ProductFlattening) -> FlatView:
     probs = None
     if getattr(sampler, "dist", None) is not None:
         probs = _flattened_law(sampler.dist, pf)
-    return _flat_view(sampler, pf, [list(range(pf.arity))], probs)
-
-
-def flattened_product_view(
-    sampler, pf: ProductFlattening, axis_laws: Sequence[np.ndarray | None]
-) -> FlatView:
-    """View of the product of flattened marginals.
-
-    One emitted sample mixes coordinate l from its own independent joint draw,
-    so it costs arity joint draws; the law is exactly the product of the
-    per-axis flattened marginals, axis_laws (the probs of each
-    flattened_axis_view), or None when any of them is None.
-    """
-    if len(axis_laws) != pf.arity:
-        raise DomainError(f"a product view of {pf.arity} axes needs as many axis laws, got {len(axis_laws)}")
-    probs = None
-    if all(law is not None for law in axis_laws):
-        probs = outer_product(axis_laws)
-    return _flat_view(sampler, pf, [[ax] for ax in range(pf.arity)], probs)
+    return _flat_view(sampler, pf, range(pf.arity), probs)

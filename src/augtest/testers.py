@@ -5,7 +5,10 @@ distribution pred, and a claimed accuracy alpha with tv(p, pred) <= alpha,
 the testers distinguish product distributions from distributions eps-far (in
 tv) from every product, with a third verdict InaccurateInformation that is
 only permitted when the claimed accuracy is violated. Each failure mode has
-probability at most BASE_DELTA.
+probability at most BASE_DELTA. The prediction is read only as its marginal
+on each coordinate B of the pipeline's view (_Plan), so InaccurateInformation
+is only permitted when tv(p_B, pred_B) > alpha for some B: a marginal's tv
+never exceeds the joint's, so that is the sharper guarantee.
 
 Pipeline for 2 and 3 axes: Poissonized per-axis sample sizes with a cap
 check, prediction-assisted flattening of every axis, an l2 gate on each
@@ -61,12 +64,11 @@ from .flattening import (
     build_axis_flattening,
     flattened_axis_view,
     flattened_joint_view,
-    flattened_product_view,
 )
 
-# perfbench's tracer wraps testers.flattened_product_view by name, so the name stays bound here
-# until ROADMAP item 8 moves the tracer off it; no tester builds a product view.
-flattened_product_view = flattened_product_view
+# perfbench's tracer looks testers.flattened_product_view up by name, so the name stays bound,
+# to nothing, until ROADMAP item 8 moves the tracer off it; the product view is gone.
+flattened_product_view = None
 
 
 class Outcome(str, Enum):
@@ -152,12 +154,33 @@ _DEFAULT_HOOKS = TesterHooks()
 
 
 def as_sampler(obj):
-    """Accepts a JointDistribution or any draw/dims sampler."""
+    """Accepts a JointDistribution or any draw/dims sampler; JointSampler and
+    ReindexedSampler pass through, and any other sampler has its draws checked."""
     if isinstance(obj, JointDistribution):
         return JointSampler(obj)
     if not hasattr(obj, "draw") or not hasattr(obj, "dims"):
         raise DomainError("sampler must expose draw(count, rng) and dims")
-    return obj
+    return obj if isinstance(obj, (JointSampler, ReindexedSampler)) else _CheckedSampler(obj)
+
+
+class _CheckedSampler:
+    """A caller's sampler, with its dist if it has one, whose every draw must be a
+    (count, len(dims)) integer array in [0, dims); anything else is a DomainError naming the fault."""
+
+    def __init__(self, base):
+        self.base, self.dims, self.dist = base, tuple(base.dims), getattr(base, "dist", None)
+
+    def draw(self, count: int, rng: Rng) -> np.ndarray:
+        rows = np.asarray(self.base.draw(count, rng))
+        if rows.shape != (count, len(self.dims)):
+            fault = f"shape {rows.shape}, not {(count, len(self.dims))}"
+        elif rows.dtype.kind not in "iu":
+            fault = f"dtype {rows.dtype}, not integers"
+        elif ((rows < 0) | (rows >= self.dims)).any():
+            fault = f"a symbol outside its dims {self.dims}"
+        else:
+            return rows
+        raise DomainError(f"a sampler's draw of {count} rows has {fault}")
 
 
 class ReindexedSampler:
@@ -268,7 +291,9 @@ class _Plan:
       Poi(max(0, lam_a - lam_{a+1}) p_{0..a}) fresh; after a link that drew
       no table, as under a scripted hook, it draws its own. Thinning a
       Poisson gives a Poisson, so each link has exactly its calibrated law.
-      The account counts only fresh samples.
+      Link a's view carries no law: thinning reads only its parent's
+      table, and a fresh draw comes from the sampler, one joint draw per
+      sample. The account counts only fresh samples.
 
     Error budget, by a union bound over the calls, which needs no
     independence between them, so the links may share one table: k + 1
@@ -315,26 +340,26 @@ class _Plan:
             return 1.0 / M, "floor"
         return b, source
 
-    def joint_norm_trade(self, M: int, view_cost: int, marg_norms: Sequence[float]) -> tuple[int, float]:
+    def joint_norm_trade(self, M: int, marg_norms: Sequence[float]) -> tuple[int, float]:
         """(cost, saving) in samples of the joint norm on M cells; the pipeline draws it only when cost < saving.
 
-        cost, known before any draw, is r batches of T at norm_delta, each
-        sample view_cost joint draws. saving is what the joint bound saves
-        on a product, where 2 * joint_norm lands near half the product
-        bound b_prod: the first link's rate at b_prod less its rate at
-        max(b_prod / 2, 1/M), so the band and the clamps enter. The product
-        bound alone is sound, so the joint norm is only an optimisation. A
-        b_prod whose rate closeness_params refuses saves without limit: the
-        joint bound may bring the rate back within range.
+        cost, known before any draw, is r batches of T at norm_delta. saving
+        is what the joint bound saves on a product, where 2 * joint_norm
+        lands near half the product bound b_prod: the first link's rate at
+        b_prod less its rate at max(b_prod / 2, 1/M), so the band and the
+        clamps enter. The product bound alone is sound, so the joint norm is
+        only an optimisation. A b_prod whose rate closeness_params refuses
+        saves without limit: the joint bound may bring the rate back within
+        range.
         """
-        cost = _norm_batch(M, _ESTIMATOR.norm_sample_mult) * repetitions(self.norm_delta, _ESTIMATOR) * view_cost
+        cost = _norm_batch(M, _ESTIMATOR.norm_sample_mult) * repetitions(self.norm_delta, _ESTIMATOR)
         b_prod, _ = self.closeness_bound(len(self.view) - 1, M, marg_norms)
         try:
             lam_prod, _ = closeness_params(M, b_prod, self.batch_eps[0], _ESTIMATOR)
         except DomainError:
             return cost, math.inf
         lam_joint, _ = closeness_params(M, max(b_prod / 2.0, 1.0 / M), self.batch_eps[0], _ESTIMATOR)
-        return cost, (lam_prod - lam_joint) * view_cost
+        return cost, lam_prod - lam_joint
 
 
 @functools.lru_cache(maxsize=64)
@@ -383,7 +408,7 @@ def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks |
     closeness_b and its source, and each link's grid and fresh draw.
     """
     if plan.view != tuple((a,) for a in range(len(sampler.dims))):
-        sampler, pred = ReindexedSampler(sampler, plan.view), merge_axes(pred, plan.view)
+        sampler = ReindexedSampler(sampler, plan.view)
     hooks = hooks or _DEFAULT_HOOKS
     dims = sampler.dims
     arity = len(dims)
@@ -398,14 +423,15 @@ def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks |
     if any(shat[l] > plan.cap * s[l] for l in range(arity)):
         return Verdict(Outcome.REJECT, stage_log, account, detail)
 
-    # Flattening: each axis consumes its own projected joint draws.
+    # Flattening: each axis consumes its own projected joint draws, and reads
+    # the prediction only as its coordinate's marginal.
     stage_log.append("flattening")
     flats = []
     for l in range(arity):
         rows = sampler.draw(shat[l], rng.split(10 + l))
         counts = np.bincount(rows[:, l], minlength=dims[l])
         account.add("flattening", shat[l])
-        flats.append(build_axis_flattening(marginal(pred, [l]).probs, counts))
+        flats.append(build_axis_flattening(merge_axes(pred, [plan.view[l]]).probs, counts))
     pf = ProductFlattening(flats)
     detail["flat_dims"] = pf.flat_dims
 
@@ -428,7 +454,7 @@ def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks |
     # a run builds, and closeness reads it.
     joint_view = flattened_joint_view(sampler, pf)
     M = pf.flat_size
-    cost, saving = plan.joint_norm_trade(M, joint_view.cost, marg_norms)
+    cost, saving = plan.joint_norm_trade(M, marg_norms)
     detail["joint_norm_cost"], detail["joint_norm_saving"] = cost, saving
     joint_norm = math.inf
     if cost < saving:
@@ -440,9 +466,9 @@ def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks |
 
     # l1 closeness between the flattened joint and the product of flattened
     # marginals, along the plan's chain: link a tests coordinate a against
-    # coordinates 0..a-1 on the view of the leading a + 1, whose law is its
-    # parent's summed over the parent's last axis and whose batch thins the
-    # parent's table. closeness_drawn holds what each link drew fresh.
+    # coordinates 0..a-1 on the view of the leading a + 1, which carries no
+    # law and whose batch thins the parent's table. closeness_drawn holds
+    # what each link drew fresh.
     stage_log.append("closeness")
     b, detail["closeness_b_source"] = plan.closeness_bound(arity - 1, M, marg_norms, joint_norm)
     detail["closeness_b"] = b
@@ -451,8 +477,7 @@ def _flatten_pipeline(sampler, pred, plan: _Plan, rng: Rng, hooks: TesterHooks |
     for j, batch_eps in enumerate(plan.batch_eps):
         if j:
             a = arity - 1 - j
-            law = None if view.probs is None else view.probs.reshape(view.dims).sum(axis=-1)
-            view = _flat_view(sampler, pf, [list(range(a + 1))], law, view)
+            view = _flat_view(sampler, pf, range(a + 1), None, view)
             b, _ = plan.closeness_bound(a, view.size, marg_norms)
         detail["closeness_grids"].append((view.size // view.dims[-1], view.dims[-1]))
         drawn = account.closeness

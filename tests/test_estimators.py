@@ -62,15 +62,14 @@ LARGE_BAND_CELLS = [
 
 def draw_only(view: FlatView) -> FlatView:
     """The same view, grid and all, with its law hidden, so every batch splits a stream."""
-    return FlatView(size=view.size, probs=None, cost=view.cost, draw=view.draw, dims=view.dims)
+    return FlatView(view.dims, None, view.draw)
 
 
 def grid_view(law: np.ndarray, explicit: bool = True) -> FlatView:
     """A view over a law's cells, row-major, that carries its grid; with
     explicit False its law is hidden, so the batch splits a stream."""
-    view = FlatView.from_law(law.reshape(-1))
-    view.dims = law.shape
-    return view if explicit else draw_only(view)
+    flat = FlatView.from_law(law.reshape(-1))
+    return FlatView(law.shape, flat.probs if explicit else None, flat.draw)
 
 
 def upper_tail(r: int, p: float) -> float:
@@ -513,13 +512,12 @@ class TestL2Estimator:
         T = max(2, math.ceil(CFG.norm_sample_mult * math.ceil(math.sqrt(M))))
         assert account.norm == T * repetitions(delta, CFG)
 
-    def test_custom_stage_and_cost(self):
+    def test_custom_stage(self):
         account = SampleAccount()
         v = FlatView.from_law(np.array([0.5, 0.5]))
-        v.cost = 3
         estimate_l2_squared(v, 2, 0.5, CFG, Rng(8), account, stage="flattening")
         T = max(2, math.ceil(CFG.norm_sample_mult * math.ceil(math.sqrt(2))))
-        assert account.flattening == T * repetitions(0.5, CFG) * 3
+        assert account.flattening == T * repetitions(0.5, CFG)
         assert account.norm == 0
 
     def test_domain_size_validation(self):
@@ -595,16 +593,14 @@ class TestClosenessTest:
         hits = sum(not closeness_test(view, 4, 0.25, 0.3, 0.05, CFG, Rng(12, (t,))) for t in range(60))
         assert hits >= 54
 
-    def test_accounting_deterministic_and_cost_weighted(self):
+    def test_accounting_deterministic(self):
         accounts = []
         for _ in range(2):
-            view = grid_view(np.full((5, 2), 0.1))
-            view.cost = 2
             accounts.append(SampleAccount())
-            closeness_test(view, 10, 0.1, 0.3, 0.5, CFG, Rng(13), accounts[-1])
+            closeness_test(grid_view(np.full((5, 2), 0.1)), 10, 0.1, 0.3, 0.5, CFG, Rng(13), accounts[-1])
         lam = closeness_params(10, 0.1, 0.3, CFG)[0]
         counts = estimators._poissonized_counts(grid_view(np.full((5, 2), 0.1)), lam, Rng(13))
-        assert accounts[0].closeness == accounts[1].closeness == 2 * counts.sum() > 0
+        assert accounts[0].closeness == accounts[1].closeness == counts.sum() > 0
 
     def test_validation(self):
         v = grid_view(np.ones((1, 1)))
@@ -755,8 +751,6 @@ class TestIndependenceStatistic:
                 closeness_test(view, 12, 1 / 12, 0.3, 0.1, CFG, Rng(73), account)
             assert account.total == 0
         assert closeness_test(grid_view(law.reshape(2, 2, 3)), 12, 1 / 12, 0.3, 0.1, CFG, Rng(73))
-        with pytest.raises(DomainError, match="cannot linearize the grid"):
-            FlatView(12, law, 1, FlatView.from_law(law).draw, (3, 5))
 
 
 class TestNullTail:
@@ -768,7 +762,8 @@ class TestNullTail:
     input of closeness_2d and of the uniform (2,)^5 cube of arity5_d, whose
     grouped (4, 4, 2) joint is tested with its first two axes as rows, both
     in the top band, and the flattened marginal of that cube's first two
-    grouped axes, which its second batch tests.
+    grouped axes, which its second batch tests; that link's view carries no
+    law, so its law is read from the joint's, summed over the last axis.
 
     The first two draw null statistics Z on one closeness call's law of a
     real trial, at the tight b = ||p||_2^2, where the threshold sits nearest
@@ -803,10 +798,18 @@ class TestNullTail:
         return calls
 
     @staticmethod
+    def _law(view) -> np.ndarray:
+        """The view's law on its grid: its own, or on a later chain link,
+        which carries none, its parent's summed over the parent's last axis."""
+        if view.probs is not None:
+            return view.probs.reshape(view.dims)
+        return TestNullTail._law(view.parent).sum(axis=-1)
+
+    @staticmethod
     def _null_statistics(view, M: int, eps: float, statistics: int, stream: int):
         """Z of `statistics` batches of the view's law at the tight b, drawn
         by the calibration script's own routine, and the call's threshold."""
-        p = view.probs.reshape(-1, view.dims[-1])
+        p = TestNullTail._law(view).reshape(-1, view.dims[-1])
         b = min(float((p * p).sum()), float((p.sum(axis=1) ** 2).sum() * (p.sum(axis=0) ** 2).sum()))
         lam, threshold = closeness_params(M, b, eps, CFG)
         return _calibration_script().joint_z_samples(p, lam, statistics, Rng(stream)), threshold
@@ -1174,7 +1177,7 @@ class TestPoissonizedCounts:
 
     def marginal_view(self, parent: FlatView, explicit: bool) -> FlatView:
         law = self.JOINT.sum(axis=2)
-        return FlatView(law.size, law.reshape(-1) if explicit else None, 1, FlatView.from_law(law).draw, law.shape, parent)
+        return FlatView(law.shape, law.reshape(-1) if explicit else None, FlatView.from_law(law).draw, parent)
 
     @pytest.mark.parametrize("explicit", [True, False], ids=["law", "draw_only"])
     @pytest.mark.parametrize("lam1, lam2", [(8.0, 4.0), (30.0, 12.0), (8.0, 13.6), (30.0, 51.0)])
@@ -1223,7 +1226,7 @@ class TestPoissonizedCounts:
         parent = grid_view(self.JOINT)
         law = self.JOINT.sum(axis=0)
         with pytest.raises(DomainError, match="does not lead"):
-            FlatView(law.size, law.reshape(-1), 1, FlatView.from_law(law).draw, law.shape, parent)
+            FlatView(law.shape, law.reshape(-1), FlatView.from_law(law).draw, parent)
 
 
 class TestLearnEmpirical:

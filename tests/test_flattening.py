@@ -25,7 +25,6 @@ from augtest.flattening import (
     flatten_distribution_explicit,
     flattened_axis_view,
     flattened_joint_view,
-    flattened_product_view,
 )
 
 
@@ -248,32 +247,26 @@ class TestSampleFlattening:
         assert 0.5 * np.abs(emp - target.probs).sum() < 0.02
 
     def test_stream_layout(self):
-        # group i of a view draws its joint rows from rng.split(2i) and their
-        # sub-buckets, axis by axis, from rng.split(2i + 1)
+        # a view draws one joint row per sample from rng.split(0) and the
+        # rows' sub-buckets, axis by axis, from rng.split(1)
         gen = Rng(10).gen
         p = random_dist((4, 3, 2), gen)
         pf = ProductFlattening([AxisFlattening(gen.integers(1, 4, size=n)) for n in p.dims])
         opaque = OpaqueSampler(p)
 
-        def recompute(groups, count, rng):
+        def recompute(axes, count, rng):
+            rows = JointSampler(p).draw(count, rng.split(0))
+            sub = rng.split(1).gen
             cols = []
-            for i, group in enumerate(groups):
-                rows = JointSampler(p).draw(count, rng.split(2 * i))
-                sub = rng.split(2 * i + 1).gen
-                for a in group:
-                    f = pf.axes[a]
-                    cols.append(f.offsets[rows[:, a]] + sub.integers(0, f.buckets[rows[:, a]]))
-            return np.ravel_multi_index(tuple(cols), [pf.flat_dims[a] for g in groups for a in g])
+            for a in axes:
+                f = pf.axes[a]
+                cols.append(f.offsets[rows[:, a]] + sub.integers(0, f.buckets[rows[:, a]]))
+            return np.ravel_multi_index(tuple(cols), [pf.flat_dims[a] for a in axes])
 
-        views = [
-            (flattened_axis_view(opaque, 1, pf), [[1]]),
-            (flattened_joint_view(opaque, pf), [[0, 1, 2]]),
-            (flattened_product_view(opaque, pf, [None] * 3), [[0], [1], [2]]),
-        ]
-        for view, groups in views:
+        for view, axes in ((flattened_axis_view(opaque, 1, pf), [1]), (flattened_joint_view(opaque, pf), [0, 1, 2])):
             assert view.probs is None
-            assert view.cost == len(groups)
-            assert np.array_equal(view.draw(400, Rng(11, (3,))), recompute(groups, 400, Rng(11, (3,))))
+            assert view.dims == tuple(pf.flat_dims[a] for a in axes)
+            assert np.array_equal(view.draw(400, Rng(11, (3,))), recompute(axes, 400, Rng(11, (3,))))
 
 
 class TestFlatViews:
@@ -289,47 +282,19 @@ class TestFlatViews:
         f = self.pf.axes[0]
         view = flattened_axis_view(self.sampler, 0, self.pf)
         marg = marginal(self.p, [0]).probs
-        assert view.size == f.flat_size
-        assert view.cost == 1
+        assert view.size == f.flat_size and view.dims == (f.flat_size,)
         assert np.allclose(view.probs, np.repeat(marg / f.buckets, f.buckets), atol=1e-15)
         assert view.probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_joint_view_probs(self):
         view = flattened_joint_view(self.sampler, self.pf)
-        assert view.size == self.pf.flat_size
-        assert view.cost == 1
+        assert view.size == self.pf.flat_size and view.dims == self.pf.flat_dims
         assert np.allclose(view.probs, flatten_distribution_explicit(self.p, self.pf).probs)
 
-    def axis_laws(self, sampler):
-        return [flattened_axis_view(sampler, ax, self.pf).probs for ax in range(self.pf.arity)]
-
-    def test_product_view_probs(self):
-        view = flattened_product_view(self.sampler, self.pf, self.axis_laws(self.sampler))
-        assert view.cost == 2  # one joint draw per axis
-        m0 = np.repeat(marginal(self.p, [0]).probs / self.pf.axes[0].buckets, self.pf.axes[0].buckets)
-        m1 = np.repeat(marginal(self.p, [1]).probs / self.pf.axes[1].buckets, self.pf.axes[1].buckets)
-        assert np.allclose(view.probs, np.outer(m0, m1).reshape(-1), atol=1e-15)
-
-    def test_product_view_takes_the_axis_view_laws(self):
-        # the law is built from the laws passed in, not recomputed from the sampler
-        laws = [Rng(16).gen.dirichlet(np.ones(f.flat_size)) for f in self.pf.axes]
-        shared = flattened_product_view(self.sampler, self.pf, laws)
-        outer = np.outer(laws[0], laws[1]).reshape(-1)
-        assert np.array_equal(shared.probs, outer / outer.sum())
-
-    def test_product_view_normalizes_unnormalized_axis_laws(self):
-        laws = [np.arange(1.0, f.flat_size + 1) for f in self.pf.axes]
-        view = flattened_product_view(self.sampler, self.pf, laws)
-        assert view.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_product_view_needs_one_law_per_axis(self):
-        # one law of a 2-axis flattening would otherwise give a view over
-        # every flat cell holding a law of only the first axis's cells
-        law = self.axis_laws(self.sampler)[0]
-        with pytest.raises(DomainError, match="a product view of 2 axes needs as many axis laws, got 1"):
-            flattened_product_view(self.sampler, self.pf, [law])
-        with pytest.raises(DomainError, match="got 3"):
-            flattened_product_view(self.sampler, self.pf, [law, law, law])
+    def test_a_views_size_is_its_grids_cell_count(self):
+        assert FlatView((3, 4, 5), None, lambda count, rng: None).size == 60
+        view = FlatView.from_law(np.full(7, 1.0))
+        assert view.dims == (7,) and view.size == 7
 
     @pytest.mark.parametrize(
         "axis, message",
@@ -356,8 +321,8 @@ class TestFlatViews:
     )
     def test_a_view_rejects_a_law_that_does_not_fit_it(self, size, probs, message):
         with pytest.raises(DomainError, match=message):
-            FlatView(size, np.array(probs), 1, lambda count, rng: None)
-        assert FlatView(size, None, 1, lambda count, rng: None).probs is None
+            FlatView((size,), np.array(probs), lambda count, rng: None)
+        assert FlatView((size,), None, lambda count, rng: None).probs is None
 
     @pytest.mark.parametrize("probs", [[-1.0, 2.0], [0.5, -0.0001, 0.5001]])
     def test_from_law_rejects_negative_entries(self, probs):
@@ -403,8 +368,6 @@ class TestFlatViews:
     def test_views_without_explicit_law(self):
         opaque = OpaqueSampler(self.p)
         assert flattened_axis_view(opaque, 0, self.pf).probs is None
-        assert flattened_product_view(opaque, self.pf, self.axis_laws(opaque)).probs is None
-        assert flattened_product_view(self.sampler, self.pf, [self.axis_laws(self.sampler)[0], None]).probs is None
         view = flattened_joint_view(opaque, self.pf)
         assert view.probs is None
         draws = view.draw(100, Rng(13))
@@ -417,9 +380,3 @@ class TestFlatViews:
         draws = view.draw(60000, Rng(14))
         emp = np.bincount(draws, minlength=f.flat_size) / 60000
         assert 0.5 * np.abs(emp - view.probs).sum() < 0.02
-
-    def test_product_view_draw_law(self):
-        view = flattened_product_view(self.sampler, self.pf, self.axis_laws(self.sampler))
-        draws = view.draw(60000, Rng(15))
-        emp = np.bincount(draws, minlength=view.size) / 60000
-        assert 0.5 * np.abs(emp - view.probs).sum() < 0.03

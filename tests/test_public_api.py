@@ -26,7 +26,7 @@ EXPORTS = sorted(
     TrialRecord ValidityReport Verdict amplify aug_independence_2d aug_independence_3d
     aug_independence_d build_axis_flattening closeness_params closeness_test distribution_from_json
     distribution_to_json draw_samples embed_hard_to_d emit_report emit_sweep estimate_l2_squared
-    flatten_distribution_explicit flattened_axis_view flattened_joint_view flattened_product_view
+    flatten_distribution_explicit flattened_axis_view flattened_joint_view
     gen_hard_2d gen_valid_hard_2d l2_norm_sq learn_empirical load_distribution marginal merge_axes
     merge_index partition_coordinates poisson poissonized_counts repetitions run_trials
     save_distribution split_axis summarize sweep_alpha test_independence_by_learning tv_distance
@@ -50,7 +50,7 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
 def test_exports_are_pinned():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     exported = sorted(_imported_names(tree))
-    assert len(EXPORTS) == 56
+    assert len(EXPORTS) == 55
     assert exported == EXPORTS
     assert all(hasattr(augtest, name) for name in exported)
     assert "outer_product" not in exported  # shared by the modules, not public

@@ -142,6 +142,54 @@ class TestSamplerViews:
         self.check((2, 3, 4), [[2], [0]], lambda p: marginal(p, [2, 0]))
 
 
+class TestCallerSampler:
+    """as_sampler checks a caller's own sampler: every draw must be a
+    (count, len(dims)) integer array in [0, dims), or a DomainError names
+    the fault before any count is read from it."""
+
+    LAW = JointDistribution.uniform((3, 3))
+
+    @staticmethod
+    def caller(draw, dims=(3, 3)):
+        return type("CallerSampler", (), {"dims": dims, "draw": staticmethod(draw)})()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (
+                lambda rows: np.vstack([rows, rows[:1]]),
+                r"a sampler's draw of (\d+) rows has shape \(\d+, 2\), not \(\1, 2\)",
+            ),
+            (lambda rows: rows + 1, r"a sampler's draw of \d+ rows has a symbol outside its dims \(3, 3\)"),
+            (lambda rows: rows.astype(np.float64), r"a sampler's draw of \d+ rows has dtype float64, not integers"),
+        ],
+        ids=["one_row_too_many", "symbol_outside_dims", "floats"],
+    )
+    def test_a_faulty_draw_is_a_domain_error_naming_its_fault(self, fault, message):
+        # unchecked, one row too many passes silently, every count and statistic read off the wrong sample size
+        base = JointSampler(self.LAW)
+        sampler = self.caller(lambda count, rng: fault(base.draw(count, rng)))
+        for run in (
+            lambda: aug_independence_2d(sampler, self.LAW, TesterConfig(0.4, 0.1), Rng(1)),
+            lambda: learning_tester(sampler, 0.4, 0.1, Rng(1)),
+        ):
+            with pytest.raises(DomainError, match=message):
+                run()
+
+    def test_a_valid_caller_sampler_draws_as_it_would_unwrapped(self):
+        base = JointSampler(self.LAW)
+        checked = testers.as_sampler(self.caller(base.draw, dims=[3, 3]))
+        assert checked.dims == (3, 3) and checked.dist is None
+        assert np.array_equal(checked.draw(50, Rng(3)), base.draw(50, Rng(3)))
+        v = aug_independence_2d(checked, self.LAW, TesterConfig(0.4, 0.1), Rng(1))
+        assert v.outcome is Outcome.ACCEPT
+
+    def test_the_library_samplers_pass_through_unwrapped(self):
+        joint = JointSampler(self.LAW)
+        reindexed = ReindexedSampler(joint, [[1], [0]])
+        assert testers.as_sampler(joint) is joint and testers.as_sampler(reindexed) is reindexed
+
+
 class TestGateLogic:
     """Scripted-hook runs pin the branch structure of the shared pipeline."""
 
@@ -327,7 +375,7 @@ class TestGateLogic:
         norm = testers._DEFAULT_HOOKS.norm
 
         def recording_norm(view, size, delta, est, *rest):
-            normed.append(_norm_batch(size, est.norm_sample_mult) * repetitions(delta, est) * view.cost)
+            normed.append(_norm_batch(size, est.norm_sample_mult) * repetitions(delta, est))
             return norm(view, size, delta, est, *rest)
 
         monkeypatch.setattr(testers, "_DEFAULT_HOOKS", TesterHooks(norm=recording_norm))
@@ -435,31 +483,29 @@ class TestGateLogic:
         plan = _plan((20, 10), self.CFG)
         for norms, b, drawn in ((self.SKIPPED, 0.04, False), ([0.105, 0.105], 0.0441, True)):
             saving = 3.5 * 1125 * (math.sqrt(b) - math.sqrt(b / 2)) / 0.4**2
-            got = plan.joint_norm_trade(1125, 1, norms)
+            got = plan.joint_norm_trade(1125, norms)
             assert got == (cost, pytest.approx(saving, rel=1e-12))
             assert (got[0] < got[1]) is drawn
-            # a view whose samples cost 2 joint draws doubles both sides
-            assert plan.joint_norm_trade(1125, 2, norms) == (2 * cost, pytest.approx(2 * saving))
 
     def test_the_trade_of_the_joint_norm_reads_the_clamps_band_and_confidence(self):
         trade = _plan((20, 10), self.CFG).joint_norm_trade
         # b at the 1/M floor, or half of it past the clamp at 1, saves nothing
-        assert trade(1125, 1, [0.0, 0.0]) == (1496, 0.0)
-        assert trade(1125, 1, [1.0, 1.0]) == (1496, 0.0)
+        assert trade(1125, [0.0, 0.0]) == (1496, 0.0)
+        assert trade(1125, [1.0, 1.0]) == (1496, 0.0)
         # b between 1/M and 2/M halves only down to the floor
         b = 1.5 / 1125
         saving = 3.5 * 1125 * (math.sqrt(b) - math.sqrt(1 / 1125)) / 0.16
-        assert trade(1125, 1, [b / 2, 0.5])[1] == pytest.approx(saving, rel=1e-12)
+        assert trade(1125, [b / 2, 0.5])[1] == pytest.approx(saving, rel=1e-12)
         # 100 cells lie in the 50 band (C = 3). Three axes at eps .8 run the
         # first batch at .4 on the (XY, Z) grid, whose norms are
         # min(0.1, 0.1) and 0.1, and each norm at 1/180, which takes 13 batches.
         plan = _plan((6, 5, 4), TesterConfig(0.8, 0.05))
         saving = 3.0 * 100 * (math.sqrt(0.04) - math.sqrt(0.02)) / 0.16
-        assert plan.joint_norm_trade(100, 1, [0.1, 0.1, 0.1]) == (13 * 40, pytest.approx(saving, rel=1e-12))
+        assert plan.joint_norm_trade(100, [0.1, 0.1, 0.1]) == (13 * 40, pytest.approx(saving, rel=1e-12))
         # a product bound whose batch is past the largest Poisson mean saves
         # without limit, so the norm whose bound may bring it back is drawn
         plan = _plan((20, 10), TesterConfig(1e-9, 0.05))
-        assert plan.joint_norm_trade(1125, 1, self.DRAWN) == (1496, math.inf)
+        assert plan.joint_norm_trade(1125, self.DRAWN) == (1496, math.inf)
 
     @pytest.mark.parametrize("drawn", [True, False])
     def test_detail_records_the_trade_and_only_a_drawn_joint_norm(self, drawn):
@@ -470,7 +516,7 @@ class TestGateLogic:
         assert M == 1125
         assert (v.detail["joint_norm_cost"], v.detail["joint_norm_saving"]) == _plan(
             (20, 10), self.CFG
-        ).joint_norm_trade(M, 1, norms)
+        ).joint_norm_trade(M, norms)
         assert sum(c[0] == "norm" for c in calls) == (3 if drawn else 2)
         assert ("joint_norm" in v.stage_log) is drawn and ("joint_norm" in v.detail) is drawn
         # drawn, the joint bound 2 * 0.01 is the smaller; skipped, the product's 4 * 0.1 * 0.1
@@ -712,7 +758,10 @@ class TestGeneralArity:
         hooks = scripted_hooks([2, 2, 2], [0.0, 0.0, 0.0, 0.0])
         v = aug_independence_d(JointSampler(p), p, TesterConfig(0.4, 0.05), Rng(17), hooks)
         assert built == [((1, 2), (3, 4), (0,)), [[1], [2], [3], [4]]]  # grouped view, then learning
-        assert len(merges) == 3  # one per reindexed law, and the prediction once
+        # one per reindexed law, and the prediction's marginal on each coordinate of the view
+        assert [list(map(tuple, blocks)) for _, blocks in merges] == [
+            [(1, 2), (3, 4), (0,)], [(1, 2)], [(3, 4)], [(0,)], [(1,), (2,), (3,), (4,)]
+        ]  # fmt: skip
         assert len(validated) == 1
         plan = v.detail["plan"]
         assert tuple(math.prod(p.dims[a] for a in blk) for blk in plan.blocks) == (2, 4, 4)  # in partition order
@@ -1154,9 +1203,10 @@ class TestThreeAxisBatches:
         # On a uniform input the (X, Y) batch runs below the joint batch's
         # rate, so it keeps a thinned share of that batch's table and draws
         # nothing fresh: the run's closeness samples are the joint batch's.
-        # On it and on a non-uniform product the pair view's law is the
-        # flattened (X, Y) marginal, the law that thinning the joint batch's
-        # table summed over Z yields.
+        # On it and on a non-uniform product the pair view carries no law:
+        # the law it tests, the one that thinning the joint batch's table
+        # summed over Z yields, is its parent's summed over Z, the flattened
+        # (X, Y) marginal.
         batches, kernel = [], estimators._poissonized_counts
         flattenings, joint_view = [], testers.flattened_joint_view
 
@@ -1182,13 +1232,34 @@ class TestThreeAxisBatches:
                 assert v.outcome is Outcome.ACCEPT and len(v.detail["closeness_grids"]) == 2
                 (joint, lam1, k1), (pair, lam2, _) = batches
                 (pf,) = flattenings
-                assert pair.parent is joint
+                assert pair.parent is joint and pair.probs is None
                 xy = flattening.ProductFlattening(pf.axes[:2])
                 want = flattening.flatten_distribution_explicit(marginal(p, [0, 1]), xy).probs
-                np.testing.assert_allclose(pair.probs, want, rtol=1e-12, atol=0)
+                summed = joint.probs.reshape(joint.dims).sum(axis=-1).reshape(-1)
+                np.testing.assert_allclose(summed, want, rtol=1e-12, atol=0)
                 if p is uniform:
                     assert lam2 < lam1 and pair.last[2] == 0
                     assert v.account.closeness == k1 > 0 and v.detail["closeness_drawn"] == [k1, 0]
+
+
+    def test_a_link_after_one_that_drew_none_draws_its_whole_rate(self):
+        # The first link's hook accepts without drawing, so the (X, Y) link,
+        # which carries no law of its own, finds no table on its parent and
+        # draws its whole rate from the sampler: every closeness sample is
+        # its own.
+        views = []
+
+        def closeness(view, *args):
+            views.append(view)
+            return True if len(views) == 1 else estimators.closeness_test(view, *args)
+
+        p = JointDistribution.uniform(self.DIMS)
+        v = aug_independence_3d(JointSampler(p), p, TesterConfig(0.4, 0.1), Rng(5), TesterHooks(closeness=closeness))
+        joint, pair = views
+        assert joint.probs is not None and joint.last is None
+        assert pair.parent is joint and pair.probs is None and pair.dims == joint.dims[:2]
+        k = v.account.closeness
+        assert v.detail["closeness_drawn"] == [0, k] and k == pair.last[2] > 0
 
 
 class TestProductBoundFarSide:
